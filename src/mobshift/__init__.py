@@ -6,6 +6,7 @@ from .errors import (
     ClassificationError,
     EmptyInteriorError,
     GridSizeError,
+    NotSkewAdjointError,
     NumericsError,
     OverflowGuardError,
     ParameterError,

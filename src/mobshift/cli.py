@@ -2,8 +2,9 @@
 classifier, and parameter sweeps with machine-readable reports.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad usage or
-parameters, 3 a numerical failure (singular solve, exponential overflow,
-grid too small).  Identical arguments and seed produce byte-identical output.
+parameters, 3 a numerical failure (singular solve, generator not skew-adjoint
+under a diagonal Gram, grid too small).  Identical arguments and seed produce
+byte-identical output.
 """
 
 from __future__ import annotations

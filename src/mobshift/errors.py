@@ -22,7 +22,11 @@ class SingularMatrixError(NumericsError):
 
 
 class OverflowGuardError(NumericsError):
-    """Matrix exponential refused: input norm beyond the configured bound."""
+    """Matrix exponential overflowed: a diagonal generator with a large real part."""
+
+
+class NotSkewAdjointError(NumericsError):
+    """Matrix exponential refused: no diagonal Gram makes the generator skew-adjoint."""
 
 
 class GridSizeError(NumericsError):

@@ -134,8 +134,8 @@ def kappa_flow_derivative(
 
     def fd_real(gen: str) -> OperatorMatrix:
         a = rel.generator(gen, w)
-        forward = mat_exp(step * a)
-        backward = mat_exp(-step * a)
+        forward = mat_exp(a, step)
+        backward = mat_exp(a, -step)
         return (forward @ T @ backward - backward @ T @ forward) / (2.0 * step)
 
     if X == "L" or X == "M":

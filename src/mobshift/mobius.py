@@ -137,7 +137,11 @@ class GroupPath:
             parts = token.strip().split(":")
             if len(parts) != 2:
                 raise ParameterError(f"malformed path segment {token!r}; expected gen:time")
-            segs.append((parts[0].strip(), float(parts[1])))
+            try:
+                t = float(parts[1])
+            except ValueError:
+                raise ParameterError(f"malformed time in path segment {token!r}; expected a number") from None
+            segs.append((parts[0].strip(), t))
         return cls(tuple(segs))
 
     def __add__(self, other: "GroupPath") -> "GroupPath":

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     EmptyInteriorError,
+    NotSkewAdjointError,
     OverflowGuardError,
     ParameterError,
     SingularMatrixError,
@@ -25,28 +26,13 @@ BILATERAL = "bilateral"
 MONOMIAL = "monomial"
 ORTHONORMAL = "orthonormal"
 
-#: refuse to exponentiate anything whose 1-norm exceeds this
-EXP_NORM_BOUND = 1.0e3
 #: refuse linear solves with a worse 1-norm condition estimate
 COND_LIMIT = 1.0e8
-
-_PADE13_THETA = 5.371920351148152
-_PADE13_B = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
+#: largest relative skew-Hermitian residue of S X S^-1 that mat_exp accepts
+SKEW_TOL = 1.0e-12
+#: generators whose spectra mat_exp keeps, one realization's h, L and M;
+#: repn keeps as many generator matrices per family
+GENERATOR_CACHE_SIZE = 3
 
 
 @dataclass(frozen=True)
@@ -202,41 +188,98 @@ class OperatorMatrix:
         return float(np.max(np.abs(self.data)))
 
 
-def mat_exp(A: OperatorMatrix, *, norm_bound: float = EXP_NORM_BOUND) -> OperatorMatrix:
-    """e^A by scaling and squaring around a fixed order-13 diagonal Pade kernel.
+@dataclass(frozen=True, eq=False)
+class _Spectrum:
+    """e^{tX} data for one generator X.
 
-    The squaring count comes from the 1-norm; diagonal inputs round-trip to
-    machine accuracy.  Inputs with 1-norm beyond ``norm_bound`` are refused.
+    A diagonal X keeps only its diagonal.  Otherwise ``values`` and
+    ``vectors`` diagonalize the Hermitian matrix i S X S^-1, and ``scale``
+    holds the diagonal of S (None when S is the identity).
     """
-    a = np.asarray(A.data)
-    n1 = float(np.linalg.norm(a, 1))
-    if n1 > norm_bound:
-        raise OverflowGuardError(
-            f"matrix 1-norm {n1:.3e} exceeds the exponential bound {norm_bound:.1e}"
-        )
+
+    values: np.ndarray
+    vectors: np.ndarray | None = None
+    scale: np.ndarray | None = None
+
+
+_spectra: dict = {}
+
+
+def _gram_scale(a: np.ndarray) -> np.ndarray | None:
+    """Diagonal S for which S A S^-1 can be skew-Hermitian, read off A's band.
+
+    Skewness of the first off-diagonals forces
+    s_{i+1}^2 / s_i^2 = -A[i, i+1] / conj(A[i+1, i]); the log-moduli of these
+    ratios are summed.  Where both band entries vanish (the seam of a
+    reducible sum) the chain breaks and the next block keeps its own scale.
+    """
+    upper = np.abs(np.diagonal(a, 1))
+    lower = np.abs(np.diagonal(a, -1))
+    if np.any((upper == 0.0) != (lower == 0.0)):
+        raise NotSkewAdjointError("generator is not skew-adjoint under a diagonal Gram: one-sided band entry")
+    linked = upper != 0.0
+    steps = np.zeros(upper.shape)
+    steps[linked] = 0.5 * (np.log(upper[linked]) - np.log(lower[linked]))
+    if not steps.any():
+        return None
+    log_s = np.concatenate(([0.0], np.cumsum(steps)))
+    log_s -= 0.5 * (log_s.max() + log_s.min())
+    return np.exp(log_s)
+
+
+def _spectrum(X: OperatorMatrix) -> _Spectrum:
+    """Cached spectral data of X; one eigh per generator object."""
+    hit = _spectra.pop(id(X), None)
+    if hit is not None and hit[0] is X:
+        _spectra[id(X)] = hit
+        return hit[1]
+    a = X.data
     diag = np.diagonal(a)
-    if np.count_nonzero(a - np.diag(diag)) == 0:
-        out = np.exp(diag)
+    if np.count_nonzero(a) == np.count_nonzero(diag):
+        spec = _Spectrum(diag.copy())
+    else:
+        s = _gram_scale(a)
+        y = a.copy()
+        if s is not None:
+            y *= s[:, None]
+            y /= s[None, :]
+        residue = float(np.max(np.abs(y + y.conj().T)))
+        if not residue <= SKEW_TOL * float(np.max(np.abs(y))):
+            raise NotSkewAdjointError(
+                f"generator is not skew-adjoint under a diagonal Gram (residue {residue:.3e})"
+            )
+        y *= 1j
+        values, vectors = np.linalg.eigh(y)
+        spec = _Spectrum(values, vectors, s)
+    _spectra[id(X)] = (X, spec)
+    while len(_spectra) > GENERATOR_CACHE_SIZE:
+        del _spectra[next(iter(_spectra))]
+    return spec
+
+
+def mat_exp(X: OperatorMatrix, t: float = 1.0) -> OperatorMatrix:
+    """e^{tX} for a generator that is skew-adjoint under a diagonal Gram.
+
+    With S from X's own band, i S X S^-1 = V Lambda V^H is Hermitian, so
+    e^{tX} = S^-1 V e^{-it Lambda} V^H S: one eigh per generator (cached for
+    the last few generator objects), then one matrix product per t.  Diagonal
+    X takes the scalar exponentials directly.  A generator that no diagonal
+    S makes skew-Hermitian raises ``NotSkewAdjointError``.
+    """
+    spec = _spectrum(X)
+    t = float(t)
+    if spec.vectors is None:
+        with np.errstate(over="ignore"):
+            out = np.exp(t * spec.values)
         if not np.isfinite(out).all():
             raise OverflowGuardError("overflow in diagonal exponential")
-        return OperatorMatrix(np.diag(out), A.window, A.basis)
-    squarings = 0
-    if n1 > _PADE13_THETA:
-        squarings = int(math.ceil(math.log2(n1 / _PADE13_THETA)))
-        a = a / (2.0 ** squarings)
-    ident = np.eye(a.shape[0], dtype=np.complex128)
-    b = _PADE13_B
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    f = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        f = f @ f
-    if not np.isfinite(f).all():
-        raise OverflowGuardError("overflow while squaring the exponential")
-    return OperatorMatrix(f, A.window, A.basis)
+        return OperatorMatrix(np.diag(out), X.window, X.basis)
+    v = spec.vectors
+    out = (v * np.exp(-1j * t * spec.values)) @ v.conj().T
+    if spec.scale is not None:
+        out /= spec.scale[:, None]
+        out *= spec.scale[None, :]
+    return OperatorMatrix(out, X.window, X.basis)
 
 
 def solve(A: OperatorMatrix, B: OperatorMatrix, *, cond_limit: float = COND_LIMIT) -> OperatorMatrix:

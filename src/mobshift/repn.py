@@ -19,6 +19,7 @@ two routes can cross-check each other away from the truncation boundary.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ from .errors import (
 from .mobius import GroupPath, MobiusElement
 from .numkernel import (
     BILATERAL,
+    GENERATOR_CACHE_SIZE,
     MONOMIAL,
     UNILATERAL,
     OperatorMatrix,
@@ -192,12 +194,14 @@ def _plain_raw(p: RepnParams, X: str, w: TruncationWindow) -> np.ndarray:
     raise ParameterError(f"unknown generator {X!r}")
 
 
+@functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> OperatorMatrix:
     """Truncated monomial-basis matrix of the generator action.
 
     Raising/lowering across the window edge is dropped; for the unilateral
     index set the vanishing of the lowering action on f_0 is genuine, not a
-    truncation artifact.
+    truncation artifact.  The last few matrices are kept, so repeated paths
+    reuse one generator object and with it the spectrum ``mat_exp`` caches.
     """
     if w.kind != p.index_set:
         raise WindowMismatchError(
@@ -236,6 +240,7 @@ def _reducible_raw(lam: float, X: str, w: TruncationWindow) -> np.ndarray:
     raise ParameterError(f"unknown generator {X!r}")
 
 
+@functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def reducible_generator_matrix(lam: float, X: str, w: TruncationWindow) -> OperatorMatrix:
     """Generator matrices of the direct-sum family in its seam basis g_n.
 
@@ -251,10 +256,11 @@ def reducible_generator_matrix(lam: float, X: str, w: TruncationWindow) -> Opera
 
 
 def _path_product(gen_of, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
-    out = OperatorMatrix.identity(w)
+    out = None
     for gen, t in path.segments:
-        out = out @ mat_exp(t * gen_of(gen))
-    return out
+        factor = mat_exp(gen_of(gen), t)
+        out = factor if out is None else out @ factor
+    return OperatorMatrix.identity(w) if out is None else out
 
 
 def rep_matrix(p: RepnParams, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
@@ -472,9 +478,13 @@ def circle_rep_matrix(
     eta_plus = (p.lam + p.mu) / 2.0
     eta_minus = p.mu / 2.0
     moved, multiplier = _circle_factors(phi_inv, eta_plus, eta_minus, grid)
-    powers = _monomial_powers(moved, w)
-    samples = multiplier[:, None] * powers
-    table = np.fft.fft(samples, axis=0) / grid
+    # grid x window tables set the route's peak memory: scale in place and
+    # free the samples before dividing the transform
+    samples = _monomial_powers(moved, w)
+    np.multiply(multiplier[:, None], samples, out=samples)
+    table = np.fft.fft(samples, axis=0)
+    del samples
+    table /= grid
     _check_nyquist_tail(table, grid)
     if w.kind == UNILATERAL:
         _check_unilateral_negative(table, grid)

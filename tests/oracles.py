@@ -2,8 +2,9 @@
 
 Each routine here deliberately takes a different route than the library code
 it checks: asymptotic series instead of the rational gamma kernel, truncated
-Taylor sums instead of Pade, brute-force summation instead of sliced norms,
-rotation-average quadrature instead of diagonal surgery.
+Taylor sums and Pade scaling-and-squaring instead of eigendecompositions,
+brute-force summation instead of sliced norms, rotation-average quadrature
+instead of diagonal surgery.
 """
 
 import cmath
@@ -49,6 +50,47 @@ def taylor_expm(a: np.ndarray, order: int = 30) -> np.ndarray:
         term = term @ a / k
         out = out + term
     return out
+
+
+_PADE13_THETA = 5.371920351148152
+_PADE13_B = (
+    64764752532480000.0,
+    32382376266240000.0,
+    7771770303897600.0,
+    1187353796428800.0,
+    129060195264000.0,
+    10559470521600.0,
+    670442572800.0,
+    33522128640.0,
+    1323241920.0,
+    40840800.0,
+    960960.0,
+    16380.0,
+    182.0,
+    1.0,
+)
+
+
+def pade_expm(a: np.ndarray) -> np.ndarray:
+    """e^A by scaling and squaring around the order-13 diagonal Pade kernel
+    (Higham 2005); valid for any square matrix, normal or not."""
+    a = np.asarray(a, dtype=np.complex128)
+    n1 = float(np.linalg.norm(a, 1))
+    squarings = 0
+    if n1 > _PADE13_THETA:
+        squarings = int(math.ceil(math.log2(n1 / _PADE13_THETA)))
+        a = a / (2.0 ** squarings)
+    ident = np.eye(a.shape[0], dtype=np.complex128)
+    b = _PADE13_B
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    f = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        f = f @ f
+    return f
 
 
 def brute_interior_frobenius(data: np.ndarray, positions) -> float:

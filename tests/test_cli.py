@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -144,6 +147,12 @@ def test_verify_incompatible_operator_exit_two(capsys):
     assert code == 2 and "error" in err
 
 
+def test_verify_malformed_path_time_exit_two(capsys):
+    code, out, err = run(capsys, ["verify", "unitarity", "--series", "holo", "--lambda", "1", "--path", "L:abc"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed time") and err.count("\n") == 1
+
+
 def test_numerical_failures_exit_three(capsys, monkeypatch):
     def boom(args):
         raise NumericsError("synthetic failure")
@@ -255,3 +264,11 @@ def test_reports_carry_reproducing_context(capsys):
     for line in out.strip().splitlines():
         ctx = json.loads(line)["context"]
         assert {"series", "lam", "mu", "N", "padding", "path"} <= set(ctx)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, mobshift.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

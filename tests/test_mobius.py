@@ -204,6 +204,12 @@ def test_path_parse_and_describe():
         GroupPath.parse("L:0.7")
 
 
+def test_path_parse_rejects_malformed_time():
+    for text in ("L:abc", "M:", "h:0.1x"):
+        with pytest.raises(ParameterError, match="malformed time"):
+            GroupPath.parse(text)
+
+
 # ---------------------------------------------------------------- derivative
 
 

@@ -3,19 +3,24 @@ import cmath
 import numpy as np
 import pytest
 
+from mobshift import numkernel
 from mobshift.errors import (
     ClassificationError,
     GridSizeError,
+    NotSkewAdjointError,
     NumericsError,
     ParameterError,
     WindowMismatchError,
 )
+from mobshift.homogeneity import kappa_flow_derivative
 from mobshift.mobius import GroupPath, MobiusElement, inverse, path_to_mobius
 from mobshift.numkernel import (
     BILATERAL,
     UNILATERAL,
+    OperatorMatrix,
     TruncationWindow,
     interior_norm,
+    mat_exp,
 )
 from mobshift.repn import (
     COMPLEMENTARY,
@@ -37,6 +42,8 @@ from mobshift.repn import (
     rep_matrix_sharp,
     unitarity_defect,
 )
+
+from oracles import pade_expm, random_dense
 
 PRINCIPAL_P = RepnParams(BILATERAL, 0.3, complex(0.35, 0.7))
 COMP_P = RepnParams(BILATERAL, 0.4, 0.2 + 0j)
@@ -253,6 +260,52 @@ def test_realization_paths_match_module_functions():
     np.testing.assert_allclose(
         red.along_path(path, wb).data, rep_matrix(seam, path, wb).data, atol=1e-14
     )
+
+
+# ---------------------------------------------------------------- spectral exponential
+
+SPECTRAL_CASES = {
+    "holo": (Realization.plain(RepnParams(UNILATERAL, 2.7)), UNILATERAL),
+    "sharp": (Realization.sharp(RepnParams(UNILATERAL, 2.7)), UNILATERAL),
+    "principal": (Realization.plain(PRINCIPAL_P), BILATERAL),
+    "complementary": (Realization.plain(COMP_P), BILATERAL),
+    "reducible": (Realization.reducible(1.5), BILATERAL),
+    "seam": (Realization.plain(RepnParams(BILATERAL, 1.0, 0j)), BILATERAL),
+}
+
+
+@pytest.mark.parametrize("t", [1e-4, -1e-4, 0.1, 0.5])
+@pytest.mark.parametrize("X", ["L", "M"])
+@pytest.mark.parametrize("case", sorted(SPECTRAL_CASES))
+def test_mat_exp_matches_pade_oracle(case, X, t):
+    rel, kind = SPECTRAL_CASES[case]
+    A = rel.generator(X, TruncationWindow(kind, 24, 6))
+    expected = pade_expm(t * A.data)
+    assert np.max(np.abs(mat_exp(A, t).data - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_mat_exp_refuses_generators_without_a_gram():
+    w = TruncationWindow(UNILATERAL, 8, 2)
+    with pytest.raises(NotSkewAdjointError):
+        mat_exp(generator_matrix(HOLO2, "e", w), 0.1)
+    dense = OperatorMatrix(random_dense(np.random.default_rng(3), w.size), w)
+    with pytest.raises(NotSkewAdjointError):
+        mat_exp(dense)
+
+
+def test_exponential_caches_hold_one_realization():
+    w = TruncationWindow(BILATERAL, 16, 4)
+    path = GroupPath((("L", 0.1), ("M", -0.05), ("h", 0.2)))
+    T = OperatorMatrix.identity(w)
+    for lam in (0.1, 0.3, 0.5):
+        p = RepnParams(BILATERAL, lam, complex((1.0 - lam) / 2.0, 0.5))
+        for rel in (Realization.plain(p), Realization.sharp(p), Realization.reducible(lam + 1.0)):
+            rel.along_path(path, w)
+            kappa_flow_derivative(T, "M", rel, w)
+            assert len(numkernel._spectra) <= numkernel.GENERATOR_CACHE_SIZE == 3
+            assert generator_matrix.cache_info().currsize <= 3
+            assert reducible_generator_matrix.cache_info().currsize <= 3
+        assert generator_matrix(p, "L", w) is generator_matrix(p, "L", w)
 
 
 # ---------------------------------------------------------------- gram / unitarity
