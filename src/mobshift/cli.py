@@ -374,28 +374,25 @@ def _sweep_cell(args, lam: float, mu: complex) -> tuple[float, str]:
     w = TruncationWindow(params.index_set, args.N, args.pad)
     g = gram(params, w)
     paths = _paths(args)
+    suites = [suite.strip() for suite in args.suites.split(",")]
+    for suite in suites:
+        if suite not in ("unitarity", "homogeneity"):
+            raise ParameterError(f"sweep supports suites unitarity,homogeneity; got {suite!r}")
+    T = canonical_shift(args.op or _default_op(args.series), params, w) if "homogeneity" in suites else None
     worst = 0.0
     ok = True
-    for suite in args.suites.split(","):
-        suite = suite.strip()
-        if suite == "unitarity":
-            tol = DEFAULT_UNITARITY_TOL
-            for path in paths:
-                r = rel.along_path(path, w)
-                value = interior_norm(r.H @ g @ r - g, w)
+    # one R per path, shared by the suites
+    for path in paths:
+        R = rel.along_path(path, w)
+        for suite in suites:
+            if suite == "unitarity":
+                value = interior_norm(R.H @ g @ R - g, w)
                 worst = max(worst, value)
-                ok = ok and value <= tol
-        elif suite == "homogeneity":
-            op = args.op or _default_op(args.series)
-            T = canonical_shift(op, params, w)
-            tol = DEFAULT_HOMOGENEITY_TOL
-            for path in paths:
-                R = rel.along_path(path, w)
-                report = homogeneity_defect(T, R, path_to_mobius(path), w, tolerance=tol)
+                ok = ok and value <= DEFAULT_UNITARITY_TOL
+            else:
+                report = homogeneity_defect(T, R, path_to_mobius(path), w, tolerance=DEFAULT_HOMOGENEITY_TOL)
                 worst = max(worst, report.value)
                 ok = ok and report.passed
-        else:
-            raise ParameterError(f"sweep supports suites unitarity,homogeneity; got {suite!r}")
     return worst, ("pass" if ok else "fail")
 
 

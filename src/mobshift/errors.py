@@ -49,6 +49,10 @@ class PoleError(ParameterError):
     """Evaluation requested at a pole."""
 
 
+class EmptyInteriorError(ParameterError):
+    """Padding leaves no interior indices."""
+
+
 class RecoveryError(ValueError):
     """Automorphism parameters could not be recovered from point images."""
 
@@ -56,6 +60,3 @@ class RecoveryError(ValueError):
 class WindowMismatchError(ValueError):
     """Operands live on incompatible index windows or bases."""
 
-
-class EmptyInteriorError(ValueError):
-    """Padding leaves no interior indices."""

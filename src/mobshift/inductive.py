@@ -43,34 +43,31 @@ DEFAULT_FLIP_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class IsotypicComponent:
-    """Entries of an operator on one rotation character: T f_n = a_n f_{n-m}."""
+    """Entries of an operator on one rotation character: T f_n = a_n f_{n-m}.
+
+    ``diagonal`` is the m-th matrix diagonal (row n - m, column n), as
+    ``np.diagonal`` orders it; it is empty when |m| >= window size.
+    """
 
     m: int
     window: TruncationWindow
     basis: str
-    coefficients: dict
+    diagonal: np.ndarray
 
     def to_matrix(self) -> OperatorMatrix:
-        data = np.zeros((self.window.size, self.window.size), dtype=np.complex128)
-        for n, a in self.coefficients.items():
-            data[self.window.pos(n - self.m), self.window.pos(n)] = a
+        size = self.window.size
+        data = np.zeros((size, size), dtype=np.complex128)
+        i = np.arange(self.diagonal.size)
+        data[i + max(-self.m, 0), i + max(self.m, 0)] = self.diagonal
         return OperatorMatrix(data, self.window, self.basis)
 
     def max_abs(self) -> float:
-        if not self.coefficients:
-            return 0.0
-        return max(abs(a) for a in self.coefficients.values())
+        return float(np.max(np.abs(self.diagonal), initial=0.0))
 
 
 def isotypic_component(T: OperatorMatrix, m: int) -> IsotypicComponent:
     """Exact extraction of the m-th diagonal (row n - m, column n)."""
-    w = T.window
-    coeffs = {}
-    for n in w.indices():
-        n = int(n)
-        if w.contains(n - m):
-            coeffs[n] = complex(T.data[w.pos(n - m), w.pos(n)])
-    return IsotypicComponent(int(m), w, T.basis, coeffs)
+    return IsotypicComponent(int(m), T.window, T.basis, np.diagonal(T.data, m))
 
 
 def decompose(T: OperatorMatrix) -> list:
@@ -176,18 +173,17 @@ def classify_a_minus1(a: Mapping[int, complex], p: RepnParams) -> AminusOneFit:
 
 
 def _single_step(T: OperatorMatrix) -> int:
-    steps = [c.m for c in decompose(T) if c.max_abs() > 0.0]
-    if len(steps) != 1 or steps[0] == 0:
+    rows, cols = np.nonzero(T.data)
+    steps = np.unique(cols - rows)
+    if steps.size != 1 or steps[0] == 0:
         raise ParameterError("expected a single-step shift")
-    return steps[0]
+    return int(steps[0])
 
 
-def _best_multiple_residual(component: OperatorMatrix, basis: OperatorMatrix | None, w: TruncationWindow) -> float:
-    p = w.interior_positions()
-    block = component.data[np.ix_(p, p)]
-    if basis is None:
+def _best_multiple_residual(block: np.ndarray, ref: np.ndarray | None) -> float:
+    """Distance from ``block`` to the nearest multiple of ``ref`` (to 0 without one)."""
+    if ref is None:
         return float(np.linalg.norm(block))
-    ref = basis.data[np.ix_(p, p)]
     denom = float(np.vdot(ref, ref).real)
     if denom <= 0.0:
         return float(np.linalg.norm(block))
@@ -212,24 +208,35 @@ def normalizer_defect(
     powers when a Gram matrix is supplied (unilateral families), otherwise
     against zero.  The defect adds the interior commutator norm and all the
     component residuals.
+
+    A step-s shift has one diagonal t, so T^k has one diagonal, with weights
+    P_k = P_{k-1}[:L] * t[|s|(k-1) : |s|(k-1) + L] and L = size - |s| k.
+    Components are compared on the interior stretch of their diagonals, for
+    as long as that stretch is non-empty; past it every residual is 0.  After
+    the guarded solve and the products forming S and the commutator, the
+    cost is O(N^2).
     """
     step = _single_step(T)
+    s = abs(step)
     identity = OperatorMatrix.identity(T.window, T.basis)
     S = R @ T @ solve(R, identity)
     value = interior_norm(S @ T - T @ S, w)
-    adjoint = gram_adjoint(T, gram) if gram is not None else None
-    power = identity
-    adj_power = identity
-    for k in range(w.size):
-        m = step * k
-        component = isotypic_component(S, m).to_matrix()
-        value += _best_multiple_residual(component, power, w)
+    interior = w.size - 2 * w.padding
+    t = np.diagonal(T.data, step)
+    adj = np.diagonal(gram_adjoint(T, gram).data, -step) if gram is not None else None
+    power = adj_power = np.ones(w.size, dtype=np.complex128)
+    for k in range(-(-interior // s)):
         if k > 0:
-            opposite = isotypic_component(S, -m).to_matrix()
-            value += _best_multiple_residual(opposite, adj_power if adjoint is not None else None, w)
-        power = power @ T
-        if adjoint is not None:
-            adj_power = adj_power @ adjoint
+            length = w.size - s * k
+            lo = s * (k - 1)
+            power = power[:length] * t[lo : lo + length]
+            if adj is not None:
+                adj_power = adj_power[:length] * adj[lo : lo + length]
+        span = slice(w.padding, w.padding + interior - s * k)
+        value += _best_multiple_residual(isotypic_component(S, step * k).diagonal[span], power[span])
+        if k > 0:
+            opposite = isotypic_component(S, -step * k).diagonal[span]
+            value += _best_multiple_residual(opposite, adj_power[span] if adj is not None else None)
     return DefectReport.build("normalizer", value, tolerance, context)
 
 

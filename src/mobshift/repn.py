@@ -45,7 +45,7 @@ from .numkernel import (
     interior_norm,
     mat_exp,
 )
-from .specialfn import norm_sq_sequence
+from .specialfn import _PRINCIPAL_RE_TOL, norm_sq_sequence
 
 HOLO = "holo"
 ANTIHOLO = "antiholo"
@@ -55,7 +55,6 @@ REDUCIBLE = "reducible"
 
 GENERATOR_NAMES = ("h", "e", "f", "L", "M")
 
-_PRINCIPAL_RE_TOL = 1e-12
 _COUPLING_BOUND = 10.0
 _NYQUIST_TAIL_TOL = 1e-9
 _NEGATIVE_INDEX_TOL = 1e-10

@@ -31,13 +31,13 @@ from .repn import (
     REDUCIBLE,
     RepnParams,
     SeriesTag,
+    _COUPLING_BOUND,
 )
 
 SHIFT_KINDS = ("T1", "T1star", "T2", "T3")
 BRANCH_T2 = "T2"
 BRANCH_T3 = "T3"
 
-_COUPLING_BOUND = 10.0
 _POLE_TOL = 1e-12
 
 

@@ -4,7 +4,8 @@ Each routine here deliberately takes a different route than the library code
 it checks: asymptotic series instead of the rational gamma kernel, truncated
 Taylor sums and Pade scaling-and-squaring instead of eigendecompositions,
 brute-force summation instead of sliced norms, rotation-average quadrature
-instead of diagonal surgery.
+instead of diagonal surgery, dense matrix powers instead of diagonal
+recurrences.
 """
 
 import cmath
@@ -132,3 +133,59 @@ def random_dense(rng, size: int, scale: float = 1.0) -> np.ndarray:
     re = rng.standard_normal((size, size))
     im = rng.standard_normal((size, size))
     return scale * (re + 1j * im) / math.sqrt(2.0)
+
+
+def _dict_isotypic_matrix(data: np.ndarray, w, m: int) -> np.ndarray:
+    """The m-th diagonal (row n - m, column n) of a matrix on window w,
+    copied entry by entry through a dict keyed by the source index n."""
+    coeffs = {}
+    for n in w.indices():
+        n = int(n)
+        if w.contains(n - m):
+            coeffs[n] = complex(data[w.pos(n - m), w.pos(n)])
+    out = np.zeros((w.size, w.size), dtype=np.complex128)
+    for n, a in coeffs.items():
+        out[w.pos(n - m), w.pos(n)] = a
+    return out
+
+
+def _dense_best_multiple_residual(component: np.ndarray, basis, positions) -> float:
+    block = component[np.ix_(positions, positions)]
+    if basis is None:
+        return float(np.linalg.norm(block))
+    ref = basis[np.ix_(positions, positions)]
+    denom = float(np.vdot(ref, ref).real)
+    if denom <= 0.0:
+        return float(np.linalg.norm(block))
+    c = np.vdot(ref, block) / denom
+    return float(np.linalg.norm(block - c * ref))
+
+
+def dense_normalizer_defect(T, R, w, gram=None) -> float:
+    """Normalizer defect with dense matrix powers T^k and one dense
+    isotypic component per offset, over every offset of the window: O(N^4)."""
+    steps = [m for m in range(-(w.size - 1), w.size) if np.any(_dict_isotypic_matrix(T.data, w, m))]
+    if len(steps) != 1 or steps[0] == 0:
+        raise ValueError("expected a single-step shift")
+    step = steps[0]
+    positions = w.interior_positions()
+    ident = np.eye(w.size, dtype=np.complex128)
+    S = R.data @ T.data @ np.linalg.solve(R.data, ident)
+    commutator = S @ T.data - T.data @ S
+    value = float(np.linalg.norm(commutator[np.ix_(positions, positions)]))
+    adjoint = None
+    if gram is not None:
+        d = np.diagonal(gram.data).real
+        adjoint = (T.data.conj().T * d[None, :]) / d[:, None]
+    power = ident
+    adj_power = ident
+    for k in range(w.size):
+        m = step * k
+        value += _dense_best_multiple_residual(_dict_isotypic_matrix(S, w, m), power, positions)
+        if k > 0:
+            opposite = _dict_isotypic_matrix(S, w, -m)
+            value += _dense_best_multiple_residual(opposite, adj_power if adjoint is not None else None, positions)
+        power = power @ T.data
+        if adjoint is not None:
+            adj_power = adj_power @ adjoint
+    return value

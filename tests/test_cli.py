@@ -8,6 +8,7 @@ import pytest
 
 from mobshift import cli
 from mobshift.errors import NumericsError
+from mobshift.repn import Realization
 
 
 def run(capsys, argv):
@@ -153,6 +154,13 @@ def test_verify_malformed_path_time_exit_two(capsys):
     assert err.startswith("error: malformed time") and err.count("\n") == 1
 
 
+def test_verify_empty_interior_exit_two(capsys):
+    argv = ["verify", "unitarity", "--series", "holo", "--lambda", "1", "--N", "4", "--pad", "3"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: padding 3 leaves no interior in a size-5 window\n"
+
+
 def test_numerical_failures_exit_three(capsys, monkeypatch):
     def boom(args):
         raise NumericsError("synthetic failure")
@@ -238,6 +246,33 @@ def test_sweep_principal_grid(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 1 + 20 * 2
     assert all(line.endswith("pass") for line in lines[1:])
+
+
+def test_sweep_empty_interior_reports_error_cell(capsys):
+    code, out, err = run(capsys, ["sweep", "--series", "holo", "--lambda-grid", "1", "--N", "4", "--pad", "3"])
+    assert code == 1 and err == ""
+    lines = out.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].endswith(",nan,error: padding 3 leaves no interior in a size-5 window")
+
+
+def test_sweep_builds_one_realization_per_cell_and_path(capsys, monkeypatch):
+    calls = []
+    along_path = Realization.along_path
+
+    def counting(self, path, w):
+        calls.append(path.describe())
+        return along_path(self, path, w)
+
+    monkeypatch.setattr(Realization, "along_path", counting)
+    code, out, _ = run(
+        capsys,
+        ["sweep", "--series", "principal", "--lambda-grid", "0.2,0.4", "--suites", "unitarity,homogeneity",
+         "--N", "32", "--pad", "12"],
+    )
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 2
+    assert len(calls) == 2 * len(cli.DEFAULT_PATHS)
 
 
 # ---------------------------------------------------------------- determinism

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mobshift.cli import DEFAULT_PATHS
 from mobshift.errors import ParameterError
 from mobshift.inductive import (
     BRANCH_NEITHER,
@@ -21,10 +22,16 @@ from mobshift.numkernel import (
     OperatorMatrix,
     TruncationWindow,
 )
-from mobshift.repn import RepnParams, generator_matrix, gram, rep_matrix
-from mobshift.shifts import WeightedShiftSpec, canonical_shift, shift_matrix
+from mobshift.repn import Realization, RepnParams, generator_matrix, gram, rep_matrix
+from mobshift.shifts import (
+    ReducibleShiftSpec,
+    WeightedShiftSpec,
+    canonical_shift,
+    reducible_shift,
+    shift_matrix,
+)
 
-from oracles import random_dense, rotation_average_component
+from oracles import dense_normalizer_defect, random_dense, rotation_average_component
 
 HOLO2 = RepnParams(UNILATERAL, 2.0)
 PRIN = RepnParams(BILATERAL, 0.3, complex(0.35, 0.7))
@@ -73,6 +80,15 @@ def test_isotypic_matches_rotation_average(rng):
         averaged = rotation_average_component(t, m, count)
         surgical = isotypic_component(t, m).to_matrix().data
         assert np.max(np.abs(averaged - surgical)) <= 1e-10
+
+
+def test_isotypic_beyond_window_is_zero_matrix(rng):
+    w = TruncationWindow(BILATERAL, 3, 1)
+    t = OperatorMatrix(random_dense(rng, w.size), w)
+    for m in (w.size, -w.size, w.size + 4):
+        comp = isotypic_component(t, m)
+        assert comp.max_abs() == 0.0
+        np.testing.assert_array_equal(comp.to_matrix().data, np.zeros((w.size, w.size)))
 
 
 # ---------------------------------------------------------------- te / tf
@@ -280,12 +296,68 @@ def test_normalizer_negative_control():
     assert report.value > 1e-2
 
 
+# (params, operator); params None is the reducible sum at lambda = 1
+AGREEMENT_FAMILIES = {
+    "holo-T1": (HOLO2, "T1"),
+    "antiholo-T1star": (HOLO2, "T1star"),
+    "principal-T2": (PRIN, "T2"),
+    "principal-T3": (PRIN, "T3"),
+    "complementary-T3": (COMP, "T3"),
+    "reducible-1": (None, "reducible"),
+}
+
+
+def _family_setup(family, N):
+    """Shift, realization, window and Gram, as ``verify normalizer`` builds them."""
+    p, op = AGREEMENT_FAMILIES[family]
+    if p is None:
+        w = TruncationWindow(BILATERAL, N, 3 * N // 8)
+        return reducible_shift(ReducibleShiftSpec(1.0, 1.0), w), Realization.reducible(1.0), w, None
+    w = TruncationWindow(p.index_set, N, 3 * N // 8)
+    rel = Realization.sharp(p) if op == "T1star" else Realization.plain(p)
+    g = gram(p, w) if p.index_set == UNILATERAL else None
+    return canonical_shift(op, p, w), rel, w, g
+
+
+@pytest.mark.parametrize("N", [16, 32, 64])
+@pytest.mark.parametrize("family", sorted(AGREEMENT_FAMILIES))
+def test_normalizer_matches_dense_oracle_on_families(family, N):
+    T, rel, w, g = _family_setup(family, N)
+    for text in DEFAULT_PATHS:
+        R = rel.along_path(GroupPath.parse(text), w)
+        got = normalizer_defect(T, R, w, gram=g).value
+        assert abs(got - dense_normalizer_defect(T, R, w, gram=g)) <= 1e-12, text
+
+
+@pytest.mark.parametrize("step", [-2, -1, 1, 2, 3])
+@pytest.mark.parametrize("layout", ["unilateral", "unilateral-gram", "bilateral"])
+def test_normalizer_matches_dense_oracle_on_random_shifts(rng, step, layout):
+    w = TruncationWindow(BILATERAL if layout == "bilateral" else UNILATERAL, 16, 4)
+    coeffs = {
+        n: complex(rng.standard_normal(), rng.standard_normal())
+        for n in range(w.lo, w.hi + 1)
+        if w.contains(n - step)
+    }
+    t = shift_matrix(w, step, coeffs)
+    r = OperatorMatrix(np.eye(w.size) + 0.1 * random_dense(rng, w.size), w)
+    g = OperatorMatrix.from_diagonal(rng.uniform(0.5, 2.0, w.size), w) if layout == "unilateral-gram" else None
+    want = dense_normalizer_defect(t, r, w, gram=g)
+    got = normalizer_defect(t, r, w, gram=g).value
+    assert want > 1e-3
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_normalizer_requires_single_step_shift(rng):
     w = TruncationWindow(BILATERAL, 6, 1)
     dense = OperatorMatrix(random_dense(rng, w.size), w)
     r = rep_matrix(PRIN, GroupPath((("h", 0.1),)), w)
     with pytest.raises(ParameterError):
         normalizer_defect(dense, r, w)
+    with pytest.raises(ParameterError):
+        normalizer_defect(OperatorMatrix.zeros(w), r, w)
+    two_steps = shift_matrix(w, 1, {1: 1.0}) + shift_matrix(w, 2, {2: 1.0})
+    with pytest.raises(ParameterError):
+        normalizer_defect(two_steps, r, w)
 
 
 # ---------------------------------------------------------------- sharp flip
