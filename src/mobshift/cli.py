@@ -3,8 +3,8 @@ classifier, and parameter sweeps with machine-readable reports.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad usage or
 parameters, 3 a numerical failure (singular solve, generator not skew-adjoint
-under a diagonal Gram, grid too small).  Identical arguments and seed produce
-byte-identical output.
+under a diagonal Gram, grid too small, basis-norm gamma overflow).  Identical
+arguments and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .homogeneity import (
 )
 from .inductive import classify_a_minus1, ladder_cancellation, normalizer_defect
 from .mobius import GroupPath, path_to_mobius
-from .numkernel import BILATERAL, OperatorMatrix, TruncationWindow, UNILATERAL, interior_norm
+from .numkernel import BILATERAL, OperatorMatrix, TruncationWindow, UNILATERAL
 from .repn import (
     ANTIHOLO,
     COMPLEMENTARY,
@@ -38,6 +38,7 @@ from .repn import (
     SeriesTag,
     classify_series,
     gram,
+    unitarity_residual,
 )
 from .shifts import ReducibleShiftSpec, canonical_shift, reducible_shift, weight_sequence
 
@@ -216,8 +217,7 @@ def _suite_unitarity(args) -> list[DefectReport]:
         g = gram(setup.params, w)
     reports = []
     for path in _paths(args):
-        r = setup.realization.along_path(path, w)
-        value = interior_norm(r.H @ g @ r - g, w)
+        value = unitarity_residual(setup.realization.along_path(path, w), g, w)
         ctx = setup.context()
         ctx.update({"suite": "unitarity", "path": path.describe(), "N": args.N, "padding": args.pad})
         reports.append(DefectReport.build("unitarity", value, tol, ctx))
@@ -386,7 +386,7 @@ def _sweep_cell(args, lam: float, mu: complex) -> tuple[float, str]:
         R = rel.along_path(path, w)
         for suite in suites:
             if suite == "unitarity":
-                value = interior_norm(R.H @ g @ R - g, w)
+                value = unitarity_residual(R, g, w)
                 worst = max(worst, value)
                 ok = ok and value <= DEFAULT_UNITARITY_TOL
             else:

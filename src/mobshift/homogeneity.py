@@ -14,10 +14,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import ParameterError
+import numpy as np
+
+from .errors import ParameterError, SingularMatrixError
 from .mobius import MobiusElement
 from .numkernel import (
     BILATERAL,
+    COND_LIMIT,
     OperatorMatrix,
     TruncationWindow,
     interior_max,
@@ -71,13 +74,52 @@ class DefectReport:
         return json.dumps(payload, sort_keys=True)
 
 
+def _shift_resolvent(m: int, d: np.ndarray, c: complex, size: int) -> np.ndarray:
+    """(I - c T)^{-1} for the shift T with the single diagonal (m, d), m != 0.
+
+    T is nilpotent, so the inverse is the finite Neumann series, built by the
+    row recurrence N[r] = e_r + c T[r, r + m] N[r + m]: one slice update per
+    block of |m| rows, each over the columns the triangular N can fill.
+    """
+    s = abs(m)
+    coef = c * d
+    n = np.eye(size, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        if m < 0:
+            # T[r, r - s] = d[r - s]; rows r >= s lean on the rows s above
+            for lo in range(s, size, s):
+                hi = min(lo + s, size)
+                n[lo:hi, :hi] += coef[lo - s : hi - s, None] * n[lo - s : hi - s, :hi]
+        else:
+            # T[r, r + s] = d[r]; rows r < size - s lean on the rows s below
+            for hi in range(size - s, 0, -s):
+                lo = max(hi - s, 0)
+                n[lo:hi, lo:] += coef[lo:hi, None] * n[lo + s : hi + s, lo:]
+    return n
+
+
 def mobius_of_operator(phi: MobiusElement, T: OperatorMatrix) -> OperatorMatrix:
     """phi(T) = alpha (T - beta I)(I - conj(beta) T)^{-1}.
 
-    The resolvent solve carries its own condition guard; a near-singular
-    I - conj(beta) T means phi is not holomorphic on the truncation's
-    numerical spectrum.
+    A near-singular I - conj(beta) T means phi is not holomorphic on the
+    truncation's numerical spectrum, so the resolvent is refused when its
+    1-norm condition number reaches ``COND_LIMIT``.  For a shift (one nonzero
+    diagonal off the main one) the resolvent N is a finite Neumann series and
+    phi(T) = alpha (T N - beta N) costs O(N^2), the condition number exactly
+    ||I - conj(beta) T||_1 ||N||_1; any other T goes through ``solve``.
     """
+    band = T.single_diagonal
+    if band is not None and band[0] != 0:
+        c = phi.beta.conjugate()
+        n = _shift_resolvent(band[0], band[1], c, T.window.size)
+        # each column of I - c T holds a 1 and at most one entry c d_k
+        with np.errstate(all="ignore"):
+            estimate = (1.0 + float(np.max(np.abs(c * band[1])))) * float(np.linalg.norm(n, 1))
+        if not estimate < COND_LIMIT:
+            raise SingularMatrixError(estimate)
+        image = (T @ OperatorMatrix(n, T.window, T.basis)).data - phi.beta * n
+        image *= phi.alpha
+        return OperatorMatrix(image, T.window, T.basis)
     ident = OperatorMatrix.identity(T.window, T.basis)
     denominator = ident - phi.beta.conjugate() * T
     numerator = T - phi.beta * ident

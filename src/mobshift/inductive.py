@@ -173,11 +173,10 @@ def classify_a_minus1(a: Mapping[int, complex], p: RepnParams) -> AminusOneFit:
 
 
 def _single_step(T: OperatorMatrix) -> int:
-    rows, cols = np.nonzero(T.data)
-    steps = np.unique(cols - rows)
-    if steps.size != 1 or steps[0] == 0:
+    band = T.single_diagonal
+    if band is None or band[0] == 0:
         raise ParameterError("expected a single-step shift")
-    return int(steps[0])
+    return band[0]
 
 
 def _best_multiple_residual(block: np.ndarray, ref: np.ndarray | None) -> float:
@@ -212,9 +211,9 @@ def normalizer_defect(
     A step-s shift has one diagonal t, so T^k has one diagonal, with weights
     P_k = P_{k-1}[:L] * t[|s|(k-1) : |s|(k-1) + L] and L = size - |s| k.
     Components are compared on the interior stretch of their diagonals, for
-    as long as that stretch is non-empty; past it every residual is 0.  After
-    the guarded solve and the products forming S and the commutator, the
-    cost is O(N^2).
+    as long as that stretch is non-empty; past it every residual is 0.  The
+    guarded inverse of R and one dense product form S; every product with T
+    is a row or column scaling, so the rest costs O(N^2).
     """
     step = _single_step(T)
     s = abs(step)

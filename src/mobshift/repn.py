@@ -281,11 +281,14 @@ def gram(p: RepnParams, w: TruncationWindow) -> OperatorMatrix:
     return OperatorMatrix.from_diagonal(norm_sq_sequence(p, w).values, w)
 
 
+def unitarity_residual(R: OperatorMatrix, G: OperatorMatrix, w: TruncationWindow) -> float:
+    """Interior norm of R* G R - G, zero for an action unitary under the Gram G."""
+    return interior_norm(R.H @ G @ R - G, w)
+
+
 def unitarity_defect(p: RepnParams, path: GroupPath, w: TruncationWindow) -> float:
-    """Interior norm of R* G R - G, zero for an exactly unitary action."""
-    r = rep_matrix(p, path, w)
-    g = gram(p, w)
-    return interior_norm(r.H @ g @ r - g, w)
+    """Interior norm of R* G R - G along a path, zero for an exactly unitary action."""
+    return unitarity_residual(rep_matrix(p, path, w), gram(p, w), w)
 
 
 # generator images under the conjugation twist: h and M reverse, hence e <-> f

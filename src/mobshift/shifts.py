@@ -176,9 +176,10 @@ def weight_sequence(series: SeriesTag, p: RepnParams | None, n: int, branch: str
 
 
 def _diagonal_gram(G: OperatorMatrix) -> np.ndarray:
-    d = np.diagonal(G.data)
-    if np.any(G.data != np.diag(d)):
+    band = G.single_diagonal
+    if band is None or band[0] != 0:
         raise ParameterError("Gram matrix must be diagonal")
+    d = band[1]
     if np.any(d.imag != 0.0) or np.any(d.real <= 0.0):
         raise ParameterError("non-positive Gram entry")
     return d.real

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParameterRangeError, PoleError, WindowMismatchError
+from .errors import NumericsError, ParameterRangeError, PoleError, WindowMismatchError
 from .numkernel import BILATERAL, TruncationWindow
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -110,7 +110,8 @@ def norm_sq_sequence(params: "RepnParams", w: TruncationWindow) -> NormSequence:
     positive real up to a 1e-12 relative imaginary residue, otherwise the
     parameters are outside the unitary range and ``ParameterRangeError`` is
     raised.  The principal coincidence Re mu = (1 - lam)/2 yields the constant
-    sequence 1 exactly.
+    sequence 1 exactly.  An anchor whose gamma overflows double precision
+    (the Lanczos power does from lam of about 143) raises ``NumericsError``.
     """
     if params.index_set != w.kind:
         raise WindowMismatchError(
@@ -119,7 +120,10 @@ def norm_sq_sequence(params: "RepnParams", w: TruncationWindow) -> NormSequence:
     if _principal_coincidence(params):
         return NormSequence(w, np.ones(w.size))
     mu = complex(params.mu)
-    anchor = complex_gamma(1.0 - mu) / complex_gamma(params.lam + mu.conjugate())
+    try:
+        anchor = complex_gamma(1.0 - mu) / complex_gamma(params.lam + mu.conjugate())
+    except OverflowError as exc:
+        raise NumericsError(f"gamma overflows double precision in the norm anchor (lam={params.lam:g})") from exc
     values = np.empty(w.size, dtype=np.float64)
     values[w.pos(0)] = _positive_real(anchor, "norm anchor at n=0")
     for n in range(1, w.hi + 1):

@@ -5,7 +5,7 @@ it checks: asymptotic series instead of the rational gamma kernel, truncated
 Taylor sums and Pade scaling-and-squaring instead of eigendecompositions,
 brute-force summation instead of sliced norms, rotation-average quadrature
 instead of diagonal surgery, dense matrix powers instead of diagonal
-recurrences.
+recurrences, an LU solve instead of a Neumann series.
 """
 
 import cmath
@@ -92,6 +92,12 @@ def pade_expm(a: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         f = f @ f
     return f
+
+
+def dense_mobius(phi: MobiusElement, data: np.ndarray) -> np.ndarray:
+    """alpha (T - beta I)(I - conj(beta) T)^{-1} on a raw array, by one LU solve."""
+    ident = np.eye(data.shape[0], dtype=np.complex128)
+    return phi.alpha * np.linalg.solve(ident - np.conj(phi.beta) * data, data - phi.beta * ident)
 
 
 def brute_interior_frobenius(data: np.ndarray, positions) -> float:

@@ -161,6 +161,12 @@ def test_verify_empty_interior_exit_two(capsys):
     assert err == "error: padding 3 leaves no interior in a size-5 window\n"
 
 
+def test_verify_gamma_overflow_exit_three(capsys):
+    code, out, err = run(capsys, ["verify", "unitarity", "--series", "holo", "--lambda", "200"])
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: gamma overflows") and err.count("\n") == 1
+
+
 def test_numerical_failures_exit_three(capsys, monkeypatch):
     def boom(args):
         raise NumericsError("synthetic failure")

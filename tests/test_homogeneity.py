@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mobshift import homogeneity, numkernel
 from mobshift.errors import ParameterError, SingularMatrixError
 from mobshift.homogeneity import (
     DefectReport,
@@ -24,11 +25,12 @@ from mobshift.numkernel import (
     TruncationWindow,
     interior_max,
     interior_norm,
+    solve,
 )
 from mobshift.repn import Realization, RepnParams, rep_matrix, rep_matrix_sharp
 from mobshift.shifts import ReducibleShiftSpec, canonical_shift, reducible_shift
 
-from oracles import random_mobius
+from oracles import dense_mobius, random_mobius
 
 HOLO2 = RepnParams(UNILATERAL, 2.0)
 PRIN = RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
@@ -96,6 +98,68 @@ def test_mobius_of_operator_rejects_singular_resolvent():
     t = 2.0 * OperatorMatrix.identity(w)
     with pytest.raises(SingularMatrixError):
         mobius_of_operator(MobiusElement(1.0, 0.5), t)
+
+
+def refuse_solve(monkeypatch):
+    """Make every linear solve fail, so only the shift route can succeed."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the shift route must not call solve")
+
+    monkeypatch.setattr(numkernel, "solve", refuse)
+    monkeypatch.setattr(homogeneity, "solve", refuse)
+
+
+def random_shift(rng, w, step):
+    k = w.size - abs(step)
+    weights = rng.uniform(0.2, 1.5, k) * np.exp(1j * rng.uniform(-math.pi, math.pi, k))
+    return OperatorMatrix(np.diag(weights, step), w)
+
+
+def shift_cases(rng):
+    uni = TruncationWindow(UNILATERAL, 24, 6)
+    bi = TruncationWindow(BILATERAL, 12, 3)
+    yield "T1", canonical_shift("T1", HOLO2, uni)
+    yield "T1star", canonical_shift("T1star", HOLO2, uni)
+    yield "T2", canonical_shift("T2", PRIN, bi)
+    yield "T3", canonical_shift("T3", PRIN, bi)
+    yield "reducible r=10", reducible_shift(ReducibleShiftSpec(1.0, 10.0), bi)
+    for step in (-2, -1, 1, 2):
+        yield f"random step {step}", random_shift(rng, uni, step)
+        yield f"random bilateral step {step}", random_shift(rng, bi, step)
+
+
+def test_mobius_of_shift_matches_dense_oracle(rng, monkeypatch):
+    refuse_solve(monkeypatch)
+    phis = [MobiusElement.identity(), MobiusElement(cmath.exp(0.4j), 0.0)]
+    phis += [random_mobius(rng, 0.5) for _ in range(3)]
+    for label, t in shift_cases(rng):
+        for phi in phis:
+            expected = dense_mobius(phi, t.data)
+            got = mobius_of_operator(phi, t).data
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), label
+
+
+def test_mobius_of_ill_conditioned_shift_refused_by_both_routes():
+    w = TruncationWindow(BILATERAL, 16, 4)
+    t = 8.0 * canonical_shift("T2", PRIN, w)
+    phi = MobiusElement(1.0, 0.5)
+    with pytest.raises(SingularMatrixError) as shift_route:
+        mobius_of_operator(phi, t)
+    ident = OperatorMatrix.identity(w)
+    with pytest.raises(SingularMatrixError) as dense_route:
+        solve(ident - 0.5 * t, t - 0.5 * ident)
+    assert shift_route.value.estimate == pytest.approx(1.23e20, rel=1e-2)
+    assert shift_route.value.estimate == pytest.approx(dense_route.value.estimate, rel=1e-12)
+
+
+def test_homogeneity_of_a_shift_needs_no_linear_solve(monkeypatch):
+    refuse_solve(monkeypatch)
+    w = TruncationWindow(BILATERAL, 64, 16)
+    t = canonical_shift("T3", PRIN, w)
+    path = GroupPath.parse("L:0.1,M:-0.05,h:0.2")
+    report = homogeneity_defect(t, rep_matrix(PRIN, path, w), path_to_mobius(path), w)
+    assert report.passed
 
 
 def test_functional_calculus_composes(rng):

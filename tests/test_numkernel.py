@@ -23,6 +23,7 @@ from mobshift.numkernel import (
     mat_exp,
     solve,
 )
+from mobshift.repn import RepnParams, generator_matrix
 
 from oracles import brute_interior_frobenius, pade_expm, random_dense, taylor_expm
 
@@ -176,6 +177,64 @@ def test_mat_exp_scaling_branch_accuracy(rng):
     assert np.max(np.abs(pade_expm(raw) - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
+# ---------------------------------------------------------------- single diagonals
+
+
+def band_matrix(rng, size, m):
+    """Random complex matrix whose only nonzero diagonal is m."""
+    data = np.zeros((size, size), dtype=complex)
+    k = np.arange(size - abs(m))
+    data[k + max(-m, 0), k + max(m, 0)] = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+    return data
+
+
+BAND_WINDOWS = [TruncationWindow(UNILATERAL, 8, 0), TruncationWindow(BILATERAL, 5, 0)]
+BAND_OFFSETS = (-3, -1, 0, 1, 2)
+
+
+def assert_same_product(left, right):
+    expected = left.data @ right.data
+    got = (left @ right).data
+    assert np.max(np.abs(got - expected), initial=0.0) <= 1e-15 * max(1.0, np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("w", BAND_WINDOWS, ids=("unilateral", "bilateral"))
+@pytest.mark.parametrize("m", BAND_OFFSETS)
+def test_band_product_matches_dense_product(rng, w, m):
+    band = OperatorMatrix(band_matrix(rng, w.size, m), w)
+    found = band.single_diagonal
+    assert found[0] == m and np.array_equal(found[1], np.diagonal(band.data, m))
+    dense = OperatorMatrix(random_dense(rng, w.size), w)
+    assert dense.single_diagonal is None
+    assert_same_product(band, dense)
+    assert_same_product(dense, band)
+    for other in BAND_OFFSETS:
+        assert_same_product(band, OperatorMatrix(band_matrix(rng, w.size, other), w))
+
+
+@pytest.mark.parametrize("w", BAND_WINDOWS, ids=("unilateral", "bilateral"))
+def test_band_product_with_the_zero_matrix(rng, w):
+    zero = OperatorMatrix.zeros(w)
+    found = zero.single_diagonal
+    assert found[0] == 0 and not found[1].any()
+    dense = OperatorMatrix(random_dense(rng, w.size), w)
+    for left, right in ((zero, dense), (dense, zero), (zero, zero)):
+        out = left @ right
+        assert not out.data.any()
+
+
+def test_single_diagonal_rejects_two_diagonals(rng):
+    w = TruncationWindow(BILATERAL, 8, 2)
+    p = RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
+    assert generator_matrix(p, "L", w).single_diagonal is None
+    assert generator_matrix(p, "M", w).single_diagonal is None
+    assert generator_matrix(p, "h", w).single_diagonal[0] == 0
+    # as many nonzeros as rows, but on two diagonals
+    flip = OperatorMatrix(np.fliplr(np.eye(w.size)), w)
+    assert flip.single_diagonal is None
+    assert_same_product(flip, OperatorMatrix(band_matrix(rng, w.size, 1), w))
+
+
 # ---------------------------------------------------------------- solve
 
 
@@ -184,6 +243,16 @@ def test_solve_identity(rng):
     b = OperatorMatrix(random_dense(rng, 4), w)
     out = solve(OperatorMatrix.identity(w), b)
     assert np.max(np.abs(out.data - b.data)) <= 1e-14
+
+
+def test_solve_against_identity_returns_the_inverse(rng):
+    w = window_of_size(8)
+    a_raw = random_dense(rng, 8) + 4.0 * np.eye(8)
+    out = solve(OperatorMatrix(a_raw, w), OperatorMatrix.identity(w))
+    assert np.array_equal(out.data, np.linalg.inv(a_raw))
+    a_raw[:, -1] = a_raw[:, 0]
+    with pytest.raises(SingularMatrixError):
+        solve(OperatorMatrix(a_raw, w), OperatorMatrix.identity(w))
 
 
 def test_solve_scalar_system():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mobshift.errors import ParameterRangeError, PoleError, WindowMismatchError
+from mobshift.errors import NumericsError, ParameterRangeError, PoleError, WindowMismatchError
 from mobshift.numkernel import BILATERAL, UNILATERAL, TruncationWindow
 from mobshift.repn import RepnParams
 from mobshift.specialfn import NormSequence, complex_gamma, norm_ratio, norm_sq_sequence
@@ -124,6 +124,11 @@ def test_norms_reject_nonunitary_parameters():
     w = TruncationWindow(BILATERAL, 8, 2)
     with pytest.raises(ParameterRangeError):
         norm_sq_sequence(p, w)
+
+
+def test_norm_anchor_overflow_is_a_numerical_failure():
+    with pytest.raises(NumericsError, match="norm anchor"):
+        norm_sq_sequence(RepnParams(UNILATERAL, 200.0), TruncationWindow(UNILATERAL, 8, 2))
 
 
 def test_norms_window_mismatch():
