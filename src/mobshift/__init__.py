@@ -74,8 +74,6 @@ from .repn import (
     unitarity_defect,
 )
 from .shifts import (
-    ReducibleShiftSpec,
-    WeightedShiftSpec,
     canonical_shift,
     gram_adjoint,
     reducible_shift,

@@ -40,7 +40,7 @@ from .repn import (
     gram,
     unitarity_residual,
 )
-from .shifts import ReducibleShiftSpec, canonical_shift, reducible_shift, weight_sequence
+from .shifts import canonical_shift, reducible_shift, weight_sequence
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -138,7 +138,7 @@ def _operator(setup: _Setup, op: str, w: TruncationWindow) -> OperatorMatrix:
     if op == "reducible":
         if setup.tag.kind != REDUCIBLE:
             raise ParameterError("the reducible shift needs --series reducible")
-        return reducible_shift(ReducibleShiftSpec(setup.tag.lam, setup.tag.r), w)
+        return reducible_shift(setup.tag, w)
     if setup.tag.kind == REDUCIBLE:
         raise ParameterError("--series reducible only supports --op reducible")
     if op == "T1star" and setup.series != ANTIHOLO:

@@ -28,8 +28,8 @@ from .numkernel import (
     mat_exp,
     solve,
 )
-from .repn import Realization, RepnParams, reducible_generator_matrix
-from .shifts import ReducibleShiftSpec, reducible_shift
+from .repn import Realization, RepnParams, SeriesTag, reducible_generator_matrix
+from .shifts import reducible_shift
 
 KAPPA_GENERATORS = ("L", "M", "e", "f")
 
@@ -259,12 +259,12 @@ def reducible_lambda_check(
     """
     if w.kind != BILATERAL or w.N < 4:
         raise ParameterError("needs a bilateral window with N >= 4")
-    spec = ReducibleShiftSpec(lam, r)
-    T = reducible_shift(spec, w)
-    F = reducible_generator_matrix(spec.lam, "f", w)
+    tag = SeriesTag.reducible(lam, r)
+    T = reducible_shift(tag, w)
+    F = reducible_generator_matrix(tag.lam, "f", w)
     witness = (F @ T - T @ F) - T @ T
     value = abs(witness.entry(1, -1))
     ctx = dict(context or {})
-    ctx.setdefault("lam", spec.lam)
-    ctx.setdefault("r", [spec.r.real, spec.r.imag])
+    ctx.setdefault("lam", tag.lam)
+    ctx.setdefault("r", [tag.r.real, tag.r.imag])
     return DefectReport.build("reducible_lambda", value, tolerance, ctx)

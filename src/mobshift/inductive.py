@@ -55,11 +55,7 @@ class IsotypicComponent:
     diagonal: np.ndarray
 
     def to_matrix(self) -> OperatorMatrix:
-        size = self.window.size
-        data = np.zeros((size, size), dtype=np.complex128)
-        i = np.arange(self.diagonal.size)
-        data[i + max(-self.m, 0), i + max(self.m, 0)] = self.diagonal
-        return OperatorMatrix(data, self.window, self.basis)
+        return OperatorMatrix.from_band(self.window, self.m, self.diagonal, self.basis)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.diagonal), initial=0.0))
@@ -263,14 +259,11 @@ def sharp_isotypic_flip(
     backward = GroupPath((("h", -angle),))
     plain = rep_matrix(p, forward, w) @ T @ rep_matrix(p, backward, w)
     sharp = rep_matrix_sharp(p, forward, w) @ T @ rep_matrix_sharp(p, backward, w)
-    base = isotypic_component(T, m).to_matrix()
-    plain_component = isotypic_component(plain, m).to_matrix()
-    sharp_component = isotypic_component(sharp, m).to_matrix()
-    factor_plain = cmath.exp(2j * m * angle)
-    factor_sharp = cmath.exp(-2j * m * angle)
-    err_plain = (plain_component - factor_plain * base).max_abs()
-    err_sharp = (sharp_component - factor_sharp * base).max_abs()
+    base = isotypic_component(T, m).diagonal
+    err_plain = isotypic_component(plain, m).diagonal - cmath.exp(2j * m * angle) * base
+    err_sharp = isotypic_component(sharp, m).diagonal - cmath.exp(-2j * m * angle) * base
+    value = np.abs(np.concatenate((err_plain, err_sharp))).max(initial=0.0)
     ctx = dict(context or {})
     ctx.setdefault("m", int(m))
     ctx.setdefault("angle", float(angle))
-    return DefectReport.build("sharp_isotypic_flip", max(err_plain, err_sharp), tolerance, ctx)
+    return DefectReport.build("sharp_isotypic_flip", value, tolerance, ctx)

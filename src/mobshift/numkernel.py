@@ -135,11 +135,27 @@ class OperatorMatrix:
         return cls(np.zeros((window.size, window.size), dtype=np.complex128), window, basis)
 
     @classmethod
-    def from_diagonal(cls, values, window: TruncationWindow, basis: str = MONOMIAL) -> "OperatorMatrix":
-        vals = np.asarray(values, dtype=np.complex128)
-        if vals.shape != (window.size,):
-            raise WindowMismatchError("diagonal length does not match window size")
-        return cls(np.diag(vals), window, basis)
+    def from_band(
+        cls, window: TruncationWindow, m: int, diagonal, basis: str = MONOMIAL
+    ) -> "OperatorMatrix":
+        """Operator whose only nonzero entries lie on diagonal m; inverse of
+        ``single_diagonal``.
+
+        Entry k of ``diagonal`` goes to (k + max(-m, 0), k + max(m, 0)), as
+        ``np.diagonal`` orders it, so its length is max(size - |m|, 0).
+        """
+        m = int(m)
+        d = np.asarray(diagonal, dtype=np.complex128)
+        size = window.size
+        length = max(size - abs(m), 0)
+        if d.shape != (length,):
+            raise WindowMismatchError(
+                f"diagonal {m} of a size-{size} window needs {length} entries, got shape {d.shape}"
+            )
+        data = np.zeros((size, size), dtype=np.complex128)
+        k = np.arange(d.size)
+        data[k + max(-m, 0), k + max(m, 0)] = d
+        return cls(data, window, basis)
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -215,9 +231,6 @@ class OperatorMatrix:
     @property
     def norm_fro(self) -> float:
         return float(np.linalg.norm(self.data))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.data)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +318,7 @@ def mat_exp(X: OperatorMatrix, t: float = 1.0) -> OperatorMatrix:
             out = np.exp(t * spec.values)
         if not np.isfinite(out).all():
             raise OverflowGuardError("overflow in diagonal exponential")
-        return OperatorMatrix(np.diag(out), X.window, X.basis)
+        return OperatorMatrix.from_band(X.window, 0, out, X.basis)
     v = spec.vectors
     out = (v * np.exp(-1j * t * spec.values)) @ v.conj().T
     if spec.scale is not None:

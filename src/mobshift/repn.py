@@ -41,7 +41,7 @@ from .numkernel import (
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
-    circle_fft,
+    _require_power_of_two,
     interior_norm,
     mat_exp,
 )
@@ -92,15 +92,20 @@ class SeriesTag:
     def __post_init__(self):
         if self.kind not in (HOLO, ANTIHOLO, PRINCIPAL, COMPLEMENTARY, REDUCIBLE):
             raise ParameterError(f"unknown series kind {self.kind!r}")
+        if self.kind == REDUCIBLE:
+            if self.lam is None or self.r is None:
+                raise ParameterError("a reducible sum needs its lam and coupling r")
+            lam = float(self.lam)
+            r = complex(self.r)
+            if not 0.0 < lam < 2.0:
+                raise ParameterError("reducible sums require lam in (0, 2)")
+            if abs(r) > _COUPLING_BOUND:
+                raise ParameterError(f"coupling |r| must not exceed {_COUPLING_BOUND}")
+            object.__setattr__(self, "lam", lam)
+            object.__setattr__(self, "r", r)
 
     @classmethod
     def reducible(cls, lam: float, r: complex) -> "SeriesTag":
-        lam = float(lam)
-        r = complex(r)
-        if not 0.0 < lam < 2.0:
-            raise ParameterError("reducible sums require lam in (0, 2)")
-        if abs(r) > _COUPLING_BOUND:
-            raise ParameterError(f"coupling |r| must not exceed {_COUPLING_BOUND}")
         return cls(REDUCIBLE, lam=lam, r=r)
 
 
@@ -167,30 +172,32 @@ def classify_series(p: RepnParams) -> SeriesTag:
     )
 
 
-def _shift_band(w: TruncationWindow, offset: int, coeff) -> np.ndarray:
-    """Matrix with entries coeff(n) at (row n + offset, column n)."""
-    size = w.size
-    data = np.zeros((size, size), dtype=np.complex128)
-    for p in range(size):
-        q = p + offset
-        if 0 <= q < size:
-            data[q, p] = coeff(int(w.lo + p))
-    return data
+def _generator(
+    w: TruncationWindow, lam: float, X: str, lowering: np.ndarray, raising: np.ndarray
+) -> OperatorMatrix:
+    """Generator X of a family with dR(h) f_n = -i (2n + lam) f_n.
 
-
-def _plain_raw(p: RepnParams, X: str, w: TruncationWindow) -> np.ndarray:
-    lam, mu = p.lam, p.mu
+    ``lowering`` is the +1 diagonal (dR(e) on the columns n > lo) and
+    ``raising`` the -1 diagonal (dR(f) on the columns n < hi).
+    """
     if X == "h":
-        return np.diag(-1j * (2.0 * w.indices() + lam)).astype(np.complex128)
+        return OperatorMatrix.from_band(w, 0, -1j * (2.0 * w.indices() + lam))
     if X == "e":
-        return _shift_band(w, -1, lambda n: mu - n)
+        return OperatorMatrix.from_band(w, 1, lowering)
     if X == "f":
-        return _shift_band(w, +1, lambda n: lam + mu + n)
+        return OperatorMatrix.from_band(w, -1, raising)
+    if X not in ("L", "M"):
+        raise ParameterError(f"unknown generator {X!r}")
+    # accumulating into zeros rounds exactly as e + f and i (e - f) would
+    data = np.zeros((w.size, w.size), dtype=np.complex128)
+    k = np.arange(w.size - 1)
+    data[k, k + 1] += lowering
     if X == "L":
-        return _plain_raw(p, "e", w) + _plain_raw(p, "f", w)
-    if X == "M":
-        return 1j * (_plain_raw(p, "e", w) - _plain_raw(p, "f", w))
-    raise ParameterError(f"unknown generator {X!r}")
+        data[k + 1, k] += raising
+    else:
+        data[k + 1, k] -= raising
+        data *= 1j
+    return OperatorMatrix(data, w, MONOMIAL)
 
 
 @functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
@@ -206,52 +213,28 @@ def generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> OperatorMatr
         raise WindowMismatchError(
             f"window kind {w.kind!r} does not match params index set {p.index_set!r}"
         )
-    return OperatorMatrix(_plain_raw(p, X, w), w, MONOMIAL)
-
-
-def _reducible_e(lam: float, n: int) -> complex:
-    if n < 0:
-        return 1.0 - lam - n
-    if n == 0:
-        return 0.0
-    return -float(n)
-
-
-def _reducible_f(lam: float, n: int) -> complex:
-    if n < -1:
-        return float(n + 1)
-    if n == -1:
-        return 0.0
-    return lam + n
-
-
-def _reducible_raw(lam: float, X: str, w: TruncationWindow) -> np.ndarray:
-    if X == "h":
-        return np.diag(-1j * (2.0 * w.indices() + lam)).astype(np.complex128)
-    if X == "e":
-        return _shift_band(w, -1, lambda n: _reducible_e(lam, n))
-    if X == "f":
-        return _shift_band(w, +1, lambda n: _reducible_f(lam, n))
-    if X == "L":
-        return _reducible_raw(lam, "e", w) + _reducible_raw(lam, "f", w)
-    if X == "M":
-        return 1j * (_reducible_raw(lam, "e", w) - _reducible_raw(lam, "f", w))
-    raise ParameterError(f"unknown generator {X!r}")
+    n = w.indices()
+    return _generator(w, p.lam, X, p.mu - n[1:], p.lam + p.mu + n[:-1])
 
 
 @functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def reducible_generator_matrix(lam: float, X: str, w: TruncationWindow) -> OperatorMatrix:
     """Generator matrices of the direct-sum family in its seam basis g_n.
 
-    The lowering action vanishes at n = 0 and the raising action at n = -1,
-    the two seam columns of the decomposition.
+    The lowering action is 1 - lam - n below the seam and -n from n = 0 on,
+    the raising action n + 1 up to n = -1 and lam + n above; they vanish at
+    n = 0 and n = -1, the two seam columns of the decomposition.
     """
     lam = float(lam)
     if w.kind != BILATERAL:
         raise WindowMismatchError("the reducible sum lives on a bilateral window")
     if not 0.0 < lam < 2.0:
         raise ParameterError("the reducible sum requires lam in (0, 2)")
-    return OperatorMatrix(_reducible_raw(lam, X, w), w, MONOMIAL)
+    n = w.indices()
+    ne, nf = n[1:], n[:-1]  # source indices of the lowering and raising entries
+    lowering = np.where(ne < 0, 1.0 - lam - ne, -ne)
+    raising = np.where(nf < 0, nf + 1.0, lam + nf)
+    return _generator(w, lam, X, lowering, raising)
 
 
 def _path_product(gen_of, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
@@ -278,7 +261,7 @@ def rep_matrix_sharp(p: RepnParams, path: GroupPath, w: TruncationWindow) -> Ope
 
 def gram(p: RepnParams, w: TruncationWindow) -> OperatorMatrix:
     """Diagonal matrix of squared basis norms ||f_n||^2."""
-    return OperatorMatrix.from_diagonal(norm_sq_sequence(p, w).values, w)
+    return OperatorMatrix.from_band(w, 0, norm_sq_sequence(p, w).values)
 
 
 def unitarity_residual(R: OperatorMatrix, G: OperatorMatrix, w: TruncationWindow) -> float:
@@ -408,6 +391,37 @@ def _monomial_powers(moved: np.ndarray, w: TruncationWindow) -> np.ndarray:
     return table
 
 
+def _circle_table(
+    p: RepnParams,
+    phi_inv: MobiusElement,
+    eta_plus: complex,
+    eta_minus: complex,
+    w: TruncationWindow,
+    grid_size: int | None,
+) -> np.ndarray:
+    """Window-by-window matrix of the circle-route action, one column per monomial."""
+    if w.kind != p.index_set:
+        raise WindowMismatchError("window kind does not match params index set")
+    grid = default_grid_size(w) if grid_size is None else int(grid_size)
+    _require_power_of_two(grid)
+    if abs(phi_inv.beta) > _ORACLE_BETA_CAP:
+        raise ParameterError(
+            f"|beta| = {abs(phi_inv.beta):.3f} too far from the identity for principal branches"
+        )
+    moved, multiplier = _circle_factors(phi_inv, eta_plus, eta_minus, grid)
+    # grid x window tables set the route's peak memory: scale in place and
+    # free the samples before dividing the transform
+    samples = _monomial_powers(moved, w)
+    np.multiply(multiplier[:, None], samples, out=samples)
+    table = np.fft.fft(samples, axis=0)
+    del samples
+    table /= grid
+    _check_nyquist_tail(table, grid)
+    if w.kind == UNILATERAL:
+        _check_unilateral_negative(table, grid)
+    return table[w.indices() % grid, :]
+
+
 def circle_rep_oracle(
     p: RepnParams,
     phi_inv: MobiusElement,
@@ -442,53 +456,16 @@ def circle_rep_oracle(
     GridSizeError
         If the coefficient tail near the Nyquist edge exceeds 1e-9.
     NumericsError
-        If a unilateral input produces negative-index content above 1e-10.
+        If a unilateral action produces negative-index content above 1e-10.
     """
-    w = F.window
-    if w.kind != p.index_set:
-        raise WindowMismatchError("coefficient window does not match the params index set")
-    grid = default_grid_size(w) if grid_size is None else int(grid_size)
-    if grid < 1 or grid & (grid - 1):
-        raise ParameterError("grid size must be a power of two")
-    if abs(phi_inv.beta) > _ORACLE_BETA_CAP:
-        raise ParameterError(
-            f"|beta| = {abs(phi_inv.beta):.3f} too far from the identity for principal branches"
-        )
-    moved, multiplier = _circle_factors(phi_inv, eta_plus, eta_minus, grid)
-    powers = _monomial_powers(moved, w)
-    samples = multiplier * (powers @ F.coeffs)
-    table = circle_fft(samples)
-    _check_nyquist_tail(table, grid)
-    if w.kind == UNILATERAL:
-        _check_unilateral_negative(table, grid)
-    out = np.array([table[n % grid] for n in w.indices()], dtype=np.complex128)
-    return CoefficientVector(w, out)
+    table = _circle_table(p, phi_inv, eta_plus, eta_minus, F.window, grid_size)
+    return CoefficientVector(F.window, table @ F.coeffs)
 
 
 def circle_rep_matrix(
     p: RepnParams, path: GroupPath, w: TruncationWindow, grid_size: int | None = None
 ) -> OperatorMatrix:
     """Whole representation matrix over the circle route, one column per monomial."""
-    if w.kind != p.index_set:
-        raise WindowMismatchError("window kind does not match params index set")
-    grid = default_grid_size(w) if grid_size is None else int(grid_size)
-    if grid < 1 or grid & (grid - 1):
-        raise ParameterError("grid size must be a power of two")
     phi_inv = mobius.inverse(mobius.path_to_mobius(path))
-    if abs(phi_inv.beta) > _ORACLE_BETA_CAP:
-        raise ParameterError("path moves too far from the identity for the circle route")
-    eta_plus = (p.lam + p.mu) / 2.0
-    eta_minus = p.mu / 2.0
-    moved, multiplier = _circle_factors(phi_inv, eta_plus, eta_minus, grid)
-    # grid x window tables set the route's peak memory: scale in place and
-    # free the samples before dividing the transform
-    samples = _monomial_powers(moved, w)
-    np.multiply(multiplier[:, None], samples, out=samples)
-    table = np.fft.fft(samples, axis=0)
-    del samples
-    table /= grid
-    _check_nyquist_tail(table, grid)
-    if w.kind == UNILATERAL:
-        _check_unilateral_negative(table, grid)
-    rows = np.array([n % grid for n in w.indices()])
-    return OperatorMatrix(table[rows, :], w, MONOMIAL)
+    table = _circle_table(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, w, grid_size)
+    return OperatorMatrix(table, w, MONOMIAL)

@@ -9,8 +9,7 @@ the tabulated weight sequences come from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .repn import (
     REDUCIBLE,
     RepnParams,
     SeriesTag,
-    _COUPLING_BOUND,
 )
 
 SHIFT_KINDS = ("T1", "T1star", "T2", "T3")
@@ -48,51 +46,16 @@ def shift_matrix(
     basis: str = MONOMIAL,
 ) -> OperatorMatrix:
     """Matrix of T f_n = a_n f_{n-step}; coefficients keyed by the source index n."""
-    data = np.zeros((window.size, window.size), dtype=np.complex128)
-    for n, a in coefficients.items():
-        if not (window.contains(n) and window.contains(n - step)):
-            raise ParameterError(f"coefficient at n={n} targets an index outside the window")
-        data[window.pos(n - step), window.pos(n)] = a
-    return OperatorMatrix(data, window, basis)
-
-
-@dataclass(frozen=True, eq=False)
-class WeightedShiftSpec:
-    """Step-m shift data; indices whose target leaves the window are absent."""
-
-    window: TruncationWindow
-    step: int
-    coefficients: dict
-    basis: str = MONOMIAL
-
-    def __post_init__(self):
-        coeffs = {}
-        for n, a in dict(self.coefficients).items():
-            if not (self.window.contains(n) and self.window.contains(n - self.step)):
-                raise ParameterError(f"coefficient at n={n} has no target inside the window")
-            a = complex(a)
-            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-                raise ParameterError("shift coefficients must be finite")
-            coeffs[int(n)] = a
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @classmethod
-    def from_function(
-        cls,
-        window: TruncationWindow,
-        step: int,
-        fn: Callable[[int], complex],
-        basis: str = MONOMIAL,
-    ) -> "WeightedShiftSpec":
-        coeffs = {
-            int(n): complex(fn(int(n)))
-            for n in window.indices()
-            if window.contains(int(n) - step)
-        }
-        return cls(window, step, coeffs, basis)
-
-    def matrix(self) -> OperatorMatrix:
-        return shift_matrix(self.window, self.step, self.coefficients, self.basis)
+    n = np.fromiter(coefficients.keys(), dtype=np.int64, count=len(coefficients))
+    # diagonal entry k belongs to the source index lo + max(step, 0) + k
+    k = n - (window.lo + max(step, 0))
+    length = max(window.size - abs(step), 0)
+    outside = (k < 0) | (k >= length)
+    if outside.any():
+        raise ParameterError(f"coefficient at n={n[outside][0]} targets an index outside the window")
+    diagonal = np.zeros(length, dtype=np.complex128)
+    diagonal[k] = np.fromiter(coefficients.values(), dtype=np.complex128, count=len(coefficients))
+    return OperatorMatrix.from_band(window, step, diagonal, basis)
 
 
 def canonical_shift(kind: str, p: RepnParams, w: TruncationWindow) -> OperatorMatrix:
@@ -107,23 +70,22 @@ def canonical_shift(kind: str, p: RepnParams, w: TruncationWindow) -> OperatorMa
     if w.kind != p.index_set:
         raise WindowMismatchError("window kind does not match params index set")
     lam, mu = p.lam, p.mu
+    n = w.indices()
     if kind in ("T1", "T1star"):
         if p.index_set != UNILATERAL or lam <= 0.0:
             raise ParameterError(f"{kind} belongs to the unilateral holomorphic family (lam > 0)")
         if kind == "T1":
-            coeffs = {n: 1.0 for n in range(w.lo, w.hi)}
-            return shift_matrix(w, -1, coeffs)
-        coeffs = {n: n / (lam + n - 1.0) for n in range(1, w.hi + 1)}
-        return shift_matrix(w, +1, coeffs)
+            return OperatorMatrix.from_band(w, -1, np.ones(w.size - 1))
+        n = n[1:]
+        return OperatorMatrix.from_band(w, +1, n / (lam + n - 1.0))
     if p.index_set != BILATERAL:
         raise ParameterError(f"{kind} belongs to the bilateral families")
     if kind == "T2":
-        coeffs = {n: 1.0 for n in range(w.lo, w.hi)}
-        return shift_matrix(w, -1, coeffs)
+        return OperatorMatrix.from_band(w, -1, np.ones(w.size - 1))
     if mu.imag == 0.0 and float(mu.real).is_integer():
         raise PoleError("T3 needs non-integer mu (pole at n + 1 - mu = 0)")
-    coeffs = {n: (lam + mu + n) / (n + 1.0 - mu) for n in range(w.lo, w.hi)}
-    return shift_matrix(w, -1, coeffs)
+    n = n[:-1]
+    return OperatorMatrix.from_band(w, -1, (lam + mu + n) / (n + 1.0 - mu))
 
 
 def weight_sequence(series: SeriesTag, p: RepnParams | None, n: int, branch: str = BRANCH_T2) -> complex:
@@ -169,8 +131,6 @@ def weight_sequence(series: SeriesTag, p: RepnParams | None, n: int, branch: str
             raise ParameterError("weight outside the unitary range")
         return complex(math.sqrt(ratio))
     if kind == REDUCIBLE:
-        if series.lam is None or series.r is None:
-            raise ParameterError("reducible weights need the tag's lam and coupling r")
         return series.r if n == -1 else 1.0 + 0j
     raise ParameterError(f"unknown series kind {kind!r}")
 
@@ -207,41 +167,23 @@ def gram_adjoint(T: OperatorMatrix, G: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(data, T.window, T.basis)
 
 
-@dataclass(frozen=True)
-class ReducibleShiftSpec:
-    """Shift on the direct-sum seam basis: free coupling r at the seam."""
-
-    lam: float
-    r: complex
-
-    def __post_init__(self):
-        lam = float(self.lam)
-        r = complex(self.r)
-        if not 0.0 < lam < 2.0:
-            raise ParameterError("the reducible shift requires lam in (0, 2)")
-        if abs(r) > _COUPLING_BOUND:
-            raise ParameterError(f"coupling |r| must not exceed {_COUPLING_BOUND}")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "r", r)
-
-
-def reducible_shift(spec: ReducibleShiftSpec, w: TruncationWindow) -> OperatorMatrix:
-    """Step-(-1) shift in the seam basis g_n.
+def reducible_shift(tag: SeriesTag, w: TruncationWindow) -> OperatorMatrix:
+    """Step-(-1) shift in the seam basis g_n of the reducible sum ``tag``.
 
     Coefficients are (1 + n)/(lam + n) below the seam, the coupling r at
     n = -1, and 1 above.
     """
+    if tag.kind != REDUCIBLE:
+        raise ParameterError(f"the reducible shift needs a reducible series tag, not {tag.kind!r}")
     if w.kind != BILATERAL:
         raise WindowMismatchError("the reducible shift lives on a bilateral window")
-    coeffs: dict[int, complex] = {}
-    for n in range(w.lo, w.hi):
-        if n < -1:
-            den = spec.lam + n
-            if abs(den) < _POLE_TOL:
-                raise PoleError(f"coefficient pole at n={n} for lam={spec.lam}")
-            coeffs[n] = (1.0 + n) / den
-        elif n == -1:
-            coeffs[n] = spec.r
-        else:
-            coeffs[n] = 1.0
-    return shift_matrix(w, -1, coeffs)
+    n = w.indices()[:-1]
+    below = n < -1
+    den = tag.lam + n[below]
+    pole = np.abs(den) < _POLE_TOL
+    if pole.any():
+        raise PoleError(f"coefficient pole at n={n[below][pole][0]} for lam={tag.lam}")
+    diagonal = np.ones(n.size, dtype=np.complex128)
+    diagonal[below] = (1.0 + n[below]) / den
+    diagonal[n == -1] = tag.r
+    return OperatorMatrix.from_band(w, -1, diagonal)

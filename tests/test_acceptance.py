@@ -26,6 +26,7 @@ from mobshift.mobius import GroupPath, path_to_mobius
 from mobshift.numkernel import (
     BILATERAL,
     UNILATERAL,
+    OperatorMatrix,
     TruncationWindow,
 )
 from mobshift.repn import (
@@ -44,8 +45,6 @@ from mobshift.repn import (
     unitarity_defect,
 )
 from mobshift.shifts import (
-    ReducibleShiftSpec,
-    WeightedShiftSpec,
     canonical_shift,
     reducible_shift,
     shift_matrix,
@@ -94,7 +93,7 @@ def homogeneous_cases():
     for r in (0.3, 1.0, 2.0):
         w = TruncationWindow(BILATERAL, N, PAD)
         cases.append(
-            (f"reducible r={r:g}", reducible_shift(ReducibleShiftSpec(1.0, r), w), Realization.reducible(1.0), w)
+            (f"reducible r={r:g}", reducible_shift(SeriesTag.reducible(1.0, r), w), Realization.reducible(1.0), w)
         )
     return cases
 
@@ -145,7 +144,7 @@ def test_criterion_03_negative_controls():
 
     ph = RepnParams(UNILATERAL, 2.0)
     wh = TruncationWindow(UNILATERAL, N, PAD)
-    decaying = WeightedShiftSpec.from_function(wh, -1, lambda n: 1.0 / (n + 2)).matrix()
+    decaying = OperatorMatrix.from_band(wh, -1, 1.0 / (wh.indices()[:-1] + 2))
     d_decay = homogeneity_defect(decaying, rep_matrix(ph, path, wh), path_to_mobius(path), wh).value
 
     wb = TruncationWindow(BILATERAL, 16, 4)

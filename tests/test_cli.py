@@ -161,6 +161,14 @@ def test_verify_empty_interior_exit_two(capsys):
     assert err == "error: padding 3 leaves no interior in a size-5 window\n"
 
 
+def test_verify_reducible_pole_exit_two(capsys):
+    # lam = 2 - 1e-13 passes the (0, 2) bound but puts a pole at n = -2
+    argv = ["verify", "homogeneity", "--series", "reducible", "--lambda", "1.9999999999999", "--N", "8", "--pad", "2"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: coefficient pole at n=-2 for lam=1.9999999999999\n"
+
+
 def test_verify_gamma_overflow_exit_three(capsys):
     code, out, err = run(capsys, ["verify", "unitarity", "--series", "holo", "--lambda", "200"])
     assert code == 3 and out == ""

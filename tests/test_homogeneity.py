@@ -27,8 +27,8 @@ from mobshift.numkernel import (
     interior_norm,
     solve,
 )
-from mobshift.repn import Realization, RepnParams, rep_matrix, rep_matrix_sharp
-from mobshift.shifts import ReducibleShiftSpec, canonical_shift, reducible_shift
+from mobshift.repn import Realization, RepnParams, SeriesTag, rep_matrix, rep_matrix_sharp
+from mobshift.shifts import canonical_shift, reducible_shift
 
 from oracles import dense_mobius, random_mobius
 
@@ -113,7 +113,7 @@ def refuse_solve(monkeypatch):
 def random_shift(rng, w, step):
     k = w.size - abs(step)
     weights = rng.uniform(0.2, 1.5, k) * np.exp(1j * rng.uniform(-math.pi, math.pi, k))
-    return OperatorMatrix(np.diag(weights, step), w)
+    return OperatorMatrix.from_band(w, step, weights)
 
 
 def shift_cases(rng):
@@ -123,7 +123,7 @@ def shift_cases(rng):
     yield "T1star", canonical_shift("T1star", HOLO2, uni)
     yield "T2", canonical_shift("T2", PRIN, bi)
     yield "T3", canonical_shift("T3", PRIN, bi)
-    yield "reducible r=10", reducible_shift(ReducibleShiftSpec(1.0, 10.0), bi)
+    yield "reducible r=10", reducible_shift(SeriesTag.reducible(1.0, 10.0), bi)
     for step in (-2, -1, 1, 2):
         yield f"random step {step}", random_shift(rng, uni, step)
         yield f"random bilateral step {step}", random_shift(rng, bi, step)
@@ -234,7 +234,7 @@ def test_reducible_shift_homogeneous_at_lambda_one():
     w = TruncationWindow(BILATERAL, 64, 16)
     rel = Realization.reducible(1.0)
     for r in (0.3, 1.0, 2.0):
-        t = reducible_shift(ReducibleShiftSpec(1.0, r), w)
+        t = reducible_shift(SeriesTag.reducible(1.0, r), w)
         for text in ("L:0.1", "M:0.1", "h:0.3"):
             path = GroupPath.parse(text)
             report = homogeneity_defect(t, rel.along_path(path, w), path_to_mobius(path), w)
@@ -281,7 +281,7 @@ def test_infinitesimal_reports_cover_sharp_and_reducible():
     assert all(r.passed for r in reports), [(r.name, r.value) for r in reports if not r.passed]
 
     wb = TruncationWindow(BILATERAL, 64, 16)
-    tred = reducible_shift(ReducibleShiftSpec(1.0, 2.0), wb)
+    tred = reducible_shift(SeriesTag.reducible(1.0, 2.0), wb)
     reports = infinitesimal_reports(tred, Realization.reducible(1.0), wb)
     assert all(r.passed for r in reports), [(r.name, r.value) for r in reports if not r.passed]
 

@@ -22,14 +22,8 @@ from mobshift.numkernel import (
     OperatorMatrix,
     TruncationWindow,
 )
-from mobshift.repn import Realization, RepnParams, generator_matrix, gram, rep_matrix
-from mobshift.shifts import (
-    ReducibleShiftSpec,
-    WeightedShiftSpec,
-    canonical_shift,
-    reducible_shift,
-    shift_matrix,
-)
+from mobshift.repn import Realization, RepnParams, SeriesTag, generator_matrix, gram, rep_matrix
+from mobshift.shifts import canonical_shift, reducible_shift, shift_matrix
 
 from oracles import dense_normalizer_defect, random_dense, rotation_average_component
 
@@ -290,7 +284,8 @@ def test_normalizer_certifies_generated_algebra():
 
 def test_normalizer_negative_control():
     wh = TruncationWindow(UNILATERAL, 64, 16)
-    bad = WeightedShiftSpec.from_function(wh, -1, lambda n: 1.0 / (n + 2)).matrix()
+    n = wh.indices()[:-1]
+    bad = OperatorMatrix.from_band(wh, -1, 1.0 / (n + 2))
     rh = rep_matrix(HOLO2, GroupPath((("L", 0.1),)), wh)
     report = normalizer_defect(bad, rh, wh, gram=gram(HOLO2, wh))
     assert report.value > 1e-2
@@ -312,7 +307,7 @@ def _family_setup(family, N):
     p, op = AGREEMENT_FAMILIES[family]
     if p is None:
         w = TruncationWindow(BILATERAL, N, 3 * N // 8)
-        return reducible_shift(ReducibleShiftSpec(1.0, 1.0), w), Realization.reducible(1.0), w, None
+        return reducible_shift(SeriesTag.reducible(1.0, 1.0), w), Realization.reducible(1.0), w, None
     w = TruncationWindow(p.index_set, N, 3 * N // 8)
     rel = Realization.sharp(p) if op == "T1star" else Realization.plain(p)
     g = gram(p, w) if p.index_set == UNILATERAL else None
@@ -340,7 +335,7 @@ def test_normalizer_matches_dense_oracle_on_random_shifts(rng, step, layout):
     }
     t = shift_matrix(w, step, coeffs)
     r = OperatorMatrix(np.eye(w.size) + 0.1 * random_dense(rng, w.size), w)
-    g = OperatorMatrix.from_diagonal(rng.uniform(0.5, 2.0, w.size), w) if layout == "unilateral-gram" else None
+    g = OperatorMatrix.from_band(w, 0, rng.uniform(0.5, 2.0, w.size)) if layout == "unilateral-gram" else None
     want = dense_normalizer_defect(t, r, w, gram=g)
     got = normalizer_defect(t, r, w, gram=g).value
     assert want > 1e-3

@@ -102,7 +102,7 @@ def test_matrix_basis_bookkeeping(rng):
 
 def test_matrix_entry_by_index():
     w = TruncationWindow(BILATERAL, 2, 0)
-    m = OperatorMatrix.from_diagonal([1, 2, 3, 4, 5], w)
+    m = OperatorMatrix.from_band(w, 0, [1, 2, 3, 4, 5])
     assert m.entry(-2, -2) == 1
     assert m.entry(2, 2) == 5
     assert m.entry(1, -1) == 0
@@ -137,7 +137,7 @@ def test_mat_exp_zero_is_identity():
 def test_mat_exp_diagonal_matches_scalar_exponentials():
     w = window_of_size(2)
     thetas = np.array([0.1, -0.3])
-    a = OperatorMatrix.from_diagonal(1j * thetas, w)
+    a = OperatorMatrix.from_band(w, 0, 1j * thetas)
     out = mat_exp(a)
     expected = np.diag(np.exp(1j * thetas))
     assert np.max(np.abs(out.data - expected)) <= 1e-14
@@ -210,6 +210,17 @@ def test_band_product_matches_dense_product(rng, w, m):
     assert_same_product(dense, band)
     for other in BAND_OFFSETS:
         assert_same_product(band, OperatorMatrix(band_matrix(rng, w.size, other), w))
+
+
+@pytest.mark.parametrize("w", BAND_WINDOWS, ids=("unilateral", "bilateral"))
+def test_from_band_inverts_single_diagonal(rng, w):
+    for m in BAND_OFFSETS + (w.size, -w.size):
+        T = OperatorMatrix(band_matrix(rng, w.size, m), w)
+        assert np.array_equal(OperatorMatrix.from_band(w, *T.single_diagonal).data, T.data)
+        assert np.array_equal(OperatorMatrix.from_band(w, m, np.diagonal(T.data, m)).data, T.data)
+    for m, length in ((0, w.size - 1), (1, w.size), (-2, w.size - 1), (w.size, 1)):
+        with pytest.raises(WindowMismatchError):
+            OperatorMatrix.from_band(w, m, np.ones(length))
 
 
 @pytest.mark.parametrize("w", BAND_WINDOWS, ids=("unilateral", "bilateral"))

@@ -85,10 +85,11 @@ def test_unilateral_requires_zero_mu():
 def test_series_tag_reducible_payload():
     tag = SeriesTag.reducible(1.0, 0.5)
     assert tag.kind == REDUCIBLE and tag.lam == 1.0 and tag.r == 0.5
+    for lam, r in ((2.5, 1.0), (0.0, 1.0), (1.0, 11.0), (1.0, 20.0)):
+        with pytest.raises(ParameterError):
+            SeriesTag.reducible(lam, r)
     with pytest.raises(ParameterError):
-        SeriesTag.reducible(2.5, 1.0)
-    with pytest.raises(ParameterError):
-        SeriesTag.reducible(1.0, 20.0)
+        SeriesTag(REDUCIBLE)
 
 
 # ---------------------------------------------------------------- generators
@@ -122,6 +123,43 @@ def test_generator_complex_combinations():
     np.testing.assert_allclose(M.data, (1j * (e - f)).data)
     np.testing.assert_allclose((0.5 * (L - 1j * M)).data, e.data, atol=1e-15)
     np.testing.assert_allclose((0.5 * (L + 1j * M)).data, f.data, atol=1e-15)
+
+
+def _band_reference(w, lowering, raising):
+    """Reference e and f: entries lowering(n) at (n - 1, n) and raising(n) at (n + 1, n)."""
+    e = np.zeros((w.size, w.size), dtype=complex)
+    f = np.zeros((w.size, w.size), dtype=complex)
+    for n in range(w.lo, w.hi + 1):
+        if w.contains(n - 1):
+            e[w.pos(n - 1), w.pos(n)] = lowering(n)
+        if w.contains(n + 1):
+            f[w.pos(n + 1), w.pos(n)] = raising(n)
+    return e, f
+
+
+def _assert_generators_match(generator, e, f):
+    assert np.array_equal(generator("e").data, e)
+    assert np.array_equal(generator("f").data, f)
+    assert np.array_equal(generator("L").data, e + f)
+    assert np.array_equal(generator("M").data, 1j * (e - f))
+
+
+@pytest.mark.parametrize("p", [HOLO2, PRINCIPAL_P, COMP_P], ids=("holo", "principal", "complementary"))
+def test_generator_bands_equal_their_formulas(p):
+    w = TruncationWindow(p.index_set, 24, 4)
+    e, f = _band_reference(w, lambda n: p.mu - n, lambda n: p.lam + p.mu + n)
+    _assert_generators_match(lambda X: generator_matrix(p, X, w), e, f)
+
+
+def test_reducible_generator_bands_equal_their_formulas():
+    w = TruncationWindow(BILATERAL, 24, 4)
+    lam = 1.3
+    e, f = _band_reference(
+        w,
+        lambda n: 1.0 - lam - n if n < 0 else (0.0 if n == 0 else -float(n)),
+        lambda n: float(n + 1) if n < -1 else (0.0 if n == -1 else lam + n),
+    )
+    _assert_generators_match(lambda X: reducible_generator_matrix(lam, X, w), e, f)
 
 
 def test_generator_window_mismatch():

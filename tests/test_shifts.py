@@ -7,8 +7,6 @@ from mobshift.errors import ParameterError, PoleError, WindowMismatchError
 from mobshift.numkernel import BILATERAL, ORTHONORMAL, UNILATERAL, OperatorMatrix, TruncationWindow
 from mobshift.repn import ANTIHOLO, COMPLEMENTARY, HOLO, PRINCIPAL, RepnParams, SeriesTag, gram
 from mobshift.shifts import (
-    ReducibleShiftSpec,
-    WeightedShiftSpec,
     canonical_shift,
     gram_adjoint,
     reducible_shift,
@@ -36,16 +34,6 @@ def test_shift_matrix_rejects_out_of_window_targets():
     w = TruncationWindow(UNILATERAL, 3, 0)
     with pytest.raises(ParameterError):
         shift_matrix(w, +1, {0: 1.0})  # would target n = -1
-
-
-def test_weighted_shift_spec_roundtrip():
-    w = TruncationWindow(UNILATERAL, 5, 1)
-    spec = WeightedShiftSpec.from_function(w, -1, lambda n: 1.0 / (n + 2))
-    assert set(spec.coefficients) == set(range(0, 5))
-    m = spec.matrix()
-    assert m.entry(3, 2) == pytest.approx(0.25)
-    with pytest.raises(ParameterError):
-        WeightedShiftSpec(w, -1, {5: 1.0})  # target n = 6 leaves the window
 
 
 # ---------------------------------------------------------------- canonical shifts
@@ -176,7 +164,7 @@ def test_to_orthonormal_t3_complementary_simplifies():
 def test_to_orthonormal_validates_gram():
     w = TruncationWindow(UNILATERAL, 4, 1)
     t = canonical_shift("T1", HOLO2, TruncationWindow(UNILATERAL, 4, 1))
-    bad = OperatorMatrix.from_diagonal([1.0, -1.0, 1.0, 1.0, 1.0], w)
+    bad = OperatorMatrix.from_band(w, 0, [1.0, -1.0, 1.0, 1.0, 1.0])
     with pytest.raises(ParameterError):
         to_orthonormal(t, bad)
     dense = OperatorMatrix(np.ones((5, 5)), w)
@@ -222,7 +210,7 @@ def test_complementary_weights_approach_one():
 
 def test_reducible_shift_coefficients():
     w = TruncationWindow(BILATERAL, 6, 1)
-    t = reducible_shift(ReducibleShiftSpec(1.0, 0.5), w)
+    t = reducible_shift(SeriesTag.reducible(1.0, 0.5), w)
     for n in range(w.lo, w.hi):
         expected = 0.5 if n == -1 else 1.0
         assert t.entry(n + 1, n) == pytest.approx(expected)
@@ -230,13 +218,13 @@ def test_reducible_shift_coefficients():
 
 def test_reducible_shift_below_seam_value():
     w = TruncationWindow(BILATERAL, 6, 1)
-    t = reducible_shift(ReducibleShiftSpec(1.5, 1.0), w)
+    t = reducible_shift(SeriesTag.reducible(1.5, 1.0), w)
     assert t.entry(-2, -3) == pytest.approx(4.0 / 3.0)  # (1 + n)/(lam + n) at n = -3
 
 
 def test_reducible_shift_with_unit_coupling_is_t2():
     w = TruncationWindow(BILATERAL, 8, 2)
-    t = reducible_shift(ReducibleShiftSpec(1.0, 1.0), w)
+    t = reducible_shift(SeriesTag.reducible(1.0, 1.0), w)
     t2 = canonical_shift("T2", PRIN, w)
     np.testing.assert_array_equal(t.data, t2.data)
 
@@ -244,7 +232,7 @@ def test_reducible_shift_with_unit_coupling_is_t2():
 def test_reducible_shift_block_structure():
     # rows/cols >= 0 against < 0: the coupling block has exactly one entry
     w = TruncationWindow(BILATERAL, 6, 1)
-    t = reducible_shift(ReducibleShiftSpec(1.3, 0.7), w)
+    t = reducible_shift(SeriesTag.reducible(1.3, 0.7), w)
     neg = [w.pos(n) for n in range(w.lo, 0)]
     pos = [w.pos(n) for n in range(0, w.hi + 1)]
     upper_right = t.data[np.ix_(neg, pos)]  # maps the n >= 0 block downward
@@ -257,8 +245,47 @@ def test_reducible_shift_block_structure():
 def test_reducible_shift_validation():
     w = TruncationWindow(BILATERAL, 6, 1)
     with pytest.raises(ParameterError):
-        ReducibleShiftSpec(0.0, 1.0)
-    with pytest.raises(ParameterError):
-        ReducibleShiftSpec(1.0, 11.0)
+        reducible_shift(SeriesTag(PRINCIPAL), w)
     with pytest.raises(WindowMismatchError):
-        reducible_shift(ReducibleShiftSpec(1.0, 1.0), TruncationWindow(UNILATERAL, 6, 1))
+        reducible_shift(SeriesTag.reducible(1.0, 1.0), TruncationWindow(UNILATERAL, 6, 1))
+
+
+def test_reducible_shift_pole_inside_the_lambda_bound():
+    # lam = 2 - 1e-13 lies in (0, 2), but (1 + n)/(lam + n) has its pole at n = -2
+    w = TruncationWindow(BILATERAL, 8, 2)
+    with pytest.raises(PoleError, match="pole at n=-2"):
+        reducible_shift(SeriesTag.reducible(2.0 - 1e-13, 1.0), w)
+
+
+def _formula_shift(w, step, sources, coefficient):
+    """Reference build: shift_matrix fed the coefficient formula one index at a time."""
+    return shift_matrix(w, step, {n: coefficient(n) for n in sources})
+
+
+@pytest.mark.parametrize(
+    "kind, p",
+    [("T1", HOLO2), ("T1star", HOLO2), ("T2", PRIN), ("T3", PRIN), ("T2", COMP), ("T3", COMP)],
+    ids=("T1-holo", "T1star-holo", "T2-principal", "T3-principal", "T2-complementary", "T3-complementary"),
+)
+def test_canonical_shift_matches_its_coefficient_formula(kind, p):
+    w = TruncationWindow(p.index_set, 32, 8)
+    lam, mu = p.lam, p.mu
+    if kind == "T1star":
+        want = _formula_shift(w, +1, range(1, w.hi + 1), lambda n: n / (lam + n - 1.0))
+    elif kind == "T3":
+        want = _formula_shift(w, -1, range(w.lo, w.hi), lambda n: (lam + mu + n) / (n + 1.0 - mu))
+    else:
+        want = _formula_shift(w, -1, range(w.lo, w.hi), lambda n: 1.0)
+    got = canonical_shift(kind, p, w).data
+    if kind == "T3":
+        # numpy and Python complex division may round differently
+        assert np.max(np.abs(got - want.data)) <= 1e-15 * np.max(np.abs(want.data))
+    else:
+        assert np.array_equal(got, want.data)
+
+
+def test_reducible_shift_matches_its_coefficient_formula():
+    w = TruncationWindow(BILATERAL, 32, 8)
+    lam, r = 1.3, 10.0
+    want = _formula_shift(w, -1, range(w.lo, w.hi), lambda n: (1.0 + n) / (lam + n) if n < -1 else (r if n == -1 else 1.0))
+    assert np.array_equal(reducible_shift(SeriesTag.reducible(lam, r), w).data, want.data)
