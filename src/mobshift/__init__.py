@@ -45,8 +45,6 @@ from .numkernel import (
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
-    circle_fft,
-    circle_synthesis,
     interior_max,
     interior_norm,
     mat_exp,

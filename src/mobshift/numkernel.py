@@ -2,7 +2,9 @@
 
 Matrices live on an explicit truncation window and carry a basis tag, so
 bookkeeping mistakes (mixing windows or bases) fail fast instead of producing
-plausible-looking numbers.  Everything is desk scale and dense complex128.
+plausible-looking numbers.  Operators are dense complex128; ``mat_exp``
+works in real arithmetic, from one real eigh of a generator's tridiagonal
+Hermitian form and half-size products split by index parity.
 """
 
 from __future__ import annotations
@@ -237,20 +239,23 @@ class OperatorMatrix:
 class _Spectrum:
     """e^{tX} data for one generator X.
 
-    A diagonal X keeps only its diagonal.  Otherwise ``values`` and
-    ``vectors`` diagonalize the Hermitian matrix i S X S^-1, and ``scale``
-    holds the diagonal of S (None when S is the identity).
+    A diagonal X keeps only its diagonal in ``values``.  Otherwise
+    ``values`` and the even and odd rows of Q diagonalize the real symmetric
+    tridiagonal Hr = Q Lambda Q^T, and e^{tX} is ``left`` (cos tHr - i sin tHr)
+    ``right``, with ``left`` and ``right`` the diagonals of S^-1 D and D^-1 S.
     """
 
     values: np.ndarray
-    vectors: np.ndarray | None = None
-    scale: np.ndarray | None = None
+    even: np.ndarray | None = None
+    odd: np.ndarray | None = None
+    left: np.ndarray | None = None
+    right: np.ndarray | None = None
 
 
 _spectra: dict = {}
 
 
-def _gram_scale(a: np.ndarray) -> np.ndarray | None:
+def _gram_scale(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """Diagonal S for which S A S^-1 can be skew-Hermitian, read off A's band.
 
     Skewness of the first off-diagonals forces
@@ -258,44 +263,55 @@ def _gram_scale(a: np.ndarray) -> np.ndarray | None:
     ratios are summed.  Where both band entries vanish (the seam of a
     reducible sum) the chain breaks and the next block keeps its own scale.
     """
-    upper = np.abs(np.diagonal(a, 1))
-    lower = np.abs(np.diagonal(a, -1))
+    upper, lower = np.abs(upper), np.abs(lower)
     if np.any((upper == 0.0) != (lower == 0.0)):
         raise NotSkewAdjointError("generator is not skew-adjoint under a diagonal Gram: one-sided band entry")
     linked = upper != 0.0
     steps = np.zeros(upper.shape)
     steps[linked] = 0.5 * (np.log(upper[linked]) - np.log(lower[linked]))
-    if not steps.any():
-        return None
     log_s = np.concatenate(([0.0], np.cumsum(steps)))
     log_s -= 0.5 * (log_s.max() + log_s.min())
     return np.exp(log_s)
 
 
+def _band_spectrum(a: np.ndarray) -> _Spectrum:
+    """Real parity-split spectrum of a generator supported on the +-1 diagonals.
+
+    With S from the band, H = i S X S^-1 is Hermitian tridiagonal with zero
+    diagonal.  The unit phases u_k = H[k+1, k] / |H[k+1, k]| (1 across a seam)
+    multiply up to D = diag(d), and Hr = D^-1 H D is real symmetric.  The
+    similarity keeps D^-1, not D^H: over long chains |d_k| drifts off 1.
+    """
+    upper, lower = np.diagonal(a, 1), np.diagonal(a, -1)
+    if np.count_nonzero(a) != np.count_nonzero(upper) + np.count_nonzero(lower):
+        raise NotSkewAdjointError("generator is not supported on the first off-diagonals")
+    s = _gram_scale(upper, lower)
+    ratio = s[1:] / s[:-1]
+    y_up, y_lo = upper / ratio, lower * ratio
+    residue = float(np.max(np.abs(y_lo + y_up.conj())))
+    if not residue <= SKEW_TOL * max(float(np.max(np.abs(y_up))), float(np.max(np.abs(y_lo)))):
+        raise NotSkewAdjointError(
+            f"generator is not skew-adjoint under a diagonal Gram (residue {residue:.3e})"
+        )
+    h = 1j * y_lo
+    mod = np.abs(h)
+    u = np.divide(h, mod, out=np.ones_like(h), where=mod != 0.0)
+    d = np.concatenate(([1.0 + 0j], np.cumprod(u)))
+    values, q = np.linalg.eigh(np.diag(mod, 1) + np.diag(mod, -1))
+    return _Spectrum(values, np.ascontiguousarray(q[0::2]), np.ascontiguousarray(q[1::2]), d / s, s / d)
+
+
 def _spectrum(X: OperatorMatrix) -> _Spectrum:
-    """Cached spectral data of X; one eigh per generator object."""
+    """Cached spectral data of X; one real eigh per generator object."""
     hit = _spectra.pop(id(X), None)
     if hit is not None and hit[0] is X:
         _spectra[id(X)] = hit
         return hit[1]
-    a = X.data
     band = X.single_diagonal
     if band is not None and band[0] == 0:
         spec = _Spectrum(band[1].copy())
     else:
-        s = _gram_scale(a)
-        y = a.copy()
-        if s is not None:
-            y *= s[:, None]
-            y /= s[None, :]
-        residue = float(np.max(np.abs(y + y.conj().T)))
-        if not residue <= SKEW_TOL * float(np.max(np.abs(y))):
-            raise NotSkewAdjointError(
-                f"generator is not skew-adjoint under a diagonal Gram (residue {residue:.3e})"
-            )
-        y *= 1j
-        values, vectors = np.linalg.eigh(y)
-        spec = _Spectrum(values, vectors, s)
+        spec = _band_spectrum(X.data)
     _spectra[id(X)] = (X, spec)
     while len(_spectra) > GENERATOR_CACHE_SIZE:
         del _spectra[next(iter(_spectra))]
@@ -305,25 +321,32 @@ def _spectrum(X: OperatorMatrix) -> _Spectrum:
 def mat_exp(X: OperatorMatrix, t: float = 1.0) -> OperatorMatrix:
     """e^{tX} for a generator that is skew-adjoint under a diagonal Gram.
 
-    With S from X's own band, i S X S^-1 = V Lambda V^H is Hermitian, so
-    e^{tX} = S^-1 V e^{-it Lambda} V^H S: one eigh per generator (cached for
-    the last few generator objects), then one matrix product per t.  Diagonal
-    X takes the scalar exponentials directly.  A generator that no diagonal
-    S makes skew-Hermitian raises ``NotSkewAdjointError``.
+    Diagonal X takes the scalar exponentials directly.  Otherwise X must live
+    on the +-1 diagonals; then e^{tX} = (S^-1 D)(cos tHr - i sin tHr)(D^-1 S)
+    with Hr = Q Lambda Q^T real (see ``_band_spectrum``): one real eigh per
+    generator, cached for the last few generator objects.  Hr links only even
+    positions to odd ones, so cos tHr has no even-odd entries and sin tHr
+    only those, and each t costs three real half-size products.  Any other
+    generator raises ``NotSkewAdjointError``.
     """
     spec = _spectrum(X)
     t = float(t)
-    if spec.vectors is None:
+    if spec.even is None:
         with np.errstate(over="ignore"):
             out = np.exp(t * spec.values)
         if not np.isfinite(out).all():
             raise OverflowGuardError("overflow in diagonal exponential")
         return OperatorMatrix.from_band(X.window, 0, out, X.basis)
-    v = spec.vectors
-    out = (v * np.exp(-1j * t * spec.values)) @ v.conj().T
-    if spec.scale is not None:
-        out /= spec.scale[:, None]
-        out *= spec.scale[None, :]
+    qe, qo = spec.even, spec.odd
+    cos, sin = np.cos(t * spec.values), np.sin(t * spec.values)
+    out = np.zeros(X.data.shape, dtype=np.complex128)
+    out.real[0::2, 0::2] = (qe * cos) @ qe.T
+    out.real[1::2, 1::2] = (qo * cos) @ qo.T
+    sin_eo = (qe * sin) @ qo.T
+    out.imag[0::2, 1::2] = -sin_eo
+    out.imag[1::2, 0::2] = -sin_eo.T
+    out *= spec.left[:, None]
+    out *= spec.right[None, :]
     return OperatorMatrix(out, X.window, X.basis)
 
 
@@ -372,25 +395,3 @@ def interior_max(A: OperatorMatrix, w: TruncationWindow) -> float:
 def _require_power_of_two(n: int) -> None:
     if n < 1 or n & (n - 1):
         raise ParameterError(f"sample count {n} is not a power of two")
-
-
-def circle_fft(samples) -> np.ndarray:
-    """Fourier coefficients of uniform unit-circle samples.
-
-    Normalized so that sampling e^{ik theta} puts 1 at coefficient k (mod the
-    grid length); negative frequencies wrap to the top half of the array.
-    """
-    s = np.asarray(samples, dtype=np.complex128)
-    if s.ndim != 1:
-        raise ParameterError("samples must be one-dimensional")
-    _require_power_of_two(s.shape[0])
-    return np.fft.fft(s) / s.shape[0]
-
-
-def circle_synthesis(coeffs) -> np.ndarray:
-    """Inverse of circle_fft: rebuild the circle samples from coefficients."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    if c.ndim != 1:
-        raise ParameterError("coefficients must be one-dimensional")
-    _require_power_of_two(c.shape[0])
-    return np.fft.ifft(c) * c.shape[0]

@@ -5,7 +5,8 @@ it checks: asymptotic series instead of the rational gamma kernel, truncated
 Taylor sums and Pade scaling-and-squaring instead of eigendecompositions,
 brute-force summation instead of sliced norms, rotation-average quadrature
 instead of diagonal surgery, dense matrix powers instead of diagonal
-recurrences, an LU solve instead of a Neumann series.
+recurrences, an LU solve instead of a Neumann series.  ``circle_fft`` and
+``circle_synthesis`` are the plain normalized FFT pair of unit-circle samples.
 """
 
 import cmath
@@ -13,7 +14,9 @@ import math
 
 import numpy as np
 
+from mobshift.errors import ParameterError
 from mobshift.mobius import MobiusElement
+from mobshift.numkernel import _require_power_of_two
 
 _BERNOULLI = (
     1.0 / 6,
@@ -195,3 +198,25 @@ def dense_normalizer_defect(T, R, w, gram=None) -> float:
         if adjoint is not None:
             adj_power = adj_power @ adjoint
     return value
+
+
+def circle_fft(samples) -> np.ndarray:
+    """Fourier coefficients of uniform unit-circle samples.
+
+    Normalized so that sampling e^{ik theta} puts 1 at coefficient k (mod the
+    grid length); negative frequencies wrap to the top half of the array.
+    """
+    s = np.asarray(samples, dtype=np.complex128)
+    if s.ndim != 1:
+        raise ParameterError("samples must be one-dimensional")
+    _require_power_of_two(s.shape[0])
+    return np.fft.fft(s) / s.shape[0]
+
+
+def circle_synthesis(coeffs) -> np.ndarray:
+    """Inverse of circle_fft: rebuild the circle samples from coefficients."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    if c.ndim != 1:
+        raise ParameterError("coefficients must be one-dimensional")
+    _require_power_of_two(c.shape[0])
+    return np.fft.ifft(c) * c.shape[0]

@@ -16,8 +16,6 @@ from mobshift.numkernel import (
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
-    circle_fft,
-    circle_synthesis,
     interior_max,
     interior_norm,
     mat_exp,
@@ -25,7 +23,14 @@ from mobshift.numkernel import (
 )
 from mobshift.repn import RepnParams, generator_matrix
 
-from oracles import brute_interior_frobenius, pade_expm, random_dense, taylor_expm
+from oracles import (
+    brute_interior_frobenius,
+    circle_fft,
+    circle_synthesis,
+    pade_expm,
+    random_dense,
+    taylor_expm,
+)
 
 
 @pytest.fixture

@@ -312,14 +312,21 @@ SPECTRAL_CASES = {
 }
 
 
+# (case, N, relative bound); holo at N = 63 is the one even-size window (64
+# positions), where the parity split has as many even rows as odd ones
+SPECTRAL_WINDOWS = [pytest.param(case, 24, 1e-12, id=case) for case in sorted(SPECTRAL_CASES)]
+SPECTRAL_WINDOWS += [pytest.param(case, 64, 2e-14, id=f"{case}-64") for case in sorted(SPECTRAL_CASES)]
+SPECTRAL_WINDOWS += [pytest.param("holo", 63, 2e-14, id="holo-63")]
+
+
 @pytest.mark.parametrize("t", [1e-4, -1e-4, 0.1, 0.5])
 @pytest.mark.parametrize("X", ["L", "M"])
-@pytest.mark.parametrize("case", sorted(SPECTRAL_CASES))
-def test_mat_exp_matches_pade_oracle(case, X, t):
+@pytest.mark.parametrize("case, N, bound", SPECTRAL_WINDOWS)
+def test_mat_exp_matches_pade_oracle(case, N, bound, X, t):
     rel, kind = SPECTRAL_CASES[case]
-    A = rel.generator(X, TruncationWindow(kind, 24, 6))
+    A = rel.generator(X, TruncationWindow(kind, N, N // 4))
     expected = pade_expm(t * A.data)
-    assert np.max(np.abs(mat_exp(A, t).data - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.max(np.abs(mat_exp(A, t).data - expected)) <= bound * np.max(np.abs(expected))
 
 
 def test_mat_exp_refuses_generators_without_a_gram():
@@ -329,6 +336,15 @@ def test_mat_exp_refuses_generators_without_a_gram():
     dense = OperatorMatrix(random_dense(np.random.default_rng(3), w.size), w)
     with pytest.raises(NotSkewAdjointError):
         mat_exp(dense)
+
+
+def test_mat_exp_refuses_generators_off_the_first_off_diagonals():
+    w = TruncationWindow(BILATERAL, 8, 2)
+    h, L = generator_matrix(PRINCIPAL_P, "h", w), generator_matrix(PRINCIPAL_P, "L", w)
+    second = OperatorMatrix.from_band(w, 2, np.full(w.size - 2, 0.5))
+    for X in (h + L, L + second - second.H):
+        with pytest.raises(NotSkewAdjointError):
+            mat_exp(X, 0.1)
 
 
 def test_exponential_caches_hold_one_realization():
