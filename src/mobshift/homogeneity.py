@@ -117,9 +117,9 @@ def mobius_of_operator(phi: MobiusElement, T: OperatorMatrix) -> OperatorMatrix:
             estimate = (1.0 + float(np.max(np.abs(c * band[1])))) * float(np.linalg.norm(n, 1))
         if not estimate < COND_LIMIT:
             raise SingularMatrixError(estimate)
-        image = (T @ OperatorMatrix(n, T.window, T.basis)).data - phi.beta * n
+        image = (T @ OperatorMatrix._adopt(n, T.window, T.basis)).data - phi.beta * n
         image *= phi.alpha
-        return OperatorMatrix(image, T.window, T.basis)
+        return OperatorMatrix._adopt(image, T.window, T.basis)
     ident = OperatorMatrix.identity(T.window, T.basis)
     denominator = ident - phi.beta.conjugate() * T
     numerator = T - phi.beta * ident

@@ -2,7 +2,8 @@
 
 Matrices live on an explicit truncation window and carry a basis tag, so
 bookkeeping mistakes (mixing windows or bases) fail fast instead of producing
-plausible-looking numbers.  Operators are dense complex128; ``mat_exp``
+plausible-looking numbers.  Operators are dense complex128 and read-only; the
+public constructor copies, library results own their fresh arrays.  ``mat_exp``
 works in real arithmetic, from one real eigh of a generator's tridiagonal
 Hermitian form and half-size products split by index parity.
 """
@@ -105,6 +106,9 @@ class TruncationWindow:
         return self.kind == other.kind and self.N == other.N
 
 
+_SCAN = object()
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Immutable square matrix over a window's basis indices."""
@@ -114,7 +118,25 @@ class OperatorMatrix:
     basis: str = MONOMIAL
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.complex128)
+        self._seal(np.array(self.data, dtype=np.complex128))
+
+    @classmethod
+    def _adopt(cls, data, window: TruncationWindow, basis: str = MONOMIAL, offset=_SCAN) -> "OperatorMatrix":
+        """The constructor's checks without its copy, for an array just allocated
+        and referenced nowhere else.  ``offset`` records ``single_diagonal``: None,
+        or the diagonal m that holds every nonzero entry; left out, it is scanned."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "window", window)
+        object.__setattr__(out, "basis", basis)
+        out._seal(np.asarray(data, dtype=np.complex128))
+        if offset is None:
+            out.__dict__["single_diagonal"] = None
+        elif offset is not _SCAN:
+            d = np.diagonal(out.data, offset)
+            out.__dict__["single_diagonal"] = (offset, d) if d.any() else (0, np.diagonal(out.data))
+        return out
+
+    def _seal(self, arr: np.ndarray) -> None:
         if arr.shape != (self.window.size, self.window.size):
             raise WindowMismatchError(
                 f"matrix shape {arr.shape} does not match window size {self.window.size}"
@@ -130,11 +152,11 @@ class OperatorMatrix:
 
     @classmethod
     def identity(cls, window: TruncationWindow, basis: str = MONOMIAL) -> "OperatorMatrix":
-        return cls(np.eye(window.size, dtype=np.complex128), window, basis)
+        return cls.from_band(window, 0, np.ones(window.size), basis)
 
     @classmethod
     def zeros(cls, window: TruncationWindow, basis: str = MONOMIAL) -> "OperatorMatrix":
-        return cls(np.zeros((window.size, window.size), dtype=np.complex128), window, basis)
+        return cls.from_band(window, 0, np.zeros(window.size), basis)
 
     @classmethod
     def from_band(
@@ -157,7 +179,7 @@ class OperatorMatrix:
         data = np.zeros((size, size), dtype=np.complex128)
         k = np.arange(d.size)
         data[k + max(-m, 0), k + max(m, 0)] = d
-        return cls(data, window, basis)
+        return cls._adopt(data, window, basis, m)
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -173,29 +195,29 @@ class OperatorMatrix:
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._require_compatible(other)
-        return OperatorMatrix(self.data + other.data, self.window, self.basis)
+        return OperatorMatrix._adopt(self.data + other.data, self.window, self.basis)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._require_compatible(other)
-        return OperatorMatrix(self.data - other.data, self.window, self.basis)
+        return OperatorMatrix._adopt(self.data - other.data, self.window, self.basis)
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(-self.data, self.window, self.basis)
+        return OperatorMatrix._adopt(-self.data, self.window, self.basis)
 
     def __mul__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix(self.data * complex(scalar), self.window, self.basis)
+        return OperatorMatrix._adopt(self.data * complex(scalar), self.window, self.basis)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix(self.data / complex(scalar), self.window, self.basis)
+        return OperatorMatrix._adopt(self.data / complex(scalar), self.window, self.basis)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Matrix product; O(N^2) when either operand has a single diagonal."""
         self._require_compatible(other)
         left, right = self.single_diagonal, other.single_diagonal
         if left is None and right is None:
-            return OperatorMatrix(self.data @ other.data, self.window, self.basis)
+            return OperatorMatrix._adopt(self.data @ other.data, self.window, self.basis, None)
         # entry k of diagonal m sits at (r0 + k, c0 + k)
         m, d = left if left is not None else right
         r0, c0, k = max(-m, 0), max(m, 0), d.size
@@ -204,14 +226,16 @@ class OperatorMatrix:
             np.multiply(d[:, None], other.data[c0 : c0 + k], out=out[r0 : r0 + k])
         else:
             np.multiply(self.data[:, r0 : r0 + k], d[None, :], out=out[:, c0 : c0 + k])
-        return OperatorMatrix(out, self.window, self.basis)
+        offset = _SCAN if left is None or right is None else left[0] + right[0]
+        return OperatorMatrix._adopt(out, self.window, self.basis, offset)
 
     @functools.cached_property
     def single_diagonal(self) -> tuple[int, np.ndarray] | None:
         """(m, np.diagonal(data, m)) when every nonzero entry lies on diagonal m.
 
         None when two diagonals carry nonzero entries.  The zero matrix reads
-        as diagonal 0.  Dense input is rejected by its nonzero count alone.
+        as diagonal 0.  ``from_band``, ``solve``, ``mat_exp`` and products of two
+        dense or two banded operands record it; others are scanned once.
         (``np.unique`` is avoided: its first call imports ``numpy.ma``, about
         20 ms in every fresh process.)
         """
@@ -228,7 +252,7 @@ class OperatorMatrix:
     @property
     def H(self) -> "OperatorMatrix":
         """Conjugate transpose."""
-        return OperatorMatrix(self.data.conj().T, self.window, self.basis)
+        return OperatorMatrix._adopt(self.data.conj().T, self.window, self.basis)
 
     @property
     def norm_fro(self) -> float:
@@ -347,7 +371,7 @@ def mat_exp(X: OperatorMatrix, t: float = 1.0) -> OperatorMatrix:
     out.imag[1::2, 0::2] = -sin_eo.T
     out *= spec.left[:, None]
     out *= spec.right[None, :]
-    return OperatorMatrix(out, X.window, X.basis)
+    return OperatorMatrix._adopt(out, X.window, X.basis, None)
 
 
 def solve(A: OperatorMatrix, B: OperatorMatrix, *, cond_limit: float = COND_LIMIT) -> OperatorMatrix:
@@ -368,9 +392,9 @@ def solve(A: OperatorMatrix, B: OperatorMatrix, *, cond_limit: float = COND_LIMI
         raise SingularMatrixError(estimate)
     band = B.single_diagonal
     if band is not None and band[0] == 0 and np.all(band[1] == 1.0):
-        return OperatorMatrix(inv, A.window, A.basis)
+        return OperatorMatrix._adopt(inv, A.window, A.basis, None)
     x = np.linalg.solve(a, B.data)
-    return OperatorMatrix(x, A.window, A.basis)
+    return OperatorMatrix._adopt(x, A.window, A.basis, None)
 
 
 def _interior_block(A: OperatorMatrix, w: TruncationWindow) -> np.ndarray:

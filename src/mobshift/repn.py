@@ -41,8 +41,8 @@ from .numkernel import (
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
+    _interior_block,
     _require_power_of_two,
-    interior_norm,
     mat_exp,
 )
 from .specialfn import _PRINCIPAL_RE_TOL, norm_sq_sequence
@@ -59,6 +59,7 @@ _COUPLING_BOUND = 10.0
 _NYQUIST_TAIL_TOL = 1e-9
 _NEGATIVE_INDEX_TOL = 1e-10
 _ORACLE_BETA_CAP = 0.3
+_CIRCLE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ def _generator(
     else:
         data[k + 1, k] -= raising
         data *= 1j
-    return OperatorMatrix(data, w, MONOMIAL)
+    return OperatorMatrix._adopt(data, w, MONOMIAL)
 
 
 @functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
@@ -265,8 +266,11 @@ def gram(p: RepnParams, w: TruncationWindow) -> OperatorMatrix:
 
 
 def unitarity_residual(R: OperatorMatrix, G: OperatorMatrix, w: TruncationWindow) -> float:
-    """Interior norm of R* G R - G, zero for an action unitary under the Gram G."""
-    return interior_norm(R.H @ G @ R - G, w)
+    """Interior norm of R* G R - G, zero for an action unitary under the Gram G;
+    only the interior block (R* G)[p] R[:, p] - G[p, p] is multiplied out."""
+    corner = _interior_block(G, w)
+    p = w.interior_positions()
+    return float(np.linalg.norm((R.H @ G).data[p] @ R.data[:, p] - corner))
 
 
 def unitarity_defect(p: RepnParams, path: GroupPath, w: TruncationWindow) -> float:
@@ -357,40 +361,6 @@ def _signed_frequencies(grid: int) -> np.ndarray:
     return k
 
 
-def _check_nyquist_tail(coeff_table: np.ndarray, grid: int) -> None:
-    k = _signed_frequencies(grid)
-    band = np.abs(k) > grid // 4
-    tail = float(np.max(np.abs(coeff_table[band])))
-    if tail > _NYQUIST_TAIL_TOL:
-        raise GridSizeError(
-            f"coefficient magnitude {tail:.3e} near the Nyquist edge; enlarge the sampling grid"
-        )
-
-
-def _check_unilateral_negative(coeff_table: np.ndarray, grid: int) -> None:
-    k = _signed_frequencies(grid)
-    band = (k < 0) & (np.abs(k) <= grid // 4)
-    worst = float(np.max(np.abs(coeff_table[band])))
-    if worst > _NEGATIVE_INDEX_TOL:
-        raise NumericsError(
-            f"negative-index content {worst:.3e} in a unilateral action; branch assumptions violated"
-        )
-
-
-def _monomial_powers(moved: np.ndarray, w: TruncationWindow) -> np.ndarray:
-    """Table P[j, p] = moved_j ** (lo + p), built by cumulative products."""
-    grid = moved.shape[0]
-    table = np.empty((grid, w.size), dtype=np.complex128)
-    table[:, w.pos(0)] = 1.0
-    for n in range(1, w.hi + 1):
-        table[:, w.pos(n)] = table[:, w.pos(n - 1)] * moved
-    if w.lo < 0:
-        inv = 1.0 / moved
-        for n in range(-1, w.lo - 1, -1):
-            table[:, w.pos(n)] = table[:, w.pos(n + 1)] * inv
-    return table
-
-
 def _circle_table(
     p: RepnParams,
     phi_inv: MobiusElement,
@@ -399,7 +369,13 @@ def _circle_table(
     w: TruncationWindow,
     grid_size: int | None,
 ) -> np.ndarray:
-    """Window-by-window matrix of the circle-route action, one column per monomial."""
+    """Window-by-window matrix of the circle-route action, one column per monomial.
+
+    Built ``_CIRCLE_BLOCK`` monomials at a time, so peak memory is
+    O(grid * block + size^2): rows moved ** n (up from n = 0 by moved, down
+    from n = -1 by 1 / moved, carried across blocks), scaled by the multiplier
+    and transformed along the grid.  The checks take their maxima over all blocks.
+    """
     if w.kind != p.index_set:
         raise WindowMismatchError("window kind does not match params index set")
     grid = default_grid_size(w) if grid_size is None else int(grid_size)
@@ -409,17 +385,37 @@ def _circle_table(
             f"|beta| = {abs(phi_inv.beta):.3f} too far from the identity for principal branches"
         )
     moved, multiplier = _circle_factors(phi_inv, eta_plus, eta_minus, grid)
-    # grid x window tables set the route's peak memory: scale in place and
-    # free the samples before dividing the transform
-    samples = _monomial_powers(moved, w)
-    np.multiply(multiplier[:, None], samples, out=samples)
-    table = np.fft.fft(samples, axis=0)
-    del samples
-    table /= grid
-    _check_nyquist_tail(table, grid)
-    if w.kind == UNILATERAL:
-        _check_unilateral_negative(table, grid)
-    return table[w.indices() % grid, :]
+    k = _signed_frequencies(grid)
+    nyquist = np.abs(k) > grid // 4
+    negative = (k < 0) & ~nyquist
+    rows = w.indices() % grid
+    table = np.empty((w.size, w.size), dtype=np.complex128)
+    tail = worst = 0.0
+    for ns, factor in ((np.arange(0, w.hi + 1), moved), (np.arange(-1, w.lo - 1, -1), 1.0 / moved)):
+        power = np.ones(grid, dtype=np.complex128)
+        for start in range(0, ns.size, _CIRCLE_BLOCK):
+            block = ns[start : start + _CIRCLE_BLOCK]
+            samples = np.empty((block.size, grid), dtype=np.complex128)
+            for i, n in enumerate(block):
+                power = power * factor if n else power
+                samples[i] = power
+            np.multiply(multiplier, samples, out=samples)
+            samples = np.fft.fft(samples, axis=-1)
+            samples /= grid
+            # np.maximum keeps a NaN, as the maximum over the whole table would
+            tail = np.maximum(tail, np.max(np.abs(samples[:, nyquist])))
+            if w.kind == UNILATERAL:
+                worst = np.maximum(worst, np.max(np.abs(samples[:, negative])))
+            table[:, block - w.lo] = samples[:, rows].T
+    if tail > _NYQUIST_TAIL_TOL:
+        raise GridSizeError(
+            f"coefficient magnitude {tail:.3e} near the Nyquist edge; enlarge the sampling grid"
+        )
+    if worst > _NEGATIVE_INDEX_TOL:
+        raise NumericsError(
+            f"negative-index content {worst:.3e} in a unilateral action; branch assumptions violated"
+        )
+    return table
 
 
 def circle_rep_oracle(
@@ -468,4 +464,4 @@ def circle_rep_matrix(
     """Whole representation matrix over the circle route, one column per monomial."""
     phi_inv = mobius.inverse(mobius.path_to_mobius(path))
     table = _circle_table(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, w, grid_size)
-    return OperatorMatrix(table, w, MONOMIAL)
+    return OperatorMatrix._adopt(table, w, MONOMIAL, None)

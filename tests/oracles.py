@@ -6,7 +6,9 @@ Taylor sums and Pade scaling-and-squaring instead of eigendecompositions,
 brute-force summation instead of sliced norms, rotation-average quadrature
 instead of diagonal surgery, dense matrix powers instead of diagonal
 recurrences, an LU solve instead of a Neumann series.  ``circle_fft`` and
-``circle_synthesis`` are the plain normalized FFT pair of unit-circle samples.
+``circle_synthesis`` are the plain normalized FFT pair of unit-circle samples;
+``unblocked_circle_table`` builds the circle route's whole grid x window table
+at once.
 """
 
 import cmath
@@ -14,9 +16,10 @@ import math
 
 import numpy as np
 
-from mobshift.errors import ParameterError
+from mobshift.errors import GridSizeError, NumericsError, ParameterError
 from mobshift.mobius import MobiusElement
-from mobshift.numkernel import _require_power_of_two
+from mobshift.numkernel import UNILATERAL, _require_power_of_two
+from mobshift.repn import _NEGATIVE_INDEX_TOL, _NYQUIST_TAIL_TOL, _circle_factors, _signed_frequencies
 
 _BERNOULLI = (
     1.0 / 6,
@@ -220,3 +223,30 @@ def circle_synthesis(coeffs) -> np.ndarray:
         raise ParameterError("coefficients must be one-dimensional")
     _require_power_of_two(c.shape[0])
     return np.fft.ifft(c) * c.shape[0]
+
+
+def unblocked_circle_table(phi_inv: MobiusElement, eta_plus, eta_minus, w, grid: int) -> np.ndarray:
+    """The circle-route table in one piece: the grid x window powers
+    P[j, p] = moved_j ** (lo + p) by cumulative products column by column,
+    scaled, transformed along the grid axis and checked as a whole."""
+    moved, multiplier = _circle_factors(phi_inv, eta_plus, eta_minus, grid)
+    samples = np.empty((grid, w.size), dtype=np.complex128)
+    samples[:, w.pos(0)] = 1.0
+    for n in range(1, w.hi + 1):
+        samples[:, w.pos(n)] = samples[:, w.pos(n - 1)] * moved
+    inv = 1.0 / moved
+    for n in range(-1, w.lo - 1, -1):
+        samples[:, w.pos(n)] = samples[:, w.pos(n + 1)] * inv
+    table = np.fft.fft(multiplier[:, None] * samples, axis=0) / grid
+    k = _signed_frequencies(grid)
+    tail = float(np.max(np.abs(table[np.abs(k) > grid // 4])))
+    if tail > _NYQUIST_TAIL_TOL:
+        raise GridSizeError(
+            f"coefficient magnitude {tail:.3e} near the Nyquist edge; enlarge the sampling grid"
+        )
+    negative = float(np.max(np.abs(table[(k < 0) & (np.abs(k) <= grid // 4)])))
+    if w.kind == UNILATERAL and negative > _NEGATIVE_INDEX_TOL:
+        raise NumericsError(
+            f"negative-index content {negative:.3e} in a unilateral action; branch assumptions violated"
+        )
+    return table[w.indices() % grid, :]

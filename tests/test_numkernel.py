@@ -10,6 +10,8 @@ from mobshift.errors import (
     SingularMatrixError,
     WindowMismatchError,
 )
+from mobshift.homogeneity import mobius_of_operator
+from mobshift.mobius import MobiusElement
 from mobshift.numkernel import (
     BILATERAL,
     ORTHONORMAL,
@@ -130,6 +132,33 @@ def test_matrix_data_is_immutable(rng):
         m.data[0, 0] = 1.0
 
 
+def test_public_constructor_copies_its_input(rng):
+    w = window_of_size(3)
+    raw = random_dense(rng, 3)
+    m = OperatorMatrix(raw, w)
+    raw[0, 0] = 7.0
+    assert m.data[0, 0] != 7.0 and not np.shares_memory(m.data, raw)
+
+
+def test_library_results_are_read_only(rng):
+    w = TruncationWindow(BILATERAL, 4, 1)
+    p = RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
+    a = OperatorMatrix(random_dense(rng, w.size), w)
+    b = OperatorMatrix(random_dense(rng, w.size), w)
+    shift = OperatorMatrix.from_band(w, -1, np.arange(1.0, w.size))
+    results = [
+        a + b, a - b, -a, 2.0 * a, a * 2.0, a / 2.0, a @ b, a @ shift, shift @ a, shift @ shift, a.H,
+        shift, OperatorMatrix.identity(w), OperatorMatrix.zeros(w),
+        mat_exp(generator_matrix(p, "L", w), 0.1), mat_exp(generator_matrix(p, "h", w), 0.1),
+        solve(a, b), solve(a, OperatorMatrix.identity(w)),
+        mobius_of_operator(MobiusElement(1.0, 0.2), shift), mobius_of_operator(MobiusElement(1.0, 0.2), 0.1 * a),
+    ]
+    for out in results:
+        assert not out.data.flags.writeable
+        with pytest.raises(ValueError):
+            out.data[0, 0] = 1.0
+
+
 # ---------------------------------------------------------------- mat_exp
 
 
@@ -148,7 +177,7 @@ def test_mat_exp_diagonal_matches_scalar_exponentials():
     assert np.max(np.abs(out.data - expected)) <= 1e-14
 
 
-def test_mat_exp_against_taylor_series(rng):
+def test_pade_oracle_against_taylor_series(rng):
     # random non-normal matrices are outside mat_exp's domain; the Pade
     # oracle that cross-checks it is itself checked against Taylor sums
     raw = random_dense(rng, 6)
@@ -157,7 +186,7 @@ def test_mat_exp_against_taylor_series(rng):
     assert np.max(np.abs(pade_expm(raw) - expected)) <= 1e-12
 
 
-def test_mat_exp_inverse_property(rng):
+def test_pade_oracle_inverse_property(rng):
     raw = random_dense(rng, 7)
     raw *= 2.0 / np.linalg.norm(raw)
     product = pade_expm(raw) @ pade_expm(-1.0 * raw)
@@ -172,7 +201,7 @@ def test_mat_exp_norm_guard():
         mat_exp(a)
 
 
-def test_mat_exp_scaling_branch_accuracy(rng):
+def test_pade_oracle_scaling_branch_accuracy(rng):
     # norm above the Pade threshold exercises the oracle's squaring loop
     raw = random_dense(rng, 5)
     raw *= 20.0 / np.linalg.norm(raw, 1)
@@ -249,6 +278,31 @@ def test_single_diagonal_rejects_two_diagonals(rng):
     flip = OperatorMatrix(np.fliplr(np.eye(w.size)), w)
     assert flip.single_diagonal is None
     assert_same_product(flip, OperatorMatrix(band_matrix(rng, w.size, 1), w))
+
+
+@pytest.mark.parametrize("w", BAND_WINDOWS, ids=("unilateral", "bilateral"))
+def test_recorded_structure_equals_the_scan(rng, w):
+    def recorded(T):
+        assert "single_diagonal" in T.__dict__  # set when built, not scanned
+        return T.single_diagonal
+
+    def scanned(T):
+        return OperatorMatrix(T.data, T.window, T.basis).single_diagonal
+
+    def same(x, y):
+        return x is None if y is None else x[0] == y[0] and np.array_equal(x[1], y[1])
+
+    bands = [OperatorMatrix.from_band(w, m, np.diagonal(band_matrix(rng, w.size, m), m)) for m in BAND_OFFSETS]
+    bands.append(OperatorMatrix.from_band(w, 2, np.zeros(w.size - 2)))
+    products = [x @ y for x in bands for y in bands]
+    p = RepnParams(w.kind, 2.0) if w.kind == UNILATERAL else RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
+    a, b = (OperatorMatrix(random_dense(rng, w.size), w) for _ in range(2))
+    dense = [a @ b, mat_exp(generator_matrix(p, "L", w), 0.1), solve(a, b), solve(a, OperatorMatrix.identity(w))]
+    known = bands + products + dense + [OperatorMatrix.identity(w), OperatorMatrix.zeros(w)]
+    for T in known:
+        assert same(recorded(T), scanned(T))
+    assert all(T.single_diagonal is None for T in dense)
+
 
 
 # ---------------------------------------------------------------- solve

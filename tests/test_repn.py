@@ -1,11 +1,13 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mobshift import numkernel
+from mobshift import numkernel, repn
 from mobshift.errors import (
     ClassificationError,
+    EmptyInteriorError,
     GridSizeError,
     NotSkewAdjointError,
     NumericsError,
@@ -41,9 +43,10 @@ from mobshift.repn import (
     rep_matrix,
     rep_matrix_sharp,
     unitarity_defect,
+    unitarity_residual,
 )
 
-from oracles import pade_expm, random_dense
+from oracles import pade_expm, random_dense, unblocked_circle_table
 
 PRINCIPAL_P = RepnParams(BILATERAL, 0.3, complex(0.35, 0.7))
 COMP_P = RepnParams(BILATERAL, 0.4, 0.2 + 0j)
@@ -388,6 +391,21 @@ def test_unitarity_defect_translation_path_small():
     assert unitarity_defect(HOLO2, GroupPath((("L", 0.1),)), w) < 1e-8
 
 
+def test_unitarity_residual_matches_the_whole_product():
+    # only the interior block is formed; the whole R* G R - G is the reference
+    rng = np.random.default_rng(7)
+    path = GroupPath((("L", 0.1), ("M", -0.05), ("h", 0.2)))
+    for p, w in ((PRINCIPAL_P, TruncationWindow(BILATERAL, 24, 6)), (HOLO2, TruncationWindow(UNILATERAL, 24, 6))):
+        R = rep_matrix(p, path, w)
+        for G in (gram(p, w), OperatorMatrix(random_dense(rng, w.size), w)):
+            expected = interior_norm(R.H @ G @ R - G, w)
+            assert abs(unitarity_residual(R, G, w) - expected) <= 1e-13 * max(1.0, expected)
+    with pytest.raises(EmptyInteriorError):
+        unitarity_residual(R, G, TruncationWindow(UNILATERAL, 24, 13))
+    with pytest.raises(WindowMismatchError):
+        unitarity_residual(R, G, TruncationWindow(UNILATERAL, 20, 5))
+
+
 def test_unitarity_defect_padding_profile():
     # truncation keeps the generator skew against the Gram form, so the
     # defect sits at the rounding floor and must not grow with padding
@@ -466,6 +484,71 @@ def test_circle_oracle_detects_negative_leakage():
     F = CoefficientVector.basis_vector(w, 0)
     with pytest.raises(NumericsError):
         circle_rep_oracle(HOLO2, phi_inv, 1.0, 0.5, F)
+
+
+# one window smaller than a block, one spanning a partial block on each side
+CIRCLE_CASES = [
+    (HOLO2, TruncationWindow(UNILATERAL, 16, 4), GroupPath((("L", 0.1),))),
+    (RepnParams(UNILATERAL, 5.0), TruncationWindow(UNILATERAL, 100, 25), GroupPath((("M", 0.1), ("h", 0.2)))),
+    (PRINCIPAL_P, TruncationWindow(BILATERAL, 8, 2), GroupPath((("M", 0.1),))),
+    (PRINCIPAL_P, TruncationWindow(BILATERAL, 40, 10), GroupPath((("L", 0.1), ("M", -0.05), ("h", 0.2)))),
+    (COMP_P, TruncationWindow(BILATERAL, 40, 10), GroupPath((("L", -0.15),))),
+]
+
+
+@pytest.mark.parametrize(
+    "p, w, path", CIRCLE_CASES, ids=("holo-17", "holo-101", "principal-17", "principal-81", "complementary-81")
+)
+def test_blocked_circle_table_matches_unblocked_oracle(p, w, path):
+    rng = np.random.default_rng(w.size)
+    assert w.size < repn._CIRCLE_BLOCK or w.size % repn._CIRCLE_BLOCK
+    phi_inv = inverse(path_to_mobius(path))
+    eta = ((p.lam + p.mu) / 2.0, p.mu / 2.0)
+    expected = unblocked_circle_table(phi_inv, *eta, w, default_grid_size(w))
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(circle_rep_matrix(p, path, w).data - expected)) <= 1e-14 * scale
+    F = CoefficientVector(w, rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size))
+    out = circle_rep_oracle(p, phi_inv, *eta, F)
+    assert np.max(np.abs(out.coeffs - expected @ F.coeffs)) <= 1e-14 * scale * np.sum(np.abs(F.coeffs))
+
+
+def test_blocked_circle_checks_report_the_whole_table_maximum():
+    # a grid too small for a window of several blocks, and leakage into
+    # negative indices: the messages quote the maximum over every block
+    phi_inv = MobiusElement(1.0, 0.3)
+    principal_eta = ((PRINCIPAL_P.lam + PRINCIPAL_P.mu) / 2.0, PRINCIPAL_P.mu / 2.0)
+    for p, window, eta, grid, error in (
+        (PRINCIPAL_P, TruncationWindow(BILATERAL, 40, 10), principal_eta, 128, GridSizeError),
+        (HOLO2, TruncationWindow(UNILATERAL, 80, 20), (1.0, 0.5), None, NumericsError),
+    ):
+        F = CoefficientVector.basis_vector(window, 0)
+        with pytest.raises(error) as blocked:
+            circle_rep_oracle(p, phi_inv, *eta, F, grid_size=grid)
+        with pytest.raises(error) as whole:
+            unblocked_circle_table(phi_inv, *eta, window, grid or default_grid_size(window))
+        assert str(blocked.value) == str(whole.value)
+
+
+def _traced_peak(p, path, w):
+    tracemalloc.start()
+    try:
+        circle_rep_matrix(p, path, w)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_circle_route_memory_grows_like_the_output():
+    # the whole-table construction holds two grid x size arrays: 134.7 MB at N = 256
+    p, path = PRINCIPAL_P, GroupPath((("M", 0.1),))
+    circle_rep_matrix(p, path, TruncationWindow(BILATERAL, 8, 2))
+    peaks = {}
+    for N in (128, 256):
+        w = TruncationWindow(BILATERAL, N, N // 4)
+        peaks[N] = _traced_peak(p, path, w)
+    size, grid = 513, default_grid_size(TruncationWindow(BILATERAL, 256, 64))
+    assert peaks[256] < 3 * size * size * 16 + 3 * repn._CIRCLE_BLOCK * grid * 16
+    assert peaks[256] < 4 * peaks[128]
 
 
 def test_default_grid_size_power_of_two():
