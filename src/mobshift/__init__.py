@@ -59,7 +59,6 @@ from .repn import (
     CoefficientVector,
     Realization,
     RepnParams,
-    SeriesTag,
     circle_rep_matrix,
     circle_rep_oracle,
     classify_series,

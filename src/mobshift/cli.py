@@ -1,6 +1,11 @@
 """Command line front end: weight tables, verification suites, the affine
 classifier, and parameter sweeps with machine-readable reports.
 
+Every command resolves its family arguments (series, lambda, mu or Im mu, r)
+to one ``Realization``.  The unitarity, homogeneity and normalizer suites
+share one loop that builds R once per path, and each ``sweep`` cell runs
+that loop over the requested suites.
+
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad usage or
 parameters, 3 a numerical failure (singular solve, generator not skew-adjoint
 under a diagonal Gram, grid too small, basis-norm gamma overflow).  Identical
@@ -35,7 +40,6 @@ from .repn import (
     REDUCIBLE,
     Realization,
     RepnParams,
-    SeriesTag,
     classify_series,
     gram,
     unitarity_residual,
@@ -52,9 +56,11 @@ DEFAULT_PADDING = 16
 DEEP_PADDING = 24
 DEFAULT_PATHS = ("L:0.1", "M:0.1", "h:0.3", "L:0.1,M:-0.05,h:0.2")
 DEFAULT_UNITARITY_TOL = 1e-7
+DEFAULT_NORMALIZER_TOL = 1e-6
 
 SERIES_CHOICES = (HOLO, ANTIHOLO, PRINCIPAL, COMPLEMENTARY, REDUCIBLE)
 SUITES = ("homogeneity", "unitarity", "infinitesimal", "reducible-lambda", "normalizer", "lemmas")
+SWEEP_SUITES = ("unitarity", "homogeneity")
 OP_CHOICES = ("T1", "T1star", "T2", "T3", "reducible")
 
 
@@ -69,64 +75,37 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-class _Setup:
-    """Resolved series request: parameters, realization, and context echo."""
-
-    def __init__(self, series: str, params: RepnParams | None, tag: SeriesTag, realization: Realization | None):
-        self.series = series
-        self.params = params
-        self.tag = tag
-        self.realization = realization
-
-    def context(self) -> dict:
-        ctx: dict = {"series": self.series}
-        if self.params is not None:
-            ctx["lam"] = self.params.lam
-            ctx["mu"] = [self.params.mu.real, self.params.mu.imag]
-        if self.tag.kind == REDUCIBLE:
-            ctx["lam"] = self.tag.lam
-            ctx["r"] = [self.tag.r.real, self.tag.r.imag]
-        return ctx
-
-
-def _resolve_series(args) -> _Setup:
-    series = args.series
+def _realization(series: str | None, lam: float | None, im_mu=None, mu=None, r=None) -> Realization:
+    """The family that (series, lambda, mu or Im mu, r) name, checked once; weights,
+    every verify suite and each sweep cell resolve their family here."""
     if series is None:
         raise ParameterError("--series is required for this command")
-    lam = args.lam
     if lam is None:
         raise ParameterError("--lambda is required")
     if series == REDUCIBLE:
-        r = args.r if args.r is not None else 1.0 + 0j
-        tag = SeriesTag.reducible(lam, r)
-        return _Setup(series, None, tag, Realization.reducible(lam))
+        return Realization.reducible(lam, 1.0 if r is None else r)
     if series in (HOLO, ANTIHOLO):
         params = RepnParams(UNILATERAL, lam)
-        classify_series(params)
-        tag = SeriesTag(series)
-        rel = Realization.sharp(params) if series == ANTIHOLO else Realization.plain(params)
-        return _Setup(series, params, tag, rel)
-    if series == PRINCIPAL:
-        im_mu = args.im_mu if args.im_mu is not None else 0.5
+    elif series == PRINCIPAL:
         # Re mu is forced to (1 - lam)/2 so invalid principal input cannot be expressed
-        params = RepnParams(BILATERAL, lam, complex((1.0 - lam) / 2.0, im_mu))
-        classify_series(params)
-        return _Setup(series, params, SeriesTag(PRINCIPAL), Realization.plain(params))
-    if series == COMPLEMENTARY:
-        if args.mu is None:
+        params = RepnParams(BILATERAL, lam, complex((1.0 - lam) / 2.0, 0.5 if im_mu is None else im_mu))
+    elif series == COMPLEMENTARY:
+        if mu is None:
             raise ParameterError("--mu is required for the complementary family")
-        params = RepnParams(BILATERAL, lam, complex(args.mu))
-        got = classify_series(params)
         # the midpoint mu = (1 - lam)/2 classifies as principal; same matrices
-        if got.kind not in (COMPLEMENTARY, PRINCIPAL):
-            raise ParameterError(f"parameters classify as {got.kind}, not complementary")
-        return _Setup(series, params, SeriesTag(COMPLEMENTARY), Realization.plain(params))
-    raise ParameterError(f"unknown series {series!r}")
+        params = RepnParams(BILATERAL, lam, complex(mu))
+    else:
+        raise ParameterError(f"unknown series {series!r}")
+    classify_series(params)
+    return Realization.sharp(params) if series == ANTIHOLO else Realization.plain(params)
 
 
-def _window(args) -> TruncationWindow:
-    kind = UNILATERAL if args.series in (HOLO, ANTIHOLO) else BILATERAL
-    return TruncationWindow(kind, args.N, args.pad)
+def _context(series: str, rel: Realization) -> dict:
+    """The family part of a report context: series, lam and mu, or lam and r."""
+    p = rel.params
+    if rel.r is not None:
+        return {"series": series, "lam": p.lam, "r": [rel.r.real, rel.r.imag]}
+    return {"series": series, "lam": p.lam, "mu": [p.mu.real, p.mu.imag]}
 
 
 def _paths(args) -> list[GroupPath]:
@@ -134,24 +113,54 @@ def _paths(args) -> list[GroupPath]:
     return [GroupPath.parse(t) for t in texts]
 
 
-def _operator(setup: _Setup, op: str, w: TruncationWindow) -> OperatorMatrix:
+def _operator(series: str, rel: Realization, op: str, w: TruncationWindow) -> OperatorMatrix:
     if op == "reducible":
-        if setup.tag.kind != REDUCIBLE:
+        if series != REDUCIBLE:
             raise ParameterError("the reducible shift needs --series reducible")
-        return reducible_shift(setup.tag, w)
-    if setup.tag.kind == REDUCIBLE:
+        return reducible_shift(rel, w)
+    if series == REDUCIBLE:
         raise ParameterError("--series reducible only supports --op reducible")
-    if op == "T1star" and setup.series != ANTIHOLO:
+    if op == "T1star" and series != ANTIHOLO:
         raise ParameterError("T1star is certified against the anti-holomorphic (sharp) family")
-    if op == "T1" and setup.series != HOLO:
+    if op == "T1" and series != HOLO:
         raise ParameterError("T1 belongs to the holomorphic family")
-    if op in ("T2", "T3") and setup.series not in (PRINCIPAL, COMPLEMENTARY):
+    if op in ("T2", "T3") and series not in (PRINCIPAL, COMPLEMENTARY):
         raise ParameterError(f"{op} belongs to the bilateral families")
-    return canonical_shift(op, setup.params, w)
+    return canonical_shift(op, rel.params, w)
 
 
 def _default_op(series: str) -> str:
     return {HOLO: "T1", ANTIHOLO: "T1star", PRINCIPAL: "T2", COMPLEMENTARY: "T2", REDUCIBLE: "reducible"}[series]
+
+
+_PATH_SUITE_TOL = {
+    "unitarity": DEFAULT_UNITARITY_TOL,
+    "homogeneity": DEFAULT_HOMOGENEITY_TOL,
+    "normalizer": DEFAULT_NORMALIZER_TOL,
+}
+
+
+def _path_reports(suites, rel: Realization, w: TruncationWindow, paths, T=None, tolerance=None, context=None):
+    """Yield the report of each suite along each path, building R once per path.
+
+    Unitarity is judged under the family's Gram (the identity for the
+    reducible sum); homogeneity and normalizer certify the operator T.
+    """
+    g = None
+    if "unitarity" in suites:
+        g = OperatorMatrix.identity(w) if rel.flavor == "reducible" else gram(rel.params, w)
+    normalizer_gram = gram(rel.params, w) if "normalizer" in suites and w.kind == UNILATERAL else None
+    for path in paths:
+        R = rel.along_path(path, w)
+        for suite in suites:
+            tol = _PATH_SUITE_TOL[suite] if tolerance is None else tolerance
+            ctx = dict(context or {}, suite=suite, path=path.describe())
+            if suite == "unitarity":
+                yield DefectReport.build("unitarity", unitarity_residual(R, g, w), tol, ctx)
+            elif suite == "homogeneity":
+                yield homogeneity_defect(T, R, path_to_mobius(path), w, tolerance=tol, context=ctx)
+            else:
+                yield normalizer_defect(T, R, w, tolerance=tol, gram=normalizer_gram, context=ctx)
 
 
 # ----------------------------------------------------------------------
@@ -159,15 +168,10 @@ def _default_op(series: str) -> str:
 
 
 def cmd_weights(args) -> int:
-    if args.pad is None:
-        args.pad = DEFAULT_PADDING
-    setup = _resolve_series(args)
+    rel = _realization(args.series, args.lam, args.im_mu, args.mu, args.r)
     if args.n0 > args.n1:
         raise ParameterError("--n0 must not exceed --n1")
-    rows = []
-    for n in range(args.n0, args.n1 + 1):
-        wgt = weight_sequence(setup.tag, setup.params, n, branch=args.branch)
-        rows.append((n, wgt))
+    rows = [(n, weight_sequence(args.series, rel, n, branch=args.branch)) for n in range(args.n0, args.n1 + 1)]
     if args.format == "json":
         for n, wgt in rows:
             print(json.dumps({"n": n, "re": wgt.real, "im": wgt.imag, "abs": abs(wgt)}, sort_keys=True))
@@ -183,6 +187,8 @@ def cmd_weights(args) -> int:
 
 
 def _suite_lemmas(args) -> list[DefectReport]:
+    if args.samples < 1:
+        raise ParameterError("--samples must be at least 1")
     tol = args.tolerance if args.tolerance is not None else 1e-10
     rng = np.random.default_rng(args.seed)
     reports = []
@@ -207,85 +213,44 @@ def _suite_lemmas(args) -> list[DefectReport]:
     return reports
 
 
-def _suite_unitarity(args) -> list[DefectReport]:
-    setup = _resolve_series(args)
-    w = _window(args)
-    tol = args.tolerance if args.tolerance is not None else DEFAULT_UNITARITY_TOL
-    if setup.tag.kind == REDUCIBLE:
-        g = OperatorMatrix.identity(w)
-    else:
-        g = gram(setup.params, w)
-    reports = []
-    for path in _paths(args):
-        value = unitarity_residual(setup.realization.along_path(path, w), g, w)
-        ctx = setup.context()
-        ctx.update({"suite": "unitarity", "path": path.describe(), "N": args.N, "padding": args.pad})
-        reports.append(DefectReport.build("unitarity", value, tol, ctx))
-    return reports
+def _verify_setup(args):
+    """Realization, window, operator under test (None for unitarity) and context of a verify suite."""
+    rel = _realization(args.series, args.lam, args.im_mu, args.mu, args.r)
+    w = TruncationWindow(rel.params.index_set, args.N, args.pad)
+    ctx = _context(args.series, rel)
+    ctx.update(suite=args.suite, N=args.N, padding=args.pad)
+    if args.suite == "unitarity":
+        return rel, w, None, ctx
+    ctx["op"] = args.op or _default_op(args.series)
+    return rel, w, _operator(args.series, rel, ctx["op"], w), ctx
 
 
-def _suite_homogeneity(args) -> list[DefectReport]:
-    setup = _resolve_series(args)
-    w = _window(args)
-    op = args.op or _default_op(args.series)
-    T = _operator(setup, op, w)
-    tol = args.tolerance if args.tolerance is not None else DEFAULT_HOMOGENEITY_TOL
-    reports = []
-    for path in _paths(args):
-        R = setup.realization.along_path(path, w)
-        phi = path_to_mobius(path)
-        ctx = setup.context()
-        ctx.update({"suite": "homogeneity", "op": op, "path": path.describe(), "N": args.N, "padding": args.pad})
-        reports.append(homogeneity_defect(T, R, phi, w, tolerance=tol, context=ctx))
-    return reports
+def _suite_along_paths(args) -> list[DefectReport]:
+    rel, w, T, ctx = _verify_setup(args)
+    return list(_path_reports([args.suite], rel, w, _paths(args), T, args.tolerance, ctx))
 
 
 def _suite_infinitesimal(args) -> list[DefectReport]:
-    setup = _resolve_series(args)
-    w = _window(args)
-    op = args.op or _default_op(args.series)
-    T = _operator(setup, op, w)
-    ctx = setup.context()
-    ctx.update({"suite": "infinitesimal", "op": op, "N": args.N, "padding": args.pad})
-    kwargs = {}
-    if args.tolerance is not None:
-        kwargs["identity_tol"] = args.tolerance
-    return infinitesimal_reports(T, setup.realization, w, step=args.step, context=ctx, **kwargs)
+    rel, w, T, ctx = _verify_setup(args)
+    kwargs = {} if args.tolerance is None else {"identity_tol": args.tolerance}
+    return infinitesimal_reports(T, rel, w, step=args.step, context=ctx, **kwargs)
 
 
 def _suite_reducible_lambda(args) -> list[DefectReport]:
-    if args.lam is None:
-        raise ParameterError("--lambda is required")
-    r = args.r if args.r is not None else 1.0 + 0j
-    w = TruncationWindow(BILATERAL, args.N, args.pad)
+    rel = _realization(REDUCIBLE, args.lam, r=args.r)
+    w = TruncationWindow(rel.params.index_set, args.N, args.pad)
     tol = args.tolerance if args.tolerance is not None else DEFAULT_REDUCIBLE_TOL
     ctx = {"suite": "reducible-lambda", "N": args.N, "padding": args.pad}
-    return [reducible_lambda_check(args.lam, r, w, tolerance=tol, context=ctx)]
-
-
-def _suite_normalizer(args) -> list[DefectReport]:
-    setup = _resolve_series(args)
-    w = _window(args)
-    op = args.op or _default_op(args.series)
-    T = _operator(setup, op, w)
-    g = gram(setup.params, w) if setup.params is not None and w.kind == UNILATERAL else None
-    tol = args.tolerance if args.tolerance is not None else 1e-6
-    reports = []
-    for path in _paths(args):
-        R = setup.realization.along_path(path, w)
-        ctx = setup.context()
-        ctx.update({"suite": "normalizer", "op": op, "path": path.describe(), "N": args.N, "padding": args.pad})
-        reports.append(normalizer_defect(T, R, w, tolerance=tol, gram=g, context=ctx))
-    return reports
+    return [reducible_lambda_check(rel, w, tolerance=tol, context=ctx)]
 
 
 _SUITE_RUNNERS = {
     "lemmas": _suite_lemmas,
-    "unitarity": _suite_unitarity,
-    "homogeneity": _suite_homogeneity,
+    "unitarity": _suite_along_paths,
+    "homogeneity": _suite_along_paths,
     "infinitesimal": _suite_infinitesimal,
     "reducible-lambda": _suite_reducible_lambda,
-    "normalizer": _suite_normalizer,
+    "normalizer": _suite_along_paths,
 }
 
 
@@ -344,11 +309,11 @@ def cmd_classify(args) -> int:
 # sweep
 
 
-def _grid_values(text: str) -> list[float]:
-    text = text.strip()
-    if not text:
-        return []
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _grid_values(flag: str, text: str) -> list[float]:
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ParameterError(f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
 def _complementary_midpoint(lam: float) -> float:
@@ -359,74 +324,46 @@ def _complementary_midpoint(lam: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _sweep_cell(args, lam: float, mu: complex) -> tuple[float, str]:
-    """Max defect over the requested suites at one parameter point."""
-    if args.series == PRINCIPAL:
-        params = RepnParams(BILATERAL, lam, mu)
-    elif args.series == COMPLEMENTARY:
-        params = RepnParams(BILATERAL, lam, mu)
-    else:
-        params = RepnParams(UNILATERAL, lam)
-    got = classify_series(params)
-    if args.series == PRINCIPAL and got.kind != PRINCIPAL:
-        raise ParameterError(f"classified as {got.kind}")
-    rel = Realization.plain(params)
-    w = TruncationWindow(params.index_set, args.N, args.pad)
-    g = gram(params, w)
-    paths = _paths(args)
-    suites = [suite.strip() for suite in args.suites.split(",")]
-    for suite in suites:
-        if suite not in ("unitarity", "homogeneity"):
-            raise ParameterError(f"sweep supports suites unitarity,homogeneity; got {suite!r}")
-    T = canonical_shift(args.op or _default_op(args.series), params, w) if "homogeneity" in suites else None
-    worst = 0.0
-    ok = True
-    # one R per path, shared by the suites
-    for path in paths:
-        R = rel.along_path(path, w)
-        for suite in suites:
-            if suite == "unitarity":
-                value = unitarity_residual(R, g, w)
-                worst = max(worst, value)
-                ok = ok and value <= DEFAULT_UNITARITY_TOL
-            else:
-                report = homogeneity_defect(T, R, path_to_mobius(path), w, tolerance=DEFAULT_HOMOGENEITY_TOL)
-                worst = max(worst, report.value)
-                ok = ok and report.passed
-    return worst, ("pass" if ok else "fail")
+def _sweep_cell(args, suites, paths, lam: float, mu: complex) -> tuple[float, bool]:
+    """Max defect and all-pass over the requested suites at one parameter point."""
+    rel = _realization(args.series, lam, im_mu=mu.imag, mu=mu.real)
+    w = TruncationWindow(rel.params.index_set, args.N, args.pad)
+    T = canonical_shift(args.op or _default_op(args.series), rel.params, w) if "homogeneity" in suites else None
+    reports = list(_path_reports(suites, rel, w, paths, T))
+    return max(r.value for r in reports), all(r.passed for r in reports)
 
 
 def cmd_sweep(args) -> int:
     if args.pad is None:
         args.pad = DEFAULT_PADDING
-    if args.series not in (HOLO, PRINCIPAL, COMPLEMENTARY):
-        raise ParameterError("sweep supports --series holo, principal or complementary")
-    lams = _grid_values(args.lambda_grid)
+    suites = [suite.strip() for suite in args.suites.split(",")]
+    for suite in suites:
+        if suite not in SWEEP_SUITES:
+            raise ParameterError(f"sweep supports suites {','.join(SWEEP_SUITES)}; got {suite!r}")
+    paths = _paths(args)
+    lams = _grid_values("--lambda-grid", args.lambda_grid)
+    im_mus = _grid_values("--im-mu-grid", args.im_mu_grid) if args.series == PRINCIPAL else []
+    auto = args.mu_grid.strip() == "auto"
+    mu_values = _grid_values("--mu-grid", args.mu_grid) if args.series == COMPLEMENTARY and not auto else []
     print("series,lambda,mu_re,mu_im,N,padding,suites,max_defect,status")
     any_bad = False
     for lam in lams:
         if args.series == PRINCIPAL:
-            mus = [complex((1.0 - lam) / 2.0, im) for im in _grid_values(args.im_mu_grid)]
+            mus = [complex((1.0 - lam) / 2.0, im) for im in im_mus]
         elif args.series == COMPLEMENTARY:
-            if args.mu_grid.strip() == "auto":
-                mus = [complex(_complementary_midpoint(lam))]
-            else:
-                mus = [complex(v) for v in _grid_values(args.mu_grid)]
+            mus = [complex(_complementary_midpoint(lam))] if auto else [complex(v) for v in mu_values]
         else:
             mus = [0j]
         for mu in mus:
             try:
-                worst, status = _sweep_cell(args, lam, mu)
-                worst_text = _fmt(worst)
+                worst, ok = _sweep_cell(args, suites, paths, lam, mu)
+                worst_text, status = _fmt(worst), ("pass" if ok else "fail")
             except (ParameterError, NumericsError) as exc:
-                status = f"error: {exc}"
-                worst_text = "nan"
-            if status != "pass":
-                any_bad = True
-            suites_label = "+".join(s.strip() for s in args.suites.split(","))
+                worst_text, status = "nan", f"error: {exc}"
+            any_bad = any_bad or status != "pass"
             print(
                 f"{args.series},{_fmt(lam)},{_fmt(mu.real)},{_fmt(mu.imag)},"
-                f"{args.N},{args.pad},{suites_label},{worst_text},{status}"
+                f"{args.N},{args.pad},{'+'.join(suites)},{worst_text},{status}"
             )
     return EXIT_FAIL if any_bad else EXIT_OK
 
@@ -442,18 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_series=True):
-        if with_series:
-            sp.add_argument("--series", choices=SERIES_CHOICES, help="representation family")
-            sp.add_argument("--lambda", dest="lam", type=float, help="family parameter lambda")
-            sp.add_argument("--im-mu", dest="im_mu", type=float, help="Im mu (principal; Re mu is forced)")
-            sp.add_argument("--mu", type=float, help="real mu (complementary)")
-            sp.add_argument("--r", type=_complex_arg, help="seam coupling (reducible)")
-        sp.add_argument("--N", type=int, default=DEFAULT_N, help="window size (default 64)")
-        sp.add_argument("--pad", type=int, default=None, help="interior padding (default 16; 24 for normalizer)")
+    def add_series(sp):
+        sp.add_argument("--series", choices=SERIES_CHOICES, help="representation family")
+        sp.add_argument("--lambda", dest="lam", type=float, help="family parameter lambda")
+        sp.add_argument("--im-mu", dest="im_mu", type=float, help="Im mu (principal; Re mu is forced)")
+        sp.add_argument("--mu", type=float, help="real mu (complementary)")
+        sp.add_argument("--r", type=_complex_arg, help="seam coupling (reducible)")
 
     wp = sub.add_parser("weights", help="emit a weight-sequence table")
-    add_common(wp)
+    add_series(wp)
     wp.add_argument("--branch", choices=("T2", "T3"), default="T2", help="principal branch choice")
     wp.add_argument("--n0", type=int, required=True)
     wp.add_argument("--n1", type=int, required=True)
@@ -462,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="run a verification suite, one JSON report per line")
     vp.add_argument("suite", choices=SUITES)
-    add_common(vp)
+    add_series(vp)
+    vp.add_argument("--N", type=int, default=DEFAULT_N, help="window size (default 64)")
+    vp.add_argument("--pad", type=int, default=None, help="interior padding (default 16; 24 for normalizer)")
     vp.add_argument("--op", choices=OP_CHOICES, help="operator under test")
     vp.add_argument("--path", action="append", help="flow path gen:time[,gen:time...]; repeatable")
     vp.add_argument("--tolerance", type=float, help="override the suite tolerance")
@@ -483,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--lambda-grid", dest="lambda_grid", default="", help="comma-separated lambda values")
     gp.add_argument("--im-mu-grid", dest="im_mu_grid", default="0.5", help="comma-separated Im mu (principal)")
     gp.add_argument("--mu-grid", dest="mu_grid", default="auto", help="'auto' midpoints or comma-separated mu")
-    gp.add_argument("--suites", default="unitarity", help="comma-separated: unitarity,homogeneity")
+    gp.add_argument("--suites", default="unitarity", help="comma-separated: " + ",".join(SWEEP_SUITES))
     gp.add_argument("--op", choices=OP_CHOICES, help="operator for the homogeneity suite")
     gp.add_argument("--path", action="append", help="flow path; repeatable")
     gp.add_argument("--N", type=int, default=DEFAULT_N)

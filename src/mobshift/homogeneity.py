@@ -28,7 +28,7 @@ from .numkernel import (
     mat_exp,
     solve,
 )
-from .repn import Realization, RepnParams, SeriesTag, reducible_generator_matrix
+from .repn import Realization
 from .shifts import reducible_shift
 
 KAPPA_GENERATORS = ("L", "M", "e", "f")
@@ -148,18 +148,10 @@ def homogeneity_defect(
     return DefectReport.build(name, value, tolerance, context)
 
 
-def _as_realization(p) -> Realization:
-    if isinstance(p, Realization):
-        return p
-    if isinstance(p, RepnParams):
-        return Realization.plain(p)
-    raise ParameterError("expected RepnParams or a Realization")
-
-
 def kappa_flow_derivative(
     T: OperatorMatrix,
     X: str,
-    p,
+    rel: Realization,
     w: TruncationWindow,
     step: float = DEFAULT_FD_STEP,
 ) -> OperatorMatrix:
@@ -172,7 +164,6 @@ def kappa_flow_derivative(
     step = float(step)
     if not _STEP_MIN <= step <= _STEP_MAX:
         raise ParameterError(f"step {step} outside [{_STEP_MIN}, {_STEP_MAX}]")
-    rel = _as_realization(p)
 
     def fd_real(gen: str) -> OperatorMatrix:
         a = rel.generator(gen, w)
@@ -189,11 +180,11 @@ def kappa_flow_derivative(
     raise ParameterError(f"unsupported generator {X!r} (expected L, M, e or f)")
 
 
-def kappa_commutator(T: OperatorMatrix, X: str, p, w: TruncationWindow) -> OperatorMatrix:
+def kappa_commutator(T: OperatorMatrix, X: str, rel: Realization, w: TruncationWindow) -> OperatorMatrix:
     """[dR(X), T]: the exact derivative of the conjugation flow at s = 0."""
     if X not in KAPPA_GENERATORS:
         raise ParameterError(f"unsupported generator {X!r} (expected L, M, e or f)")
-    a = _as_realization(p).generator(X, w)
+    a = rel.generator(X, w)
     return a @ T - T @ a
 
 
@@ -211,7 +202,7 @@ def infinitesimal_targets(T: OperatorMatrix) -> dict:
 
 def infinitesimal_reports(
     T: OperatorMatrix,
-    p,
+    rel: Realization,
     w: TruncationWindow,
     step: float = DEFAULT_FD_STEP,
     identity_tol: float = DEFAULT_IDENTITY_TOL,
@@ -224,7 +215,6 @@ def infinitesimal_reports(
     Frobenius norm; the flow-vs-commutator route gap is an entrywise interior
     measure, since its floor is the central-difference bias at the given step.
     """
-    rel = _as_realization(p)
     targets = infinitesimal_targets(T)
     reports = []
     fd_cache = {gen: kappa_flow_derivative(T, gen, rel, w, step) for gen in ("L", "M")}
@@ -246,25 +236,23 @@ def infinitesimal_reports(
 
 
 def reducible_lambda_check(
-    lam: float,
-    r: complex,
+    rel: Realization,
     w: TruncationWindow,
     tolerance: float = DEFAULT_REDUCIBLE_TOL,
     context: dict | None = None,
 ) -> DefectReport:
-    """Single-entry witness that the reducible-sum shift forces lam = 1.
+    """Single-entry witness that the shift of the reducible sum ``rel`` forces lam = 1.
 
     The (g_1, g_{-1}) entry of [dR(f), T] - T^2 equals r (lam - 1) exactly,
     so the reported value is |r| |lam - 1| up to rounding.
     """
     if w.kind != BILATERAL or w.N < 4:
         raise ParameterError("needs a bilateral window with N >= 4")
-    tag = SeriesTag.reducible(lam, r)
-    T = reducible_shift(tag, w)
-    F = reducible_generator_matrix(tag.lam, "f", w)
+    T = reducible_shift(rel, w)
+    F = rel.generator("f", w)
     witness = (F @ T - T @ F) - T @ T
     value = abs(witness.entry(1, -1))
     ctx = dict(context or {})
-    ctx.setdefault("lam", tag.lam)
-    ctx.setdefault("r", [tag.r.real, tag.r.imag])
+    ctx.setdefault("lam", rel.params.lam)
+    ctx.setdefault("r", [rel.r.real, rel.r.imag])
     return DefectReport.build("reducible_lambda", value, tolerance, ctx)

@@ -82,34 +82,6 @@ class RepnParams:
             raise ParameterError("unilateral families require mu = 0")
 
 
-@dataclass(frozen=True)
-class SeriesTag:
-    """Series classification; the reducible sum carries its own lam and coupling r."""
-
-    kind: str
-    lam: float | None = None
-    r: complex | None = None
-
-    def __post_init__(self):
-        if self.kind not in (HOLO, ANTIHOLO, PRINCIPAL, COMPLEMENTARY, REDUCIBLE):
-            raise ParameterError(f"unknown series kind {self.kind!r}")
-        if self.kind == REDUCIBLE:
-            if self.lam is None or self.r is None:
-                raise ParameterError("a reducible sum needs its lam and coupling r")
-            lam = float(self.lam)
-            r = complex(self.r)
-            if not 0.0 < lam < 2.0:
-                raise ParameterError("reducible sums require lam in (0, 2)")
-            if abs(r) > _COUPLING_BOUND:
-                raise ParameterError(f"coupling |r| must not exceed {_COUPLING_BOUND}")
-            object.__setattr__(self, "lam", lam)
-            object.__setattr__(self, "r", r)
-
-    @classmethod
-    def reducible(cls, lam: float, r: complex) -> "SeriesTag":
-        return cls(REDUCIBLE, lam=lam, r=r)
-
-
 @dataclass(frozen=True, eq=False)
 class CoefficientVector:
     """Coefficients against the monomial basis over a window."""
@@ -136,7 +108,7 @@ class CoefficientVector:
         return complex(self.coeffs[self.window.pos(n)])
 
 
-def classify_series(p: RepnParams) -> SeriesTag:
+def classify_series(p: RepnParams) -> str:
     """Sort parameters into the unitary series taxonomy, rejecting the rest.
 
     Unilateral with lam > 0 is the holomorphic family.  Bilateral splits into
@@ -144,12 +116,12 @@ def classify_series(p: RepnParams) -> SeriesTag:
     (mu real in (0, 1) and (-lam, 1 - lam), lam in (-1, 1)); an integer mu is
     the reducible direct-sum point and is rejected here.  The
     anti-holomorphic family is reached through the sharp twist of a
-    holomorphic one, never by classification.
+    holomorphic one, never by classification.  Returns the series kind.
     """
     if p.index_set == UNILATERAL:
         if p.lam <= 0.0:
             raise ClassificationError("the holomorphic family requires lam > 0")
-        return SeriesTag(HOLO)
+        return HOLO
     mu = p.mu
     if mu.imag == 0.0 and float(mu.real).is_integer():
         raise ClassificationError(
@@ -158,7 +130,7 @@ def classify_series(p: RepnParams) -> SeriesTag:
     if abs(mu.real - (1.0 - p.lam) / 2.0) <= _PRINCIPAL_RE_TOL:
         if not -1.0 < p.lam <= 1.0:
             raise ClassificationError("the principal family requires lam in (-1, 1]")
-        return SeriesTag(PRINCIPAL)
+        return PRINCIPAL
     if mu.imag == 0.0:
         m = mu.real
         if not -1.0 < p.lam < 1.0:
@@ -167,7 +139,7 @@ def classify_series(p: RepnParams) -> SeriesTag:
             raise ClassificationError(
                 "the complementary family requires mu in (0, 1) intersected with (-lam, 1 - lam)"
             )
-        return SeriesTag(COMPLEMENTARY)
+        return COMPLEMENTARY
     raise ClassificationError(
         "bilateral parameters match neither the principal nor the complementary family"
     )
@@ -219,18 +191,17 @@ def generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> OperatorMatr
 
 
 @functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
-def reducible_generator_matrix(lam: float, X: str, w: TruncationWindow) -> OperatorMatrix:
-    """Generator matrices of the direct-sum family in its seam basis g_n.
+def reducible_generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> OperatorMatrix:
+    """Generator matrices of the direct-sum family at lam = p.lam in its seam basis g_n.
 
     The lowering action is 1 - lam - n below the seam and -n from n = 0 on,
     the raising action n + 1 up to n = -1 and lam + n above; they vanish at
-    n = 0 and n = -1, the two seam columns of the decomposition.
+    n = 0 and n = -1, the two seam columns of the decomposition.  The range
+    of lam is checked once, by ``Realization.reducible``.
     """
-    lam = float(lam)
     if w.kind != BILATERAL:
         raise WindowMismatchError("the reducible sum lives on a bilateral window")
-    if not 0.0 < lam < 2.0:
-        raise ParameterError("the reducible sum requires lam in (0, 2)")
+    lam = p.lam
     n = w.indices()
     ne, nf = n[1:], n[:-1]  # source indices of the lowering and raising entries
     lowering = np.where(ne < 0, 1.0 - lam - ne, -ne)
@@ -284,49 +255,52 @@ _SHARP_GEN = {"h": (-1.0, "h"), "L": (1.0, "L"), "M": (-1.0, "M"), "e": (1.0, "f
 
 @dataclass(frozen=True)
 class Realization:
-    """Uniform access to generators and path matrices.
+    """One family: its parameters and the route that realizes it.
 
-    Covers the plain irreducible families, their sharp twist (the
-    anti-holomorphic family), and the reducible direct sum.
+    ``flavor`` is "plain" (the irreducible families), "sharp" (their twist,
+    the anti-holomorphic family) or "reducible" (the direct sum, whose
+    ``params`` are (bilateral, lam) and which alone carries a seam coupling r).
     """
 
     flavor: str
-    params: RepnParams | None = None
-    lam_reducible: float | None = None
+    params: RepnParams
+    r: complex | None = None
+
+    def __post_init__(self):
+        if (self.flavor == "reducible") != (self.r is not None):
+            raise ParameterError("the coupling r belongs to the reducible sum, and only to it")
+        if self.r is not None:
+            object.__setattr__(self, "r", complex(self.r))
+            if not 0.0 < self.params.lam < 2.0:
+                raise ParameterError("reducible sums require lam in (0, 2)")
+            if abs(self.r) > _COUPLING_BOUND:
+                raise ParameterError(f"coupling |r| must not exceed {_COUPLING_BOUND}")
 
     @classmethod
     def plain(cls, params: RepnParams) -> "Realization":
-        return cls("plain", params=params)
+        return cls("plain", params)
 
     @classmethod
     def sharp(cls, params: RepnParams) -> "Realization":
-        return cls("sharp", params=params)
+        return cls("sharp", params)
 
     @classmethod
-    def reducible(cls, lam: float) -> "Realization":
-        return cls("reducible", lam_reducible=float(lam))
+    def reducible(cls, lam: float, r: complex = 1.0) -> "Realization":
+        return cls("reducible", RepnParams(BILATERAL, lam), r)
 
     def generator(self, X: str, w: TruncationWindow) -> OperatorMatrix:
         if self.flavor == "plain":
             return generator_matrix(self.params, X, w)
         if self.flavor == "reducible":
-            return reducible_generator_matrix(self.lam_reducible, X, w)
+            return reducible_generator_matrix(self.params, X, w)
         sign, xs = _SHARP_GEN[X]
         g = generator_matrix(self.params, xs, w)
         return g if sign == 1.0 else -g
 
     def along_path(self, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
-        if self.flavor == "plain":
-            return rep_matrix(self.params, path, w)
         if self.flavor == "sharp":
             return rep_matrix_sharp(self.params, path, w)
-        return _path_product(lambda X: reducible_generator_matrix(self.lam_reducible, X, w), path, w)
-
-    def describe(self) -> str:
-        if self.flavor == "reducible":
-            return f"reducible(lam={self.lam_reducible:g})"
-        p = self.params
-        return f"{self.flavor}(lam={p.lam:g}, mu={p.mu:g})"
+        return _path_product(lambda X: self.generator(X, w), path, w)
 
 
 def default_grid_size(w: TruncationWindow) -> int:

@@ -28,8 +28,8 @@ from .repn import (
     HOLO,
     PRINCIPAL,
     REDUCIBLE,
+    Realization,
     RepnParams,
-    SeriesTag,
 )
 
 SHIFT_KINDS = ("T1", "T1star", "T2", "T3")
@@ -88,17 +88,16 @@ def canonical_shift(kind: str, p: RepnParams, w: TruncationWindow) -> OperatorMa
     return OperatorMatrix.from_band(w, -1, (lam + mu + n) / (n + 1.0 - mu))
 
 
-def weight_sequence(series: SeriesTag, p: RepnParams | None, n: int, branch: str = BRANCH_T2) -> complex:
-    """One weight of the canonical orthonormal-basis shift of the given family.
+def weight_sequence(kind: str, rel: Realization, n: int, branch: str = BRANCH_T2) -> complex:
+    """One weight of the canonical orthonormal-basis shift of the family ``rel``
+    of series ``kind``.
 
     Index domains: n >= 0 for the holomorphic family, n <= 0 for the
     anti-holomorphic one (built on f_{-n}), all of Z otherwise.  The principal
     family has both a T2 branch (weights 1) and a complex T3 branch; the
     complementary family is tabulated on its T2 branch only.
     """
-    kind = series.kind
-    if kind in (HOLO, ANTIHOLO, PRINCIPAL, COMPLEMENTARY) and p is None:
-        raise ParameterError("this family needs representation parameters")
+    p = rel.params
     if kind == HOLO:
         if n < 0:
             raise ParameterError("holomorphic weights live on n >= 0")
@@ -131,7 +130,7 @@ def weight_sequence(series: SeriesTag, p: RepnParams | None, n: int, branch: str
             raise ParameterError("weight outside the unitary range")
         return complex(math.sqrt(ratio))
     if kind == REDUCIBLE:
-        return series.r if n == -1 else 1.0 + 0j
+        return rel.r if n == -1 else 1.0 + 0j
     raise ParameterError(f"unknown series kind {kind!r}")
 
 
@@ -167,23 +166,24 @@ def gram_adjoint(T: OperatorMatrix, G: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(data, T.window, T.basis)
 
 
-def reducible_shift(tag: SeriesTag, w: TruncationWindow) -> OperatorMatrix:
-    """Step-(-1) shift in the seam basis g_n of the reducible sum ``tag``.
+def reducible_shift(rel: Realization, w: TruncationWindow) -> OperatorMatrix:
+    """Step-(-1) shift in the seam basis g_n of the reducible sum ``rel``.
 
     Coefficients are (1 + n)/(lam + n) below the seam, the coupling r at
     n = -1, and 1 above.
     """
-    if tag.kind != REDUCIBLE:
-        raise ParameterError(f"the reducible shift needs a reducible series tag, not {tag.kind!r}")
+    if rel.flavor != "reducible":
+        raise ParameterError(f"the reducible shift needs the reducible sum, not a {rel.flavor!r} realization")
     if w.kind != BILATERAL:
         raise WindowMismatchError("the reducible shift lives on a bilateral window")
     n = w.indices()[:-1]
     below = n < -1
-    den = tag.lam + n[below]
+    lam = rel.params.lam
+    den = lam + n[below]
     pole = np.abs(den) < _POLE_TOL
     if pole.any():
-        raise PoleError(f"coefficient pole at n={n[below][pole][0]} for lam={tag.lam}")
+        raise PoleError(f"coefficient pole at n={n[below][pole][0]} for lam={lam}")
     diagonal = np.ones(n.size, dtype=np.complex128)
     diagonal[below] = (1.0 + n[below]) / den
-    diagonal[n == -1] = tag.r
+    diagonal[n == -1] = rel.r
     return OperatorMatrix.from_band(w, -1, diagonal)

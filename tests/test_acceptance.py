@@ -36,7 +36,6 @@ from mobshift.repn import (
     PRINCIPAL,
     Realization,
     RepnParams,
-    SeriesTag,
     circle_rep_matrix,
     generator_matrix,
     gram,
@@ -92,9 +91,8 @@ def homogeneous_cases():
         cases.append((f"T3/complementary", canonical_shift("T3", p, w), Realization.plain(p), w))
     for r in (0.3, 1.0, 2.0):
         w = TruncationWindow(BILATERAL, N, PAD)
-        cases.append(
-            (f"reducible r={r:g}", reducible_shift(SeriesTag.reducible(1.0, r), w), Realization.reducible(1.0), w)
-        )
+        rel = Realization.reducible(1.0, r)
+        cases.append((f"reducible r={r:g}", reducible_shift(rel, w), rel, w))
     return cases
 
 
@@ -153,9 +151,9 @@ def test_criterion_03_negative_controls():
     for _ in range(20):
         lam = float(rng.uniform(0.1, 1.9))
         r = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        got = reducible_lambda_check(lam, r, wb).value
+        got = reducible_lambda_check(Realization.reducible(lam, r), wb).value
         exact_err = max(exact_err, abs(got - abs(r) * abs(lam - 1.0)))
-    seam = reducible_lambda_check(1.5, 1.0, wb).value
+    seam = reducible_lambda_check(Realization.reducible(1.5), wb).value
 
     ok = d_scaled >= 1e-2 and d_decay >= 1e-2 and exact_err <= 1e-12 and abs(seam - 0.5) <= 1e-12
     report(
@@ -278,10 +276,10 @@ def test_criterion_06_weight_consistency():
         g = gram(p, w)
         ortho = to_orthonormal(canonical_shift("T1", p, w), g)
         for n in range(0, w.hi):
-            check(f"T1 lam={p.lam:g} n={n}", ortho.entry(n + 1, n), weight_sequence(SeriesTag(HOLO), p, n))
+            check(f"T1 lam={p.lam:g} n={n}", ortho.entry(n + 1, n), weight_sequence(HOLO, Realization.plain(p), n))
         ortho = to_orthonormal(canonical_shift("T1star", p, w), g)
         for n in range(1, w.hi + 1):
-            check(f"T1star lam={p.lam:g} n={n}", ortho.entry(n - 1, n), weight_sequence(SeriesTag(ANTIHOLO), p, -n))
+            check(f"T1star lam={p.lam:g} n={n}", ortho.entry(n - 1, n), weight_sequence(ANTIHOLO, Realization.sharp(p), -n))
     for p in PRINCIPAL_POINTS:
         w = TruncationWindow(BILATERAL, N, PAD)
         g = gram(p, w)
@@ -293,18 +291,18 @@ def test_criterion_06_weight_consistency():
                 check(
                     f"{kind} principal lam={p.lam:g} n={n}",
                     ortho.entry(n + 1, n),
-                    weight_sequence(SeriesTag(PRINCIPAL), p, n, branch=branch),
+                    weight_sequence(PRINCIPAL, Realization.plain(p), n, branch=branch),
                 )
     for p in COMPLEMENTARY_POINTS:
         w = TruncationWindow(BILATERAL, N, PAD)
         ortho = to_orthonormal(canonical_shift("T2", p, w), gram(p, w))
         for n in range(w.lo, w.hi):
-            check(f"T2 complementary n={n}", ortho.entry(n + 1, n), weight_sequence(SeriesTag(COMPLEMENTARY), p, n))
+            check(f"T2 complementary n={n}", ortho.entry(n + 1, n), weight_sequence(COMPLEMENTARY, Realization.plain(p), n))
 
     unimodular = 0.0
     for p in PRINCIPAL_POINTS:
         for n in range(-N, N + 1):
-            wgt = weight_sequence(SeriesTag(PRINCIPAL), p, n, branch="T3")
+            wgt = weight_sequence(PRINCIPAL, Realization.plain(p), n, branch="T3")
             unimodular = max(unimodular, abs(abs(wgt) - 1.0))
     ok = not failures and unimodular <= 1e-12
     report(
@@ -393,7 +391,7 @@ def test_criterion_09_direct_sum_seam_coincidence():
     seam = RepnParams(BILATERAL, 1.0, 0j)
     worst = 0.0
     for gen in ("h", "e", "f"):
-        a = reducible_generator_matrix(1.0, gen, w)
+        a = reducible_generator_matrix(seam, gen, w)
         b = generator_matrix(seam, gen, w)
         worst = max(worst, float(np.max(np.abs(a.data - b.data))))
     ok = worst <= 1e-14

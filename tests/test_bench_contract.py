@@ -1,0 +1,39 @@
+"""What the benchmark under ``bench/`` needs of the package.
+
+The tracer wraps functions by name and the route operation imports
+``Realization``, ``RepnParams`` and ``circle_rep_matrix``; a rename that
+breaks either fails here rather than in a later benchmark run.  These tests
+only run the bench scripts; they change nothing under ``bench/``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+
+def run_script(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_bench_selfcheck_passes():
+    # installs the tracer over every TARGETS name and runs one traced verify
+    out = run_script(str(BENCH / "selfcheck.py"))
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.splitlines()[-1] == "selfcheck: ok"
+
+
+def test_bench_route_op_agrees_and_traces(tmp_path):
+    request = {"index_set": "bilateral", "lam": 0.3, "mu": [0.35, 0.5], "N": 32, "pad": 12, "path": "M:0.1"}
+    spans_path = tmp_path / "spans.json"
+    out = run_script(str(BENCH / "child.py"), "route", json.dumps(request), str(spans_path), "0")
+    assert out.returncode == 0, out.stderr
+    reply = json.loads(out.stdout)
+    assert 0.0 <= reply["gap"] <= 1e-7
+    names = {span[0] for span in json.loads(spans_path.read_text())}
+    assert {"repn.Realization.along_path", "repn.circle_rep_matrix", "repn.generator_matrix"} <= names

@@ -60,6 +60,12 @@ def test_weights_json_format(capsys):
     assert rows[0]["abs"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_weights_takes_no_window_options():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["weights", "--series", "holo", "--lambda", "1", "--n0", "0", "--n1", "1", "--N", "8"])
+    assert exc.value.code == 2
+
+
 def test_weights_invalid_parameters_exit_two(capsys):
     code, _, err = run(capsys, ["weights", "--series", "holo", "--lambda", "0", "--n0", "0", "--n1", "2"])
     assert code == 2
@@ -76,6 +82,13 @@ def test_verify_lemmas(capsys):
     assert len(reports) == 200
     assert all(r["pass"] for r in reports)
     assert all(r["value"] <= 1e-10 for r in reports)
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_lemmas_without_samples_exit_two(capsys, samples):
+    code, out, err = run(capsys, ["verify", "lemmas", "--samples", samples])
+    assert code == 2 and out == ""
+    assert err == "error: --samples must be at least 1\n"
 
 
 def test_verify_homogeneity_principal(capsys):
@@ -287,6 +300,44 @@ def test_sweep_builds_one_realization_per_cell_and_path(capsys, monkeypatch):
     assert code == 0
     assert len(out.strip().splitlines()) == 1 + 2
     assert len(calls) == 2 * len(cli.DEFAULT_PATHS)
+
+
+@pytest.mark.parametrize("flag", ["--lambda-grid", "--im-mu-grid", "--mu-grid"])
+def test_sweep_malformed_grid_exit_two(capsys, flag):
+    series = "complementary" if flag == "--mu-grid" else "principal"
+    grids = {"--lambda-grid": "0.2", flag: "abc"}
+    code, out, err = run(capsys, ["sweep", "--series", series, *(f"{k}={v}" for k, v in grids.items())])
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} takes comma-separated numbers, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--suites", "unitarity,bogus"], "error: sweep supports suites unitarity,homogeneity; got 'bogus'"),
+        (["--path", "L:abc"], "error: malformed time in path segment 'L:abc'; expected a number"),
+    ],
+    ids=("suite", "path"),
+)
+def test_sweep_argument_errors_exit_two_before_the_header(capsys, extra, message):
+    code, out, err = run(capsys, ["sweep", "--series", "principal", "--lambda-grid", "0.2,0.4", *extra])
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
+def test_sweep_cell_is_the_max_of_the_verify_reports(capsys):
+    window = ["--N", "32", "--pad", "12"]
+    values = []
+    for suite in ("unitarity", "homogeneity"):
+        argv = ["verify", suite, "--series", "principal", "--lambda", "0.2", "--im-mu", "0.7", *window]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        values += [json.loads(line)["value"] for line in out.splitlines()]
+    argv = ["sweep", "--series", "principal", "--lambda-grid", "0.2", "--im-mu-grid", "0.7",
+            "--suites", "unitarity,homogeneity", *window]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[7]) == max(values)
 
 
 # ---------------------------------------------------------------- determinism

@@ -27,7 +27,7 @@ from mobshift.numkernel import (
     interior_norm,
     solve,
 )
-from mobshift.repn import Realization, RepnParams, SeriesTag, rep_matrix, rep_matrix_sharp
+from mobshift.repn import Realization, RepnParams, rep_matrix, rep_matrix_sharp
 from mobshift.shifts import canonical_shift, reducible_shift
 
 from oracles import dense_mobius, random_mobius
@@ -123,7 +123,7 @@ def shift_cases(rng):
     yield "T1star", canonical_shift("T1star", HOLO2, uni)
     yield "T2", canonical_shift("T2", PRIN, bi)
     yield "T3", canonical_shift("T3", PRIN, bi)
-    yield "reducible r=10", reducible_shift(SeriesTag.reducible(1.0, 10.0), bi)
+    yield "reducible r=10", reducible_shift(Realization.reducible(1.0, 10.0), bi)
     for step in (-2, -1, 1, 2):
         yield f"random step {step}", random_shift(rng, uni, step)
         yield f"random bilateral step {step}", random_shift(rng, bi, step)
@@ -232,9 +232,9 @@ def test_homogeneity_defect_padding_collapse(kind, params, flavor):
 
 def test_reducible_shift_homogeneous_at_lambda_one():
     w = TruncationWindow(BILATERAL, 64, 16)
-    rel = Realization.reducible(1.0)
     for r in (0.3, 1.0, 2.0):
-        t = reducible_shift(SeriesTag.reducible(1.0, r), w)
+        rel = Realization.reducible(1.0, r)
+        t = reducible_shift(rel, w)
         for text in ("L:0.1", "M:0.1", "h:0.3"):
             path = GroupPath.parse(text)
             report = homogeneity_defect(t, rel.along_path(path, w), path_to_mobius(path), w)
@@ -249,16 +249,17 @@ def test_kappa_identities_for_t1():
     t = canonical_shift("T1", HOLO2, w)
     targets = infinitesimal_targets(t)
     for gen in ("L", "M", "e", "f"):
-        fd = kappa_flow_derivative(t, gen, HOLO2, w)
+        fd = kappa_flow_derivative(t, gen, Realization.plain(HOLO2), w)
         assert interior_norm(fd - targets[gen], w) <= 1e-6, gen
 
 
 def test_kappa_routes_agree(rng):
     w = TruncationWindow(BILATERAL, 64, 16)
     t = canonical_shift("T3", PRIN, w)
+    rel = Realization.plain(PRIN)
     for gen in ("L", "M", "e", "f"):
-        fd = kappa_flow_derivative(t, gen, PRIN, w, step=1e-4)
-        comm = kappa_commutator(t, gen, PRIN, w)
+        fd = kappa_flow_derivative(t, gen, rel, w, step=1e-4)
+        comm = kappa_commutator(t, gen, rel, w)
         assert interior_max(fd - comm, w) <= 1e-7, gen
 
 
@@ -266,11 +267,11 @@ def test_kappa_step_validation():
     w = TruncationWindow(UNILATERAL, 8, 2)
     t = canonical_shift("T1", HOLO2, w)
     with pytest.raises(ParameterError):
-        kappa_flow_derivative(t, "L", HOLO2, w, step=1e-7)
+        kappa_flow_derivative(t, "L", Realization.plain(HOLO2), w, step=1e-7)
     with pytest.raises(ParameterError):
-        kappa_flow_derivative(t, "L", HOLO2, w, step=0.5)
+        kappa_flow_derivative(t, "L", Realization.plain(HOLO2), w, step=0.5)
     with pytest.raises(ParameterError):
-        kappa_flow_derivative(t, "h", HOLO2, w)
+        kappa_flow_derivative(t, "h", Realization.plain(HOLO2), w)
 
 
 def test_infinitesimal_reports_cover_sharp_and_reducible():
@@ -281,8 +282,8 @@ def test_infinitesimal_reports_cover_sharp_and_reducible():
     assert all(r.passed for r in reports), [(r.name, r.value) for r in reports if not r.passed]
 
     wb = TruncationWindow(BILATERAL, 64, 16)
-    tred = reducible_shift(SeriesTag.reducible(1.0, 2.0), wb)
-    reports = infinitesimal_reports(tred, Realization.reducible(1.0), wb)
+    red = Realization.reducible(1.0, 2.0)
+    reports = infinitesimal_reports(reducible_shift(red, wb), red, wb)
     assert all(r.passed for r in reports), [(r.name, r.value) for r in reports if not r.passed]
 
 
@@ -291,11 +292,11 @@ def test_infinitesimal_reports_cover_sharp_and_reducible():
 
 def test_reducible_lambda_check_values():
     w = TruncationWindow(BILATERAL, 16, 4)
-    assert reducible_lambda_check(1.0, 0.5, w).value <= 1e-12
-    report = reducible_lambda_check(1.5, 1.0, w)
+    assert reducible_lambda_check(Realization.reducible(1.0, 0.5), w).value <= 1e-12
+    report = reducible_lambda_check(Realization.reducible(1.5, 1.0), w)
     assert abs(report.value - 0.5) <= 1e-12
     assert not report.passed
-    assert reducible_lambda_check(1.2, 0.0, w).value == 0.0
+    assert reducible_lambda_check(Realization.reducible(1.2, 0.0), w).value == 0.0
 
 
 def test_reducible_lambda_check_matches_product_rule(rng):
@@ -303,12 +304,12 @@ def test_reducible_lambda_check_matches_product_rule(rng):
     for _ in range(10):
         lam = float(rng.uniform(0.1, 1.9))
         r = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        report = reducible_lambda_check(lam, r, w)
+        report = reducible_lambda_check(Realization.reducible(lam, r), w)
         assert abs(report.value - abs(r) * abs(lam - 1.0)) <= 1e-12
 
 
 def test_reducible_lambda_check_window_guard():
     with pytest.raises(ParameterError):
-        reducible_lambda_check(1.0, 1.0, TruncationWindow(BILATERAL, 3, 1))
+        reducible_lambda_check(Realization.reducible(1.0, 1.0), TruncationWindow(BILATERAL, 3, 1))
     with pytest.raises(ParameterError):
-        reducible_lambda_check(1.0, 1.0, TruncationWindow(UNILATERAL, 16, 4))
+        reducible_lambda_check(Realization.reducible(1.0, 1.0), TruncationWindow(UNILATERAL, 16, 4))

@@ -22,7 +22,7 @@ from mobshift.numkernel import (
     OperatorMatrix,
     TruncationWindow,
 )
-from mobshift.repn import Realization, RepnParams, SeriesTag, generator_matrix, gram, rep_matrix
+from mobshift.repn import Realization, RepnParams, generator_matrix, gram, rep_matrix
 from mobshift.shifts import canonical_shift, reducible_shift, shift_matrix
 
 from oracles import dense_normalizer_defect, random_dense, rotation_average_component
@@ -307,7 +307,8 @@ def _family_setup(family, N):
     p, op = AGREEMENT_FAMILIES[family]
     if p is None:
         w = TruncationWindow(BILATERAL, N, 3 * N // 8)
-        return reducible_shift(SeriesTag.reducible(1.0, 1.0), w), Realization.reducible(1.0), w, None
+        rel = Realization.reducible(1.0)
+        return reducible_shift(rel, w), rel, w, None
     w = TruncationWindow(p.index_set, N, 3 * N // 8)
     rel = Realization.sharp(p) if op == "T1star" else Realization.plain(p)
     g = gram(p, w) if p.index_set == UNILATERAL else None

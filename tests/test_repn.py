@@ -28,11 +28,9 @@ from mobshift.repn import (
     COMPLEMENTARY,
     HOLO,
     PRINCIPAL,
-    REDUCIBLE,
     CoefficientVector,
     Realization,
     RepnParams,
-    SeriesTag,
     circle_rep_matrix,
     circle_rep_oracle,
     classify_series,
@@ -57,9 +55,9 @@ HOLO2 = RepnParams(UNILATERAL, 2.0)
 
 
 def test_classify_examples():
-    assert classify_series(RepnParams(UNILATERAL, 2.0)).kind == HOLO
-    assert classify_series(PRINCIPAL_P).kind == PRINCIPAL
-    assert classify_series(COMP_P).kind == COMPLEMENTARY
+    assert classify_series(RepnParams(UNILATERAL, 2.0)) == HOLO
+    assert classify_series(PRINCIPAL_P) == PRINCIPAL
+    assert classify_series(COMP_P) == COMPLEMENTARY
 
 
 def test_classify_rejections():
@@ -77,7 +75,7 @@ def test_classify_rejections():
 
 def test_classify_prefers_principal_on_the_coincidence_line():
     # real mu on Re mu = (1 - lam)/2 sits in both descriptions
-    assert classify_series(RepnParams(BILATERAL, 0.4, 0.3 + 0j)).kind == PRINCIPAL
+    assert classify_series(RepnParams(BILATERAL, 0.4, 0.3 + 0j)) == PRINCIPAL
 
 
 def test_unilateral_requires_zero_mu():
@@ -85,14 +83,17 @@ def test_unilateral_requires_zero_mu():
         RepnParams(UNILATERAL, 1.0, 0.2 + 0j)
 
 
-def test_series_tag_reducible_payload():
-    tag = SeriesTag.reducible(1.0, 0.5)
-    assert tag.kind == REDUCIBLE and tag.lam == 1.0 and tag.r == 0.5
+def test_reducible_realization_payload():
+    rel = Realization.reducible(1.0, 0.5)
+    assert rel.flavor == "reducible" and rel.params == RepnParams(BILATERAL, 1.0) and rel.r == 0.5
+    assert Realization.reducible(1.0).r == 1.0 and Realization.plain(PRINCIPAL_P).r is None
     for lam, r in ((2.5, 1.0), (0.0, 1.0), (1.0, 11.0), (1.0, 20.0)):
         with pytest.raises(ParameterError):
-            SeriesTag.reducible(lam, r)
+            Realization.reducible(lam, r)
     with pytest.raises(ParameterError):
-        SeriesTag(REDUCIBLE)
+        Realization("reducible", RepnParams(BILATERAL, 1.0))
+    with pytest.raises(ParameterError):
+        Realization("plain", PRINCIPAL_P, 0.5)
 
 
 # ---------------------------------------------------------------- generators
@@ -162,7 +163,7 @@ def test_reducible_generator_bands_equal_their_formulas():
         lambda n: 1.0 - lam - n if n < 0 else (0.0 if n == 0 else -float(n)),
         lambda n: float(n + 1) if n < -1 else (0.0 if n == -1 else lam + n),
     )
-    _assert_generators_match(lambda X: reducible_generator_matrix(lam, X, w), e, f)
+    _assert_generators_match(lambda X: reducible_generator_matrix(RepnParams(BILATERAL, lam), X, w), e, f)
 
 
 def test_generator_window_mismatch():
@@ -185,9 +186,9 @@ def test_bracket_relations_on_interior(p):
 
 def test_reducible_bracket_relations_on_interior():
     w = TruncationWindow(BILATERAL, 16, 3)
-    h = reducible_generator_matrix(1.3, "h", w)
-    e = reducible_generator_matrix(1.3, "e", w)
-    f = reducible_generator_matrix(1.3, "f", w)
+    h = reducible_generator_matrix(RepnParams(BILATERAL, 1.3), "h", w)
+    e = reducible_generator_matrix(RepnParams(BILATERAL, 1.3), "e", w)
+    f = reducible_generator_matrix(RepnParams(BILATERAL, 1.3), "f", w)
     assert interior_norm(h @ e - e @ h - 2j * e, w) <= 1e-10
     assert interior_norm(h @ f - f @ h - (-2j) * f, w) <= 1e-10
     assert interior_norm(e @ f - f @ e - (-1j) * h, w) <= 1e-10
@@ -198,13 +199,13 @@ def test_reducible_bracket_relations_on_interior():
 
 def test_reducible_raising_vanishes_at_seam():
     w = TruncationWindow(BILATERAL, 6, 1)
-    f = reducible_generator_matrix(1.3, "f", w)
+    f = reducible_generator_matrix(RepnParams(BILATERAL, 1.3), "f", w)
     assert np.max(np.abs(f.data[:, w.pos(-1)])) == 0.0
 
 
 def test_reducible_lowering_coefficient():
     w = TruncationWindow(BILATERAL, 6, 1)
-    e = reducible_generator_matrix(1.3, "e", w)
+    e = reducible_generator_matrix(RepnParams(BILATERAL, 1.3), "e", w)
     assert e.entry(-3, -2) == pytest.approx(1.7)  # 1 - lam - n at n = -2
 
 
@@ -212,7 +213,7 @@ def test_reducible_matches_bilateral_family_at_lambda_one():
     w = TruncationWindow(BILATERAL, 12, 3)
     seam = RepnParams(BILATERAL, 1.0, 0j)
     for gen in ("h", "e", "f"):
-        a = reducible_generator_matrix(1.0, gen, w)
+        a = reducible_generator_matrix(RepnParams(BILATERAL, 1.0), gen, w)
         b = generator_matrix(seam, gen, w)
         assert np.max(np.abs(a.data - b.data)) <= 1e-14
 
@@ -220,9 +221,9 @@ def test_reducible_matches_bilateral_family_at_lambda_one():
 def test_reducible_parameter_validation():
     w = TruncationWindow(BILATERAL, 6, 1)
     with pytest.raises(ParameterError):
-        reducible_generator_matrix(2.5, "e", w)
+        reducible_generator_matrix(Realization.reducible(2.5).params, "e", w)
     with pytest.raises(WindowMismatchError):
-        reducible_generator_matrix(1.0, "e", TruncationWindow(UNILATERAL, 6, 1))
+        reducible_generator_matrix(RepnParams(BILATERAL, 1.0), "e", TruncationWindow(UNILATERAL, 6, 1))
 
 
 # ---------------------------------------------------------------- path matrices

@@ -5,7 +5,7 @@ import pytest
 
 from mobshift.errors import ParameterError, PoleError, WindowMismatchError
 from mobshift.numkernel import BILATERAL, ORTHONORMAL, UNILATERAL, OperatorMatrix, TruncationWindow
-from mobshift.repn import ANTIHOLO, COMPLEMENTARY, HOLO, PRINCIPAL, RepnParams, SeriesTag, gram
+from mobshift.repn import ANTIHOLO, COMPLEMENTARY, HOLO, PRINCIPAL, REDUCIBLE, Realization, RepnParams, gram
 from mobshift.shifts import (
     canonical_shift,
     gram_adjoint,
@@ -77,49 +77,45 @@ def test_canonical_shift_compatibility():
 
 
 def test_weight_values_holomorphic():
-    tag = SeriesTag(HOLO)
     p1 = RepnParams(UNILATERAL, 1.0)
     for n in range(5):
-        assert weight_sequence(tag, p1, n) == pytest.approx(1.0)
-    assert weight_sequence(tag, HOLO2, 0) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert weight_sequence(HOLO, Realization.plain(p1), n) == pytest.approx(1.0)
+    assert weight_sequence(HOLO, Realization.plain(HOLO2), 0) == pytest.approx(math.sqrt(0.5), abs=1e-12)
     with pytest.raises(ParameterError):
-        weight_sequence(tag, HOLO2, -1)
+        weight_sequence(HOLO, Realization.plain(HOLO2), -1)
 
 
 def test_weight_values_antiholomorphic():
-    tag = SeriesTag(ANTIHOLO)
     p = RepnParams(UNILATERAL, 0.5)
-    assert weight_sequence(tag, p, -1) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert weight_sequence(tag, p, 0) == 0.0
-    assert weight_sequence(tag, RepnParams(UNILATERAL, 1.0), 0) == 0.0
+    assert weight_sequence(ANTIHOLO, Realization.sharp(p), -1) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert weight_sequence(ANTIHOLO, Realization.sharp(p), 0) == 0.0
+    assert weight_sequence(ANTIHOLO, Realization.sharp(RepnParams(UNILATERAL, 1.0)), 0) == 0.0
     with pytest.raises(ParameterError):
-        weight_sequence(tag, p, 1)
+        weight_sequence(ANTIHOLO, Realization.sharp(p), 1)
 
 
 def test_weight_values_principal_branches():
-    tag = SeriesTag(PRINCIPAL)
-    assert weight_sequence(tag, PRIN, 7) == 1.0
+    assert weight_sequence(PRINCIPAL, Realization.plain(PRIN), 7) == 1.0
     n = 3
     expected = (PRIN.lam + PRIN.mu + n) / (n + 1.0 - PRIN.mu)
-    assert weight_sequence(tag, PRIN, n, branch="T3") == pytest.approx(expected)
+    assert weight_sequence(PRINCIPAL, Realization.plain(PRIN), n, branch="T3") == pytest.approx(expected)
     with pytest.raises(ParameterError):
-        weight_sequence(tag, PRIN, 0, branch="T9")
+        weight_sequence(PRINCIPAL, Realization.plain(PRIN), 0, branch="T9")
 
 
 def test_weight_values_complementary():
-    tag = SeriesTag(COMPLEMENTARY)
     n = 2
     expected = math.sqrt((1.0 - 0.2 + n) / (0.4 + 0.2 + n))
-    assert weight_sequence(tag, COMP, n) == pytest.approx(expected, abs=1e-12)
+    assert weight_sequence(COMPLEMENTARY, Realization.plain(COMP), n) == pytest.approx(expected, abs=1e-12)
     with pytest.raises(ParameterError):
-        weight_sequence(tag, COMP, 0, branch="T3")
+        weight_sequence(COMPLEMENTARY, Realization.plain(COMP), 0, branch="T3")
 
 
 def test_weight_values_reducible():
-    tag = SeriesTag.reducible(1.0, 0.5)
-    assert weight_sequence(tag, None, -2) == 1.0
-    assert weight_sequence(tag, None, -1) == 0.5
-    assert weight_sequence(tag, None, 0) == 1.0
+    rel = Realization.reducible(1.0, 0.5)
+    assert weight_sequence(REDUCIBLE, rel, -2) == 1.0
+    assert weight_sequence(REDUCIBLE, rel, -1) == 0.5
+    assert weight_sequence(REDUCIBLE, rel, 0) == 1.0
 
 
 # ---------------------------------------------------------------- basis change
@@ -136,9 +132,8 @@ def test_to_orthonormal_principal_is_unchanged():
 def test_to_orthonormal_t1_matches_weight_sequence():
     w = TruncationWindow(UNILATERAL, 24, 4)
     out = to_orthonormal(canonical_shift("T1", HOLO2, w), gram(HOLO2, w))
-    tag = SeriesTag(HOLO)
     for n in range(0, w.hi):
-        assert abs(out.entry(n + 1, n) - weight_sequence(tag, HOLO2, n)) <= 1e-12
+        assert abs(out.entry(n + 1, n) - weight_sequence(HOLO, Realization.plain(HOLO2), n)) <= 1e-12
 
 
 def test_to_orthonormal_t1star_matches_antiholomorphic_weights():
@@ -146,9 +141,8 @@ def test_to_orthonormal_t1star_matches_antiholomorphic_weights():
     w = TruncationWindow(UNILATERAL, 24, 4)
     p = RepnParams(UNILATERAL, 0.5)
     out = to_orthonormal(canonical_shift("T1star", p, w), gram(p, w))
-    tag = SeriesTag(ANTIHOLO)
     for n in range(1, w.hi + 1):
-        assert abs(out.entry(n - 1, n) - weight_sequence(tag, p, -n)) <= 1e-12
+        assert abs(out.entry(n - 1, n) - weight_sequence(ANTIHOLO, Realization.sharp(p), -n)) <= 1e-12
 
 
 def test_to_orthonormal_t3_complementary_simplifies():
@@ -192,16 +186,14 @@ def test_t1_and_its_adjoint_do_not_commute(lam):
 
 
 def test_principal_t3_weights_unimodular():
-    tag = SeriesTag(PRINCIPAL)
     for n in range(-64, 65):
-        w = weight_sequence(tag, PRIN, n, branch="T3")
+        w = weight_sequence(PRINCIPAL, Realization.plain(PRIN), n, branch="T3")
         assert abs(abs(w) - 1.0) <= 1e-12
 
 
 def test_complementary_weights_approach_one():
-    tag = SeriesTag(COMPLEMENTARY)
     for n in list(range(-64, -7)) + list(range(8, 65)):
-        w = weight_sequence(tag, COMP, n)
+        w = weight_sequence(COMPLEMENTARY, Realization.plain(COMP), n)
         assert abs(w - 1.0) <= 2.0 / abs(n)
 
 
@@ -210,7 +202,7 @@ def test_complementary_weights_approach_one():
 
 def test_reducible_shift_coefficients():
     w = TruncationWindow(BILATERAL, 6, 1)
-    t = reducible_shift(SeriesTag.reducible(1.0, 0.5), w)
+    t = reducible_shift(Realization.reducible(1.0, 0.5), w)
     for n in range(w.lo, w.hi):
         expected = 0.5 if n == -1 else 1.0
         assert t.entry(n + 1, n) == pytest.approx(expected)
@@ -218,13 +210,13 @@ def test_reducible_shift_coefficients():
 
 def test_reducible_shift_below_seam_value():
     w = TruncationWindow(BILATERAL, 6, 1)
-    t = reducible_shift(SeriesTag.reducible(1.5, 1.0), w)
+    t = reducible_shift(Realization.reducible(1.5, 1.0), w)
     assert t.entry(-2, -3) == pytest.approx(4.0 / 3.0)  # (1 + n)/(lam + n) at n = -3
 
 
 def test_reducible_shift_with_unit_coupling_is_t2():
     w = TruncationWindow(BILATERAL, 8, 2)
-    t = reducible_shift(SeriesTag.reducible(1.0, 1.0), w)
+    t = reducible_shift(Realization.reducible(1.0, 1.0), w)
     t2 = canonical_shift("T2", PRIN, w)
     np.testing.assert_array_equal(t.data, t2.data)
 
@@ -232,7 +224,7 @@ def test_reducible_shift_with_unit_coupling_is_t2():
 def test_reducible_shift_block_structure():
     # rows/cols >= 0 against < 0: the coupling block has exactly one entry
     w = TruncationWindow(BILATERAL, 6, 1)
-    t = reducible_shift(SeriesTag.reducible(1.3, 0.7), w)
+    t = reducible_shift(Realization.reducible(1.3, 0.7), w)
     neg = [w.pos(n) for n in range(w.lo, 0)]
     pos = [w.pos(n) for n in range(0, w.hi + 1)]
     upper_right = t.data[np.ix_(neg, pos)]  # maps the n >= 0 block downward
@@ -245,16 +237,16 @@ def test_reducible_shift_block_structure():
 def test_reducible_shift_validation():
     w = TruncationWindow(BILATERAL, 6, 1)
     with pytest.raises(ParameterError):
-        reducible_shift(SeriesTag(PRINCIPAL), w)
+        reducible_shift(Realization.plain(PRIN), w)
     with pytest.raises(WindowMismatchError):
-        reducible_shift(SeriesTag.reducible(1.0, 1.0), TruncationWindow(UNILATERAL, 6, 1))
+        reducible_shift(Realization.reducible(1.0, 1.0), TruncationWindow(UNILATERAL, 6, 1))
 
 
 def test_reducible_shift_pole_inside_the_lambda_bound():
     # lam = 2 - 1e-13 lies in (0, 2), but (1 + n)/(lam + n) has its pole at n = -2
     w = TruncationWindow(BILATERAL, 8, 2)
     with pytest.raises(PoleError, match="pole at n=-2"):
-        reducible_shift(SeriesTag.reducible(2.0 - 1e-13, 1.0), w)
+        reducible_shift(Realization.reducible(2.0 - 1e-13, 1.0), w)
 
 
 def _formula_shift(w, step, sources, coefficient):
@@ -288,4 +280,4 @@ def test_reducible_shift_matches_its_coefficient_formula():
     w = TruncationWindow(BILATERAL, 32, 8)
     lam, r = 1.3, 10.0
     want = _formula_shift(w, -1, range(w.lo, w.hi), lambda n: (1.0 + n) / (lam + n) if n < -1 else (r if n == -1 else 1.0))
-    assert np.array_equal(reducible_shift(SeriesTag.reducible(lam, r), w).data, want.data)
+    assert np.array_equal(reducible_shift(Realization.reducible(lam, r), w).data, want.data)
