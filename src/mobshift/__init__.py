@@ -68,16 +68,15 @@ from .repn import (
     reducible_generator_matrix,
     rep_matrix,
     rep_matrix_sharp,
+    to_orthonormal,
     unitarity_defect,
 )
 from .shifts import (
     canonical_shift,
-    gram_adjoint,
     reducible_shift,
     shift_matrix,
-    to_orthonormal,
     weight_sequence,
 )
-from .specialfn import NormSequence, complex_gamma, norm_ratio, norm_sq_sequence
+from .specialfn import NormSequence, norm_ratio, norm_sq_sequence
 
 __version__ = "0.1.0"

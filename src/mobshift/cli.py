@@ -2,20 +2,23 @@
 classifier, and parameter sweeps with machine-readable reports.
 
 Every command resolves its family arguments (series, lambda, mu or Im mu, r)
-to one ``Realization``.  The unitarity, homogeneity and normalizer suites
-share one loop that builds R once per path, and each ``sweep`` cell runs
-that loop over the requested suites.
+to one ``Realization``, and --op to an operator checked against the series.
+The unitarity, homogeneity and normalizer suites share one loop that builds
+R once per path and certifies in the orthonormal basis of the family's Gram,
+so no verdict depends on the Gram's scale; each ``sweep`` cell runs that
+loop over the requested suites.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad usage or
 parameters, 3 a numerical failure (singular solve, generator not skew-adjoint
-under a diagonal Gram, grid too small, basis-norm gamma overflow).  Identical
-arguments and seed produce byte-identical output.
+under a diagonal Gram, grid too small).  Identical arguments and seed produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -42,6 +45,7 @@ from .repn import (
     RepnParams,
     classify_series,
     gram,
+    to_orthonormal,
     unitarity_residual,
 )
 from .shifts import canonical_shift, reducible_shift, weight_sequence
@@ -113,12 +117,16 @@ def _paths(args) -> list[GroupPath]:
     return [GroupPath.parse(t) for t in texts]
 
 
-def _operator(series: str, rel: Realization, op: str, w: TruncationWindow) -> OperatorMatrix:
-    if op == "reducible":
-        if series != REDUCIBLE:
-            raise ParameterError("the reducible shift needs --series reducible")
-        return reducible_shift(rel, w)
-    if series == REDUCIBLE:
+_DEFAULT_OP = {HOLO: "T1", ANTIHOLO: "T1star", PRINCIPAL: "T2", COMPLEMENTARY: "T2", REDUCIBLE: "reducible"}
+
+
+def _operator_name(series: str, op: str | None) -> str:
+    """The operator --op names (the family's own by default), checked against the series."""
+    if op is None:
+        return _DEFAULT_OP[series]
+    if op == "reducible" and series != REDUCIBLE:
+        raise ParameterError("the reducible shift needs --series reducible")
+    if series == REDUCIBLE and op != "reducible":
         raise ParameterError("--series reducible only supports --op reducible")
     if op == "T1star" and series != ANTIHOLO:
         raise ParameterError("T1star is certified against the anti-holomorphic (sharp) family")
@@ -126,11 +134,11 @@ def _operator(series: str, rel: Realization, op: str, w: TruncationWindow) -> Op
         raise ParameterError("T1 belongs to the holomorphic family")
     if op in ("T2", "T3") and series not in (PRINCIPAL, COMPLEMENTARY):
         raise ParameterError(f"{op} belongs to the bilateral families")
-    return canonical_shift(op, rel.params, w)
+    return op
 
 
-def _default_op(series: str) -> str:
-    return {HOLO: "T1", ANTIHOLO: "T1star", PRINCIPAL: "T2", COMPLEMENTARY: "T2", REDUCIBLE: "reducible"}[series]
+def _operator(op: str, rel: Realization, w: TruncationWindow) -> OperatorMatrix:
+    return reducible_shift(rel, w) if op == "reducible" else canonical_shift(op, rel.params, w)
 
 
 _PATH_SUITE_TOL = {
@@ -140,27 +148,26 @@ _PATH_SUITE_TOL = {
 }
 
 
-def _path_reports(suites, rel: Realization, w: TruncationWindow, paths, T=None, tolerance=None, context=None):
+def _path_reports(suites, rel: Realization, w: TruncationWindow, paths, op=None, tolerance=None, context=None):
     """Yield the report of each suite along each path, building R once per path.
 
-    Unitarity is judged under the family's Gram (the identity for the
-    reducible sum); homogeneity and normalizer certify the operator T.
+    Every suite reads R, and the operator ``op`` names when given, in the
+    orthonormal basis of the family's Gram: the monomial R is conjugated once
+    per path, T once and only its conjugate is kept.
     """
-    g = None
-    if "unitarity" in suites:
-        g = OperatorMatrix.identity(w) if rel.flavor == "reducible" else gram(rel.params, w)
-    normalizer_gram = gram(rel.params, w) if "normalizer" in suites and w.kind == UNILATERAL else None
+    g = gram(rel.params, w)
+    T = None if op is None else to_orthonormal(_operator(op, rel, w), g)
     for path in paths:
-        R = rel.along_path(path, w)
+        R = to_orthonormal(rel.along_path(path, w), g)
         for suite in suites:
             tol = _PATH_SUITE_TOL[suite] if tolerance is None else tolerance
             ctx = dict(context or {}, suite=suite, path=path.describe())
             if suite == "unitarity":
-                yield DefectReport.build("unitarity", unitarity_residual(R, g, w), tol, ctx)
+                yield DefectReport.build("unitarity", unitarity_residual(R, w), tol, ctx)
             elif suite == "homogeneity":
                 yield homogeneity_defect(T, R, path_to_mobius(path), w, tolerance=tol, context=ctx)
             else:
-                yield normalizer_defect(T, R, w, tolerance=tol, gram=normalizer_gram, context=ctx)
+                yield normalizer_defect(T, R, w, tolerance=tol, context=ctx)
 
 
 # ----------------------------------------------------------------------
@@ -214,26 +221,26 @@ def _suite_lemmas(args) -> list[DefectReport]:
 
 
 def _verify_setup(args):
-    """Realization, window, operator under test (None for unitarity) and context of a verify suite."""
+    """Realization, window, operator name (None for unitarity) and context of a verify suite."""
     rel = _realization(args.series, args.lam, args.im_mu, args.mu, args.r)
     w = TruncationWindow(rel.params.index_set, args.N, args.pad)
     ctx = _context(args.series, rel)
     ctx.update(suite=args.suite, N=args.N, padding=args.pad)
     if args.suite == "unitarity":
         return rel, w, None, ctx
-    ctx["op"] = args.op or _default_op(args.series)
-    return rel, w, _operator(args.series, rel, ctx["op"], w), ctx
+    ctx["op"] = _operator_name(args.series, args.op)
+    return rel, w, ctx["op"], ctx
 
 
 def _suite_along_paths(args) -> list[DefectReport]:
-    rel, w, T, ctx = _verify_setup(args)
-    return list(_path_reports([args.suite], rel, w, _paths(args), T, args.tolerance, ctx))
+    rel, w, op, ctx = _verify_setup(args)
+    return list(_path_reports([args.suite], rel, w, _paths(args), op, args.tolerance, ctx))
 
 
 def _suite_infinitesimal(args) -> list[DefectReport]:
-    rel, w, T, ctx = _verify_setup(args)
+    rel, w, op, ctx = _verify_setup(args)
     kwargs = {} if args.tolerance is None else {"identity_tol": args.tolerance}
-    return infinitesimal_reports(T, rel, w, step=args.step, context=ctx, **kwargs)
+    return infinitesimal_reports(_operator(op, rel, w), rel, w, step=args.step, context=ctx, **kwargs)
 
 
 def _suite_reducible_lambda(args) -> list[DefectReport]:
@@ -317,19 +324,21 @@ def _grid_values(flag: str, text: str) -> list[float]:
 
 
 def _complementary_midpoint(lam: float) -> float:
-    lo = max(0.0, -lam)
-    hi = min(1.0, 1.0 - lam)
-    if not lo < hi:
-        raise ParameterError(f"empty complementary interval at lam={lam}")
-    return 0.5 * (lo + hi)
+    """Midpoint of the complementary mu interval (0, 1) and (-lam, 1 - lam).
+
+    The interval is empty outside lam in (-1, 1); the midpoint is then NaN,
+    and the cell's family check refuses that lam.
+    """
+    if not -1.0 < lam < 1.0:
+        return math.nan
+    return 0.5 * (max(0.0, -lam) + min(1.0, 1.0 - lam))
 
 
-def _sweep_cell(args, suites, paths, lam: float, mu: complex) -> tuple[float, bool]:
+def _sweep_cell(args, op, suites, paths, lam: float, mu: complex) -> tuple[float, bool]:
     """Max defect and all-pass over the requested suites at one parameter point."""
     rel = _realization(args.series, lam, im_mu=mu.imag, mu=mu.real)
     w = TruncationWindow(rel.params.index_set, args.N, args.pad)
-    T = canonical_shift(args.op or _default_op(args.series), rel.params, w) if "homogeneity" in suites else None
-    reports = list(_path_reports(suites, rel, w, paths, T))
+    reports = list(_path_reports(suites, rel, w, paths, op if "homogeneity" in suites else None))
     return max(r.value for r in reports), all(r.passed for r in reports)
 
 
@@ -340,6 +349,7 @@ def cmd_sweep(args) -> int:
     for suite in suites:
         if suite not in SWEEP_SUITES:
             raise ParameterError(f"sweep supports suites {','.join(SWEEP_SUITES)}; got {suite!r}")
+    op = _operator_name(args.series, args.op)
     paths = _paths(args)
     lams = _grid_values("--lambda-grid", args.lambda_grid)
     im_mus = _grid_values("--im-mu-grid", args.im_mu_grid) if args.series == PRINCIPAL else []
@@ -356,7 +366,7 @@ def cmd_sweep(args) -> int:
             mus = [0j]
         for mu in mus:
             try:
-                worst, ok = _sweep_cell(args, suites, paths, lam, mu)
+                worst, ok = _sweep_cell(args, op, suites, paths, lam, mu)
                 worst_text, status = _fmt(worst), ("pass" if ok else "fail")
             except (ParameterError, NumericsError) as exc:
                 worst_text, status = "nan", f"error: {exc}"

@@ -23,13 +23,15 @@ from .numkernel import (
     COND_LIMIT,
     OperatorMatrix,
     TruncationWindow,
-    interior_max,
+    _interior_block,
+    _interior_positions,
     interior_norm,
     mat_exp,
     solve,
 )
 from .repn import Realization
 from .shifts import reducible_shift
+from .specialfn import norm_sq_sequence
 
 KAPPA_GENERATORS = ("L", "M", "e", "f")
 
@@ -188,16 +190,14 @@ def kappa_commutator(T: OperatorMatrix, X: str, rel: Realization, w: TruncationW
     return a @ T - T @ a
 
 
+def _targets(square, ident) -> dict:
+    # works on operators and on plain interior blocks alike
+    return {"L": square - ident, "M": -1j * (square + ident), "e": -ident, "f": square}
+
+
 def infinitesimal_targets(T: OperatorMatrix) -> dict:
     """The values kappa(X)T must take when T is homogeneous."""
-    ident = OperatorMatrix.identity(T.window, T.basis)
-    square = T @ T
-    return {
-        "L": square - ident,
-        "M": -1j * (square + ident),
-        "e": -1.0 * ident,
-        "f": square,
-    }
+    return _targets(T @ T, OperatorMatrix.identity(T.window, T.basis))
 
 
 def infinitesimal_reports(
@@ -211,27 +211,31 @@ def infinitesimal_reports(
 ) -> list:
     """Certify the four infinitesimal relations and the route agreement.
 
-    Identity defects (against T^2 - I, -i(T^2 + I), -I, T^2) use the interior
-    Frobenius norm; the flow-vs-commutator route gap is an entrywise interior
-    measure, since its floor is the central-difference bias at the given step.
+    T is in the monomial basis; every relation is measured on its interior
+    block scaled entrywise by s_i / s_j, s = sqrt(diag G) for the family's
+    Gram G, which is the block in the orthonormal basis.  Identity defects
+    (against T^2 - I, -i(T^2 + I), -I, T^2) use the Frobenius norm; the
+    flow-vs-commutator route gap is an entrywise maximum, since its floor is
+    the central-difference bias at the given step.  Each relation is measured
+    as soon as its operands exist, and the e and f flow blocks follow from the
+    L and M ones by linearity, so no whole-window result outlives its use.
     """
-    targets = infinitesimal_targets(T)
+    s = np.sqrt(norm_sq_sequence(rel.params, w).values)[_interior_positions(T, w)]
+    scale = s[:, None] / s[None, :]
+    targets = _targets(_interior_block(T @ T, w) * scale, np.eye(s.size))
+    flow = {}
     reports = []
-    fd_cache = {gen: kappa_flow_derivative(T, gen, rel, w, step) for gen in ("L", "M")}
-    fd_cache["e"] = 0.5 * (fd_cache["L"] - 1j * fd_cache["M"])
-    fd_cache["f"] = 0.5 * (fd_cache["L"] + 1j * fd_cache["M"])
     for gen in KAPPA_GENERATORS:
-        fd = fd_cache[gen]
-        comm = kappa_commutator(T, gen, rel, w)
-        ctx = dict(context or {})
-        ctx["generator"] = gen
-        ctx["step"] = step
-        reports.append(
-            DefectReport.build(f"kappa_{gen}_identity", interior_norm(fd - targets[gen], w), identity_tol, ctx)
-        )
-        reports.append(
-            DefectReport.build(f"kappa_{gen}_route_gap", interior_max(fd - comm, w), route_tol, ctx)
-        )
+        if gen in ("L", "M"):
+            fd = flow[gen] = _interior_block(kappa_flow_derivative(T, gen, rel, w, step), w) * scale
+        else:
+            fd = 0.5 * (flow["L"] + (-1j if gen == "e" else 1j) * flow["M"])
+        comm = _interior_block(kappa_commutator(T, gen, rel, w), w) * scale
+        ctx = dict(context or {}, generator=gen, step=step)
+        identity = float(np.linalg.norm(fd - targets[gen]))
+        reports.append(DefectReport.build(f"kappa_{gen}_identity", identity, identity_tol, ctx))
+        gap = float(np.max(np.abs(fd - comm)))
+        reports.append(DefectReport.build(f"kappa_{gen}_route_gap", gap, route_tol, ctx))
     return reports
 
 

@@ -28,11 +28,10 @@ from .numkernel import (
     solve,
 )
 from .repn import RepnParams, rep_matrix, rep_matrix_sharp
-from .shifts import gram_adjoint
 
-BRANCH_T2 = "T2branch"
-BRANCH_T3 = "T3branch"
-BRANCH_NEITHER = "neither"
+FIT_T2 = "T2branch"
+FIT_T3 = "T3branch"
+FIT_NEITHER = "neither"
 
 _BRANCH_TOL = 1e-8
 _TIE_TOL = 1e-8
@@ -159,13 +158,13 @@ def classify_a_minus1(a: Mapping[int, complex], p: RepnParams) -> AminusOneFit:
     hit_t3 = abs(factor_t3) <= _BRANCH_TOL * scale
     if hit_t2 and hit_t3:
         if abs(p.mu - (1.0 - p.lam) / 2.0) <= _TIE_TOL:
-            return AminusOneFit(a_fit, b_fit, residual, BRANCH_T2, tie=True)
-        return AminusOneFit(a_fit, b_fit, residual, BRANCH_NEITHER)
+            return AminusOneFit(a_fit, b_fit, residual, FIT_T2, tie=True)
+        return AminusOneFit(a_fit, b_fit, residual, FIT_NEITHER)
     if hit_t2:
-        return AminusOneFit(a_fit, b_fit, residual, BRANCH_T2)
+        return AminusOneFit(a_fit, b_fit, residual, FIT_T2)
     if hit_t3:
-        return AminusOneFit(a_fit, b_fit, residual, BRANCH_T3)
-    return AminusOneFit(a_fit, b_fit, residual, BRANCH_NEITHER)
+        return AminusOneFit(a_fit, b_fit, residual, FIT_T3)
+    return AminusOneFit(a_fit, b_fit, residual, FIT_NEITHER)
 
 
 def _single_step(T: OperatorMatrix) -> int:
@@ -191,21 +190,20 @@ def normalizer_defect(
     R: OperatorMatrix,
     w: TruncationWindow,
     tolerance: float = DEFAULT_NORMALIZER_TOL,
-    gram: OperatorMatrix | None = None,
     context: dict | None = None,
 ) -> DefectReport:
     """Certify that conjugation keeps the operator inside the algebra the
-    shift generates.
+    shift generates, with T and R in an orthonormal basis.
 
     S = R T R^{-1} must commute with T, and every isotypic component of S
     must be a scalar multiple of the matching power of T.  Components on the
-    opposite side of the step direction are held against the Gram-adjoint
-    powers when a Gram matrix is supplied (unilateral families), otherwise
-    against zero.  The defect adds the interior commutator norm and all the
-    component residuals.
+    opposite side of the step direction are held against the powers of T*
+    on unilateral windows and against zero on bilateral ones.  The defect
+    adds the interior commutator norm and all the component residuals.
 
     A step-s shift has one diagonal t, so T^k has one diagonal, with weights
-    P_k = P_{k-1}[:L] * t[|s|(k-1) : |s|(k-1) + L] and L = size - |s| k.
+    P_k = P_{k-1}[:L] * t[|s|(k-1) : |s|(k-1) + L] and L = size - |s| k;
+    the diagonal of T* on the opposite side is conj(t).
     Components are compared on the interior stretch of their diagonals, for
     as long as that stretch is non-empty; past it every residual is 0.  The
     guarded inverse of R and one dense product form S; every product with T
@@ -218,7 +216,7 @@ def normalizer_defect(
     value = interior_norm(S @ T - T @ S, w)
     interior = w.size - 2 * w.padding
     t = np.diagonal(T.data, step)
-    adj = np.diagonal(gram_adjoint(T, gram).data, -step) if gram is not None else None
+    adj = t.conj() if w.kind == UNILATERAL else None
     power = adj_power = np.ones(w.size, dtype=np.complex128)
     for k in range(-(-interior // s)):
         if k > 0:

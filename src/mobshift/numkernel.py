@@ -397,12 +397,18 @@ def solve(A: OperatorMatrix, B: OperatorMatrix, *, cond_limit: float = COND_LIMI
     return OperatorMatrix._adopt(x, A.window, A.basis, None)
 
 
-def _interior_block(A: OperatorMatrix, w: TruncationWindow) -> np.ndarray:
+def _interior_positions(A: OperatorMatrix, w: TruncationWindow) -> np.ndarray:
+    """The interior positions of w, checked to be non-empty and to fit A."""
     if not A.window.same_lattice(w):
         raise WindowMismatchError("matrix window does not match the measurement window")
     p = w.interior_positions()
     if p.size == 0:
         raise EmptyInteriorError(f"padding {w.padding} leaves no interior in a size-{w.size} window")
+    return p
+
+
+def _interior_block(A: OperatorMatrix, w: TruncationWindow) -> np.ndarray:
+    p = _interior_positions(A, w)
     return A.data[np.ix_(p, p)]
 
 

@@ -14,6 +14,9 @@ with L = e + f and M = i(e - f).  The module realizes R two independent
 ways -- exponentials of truncated generator matrices along flow paths, and
 direct evaluation on the unit circle followed by Fourier extraction -- so the
 two routes can cross-check each other away from the truncation boundary.
+Both work on monomials; certificates read their results in the orthonormal
+basis x_n = f_n / ||f_n|| (``to_orthonormal``), where no verdict depends on
+the scale of the Gram.
 """
 
 from __future__ import annotations
@@ -38,10 +41,11 @@ from .numkernel import (
     BILATERAL,
     GENERATOR_CACHE_SIZE,
     MONOMIAL,
+    ORTHONORMAL,
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
-    _interior_block,
+    _interior_positions,
     _require_power_of_two,
     mat_exp,
 )
@@ -232,21 +236,43 @@ def rep_matrix_sharp(p: RepnParams, path: GroupPath, w: TruncationWindow) -> Ope
 
 
 def gram(p: RepnParams, w: TruncationWindow) -> OperatorMatrix:
-    """Diagonal matrix of squared basis norms ||f_n||^2."""
+    """Diagonal matrix of squared basis norms ||f_n||^2 (see ``norm_sq_sequence``)."""
     return OperatorMatrix.from_band(w, 0, norm_sq_sequence(p, w).values)
 
 
-def unitarity_residual(R: OperatorMatrix, G: OperatorMatrix, w: TruncationWindow) -> float:
-    """Interior norm of R* G R - G, zero for an action unitary under the Gram G;
-    only the interior block (R* G)[p] R[:, p] - G[p, p] is multiplied out."""
-    corner = _interior_block(G, w)
-    p = w.interior_positions()
-    return float(np.linalg.norm((R.H @ G).data[p] @ R.data[:, p] - corner))
+def to_orthonormal(A: OperatorMatrix, G: OperatorMatrix) -> OperatorMatrix:
+    """G^{1/2} A G^{-1/2}: a monomial-basis operator in the orthonormal basis
+    x_n = f_n / ||f_n|| of the diagonal Gram G.
+
+    A step-(-1) shift with coefficients a_n turns into the weighted shift with
+    w_n = a_n ||f_{n+1}|| / ||f_n||.  Only ratios of the norms enter, so the
+    result does not depend on the overall scale of G.
+    """
+    if A.basis != MONOMIAL:
+        raise ParameterError("input must be in the monomial basis")
+    A._require_compatible(G)
+    band = G.single_diagonal
+    if band is None or band[0] != 0 or band[1].imag.any() or not (band[1].real > 0.0).all():
+        raise ParameterError("the Gram must be diagonal with positive entries")
+    s = np.sqrt(band[1].real)
+    data = A.data * s[:, None]
+    data /= s[None, :]
+    structure = A.single_diagonal
+    return OperatorMatrix._adopt(data, A.window, ORTHONORMAL, None if structure is None else structure[0])
+
+
+def unitarity_residual(R: OperatorMatrix, w: TruncationWindow) -> float:
+    """Interior norm of R* R - I for R in an orthonormal basis; only the
+    interior block R[:, p]* R[:, p] - I is multiplied out."""
+    p = _interior_positions(R, w)
+    cols = R.data[:, p]
+    return float(np.linalg.norm(cols.conj().T @ cols - np.eye(p.size)))
 
 
 def unitarity_defect(p: RepnParams, path: GroupPath, w: TruncationWindow) -> float:
-    """Interior norm of R* G R - G along a path, zero for an exactly unitary action."""
-    return unitarity_residual(rep_matrix(p, path, w), gram(p, w), w)
+    """Interior norm of R* R - I along a path, with R in the orthonormal basis
+    of the family's Gram; zero for an exactly unitary action."""
+    return unitarity_residual(to_orthonormal(rep_matrix(p, path, w), gram(p, w)), w)
 
 
 # generator images under the conjugation twist: h and M reverse, hence e <-> f

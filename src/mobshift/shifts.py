@@ -1,9 +1,9 @@
-"""Weighted shift operators: the canonical homogeneous families, their weight
-sequences, and conversion between the monomial and orthonormal bases.
+"""Weighted shift operators: the canonical homogeneous families and their
+weight sequences.
 
 A step-m shift maps f_n to a_n f_{n-m}; in the orthonormal basis
-x_n = f_n / ||f_n|| its coefficients pick up the norm ratio, which is where
-the tabulated weight sequences come from.
+x_n = f_n / ||f_n|| (``repn.to_orthonormal``) its coefficients pick up the
+norm ratio, which is where the tabulated weight sequences come from.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import ParameterError, PoleError, WindowMismatchError
 from .numkernel import (
     BILATERAL,
     MONOMIAL,
-    ORTHONORMAL,
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
@@ -132,38 +131,6 @@ def weight_sequence(kind: str, rel: Realization, n: int, branch: str = BRANCH_T2
     if kind == REDUCIBLE:
         return rel.r if n == -1 else 1.0 + 0j
     raise ParameterError(f"unknown series kind {kind!r}")
-
-
-def _diagonal_gram(G: OperatorMatrix) -> np.ndarray:
-    band = G.single_diagonal
-    if band is None or band[0] != 0:
-        raise ParameterError("Gram matrix must be diagonal")
-    d = band[1]
-    if np.any(d.imag != 0.0) or np.any(d.real <= 0.0):
-        raise ParameterError("non-positive Gram entry")
-    return d.real
-
-
-def to_orthonormal(T: OperatorMatrix, G: OperatorMatrix) -> OperatorMatrix:
-    """Conjugate a monomial-basis operator into the orthonormal basis.
-
-    Returns G^{1/2} T G^{-1/2}; a step-(-1) shift with coefficients a_n turns
-    into the weighted shift with w_n = a_n ||f_{n+1}|| / ||f_n||.
-    """
-    if T.basis != MONOMIAL:
-        raise ParameterError("input must be in the monomial basis")
-    T._require_compatible(G)
-    s = np.sqrt(_diagonal_gram(G))
-    data = (s[:, None] * T.data) / s[None, :]
-    return OperatorMatrix(data, T.window, ORTHONORMAL)
-
-
-def gram_adjoint(T: OperatorMatrix, G: OperatorMatrix) -> OperatorMatrix:
-    """Adjoint with respect to the Gram inner product: G^{-1} T^H G."""
-    T._require_compatible(G)
-    d = _diagonal_gram(G)
-    data = (T.data.conj().T * d[None, :]) / d[:, None]
-    return OperatorMatrix(data, T.window, T.basis)
 
 
 def reducible_shift(rel: Realization, w: TruncationWindow) -> OperatorMatrix:

@@ -1,61 +1,27 @@
-"""Complex gamma evaluation and the basis-norm sequences built from it.
+"""Basis-norm sequences of the cover representations.
 
 The squared basis norms are gamma ratios
-``||f_n||^2 = Gamma(1 - mu + n) / Gamma(lam + conj(mu) + n)``; they are
-anchored at n = 0 and extended by the two-term ratio so bilateral windows
-never touch gamma near its poles.
+``||f_n||^2 = Gamma(1 - mu + n) / Gamma(lam + conj(mu) + n)`` up to one
+constant factor.  Every certificate reads only ratios of norms, so the
+sequence is the product of the two-term ratios, taken from ||f_0|| = 1 in
+both directions: no gamma value is evaluated, and no anchor can overflow.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NumericsError, ParameterRangeError, PoleError, WindowMismatchError
+from .errors import ParameterRangeError, WindowMismatchError
 from .numkernel import BILATERAL, TruncationWindow
 
 if TYPE_CHECKING:  # pragma: no cover
     from .repn import RepnParams
 
-# Lanczos kernel, g = 7, nine terms; ~1e-13 relative accuracy on the moderate
-# argument range this package needs.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 _IMAG_DISCARD_TOL = 1e-12
 _PRINCIPAL_RE_TOL = 1e-12
-
-
-def complex_gamma(z: complex) -> complex:
-    """Gamma(z) via the Lanczos kernel for Re z >= 0.5, reflection elsewhere.
-
-    Non-positive integers are poles and raise ``PoleError``.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and float(z.real).is_integer():
-        raise PoleError(f"gamma pole at {z}")
-    if z.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
-    zz = z - 1.0
-    x = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        x += _LANCZOS_C[k] / (zz + k)
-    t = zz + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * cmath.exp(-t) * x
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,20 +44,27 @@ class NormSequence:
         return float(self.values[self.window.pos(n)])
 
 
-def _positive_real(value: complex, what: str) -> float:
-    value = complex(value)
-    if abs(value.imag) > _IMAG_DISCARD_TOL * max(1.0, abs(value)) or value.real <= 0.0:
+def _ratios(lam: float, mu: complex, n) -> np.ndarray:
+    with np.errstate(all="ignore"):
+        r = (1.0 - mu + n) / (lam + mu.conjugate() + n)
+        bad = ~(np.abs(r.imag) <= _IMAG_DISCARD_TOL * np.maximum(1.0, np.abs(r))) | ~(r.real > 0.0)
+    if bad.any():
         raise ParameterRangeError(
-            f"{what} = {value} is not a positive real; parameters lie outside the unitary range"
+            f"norm ratio at n={np.asarray(n)[bad].flat[0]:g} = {complex(r[bad].flat[0])} is not a positive real; "
+            "parameters lie outside the unitary range"
         )
-    return value.real
+    return r.real
 
 
-def norm_ratio(params: "RepnParams", n: int) -> float:
-    """||f_{n+1}||^2 / ||f_n||^2 = (1 - mu + n) / (lam + conj(mu) + n)."""
-    mu = complex(params.mu)
-    r = (1.0 - mu + n) / (params.lam + mu.conjugate() + n)
-    return _positive_real(r, f"norm ratio at n={n}")
+def norm_ratio(params: "RepnParams", n):
+    """||f_{n+1}||^2 / ||f_n||^2 = (1 - mu + n) / (lam + conj(mu) + n), elementwise in n.
+
+    Each ratio must be a positive real up to a 1e-12 relative imaginary
+    residue; otherwise the parameters are outside the unitary range and
+    ``ParameterRangeError`` is raised.
+    """
+    r = _ratios(params.lam, complex(params.mu), np.asarray(n, dtype=np.float64))
+    return r if r.ndim else float(r)
 
 
 def _principal_coincidence(params: "RepnParams") -> bool:
@@ -103,15 +76,14 @@ def _principal_coincidence(params: "RepnParams") -> bool:
 
 
 def norm_sq_sequence(params: "RepnParams", w: TruncationWindow) -> NormSequence:
-    """Squared norms ||f_n||^2 over the window.
+    """Squared norms ||f_n||^2 over the window, with ||f_0||^2 = 1.
 
-    Anchored at ``||f_0||^2 = Gamma(1 - mu)/Gamma(lam + conj(mu))`` and
-    propagated by the two-term ratio in both directions.  Each ratio must be a
-    positive real up to a 1e-12 relative imaginary residue, otherwise the
-    parameters are outside the unitary range and ``ParameterRangeError`` is
-    raised.  The principal coincidence Re mu = (1 - lam)/2 yields the constant
-    sequence 1 exactly.  An anchor whose gamma overflows double precision
-    (the Lanczos power does from lam of about 143) raises ``NumericsError``.
+    Products of ``norm_ratio`` run up from n = 0 and down from it.  The
+    principal coincidence Re mu = (1 - lam)/2 yields the constant sequence 1
+    exactly.  Bilateral mu = 0 is the reducible direct-sum point: its seam
+    basis g_n carries the norms of mu = 1 - lam below the seam and of mu = 0
+    from n = 0 up, and the chain is cut between n = -1 and n = 0 with both
+    sides at 1, so the sum at lam = 1 has the Gram I exactly.
     """
     if params.index_set != w.kind:
         raise WindowMismatchError(
@@ -119,15 +91,13 @@ def norm_sq_sequence(params: "RepnParams", w: TruncationWindow) -> NormSequence:
         )
     if _principal_coincidence(params):
         return NormSequence(w, np.ones(w.size))
-    mu = complex(params.mu)
-    try:
-        anchor = complex_gamma(1.0 - mu) / complex_gamma(params.lam + mu.conjugate())
-    except OverflowError as exc:
-        raise NumericsError(f"gamma overflows double precision in the norm anchor (lam={params.lam:g})") from exc
-    values = np.empty(w.size, dtype=np.float64)
-    values[w.pos(0)] = _positive_real(anchor, "norm anchor at n=0")
-    for n in range(1, w.hi + 1):
-        values[w.pos(n)] = values[w.pos(n - 1)] * norm_ratio(params, n - 1)
-    for n in range(-1, w.lo - 1, -1):
-        values[w.pos(n)] = values[w.pos(n + 1)] / norm_ratio(params, n)
+    n = w.indices()
+    up = norm_ratio(params, n[(n >= 0) & (n < w.hi)])
+    below = n[n < 0]
+    if params.index_set == BILATERAL and params.mu == 0:
+        down = np.append(_ratios(params.lam, complex(1.0 - params.lam), below[:-1]), 1.0)
+    else:
+        down = norm_ratio(params, below)
+    # ||f_n||^2 = 1 / (ratio_n ratio_{n+1} ... ratio_{-1}) below n = 0
+    values = np.concatenate((1.0 / np.cumprod(down[::-1])[::-1], [1.0], np.cumprod(up)))
     return NormSequence(w, values)

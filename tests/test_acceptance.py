@@ -15,9 +15,9 @@ from mobshift.homogeneity import (
     reducible_lambda_check,
 )
 from mobshift.inductive import (
-    BRANCH_NEITHER,
-    BRANCH_T2,
-    BRANCH_T3,
+    FIT_NEITHER,
+    FIT_T2,
+    FIT_T3,
     classify_a_minus1,
     ladder_cancellation,
     te_tf_coefficients,
@@ -41,13 +41,13 @@ from mobshift.repn import (
     gram,
     reducible_generator_matrix,
     rep_matrix,
+    to_orthonormal,
     unitarity_defect,
 )
 from mobshift.shifts import (
     canonical_shift,
     reducible_shift,
     shift_matrix,
-    to_orthonormal,
     weight_sequence,
 )
 
@@ -340,12 +340,12 @@ def test_criterion_07_classifier():
             const = {n: c for n in ns}
             fit = classify_a_minus1(const, p)
             worst_residual = max(worst_residual, fit.residual)
-            if fit.branch != BRANCH_T2 or fit.residual > 1e-10:
+            if fit.branch != FIT_T2 or fit.residual > 1e-10:
                 failures.append(("T2", p, fit.branch, fit.residual))
             rational = {n: c * (p.lam + p.mu + n) / (n + 1.0 - p.mu) for n in ns}
             fit = classify_a_minus1(rational, p)
             worst_residual = max(worst_residual, fit.residual)
-            if fit.branch != BRANCH_T3 or fit.residual > 1e-10:
+            if fit.branch != FIT_T3 or fit.residual > 1e-10:
                 failures.append(("T3", p, fit.branch, fit.residual))
 
     corrupted_ok = 0
@@ -355,7 +355,7 @@ def test_criterion_07_classifier():
             coeffs = {n: 1.0 + 0.05 * float(rng.standard_normal()) * (1 + abs(n)) for n in range(-20, 21)}
         else:
             coeffs = {n: complex(n * n, n) for n in range(-20, 21)}
-        if classify_a_minus1(coeffs, p).branch == BRANCH_NEITHER:
+        if classify_a_minus1(coeffs, p).branch == FIT_NEITHER:
             corrupted_ok += 1
     ok = not failures and corrupted_ok == 20
     report(

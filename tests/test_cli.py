@@ -8,6 +8,7 @@ import pytest
 
 from mobshift import cli
 from mobshift.errors import NumericsError
+from mobshift.numkernel import OperatorMatrix
 from mobshift.repn import Realization
 
 
@@ -182,10 +183,31 @@ def test_verify_reducible_pole_exit_two(capsys):
     assert err == "error: coefficient pole at n=-2 for lam=1.9999999999999\n"
 
 
-def test_verify_gamma_overflow_exit_three(capsys):
-    code, out, err = run(capsys, ["verify", "unitarity", "--series", "holo", "--lambda", "200"])
-    assert code == 3 and out == ""
-    assert err.startswith("numerical failure: gamma overflows") and err.count("\n") == 1
+@pytest.mark.parametrize("N", ["64", "256"])
+def test_verify_holo_lambda_200_reports(capsys, N):
+    # the basis norms carry no gamma anchor that could overflow
+    code, out, err = run(capsys, ["verify", "unitarity", "--series", "holo", "--lambda", "200", "--N", N])
+    assert code in (0, 1) and err == ""
+    assert len(out.strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("lam", ["2", "40", "140"])
+def test_verify_unitarity_fails_a_scaled_action(capsys, monkeypatch, lam):
+    # R = 2I: its monomial residual R* G R - G fell below the tolerance with
+    # the Gram (5e-60 at lam = 40, 0.0 at lam = 140); R* R - I does not
+    monkeypatch.setattr(Realization, "along_path", lambda self, path, w: 2.0 * OperatorMatrix.identity(w))
+    code, out, _ = run(capsys, ["verify", "unitarity", "--series", "holo", "--lambda", lam])
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    assert code == 1 and len(reports) == 4
+    assert all(not r["pass"] and r["value"] > 1.0 for r in reports)
+
+
+def test_verify_unitarity_of_the_reducible_sum_off_the_seam(capsys):
+    # the seam-basis blocks carry their own norms, so lam != 1 is unitary too
+    code, out, _ = run(capsys, ["verify", "unitarity", "--series", "reducible", "--lambda", "1.5"])
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    assert code == 0 and len(reports) == 4
+    assert max(r["value"] for r in reports) <= 1e-12
 
 
 def test_numerical_failures_exit_three(capsys, monkeypatch):
@@ -254,6 +276,22 @@ def test_sweep_complementary_midpoints(capsys):
     assert len(lines) == 4
     assert all(line.endswith("pass") for line in lines[1:])
     assert lines[2].split(",")[2] == "0.5"  # lam = 0 midpoint
+
+
+def test_sweep_complementary_midpoint_outside_the_family_is_an_error_row(capsys):
+    code, out, err = run(capsys, ["sweep", "--series", "complementary", "--lambda-grid", "0.5,1.5"])
+    assert code == 1 and err == ""
+    lines = out.strip().splitlines()
+    assert len(lines) == 3 and lines[1].endswith(",pass")
+    assert lines[2] == (
+        "complementary,1.5,nan,0,64,16,unitarity,nan,error: the complementary family requires lam in (-1, 1)"
+    )
+
+
+def test_sweep_operator_is_checked_against_the_series(capsys):
+    code, out, err = run(capsys, ["sweep", "--series", "holo", "--lambda-grid", "2", "--op", "T1star"])
+    assert code == 2 and out == ""
+    assert err == "error: T1star is certified against the anti-holomorphic (sharp) family\n"
 
 
 def test_sweep_empty_grid(capsys):

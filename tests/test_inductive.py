@@ -4,9 +4,9 @@ import pytest
 from mobshift.cli import DEFAULT_PATHS
 from mobshift.errors import ParameterError
 from mobshift.inductive import (
-    BRANCH_NEITHER,
-    BRANCH_T2,
-    BRANCH_T3,
+    FIT_NEITHER,
+    FIT_T2,
+    FIT_T3,
     classify_a_minus1,
     decompose,
     isotypic_component,
@@ -22,7 +22,7 @@ from mobshift.numkernel import (
     OperatorMatrix,
     TruncationWindow,
 )
-from mobshift.repn import Realization, RepnParams, generator_matrix, gram, rep_matrix
+from mobshift.repn import Realization, RepnParams, generator_matrix, gram, rep_matrix, to_orthonormal
 from mobshift.shifts import canonical_shift, reducible_shift, shift_matrix
 
 from oracles import dense_normalizer_defect, random_dense, rotation_average_component
@@ -212,7 +212,7 @@ def scaled(c, mapping):
 def test_classifier_constant_family():
     ns = range(-16, 17)
     fit = classify_a_minus1({n: 1.0 for n in ns}, PRIN)
-    assert fit.branch == BRANCH_T2
+    assert fit.branch == FIT_T2
     assert fit.residual <= 1e-10
     # a = b (mu - 1) with b the constant value
     assert abs(fit.a - fit.b * (PRIN.mu - 1.0)) <= 1e-10
@@ -222,21 +222,21 @@ def test_classifier_rational_family():
     lam, mu = PRIN.lam, PRIN.mu
     coeffs = {n: (lam + mu + n) / (n + 1.0 - mu) for n in range(-16, 17)}
     fit = classify_a_minus1(coeffs, PRIN)
-    assert fit.branch == BRANCH_T3
+    assert fit.branch == FIT_T3
     assert fit.residual <= 1e-10
     assert abs(fit.a + fit.b * (lam + mu)) <= 1e-10
 
 
 def test_classifier_rejects_quadratic():
     fit = classify_a_minus1({n: float(n * n) for n in range(-16, 17)}, PRIN)
-    assert fit.branch == BRANCH_NEITHER
+    assert fit.branch == FIT_NEITHER
     assert fit.residual > 1e-3
 
 
 def test_classifier_tie_on_coincidence_line():
     p = RepnParams(BILATERAL, 0.4, 0.3 + 0j)  # mu = (1 - lam)/2
     fit = classify_a_minus1({n: 2.0 for n in range(-10, 11)}, p)
-    assert fit.branch == BRANCH_T2
+    assert fit.branch == FIT_T2
     assert fit.tie
 
 
@@ -254,9 +254,9 @@ def test_classifier_randomized_families(rng):
         p = RepnParams(BILATERAL, lam, mu)
         c = complex(rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5))
         const = scaled(c, {n: 1.0 for n in range(-20, 21)})
-        assert classify_a_minus1(const, p).branch == BRANCH_T2
+        assert classify_a_minus1(const, p).branch == FIT_T2
         rational = scaled(c, {n: (lam + mu + n) / (n + 1.0 - mu) for n in range(-20, 21)})
-        assert classify_a_minus1(rational, p).branch == BRANCH_T3
+        assert classify_a_minus1(rational, p).branch == FIT_T3
 
 
 # ---------------------------------------------------------------- normalizer
@@ -277,17 +277,19 @@ def test_normalizer_certifies_generated_algebra():
     assert normalizer_defect(t2, r, w).value < 1e-6
 
     wh = TruncationWindow(UNILATERAL, 64, 24)
-    t1 = canonical_shift("T1", HOLO2, wh)
-    rh = rep_matrix(HOLO2, GroupPath((("L", 0.1),)), wh)
-    assert normalizer_defect(t1, rh, wh, gram=gram(HOLO2, wh)).value < 1e-6
+    g = gram(HOLO2, wh)
+    t1 = to_orthonormal(canonical_shift("T1", HOLO2, wh), g)
+    rh = to_orthonormal(rep_matrix(HOLO2, GroupPath((("L", 0.1),)), wh), g)
+    assert normalizer_defect(t1, rh, wh).value < 1e-6
 
 
 def test_normalizer_negative_control():
     wh = TruncationWindow(UNILATERAL, 64, 16)
     n = wh.indices()[:-1]
-    bad = OperatorMatrix.from_band(wh, -1, 1.0 / (n + 2))
-    rh = rep_matrix(HOLO2, GroupPath((("L", 0.1),)), wh)
-    report = normalizer_defect(bad, rh, wh, gram=gram(HOLO2, wh))
+    g = gram(HOLO2, wh)
+    bad = to_orthonormal(OperatorMatrix.from_band(wh, -1, 1.0 / (n + 2)), g)
+    rh = to_orthonormal(rep_matrix(HOLO2, GroupPath((("L", 0.1),)), wh), g)
+    report = normalizer_defect(bad, rh, wh)
     assert report.value > 1e-2
 
 
@@ -308,21 +310,23 @@ def _family_setup(family, N):
     if p is None:
         w = TruncationWindow(BILATERAL, N, 3 * N // 8)
         rel = Realization.reducible(1.0)
-        return reducible_shift(rel, w), rel, w, None
-    w = TruncationWindow(p.index_set, N, 3 * N // 8)
-    rel = Realization.sharp(p) if op == "T1star" else Realization.plain(p)
-    g = gram(p, w) if p.index_set == UNILATERAL else None
-    return canonical_shift(op, p, w), rel, w, g
+        T = reducible_shift(rel, w)
+    else:
+        w = TruncationWindow(p.index_set, N, 3 * N // 8)
+        rel = Realization.sharp(p) if op == "T1star" else Realization.plain(p)
+        T = canonical_shift(op, p, w)
+    return T, rel, w, gram(rel.params, w)
 
 
 @pytest.mark.parametrize("N", [16, 32, 64])
 @pytest.mark.parametrize("family", sorted(AGREEMENT_FAMILIES))
 def test_normalizer_matches_dense_oracle_on_families(family, N):
     T, rel, w, g = _family_setup(family, N)
+    T = to_orthonormal(T, g)
     for text in DEFAULT_PATHS:
-        R = rel.along_path(GroupPath.parse(text), w)
-        got = normalizer_defect(T, R, w, gram=g).value
-        assert abs(got - dense_normalizer_defect(T, R, w, gram=g)) <= 1e-12, text
+        R = to_orthonormal(rel.along_path(GroupPath.parse(text), w), g)
+        got = normalizer_defect(T, R, w).value
+        assert abs(got - dense_normalizer_defect(T, R, w)) <= 1e-12, text
 
 
 @pytest.mark.parametrize("step", [-2, -1, 1, 2, 3])
@@ -336,9 +340,11 @@ def test_normalizer_matches_dense_oracle_on_random_shifts(rng, step, layout):
     }
     t = shift_matrix(w, step, coeffs)
     r = OperatorMatrix(np.eye(w.size) + 0.1 * random_dense(rng, w.size), w)
-    g = OperatorMatrix.from_band(w, 0, rng.uniform(0.5, 2.0, w.size)) if layout == "unilateral-gram" else None
-    want = dense_normalizer_defect(t, r, w, gram=g)
-    got = normalizer_defect(t, r, w, gram=g).value
+    if layout == "unilateral-gram":
+        g = OperatorMatrix.from_band(w, 0, rng.uniform(0.5, 2.0, w.size))
+        t, r = to_orthonormal(t, g), to_orthonormal(r, g)
+    want = dense_normalizer_defect(t, r, w)
+    got = normalizer_defect(t, r, w).value
     assert want > 1e-3
     assert abs(got - want) <= 1e-12 * want
 

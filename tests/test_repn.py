@@ -40,6 +40,7 @@ from mobshift.repn import (
     reducible_generator_matrix,
     rep_matrix,
     rep_matrix_sharp,
+    to_orthonormal,
     unitarity_defect,
     unitarity_residual,
 )
@@ -393,18 +394,26 @@ def test_unitarity_defect_translation_path_small():
 
 
 def test_unitarity_residual_matches_the_whole_product():
-    # only the interior block is formed; the whole R* G R - G is the reference
+    # only the interior block is formed; the whole R* R - I is the reference
     rng = np.random.default_rng(7)
     path = GroupPath((("L", 0.1), ("M", -0.05), ("h", 0.2)))
     for p, w in ((PRINCIPAL_P, TruncationWindow(BILATERAL, 24, 6)), (HOLO2, TruncationWindow(UNILATERAL, 24, 6))):
-        R = rep_matrix(p, path, w)
-        for G in (gram(p, w), OperatorMatrix(random_dense(rng, w.size), w)):
-            expected = interior_norm(R.H @ G @ R - G, w)
-            assert abs(unitarity_residual(R, G, w) - expected) <= 1e-13 * max(1.0, expected)
+        for R in (to_orthonormal(rep_matrix(p, path, w), gram(p, w)), OperatorMatrix(random_dense(rng, w.size), w)):
+            expected = interior_norm(R.H @ R - OperatorMatrix.identity(w, R.basis), w)
+            assert abs(unitarity_residual(R, w) - expected) <= 1e-13 * max(1.0, expected)
     with pytest.raises(EmptyInteriorError):
-        unitarity_residual(R, G, TruncationWindow(UNILATERAL, 24, 13))
+        unitarity_residual(R, TruncationWindow(UNILATERAL, 24, 13))
     with pytest.raises(WindowMismatchError):
-        unitarity_residual(R, G, TruncationWindow(UNILATERAL, 20, 5))
+        unitarity_residual(R, TruncationWindow(UNILATERAL, 20, 5))
+
+
+@pytest.mark.parametrize("lam", [40.0, 140.0, 200.0])
+def test_unitarity_defect_at_large_lambda(lam):
+    # the Gram spans hundreds of decades here; in the orthonormal basis the
+    # defect still sits at the rounding floor
+    w = TruncationWindow(UNILATERAL, 64, 16)
+    path = GroupPath((("L", 0.1), ("M", -0.05), ("h", 0.2)))
+    assert unitarity_defect(RepnParams(UNILATERAL, lam), path, w) <= 1e-12
 
 
 def test_unitarity_defect_padding_profile():

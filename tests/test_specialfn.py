@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mobshift.errors import NumericsError, ParameterRangeError, PoleError, WindowMismatchError
+from mobshift.errors import ParameterRangeError, PoleError, WindowMismatchError
 from mobshift.numkernel import BILATERAL, UNILATERAL, TruncationWindow
 from mobshift.repn import RepnParams
-from mobshift.specialfn import NormSequence, complex_gamma, norm_ratio, norm_sq_sequence
+from mobshift.specialfn import NormSequence, norm_ratio, norm_sq_sequence
 
-from oracles import stirling_gamma
+from oracles import complex_gamma, stirling_gamma
 
 
 @pytest.fixture
@@ -28,7 +28,7 @@ def sample_away_from_poles(rng, count, radius=10.0, margin=0.2):
     return out
 
 
-# ---------------------------------------------------------------- gamma
+# ---------------------------------------------------------------- gamma oracle
 
 
 def test_gamma_small_integers():
@@ -97,6 +97,24 @@ def test_holomorphic_lambda_two_value():
     assert seq.value(3) == pytest.approx(0.25, abs=1e-13)
 
 
+@pytest.mark.parametrize(
+    "p",
+    [RepnParams(UNILATERAL, 2.7), RepnParams(UNILATERAL, 40.0), RepnParams(BILATERAL, 0.4, 0.2 + 0j)],
+    ids=("holo-2.7", "holo-40", "complementary"),
+)
+def test_norms_are_the_gamma_ratios_up_to_a_constant(p):
+    # ||f_n||^2 = Gamma(1 - mu + n) / Gamma(lam + conj(mu) + n), scaled so ||f_0|| = 1
+    w = TruncationWindow(p.index_set, 24, 4)
+    seq = norm_sq_sequence(p, w)
+
+    def gamma_ratio(n):
+        return stirling_gamma(1.0 - p.mu + n) / stirling_gamma(p.lam + p.mu.conjugate() + n)
+
+    for n in range(w.lo, w.hi + 1):
+        want = gamma_ratio(n) / gamma_ratio(0)
+        assert abs(seq.value(n) - want) <= 1e-10 * abs(want), f"n={n}"
+
+
 def test_norm_ratio_recurrence_holds():
     cases = [
         RepnParams(UNILATERAL, 2.7),
@@ -126,9 +144,25 @@ def test_norms_reject_nonunitary_parameters():
         norm_sq_sequence(p, w)
 
 
-def test_norm_anchor_overflow_is_a_numerical_failure():
-    with pytest.raises(NumericsError, match="norm anchor"):
-        norm_sq_sequence(RepnParams(UNILATERAL, 200.0), TruncationWindow(UNILATERAL, 8, 2))
+def test_holomorphic_lambda_200_norms_are_finite():
+    # the norms carry no gamma anchor, so nothing overflows at large lam
+    for N in (8, 256):
+        seq = norm_sq_sequence(RepnParams(UNILATERAL, 200.0), TruncationWindow(UNILATERAL, N, 2))
+        assert seq.value(0) == 1.0 and seq.value(1) == pytest.approx(1.0 / 200.0, rel=1e-15)
+
+
+def test_reducible_seam_norms():
+    # bilateral mu = 0 is the direct-sum point: mu = 1 - lam below the seam,
+    # mu = 0 from n = 0 up, both sides of the cut at 1
+    w = TruncationWindow(BILATERAL, 12, 2)
+    assert np.array_equal(norm_sq_sequence(RepnParams(BILATERAL, 1.0), w).values, np.ones(w.size))
+    lam = 1.5
+    seq = norm_sq_sequence(RepnParams(BILATERAL, lam), w)
+    assert seq.value(-1) == seq.value(0) == 1.0
+    for n in range(w.lo, -1):
+        assert seq.value(n + 1) / seq.value(n) == pytest.approx((lam + n) / (n + 1.0), rel=1e-13)
+    for n in range(0, w.hi):
+        assert seq.value(n + 1) / seq.value(n) == pytest.approx((n + 1.0) / (lam + n), rel=1e-13)
 
 
 def test_norms_window_mismatch():
