@@ -67,7 +67,6 @@ from .repn import (
     gram,
     reducible_generator_matrix,
     rep_matrix,
-    rep_matrix_sharp,
     to_orthonormal,
     unitarity_defect,
 )

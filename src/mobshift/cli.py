@@ -4,14 +4,15 @@ classifier, and parameter sweeps with machine-readable reports.
 Every command resolves its family arguments (series, lambda, mu or Im mu, r)
 to one ``Realization``, and --op to an operator checked against the series.
 The unitarity, homogeneity and normalizer suites share one loop that builds
-R once per path and certifies in the orthonormal basis of the family's Gram,
-so no verdict depends on the Gram's scale; each ``sweep`` cell runs that
-loop over the requested suites.
+R once per path, in the orthonormal basis of the family's Gram where every
+suite certifies, so no verdict depends on the Gram's scale; each ``sweep``
+cell runs that loop over the requested suites.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad usage or
-parameters, 3 a numerical failure (singular solve, generator not skew-adjoint
-under a diagonal Gram, grid too small).  Identical arguments and seed produce
-byte-identical output.
+parameters, 3 a numerical failure (singular solve, a generator that is not
+skew-Hermitian in the orthonormal basis because the basis norms do not match
+its action, grid too small, or too little memory for the window).  Identical
+arguments and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -138,7 +139,9 @@ def _operator_name(series: str, op: str | None) -> str:
 
 
 def _operator(op: str, rel: Realization, w: TruncationWindow) -> OperatorMatrix:
-    return reducible_shift(rel, w) if op == "reducible" else canonical_shift(op, rel.params, w)
+    """The operator op names, in the orthonormal basis of the family's Gram."""
+    T = reducible_shift(rel, w) if op == "reducible" else canonical_shift(op, rel.params, w)
+    return to_orthonormal(T, gram(rel.params, w))
 
 
 _PATH_SUITE_TOL = {
@@ -152,13 +155,11 @@ def _path_reports(suites, rel: Realization, w: TruncationWindow, paths, op=None,
     """Yield the report of each suite along each path, building R once per path.
 
     Every suite reads R, and the operator ``op`` names when given, in the
-    orthonormal basis of the family's Gram: the monomial R is conjugated once
-    per path, T once and only its conjugate is kept.
+    orthonormal basis of the family's Gram, where R is built.
     """
-    g = gram(rel.params, w)
-    T = None if op is None else to_orthonormal(_operator(op, rel, w), g)
+    T = None if op is None else _operator(op, rel, w)
     for path in paths:
-        R = to_orthonormal(rel.along_path(path, w), g)
+        R = rel.along_path(path, w)
         for suite in suites:
             tol = _PATH_SUITE_TOL[suite] if tolerance is None else tolerance
             ctx = dict(context or {}, suite=suite, path=path.describe())
@@ -449,6 +450,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory ({exc})", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

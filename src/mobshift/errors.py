@@ -26,7 +26,7 @@ class OverflowGuardError(NumericsError):
 
 
 class NotSkewAdjointError(NumericsError):
-    """Matrix exponential refused: no diagonal Gram makes the generator skew-adjoint."""
+    """Matrix exponential refused: the generator is not skew-Hermitian in the basis it was built in."""
 
 
 class GridSizeError(NumericsError):

@@ -24,14 +24,12 @@ from .numkernel import (
     OperatorMatrix,
     TruncationWindow,
     _interior_block,
-    _interior_positions,
     interior_norm,
     mat_exp,
     solve,
 )
-from .repn import Realization
+from .repn import Realization, reducible_generator_matrix
 from .shifts import reducible_shift
-from .specialfn import norm_sq_sequence
 
 KAPPA_GENERATORS = ("L", "M", "e", "f")
 
@@ -211,26 +209,24 @@ def infinitesimal_reports(
 ) -> list:
     """Certify the four infinitesimal relations and the route agreement.
 
-    T is in the monomial basis; every relation is measured on its interior
-    block scaled entrywise by s_i / s_j, s = sqrt(diag G) for the family's
-    Gram G, which is the block in the orthonormal basis.  Identity defects
-    (against T^2 - I, -i(T^2 + I), -I, T^2) use the Frobenius norm; the
-    flow-vs-commutator route gap is an entrywise maximum, since its floor is
-    the central-difference bias at the given step.  Each relation is measured
-    as soon as its operands exist, and the e and f flow blocks follow from the
-    L and M ones by linearity, so no whole-window result outlives its use.
+    T is in the orthonormal basis of ``rel``'s generators, and every relation
+    is measured on its interior block.  Identity defects (against T^2 - I,
+    -i(T^2 + I), -I, T^2) use the Frobenius norm; the flow-vs-commutator
+    route gap is an entrywise maximum, since its floor is the
+    central-difference bias at the given step.  Each relation is measured as
+    soon as its operands exist, and the e and f flow blocks follow from the L
+    and M ones by linearity, so no whole-window result outlives its use.
     """
-    s = np.sqrt(norm_sq_sequence(rel.params, w).values)[_interior_positions(T, w)]
-    scale = s[:, None] / s[None, :]
-    targets = _targets(_interior_block(T @ T, w) * scale, np.eye(s.size))
+    square = _interior_block(T @ T, w)
+    targets = _targets(square, np.eye(square.shape[0]))
     flow = {}
     reports = []
     for gen in KAPPA_GENERATORS:
         if gen in ("L", "M"):
-            fd = flow[gen] = _interior_block(kappa_flow_derivative(T, gen, rel, w, step), w) * scale
+            fd = flow[gen] = _interior_block(kappa_flow_derivative(T, gen, rel, w, step), w)
         else:
             fd = 0.5 * (flow["L"] + (-1j if gen == "e" else 1j) * flow["M"])
-        comm = _interior_block(kappa_commutator(T, gen, rel, w), w) * scale
+        comm = _interior_block(kappa_commutator(T, gen, rel, w), w)
         ctx = dict(context or {}, generator=gen, step=step)
         identity = float(np.linalg.norm(fd - targets[gen]))
         reports.append(DefectReport.build(f"kappa_{gen}_identity", identity, identity_tol, ctx))
@@ -247,13 +243,14 @@ def reducible_lambda_check(
 ) -> DefectReport:
     """Single-entry witness that the shift of the reducible sum ``rel`` forces lam = 1.
 
-    The (g_1, g_{-1}) entry of [dR(f), T] - T^2 equals r (lam - 1) exactly,
-    so the reported value is |r| |lam - 1| up to rounding.
+    The (g_1, g_{-1}) entry of [dR(f), T] - T^2 in the monomial seam basis
+    equals r (lam - 1) exactly, so the reported value is |r| |lam - 1| up to
+    rounding.
     """
     if w.kind != BILATERAL or w.N < 4:
         raise ParameterError("needs a bilateral window with N >= 4")
     T = reducible_shift(rel, w)
-    F = rel.generator("f", w)
+    F = reducible_generator_matrix(rel.params, "f", w)
     witness = (F @ T - T @ F) - T @ T
     value = abs(witness.entry(1, -1))
     ctx = dict(context or {})

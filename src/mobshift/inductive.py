@@ -27,7 +27,7 @@ from .numkernel import (
     interior_norm,
     solve,
 )
-from .repn import RepnParams, rep_matrix, rep_matrix_sharp
+from .repn import Realization, RepnParams
 
 FIT_T2 = "T2branch"
 FIT_T3 = "T3branch"
@@ -136,6 +136,7 @@ def classify_a_minus1(a: Mapping[int, complex], p: RepnParams) -> AminusOneFit:
     a_n = (lam + mu + n)/(n + 1 - mu) gives a = -b (lam + mu) (the T3
     branch).  When both factors vanish the branches coincide, which happens
     exactly at mu = (1 - lam)/2; that case is reported as T2 with a tie flag.
+    A non-finite coefficient raises ``ParameterError``.
     """
     if p.index_set != BILATERAL:
         raise ParameterError("the affine classifier needs the bilateral index set")
@@ -144,6 +145,9 @@ def classify_a_minus1(a: Mapping[int, complex], p: RepnParams) -> AminusOneFit:
         raise ParameterError("need at least 3 coefficients")
     ns = np.array([n for n, _ in items], dtype=np.float64)
     vals = np.array([v for _, v in items], dtype=np.complex128)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise ParameterError(f"non-finite coefficient at n={int(ns[~finite][0])}")
     y = vals * (p.mu - ns - 1.0)
     design = np.column_stack([np.ones_like(ns), -ns]).astype(np.complex128)
     sol, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -243,6 +247,7 @@ def sharp_isotypic_flip(
 ) -> DefectReport:
     """Entrywise check that the sharp twist swaps rotation characters m and -m.
 
+    T is in the orthonormal basis of p, where the rotation flows are built.
     Conjugating by the plain rotation flow at angle t scales the m-th
     diagonal by e^{+2imt}; by the sharp-twisted flow, by e^{-2imt}.  The
     reported value is the larger of the two entrywise errors.
@@ -255,8 +260,8 @@ def sharp_isotypic_flip(
             p = RepnParams(BILATERAL, 0.3, 0.35 + 0j)
     forward = GroupPath((("h", angle),))
     backward = GroupPath((("h", -angle),))
-    plain = rep_matrix(p, forward, w) @ T @ rep_matrix(p, backward, w)
-    sharp = rep_matrix_sharp(p, forward, w) @ T @ rep_matrix_sharp(p, backward, w)
+    plain, sharp = (rel.along_path(forward, w) @ T @ rel.along_path(backward, w)
+                    for rel in (Realization.plain(p), Realization.sharp(p)))
     base = isotypic_component(T, m).diagonal
     err_plain = isotypic_component(plain, m).diagonal - cmath.exp(2j * m * angle) * base
     err_sharp = isotypic_component(sharp, m).diagonal - cmath.exp(-2j * m * angle) * base

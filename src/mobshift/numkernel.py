@@ -4,8 +4,9 @@ Matrices live on an explicit truncation window and carry a basis tag, so
 bookkeeping mistakes (mixing windows or bases) fail fast instead of producing
 plausible-looking numbers.  Operators are dense complex128 and read-only; the
 public constructor copies, library results own their fresh arrays.  ``mat_exp``
-works in real arithmetic, from one real eigh of a generator's tridiagonal
-Hermitian form and half-size products split by index parity.
+takes generators already in an orthonormal basis, skew-Hermitian, and reads no
+Gram; it works in real arithmetic, from one real eigh of the generator's
+tridiagonal Hermitian form and half-size products split by index parity.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ ORTHONORMAL = "orthonormal"
 
 #: refuse linear solves with a worse 1-norm condition estimate
 COND_LIMIT = 1.0e8
-#: largest relative skew-Hermitian residue of S X S^-1 that mat_exp accepts
+#: largest skew-Hermitian residue, relative to the largest entry, that mat_exp accepts
 SKEW_TOL = 1.0e-12
 #: generators whose spectra mat_exp keeps, one realization's h, L and M;
-#: repn keeps as many generator matrices per family
+#: repn keeps as many orthonormal-basis generators
 GENERATOR_CACHE_SIZE = 3
 
 
@@ -265,64 +266,41 @@ class _Spectrum:
 
     A diagonal X keeps only its diagonal in ``values``.  Otherwise
     ``values`` and the even and odd rows of Q diagonalize the real symmetric
-    tridiagonal Hr = Q Lambda Q^T, and e^{tX} is ``left`` (cos tHr - i sin tHr)
-    ``right``, with ``left`` and ``right`` the diagonals of S^-1 D and D^-1 S.
+    tridiagonal Hr = Q Lambda Q^T, and e^{tX} is D (cos tHr - i sin tHr) D^-1
+    with D = diag(``phases``).
     """
 
     values: np.ndarray
     even: np.ndarray | None = None
     odd: np.ndarray | None = None
-    left: np.ndarray | None = None
-    right: np.ndarray | None = None
+    phases: np.ndarray | None = None
 
 
 _spectra: dict = {}
 
 
-def _gram_scale(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Diagonal S for which S A S^-1 can be skew-Hermitian, read off A's band.
-
-    Skewness of the first off-diagonals forces
-    s_{i+1}^2 / s_i^2 = -A[i, i+1] / conj(A[i+1, i]); the log-moduli of these
-    ratios are summed.  Where both band entries vanish (the seam of a
-    reducible sum) the chain breaks and the next block keeps its own scale.
-    """
-    upper, lower = np.abs(upper), np.abs(lower)
-    if np.any((upper == 0.0) != (lower == 0.0)):
-        raise NotSkewAdjointError("generator is not skew-adjoint under a diagonal Gram: one-sided band entry")
-    linked = upper != 0.0
-    steps = np.zeros(upper.shape)
-    steps[linked] = 0.5 * (np.log(upper[linked]) - np.log(lower[linked]))
-    log_s = np.concatenate(([0.0], np.cumsum(steps)))
-    log_s -= 0.5 * (log_s.max() + log_s.min())
-    return np.exp(log_s)
-
-
 def _band_spectrum(a: np.ndarray) -> _Spectrum:
-    """Real parity-split spectrum of a generator supported on the +-1 diagonals.
+    """Real parity-split spectrum of a skew-Hermitian generator on the +-1 diagonals.
 
-    With S from the band, H = i S X S^-1 is Hermitian tridiagonal with zero
-    diagonal.  The unit phases u_k = H[k+1, k] / |H[k+1, k]| (1 across a seam)
-    multiply up to D = diag(d), and Hr = D^-1 H D is real symmetric.  The
-    similarity keeps D^-1, not D^H: over long chains |d_k| drifts off 1.
+    H = i X is Hermitian tridiagonal with zero diagonal.  The unit phases
+    u_k = H[k+1, k] / |H[k+1, k]| (1 across a seam) multiply up to D = diag(d),
+    and Hr = D^-1 H D is real symmetric.  The similarity keeps D^-1, not D^H:
+    over long chains |d_k| drifts off 1.
     """
     upper, lower = np.diagonal(a, 1), np.diagonal(a, -1)
     if np.count_nonzero(a) != np.count_nonzero(upper) + np.count_nonzero(lower):
         raise NotSkewAdjointError("generator is not supported on the first off-diagonals")
-    s = _gram_scale(upper, lower)
-    ratio = s[1:] / s[:-1]
-    y_up, y_lo = upper / ratio, lower * ratio
-    residue = float(np.max(np.abs(y_lo + y_up.conj())))
-    if not residue <= SKEW_TOL * max(float(np.max(np.abs(y_up))), float(np.max(np.abs(y_lo)))):
+    residue = float(np.max(np.abs(lower + upper.conj())))
+    if not residue <= SKEW_TOL * max(float(np.max(np.abs(upper))), float(np.max(np.abs(lower)))):
         raise NotSkewAdjointError(
-            f"generator is not skew-adjoint under a diagonal Gram (residue {residue:.3e})"
+            f"generator is not skew-Hermitian (residue {residue:.3e}): its basis norms do not match its action"
         )
-    h = 1j * y_lo
+    h = 1j * lower
     mod = np.abs(h)
     u = np.divide(h, mod, out=np.ones_like(h), where=mod != 0.0)
     d = np.concatenate(([1.0 + 0j], np.cumprod(u)))
     values, q = np.linalg.eigh(np.diag(mod, 1) + np.diag(mod, -1))
-    return _Spectrum(values, np.ascontiguousarray(q[0::2]), np.ascontiguousarray(q[1::2]), d / s, s / d)
+    return _Spectrum(values, np.ascontiguousarray(q[0::2]), np.ascontiguousarray(q[1::2]), d)
 
 
 def _spectrum(X: OperatorMatrix) -> _Spectrum:
@@ -343,15 +321,17 @@ def _spectrum(X: OperatorMatrix) -> _Spectrum:
 
 
 def mat_exp(X: OperatorMatrix, t: float = 1.0) -> OperatorMatrix:
-    """e^{tX} for a generator that is skew-adjoint under a diagonal Gram.
+    """e^{tX} for a diagonal or a skew-Hermitian tridiagonal generator.
 
     Diagonal X takes the scalar exponentials directly.  Otherwise X must live
-    on the +-1 diagonals; then e^{tX} = (S^-1 D)(cos tHr - i sin tHr)(D^-1 S)
-    with Hr = Q Lambda Q^T real (see ``_band_spectrum``): one real eigh per
+    on the +-1 diagonals and be skew-Hermitian to ``SKEW_TOL`` relative to
+    its largest entry; then e^{tX} = D (cos tHr - i sin tHr) D^-1 with
+    Hr = Q Lambda Q^T real (see ``_band_spectrum``): one real eigh per
     generator, cached for the last few generator objects.  Hr links only even
     positions to odd ones, so cos tHr has no even-odd entries and sin tHr
     only those, and each t costs three real half-size products.  Any other
-    generator raises ``NotSkewAdjointError``.
+    generator raises ``NotSkewAdjointError``, as does one built in the
+    orthonormal basis of norms that do not match its action.
     """
     spec = _spectrum(X)
     t = float(t)
@@ -369,8 +349,8 @@ def mat_exp(X: OperatorMatrix, t: float = 1.0) -> OperatorMatrix:
     sin_eo = (qe * sin) @ qo.T
     out.imag[0::2, 1::2] = -sin_eo
     out.imag[1::2, 0::2] = -sin_eo.T
-    out *= spec.left[:, None]
-    out *= spec.right[None, :]
+    out *= spec.phases[:, None]
+    out /= spec.phases[None, :]
     return OperatorMatrix._adopt(out, X.window, X.basis, None)
 
 

@@ -14,9 +14,12 @@ with L = e + f and M = i(e - f).  The module realizes R two independent
 ways -- exponentials of truncated generator matrices along flow paths, and
 direct evaluation on the unit circle followed by Fourier extraction -- so the
 two routes can cross-check each other away from the truncation boundary.
-Both work on monomials; certificates read their results in the orthonormal
-basis x_n = f_n / ||f_n|| (``to_orthonormal``), where no verdict depends on
-the scale of the Gram.
+Both return R in the orthonormal basis x_n = f_n / ||f_n||, where no verdict
+depends on the scale of the Gram: the exponential route builds each generator
+there from the monomial matrix and the norm ratios, the circle route scales
+its monomial table by the norms.  ``generator_matrix`` and
+``reducible_generator_matrix`` stay the monomial action; ``to_orthonormal``
+brings a monomial operator to the basis of R.
 """
 
 from __future__ import annotations
@@ -177,14 +180,12 @@ def _generator(
     return OperatorMatrix._adopt(data, w, MONOMIAL)
 
 
-@functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> OperatorMatrix:
     """Truncated monomial-basis matrix of the generator action.
 
     Raising/lowering across the window edge is dropped; for the unilateral
     index set the vanishing of the lowering action on f_0 is genuine, not a
-    truncation artifact.  The last few matrices are kept, so repeated paths
-    reuse one generator object and with it the spectrum ``mat_exp`` caches.
+    truncation artifact.
     """
     if w.kind != p.index_set:
         raise WindowMismatchError(
@@ -194,7 +195,6 @@ def generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> OperatorMatr
     return _generator(w, p.lam, X, p.mu - n[1:], p.lam + p.mu + n[:-1])
 
 
-@functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def reducible_generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> OperatorMatrix:
     """Generator matrices of the direct-sum family at lam = p.lam in its seam basis g_n.
 
@@ -211,28 +211,6 @@ def reducible_generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> Op
     lowering = np.where(ne < 0, 1.0 - lam - ne, -ne)
     raising = np.where(nf < 0, nf + 1.0, lam + nf)
     return _generator(w, lam, X, lowering, raising)
-
-
-def _path_product(gen_of, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
-    out = None
-    for gen, t in path.segments:
-        factor = mat_exp(gen_of(gen), t)
-        out = factor if out is None else out @ factor
-    return OperatorMatrix.identity(w) if out is None else out
-
-
-def rep_matrix(p: RepnParams, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
-    """Ordered product of generator-exponential segments.
-
-    Trustworthy on the window interior; boundary rows and columns carry
-    truncation error.
-    """
-    return _path_product(lambda X: generator_matrix(p, X, w), path, w)
-
-
-def rep_matrix_sharp(p: RepnParams, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
-    """Twisted representation R(path*) realizing the anti-holomorphic family."""
-    return rep_matrix(p, mobius.star_path(path), w)
 
 
 def gram(p: RepnParams, w: TruncationWindow) -> OperatorMatrix:
@@ -255,10 +233,15 @@ def to_orthonormal(A: OperatorMatrix, G: OperatorMatrix) -> OperatorMatrix:
     if band is None or band[0] != 0 or band[1].imag.any() or not (band[1].real > 0.0).all():
         raise ParameterError("the Gram must be diagonal with positive entries")
     s = np.sqrt(band[1].real)
-    data = A.data * s[:, None]
-    data /= s[None, :]
     structure = A.single_diagonal
-    return OperatorMatrix._adopt(data, A.window, ORTHONORMAL, None if structure is None else structure[0])
+    if structure is None:
+        data = A.data * s[:, None]
+        data /= s[None, :]
+        return OperatorMatrix._adopt(data, A.window, ORTHONORMAL, None)
+    # a shift is rescaled along its band; the rest of the matrix stays untouched zeros
+    m, d = structure
+    rows, cols = s[max(-m, 0) :][: d.size], s[max(m, 0) :][: d.size]
+    return OperatorMatrix.from_band(A.window, m, d * rows / cols, ORTHONORMAL)
 
 
 def unitarity_residual(R: OperatorMatrix, w: TruncationWindow) -> float:
@@ -267,12 +250,6 @@ def unitarity_residual(R: OperatorMatrix, w: TruncationWindow) -> float:
     p = _interior_positions(R, w)
     cols = R.data[:, p]
     return float(np.linalg.norm(cols.conj().T @ cols - np.eye(p.size)))
-
-
-def unitarity_defect(p: RepnParams, path: GroupPath, w: TruncationWindow) -> float:
-    """Interior norm of R* R - I along a path, with R in the orthonormal basis
-    of the family's Gram; zero for an exactly unitary action."""
-    return unitarity_residual(to_orthonormal(rep_matrix(p, path, w), gram(p, w)), w)
 
 
 # generator images under the conjugation twist: h and M reverse, hence e <-> f
@@ -299,8 +276,8 @@ class Realization:
             object.__setattr__(self, "r", complex(self.r))
             if not 0.0 < self.params.lam < 2.0:
                 raise ParameterError("reducible sums require lam in (0, 2)")
-            if abs(self.r) > _COUPLING_BOUND:
-                raise ParameterError(f"coupling |r| must not exceed {_COUPLING_BOUND}")
+            if not abs(self.r) <= _COUPLING_BOUND:
+                raise ParameterError(f"coupling |r| must be a number not exceeding {_COUPLING_BOUND}")
 
     @classmethod
     def plain(cls, params: RepnParams) -> "Realization":
@@ -314,19 +291,52 @@ class Realization:
     def reducible(cls, lam: float, r: complex = 1.0) -> "Realization":
         return cls("reducible", RepnParams(BILATERAL, lam), r)
 
+    @functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
     def generator(self, X: str, w: TruncationWindow) -> OperatorMatrix:
-        if self.flavor == "plain":
-            return generator_matrix(self.params, X, w)
-        if self.flavor == "reducible":
-            return reducible_generator_matrix(self.params, X, w)
-        sign, xs = _SHARP_GEN[X]
-        g = generator_matrix(self.params, xs, w)
-        return g if sign == 1.0 else -g
+        """dR(X) in the orthonormal basis x_n = f_n / s_n, s_n = ||f_n||.
+
+        The monomial matrix keeps its diagonal; its +1 band is scaled by
+        s_n / s_{n+1} and its -1 band by s_{n+1} / s_n, the square root of
+        ``norm_ratio`` (both bands are 0 across a reducible seam).  The sharp
+        twist negates h and M and swaps e and f.  The last few (realization,
+        X, window) are kept, so repeated paths reuse one generator object and
+        with it the spectrum ``mat_exp`` caches.
+        """
+        sign, xs = _SHARP_GEN.get(X, (1.0, X)) if self.flavor == "sharp" else (1.0, X)
+        build = reducible_generator_matrix if self.flavor == "reducible" else generator_matrix
+        a = build(self.params, xs, w).data
+        s = np.sqrt(norm_sq_sequence(self.params, w).values)
+        # np.zeros, not a scaled copy of a: only the pages the bands touch are resident
+        data = np.zeros(a.shape, dtype=np.complex128)
+        np.fill_diagonal(data, sign * np.diagonal(a))
+        k = np.arange(w.size - 1)
+        data[k, k + 1] = np.diagonal(a, 1) * (sign * s[:-1]) / s[1:]
+        data[k + 1, k] = np.diagonal(a, -1) * (sign * s[1:]) / s[:-1]
+        return OperatorMatrix._adopt(data, w, ORTHONORMAL)
 
     def along_path(self, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
-        if self.flavor == "sharp":
-            return rep_matrix_sharp(self.params, path, w)
-        return _path_product(lambda X: self.generator(X, w), path, w)
+        """R(path) in the orthonormal basis: the ordered product of the
+        generator exponentials.
+
+        Trustworthy on the window interior; boundary rows and columns carry
+        truncation error.
+        """
+        out = None
+        for gen, t in path.segments:
+            factor = mat_exp(self.generator(gen, w), t)
+            out = factor if out is None else out @ factor
+        return OperatorMatrix.identity(w, ORTHONORMAL) if out is None else out
+
+
+def rep_matrix(p: RepnParams, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
+    """R(path) of the family p in the orthonormal basis."""
+    return Realization.plain(p).along_path(path, w)
+
+
+def unitarity_defect(p: RepnParams, path: GroupPath, w: TruncationWindow) -> float:
+    """Interior norm of R* R - I along a path, with R in the orthonormal basis
+    of the family's Gram; zero for an exactly unitary action."""
+    return unitarity_residual(rep_matrix(p, path, w), w)
 
 
 def default_grid_size(w: TruncationWindow) -> int:
@@ -461,7 +471,11 @@ def circle_rep_oracle(
 def circle_rep_matrix(
     p: RepnParams, path: GroupPath, w: TruncationWindow, grid_size: int | None = None
 ) -> OperatorMatrix:
-    """Whole representation matrix over the circle route, one column per monomial."""
+    """Whole representation matrix over the circle route, in the orthonormal basis:
+    the monomial table scaled in place by s_i / s_j, s = sqrt(``norm_sq_sequence``)."""
     phi_inv = mobius.inverse(mobius.path_to_mobius(path))
     table = _circle_table(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, w, grid_size)
-    return OperatorMatrix._adopt(table, w, MONOMIAL, None)
+    s = np.sqrt(norm_sq_sequence(p, w).values)
+    table *= s[:, None]
+    table /= s[None, :]
+    return OperatorMatrix._adopt(table, w, ORTHONORMAL, None)

@@ -9,7 +9,8 @@ instead of diagonal surgery, dense matrix powers instead of diagonal
 recurrences, an LU solve instead of a Neumann series.  ``circle_fft`` and
 ``circle_synthesis`` are the plain normalized FFT pair of unit-circle samples;
 ``unblocked_circle_table`` builds the circle route's whole grid x window table
-at once.
+at once.  ``orthonormal`` is not an oracle: it is the conversion of a monomial
+operator into the basis of R that the tests share.
 """
 
 import cmath
@@ -20,7 +21,14 @@ import numpy as np
 from mobshift.errors import GridSizeError, NumericsError, ParameterError, PoleError
 from mobshift.mobius import MobiusElement
 from mobshift.numkernel import UNILATERAL, _require_power_of_two
-from mobshift.repn import _NEGATIVE_INDEX_TOL, _NYQUIST_TAIL_TOL, _circle_factors, _signed_frequencies
+from mobshift.repn import (
+    _NEGATIVE_INDEX_TOL,
+    _NYQUIST_TAIL_TOL,
+    _circle_factors,
+    _signed_frequencies,
+    gram,
+    to_orthonormal,
+)
 
 _BERNOULLI = (
     1.0 / 6,
@@ -179,6 +187,11 @@ def random_dense(rng, size: int, scale: float = 1.0) -> np.ndarray:
     re = rng.standard_normal((size, size))
     im = rng.standard_normal((size, size))
     return scale * (re + 1j * im) / math.sqrt(2.0)
+
+
+def orthonormal(T, p, w):
+    """A monomial-basis operator in the orthonormal basis where R is built."""
+    return to_orthonormal(T, gram(p, w))
 
 
 def _dict_isotypic_matrix(data: np.ndarray, w, m: int) -> np.ndarray:

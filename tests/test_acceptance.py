@@ -51,6 +51,8 @@ from mobshift.shifts import (
     weight_sequence,
 )
 
+from oracles import orthonormal
+
 N = 64
 PAD = 16
 PATHS = tuple(GroupPath.parse(t) for t in ("L:0.1", "M:0.1", "h:0.3", "L:0.1,M:-0.05,h:0.2"))
@@ -74,25 +76,27 @@ def report(number, name, ok, detail):
 
 
 def homogeneous_cases():
-    """The certified operator families: (label, T, realization, window)."""
+    """The certified operator families: (label, T, realization, window), T in
+    the orthonormal basis."""
     cases = []
     for p in HOLO_POINTS:
         w = TruncationWindow(UNILATERAL, N, PAD)
-        cases.append((f"T1/holo lam={p.lam:g}", canonical_shift("T1", p, w), Realization.plain(p), w))
-        cases.append((f"T1star/sharp lam={p.lam:g}", canonical_shift("T1star", p, w), Realization.sharp(p), w))
+        t1, t1s = (orthonormal(canonical_shift(kind, p, w), p, w) for kind in ("T1", "T1star"))
+        cases.append((f"T1/holo lam={p.lam:g}", t1, Realization.plain(p), w))
+        cases.append((f"T1star/sharp lam={p.lam:g}", t1s, Realization.sharp(p), w))
     for p in PRINCIPAL_POINTS:
         w = TruncationWindow(BILATERAL, N, PAD)
         label = f"principal lam={p.lam:g} im_mu={p.mu.imag:g}"
-        cases.append((f"T2/{label}", canonical_shift("T2", p, w), Realization.plain(p), w))
-        cases.append((f"T3/{label}", canonical_shift("T3", p, w), Realization.plain(p), w))
+        cases.append((f"T2/{label}", orthonormal(canonical_shift("T2", p, w), p, w), Realization.plain(p), w))
+        cases.append((f"T3/{label}", orthonormal(canonical_shift("T3", p, w), p, w), Realization.plain(p), w))
     for p in COMPLEMENTARY_POINTS:
         w = TruncationWindow(BILATERAL, N, PAD)
-        cases.append((f"T2/complementary", canonical_shift("T2", p, w), Realization.plain(p), w))
-        cases.append((f"T3/complementary", canonical_shift("T3", p, w), Realization.plain(p), w))
+        cases.append((f"T2/complementary", orthonormal(canonical_shift("T2", p, w), p, w), Realization.plain(p), w))
+        cases.append((f"T3/complementary", orthonormal(canonical_shift("T3", p, w), p, w), Realization.plain(p), w))
     for r in (0.3, 1.0, 2.0):
         w = TruncationWindow(BILATERAL, N, PAD)
         rel = Realization.reducible(1.0, r)
-        cases.append((f"reducible r={r:g}", reducible_shift(rel, w), rel, w))
+        cases.append((f"reducible r={r:g}", orthonormal(reducible_shift(rel, w), rel.params, w), rel, w))
     return cases
 
 
@@ -137,12 +141,12 @@ def test_criterion_03_negative_controls():
     path = GroupPath.parse("L:0.1")
     p = RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
     w = TruncationWindow(BILATERAL, N, PAD)
-    scaled = 2.0 * canonical_shift("T2", p, w)
+    scaled = 2.0 * orthonormal(canonical_shift("T2", p, w), p, w)
     d_scaled = homogeneity_defect(scaled, rep_matrix(p, path, w), path_to_mobius(path), w).value
 
     ph = RepnParams(UNILATERAL, 2.0)
     wh = TruncationWindow(UNILATERAL, N, PAD)
-    decaying = OperatorMatrix.from_band(wh, -1, 1.0 / (wh.indices()[:-1] + 2))
+    decaying = orthonormal(OperatorMatrix.from_band(wh, -1, 1.0 / (wh.indices()[:-1] + 2)), ph, wh)
     d_decay = homogeneity_defect(decaying, rep_matrix(ph, path, wh), path_to_mobius(path), wh).value
 
     wb = TruncationWindow(BILATERAL, 16, 4)

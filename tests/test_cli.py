@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from mobshift import cli
+from mobshift import cli, repn, specialfn
 from mobshift.errors import NumericsError
 from mobshift.numkernel import OperatorMatrix
 from mobshift.repn import Realization
@@ -210,6 +210,40 @@ def test_verify_unitarity_of_the_reducible_sum_off_the_seam(capsys):
     assert max(r["value"] for r in reports) <= 1e-12
 
 
+def test_verify_refuses_basis_norms_that_do_not_match_the_generators(capsys, monkeypatch):
+    # a Gram off by 1e-6 leaves the orthonormal-basis generators non-skew, and mat_exp refuses them
+    norm_ratio = specialfn.norm_ratio
+    monkeypatch.setattr(specialfn, "norm_ratio", lambda params, n: norm_ratio(params, n) * (1.0 + 1e-6))
+    Realization.generator.cache_clear()
+    try:
+        code, out, err = run(capsys, ["verify", "unitarity", "--series", "holo", "--lambda", "2"])
+    finally:
+        Realization.generator.cache_clear()  # its generators were built from the wrong norms
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: generator is not skew-Hermitian (residue ")
+
+
+def test_verify_rejects_a_nan_coupling(capsys):
+    code, out, err = run(capsys, ["verify", "unitarity", "--series", "reducible", "--lambda", "1", "--r", "nan"])
+    assert code == 2 and out == ""
+    assert err == "error: coupling |r| must be a number not exceeding 10.0\n"
+
+
+def test_out_of_memory_exits_three(capsys, monkeypatch):
+    # stands in for the allocation a huge window (--N 100000) asks for; nothing that large is allocated
+    def exhausted(X, t=1.0):
+        raise MemoryError("Unable to allocate 149. GiB for an array with shape (100001, 100001) and data type complex128")
+
+    monkeypatch.setattr(repn, "mat_exp", exhausted)
+    code, out, err = run(capsys, ["verify", "unitarity", "--series", "holo", "--lambda", "1"])
+    assert code == 3 and out == ""
+    assert err == (
+        "numerical failure: out of memory (Unable to allocate 149. GiB for an array with shape"
+        " (100001, 100001) and data type complex128)\n"
+    )
+
+
 def test_numerical_failures_exit_three(capsys, monkeypatch):
     def boom(args):
         raise NumericsError("synthetic failure")
@@ -253,6 +287,14 @@ def test_classify_quadratic_is_neither_exit_one(capsys, tmp_path):
     code, out, _ = run(capsys, ["classify", "--file", path, "--lambda", "0.3", "--mu-re", "0.35", "--mu-im", "0.7"])
     assert code == 1
     assert json.loads(out)["branch"] == "neither"
+
+
+@pytest.mark.parametrize("row", ["1,nan", "1,1.0,inf"])
+def test_classify_non_finite_coefficient_exit_two(capsys, tmp_path, row):
+    path = write_coeffs(tmp_path, "nonfinite.csv", ["0,1.0,0.0", row, "2,1.0,0.0"])
+    code, out, err = run(capsys, ["classify", "--file", path, "--lambda", "0.3", "--mu-re", "0.35"])
+    assert code == 2 and out == ""
+    assert err == "error: non-finite coefficient at n=1\n"
 
 
 def test_classify_malformed_file_exit_two(capsys, tmp_path):

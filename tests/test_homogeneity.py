@@ -27,10 +27,10 @@ from mobshift.numkernel import (
     interior_norm,
     solve,
 )
-from mobshift.repn import Realization, RepnParams, rep_matrix, rep_matrix_sharp
+from mobshift.repn import Realization, RepnParams, rep_matrix
 from mobshift.shifts import canonical_shift, reducible_shift
 
-from oracles import dense_mobius, random_mobius
+from oracles import dense_mobius, orthonormal, random_mobius
 
 HOLO2 = RepnParams(UNILATERAL, 2.0)
 PRIN = RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
@@ -156,7 +156,7 @@ def test_mobius_of_ill_conditioned_shift_refused_by_both_routes():
 def test_homogeneity_of_a_shift_needs_no_linear_solve(monkeypatch):
     refuse_solve(monkeypatch)
     w = TruncationWindow(BILATERAL, 64, 16)
-    t = canonical_shift("T3", PRIN, w)
+    t = orthonormal(canonical_shift("T3", PRIN, w), PRIN, w)
     path = GroupPath.parse("L:0.1,M:-0.05,h:0.2")
     report = homogeneity_defect(t, rep_matrix(PRIN, path, w), path_to_mobius(path), w)
     assert report.passed
@@ -185,7 +185,7 @@ def test_homogeneity_defect_empty_path_is_zero():
 
 def test_homogeneity_certificate_for_t1():
     w = TruncationWindow(UNILATERAL, 64, 16)
-    t = canonical_shift("T1", HOLO2, w)
+    t = orthonormal(canonical_shift("T1", HOLO2, w), HOLO2, w)
     path = GroupPath((("L", 0.1),))
     report = homogeneity_defect(t, rep_matrix(HOLO2, path, w), path_to_mobius(path), w)
     assert report.value < 1e-6
@@ -194,15 +194,15 @@ def test_homogeneity_certificate_for_t1():
 
 def test_homogeneity_certificate_for_t1star_under_sharp():
     w = TruncationWindow(UNILATERAL, 64, 16)
-    t = canonical_shift("T1star", HOLO2, w)
+    t = orthonormal(canonical_shift("T1star", HOLO2, w), HOLO2, w)
     path = GroupPath((("M", 0.1), ("h", 0.2)))
-    report = homogeneity_defect(t, rep_matrix_sharp(HOLO2, path, w), path_to_mobius(path), w)
+    report = homogeneity_defect(t, Realization.sharp(HOLO2).along_path(path, w), path_to_mobius(path), w)
     assert report.value < 1e-6
 
 
 def test_scaled_shift_is_not_homogeneous():
     w = TruncationWindow(BILATERAL, 64, 16)
-    t = 2.0 * canonical_shift("T2", PRIN, w)
+    t = 2.0 * orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
     path = GroupPath((("L", 0.1),))
     report = homogeneity_defect(t, rep_matrix(PRIN, path, w), path_to_mobius(path), w)
     assert report.value > 1e-2
@@ -220,7 +220,7 @@ def test_scaled_shift_is_not_homogeneous():
 )
 def test_homogeneity_defect_padding_collapse(kind, params, flavor):
     w = TruncationWindow(params.index_set, 64, 16)
-    t = canonical_shift(kind, params, w)
+    t = orthonormal(canonical_shift(kind, params, w), params, w)
     rel = Realization.sharp(params) if flavor == "sharp" else Realization.plain(params)
     path = GroupPath((("L", 0.1),))
     R = rel.along_path(path, w)
@@ -234,7 +234,7 @@ def test_reducible_shift_homogeneous_at_lambda_one():
     w = TruncationWindow(BILATERAL, 64, 16)
     for r in (0.3, 1.0, 2.0):
         rel = Realization.reducible(1.0, r)
-        t = reducible_shift(rel, w)
+        t = orthonormal(reducible_shift(rel, w), rel.params, w)
         for text in ("L:0.1", "M:0.1", "h:0.3"):
             path = GroupPath.parse(text)
             report = homogeneity_defect(t, rel.along_path(path, w), path_to_mobius(path), w)
@@ -246,7 +246,7 @@ def test_reducible_shift_homogeneous_at_lambda_one():
 
 def test_kappa_identities_for_t1():
     w = TruncationWindow(UNILATERAL, 64, 16)
-    t = canonical_shift("T1", HOLO2, w)
+    t = orthonormal(canonical_shift("T1", HOLO2, w), HOLO2, w)
     targets = infinitesimal_targets(t)
     for gen in ("L", "M", "e", "f"):
         fd = kappa_flow_derivative(t, gen, Realization.plain(HOLO2), w)
@@ -255,7 +255,7 @@ def test_kappa_identities_for_t1():
 
 def test_kappa_routes_agree(rng):
     w = TruncationWindow(BILATERAL, 64, 16)
-    t = canonical_shift("T3", PRIN, w)
+    t = orthonormal(canonical_shift("T3", PRIN, w), PRIN, w)
     rel = Realization.plain(PRIN)
     for gen in ("L", "M", "e", "f"):
         fd = kappa_flow_derivative(t, gen, rel, w, step=1e-4)
@@ -276,14 +276,14 @@ def test_kappa_step_validation():
 
 def test_infinitesimal_reports_cover_sharp_and_reducible():
     w = TruncationWindow(UNILATERAL, 64, 16)
-    t1s = canonical_shift("T1star", HOLO2, w)
+    t1s = orthonormal(canonical_shift("T1star", HOLO2, w), HOLO2, w)
     reports = infinitesimal_reports(t1s, Realization.sharp(HOLO2), w)
     assert len(reports) == 8
     assert all(r.passed for r in reports), [(r.name, r.value) for r in reports if not r.passed]
 
     wb = TruncationWindow(BILATERAL, 64, 16)
     red = Realization.reducible(1.0, 2.0)
-    reports = infinitesimal_reports(reducible_shift(red, wb), red, wb)
+    reports = infinitesimal_reports(orthonormal(reducible_shift(red, wb), red.params, wb), red, wb)
     assert all(r.passed for r in reports), [(r.name, r.value) for r in reports if not r.passed]
 
 

@@ -18,14 +18,15 @@ from mobshift.inductive import (
 from mobshift.mobius import GroupPath
 from mobshift.numkernel import (
     BILATERAL,
+    ORTHONORMAL,
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
 )
-from mobshift.repn import Realization, RepnParams, generator_matrix, gram, rep_matrix, to_orthonormal
+from mobshift.repn import Realization, RepnParams, generator_matrix, rep_matrix, to_orthonormal
 from mobshift.shifts import canonical_shift, reducible_shift, shift_matrix
 
-from oracles import dense_normalizer_defect, random_dense, rotation_average_component
+from oracles import dense_normalizer_defect, orthonormal, random_dense, rotation_average_component
 
 HOLO2 = RepnParams(UNILATERAL, 2.0)
 PRIN = RepnParams(BILATERAL, 0.3, complex(0.35, 0.7))
@@ -245,6 +246,9 @@ def test_classifier_input_validation():
         classify_a_minus1({0: 1.0, 1: 1.0}, PRIN)
     with pytest.raises(ParameterError):
         classify_a_minus1({n: 1.0 for n in range(5)}, HOLO2)
+    for bad in (float("nan"), complex(1.0, float("inf"))):
+        with pytest.raises(ParameterError, match="non-finite coefficient at n=1"):
+            classify_a_minus1({0: 1.0, 1: bad, 2: 1.0}, PRIN)
 
 
 def test_classifier_randomized_families(rng):
@@ -264,7 +268,7 @@ def test_classifier_randomized_families(rng):
 
 def test_normalizer_rotation_path_is_tiny():
     w = TruncationWindow(BILATERAL, 32, 8)
-    t2 = canonical_shift("T2", PRIN, w)
+    t2 = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
     r = rep_matrix(PRIN, GroupPath((("h", 0.25),)), w)
     report = normalizer_defect(t2, r, w)
     assert report.value <= 1e-12
@@ -272,23 +276,21 @@ def test_normalizer_rotation_path_is_tiny():
 
 def test_normalizer_certifies_generated_algebra():
     w = TruncationWindow(BILATERAL, 64, 24)
-    t2 = canonical_shift("T2", PRIN, w)
+    t2 = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
     r = rep_matrix(PRIN, GroupPath((("L", 0.1),)), w)
     assert normalizer_defect(t2, r, w).value < 1e-6
 
     wh = TruncationWindow(UNILATERAL, 64, 24)
-    g = gram(HOLO2, wh)
-    t1 = to_orthonormal(canonical_shift("T1", HOLO2, wh), g)
-    rh = to_orthonormal(rep_matrix(HOLO2, GroupPath((("L", 0.1),)), wh), g)
+    t1 = orthonormal(canonical_shift("T1", HOLO2, wh), HOLO2, wh)
+    rh = rep_matrix(HOLO2, GroupPath((("L", 0.1),)), wh)
     assert normalizer_defect(t1, rh, wh).value < 1e-6
 
 
 def test_normalizer_negative_control():
     wh = TruncationWindow(UNILATERAL, 64, 16)
     n = wh.indices()[:-1]
-    g = gram(HOLO2, wh)
-    bad = to_orthonormal(OperatorMatrix.from_band(wh, -1, 1.0 / (n + 2)), g)
-    rh = to_orthonormal(rep_matrix(HOLO2, GroupPath((("L", 0.1),)), wh), g)
+    bad = orthonormal(OperatorMatrix.from_band(wh, -1, 1.0 / (n + 2)), HOLO2, wh)
+    rh = rep_matrix(HOLO2, GroupPath((("L", 0.1),)), wh)
     report = normalizer_defect(bad, rh, wh)
     assert report.value > 1e-2
 
@@ -305,7 +307,7 @@ AGREEMENT_FAMILIES = {
 
 
 def _family_setup(family, N):
-    """Shift, realization, window and Gram, as ``verify normalizer`` builds them."""
+    """Orthonormal-basis shift, realization and window, as ``verify normalizer`` builds them."""
     p, op = AGREEMENT_FAMILIES[family]
     if p is None:
         w = TruncationWindow(BILATERAL, N, 3 * N // 8)
@@ -315,16 +317,15 @@ def _family_setup(family, N):
         w = TruncationWindow(p.index_set, N, 3 * N // 8)
         rel = Realization.sharp(p) if op == "T1star" else Realization.plain(p)
         T = canonical_shift(op, p, w)
-    return T, rel, w, gram(rel.params, w)
+    return orthonormal(T, rel.params, w), rel, w
 
 
 @pytest.mark.parametrize("N", [16, 32, 64])
 @pytest.mark.parametrize("family", sorted(AGREEMENT_FAMILIES))
 def test_normalizer_matches_dense_oracle_on_families(family, N):
-    T, rel, w, g = _family_setup(family, N)
-    T = to_orthonormal(T, g)
+    T, rel, w = _family_setup(family, N)
     for text in DEFAULT_PATHS:
-        R = to_orthonormal(rel.along_path(GroupPath.parse(text), w), g)
+        R = rel.along_path(GroupPath.parse(text), w)
         got = normalizer_defect(T, R, w).value
         assert abs(got - dense_normalizer_defect(T, R, w)) <= 1e-12, text
 
@@ -367,20 +368,20 @@ def test_normalizer_requires_single_step_shift(rng):
 
 def test_sharp_flip_for_adjoint_shift():
     w = TruncationWindow(UNILATERAL, 12, 3)
-    t1s = canonical_shift("T1star", HOLO2, w)
+    t1s = orthonormal(canonical_shift("T1star", HOLO2, w), HOLO2, w)
     report = sharp_isotypic_flip(t1s, 1, p=HOLO2)
     assert report.passed, report.value
 
 
 def test_sharp_flip_fixes_diagonal():
     w = TruncationWindow(BILATERAL, 8, 2)
-    report = sharp_isotypic_flip(OperatorMatrix.identity(w), 0)
+    report = sharp_isotypic_flip(OperatorMatrix.identity(w, ORTHONORMAL), 0)
     assert report.value <= 1e-12
 
 
 def test_sharp_flip_random_operator(rng):
     w = TruncationWindow(BILATERAL, 8, 2)
-    t = OperatorMatrix(random_dense(rng, w.size), w)
+    t = OperatorMatrix(random_dense(rng, w.size), w, ORTHONORMAL)
     for m in (-3, 2):
         report = sharp_isotypic_flip(t, m)
         assert report.passed, (m, report.value)

@@ -23,7 +23,7 @@ from mobshift.numkernel import (
     mat_exp,
     solve,
 )
-from mobshift.repn import RepnParams, generator_matrix
+from mobshift.repn import Realization, RepnParams, generator_matrix
 
 from oracles import (
     brute_interior_frobenius,
@@ -297,7 +297,7 @@ def test_recorded_structure_equals_the_scan(rng, w):
     products = [x @ y for x in bands for y in bands]
     p = RepnParams(w.kind, 2.0) if w.kind == UNILATERAL else RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
     a, b = (OperatorMatrix(random_dense(rng, w.size), w) for _ in range(2))
-    dense = [a @ b, mat_exp(generator_matrix(p, "L", w), 0.1), solve(a, b), solve(a, OperatorMatrix.identity(w))]
+    dense = [a @ b, mat_exp(Realization.plain(p).generator("L", w), 0.1), solve(a, b), solve(a, OperatorMatrix.identity(w))]
     known = bands + products + dense + [OperatorMatrix.identity(w), OperatorMatrix.zeros(w)]
     for T in known:
         assert same(recorded(T), scanned(T))

@@ -15,9 +15,10 @@ from mobshift.errors import (
     WindowMismatchError,
 )
 from mobshift.homogeneity import kappa_flow_derivative
-from mobshift.mobius import GroupPath, MobiusElement, inverse, path_to_mobius
+from mobshift.mobius import GroupPath, MobiusElement, inverse, path_to_mobius, star_path
 from mobshift.numkernel import (
     BILATERAL,
+    ORTHONORMAL,
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
@@ -39,7 +40,6 @@ from mobshift.repn import (
     gram,
     reducible_generator_matrix,
     rep_matrix,
-    rep_matrix_sharp,
     to_orthonormal,
     unitarity_defect,
     unitarity_residual,
@@ -88,7 +88,7 @@ def test_reducible_realization_payload():
     rel = Realization.reducible(1.0, 0.5)
     assert rel.flavor == "reducible" and rel.params == RepnParams(BILATERAL, 1.0) and rel.r == 0.5
     assert Realization.reducible(1.0).r == 1.0 and Realization.plain(PRINCIPAL_P).r is None
-    for lam, r in ((2.5, 1.0), (0.0, 1.0), (1.0, 11.0), (1.0, 20.0)):
+    for lam, r in ((2.5, 1.0), (0.0, 1.0), (1.0, 11.0), (1.0, 20.0), (1.0, complex("nan"))):
         with pytest.raises(ParameterError):
             Realization.reducible(lam, r)
     with pytest.raises(ParameterError):
@@ -268,16 +268,15 @@ def test_concatenated_path_agrees_with_circle_route():
 
 def test_rep_matrix_sharp_values():
     w = TruncationWindow(UNILATERAL, 8, 2)
+    sharp = Realization.sharp(HOLO2)
     lpath = GroupPath((("L", 0.15),))
-    np.testing.assert_array_equal(
-        rep_matrix_sharp(HOLO2, lpath, w).data, rep_matrix(HOLO2, lpath, w).data
-    )
+    np.testing.assert_array_equal(sharp.along_path(lpath, w).data, rep_matrix(HOLO2, lpath, w).data)
     hpath = GroupPath((("h", 0.2),))
     np.testing.assert_array_equal(
-        rep_matrix_sharp(HOLO2, hpath, w).data,
+        sharp.along_path(hpath, w).data,
         rep_matrix(HOLO2, GroupPath((("h", -0.2),)), w).data,
     )
-    np.testing.assert_array_equal(rep_matrix_sharp(HOLO2, GroupPath(()), w).data, np.eye(w.size))
+    np.testing.assert_array_equal(sharp.along_path(GroupPath(()), w).data, np.eye(w.size))
 
 
 def test_realization_generator_tables():
@@ -294,8 +293,9 @@ def test_realization_generator_tables():
 def test_realization_paths_match_module_functions():
     w = TruncationWindow(UNILATERAL, 8, 2)
     path = GroupPath((("M", 0.1), ("h", 0.2)))
-    np.testing.assert_array_equal(
-        Realization.sharp(HOLO2).along_path(path, w).data, rep_matrix_sharp(HOLO2, path, w).data
+    # the sharp generators against the plain route along the twisted path
+    np.testing.assert_allclose(
+        Realization.sharp(HOLO2).along_path(path, w).data, rep_matrix(HOLO2, star_path(path), w).data, atol=1e-14
     )
     wb = TruncationWindow(BILATERAL, 8, 2)
     red = Realization.reducible(1.0)
@@ -334,10 +334,26 @@ def test_mat_exp_matches_pade_oracle(case, N, bound, X, t):
     assert np.max(np.abs(mat_exp(A, t).data - expected)) <= bound * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("case", sorted(SPECTRAL_CASES))
+def test_generators_are_the_monomial_ones_in_the_orthonormal_basis(case):
+    rel, kind = SPECTRAL_CASES[case]
+    w = TruncationWindow(kind, 24, 6)
+    build = reducible_generator_matrix if rel.flavor == "reducible" else generator_matrix
+    for X in ("h", "e", "f", "L", "M"):
+        A = rel.generator(X, w)
+        sign, xs = repn._SHARP_GEN[X] if rel.flavor == "sharp" else (1.0, X)
+        want = sign * to_orthonormal(build(rel.params, xs, w), gram(rel.params, w)).data
+        assert A.basis == ORTHONORMAL
+        assert np.max(np.abs(A.data - want)) <= 1e-15 * np.max(np.abs(want)), X
+        if X in ("h", "L", "M"):
+            assert np.max(np.abs(A.data + A.data.conj().T)) <= 1e-14 * np.max(np.abs(A.data)), X
+
+
 def test_mat_exp_refuses_generators_without_a_gram():
+    # the monomial holomorphic L is skew only against its Gram, which mat_exp never reads
     w = TruncationWindow(UNILATERAL, 8, 2)
     with pytest.raises(NotSkewAdjointError):
-        mat_exp(generator_matrix(HOLO2, "e", w), 0.1)
+        mat_exp(generator_matrix(HOLO2, "L", w), 0.1)
     dense = OperatorMatrix(random_dense(np.random.default_rng(3), w.size), w)
     with pytest.raises(NotSkewAdjointError):
         mat_exp(dense)
@@ -355,16 +371,15 @@ def test_mat_exp_refuses_generators_off_the_first_off_diagonals():
 def test_exponential_caches_hold_one_realization():
     w = TruncationWindow(BILATERAL, 16, 4)
     path = GroupPath((("L", 0.1), ("M", -0.05), ("h", 0.2)))
-    T = OperatorMatrix.identity(w)
+    T = OperatorMatrix.identity(w, ORTHONORMAL)
     for lam in (0.1, 0.3, 0.5):
         p = RepnParams(BILATERAL, lam, complex((1.0 - lam) / 2.0, 0.5))
         for rel in (Realization.plain(p), Realization.sharp(p), Realization.reducible(lam + 1.0)):
             rel.along_path(path, w)
             kappa_flow_derivative(T, "M", rel, w)
             assert len(numkernel._spectra) <= numkernel.GENERATOR_CACHE_SIZE == 3
-            assert generator_matrix.cache_info().currsize <= 3
-            assert reducible_generator_matrix.cache_info().currsize <= 3
-        assert generator_matrix(p, "L", w) is generator_matrix(p, "L", w)
+            assert Realization.generator.cache_info().currsize <= 3
+        assert Realization.plain(p).generator("L", w) is Realization.plain(p).generator("L", w)
 
 
 # ---------------------------------------------------------------- gram / unitarity
@@ -398,7 +413,7 @@ def test_unitarity_residual_matches_the_whole_product():
     rng = np.random.default_rng(7)
     path = GroupPath((("L", 0.1), ("M", -0.05), ("h", 0.2)))
     for p, w in ((PRINCIPAL_P, TruncationWindow(BILATERAL, 24, 6)), (HOLO2, TruncationWindow(UNILATERAL, 24, 6))):
-        for R in (to_orthonormal(rep_matrix(p, path, w), gram(p, w)), OperatorMatrix(random_dense(rng, w.size), w)):
+        for R in (rep_matrix(p, path, w), OperatorMatrix(random_dense(rng, w.size), w)):
             expected = interior_norm(R.H @ R - OperatorMatrix.identity(w, R.basis), w)
             assert abs(unitarity_residual(R, w) - expected) <= 1e-13 * max(1.0, expected)
     with pytest.raises(EmptyInteriorError):
@@ -450,24 +465,30 @@ def test_circle_oracle_rotation_scales_coefficients():
 
 
 def test_circle_oracle_matches_rep_matrix_column():
+    # the oracle acts on monomials: its image of f_0 is column 0 of R scaled back
+    # by ||f_n||; the rows near n = 0 hold the column's content (below 1e-15 from n = 16)
     p = HOLO2
     w = TruncationWindow(UNILATERAL, 64, 16)
     path = GroupPath((("L", 0.1),))
     R = rep_matrix(p, path, w)
     phi_inv = inverse(path_to_mobius(path))
     out = circle_rep_oracle(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, CoefficientVector.basis_vector(w, 0))
-    rows = w.interior_positions()
-    assert np.max(np.abs(out.coeffs[rows] - R.data[rows, w.pos(0)])) <= 1e-8
+    s = np.sqrt(gram(p, w).data.diagonal().real)
+    rows = w.pos(0) + np.arange(8)
+    assert np.max(np.abs(out.coeffs[rows] * s[rows] - R.data[rows, w.pos(0)])) <= 1e-12
 
 
 def test_circle_matrix_matches_rep_matrix_interior():
-    p = RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
-    w = TruncationWindow(BILATERAL, 64, 16)
     path = GroupPath((("L", 0.1),))
-    R = rep_matrix(p, path, w)
-    C = circle_rep_matrix(p, path, w)
-    ip = w.interior_positions()
-    assert np.max(np.abs(R.data[np.ix_(ip, ip)] - C.data[np.ix_(ip, ip)])) <= 1e-8
+    for p, w in (
+        (RepnParams(BILATERAL, 0.3, complex(0.35, 0.5)), TruncationWindow(BILATERAL, 64, 16)),
+        (RepnParams(UNILATERAL, 16.0), TruncationWindow(UNILATERAL, 64, 16)),
+    ):
+        R = rep_matrix(p, path, w)
+        C = circle_rep_matrix(p, path, w)
+        assert R.basis == C.basis == ORTHONORMAL
+        ip = w.interior_positions()
+        assert np.max(np.abs(R.data[np.ix_(ip, ip)] - C.data[np.ix_(ip, ip)])) <= 1e-11, p
 
 
 def test_circle_oracle_rejects_far_elements():
@@ -516,7 +537,9 @@ def test_blocked_circle_table_matches_unblocked_oracle(p, w, path):
     eta = ((p.lam + p.mu) / 2.0, p.mu / 2.0)
     expected = unblocked_circle_table(phi_inv, *eta, w, default_grid_size(w))
     scale = np.max(np.abs(expected))
-    assert np.max(np.abs(circle_rep_matrix(p, path, w).data - expected)) <= 1e-14 * scale
+    s = np.sqrt(gram(p, w).data.diagonal().real)
+    blocked = circle_rep_matrix(p, path, w).data / s[:, None] * s[None, :]
+    assert np.max(np.abs(blocked - expected)) <= 1e-14 * scale
     F = CoefficientVector(w, rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size))
     out = circle_rep_oracle(p, phi_inv, *eta, F)
     assert np.max(np.abs(out.coeffs - expected @ F.coeffs)) <= 1e-14 * scale * np.sum(np.abs(F.coeffs))
