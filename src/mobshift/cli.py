@@ -9,10 +9,10 @@ suite certifies, so no verdict depends on the Gram's scale; each ``sweep``
 cell runs that loop over the requested suites.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad usage or
-parameters, 3 a numerical failure (singular solve, a generator that is not
-skew-Hermitian in the orthonormal basis because the basis norms do not match
-its action, grid too small, or too little memory for the window).  Identical
-arguments and seed produce byte-identical output.
+parameters, 3 a numerical failure (a generator that is not skew-Hermitian in
+the orthonormal basis because the basis norms do not match its action, grid
+too small, or too little memory for the window).  Identical arguments and
+seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .repn import (
     Realization,
     RepnParams,
     classify_series,
+    complementary_mu_interval,
     gram,
     to_orthonormal,
     unitarity_residual,
@@ -97,6 +98,8 @@ def _realization(series: str | None, lam: float | None, im_mu=None, mu=None, r=N
     elif series == COMPLEMENTARY:
         if mu is None:
             raise ParameterError("--mu is required for the complementary family")
+        # lam first: an auto-grid cell whose mu interval is empty carries mu = NaN
+        complementary_mu_interval(lam)
         # the midpoint mu = (1 - lam)/2 classifies as principal; same matrices
         params = RepnParams(BILATERAL, lam, complex(mu))
     else:
@@ -325,14 +328,16 @@ def _grid_values(flag: str, text: str) -> list[float]:
 
 
 def _complementary_midpoint(lam: float) -> float:
-    """Midpoint of the complementary mu interval (0, 1) and (-lam, 1 - lam).
+    """Midpoint of the complementary mu interval.
 
     The interval is empty outside lam in (-1, 1); the midpoint is then NaN,
     and the cell's family check refuses that lam.
     """
-    if not -1.0 < lam < 1.0:
+    try:
+        lo, hi = complementary_mu_interval(lam)
+    except ParameterError:
         return math.nan
-    return 0.5 * (max(0.0, -lam) + min(1.0, 1.0 - lam))
+    return 0.5 * (lo + hi)
 
 
 def _sweep_cell(args, op, suites, paths, lam: float, mu: complex) -> tuple[float, bool]:

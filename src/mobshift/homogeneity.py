@@ -24,7 +24,7 @@ from .numkernel import (
     OperatorMatrix,
     TruncationWindow,
     _interior_block,
-    interior_norm,
+    _interior_positions,
     mat_exp,
     solve,
 )
@@ -107,6 +107,8 @@ def mobius_of_operator(phi: MobiusElement, T: OperatorMatrix) -> OperatorMatrix:
     diagonal off the main one) the resolvent N is a finite Neumann series and
     phi(T) = alpha (T N - beta N) costs O(N^2), the condition number exactly
     ||I - conj(beta) T||_1 ||N||_1; any other T goes through ``solve``.
+    No certificate calls it: ``homogeneity_defect`` multiplies the
+    denominator out instead.
     """
     band = T.single_diagonal
     if band is not None and band[0] != 0:
@@ -135,16 +137,36 @@ def homogeneity_defect(
     name: str = "homogeneity",
     context: dict | None = None,
 ) -> DefectReport:
-    """Interior residual of phi_g(T) = R^{-1} T R for a matching (phi, R) pair.
+    """Interior residual of phi_g(T) = R^{-1} T R for a matching (phi, R) pair
+    and a shift T, whose nonzero entries lie on one diagonal m.
 
-    The identity is certified in its multiplied-through form
-    ``R phi(T) - T R``: phi(T) is banded with geometrically decaying
-    coefficients, so this residual reaches the rounding floor on the interior,
-    whereas conjugating T by the truncated R would drag boundary error inward
-    and bury the signal.  The caller supplies R along some path and phi as the
-    projection of the same path.
+    The value is the interior Frobenius norm of
+    ``alpha R (T - beta I) - T R (I - conj(beta) T)``: the residual
+    R phi(T) - T R times the bidiagonal I - conj(beta) T, so no resolvent, no
+    inverse of R and no conjugation by the truncated R (which would drag
+    boundary error inward) is formed.  Each product with T is a row or column
+    scaling, so only R's interior block and a halo of |m| indices, clipped to
+    the window, are read: O(interior^2) once R exists.  Any other T raises
+    ``ParameterError``.
     """
-    value = interior_norm(R @ mobius_of_operator(phi, T) - T @ R, w)
+    band = T.single_diagonal
+    if band is None:
+        raise ParameterError("homogeneity is certified for a shift: T needs a single diagonal")
+    T._require_compatible(R)
+    p = _interior_positions(R, w)
+    m, halo = band[0], abs(band[0])
+    lo, hi = max(p[0] - halo, 0), min(p[-1] + 1 + halo, w.size)
+    r = R.data[lo:hi, lo:hi]
+    # T restricted to [lo, hi): entry k of its diagonal m sits at (r0 + k, c0 + k)
+    t = band[1][lo : hi - halo]
+    r0, c0, k = max(-m, 0), max(m, 0), t.size
+    rt = np.zeros_like(r)
+    np.multiply(r[:, r0 : r0 + k], t, out=rt[:, c0 : c0 + k])
+    y = r - phi.beta.conjugate() * rt
+    residual = phi.alpha * (rt - phi.beta * r)
+    residual[r0 : r0 + k] -= t[:, None] * y[c0 : c0 + k]
+    inner = slice(p[0] - lo, p[-1] + 1 - lo)
+    value = float(np.linalg.norm(residual[inner, inner]))
     return DefectReport.build(name, value, tolerance, context)
 
 

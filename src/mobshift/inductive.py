@@ -25,7 +25,6 @@ from .numkernel import (
     OperatorMatrix,
     TruncationWindow,
     interior_norm,
-    solve,
 )
 from .repn import Realization, RepnParams
 
@@ -209,14 +208,16 @@ def normalizer_defect(
     P_k = P_{k-1}[:L] * t[|s|(k-1) : |s|(k-1) + L] and L = size - |s| k;
     the diagonal of T* on the opposite side is conj(t).
     Components are compared on the interior stretch of their diagonals, for
-    as long as that stretch is non-empty; past it every residual is 0.  The
-    guarded inverse of R and one dense product form S; every product with T
-    is a row or column scaling, so the rest costs O(N^2).
+    as long as that stretch is non-empty; past it every residual is 0.
+
+    R must be unitary, as ``Realization.along_path`` builds it (a product of
+    exponentials of skew-Hermitian generators), so S = (R T) R^H: one dense
+    product, with no inverse, solve or condition estimate.  Every product
+    with T is a row or column scaling, so the rest costs O(N^2).
     """
     step = _single_step(T)
     s = abs(step)
-    identity = OperatorMatrix.identity(T.window, T.basis)
-    S = R @ T @ solve(R, identity)
+    S = (R @ T) @ R.H
     value = interior_norm(S @ T - T @ S, w)
     interior = w.size - 2 * w.padding
     t = np.diagonal(T.data, step)

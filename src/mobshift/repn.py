@@ -85,6 +85,8 @@ class RepnParams:
             raise ParameterError(f"unknown index set {self.index_set!r}")
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "mu", complex(self.mu))
+        if not (math.isfinite(self.lam) and cmath.isfinite(self.mu)):
+            raise ParameterError(f"lam and mu must be finite, got lam={self.lam}, mu={self.mu}")
         if self.index_set == UNILATERAL and self.mu != 0:
             raise ParameterError("unilateral families require mu = 0")
 
@@ -139,10 +141,8 @@ def classify_series(p: RepnParams) -> str:
             raise ClassificationError("the principal family requires lam in (-1, 1]")
         return PRINCIPAL
     if mu.imag == 0.0:
-        m = mu.real
-        if not -1.0 < p.lam < 1.0:
-            raise ClassificationError("the complementary family requires lam in (-1, 1)")
-        if not (0.0 < m < 1.0 and -p.lam < m < 1.0 - p.lam):
+        lo, hi = complementary_mu_interval(p.lam)
+        if not lo < mu.real < hi:
             raise ClassificationError(
                 "the complementary family requires mu in (0, 1) intersected with (-lam, 1 - lam)"
             )
@@ -150,6 +150,15 @@ def classify_series(p: RepnParams) -> str:
     raise ClassificationError(
         "bilateral parameters match neither the principal nor the complementary family"
     )
+
+
+def complementary_mu_interval(lam: float) -> tuple[float, float]:
+    """The complementary family's mu interval (0, 1) intersected with
+    (-lam, 1 - lam); it is non-empty exactly for lam in (-1, 1), and any other
+    lam raises ``ClassificationError``."""
+    if not -1.0 < lam < 1.0:
+        raise ClassificationError("the complementary family requires lam in (-1, 1)")
+    return max(0.0, -lam), min(1.0, 1.0 - lam)
 
 
 def _generator(

@@ -6,10 +6,11 @@ asymptotic series) instead of products of norm ratios, truncated
 Taylor sums and Pade scaling-and-squaring instead of eigendecompositions,
 brute-force summation instead of sliced norms, rotation-average quadrature
 instead of diagonal surgery, dense matrix powers instead of diagonal
-recurrences, an LU solve instead of a Neumann series.  ``circle_fft`` and
-``circle_synthesis`` are the plain normalized FFT pair of unit-circle samples;
-``unblocked_circle_table`` builds the circle route's whole grid x window table
-at once.  ``orthonormal`` is not an oracle: it is the conversion of a monomial
+recurrences, an LU solve instead of a Neumann series, whole-window dense
+products instead of row and column scalings of an interior block.
+``circle_fft`` and ``circle_synthesis`` are the plain normalized FFT pair of
+unit-circle samples; ``unblocked_circle_table`` builds the circle route's
+whole grid x window table at once.  ``orthonormal`` is not an oracle: it is the conversion of a monomial
 operator into the basis of R that the tests share.
 """
 
@@ -148,6 +149,16 @@ def dense_mobius(phi: MobiusElement, data: np.ndarray) -> np.ndarray:
     return phi.alpha * np.linalg.solve(ident - np.conj(phi.beta) * data, data - phi.beta * ident)
 
 
+def dense_homogeneity_residual(phi: MobiusElement, T, R, w) -> float:
+    """Interior Frobenius norm of alpha R (T - beta I) - T R (I - conj(beta) T),
+    formed over the whole window by dense products."""
+    ident = np.eye(w.size, dtype=np.complex128)
+    t, r = T.data, R.data
+    whole = phi.alpha * (r @ (t - phi.beta * ident)) - t @ r @ (ident - np.conj(phi.beta) * t)
+    p = w.interior_positions()
+    return float(np.linalg.norm(whole[np.ix_(p, p)]))
+
+
 def brute_interior_frobenius(data: np.ndarray, positions) -> float:
     """Direct double-sum Frobenius norm over interior index pairs."""
     total = 0.0
@@ -187,6 +198,12 @@ def random_dense(rng, size: int, scale: float = 1.0) -> np.ndarray:
     re = rng.standard_normal((size, size))
     im = rng.standard_normal((size, size))
     return scale * (re + 1j * im) / math.sqrt(2.0)
+
+
+def random_unitary(rng, size: int) -> np.ndarray:
+    """The unitary factor Q of the QR factorization of a complex Gaussian matrix."""
+    q, _ = np.linalg.qr(random_dense(rng, size))
+    return q
 
 
 def orthonormal(T, p, w):

@@ -4,9 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from mobshift import cli, repn, specialfn
+from mobshift import cli, homogeneity, numkernel, repn, specialfn
 from mobshift.errors import NumericsError
 from mobshift.numkernel import OperatorMatrix
 from mobshift.repn import Realization
@@ -71,6 +72,13 @@ def test_weights_invalid_parameters_exit_two(capsys):
     code, _, err = run(capsys, ["weights", "--series", "holo", "--lambda", "0", "--n0", "0", "--n1", "2"])
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_weights_non_finite_lambda_exit_two(capsys, value):
+    code, out, err = run(capsys, ["weights", "--series", "holo", "--lambda", value, "--n0", "0", "--n1", "1"])
+    assert code == 2 and out == ""
+    assert err == f"error: lam and mu must be finite, got lam={value}, mu=0j\n"
 
 
 # ---------------------------------------------------------------- verify
@@ -244,6 +252,29 @@ def test_out_of_memory_exits_three(capsys, monkeypatch):
     )
 
 
+def test_verify_non_finite_im_mu_exit_two(capsys):
+    argv = ["verify", "unitarity", "--series", "principal", "--lambda", "0.3", "--im-mu=nan"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: lam and mu must be finite, got lam=0.3, mu=(0.35+nanj)\n"
+
+
+def test_certificate_suites_call_no_inverse_solve_or_resolvent(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no CLI certificate may invert or solve")
+
+    for module, name in ((np.linalg, "inv"), (np.linalg, "solve"), (numkernel, "solve"),
+                         (homogeneity, "solve"), (homogeneity, "mobius_of_operator")):
+        monkeypatch.setattr(module, name, refuse)
+    family = ["--series", "principal", "--lambda", "0.3", "--im-mu", "0.7", "--N", "32"]
+    for suite in ("homogeneity", "normalizer"):
+        code, out, _ = run(capsys, ["verify", suite, *family])
+        assert code == 0 and len(out.splitlines()) == 4, suite
+    code, out, _ = run(capsys, ["sweep", "--series", "holo", "--lambda-grid", "1,2", "--suites", "unitarity,homogeneity",
+                                "--N", "32"])
+    assert code == 0 and out.count(",pass") == 2
+
+
 def test_numerical_failures_exit_three(capsys, monkeypatch):
     def boom(args):
         raise NumericsError("synthetic failure")
@@ -295,6 +326,13 @@ def test_classify_non_finite_coefficient_exit_two(capsys, tmp_path, row):
     code, out, err = run(capsys, ["classify", "--file", path, "--lambda", "0.3", "--mu-re", "0.35"])
     assert code == 2 and out == ""
     assert err == "error: non-finite coefficient at n=1\n"
+
+
+def test_classify_non_finite_lambda_exit_two(capsys, tmp_path):
+    path = write_coeffs(tmp_path, "const.csv", [f"{n},1.0,0.0" for n in range(-10, 11)])
+    code, out, err = run(capsys, ["classify", "--file", path, "--lambda", "nan", "--mu-re", "0.35"])
+    assert code == 2 and out == ""
+    assert err == "error: lam and mu must be finite, got lam=nan, mu=(0.35+0j)\n"
 
 
 def test_classify_malformed_file_exit_two(capsys, tmp_path):

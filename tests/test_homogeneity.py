@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mobshift import homogeneity, numkernel
-from mobshift.errors import ParameterError, SingularMatrixError
+from mobshift.cli import DEFAULT_PATHS
+from mobshift.errors import EmptyInteriorError, ParameterError, SingularMatrixError
 from mobshift.homogeneity import (
     DefectReport,
     homogeneity_defect,
@@ -17,6 +18,7 @@ from mobshift.homogeneity import (
     mobius_of_operator,
     reducible_lambda_check,
 )
+from mobshift.inductive import normalizer_defect
 from mobshift.mobius import GroupPath, MobiusElement, compose, path_to_mobius
 from mobshift.numkernel import (
     BILATERAL,
@@ -30,7 +32,14 @@ from mobshift.numkernel import (
 from mobshift.repn import Realization, RepnParams, rep_matrix
 from mobshift.shifts import canonical_shift, reducible_shift
 
-from oracles import dense_mobius, orthonormal, random_mobius
+from oracles import (
+    dense_homogeneity_residual,
+    dense_mobius,
+    orthonormal,
+    random_dense,
+    random_mobius,
+    random_unitary,
+)
 
 HOLO2 = RepnParams(UNILATERAL, 2.0)
 PRIN = RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
@@ -239,6 +248,114 @@ def test_reducible_shift_homogeneous_at_lambda_one():
             path = GroupPath.parse(text)
             report = homogeneity_defect(t, rel.along_path(path, w), path_to_mobius(path), w)
             assert report.value <= 1e-6, (r, text, report.value)
+
+
+# ---------------------------------------------------------------- resolvent-free residual
+
+
+@pytest.mark.parametrize("pad", ["0", "1", "N/4"])
+@pytest.mark.parametrize("step", [-2, -1, 1, 2])
+@pytest.mark.parametrize("kind", [UNILATERAL, BILATERAL])
+def test_homogeneity_residual_matches_dense_oracle(rng, kind, step, pad):
+    # a random unitary R and random weights keep the residual O(1), so the
+    # halo evaluation is held to the whole-window products entry for entry
+    N = 16
+    w = TruncationWindow(kind, N, {"0": 0, "1": 1, "N/4": N // 4}[pad])
+    for _ in range(3):
+        t = random_shift(rng, w, step)
+        r = OperatorMatrix(random_unitary(rng, w.size), w)
+        phi = random_mobius(rng, 0.9)
+        want = dense_homogeneity_residual(phi, t, r, w)
+        got = homogeneity_defect(t, r, phi, w).value
+        assert want > 1e-3
+        assert abs(got - want) <= 1e-14 * want
+
+
+# (realization, operator) of the five families; the reducible sum at lambda = 1
+HOMOGENEOUS_FAMILIES = {
+    "holo-T1": (Realization.plain(HOLO2), "T1"),
+    "antiholo-T1star": (Realization.sharp(HOLO2), "T1star"),
+    "principal-T2": (Realization.plain(PRIN), "T2"),
+    "principal-T3": (Realization.plain(PRIN), "T3"),
+    "complementary-T3": (Realization.plain(RepnParams(BILATERAL, 0.4, 0.2 + 0j)), "T3"),
+    "reducible-1": (Realization.reducible(1.0, 2.0), "reducible"),
+}
+
+
+def _family_shift(rel, op, w):
+    t = reducible_shift(rel, w) if op == "reducible" else canonical_shift(op, rel.params, w)
+    return orthonormal(t, rel.params, w)
+
+
+@pytest.mark.parametrize("family", sorted(HOMOGENEOUS_FAMILIES))
+def test_homogeneity_residual_on_families(family):
+    """The new residual equals the dense whole-window oracle, and its verdict
+    equals the verdict of the resolvent form R phi(T) - T R."""
+    rel, op = HOMOGENEOUS_FAMILIES[family]
+    for N, pad in ((64, 16), (64, 0), (64, 1), (128, 32)):
+        w = TruncationWindow(rel.params.index_set, N, pad)
+        t = _family_shift(rel, op, w)
+        for text in (*DEFAULT_PATHS, "L:0.3"):
+            path = GroupPath.parse(text)
+            R, phi = rel.along_path(path, w), path_to_mobius(path)
+            got = homogeneity_defect(t, R, phi, w)
+            # at the rounding floor the scale is the size of the products, not the value
+            scale = interior_norm(t @ R, w)
+            assert abs(got.value - dense_homogeneity_residual(phi, t, R, w)) <= 1e-14 * scale, (N, pad, text)
+            resolvent = interior_norm(R @ mobius_of_operator(phi, t) - t @ R, w)
+            assert got.passed == (resolvent <= got.tolerance), (N, pad, text, got.value, resolvent)
+
+
+def test_negative_controls_fail_the_resolvent_free_residual():
+    path = GroupPath.parse("L:0.1")
+    phi = path_to_mobius(path)
+    w = TruncationWindow(BILATERAL, 64, 16)
+    scaled = 2.0 * orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
+    wh = TruncationWindow(UNILATERAL, 64, 16)
+    decaying = orthonormal(OperatorMatrix.from_band(wh, -1, 1.0 / (wh.indices()[:-1] + 2)), HOLO2, wh)
+    seam = Realization.reducible(1.5, 1.0)
+    cases = [
+        ("scaled shift", scaled, rep_matrix(PRIN, path, w), w),
+        ("decaying weights", decaying, rep_matrix(HOLO2, path, wh), wh),
+        ("reducible lambda 1.5", _family_shift(seam, "reducible", w), seam.along_path(path, w), w),
+    ]
+    for label, t, R, window in cases:
+        report = homogeneity_defect(t, R, phi, window)
+        assert report.value > 1e-2 and not report.passed, label
+
+
+def test_certificates_call_no_solve_and_no_resolvent(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certificate must not invert or solve")
+
+    for module, name in (
+        (numkernel, "solve"),
+        (homogeneity, "solve"),
+        (homogeneity, "mobius_of_operator"),
+        (np.linalg, "solve"),
+        (np.linalg, "inv"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    path = GroupPath.parse("L:0.1,M:-0.05,h:0.2")
+    w = TruncationWindow(BILATERAL, 64, 24)
+    t = orthonormal(canonical_shift("T3", PRIN, w), PRIN, w)
+    R = rep_matrix(PRIN, path, w)
+    assert homogeneity_defect(t, R, path_to_mobius(path), w).passed
+    assert normalizer_defect(t, R, w).passed
+
+
+def test_homogeneity_defect_refuses_a_dense_operator(rng):
+    w = TruncationWindow(BILATERAL, 8, 2)
+    dense = OperatorMatrix(random_dense(rng, w.size), w)
+    with pytest.raises(ParameterError):
+        homogeneity_defect(dense, OperatorMatrix.identity(w), MobiusElement.identity(), w)
+
+
+def test_homogeneity_defect_empty_interior():
+    w = TruncationWindow(UNILATERAL, 4, 3)
+    t = canonical_shift("T1", HOLO2, w)
+    with pytest.raises(EmptyInteriorError):
+        homogeneity_defect(t, OperatorMatrix.identity(w), MobiusElement.identity(), w)
 
 
 # ---------------------------------------------------------------- infinitesimal

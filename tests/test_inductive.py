@@ -26,7 +26,13 @@ from mobshift.numkernel import (
 from mobshift.repn import Realization, RepnParams, generator_matrix, rep_matrix, to_orthonormal
 from mobshift.shifts import canonical_shift, reducible_shift, shift_matrix
 
-from oracles import dense_normalizer_defect, orthonormal, random_dense, rotation_average_component
+from oracles import (
+    dense_normalizer_defect,
+    orthonormal,
+    random_dense,
+    random_unitary,
+    rotation_average_component,
+)
 
 HOLO2 = RepnParams(UNILATERAL, 2.0)
 PRIN = RepnParams(BILATERAL, 0.3, complex(0.35, 0.7))
@@ -340,10 +346,11 @@ def test_normalizer_matches_dense_oracle_on_random_shifts(rng, step, layout):
         if w.contains(n - step)
     }
     t = shift_matrix(w, step, coeffs)
-    r = OperatorMatrix(np.eye(w.size) + 0.1 * random_dense(rng, w.size), w)
     if layout == "unilateral-gram":
         g = OperatorMatrix.from_band(w, 0, rng.uniform(0.5, 2.0, w.size))
-        t, r = to_orthonormal(t, g), to_orthonormal(r, g)
+        t = to_orthonormal(t, g)
+    # normalizer_defect inverts R as R^H; the oracle keeps an independent solve
+    r = OperatorMatrix(random_unitary(rng, w.size), w, t.basis)
     want = dense_normalizer_defect(t, r, w)
     got = normalizer_defect(t, r, w).value
     assert want > 1e-3

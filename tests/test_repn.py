@@ -35,6 +35,7 @@ from mobshift.repn import (
     circle_rep_matrix,
     circle_rep_oracle,
     classify_series,
+    complementary_mu_interval,
     default_grid_size,
     generator_matrix,
     gram,
@@ -72,6 +73,24 @@ def test_classify_rejections():
         classify_series(RepnParams(BILATERAL, 0.4, complex(0.9, 0.0)))  # outside (-lam, 1-lam)
     with pytest.raises(ClassificationError):
         classify_series(RepnParams(BILATERAL, 0.4, complex(0.5, 0.3)))
+
+
+@pytest.mark.parametrize(
+    "index_set,lam,mu",
+    [(UNILATERAL, float("nan"), 0j), (UNILATERAL, float("inf"), 0j), (BILATERAL, 0.3, complex(0.35, float("nan"))),
+     (BILATERAL, 0.3, complex(float("nan"), 0.5)), (BILATERAL, float("-inf"), 0.2 + 0j)],
+)
+def test_repn_params_reject_non_finite_values(index_set, lam, mu):
+    with pytest.raises(ParameterError, match="must be finite"):
+        RepnParams(index_set, lam, mu)
+
+
+def test_complementary_mu_interval():
+    assert complementary_mu_interval(0.4) == (0.0, 0.6)
+    assert complementary_mu_interval(-0.5) == (0.5, 1.0)
+    for lam in (-1.0, 1.0, float("nan")):
+        with pytest.raises(ClassificationError, match="requires lam in"):
+            complementary_mu_interval(lam)
 
 
 def test_classify_prefers_principal_on_the_coincidence_line():
