@@ -25,7 +25,8 @@ from .numkernel import (
     TruncationWindow,
     _interior_block,
     _interior_positions,
-    mat_exp,
+    _parity_blocks,
+    _spectrum,
     solve,
 )
 from .repn import Realization, reducible_generator_matrix
@@ -179,9 +180,15 @@ def kappa_flow_derivative(
 ) -> OperatorMatrix:
     """d/ds at 0 of R(exp sX) T R(exp sX)^{-1} by second-order central differences.
 
-    For e and f the real-flow derivatives combine as (L -/+ iM)/2.  The
-    commutator [dR(X), T] (see ``kappa_commutator``) is the algebraic route to
-    the same derivative; the two are compared in the verification suites.
+    For L and M, e^{+-sX} = D (C -/+ i S) D^-1 with C = cos sHr and S = sin sHr
+    (see ``numkernel.mat_exp``), so (e^{sX} T e^{-sX} - e^{-sX} T e^{sX}) / 2s is
+    i D (C T' S - S T' C) D^-1 / s with T' = D^-1 T D: one spectrum and one set
+    of parity blocks serve both signs of s.  The symmetric part C T' C + S T' S
+    cancels exactly, not in rounding, so values differ from the product of the
+    four exponentials by that rounding.  For e and f the real-flow derivatives
+    combine as (L -/+ iM)/2.  The commutator [dR(X), T] (see
+    ``kappa_commutator``) is the algebraic route to the same derivative; the
+    two are compared in the verification suites.
     """
     step = float(step)
     if not _STEP_MIN <= step <= _STEP_MAX:
@@ -189,9 +196,33 @@ def kappa_flow_derivative(
 
     def fd_real(gen: str) -> OperatorMatrix:
         a = rel.generator(gen, w)
-        forward = mat_exp(a, step)
-        backward = mat_exp(a, -step)
-        return (forward @ T @ backward - backward @ T @ forward) / (2.0 * step)
+        T._require_compatible(a)
+        spec = _spectrum(a)
+        cos_even, cos_odd, sin_eo = _parity_blocks(spec, step)
+        d = spec.phases
+        tp = np.divide(T.data, d[:, None], order="C")  # C order: rows are read as real pairs
+        tp *= d
+        tp = OperatorMatrix._adopt(tp, a.window, a.basis)
+
+        def times(parity: int, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+            # T' times the real matrix with these blocks in its even and odd rows, through
+            # the operator product; read as real pairs, it takes real blocks in real arithmetic
+            full = np.zeros(a.data.shape, dtype=np.complex128)
+            full.real[0::2, parity::2], full.real[1::2, 1 - parity::2] = even, odd
+            return (tp @ OperatorMatrix._adopt(full, a.window, a.basis, None)).data.view(np.float64)
+
+        tc, ts = times(0, cos_even, cos_odd), times(1, sin_eo, sin_eo.T)
+        # whole-window arrays are dropped once read: this sets the suite's peak memory
+        del tp
+        # C (T' S) - S (T' C) by row parity: C keeps the parity of a row, S swaps it
+        even = cos_even @ ts[0::2] - sin_eo @ tc[1::2]
+        odd = cos_odd @ ts[1::2] - sin_eo.T @ tc[0::2]
+        del ts, tc
+        k = np.empty(a.data.shape, dtype=np.complex128)
+        k.view(np.float64)[0::2], k.view(np.float64)[1::2] = even, odd
+        k *= (1j / step) * d[:, None]
+        k /= d[None, :]
+        return OperatorMatrix._adopt(k, a.window, a.basis, None)
 
     if X == "L" or X == "M":
         return fd_real(X)

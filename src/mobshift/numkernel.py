@@ -7,6 +7,9 @@ public constructor copies, library results own their fresh arrays.  ``mat_exp``
 takes generators already in an orthonormal basis, skew-Hermitian, and reads no
 Gram; it works in real arithmetic, from one real eigh of the generator's
 tridiagonal Hermitian form and half-size products split by index parity.
+That real tridiagonal is the same for L and M of one family and window (a
+quarter-turn apart, a diagonal unitary that the phases absorb), so the eigh
+is cached on its content: one per family and window.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ ORTHONORMAL = "orthonormal"
 COND_LIMIT = 1.0e8
 #: largest skew-Hermitian residue, relative to the largest entry, that mat_exp accepts
 SKEW_TOL = 1.0e-12
-#: generators whose spectra mat_exp keeps, one realization's h, L and M;
-#: repn keeps as many orthonormal-basis generators
+#: real spectra mat_exp keeps, one entry per family and window (L and M share
+#: one, h needs none); repn keeps as many orthonormal-basis generators
 GENERATOR_CACHE_SIZE = 3
 
 
@@ -267,7 +270,8 @@ class _Spectrum:
     A diagonal X keeps only its diagonal in ``values``.  Otherwise
     ``values`` and the even and odd rows of Q diagonalize the real symmetric
     tridiagonal Hr = Q Lambda Q^T, and e^{tX} is D (cos tHr - i sin tHr) D^-1
-    with D = diag(``phases``).
+    with D = diag(``phases``).  The phases are X's own; the rest is shared
+    by every generator with the same Hr.
     """
 
     values: np.ndarray
@@ -276,16 +280,17 @@ class _Spectrum:
     phases: np.ndarray | None = None
 
 
+#: Hr's off-diagonal, as bytes -> (values, even rows, odd rows) of its eigh
 _spectra: dict = {}
 
 
-def _band_spectrum(a: np.ndarray) -> _Spectrum:
-    """Real parity-split spectrum of a skew-Hermitian generator on the +-1 diagonals.
+def _band_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hr's off-diagonal and the phases of a skew-Hermitian generator on the +-1 diagonals.
 
     H = i X is Hermitian tridiagonal with zero diagonal.  The unit phases
     u_k = H[k+1, k] / |H[k+1, k]| (1 across a seam) multiply up to D = diag(d),
-    and Hr = D^-1 H D is real symmetric.  The similarity keeps D^-1, not D^H:
-    over long chains |d_k| drifts off 1.
+    and Hr = D^-1 H D is real symmetric with off-diagonal |H[k+1, k]|.  The
+    similarity keeps D^-1, not D^H: over long chains |d_k| drifts off 1.
     """
     upper, lower = np.diagonal(a, 1), np.diagonal(a, -1)
     if np.count_nonzero(a) != np.count_nonzero(upper) + np.count_nonzero(lower):
@@ -298,26 +303,37 @@ def _band_spectrum(a: np.ndarray) -> _Spectrum:
     h = 1j * lower
     mod = np.abs(h)
     u = np.divide(h, mod, out=np.ones_like(h), where=mod != 0.0)
-    d = np.concatenate(([1.0 + 0j], np.cumprod(u)))
-    values, q = np.linalg.eigh(np.diag(mod, 1) + np.diag(mod, -1))
-    return _Spectrum(values, np.ascontiguousarray(q[0::2]), np.ascontiguousarray(q[1::2]), d)
+    return mod, np.concatenate(([1.0 + 0j], np.cumprod(u)))
 
 
 def _spectrum(X: OperatorMatrix) -> _Spectrum:
-    """Cached spectral data of X; one real eigh per generator object."""
-    hit = _spectra.pop(id(X), None)
-    if hit is not None and hit[0] is X:
-        _spectra[id(X)] = hit
-        return hit[1]
+    """Spectral data of X: its own checks and phases, run before the lookup so
+    that a hit never vouches for X, and the real eigh of Hr cached on Hr's
+    content, which L and M of one family and window share.  A diagonal X
+    takes no eigh and no entry."""
     band = X.single_diagonal
     if band is not None and band[0] == 0:
-        spec = _Spectrum(band[1].copy())
-    else:
-        spec = _band_spectrum(X.data)
-    _spectra[id(X)] = (X, spec)
+        return _Spectrum(band[1].copy())
+    mod, phases = _band_form(X.data)
+    key = mod.tobytes()
+    hit = _spectra.pop(key, None)
+    if hit is None:
+        values, q = np.linalg.eigh(np.diag(mod, 1) + np.diag(mod, -1))
+        hit = values, np.ascontiguousarray(q[0::2]), np.ascontiguousarray(q[1::2])
+    _spectra[key] = hit
     while len(_spectra) > GENERATOR_CACHE_SIZE:
         del _spectra[next(iter(_spectra))]
-    return spec
+    return _Spectrum(*hit, phases)
+
+
+def _parity_blocks(spec: _Spectrum, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos tHr on the even positions, cos tHr on the odd ones, and sin tHr from
+    even to odd positions: three real half-size products.  Hr links only even
+    positions to odd ones, so cos tHr has no even-odd entries and sin tHr
+    (symmetric) only those."""
+    cos, sin = np.cos(t * spec.values), np.sin(t * spec.values)
+    qe, qo = spec.even, spec.odd
+    return (qe * cos) @ qe.T, (qo * cos) @ qo.T, (qe * sin) @ qo.T
 
 
 def mat_exp(X: OperatorMatrix, t: float = 1.0) -> OperatorMatrix:
@@ -326,12 +342,11 @@ def mat_exp(X: OperatorMatrix, t: float = 1.0) -> OperatorMatrix:
     Diagonal X takes the scalar exponentials directly.  Otherwise X must live
     on the +-1 diagonals and be skew-Hermitian to ``SKEW_TOL`` relative to
     its largest entry; then e^{tX} = D (cos tHr - i sin tHr) D^-1 with
-    Hr = Q Lambda Q^T real (see ``_band_spectrum``): one real eigh per
-    generator, cached for the last few generator objects.  Hr links only even
-    positions to odd ones, so cos tHr has no even-odd entries and sin tHr
-    only those, and each t costs three real half-size products.  Any other
-    generator raises ``NotSkewAdjointError``, as does one built in the
-    orthonormal basis of norms that do not match its action.
+    Hr = Q Lambda Q^T real (see ``_band_form``): one real eigh per family
+    and window, cached for the last few (see ``_spectrum``), and each t
+    costs the three real half-size products of ``_parity_blocks``.  Any
+    other generator raises ``NotSkewAdjointError``, as does one built in
+    the orthonormal basis of norms that do not match its action.
     """
     spec = _spectrum(X)
     t = float(t)
@@ -341,12 +356,10 @@ def mat_exp(X: OperatorMatrix, t: float = 1.0) -> OperatorMatrix:
         if not np.isfinite(out).all():
             raise OverflowGuardError("overflow in diagonal exponential")
         return OperatorMatrix.from_band(X.window, 0, out, X.basis)
-    qe, qo = spec.even, spec.odd
-    cos, sin = np.cos(t * spec.values), np.sin(t * spec.values)
+    cos_even, cos_odd, sin_eo = _parity_blocks(spec, t)
     out = np.zeros(X.data.shape, dtype=np.complex128)
-    out.real[0::2, 0::2] = (qe * cos) @ qe.T
-    out.real[1::2, 1::2] = (qo * cos) @ qo.T
-    sin_eo = (qe * sin) @ qo.T
+    out.real[0::2, 0::2] = cos_even
+    out.real[1::2, 1::2] = cos_odd
     out.imag[0::2, 1::2] = -sin_eo
     out.imag[1::2, 0::2] = -sin_eo.T
     out *= spec.phases[:, None]

@@ -308,8 +308,7 @@ class Realization:
         s_n / s_{n+1} and its -1 band by s_{n+1} / s_n, the square root of
         ``norm_ratio`` (both bands are 0 across a reducible seam).  The sharp
         twist negates h and M and swaps e and f.  The last few (realization,
-        X, window) are kept, so repeated paths reuse one generator object and
-        with it the spectrum ``mat_exp`` caches.
+        X, window) are kept, so repeated paths reuse one generator object.
         """
         sign, xs = _SHARP_GEN.get(X, (1.0, X)) if self.flavor == "sharp" else (1.0, X)
         build = reducible_generator_matrix if self.flavor == "reducible" else generator_matrix

@@ -7,7 +7,8 @@ Taylor sums and Pade scaling-and-squaring instead of eigendecompositions,
 brute-force summation instead of sliced norms, rotation-average quadrature
 instead of diagonal surgery, dense matrix powers instead of diagonal
 recurrences, an LU solve instead of a Neumann series, whole-window dense
-products instead of row and column scalings of an interior block.
+products instead of row and column scalings of an interior block, four dense
+products of the exponentials instead of their parity blocks.
 ``circle_fft`` and ``circle_synthesis`` are the plain normalized FFT pair of
 unit-circle samples; ``unblocked_circle_table`` builds the circle route's
 whole grid x window table at once.  ``orthonormal`` is not an oracle: it is the conversion of a monomial
@@ -21,7 +22,7 @@ import numpy as np
 
 from mobshift.errors import GridSizeError, NumericsError, ParameterError, PoleError
 from mobshift.mobius import MobiusElement
-from mobshift.numkernel import UNILATERAL, _require_power_of_two
+from mobshift.numkernel import UNILATERAL, _require_power_of_two, mat_exp
 from mobshift.repn import (
     _NEGATIVE_INDEX_TOL,
     _NYQUIST_TAIL_TOL,
@@ -157,6 +158,13 @@ def dense_homogeneity_residual(phi: MobiusElement, T, R, w) -> float:
     whole = phi.alpha * (r @ (t - phi.beta * ident)) - t @ r @ (ident - np.conj(phi.beta) * t)
     p = w.interior_positions()
     return float(np.linalg.norm(whole[np.ix_(p, p)]))
+
+
+def dense_flow_difference(X, T, s: float) -> np.ndarray:
+    """(F T F^-1 - F^-1 T F) / 2s with F = e^{sX} and F^-1 = e^{-sX} from
+    ``mat_exp``, by four dense products over the whole window."""
+    f, b, t = mat_exp(X, s).data, mat_exp(X, -s).data, T.data
+    return (f @ t @ b - b @ t @ f) / (2.0 * s)
 
 
 def brute_interior_frobenius(data: np.ndarray, positions) -> float:

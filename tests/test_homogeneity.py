@@ -7,7 +7,7 @@ import pytest
 
 from mobshift import homogeneity, numkernel
 from mobshift.cli import DEFAULT_PATHS
-from mobshift.errors import EmptyInteriorError, ParameterError, SingularMatrixError
+from mobshift.errors import EmptyInteriorError, ParameterError, SingularMatrixError, WindowMismatchError
 from mobshift.homogeneity import (
     DefectReport,
     homogeneity_defect,
@@ -22,6 +22,7 @@ from mobshift.inductive import normalizer_defect
 from mobshift.mobius import GroupPath, MobiusElement, compose, path_to_mobius
 from mobshift.numkernel import (
     BILATERAL,
+    ORTHONORMAL,
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
@@ -33,6 +34,7 @@ from mobshift.repn import Realization, RepnParams, rep_matrix
 from mobshift.shifts import canonical_shift, reducible_shift
 
 from oracles import (
+    dense_flow_difference,
     dense_homogeneity_residual,
     dense_mobius,
     orthonormal,
@@ -378,6 +380,38 @@ def test_kappa_routes_agree(rng):
         fd = kappa_flow_derivative(t, gen, rel, w, step=1e-4)
         comm = kappa_commutator(t, gen, rel, w)
         assert interior_max(fd - comm, w) <= 1e-7, gen
+
+
+FLOW_FAMILIES = (
+    (Realization.plain(HOLO2), TruncationWindow(UNILATERAL, 24, 6)),
+    (Realization.plain(PRIN), TruncationWindow(BILATERAL, 12, 3)),
+    (Realization.reducible(1.5), TruncationWindow(BILATERAL, 12, 3)),
+)
+FLOW_OPERANDS = {
+    "step -1": lambda rng, w: random_shift(rng, w, 1).data.conj().T,  # F-ordered, as .H gives
+    "step +1": lambda rng, w: random_shift(rng, w, 1).data,
+    "step 2": lambda rng, w: random_shift(rng, w, 2).data,
+    "identity": lambda rng, w: np.eye(w.size),
+    "dense": lambda rng, w: random_dense(rng, w.size),
+}
+
+
+@pytest.mark.parametrize("s", [1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("X", ["L", "M"])
+@pytest.mark.parametrize("operand", sorted(FLOW_OPERANDS))
+def test_kappa_flow_derivative_matches_dense_difference(rng, operand, X, s):
+    for rel, w in FLOW_FAMILIES:
+        T = OperatorMatrix(FLOW_OPERANDS[operand](rng, w), w, ORTHONORMAL)
+        A = rel.generator(X, w)
+        delta = kappa_flow_derivative(T, X, rel, w, step=s).data - dense_flow_difference(A, T, s)
+        assert np.max(np.abs(delta)) <= 1e-12 * np.max(np.abs(T.data)) * np.max(np.abs(A.data)), rel.flavor
+
+
+def test_kappa_flow_derivative_refuses_other_windows_and_bases():
+    rel, w = FLOW_FAMILIES[1]
+    for T in (OperatorMatrix.identity(w), OperatorMatrix.identity(TruncationWindow(BILATERAL, 13, 3), ORTHONORMAL)):
+        with pytest.raises(WindowMismatchError):
+            kappa_flow_derivative(T, "L", rel, w)
 
 
 def test_kappa_step_validation():

@@ -14,7 +14,7 @@ from mobshift.errors import (
     ParameterError,
     WindowMismatchError,
 )
-from mobshift.homogeneity import kappa_flow_derivative
+from mobshift.homogeneity import infinitesimal_reports, kappa_flow_derivative
 from mobshift.mobius import GroupPath, MobiusElement, inverse, path_to_mobius, star_path
 from mobshift.numkernel import (
     BILATERAL,
@@ -399,6 +399,37 @@ def test_exponential_caches_hold_one_realization():
             assert len(numkernel._spectra) <= numkernel.GENERATOR_CACHE_SIZE == 3
             assert Realization.generator.cache_info().currsize <= 3
         assert Realization.plain(p).generator("L", w) is Realization.plain(p).generator("L", w)
+
+
+@pytest.mark.parametrize("case", ["holo", "sharp", "principal", "complementary", "reducible"])
+def test_l_and_m_share_one_spectrum(case, monkeypatch):
+    # M is L turned a quarter by a diagonal unitary, which the phases absorb
+    rel, kind = SPECTRAL_CASES[case]
+    for N in (32, 128):
+        w = TruncationWindow(kind, N, N // 4)
+        hr = [numkernel._band_form(rel.generator(X, w).data)[0] for X in ("L", "M")]
+        assert hr[0].tobytes() == hr[1].tobytes()
+    w = TruncationWindow(kind, 32, 8)
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(numkernel, "_spectra", {})
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    rel.along_path(GroupPath((("L", 0.1), ("M", -0.05), ("h", 0.2))), w)
+    infinitesimal_reports(OperatorMatrix.identity(w, ORTHONORMAL), rel, w)
+    assert calls == [(w.size, w.size)]
+
+
+def test_a_cached_spectrum_never_vouches_for_a_generator():
+    rel, kind = SPECTRAL_CASES["principal"]
+    w = TruncationWindow(kind, 16, 4)
+    L = rel.generator("L", w)
+    mat_exp(L, 0.1)
+    assert numkernel._band_form(L.data)[0].tobytes() in numkernel._spectra
+    # the same |lower band| as L, so the same Hr, but an upper band that no longer mirrors it
+    data = L.data.copy()
+    k = np.arange(w.size - 1)
+    data[k, k + 1] *= 1.0 + 1e-6
+    with pytest.raises(NotSkewAdjointError):
+        mat_exp(OperatorMatrix(data, w, ORTHONORMAL), 0.1)
 
 
 # ---------------------------------------------------------------- gram / unitarity
