@@ -8,7 +8,6 @@ from .errors import (
     GridSizeError,
     NotSkewAdjointError,
     NumericsError,
-    OverflowGuardError,
     ParameterError,
     ParameterRangeError,
     PoleError,
@@ -20,7 +19,6 @@ from .homogeneity import (
     DefectReport,
     homogeneity_defect,
     infinitesimal_reports,
-    infinitesimal_targets,
     kappa_commutator,
     kappa_flow_derivative,
     mobius_of_operator,
@@ -28,9 +26,7 @@ from .homogeneity import (
 )
 from .inductive import (
     AminusOneFit,
-    IsotypicComponent,
     classify_a_minus1,
-    decompose,
     isotypic_component,
     ladder_cancellation,
     normalizer_defect,
@@ -45,7 +41,6 @@ from .numkernel import (
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
-    interior_max,
     interior_norm,
     mat_exp,
     solve,
@@ -56,11 +51,9 @@ from .repn import (
     HOLO,
     PRINCIPAL,
     REDUCIBLE,
-    CoefficientVector,
     Realization,
     RepnParams,
     circle_rep_matrix,
-    circle_rep_oracle,
     classify_series,
     default_grid_size,
     generator_matrix,

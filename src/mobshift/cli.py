@@ -265,10 +265,16 @@ _SUITE_RUNNERS = {
 }
 
 
+def _default_pad(N: int, normalizer: bool = False) -> int:
+    """Padding when --pad is omitted: N/4, or 3N/8 for the normalizer, which
+    conjugates by R and needs a deeper quarantine; never below 16 and 24,
+    which small windows need (pad 8 at N = 32 fails homogeneity)."""
+    return max(DEEP_PADDING, 3 * N // 8) if normalizer else max(DEFAULT_PADDING, N // 4)
+
+
 def cmd_verify(args) -> int:
     if args.pad is None:
-        # the normalizer conjugates by R, which needs a deeper quarantine
-        args.pad = DEEP_PADDING if args.suite == "normalizer" else DEFAULT_PADDING
+        args.pad = _default_pad(args.N, args.suite == "normalizer")
     reports = _SUITE_RUNNERS[args.suite](args)
     for report in reports:
         print(report.to_json())
@@ -350,7 +356,7 @@ def _sweep_cell(args, op, suites, paths, lam: float, mu: complex) -> tuple[float
 
 def cmd_sweep(args) -> int:
     if args.pad is None:
-        args.pad = DEFAULT_PADDING
+        args.pad = _default_pad(args.N)
     suites = [suite.strip() for suite in args.suites.split(",")]
     for suite in suites:
         if suite not in SWEEP_SUITES:
@@ -414,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("suite", choices=SUITES)
     add_series(vp)
     vp.add_argument("--N", type=int, default=DEFAULT_N, help="window size (default 64)")
-    vp.add_argument("--pad", type=int, default=None, help="interior padding (default 16; 24 for normalizer)")
+    vp.add_argument("--pad", type=int, default=None, help="interior padding (default max(16, N/4); max(24, 3N/8) for normalizer)")
     vp.add_argument("--op", choices=OP_CHOICES, help="operator under test")
     vp.add_argument("--path", action="append", help="flow path gen:time[,gen:time...]; repeatable")
     vp.add_argument("--tolerance", type=float, help="override the suite tolerance")
@@ -439,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--op", choices=OP_CHOICES, help="operator for the homogeneity suite")
     gp.add_argument("--path", action="append", help="flow path; repeatable")
     gp.add_argument("--N", type=int, default=DEFAULT_N)
-    gp.add_argument("--pad", type=int, default=None)
+    gp.add_argument("--pad", type=int, default=None, help="interior padding (default max(16, N/4))")
     gp.set_defaults(func=cmd_sweep)
 
     return parser

@@ -21,10 +21,6 @@ class SingularMatrixError(NumericsError):
         super().__init__(message)
 
 
-class OverflowGuardError(NumericsError):
-    """Matrix exponential overflowed: a diagonal generator with a large real part."""
-
-
 class NotSkewAdjointError(NumericsError):
     """Matrix exponential refused: the generator is not skew-Hermitian in the basis it was built in."""
 

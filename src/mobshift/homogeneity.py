@@ -1,12 +1,14 @@
-"""Rational functional calculus on operators and the defect certificates for
-conjugation covariance and its infinitesimal forms.
+"""Defect certificates for conjugation covariance and its infinitesimal forms.
 
 An operator T is homogeneous for a representation R when
-``phi_g(T) = R(g)^{-1} T R(g)`` along the cover; differentiating the
-conjugation flow kappa(g)T = R(g) T R(g)^{-1} at the identity yields
+``phi_g(T) = R(g)^{-1} T R(g)`` along the cover; ``homogeneity_defect``
+certifies it with phi's denominator multiplied out, so it forms no phi(T),
+resolvent or inverse.  Differentiating the conjugation flow
+kappa(g)T = R(g) T R(g)^{-1} at the identity yields
 ``kappa(L)T = T^2 - I``, ``kappa(M)T = -i(T^2 + I)``, ``kappa(e)T = -I`` and
 ``kappa(f)T = T^2`` for such T.  Every certificate here is a named residual
-restricted to the window interior.
+restricted to the window interior.  ``mobius_of_operator``, phi(T) by one
+guarded solve, serves no certificate.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, SingularMatrixError
+from .errors import ParameterError
 from .mobius import MobiusElement
 from .numkernel import (
     BILATERAL,
-    COND_LIMIT,
     OperatorMatrix,
     TruncationWindow,
     _interior_block,
@@ -75,58 +76,17 @@ class DefectReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _shift_resolvent(m: int, d: np.ndarray, c: complex, size: int) -> np.ndarray:
-    """(I - c T)^{-1} for the shift T with the single diagonal (m, d), m != 0.
-
-    T is nilpotent, so the inverse is the finite Neumann series, built by the
-    row recurrence N[r] = e_r + c T[r, r + m] N[r + m]: one slice update per
-    block of |m| rows, each over the columns the triangular N can fill.
-    """
-    s = abs(m)
-    coef = c * d
-    n = np.eye(size, dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        if m < 0:
-            # T[r, r - s] = d[r - s]; rows r >= s lean on the rows s above
-            for lo in range(s, size, s):
-                hi = min(lo + s, size)
-                n[lo:hi, :hi] += coef[lo - s : hi - s, None] * n[lo - s : hi - s, :hi]
-        else:
-            # T[r, r + s] = d[r]; rows r < size - s lean on the rows s below
-            for hi in range(size - s, 0, -s):
-                lo = max(hi - s, 0)
-                n[lo:hi, lo:] += coef[lo:hi, None] * n[lo + s : hi + s, lo:]
-    return n
-
-
 def mobius_of_operator(phi: MobiusElement, T: OperatorMatrix) -> OperatorMatrix:
-    """phi(T) = alpha (T - beta I)(I - conj(beta) T)^{-1}.
+    """phi(T) = alpha (T - beta I)(I - conj(beta) T)^{-1}, by one guarded ``solve``.
 
     A near-singular I - conj(beta) T means phi is not holomorphic on the
-    truncation's numerical spectrum, so the resolvent is refused when its
-    1-norm condition number reaches ``COND_LIMIT``.  For a shift (one nonzero
-    diagonal off the main one) the resolvent N is a finite Neumann series and
-    phi(T) = alpha (T N - beta N) costs O(N^2), the condition number exactly
-    ||I - conj(beta) T||_1 ||N||_1; any other T goes through ``solve``.
-    No certificate calls it: ``homogeneity_defect`` multiplies the
-    denominator out instead.
+    truncation's numerical spectrum; ``solve`` refuses it.  No certificate
+    calls this: ``homogeneity_defect`` multiplies the denominator out.  It
+    stays in the package, with ``numkernel.solve``, because the benchmark's
+    tracer (``bench/tracer.py``, ``TARGETS``) wraps both by name.
     """
-    band = T.single_diagonal
-    if band is not None and band[0] != 0:
-        c = phi.beta.conjugate()
-        n = _shift_resolvent(band[0], band[1], c, T.window.size)
-        # each column of I - c T holds a 1 and at most one entry c d_k
-        with np.errstate(all="ignore"):
-            estimate = (1.0 + float(np.max(np.abs(c * band[1])))) * float(np.linalg.norm(n, 1))
-        if not estimate < COND_LIMIT:
-            raise SingularMatrixError(estimate)
-        image = (T @ OperatorMatrix._adopt(n, T.window, T.basis)).data - phi.beta * n
-        image *= phi.alpha
-        return OperatorMatrix._adopt(image, T.window, T.basis)
     ident = OperatorMatrix.identity(T.window, T.basis)
-    denominator = ident - phi.beta.conjugate() * T
-    numerator = T - phi.beta * ident
-    return phi.alpha * solve(denominator, numerator)
+    return phi.alpha * solve(ident - phi.beta.conjugate() * T, T - phi.beta * ident)
 
 
 def homogeneity_defect(
@@ -241,16 +201,6 @@ def kappa_commutator(T: OperatorMatrix, X: str, rel: Realization, w: TruncationW
     return a @ T - T @ a
 
 
-def _targets(square, ident) -> dict:
-    # works on operators and on plain interior blocks alike
-    return {"L": square - ident, "M": -1j * (square + ident), "e": -ident, "f": square}
-
-
-def infinitesimal_targets(T: OperatorMatrix) -> dict:
-    """The values kappa(X)T must take when T is homogeneous."""
-    return _targets(T @ T, OperatorMatrix.identity(T.window, T.basis))
-
-
 def infinitesimal_reports(
     T: OperatorMatrix,
     rel: Realization,
@@ -271,7 +221,9 @@ def infinitesimal_reports(
     and M ones by linearity, so no whole-window result outlives its use.
     """
     square = _interior_block(T @ T, w)
-    targets = _targets(square, np.eye(square.shape[0]))
+    ident = np.eye(square.shape[0])
+    targets = {"L": square - ident, "M": -1j * (square + ident), "e": -ident, "f": square}
+    del ident  # the loop below sets the suite's peak memory
     flow = {}
     reports = []
     for gen in KAPPA_GENERATORS:

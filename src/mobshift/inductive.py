@@ -39,35 +39,12 @@ DEFAULT_NORMALIZER_TOL = 1e-6
 DEFAULT_FLIP_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class IsotypicComponent:
-    """Entries of an operator on one rotation character: T f_n = a_n f_{n-m}.
-
-    ``diagonal`` is the m-th matrix diagonal (row n - m, column n), as
-    ``np.diagonal`` orders it; it is empty when |m| >= window size.
-    """
-
-    m: int
-    window: TruncationWindow
-    basis: str
-    diagonal: np.ndarray
-
-    def to_matrix(self) -> OperatorMatrix:
-        return OperatorMatrix.from_band(self.window, self.m, self.diagonal, self.basis)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.diagonal), initial=0.0))
-
-
-def isotypic_component(T: OperatorMatrix, m: int) -> IsotypicComponent:
-    """Exact extraction of the m-th diagonal (row n - m, column n)."""
-    return IsotypicComponent(int(m), T.window, T.basis, np.diagonal(T.data, m))
-
-
-def decompose(T: OperatorMatrix) -> list:
-    """All isotypic components; summing their matrices reassembles T exactly."""
-    top = T.window.size - 1
-    return [isotypic_component(T, m) for m in range(-top, top + 1)]
+def isotypic_component(T: OperatorMatrix, m: int) -> np.ndarray:
+    """The entries of T on one rotation character, T f_n = a_n f_{n-m}: its
+    m-th matrix diagonal (row n - m, column n), as ``np.diagonal`` orders it
+    and ``OperatorMatrix.from_band`` reassembles it; empty when |m| >= window
+    size."""
+    return np.diagonal(T.data, m)
 
 
 def te_tf_coefficients(a: Mapping[int, complex], m: int, p: RepnParams, w: TruncationWindow):
@@ -231,9 +208,9 @@ def normalizer_defect(
             if adj is not None:
                 adj_power = adj_power[:length] * adj[lo : lo + length]
         span = slice(w.padding, w.padding + interior - s * k)
-        value += _best_multiple_residual(isotypic_component(S, step * k).diagonal[span], power[span])
+        value += _best_multiple_residual(isotypic_component(S, step * k)[span], power[span])
         if k > 0:
-            opposite = isotypic_component(S, -step * k).diagonal[span]
+            opposite = isotypic_component(S, -step * k)[span]
             value += _best_multiple_residual(opposite, adj_power[span] if adj is not None else None)
     return DefectReport.build("normalizer", value, tolerance, context)
 
@@ -263,9 +240,9 @@ def sharp_isotypic_flip(
     backward = GroupPath((("h", -angle),))
     plain, sharp = (rel.along_path(forward, w) @ T @ rel.along_path(backward, w)
                     for rel in (Realization.plain(p), Realization.sharp(p)))
-    base = isotypic_component(T, m).diagonal
-    err_plain = isotypic_component(plain, m).diagonal - cmath.exp(2j * m * angle) * base
-    err_sharp = isotypic_component(sharp, m).diagonal - cmath.exp(-2j * m * angle) * base
+    base = isotypic_component(T, m)
+    err_plain = isotypic_component(plain, m) - cmath.exp(2j * m * angle) * base
+    err_sharp = isotypic_component(sharp, m) - cmath.exp(-2j * m * angle) * base
     value = np.abs(np.concatenate((err_plain, err_sharp))).max(initial=0.0)
     ctx = dict(context or {})
     ctx.setdefault("m", int(m))

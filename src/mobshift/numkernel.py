@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     EmptyInteriorError,
     NotSkewAdjointError,
-    OverflowGuardError,
     ParameterError,
     SingularMatrixError,
     WindowMismatchError,
@@ -258,16 +257,11 @@ class OperatorMatrix:
         """Conjugate transpose."""
         return OperatorMatrix._adopt(self.data.conj().T, self.window, self.basis)
 
-    @property
-    def norm_fro(self) -> float:
-        return float(np.linalg.norm(self.data))
-
 
 @dataclass(frozen=True, eq=False)
 class _Spectrum:
-    """e^{tX} data for one generator X.
+    """e^{tX} data for one tridiagonal generator X.
 
-    A diagonal X keeps only its diagonal in ``values``.  Otherwise
     ``values`` and the even and odd rows of Q diagonalize the real symmetric
     tridiagonal Hr = Q Lambda Q^T, and e^{tX} is D (cos tHr - i sin tHr) D^-1
     with D = diag(``phases``).  The phases are X's own; the rest is shared
@@ -275,9 +269,9 @@ class _Spectrum:
     """
 
     values: np.ndarray
-    even: np.ndarray | None = None
-    odd: np.ndarray | None = None
-    phases: np.ndarray | None = None
+    even: np.ndarray
+    odd: np.ndarray
+    phases: np.ndarray
 
 
 #: Hr's off-diagonal, as bytes -> (values, even rows, odd rows) of its eigh
@@ -307,13 +301,9 @@ def _band_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _spectrum(X: OperatorMatrix) -> _Spectrum:
-    """Spectral data of X: its own checks and phases, run before the lookup so
-    that a hit never vouches for X, and the real eigh of Hr cached on Hr's
-    content, which L and M of one family and window share.  A diagonal X
-    takes no eigh and no entry."""
-    band = X.single_diagonal
-    if band is not None and band[0] == 0:
-        return _Spectrum(band[1].copy())
+    """Spectral data of a tridiagonal X: its own checks and phases, run before
+    the lookup so that a hit never vouches for X, and the real eigh of Hr
+    cached on Hr's content, which L and M of one family and window share."""
     mod, phases = _band_form(X.data)
     key = mod.tobytes()
     hit = _spectra.pop(key, None)
@@ -337,25 +327,27 @@ def _parity_blocks(spec: _Spectrum, t: float) -> tuple[np.ndarray, np.ndarray, n
 
 
 def mat_exp(X: OperatorMatrix, t: float = 1.0) -> OperatorMatrix:
-    """e^{tX} for a diagonal or a skew-Hermitian tridiagonal generator.
+    """e^{tX} for a skew-Hermitian diagonal or tridiagonal generator.
 
-    Diagonal X takes the scalar exponentials directly.  Otherwise X must live
-    on the +-1 diagonals and be skew-Hermitian to ``SKEW_TOL`` relative to
-    its largest entry; then e^{tX} = D (cos tHr - i sin tHr) D^-1 with
+    Either must be skew-Hermitian to ``SKEW_TOL`` relative to its largest
+    entry.  A diagonal X (|Re d| within that bound) takes the scalar
+    exponentials, which are then unimodular.  A tridiagonal X must live on
+    the +-1 diagonals; then e^{tX} = D (cos tHr - i sin tHr) D^-1 with
     Hr = Q Lambda Q^T real (see ``_band_form``): one real eigh per family
     and window, cached for the last few (see ``_spectrum``), and each t
     costs the three real half-size products of ``_parity_blocks``.  Any
     other generator raises ``NotSkewAdjointError``, as does one built in
     the orthonormal basis of norms that do not match its action.
     """
-    spec = _spectrum(X)
     t = float(t)
-    if spec.even is None:
-        with np.errstate(over="ignore"):
-            out = np.exp(t * spec.values)
-        if not np.isfinite(out).all():
-            raise OverflowGuardError("overflow in diagonal exponential")
-        return OperatorMatrix.from_band(X.window, 0, out, X.basis)
+    band = X.single_diagonal
+    if band is not None and band[0] == 0:
+        d = band[1]
+        residue = float(np.max(np.abs(d.real)))
+        if not residue <= SKEW_TOL * float(np.max(np.abs(d))):
+            raise NotSkewAdjointError(f"diagonal generator is not skew-Hermitian (real part {residue:.3e})")
+        return OperatorMatrix.from_band(X.window, 0, np.exp(t * d), X.basis)
+    spec = _spectrum(X)
     cos_even, cos_odd, sin_eo = _parity_blocks(spec, t)
     out = np.zeros(X.data.shape, dtype=np.complex128)
     out.real[0::2, 0::2] = cos_even
@@ -408,11 +400,6 @@ def _interior_block(A: OperatorMatrix, w: TruncationWindow) -> np.ndarray:
 def interior_norm(A: OperatorMatrix, w: TruncationWindow) -> float:
     """Frobenius norm of the sub-block with interior row AND column indices."""
     return float(np.linalg.norm(_interior_block(A, w)))
-
-
-def interior_max(A: OperatorMatrix, w: TruncationWindow) -> float:
-    """Largest entry magnitude over the interior sub-block."""
-    return float(np.max(np.abs(_interior_block(A, w))))
 
 
 def _require_power_of_two(n: int) -> None:

@@ -60,8 +60,6 @@ PRINCIPAL = "principal"
 COMPLEMENTARY = "complementary"
 REDUCIBLE = "reducible"
 
-GENERATOR_NAMES = ("h", "e", "f", "L", "M")
-
 _COUPLING_BOUND = 10.0
 _NYQUIST_TAIL_TOL = 1e-9
 _NEGATIVE_INDEX_TOL = 1e-10
@@ -89,32 +87,6 @@ class RepnParams:
             raise ParameterError(f"lam and mu must be finite, got lam={self.lam}, mu={self.mu}")
         if self.index_set == UNILATERAL and self.mu != 0:
             raise ParameterError("unilateral families require mu = 0")
-
-
-@dataclass(frozen=True, eq=False)
-class CoefficientVector:
-    """Coefficients against the monomial basis over a window."""
-
-    window: TruncationWindow
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=np.complex128)
-        if arr.shape != (self.window.size,):
-            raise WindowMismatchError("coefficient length does not match window size")
-        if not np.isfinite(arr).all():
-            raise ParameterError("non-finite coefficients")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    @classmethod
-    def basis_vector(cls, window: TruncationWindow, n: int) -> "CoefficientVector":
-        arr = np.zeros(window.size, dtype=np.complex128)
-        arr[window.pos(n)] = 1.0
-        return cls(window, arr)
-
-    def value(self, n: int) -> complex:
-        return complex(self.coeffs[self.window.pos(n)])
 
 
 def classify_series(p: RepnParams) -> str:
@@ -434,46 +406,6 @@ def _circle_table(
             f"negative-index content {worst:.3e} in a unilateral action; branch assumptions violated"
         )
     return table
-
-
-def circle_rep_oracle(
-    p: RepnParams,
-    phi_inv: MobiusElement,
-    eta_plus: complex,
-    eta_minus: complex,
-    F: CoefficientVector,
-    grid_size: int | None = None,
-) -> CoefficientVector:
-    """Representation action computed on the unit circle, independent of the
-    generator-exponential route.
-
-    Parameters
-    ----------
-    phi_inv : MobiusElement
-        The automorphism phi_{g^{-1}}; must stay near the identity
-        (|beta| <= 0.3) so the principal branches are valid.
-    eta_plus, eta_minus : complex
-        Exponents of the derivative factor, (lam + mu)/2 and mu/2.
-    F : CoefficientVector
-        Input coefficients over the window.
-    grid_size : int, optional
-        Power-of-two sample count; defaults to the smallest power of two
-        at least 8x the window size.
-
-    Returns
-    -------
-    CoefficientVector
-        Coefficients of R(g)F over the same window.
-
-    Raises
-    ------
-    GridSizeError
-        If the coefficient tail near the Nyquist edge exceeds 1e-9.
-    NumericsError
-        If a unilateral action produces negative-index content above 1e-10.
-    """
-    table = _circle_table(p, phi_inv, eta_plus, eta_minus, F.window, grid_size)
-    return CoefficientVector(F.window, table @ F.coeffs)
 
 
 def circle_rep_matrix(

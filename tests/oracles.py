@@ -6,13 +6,15 @@ asymptotic series) instead of products of norm ratios, truncated
 Taylor sums and Pade scaling-and-squaring instead of eigendecompositions,
 brute-force summation instead of sliced norms, rotation-average quadrature
 instead of diagonal surgery, dense matrix powers instead of diagonal
-recurrences, an LU solve instead of a Neumann series, whole-window dense
-products instead of row and column scalings of an interior block, four dense
-products of the exponentials instead of their parity blocks.
-``circle_fft`` and ``circle_synthesis`` are the plain normalized FFT pair of
-unit-circle samples; ``unblocked_circle_table`` builds the circle route's
-whole grid x window table at once.  ``orthonormal`` is not an oracle: it is the conversion of a monomial
-operator into the basis of R that the tests share.
+recurrences, an LU solve for phi(T) instead of its denominator multiplied
+out, whole-window dense products instead of row and column scalings of an
+interior block, four dense products of the exponentials instead of their
+parity blocks.  ``circle_fft`` and ``circle_synthesis`` are the plain
+normalized FFT pair of unit-circle samples; ``unblocked_circle_table`` builds
+the circle route's whole grid x window table at once; ``circle_rep_oracle``
+applies the circle route's table to one coefficient vector, as the oracle of
+the exponential route.  ``orthonormal`` is not an oracle: it is the
+conversion of a monomial operator into the basis of R that the tests share.
 """
 
 import cmath
@@ -27,6 +29,7 @@ from mobshift.repn import (
     _NEGATIVE_INDEX_TOL,
     _NYQUIST_TAIL_TOL,
     _circle_factors,
+    _circle_table,
     _signed_frequencies,
     gram,
     to_orthonormal,
@@ -320,3 +323,16 @@ def unblocked_circle_table(phi_inv: MobiusElement, eta_plus, eta_minus, w, grid:
             f"negative-index content {negative:.3e} in a unilateral action; branch assumptions violated"
         )
     return table[w.indices() % grid, :]
+
+
+def circle_rep_oracle(p, phi_inv: MobiusElement, eta_plus, eta_minus, w, coeffs, grid_size=None) -> np.ndarray:
+    """R(g) applied to monomial coefficients over w, computed on the unit
+    circle, independent of the generator-exponential route.
+
+    ``phi_inv`` is phi_{g^-1} (|beta| <= 0.3, else ``ParameterError``);
+    eta_plus, eta_minus are (lam + mu)/2 and mu/2.  The circle route's table
+    raises ``GridSizeError`` for a Nyquist tail above 1e-9 and
+    ``NumericsError`` for negative-index content above 1e-10 in a unilateral
+    action.
+    """
+    return _circle_table(p, phi_inv, eta_plus, eta_minus, w, grid_size) @ np.asarray(coeffs, dtype=np.complex128)

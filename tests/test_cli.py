@@ -162,6 +162,20 @@ def test_verify_normalizer_uses_deep_padding(capsys):
     assert report["pass"]
 
 
+def test_default_padding_follows_the_window(capsys):
+    # at N = 128 the pads of N = 64 (16, and 24 for the normalizer) read 1e-3 to 2e-2
+    # for homogeneity and 0.09 to 0.73 for the normalizer
+    family = ["--series", "principal", "--lambda", "0.3", "--N", "128"]
+    for suite, padding in (("homogeneity", 32), ("normalizer", 48)):
+        code, out, _ = run(capsys, ["verify", suite, *family])
+        reports = [json.loads(line) for line in out.strip().splitlines()]
+        assert code == 0 and len(reports) == 4, suite
+        assert all(r["context"]["padding"] == padding for r in reports), suite
+    code, out, _ = run(capsys, ["sweep", "--series", "holo", "--lambda-grid", "2", "--suites", "unitarity,homogeneity",
+                                "--N", "128"])
+    assert code == 0 and out.splitlines()[1].split(",")[5] == "32"
+
+
 def test_verify_incompatible_operator_exit_two(capsys):
     code, _, err = run(
         capsys,

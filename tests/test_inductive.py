@@ -8,7 +8,6 @@ from mobshift.inductive import (
     FIT_T2,
     FIT_T3,
     classify_a_minus1,
-    decompose,
     isotypic_component,
     ladder_cancellation,
     normalizer_defect,
@@ -50,26 +49,27 @@ def rng():
 def test_isotypic_of_identity():
     w = TruncationWindow(BILATERAL, 4, 1)
     ident = OperatorMatrix.identity(w)
-    zero_component = isotypic_component(ident, 0)
-    np.testing.assert_array_equal(zero_component.to_matrix().data, np.eye(w.size))
+    zero_component = OperatorMatrix.from_band(w, 0, isotypic_component(ident, 0))
+    np.testing.assert_array_equal(zero_component.data, np.eye(w.size))
     for m in (-2, -1, 1, 3):
-        assert isotypic_component(ident, m).max_abs() == 0.0
+        assert not isotypic_component(ident, m).any()
 
 
 def test_isotypic_of_shift():
     w = TruncationWindow(UNILATERAL, 6, 1)
     t1 = canonical_shift("T1", HOLO2, w)
-    comp = isotypic_component(t1, -1)
-    np.testing.assert_array_equal(comp.to_matrix().data, t1.data)
-    assert isotypic_component(t1, 1).max_abs() == 0.0
+    comp = OperatorMatrix.from_band(w, -1, isotypic_component(t1, -1))
+    np.testing.assert_array_equal(comp.data, t1.data)
+    assert not isotypic_component(t1, 1).any()
 
 
 def test_isotypic_reassembly_is_exact(rng):
     w = TruncationWindow(BILATERAL, 5, 1)
     t = OperatorMatrix(random_dense(rng, w.size), w)
     total = np.zeros_like(t.data)
-    for comp in decompose(t):
-        total = total + comp.to_matrix().data
+    top = w.size - 1
+    for m in range(-top, top + 1):
+        total = total + OperatorMatrix.from_band(w, m, isotypic_component(t, m)).data
     assert np.array_equal(total, t.data)
 
 
@@ -79,7 +79,7 @@ def test_isotypic_matches_rotation_average(rng):
     count = 4 * w.size
     for m in (-3, -1, 0, 2, 5):
         averaged = rotation_average_component(t, m, count)
-        surgical = isotypic_component(t, m).to_matrix().data
+        surgical = OperatorMatrix.from_band(w, m, isotypic_component(t, m)).data
         assert np.max(np.abs(averaged - surgical)) <= 1e-10
 
 
@@ -88,8 +88,8 @@ def test_isotypic_beyond_window_is_zero_matrix(rng):
     t = OperatorMatrix(random_dense(rng, w.size), w)
     for m in (w.size, -w.size, w.size + 4):
         comp = isotypic_component(t, m)
-        assert comp.max_abs() == 0.0
-        np.testing.assert_array_equal(comp.to_matrix().data, np.zeros((w.size, w.size)))
+        assert comp.size == 0
+        np.testing.assert_array_equal(OperatorMatrix.from_band(w, m, comp).data, np.zeros((w.size, w.size)))
 
 
 # ---------------------------------------------------------------- te / tf

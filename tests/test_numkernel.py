@@ -5,7 +5,7 @@ import pytest
 
 from mobshift.errors import (
     EmptyInteriorError,
-    OverflowGuardError,
+    NotSkewAdjointError,
     ParameterError,
     SingularMatrixError,
     WindowMismatchError,
@@ -18,7 +18,6 @@ from mobshift.numkernel import (
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
-    interior_max,
     interior_norm,
     mat_exp,
     solve,
@@ -194,11 +193,12 @@ def test_pade_oracle_inverse_property(rng):
 
 
 def test_mat_exp_norm_guard():
-    # a real diagonal this large overflows the diagonal fast path
+    # a diagonal generator meets the same skew rule as a tridiagonal one, so a
+    # real diagonal is refused, whether it would overflow or not
     w = window_of_size(3)
-    a = OperatorMatrix(np.eye(3) * 5e3, w)
-    with pytest.raises(OverflowGuardError):
-        mat_exp(a)
+    for a in (OperatorMatrix(np.eye(3) * 5e3, w), OperatorMatrix.from_band(w, 0, 0.5 * np.ones(3))):
+        with pytest.raises(NotSkewAdjointError):
+            mat_exp(a)
 
 
 def test_pade_oracle_scaling_branch_accuracy(rng):
@@ -400,13 +400,6 @@ def test_interior_empty_raises():
     w = TruncationWindow(UNILATERAL, 6, 4)  # positions 4..2 form an empty set
     with pytest.raises(EmptyInteriorError):
         interior_norm(OperatorMatrix.identity(w), w)
-
-
-def test_interior_max(rng):
-    w = TruncationWindow(BILATERAL, 4, 1)
-    m = OperatorMatrix(random_dense(rng, w.size), w)
-    p = w.interior_positions()
-    assert interior_max(m, w) == pytest.approx(np.max(np.abs(m.data[np.ix_(p, p)])))
 
 
 def test_interior_window_mismatch(rng):

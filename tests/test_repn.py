@@ -29,11 +29,9 @@ from mobshift.repn import (
     COMPLEMENTARY,
     HOLO,
     PRINCIPAL,
-    CoefficientVector,
     Realization,
     RepnParams,
     circle_rep_matrix,
-    circle_rep_oracle,
     classify_series,
     complementary_mu_interval,
     default_grid_size,
@@ -46,7 +44,7 @@ from mobshift.repn import (
     unitarity_residual,
 )
 
-from oracles import pade_expm, random_dense, unblocked_circle_table
+from oracles import circle_rep_oracle, pade_expm, random_dense, unblocked_circle_table
 
 PRINCIPAL_P = RepnParams(BILATERAL, 0.3, complex(0.35, 0.7))
 COMP_P = RepnParams(BILATERAL, 0.4, 0.2 + 0j)
@@ -495,12 +493,17 @@ def test_unitarity_defect_padding_profile():
 # ---------------------------------------------------------------- circle route
 
 
+def monomial(w, n):
+    """Coefficients of f_n over the window w."""
+    return np.eye(w.size)[w.pos(n)]
+
+
 def test_circle_oracle_identity_fixes_coefficients():
     w = TruncationWindow(BILATERAL, 8, 2)
     rng = np.random.default_rng(5)
-    F = CoefficientVector(w, rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size))
-    out = circle_rep_oracle(PRINCIPAL_P, MobiusElement.identity(), 0.0, 0.0, F)
-    assert np.max(np.abs(out.coeffs - F.coeffs)) <= 1e-13
+    F = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
+    out = circle_rep_oracle(PRINCIPAL_P, MobiusElement.identity(), 0.0, 0.0, w, F)
+    assert np.max(np.abs(out - F)) <= 1e-13
 
 
 def test_circle_oracle_rotation_scales_coefficients():
@@ -508,10 +511,9 @@ def test_circle_oracle_rotation_scales_coefficients():
     w = TruncationWindow(BILATERAL, 8, 2)
     t = 0.2
     phi_inv = MobiusElement(cmath.exp(-2j * t), 0.0)
-    F = CoefficientVector(w, np.ones(w.size, dtype=complex))
-    out = circle_rep_oracle(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, F)
+    out = circle_rep_oracle(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, w, np.ones(w.size))
     expected = np.exp(-1j * (2.0 * w.indices() + p.lam) * t)
-    assert np.max(np.abs(out.coeffs - expected)) <= 1e-12
+    assert np.max(np.abs(out - expected)) <= 1e-12
 
 
 def test_circle_oracle_matches_rep_matrix_column():
@@ -522,10 +524,10 @@ def test_circle_oracle_matches_rep_matrix_column():
     path = GroupPath((("L", 0.1),))
     R = rep_matrix(p, path, w)
     phi_inv = inverse(path_to_mobius(path))
-    out = circle_rep_oracle(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, CoefficientVector.basis_vector(w, 0))
+    out = circle_rep_oracle(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, w, monomial(w, 0))
     s = np.sqrt(gram(p, w).data.diagonal().real)
     rows = w.pos(0) + np.arange(8)
-    assert np.max(np.abs(out.coeffs[rows] * s[rows] - R.data[rows, w.pos(0)])) <= 1e-12
+    assert np.max(np.abs(out[rows] * s[rows] - R.data[rows, w.pos(0)])) <= 1e-12
 
 
 def test_circle_matrix_matches_rep_matrix_interior():
@@ -543,28 +545,25 @@ def test_circle_matrix_matches_rep_matrix_interior():
 
 def test_circle_oracle_rejects_far_elements():
     w = TruncationWindow(BILATERAL, 8, 2)
-    F = CoefficientVector.basis_vector(w, 0)
     far = MobiusElement(1.0, 0.45)
     with pytest.raises(ParameterError):
-        circle_rep_oracle(PRINCIPAL_P, far, 0.15, 0.0, F)
+        circle_rep_oracle(PRINCIPAL_P, far, 0.15, 0.0, w, monomial(w, 0))
 
 
 def test_circle_oracle_grid_too_small():
     p = RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
     w = TruncationWindow(BILATERAL, 8, 2)
     phi_inv = MobiusElement(1.0, 0.3)
-    F = CoefficientVector.basis_vector(w, 8)
     with pytest.raises(GridSizeError):
-        circle_rep_oracle(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, F, grid_size=32)
+        circle_rep_oracle(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, w, monomial(w, 8), grid_size=32)
 
 
 def test_circle_oracle_detects_negative_leakage():
     # a conjugate-exponent mismatch drives content into negative indices
     w = TruncationWindow(UNILATERAL, 16, 4)
     phi_inv = MobiusElement(1.0, 0.25)
-    F = CoefficientVector.basis_vector(w, 0)
     with pytest.raises(NumericsError):
-        circle_rep_oracle(HOLO2, phi_inv, 1.0, 0.5, F)
+        circle_rep_oracle(HOLO2, phi_inv, 1.0, 0.5, w, monomial(w, 0))
 
 
 # one window smaller than a block, one spanning a partial block on each side
@@ -590,9 +589,9 @@ def test_blocked_circle_table_matches_unblocked_oracle(p, w, path):
     s = np.sqrt(gram(p, w).data.diagonal().real)
     blocked = circle_rep_matrix(p, path, w).data / s[:, None] * s[None, :]
     assert np.max(np.abs(blocked - expected)) <= 1e-14 * scale
-    F = CoefficientVector(w, rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size))
-    out = circle_rep_oracle(p, phi_inv, *eta, F)
-    assert np.max(np.abs(out.coeffs - expected @ F.coeffs)) <= 1e-14 * scale * np.sum(np.abs(F.coeffs))
+    F = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
+    out = circle_rep_oracle(p, phi_inv, *eta, w, F)
+    assert np.max(np.abs(out - expected @ F)) <= 1e-14 * scale * np.sum(np.abs(F))
 
 
 def test_blocked_circle_checks_report_the_whole_table_maximum():
@@ -604,9 +603,8 @@ def test_blocked_circle_checks_report_the_whole_table_maximum():
         (PRINCIPAL_P, TruncationWindow(BILATERAL, 40, 10), principal_eta, 128, GridSizeError),
         (HOLO2, TruncationWindow(UNILATERAL, 80, 20), (1.0, 0.5), None, NumericsError),
     ):
-        F = CoefficientVector.basis_vector(window, 0)
         with pytest.raises(error) as blocked:
-            circle_rep_oracle(p, phi_inv, *eta, F, grid_size=grid)
+            circle_rep_oracle(p, phi_inv, *eta, window, monomial(window, 0), grid_size=grid)
         with pytest.raises(error) as whole:
             unblocked_circle_table(phi_inv, *eta, window, grid or default_grid_size(window))
         assert str(blocked.value) == str(whole.value)
