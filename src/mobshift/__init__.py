@@ -11,7 +11,6 @@ from .errors import (
     ParameterError,
     ParameterRangeError,
     PoleError,
-    RecoveryError,
     SingularMatrixError,
     WindowMismatchError,
 )

@@ -10,8 +10,9 @@ cell runs that loop over the requested suites.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad usage or
 parameters, 3 a numerical failure (a generator that is not skew-Hermitian in
-the orthonormal basis because the basis norms do not match its action, grid
-too small, or too little memory for the window).  Identical arguments and
+the orthonormal basis because the basis norms do not match its action, a
+generator spectrum that does not pair up as +-lambda, grid too small, or too
+little memory for the window).  Identical arguments and
 seed produce byte-identical output.
 """
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from .errors import NumericsError, ParameterError
 from .homogeneity import (
+    DEFAULT_FD_STEP,
     DEFAULT_HOMOGENEITY_TOL,
     DEFAULT_REDUCIBLE_TOL,
     DefectReport,
@@ -33,7 +35,7 @@ from .homogeneity import (
     infinitesimal_reports,
     reducible_lambda_check,
 )
-from .inductive import classify_a_minus1, ladder_cancellation, normalizer_defect
+from .inductive import DEFAULT_NORMALIZER_TOL, classify_a_minus1, ladder_cancellation, normalizer_defect
 from .mobius import GroupPath, path_to_mobius
 from .numkernel import BILATERAL, OperatorMatrix, TruncationWindow, UNILATERAL
 from .repn import (
@@ -62,7 +64,6 @@ DEFAULT_PADDING = 16
 DEEP_PADDING = 24
 DEFAULT_PATHS = ("L:0.1", "M:0.1", "h:0.3", "L:0.1,M:-0.05,h:0.2")
 DEFAULT_UNITARITY_TOL = 1e-7
-DEFAULT_NORMALIZER_TOL = 1e-6
 
 SERIES_CHOICES = (HOLO, ANTIHOLO, PRINCIPAL, COMPLEMENTARY, REDUCIBLE)
 SUITES = ("homogeneity", "unitarity", "infinitesimal", "reducible-lambda", "normalizer", "lemmas")
@@ -424,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--op", choices=OP_CHOICES, help="operator under test")
     vp.add_argument("--path", action="append", help="flow path gen:time[,gen:time...]; repeatable")
     vp.add_argument("--tolerance", type=float, help="override the suite tolerance")
-    vp.add_argument("--step", type=float, default=1e-4, help="finite-difference step")
+    vp.add_argument("--step", type=float, default=DEFAULT_FD_STEP, help="finite-difference step")
     vp.add_argument("--samples", type=int, default=100, help="random samples (lemmas)")
     vp.add_argument("--seed", type=int, default=0, help="random seed (lemmas)")
     vp.set_defaults(func=cmd_verify)

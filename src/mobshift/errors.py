@@ -49,10 +49,6 @@ class EmptyInteriorError(ParameterError):
     """Padding leaves no interior indices."""
 
 
-class RecoveryError(ValueError):
-    """Automorphism parameters could not be recovered from point images."""
-
-
 class WindowMismatchError(ValueError):
     """Operands live on incompatible index windows or bases."""
 

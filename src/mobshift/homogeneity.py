@@ -95,7 +95,6 @@ def homogeneity_defect(
     phi: MobiusElement,
     w: TruncationWindow,
     tolerance: float = DEFAULT_HOMOGENEITY_TOL,
-    name: str = "homogeneity",
     context: dict | None = None,
 ) -> DefectReport:
     """Interior residual of phi_g(T) = R^{-1} T R for a matching (phi, R) pair
@@ -128,7 +127,7 @@ def homogeneity_defect(
     residual[r0 : r0 + k] -= t[:, None] * y[c0 : c0 + k]
     inner = slice(p[0] - lo, p[-1] + 1 - lo)
     value = float(np.linalg.norm(residual[inner, inner]))
-    return DefectReport.build(name, value, tolerance, context)
+    return DefectReport.build("homogeneity", value, tolerance, context)
 
 
 def kappa_flow_derivative(
@@ -138,59 +137,53 @@ def kappa_flow_derivative(
     w: TruncationWindow,
     step: float = DEFAULT_FD_STEP,
 ) -> OperatorMatrix:
-    """d/ds at 0 of R(exp sX) T R(exp sX)^{-1} by second-order central differences.
+    """d/ds at 0 of R(exp sX) T R(exp sX)^{-1} for a real flow X = L or M, by
+    second-order central differences.
 
-    For L and M, e^{+-sX} = D (C -/+ i S) D^-1 with C = cos sHr and S = sin sHr
-    (see ``numkernel.mat_exp``), so (e^{sX} T e^{-sX} - e^{-sX} T e^{sX}) / 2s is
+    e^{+-sX} = D (C -/+ i S) D^-1 with C = cos sHr and S = sin sHr (see
+    ``numkernel.mat_exp``), so (e^{sX} T e^{-sX} - e^{-sX} T e^{sX}) / 2s is
     i D (C T' S - S T' C) D^-1 / s with T' = D^-1 T D: one spectrum and one set
     of parity blocks serve both signs of s.  The symmetric part C T' C + S T' S
     cancels exactly, not in rounding, so values differ from the product of the
-    four exponentials by that rounding.  For e and f the real-flow derivatives
-    combine as (L -/+ iM)/2.  The commutator [dR(X), T] (see
+    four exponentials by that rounding.  The complex flows e and f are
+    (L -/+ iM)/2 by linearity, which ``infinitesimal_reports`` forms; any other
+    X raises ``ParameterError``.  The commutator [dR(X), T] (see
     ``kappa_commutator``) is the algebraic route to the same derivative; the
     two are compared in the verification suites.
     """
+    if X not in ("L", "M"):
+        raise ParameterError(f"unsupported generator {X!r} (expected L or M)")
     step = float(step)
     if not _STEP_MIN <= step <= _STEP_MAX:
         raise ParameterError(f"step {step} outside [{_STEP_MIN}, {_STEP_MAX}]")
+    a = rel.generator(X, w)
+    T._require_compatible(a)
+    spec = _spectrum(a)
+    cos_even, cos_odd, sin_eo = _parity_blocks(spec, step)
+    d = spec.phases
+    tp = np.divide(T.data, d[:, None], order="C")  # C order: rows are read as real pairs
+    tp *= d
+    tp = OperatorMatrix._adopt(tp, a.window, a.basis)
 
-    def fd_real(gen: str) -> OperatorMatrix:
-        a = rel.generator(gen, w)
-        T._require_compatible(a)
-        spec = _spectrum(a)
-        cos_even, cos_odd, sin_eo = _parity_blocks(spec, step)
-        d = spec.phases
-        tp = np.divide(T.data, d[:, None], order="C")  # C order: rows are read as real pairs
-        tp *= d
-        tp = OperatorMatrix._adopt(tp, a.window, a.basis)
+    def times(parity: int, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+        # T' times the real matrix with these blocks in its even and odd rows, through
+        # the operator product; read as real pairs, it takes real blocks in real arithmetic
+        full = np.zeros(a.data.shape, dtype=np.complex128)
+        full.real[0::2, parity::2], full.real[1::2, 1 - parity::2] = even, odd
+        return (tp @ OperatorMatrix._adopt(full, a.window, a.basis, None)).data.view(np.float64)
 
-        def times(parity: int, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-            # T' times the real matrix with these blocks in its even and odd rows, through
-            # the operator product; read as real pairs, it takes real blocks in real arithmetic
-            full = np.zeros(a.data.shape, dtype=np.complex128)
-            full.real[0::2, parity::2], full.real[1::2, 1 - parity::2] = even, odd
-            return (tp @ OperatorMatrix._adopt(full, a.window, a.basis, None)).data.view(np.float64)
-
-        tc, ts = times(0, cos_even, cos_odd), times(1, sin_eo, sin_eo.T)
-        # whole-window arrays are dropped once read: this sets the suite's peak memory
-        del tp
-        # C (T' S) - S (T' C) by row parity: C keeps the parity of a row, S swaps it
-        even = cos_even @ ts[0::2] - sin_eo @ tc[1::2]
-        odd = cos_odd @ ts[1::2] - sin_eo.T @ tc[0::2]
-        del ts, tc
-        k = np.empty(a.data.shape, dtype=np.complex128)
-        k.view(np.float64)[0::2], k.view(np.float64)[1::2] = even, odd
-        k *= (1j / step) * d[:, None]
-        k /= d[None, :]
-        return OperatorMatrix._adopt(k, a.window, a.basis, None)
-
-    if X == "L" or X == "M":
-        return fd_real(X)
-    if X == "e":
-        return 0.5 * (fd_real("L") - 1j * fd_real("M"))
-    if X == "f":
-        return 0.5 * (fd_real("L") + 1j * fd_real("M"))
-    raise ParameterError(f"unsupported generator {X!r} (expected L, M, e or f)")
+    tc, ts = times(0, cos_even, cos_odd), times(1, sin_eo, sin_eo.T)
+    # whole-window arrays are dropped once read: this sets the suite's peak memory
+    del tp
+    # C (T' S) - S (T' C) by row parity: C keeps the parity of a row, S swaps it
+    even = cos_even @ ts[0::2] - sin_eo @ tc[1::2]
+    odd = cos_odd @ ts[1::2] - sin_eo.T @ tc[0::2]
+    del ts, tc
+    k = np.empty(a.data.shape, dtype=np.complex128)
+    k.view(np.float64)[0::2], k.view(np.float64)[1::2] = even, odd
+    k *= (1j / step) * d[:, None]
+    k /= d[None, :]
+    return OperatorMatrix._adopt(k, a.window, a.basis, None)
 
 
 def kappa_commutator(T: OperatorMatrix, X: str, rel: Realization, w: TruncationWindow) -> OperatorMatrix:

@@ -1,10 +1,11 @@
 """The disc-automorphism group, its flow-path cover, and pointwise data.
 
 Elements are ``phi_{alpha,beta}(z) = alpha (z - beta) / (1 - conj(beta) z)``
-with ``|alpha| = 1`` and ``|beta| < 1``.  Elements of the simply connected
-cover are represented as short flow paths in the real generators h, L, M;
-fractional powers of derivatives stay on principal branches because every
-path starts at the identity and each segment is short.
+with ``|alpha| = 1`` and ``|beta| < 1``; they compose as SU(1,1) matrices
+(see ``compose``).  Elements of the simply connected cover are represented
+as short flow paths in the real generators h, L, M; fractional powers of
+derivatives stay on principal branches because every path starts at the
+identity and each segment is short.
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, RecoveryError
+from .errors import ParameterError
 
 GENERATORS = ("h", "L", "M")
 SEGMENT_TIME_CAP = 0.5
 
 _ALPHA_TOL = 1e-12
 _BETA_TOL = 1e-12
-_RECOVERY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -64,24 +64,25 @@ def star(phi: MobiusElement) -> MobiusElement:
     return MobiusElement(phi.alpha.conjugate(), phi.beta.conjugate())
 
 
-_PROBES = (0j, 0.5 + 0j, 0.5j)
+def _su11(phi: MobiusElement) -> tuple[complex, complex]:
+    """(a, b) of phi's SU(1,1) matrix [[a, b], [conj b, conj a]], up to a positive scale:
+    a = sqrt(alpha), b = -beta a, so that (a z + b) / (conj(b) z + conj(a)) = phi(z)."""
+    a = cmath.sqrt(phi.alpha)
+    return a, -phi.beta * a
 
 
 def compose(phi: MobiusElement, psi: MobiusElement) -> MobiusElement:
     """The element chi with chi(z) = phi(psi(z)).
 
-    beta is recovered as the point chi maps to 0 (through the closed-form
-    inverses); alpha from one further evaluation at a probe kept away from
-    beta.  A recovered alpha off the unit circle beyond 1e-10 is an error.
+    chi's matrix is the product of phi's and psi's SU(1,1) matrices, and
+    alpha = a / conj(a), beta = -b / a are read back from it; any positive
+    scale of the product cancels in both, so there is no tolerance.
     """
-    beta = apply(inverse(psi), apply(inverse(phi), 0j))
-    z1 = max(_PROBES, key=lambda z: abs(z - beta))
-    w = apply(phi, apply(psi, z1))
-    alpha = w * (1.0 - beta.conjugate() * z1) / (z1 - beta)
-    mod = abs(alpha)
-    if abs(mod - 1.0) > _RECOVERY_TOL:
-        raise RecoveryError(f"recovered |alpha| = {mod!r} is not unimodular")
-    return MobiusElement(alpha / mod, beta)
+    a1, b1 = _su11(phi)
+    a2, b2 = _su11(psi)
+    a = a1 * a2 + b1 * b2.conjugate()
+    b = a1 * b2 + b1 * a2.conjugate()
+    return MobiusElement(a / a.conjugate(), -b / a)
 
 
 def flow(gen: str, t: float) -> MobiusElement:

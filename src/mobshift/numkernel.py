@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     EmptyInteriorError,
     NotSkewAdjointError,
+    NumericsError,
     ParameterError,
     SingularMatrixError,
     WindowMismatchError,
@@ -37,6 +38,8 @@ ORTHONORMAL = "orthonormal"
 COND_LIMIT = 1.0e8
 #: largest skew-Hermitian residue, relative to the largest entry, that mat_exp accepts
 SKEW_TOL = 1.0e-12
+#: largest |t| times the eigenvalue pairing gap of Hr that mat_exp accepts (see _parity_blocks)
+PAIRING_TOL = 1.0e-8
 #: real spectra mat_exp keeps, one entry per family and window (L and M share
 #: one, h needs none); repn keeps as many orthonormal-basis generators
 GENERATOR_CACHE_SIZE = 3
@@ -62,14 +65,6 @@ class TruncationWindow:
             raise ParameterError("window size N must be at least 1")
         if not 0 <= self.padding < self.N:
             raise ParameterError("padding must satisfy 0 <= padding < N")
-
-    @classmethod
-    def unilateral(cls, N: int, padding: int | None = None) -> "TruncationWindow":
-        return cls(UNILATERAL, N, N // 4 if padding is None else padding)
-
-    @classmethod
-    def bilateral(cls, N: int, padding: int | None = None) -> "TruncationWindow":
-        return cls(BILATERAL, N, N // 4 if padding is None else padding)
 
     @property
     def lo(self) -> int:
@@ -264,17 +259,20 @@ class _Spectrum:
 
     ``values`` and the even and odd rows of Q diagonalize the real symmetric
     tridiagonal Hr = Q Lambda Q^T, and e^{tX} is D (cos tHr - i sin tHr) D^-1
-    with D = diag(``phases``).  The phases are X's own; the rest is shared
-    by every generator with the same Hr.
+    with D = diag(``phases``).  Hr's spectrum is symmetric about 0; ``gap`` is
+    max |lambda_j + lambda_{n-1-j}|, how far the computed one is from that.
+    The phases are X's own; the rest is shared by every generator with the
+    same Hr.
     """
 
     values: np.ndarray
     even: np.ndarray
     odd: np.ndarray
+    gap: float
     phases: np.ndarray
 
 
-#: Hr's off-diagonal, as bytes -> (values, even rows, odd rows) of its eigh
+#: Hr's off-diagonal, as bytes -> (values, even rows, odd rows, gap) of its eigh
 _spectra: dict = {}
 
 
@@ -309,7 +307,8 @@ def _spectrum(X: OperatorMatrix) -> _Spectrum:
     hit = _spectra.pop(key, None)
     if hit is None:
         values, q = np.linalg.eigh(np.diag(mod, 1) + np.diag(mod, -1))
-        hit = values, np.ascontiguousarray(q[0::2]), np.ascontiguousarray(q[1::2])
+        gap = float(np.max(np.abs(values + values[::-1])))
+        hit = values, np.ascontiguousarray(q[0::2]), np.ascontiguousarray(q[1::2]), gap
     _spectra[key] = hit
     while len(_spectra) > GENERATOR_CACHE_SIZE:
         del _spectra[next(iter(_spectra))]
@@ -320,7 +319,15 @@ def _parity_blocks(spec: _Spectrum, t: float) -> tuple[np.ndarray, np.ndarray, n
     """cos tHr on the even positions, cos tHr on the odd ones, and sin tHr from
     even to odd positions: three real half-size products.  Hr links only even
     positions to odd ones, so cos tHr has no even-odd entries and sin tHr
-    (symmetric) only those."""
+    (symmetric) only those.  In the computed spectrum those blocks vanish only
+    as far as its eigenvalues pair up as +-lambda, to about |t| times
+    ``spec.gap``; beyond ``PAIRING_TOL`` the split is refused with
+    ``NumericsError``."""
+    if abs(t) * spec.gap > PAIRING_TOL:
+        raise NumericsError(
+            f"eigenvalues of the generator pair up only to {spec.gap:.3e}; "
+            f"the exponential at t = {t:g} would err by about {abs(t) * spec.gap:.1e}"
+        )
     cos, sin = np.cos(t * spec.values), np.sin(t * spec.values)
     qe, qo = spec.even, spec.odd
     return (qe * cos) @ qe.T, (qo * cos) @ qo.T, (qe * sin) @ qo.T
@@ -337,7 +344,8 @@ def mat_exp(X: OperatorMatrix, t: float = 1.0) -> OperatorMatrix:
     and window, cached for the last few (see ``_spectrum``), and each t
     costs the three real half-size products of ``_parity_blocks``.  Any
     other generator raises ``NotSkewAdjointError``, as does one built in
-    the orthonormal basis of norms that do not match its action.
+    the orthonormal basis of norms that do not match its action; a spectrum
+    too far from +-lambda pairs for the split raises ``NumericsError``.
     """
     t = float(t)
     band = X.single_diagonal

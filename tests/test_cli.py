@@ -273,6 +273,16 @@ def test_verify_non_finite_im_mu_exit_two(capsys):
     assert err == "error: lam and mu must be finite, got lam=0.3, mu=(0.35+nanj)\n"
 
 
+def test_verify_refuses_an_unpaired_spectrum_at_large_im_mu(capsys):
+    # at Im mu = 1e13 the computed eigenvalues pair up as +-lambda only to about 1e-2, and the
+    # parity split would drop blocks of that size from the exponential
+    argv = ["verify", "unitarity", "--series", "principal", "--lambda", "0.3", "--im-mu", "1e13"]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: eigenvalues of the generator pair up only to ")
+
+
 def test_certificate_suites_call_no_inverse_solve_or_resolvent(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no CLI certificate may invert or solve")

@@ -366,20 +366,23 @@ def test_kappa_identities_for_t1():
     t = orthonormal(canonical_shift("T1", HOLO2, w), HOLO2, w)
     square, ident = t @ t, OperatorMatrix.identity(w, t.basis)
     targets = {"L": square - ident, "M": -1j * (square + ident), "e": -ident, "f": square}
+    fd = {gen: kappa_flow_derivative(t, gen, Realization.plain(HOLO2), w) for gen in ("L", "M")}
+    # the complex flows by linearity: e = (L - iM)/2, f = (L + iM)/2
+    fd["e"], fd["f"] = 0.5 * (fd["L"] - 1j * fd["M"]), 0.5 * (fd["L"] + 1j * fd["M"])
     for gen in ("L", "M", "e", "f"):
-        fd = kappa_flow_derivative(t, gen, Realization.plain(HOLO2), w)
-        assert interior_norm(fd - targets[gen], w) <= 1e-6, gen
+        assert interior_norm(fd[gen] - targets[gen], w) <= 1e-6, gen
 
 
 def test_kappa_routes_agree(rng):
     w = TruncationWindow(BILATERAL, 64, 16)
     t = orthonormal(canonical_shift("T3", PRIN, w), PRIN, w)
     rel = Realization.plain(PRIN)
+    fd = {gen: kappa_flow_derivative(t, gen, rel, w, step=1e-4) for gen in ("L", "M")}
+    fd["e"], fd["f"] = 0.5 * (fd["L"] - 1j * fd["M"]), 0.5 * (fd["L"] + 1j * fd["M"])
+    p = w.interior_positions()
     for gen in ("L", "M", "e", "f"):
-        fd = kappa_flow_derivative(t, gen, rel, w, step=1e-4)
         comm = kappa_commutator(t, gen, rel, w)
-        p = w.interior_positions()
-        assert np.max(np.abs((fd - comm).data[np.ix_(p, p)])) <= 1e-7, gen
+        assert np.max(np.abs((fd[gen] - comm).data[np.ix_(p, p)])) <= 1e-7, gen
 
 
 FLOW_FAMILIES = (
@@ -421,8 +424,10 @@ def test_kappa_step_validation():
         kappa_flow_derivative(t, "L", Realization.plain(HOLO2), w, step=1e-7)
     with pytest.raises(ParameterError):
         kappa_flow_derivative(t, "L", Realization.plain(HOLO2), w, step=0.5)
-    with pytest.raises(ParameterError):
-        kappa_flow_derivative(t, "h", Realization.plain(HOLO2), w)
+    # only the real flows: e and f are (L -/+ iM)/2, which infinitesimal_reports forms
+    for X in ("h", "e", "f"):
+        with pytest.raises(ParameterError, match="expected L or M"):
+            kappa_flow_derivative(t, X, Realization.plain(HOLO2), w)
 
 
 def test_infinitesimal_reports_cover_sharp_and_reducible():

@@ -67,6 +67,25 @@ def test_compose_with_inverse_is_identity(rng):
         assert params_close(chi, MobiusElement.identity())
 
 
+def test_compose_with_inverse_near_the_boundary(rng):
+    # |beta| = 1 - 1e-6 u: the product of the SU(1,1) matrices needs no tolerance.  The
+    # rounded inverse carries the conditioning 1/(1 - |beta|^2) of this product, so the
+    # fixed bound is asked for u >= 0.1, and a bound scaled by it down to u = 1e-5
+    for u_min, scaled in ((0.1, False), (1e-5, True)):
+        for _ in range(500):
+            beta = (1.0 - 1e-6 * rng.uniform(u_min, 1.0)) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            phi = MobiusElement(cmath.exp(1j * rng.uniform(-math.pi, math.pi)), beta)
+            chi = compose(phi, inverse(phi))
+            err = max(abs(chi.alpha - 1.0), abs(chi.beta))
+            assert err * (1.0 - abs(beta) ** 2) <= 1e-14 if scaled else err <= 1e-8
+
+
+@pytest.mark.parametrize("gen", ["L", "M"])
+def test_compose_identity_with_a_real_flow_is_exact(gen):
+    for t in (-0.5, -0.13, 0.1, 0.37, 0.5):
+        assert compose(MobiusElement.identity(), flow(gen, t)) == flow(gen, t)
+
+
 def test_compose_rotations_multiply():
     a = MobiusElement(cmath.exp(0.4j), 0.0)
     b = MobiusElement(cmath.exp(-1.1j), 0.0)

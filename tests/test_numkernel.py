@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from mobshift import numkernel
 from mobshift.errors import (
     EmptyInteriorError,
     NotSkewAdjointError,
+    NumericsError,
     ParameterError,
     SingularMatrixError,
     WindowMismatchError,
@@ -66,11 +68,6 @@ def test_window_validation():
         TruncationWindow(UNILATERAL, 4, 4)  # padding must stay below N
     with pytest.raises(ParameterError):
         TruncationWindow(UNILATERAL, 4, -1)
-
-
-def test_window_defaults_quarter_padding():
-    assert TruncationWindow.bilateral(64).padding == 16
-    assert TruncationWindow.unilateral(64, 4).padding == 4
 
 
 def test_pos_outside_window():
@@ -199,6 +196,21 @@ def test_mat_exp_norm_guard():
     for a in (OperatorMatrix(np.eye(3) * 5e3, w), OperatorMatrix.from_band(w, 0, 0.5 * np.ones(3))):
         with pytest.raises(NotSkewAdjointError):
             mat_exp(a)
+
+
+@pytest.mark.parametrize("im_mu", [1e4, 1e8, 1e13])
+def test_mat_exp_refuses_an_unpaired_spectrum(im_mu):
+    # the parity split drops blocks that vanish only as far as Hr's computed eigenvalues pair
+    # up as +-lambda; large Im mu spoils the pairing, and past PAIRING_TOL mat_exp refuses
+    w = TruncationWindow(BILATERAL, 64, 16)
+    L = Realization.plain(RepnParams(BILATERAL, 0.3, complex(0.35, im_mu))).generator("L", w)
+    if im_mu > 1e9:
+        with pytest.raises(NumericsError, match="pair up only to"):
+            mat_exp(L, 0.1)
+        return
+    values, q = np.linalg.eigh(1j * L.data)
+    reference = (q * np.exp(-0.1j * values)) @ q.conj().T
+    assert np.max(np.abs(mat_exp(L, 0.1).data - reference)) <= numkernel.PAIRING_TOL
 
 
 def test_pade_oracle_scaling_branch_accuracy(rng):
