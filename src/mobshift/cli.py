@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -41,6 +40,7 @@ from .numkernel import BILATERAL, OperatorMatrix, TruncationWindow, UNILATERAL
 from .repn import (
     ANTIHOLO,
     COMPLEMENTARY,
+    DEFAULT_COUPLING,
     HOLO,
     PRINCIPAL,
     REDUCIBLE,
@@ -52,7 +52,7 @@ from .repn import (
     to_orthonormal,
     unitarity_residual,
 )
-from .shifts import canonical_shift, reducible_shift, weight_sequence
+from .shifts import BRANCH_T2, BRANCH_T3, canonical_shift, reducible_shift, weight_sequence
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -64,6 +64,7 @@ DEFAULT_PADDING = 16
 DEEP_PADDING = 24
 DEFAULT_PATHS = ("L:0.1", "M:0.1", "h:0.3", "L:0.1,M:-0.05,h:0.2")
 DEFAULT_UNITARITY_TOL = 1e-7
+DEFAULT_IM_MU = 0.5
 
 SERIES_CHOICES = (HOLO, ANTIHOLO, PRINCIPAL, COMPLEMENTARY, REDUCIBLE)
 SUITES = ("homogeneity", "unitarity", "infinitesimal", "reducible-lambda", "normalizer", "lemmas")
@@ -82,7 +83,12 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _realization(series: str | None, lam: float | None, im_mu=None, mu=None, r=None) -> Realization:
+def _principal_mu(lam: float, im_mu: float) -> complex:
+    """Re mu is forced to (1 - lam)/2, so invalid principal input cannot be expressed."""
+    return complex((1.0 - lam) / 2.0, im_mu)
+
+
+def _realization(series: str | None, lam: float | None, im_mu=DEFAULT_IM_MU, mu=None, r=DEFAULT_COUPLING) -> Realization:
     """The family that (series, lambda, mu or Im mu, r) name, checked once; weights,
     every verify suite and each sweep cell resolve their family here."""
     if series is None:
@@ -90,16 +96,15 @@ def _realization(series: str | None, lam: float | None, im_mu=None, mu=None, r=N
     if lam is None:
         raise ParameterError("--lambda is required")
     if series == REDUCIBLE:
-        return Realization.reducible(lam, 1.0 if r is None else r)
+        return Realization.reducible(lam, r)
     if series in (HOLO, ANTIHOLO):
         params = RepnParams(UNILATERAL, lam)
     elif series == PRINCIPAL:
-        # Re mu is forced to (1 - lam)/2 so invalid principal input cannot be expressed
-        params = RepnParams(BILATERAL, lam, complex((1.0 - lam) / 2.0, 0.5 if im_mu is None else im_mu))
+        params = RepnParams(BILATERAL, lam, _principal_mu(lam, im_mu))
     elif series == COMPLEMENTARY:
         if mu is None:
             raise ParameterError("--mu is required for the complementary family")
-        # lam first: an auto-grid cell whose mu interval is empty carries mu = NaN
+        # lam first: a lam outside (-1, 1) is named as such even when RepnParams would refuse mu
         complementary_mu_interval(lam)
         # the midpoint mu = (1 - lam)/2 classifies as principal; same matrices
         params = RepnParams(BILATERAL, lam, complex(mu))
@@ -334,19 +339,6 @@ def _grid_values(flag: str, text: str) -> list[float]:
         raise ParameterError(f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
-def _complementary_midpoint(lam: float) -> float:
-    """Midpoint of the complementary mu interval.
-
-    The interval is empty outside lam in (-1, 1); the midpoint is then NaN,
-    and the cell's family check refuses that lam.
-    """
-    try:
-        lo, hi = complementary_mu_interval(lam)
-    except ParameterError:
-        return math.nan
-    return 0.5 * (lo + hi)
-
-
 def _sweep_cell(args, op, suites, paths, lam: float, mu: complex) -> tuple[float, bool]:
     """Max defect and all-pass over the requested suites at one parameter point."""
     rel = _realization(args.series, lam, im_mu=mu.imag, mu=mu.real)
@@ -372,20 +364,23 @@ def cmd_sweep(args) -> int:
     any_bad = False
     for lam in lams:
         if args.series == PRINCIPAL:
-            mus = [complex((1.0 - lam) / 2.0, im) for im in im_mus]
+            mus = [_principal_mu(lam, im) for im in im_mus]
         elif args.series == COMPLEMENTARY:
-            mus = [complex(_complementary_midpoint(lam))] if auto else [complex(v) for v in mu_values]
+            mus = [None] if auto else [complex(v) for v in mu_values]
         else:
             mus = [0j]
         for mu in mus:
             try:
+                if mu is None:  # the midpoint of the mu interval, which is empty outside lam in (-1, 1)
+                    mu = complex(0.5 * sum(complementary_mu_interval(lam)))
                 worst, ok = _sweep_cell(args, op, suites, paths, lam, mu)
                 worst_text, status = _fmt(worst), ("pass" if ok else "fail")
             except (ParameterError, NumericsError) as exc:
                 worst_text, status = "nan", f"error: {exc}"
             any_bad = any_bad or status != "pass"
+            mu_cols = "nan,0" if mu is None else f"{_fmt(mu.real)},{_fmt(mu.imag)}"  # None: midpoint refused
             print(
-                f"{args.series},{_fmt(lam)},{_fmt(mu.real)},{_fmt(mu.imag)},"
+                f"{args.series},{_fmt(lam)},{mu_cols},"
                 f"{args.N},{args.pad},{'+'.join(suites)},{worst_text},{status}"
             )
     return EXIT_FAIL if any_bad else EXIT_OK
@@ -405,13 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_series(sp):
         sp.add_argument("--series", choices=SERIES_CHOICES, help="representation family")
         sp.add_argument("--lambda", dest="lam", type=float, help="family parameter lambda")
-        sp.add_argument("--im-mu", dest="im_mu", type=float, help="Im mu (principal; Re mu is forced)")
+        sp.add_argument("--im-mu", dest="im_mu", type=float, default=DEFAULT_IM_MU, help="Im mu (principal; Re mu is forced)")
         sp.add_argument("--mu", type=float, help="real mu (complementary)")
-        sp.add_argument("--r", type=_complex_arg, help="seam coupling (reducible)")
+        sp.add_argument("--r", type=_complex_arg, default=DEFAULT_COUPLING, help="seam coupling (reducible)")
 
     wp = sub.add_parser("weights", help="emit a weight-sequence table")
     add_series(wp)
-    wp.add_argument("--branch", choices=("T2", "T3"), default="T2", help="principal branch choice")
+    wp.add_argument("--branch", choices=(BRANCH_T2, BRANCH_T3), default=BRANCH_T2, help="principal branch choice")
     wp.add_argument("--n0", type=int, required=True)
     wp.add_argument("--n1", type=int, required=True)
     wp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -440,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp = sub.add_parser("sweep", help="run suites over a parameter grid, CSV per cell")
     gp.add_argument("--series", choices=(HOLO, PRINCIPAL, COMPLEMENTARY), required=True)
     gp.add_argument("--lambda-grid", dest="lambda_grid", default="", help="comma-separated lambda values")
-    gp.add_argument("--im-mu-grid", dest="im_mu_grid", default="0.5", help="comma-separated Im mu (principal)")
+    gp.add_argument("--im-mu-grid", dest="im_mu_grid", default=str(DEFAULT_IM_MU), help="comma-separated Im mu (principal)")
     gp.add_argument("--mu-grid", dest="mu_grid", default="auto", help="'auto' midpoints or comma-separated mu")
     gp.add_argument("--suites", default="unitarity", help="comma-separated: " + ",".join(SWEEP_SUITES))
     gp.add_argument("--op", choices=OP_CHOICES, help="operator for the homogeneity suite")

@@ -165,9 +165,9 @@ def path_to_mobius(p: GroupPath) -> MobiusElement:
     return out
 
 
-_STAR_SIGNS = {"h": -1.0, "L": 1.0, "M": -1.0}
+STAR_SIGNS = {"h": -1.0, "L": 1.0, "M": -1.0}
 
 
 def star_path(p: GroupPath) -> GroupPath:
-    """Segment-wise lift of the conjugation twist: h and M reverse, L is fixed."""
-    return GroupPath(tuple((g, _STAR_SIGNS[g] * t) for g, t in p.segments))
+    """Segment-wise lift of the conjugation twist: h and M reverse, L is fixed (``STAR_SIGNS``)."""
+    return GroupPath(tuple((g, STAR_SIGNS[g] * t) for g, t in p.segments))

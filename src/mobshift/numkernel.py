@@ -367,8 +367,8 @@ def mat_exp(X: OperatorMatrix, t: float = 1.0) -> OperatorMatrix:
     return OperatorMatrix._adopt(out, X.window, X.basis, None)
 
 
-def solve(A: OperatorMatrix, B: OperatorMatrix, *, cond_limit: float = COND_LIMIT) -> OperatorMatrix:
-    """X with A X = B, refused when the 1-norm condition estimate is untrustworthy.
+def solve(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
+    """X with A X = B, refused when the 1-norm condition estimate reaches ``COND_LIMIT``.
 
     The estimate needs A^{-1}, so B = I returns that inverse without a
     second factorization.
@@ -381,7 +381,7 @@ def solve(A: OperatorMatrix, B: OperatorMatrix, *, cond_limit: float = COND_LIMI
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(math.inf, "matrix is singular to machine precision") from exc
         estimate = float(np.linalg.norm(a, 1)) * float(np.linalg.norm(inv, 1))
-    if not estimate < cond_limit:
+    if not estimate < COND_LIMIT:
         raise SingularMatrixError(estimate)
     band = B.single_diagonal
     if band is not None and band[0] == 0 and np.all(band[1] == 1.0):

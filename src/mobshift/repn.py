@@ -52,7 +52,7 @@ from .numkernel import (
     _require_power_of_two,
     mat_exp,
 )
-from .specialfn import _PRINCIPAL_RE_TOL, norm_sq_sequence
+from .specialfn import _principal_coincidence, norm_sq_sequence
 
 HOLO = "holo"
 ANTIHOLO = "antiholo"
@@ -60,6 +60,7 @@ PRINCIPAL = "principal"
 COMPLEMENTARY = "complementary"
 REDUCIBLE = "reducible"
 
+DEFAULT_COUPLING = 1.0
 _COUPLING_BOUND = 10.0
 _NYQUIST_TAIL_TOL = 1e-9
 _NEGATIVE_INDEX_TOL = 1e-10
@@ -108,7 +109,7 @@ def classify_series(p: RepnParams) -> str:
         raise ClassificationError(
             "bilateral families require non-integer mu (integer mu is the reducible direct-sum point)"
         )
-    if abs(mu.real - (1.0 - p.lam) / 2.0) <= _PRINCIPAL_RE_TOL:
+    if _principal_coincidence(p):
         if not -1.0 < p.lam <= 1.0:
             raise ClassificationError("the principal family requires lam in (-1, 1]")
         return PRINCIPAL
@@ -233,10 +234,6 @@ def unitarity_residual(R: OperatorMatrix, w: TruncationWindow) -> float:
     return float(np.linalg.norm(cols.conj().T @ cols - np.eye(p.size)))
 
 
-# generator images under the conjugation twist: h and M reverse, hence e <-> f
-_SHARP_GEN = {"h": (-1.0, "h"), "L": (1.0, "L"), "M": (-1.0, "M"), "e": (1.0, "f"), "f": (1.0, "e")}
-
-
 @dataclass(frozen=True)
 class Realization:
     """One family: its parameters and the route that realizes it.
@@ -269,22 +266,26 @@ class Realization:
         return cls("sharp", params)
 
     @classmethod
-    def reducible(cls, lam: float, r: complex = 1.0) -> "Realization":
+    def reducible(cls, lam: float, r: complex = DEFAULT_COUPLING) -> "Realization":
         return cls("reducible", RepnParams(BILATERAL, lam), r)
 
     @functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
     def generator(self, X: str, w: TruncationWindow) -> OperatorMatrix:
-        """dR(X) in the orthonormal basis x_n = f_n / s_n, s_n = ||f_n||.
+        """dR(X) of a real generator X = h, L or M in the orthonormal basis
+        x_n = f_n / s_n, s_n = ||f_n||; e and f are (L -/+ iM)/2 by linearity.
 
         The monomial matrix keeps its diagonal; its +1 band is scaled by
         s_n / s_{n+1} and its -1 band by s_{n+1} / s_n, the square root of
         ``norm_ratio`` (both bands are 0 across a reducible seam).  The sharp
-        twist negates h and M and swaps e and f.  The last few (realization,
-        X, window) are kept, so repeated paths reuse one generator object.
+        twist multiplies X by its sign in ``mobius.STAR_SIGNS``.  The last few
+        (realization, X, window) are kept, so repeated paths reuse one
+        generator object.
         """
-        sign, xs = _SHARP_GEN.get(X, (1.0, X)) if self.flavor == "sharp" else (1.0, X)
+        if X not in mobius.GENERATORS:
+            raise ParameterError(f"unsupported generator {X!r} (expected h, L or M)")
+        sign = mobius.STAR_SIGNS[X] if self.flavor == "sharp" else 1.0
         build = reducible_generator_matrix if self.flavor == "reducible" else generator_matrix
-        a = build(self.params, xs, w).data
+        a = build(self.params, X, w).data
         s = np.sqrt(norm_sq_sequence(self.params, w).values)
         # np.zeros, not a scaled copy of a: only the pages the bands touch are resident
         data = np.zeros(a.shape, dtype=np.complex128)
@@ -408,13 +409,11 @@ def _circle_table(
     return table
 
 
-def circle_rep_matrix(
-    p: RepnParams, path: GroupPath, w: TruncationWindow, grid_size: int | None = None
-) -> OperatorMatrix:
-    """Whole representation matrix over the circle route, in the orthonormal basis:
-    the monomial table scaled in place by s_i / s_j, s = sqrt(``norm_sq_sequence``)."""
+def circle_rep_matrix(p: RepnParams, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
+    """Whole representation matrix over the circle route (grid ``default_grid_size``), in the
+    orthonormal basis: the monomial table scaled in place by s_i / s_j, s = sqrt(``norm_sq_sequence``)."""
     phi_inv = mobius.inverse(mobius.path_to_mobius(path))
-    table = _circle_table(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, w, grid_size)
+    table = _circle_table(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, w, None)
     s = np.sqrt(norm_sq_sequence(p, w).values)
     table *= s[:, None]
     table /= s[None, :]

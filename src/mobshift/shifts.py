@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ParameterError, PoleError, WindowMismatchError
 from .numkernel import (
     BILATERAL,
-    MONOMIAL,
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
@@ -38,13 +37,8 @@ BRANCH_T3 = "T3"
 _POLE_TOL = 1e-12
 
 
-def shift_matrix(
-    window: TruncationWindow,
-    step: int,
-    coefficients: Mapping[int, complex],
-    basis: str = MONOMIAL,
-) -> OperatorMatrix:
-    """Matrix of T f_n = a_n f_{n-step}; coefficients keyed by the source index n."""
+def shift_matrix(window: TruncationWindow, step: int, coefficients: Mapping[int, complex]) -> OperatorMatrix:
+    """Monomial-basis matrix of T f_n = a_n f_{n-step}; coefficients keyed by the source index n."""
     n = np.fromiter(coefficients.keys(), dtype=np.int64, count=len(coefficients))
     # diagonal entry k belongs to the source index lo + max(step, 0) + k
     k = n - (window.lo + max(step, 0))
@@ -54,7 +48,7 @@ def shift_matrix(
         raise ParameterError(f"coefficient at n={n[outside][0]} targets an index outside the window")
     diagonal = np.zeros(length, dtype=np.complex128)
     diagonal[k] = np.fromiter(coefficients.values(), dtype=np.complex128, count=len(coefficients))
-    return OperatorMatrix.from_band(window, step, diagonal, basis)
+    return OperatorMatrix.from_band(window, step, diagonal)
 
 
 def canonical_shift(kind: str, p: RepnParams, w: TruncationWindow) -> OperatorMatrix:

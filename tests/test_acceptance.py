@@ -174,7 +174,7 @@ def test_criterion_04_infinitesimal_relations():
     worst_route = 0.0
     failures = []
     for label, T, rel, w in homogeneous_cases():
-        for rep in infinitesimal_reports(T, rel, w, step=1e-4, identity_tol=1e-6, route_tol=1e-7):
+        for rep in infinitesimal_reports(T, rel, w, step=1e-4, identity_tol=1e-6):
             if rep.name.endswith("identity"):
                 worst_identity = max(worst_identity, rep.value)
             else:

@@ -378,11 +378,38 @@ def test_kappa_routes_agree(rng):
     t = orthonormal(canonical_shift("T3", PRIN, w), PRIN, w)
     rel = Realization.plain(PRIN)
     fd = {gen: kappa_flow_derivative(t, gen, rel, w, step=1e-4) for gen in ("L", "M")}
-    fd["e"], fd["f"] = 0.5 * (fd["L"] - 1j * fd["M"]), 0.5 * (fd["L"] + 1j * fd["M"])
+    comm = {gen: kappa_commutator(t, gen, rel, w) for gen in ("L", "M")}
+    # the complex flows on both routes by linearity: e = (L - iM)/2, f = (L + iM)/2
+    for route in (fd, comm):
+        route["e"], route["f"] = 0.5 * (route["L"] - 1j * route["M"]), 0.5 * (route["L"] + 1j * route["M"])
     p = w.interior_positions()
     for gen in ("L", "M", "e", "f"):
-        comm = kappa_commutator(t, gen, rel, w)
-        assert np.max(np.abs((fd[gen] - comm).data[np.ix_(p, p)])) <= 1e-7, gen
+        assert np.max(np.abs((fd[gen] - comm[gen]).data[np.ix_(p, p)])) <= 1e-7, gen
+
+
+def test_kappa_commutator_takes_only_the_real_flows():
+    w = TruncationWindow(UNILATERAL, 8, 2)
+    t = orthonormal(canonical_shift("T1", HOLO2, w), HOLO2, w)
+    for X in ("h", "e", "f"):
+        with pytest.raises(ParameterError, match="expected L or M"):
+            kappa_commutator(t, X, Realization.plain(HOLO2), w)
+
+
+def test_infinitesimal_reports_form_e_and_f_by_linearity_on_both_routes():
+    p = RepnParams(BILATERAL, 0.3, complex(0.35, 5.1))
+    w = TruncationWindow(BILATERAL, 64, 16)
+    t = orthonormal(canonical_shift("T3", p, w), p, w)
+    rel = Realization.plain(p)
+    reports = {r.name: r.value for r in infinitesimal_reports(t, rel, w)}
+    ip = np.ix_(w.interior_positions(), w.interior_positions())
+    fd = {gen: kappa_flow_derivative(t, gen, rel, w).data[ip] for gen in ("L", "M")}
+    comm = {gen: kappa_commutator(t, gen, rel, w).data[ip] for gen in ("L", "M")}
+    square = (t @ t).data[ip]
+    for gen, sign, target in (("e", -1j, -np.eye(square.shape[0])), ("f", 1j, square)):
+        flow = 0.5 * (fd["L"] + sign * fd["M"])
+        algebraic = 0.5 * (comm["L"] + sign * comm["M"])
+        assert reports[f"kappa_{gen}_identity"] == float(np.linalg.norm(flow - target)), gen
+        assert reports[f"kappa_{gen}_route_gap"] == float(np.max(np.abs(flow - algebraic))), gen
 
 
 FLOW_FAMILIES = (

@@ -15,7 +15,7 @@ from mobshift.errors import (
     WindowMismatchError,
 )
 from mobshift.homogeneity import infinitesimal_reports, kappa_flow_derivative
-from mobshift.mobius import GroupPath, MobiusElement, inverse, path_to_mobius, star_path
+from mobshift.mobius import STAR_SIGNS, GroupPath, MobiusElement, inverse, path_to_mobius, star_path
 from mobshift.numkernel import (
     BILATERAL,
     ORTHONORMAL,
@@ -300,11 +300,22 @@ def test_realization_generator_tables():
     w = TruncationWindow(UNILATERAL, 8, 2)
     plain = Realization.plain(HOLO2)
     sharp = Realization.sharp(HOLO2)
-    np.testing.assert_array_equal(sharp.generator("e", w).data, plain.generator("f", w).data)
-    np.testing.assert_array_equal(sharp.generator("f", w).data, plain.generator("e", w).data)
     np.testing.assert_array_equal(sharp.generator("h", w).data, (-1.0 * plain.generator("h", w)).data)
     np.testing.assert_array_equal(sharp.generator("L", w).data, plain.generator("L", w).data)
     np.testing.assert_array_equal(sharp.generator("M", w).data, (-1.0 * plain.generator("M", w)).data)
+
+
+@pytest.mark.parametrize(
+    "rel, kind",
+    [(Realization.plain(HOLO2), UNILATERAL), (Realization.sharp(HOLO2), UNILATERAL), (Realization.reducible(1.5), BILATERAL)],
+    ids=("plain", "sharp", "reducible"),
+)
+def test_realization_builds_only_the_real_generators(rel, kind):
+    # e and f are (L -/+ iM)/2 by linearity; only the monomial generator_matrix keeps them
+    w = TruncationWindow(kind, 8, 2)
+    for X in ("e", "f", "x"):
+        with pytest.raises(ParameterError, match="expected h, L or M"):
+            rel.generator(X, w)
 
 
 def test_realization_paths_match_module_functions():
@@ -356,14 +367,13 @@ def test_generators_are_the_monomial_ones_in_the_orthonormal_basis(case):
     rel, kind = SPECTRAL_CASES[case]
     w = TruncationWindow(kind, 24, 6)
     build = reducible_generator_matrix if rel.flavor == "reducible" else generator_matrix
-    for X in ("h", "e", "f", "L", "M"):
+    for X in ("h", "L", "M"):
         A = rel.generator(X, w)
-        sign, xs = repn._SHARP_GEN[X] if rel.flavor == "sharp" else (1.0, X)
-        want = sign * to_orthonormal(build(rel.params, xs, w), gram(rel.params, w)).data
+        sign = STAR_SIGNS[X] if rel.flavor == "sharp" else 1.0
+        want = sign * to_orthonormal(build(rel.params, X, w), gram(rel.params, w)).data
         assert A.basis == ORTHONORMAL
         assert np.max(np.abs(A.data - want)) <= 1e-15 * np.max(np.abs(want)), X
-        if X in ("h", "L", "M"):
-            assert np.max(np.abs(A.data + A.data.conj().T)) <= 1e-14 * np.max(np.abs(A.data)), X
+        assert np.max(np.abs(A.data + A.data.conj().T)) <= 1e-14 * np.max(np.abs(A.data)), X
 
 
 def test_mat_exp_refuses_generators_without_a_gram():
