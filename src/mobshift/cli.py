@@ -2,7 +2,8 @@
 classifier, and parameter sweeps with machine-readable reports.
 
 Every command resolves its family arguments (series, lambda, mu or Im mu, r)
-to one ``Realization``, and --op to an operator checked against the series.
+to one ``Realization``, refusing an option of another family, and --op to an
+operator checked against the series.
 The unitarity, homogeneity and normalizer suites share one loop that builds
 R once per path, in the orthonormal basis of the family's Gram where every
 suite certifies, so no verdict depends on the Gram's scale; each ``sweep``
@@ -114,6 +115,19 @@ def _realization(series: str | None, lam: float | None, im_mu=DEFAULT_IM_MU, mu=
     return Realization.sharp(params) if series == ANTIHOLO else Realization.plain(params)
 
 
+#: the option that each family alone takes (argparse dest); the defaults of all three apply per family
+_OWN_OPTION = {PRINCIPAL: "im_mu", COMPLEMENTARY: "mu", REDUCIBLE: "r"}
+
+
+def _family(args, series: str | None) -> Realization:
+    """``_realization`` of the family options given on the command line; an option
+    that belongs to another family than ``series`` is refused, not dropped."""
+    for owner, dest in _OWN_OPTION.items():
+        if dest in args and owner != series:
+            raise ParameterError(f"--{dest.replace('_', '-')} is an option of the {owner} family only")
+    return _realization(series, args.lam, **{dest: getattr(args, dest) for dest in _OWN_OPTION.values() if dest in args})
+
+
 def _context(series: str, rel: Realization) -> dict:
     """The family part of a report context: series, lam and mu, or lam and r."""
     p = rel.params
@@ -185,7 +199,7 @@ def _path_reports(suites, rel: Realization, w: TruncationWindow, paths, op=None,
 
 
 def cmd_weights(args) -> int:
-    rel = _realization(args.series, args.lam, args.im_mu, args.mu, args.r)
+    rel = _family(args, args.series)
     if args.n0 > args.n1:
         raise ParameterError("--n0 must not exceed --n1")
     rows = [(n, weight_sequence(args.series, rel, n, branch=args.branch)) for n in range(args.n0, args.n1 + 1)]
@@ -232,7 +246,7 @@ def _suite_lemmas(args) -> list[DefectReport]:
 
 def _verify_setup(args):
     """Realization, window, operator name (None for unitarity) and context of a verify suite."""
-    rel = _realization(args.series, args.lam, args.im_mu, args.mu, args.r)
+    rel = _family(args, args.series)
     w = TruncationWindow(rel.params.index_set, args.N, args.pad)
     ctx = _context(args.series, rel)
     ctx.update(suite=args.suite, N=args.N, padding=args.pad)
@@ -254,7 +268,7 @@ def _suite_infinitesimal(args) -> list[DefectReport]:
 
 
 def _suite_reducible_lambda(args) -> list[DefectReport]:
-    rel = _realization(REDUCIBLE, args.lam, r=args.r)
+    rel = _family(args, REDUCIBLE)
     w = TruncationWindow(rel.params.index_set, args.N, args.pad)
     tol = args.tolerance if args.tolerance is not None else DEFAULT_REDUCIBLE_TOL
     ctx = {"suite": "reducible-lambda", "N": args.N, "padding": args.pad}
@@ -360,6 +374,10 @@ def cmd_sweep(args) -> int:
     im_mus = _grid_values("--im-mu-grid", args.im_mu_grid) if args.series == PRINCIPAL else []
     auto = args.mu_grid.strip() == "auto"
     mu_values = _grid_values("--mu-grid", args.mu_grid) if args.series == COMPLEMENTARY and not auto else []
+    for flag, values, used in (("--lambda-grid", lams, True), ("--im-mu-grid", im_mus, args.series == PRINCIPAL),
+                               ("--mu-grid", mu_values, args.series == COMPLEMENTARY and not auto)):
+        if used and not values:
+            raise ParameterError(f"{flag} names no value, so the sweep would certify nothing")
     print("series,lambda,mu_re,mu_im,N,padding,suites,max_defect,status")
     any_bad = False
     for lam in lams:
@@ -400,9 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_series(sp):
         sp.add_argument("--series", choices=SERIES_CHOICES, help="representation family")
         sp.add_argument("--lambda", dest="lam", type=float, help="family parameter lambda")
-        sp.add_argument("--im-mu", dest="im_mu", type=float, default=DEFAULT_IM_MU, help="Im mu (principal; Re mu is forced)")
-        sp.add_argument("--mu", type=float, help="real mu (complementary)")
-        sp.add_argument("--r", type=_complex_arg, default=DEFAULT_COUPLING, help="seam coupling (reducible)")
+        # SUPPRESS: an option left out is absent from args, so that one of another family is told apart
+        sp.add_argument("--im-mu", dest="im_mu", type=float, default=argparse.SUPPRESS, help=f"Im mu (principal; Re mu is forced; default {DEFAULT_IM_MU:g})")
+        sp.add_argument("--mu", type=float, default=argparse.SUPPRESS, help="real mu (complementary)")
+        sp.add_argument("--r", type=_complex_arg, default=argparse.SUPPRESS, help=f"seam coupling (reducible; default {DEFAULT_COUPLING:g})")
 
     wp = sub.add_parser("weights", help="emit a weight-sequence table")
     add_series(wp)

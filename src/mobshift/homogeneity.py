@@ -159,7 +159,7 @@ def kappa_flow_derivative(
     a = rel.generator(X, w)
     T._require_compatible(a)
     spec = _spectrum(a)
-    cos_even, cos_odd, sin_eo = _parity_blocks(spec, step)
+    cos_even, cos_odd, sin_eo = _parity_blocks(spec, step, "step")
     d = spec.phases
     tp = np.divide(T.data, d[:, None], order="C")  # C order: rows are read as real pairs
     tp *= d

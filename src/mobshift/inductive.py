@@ -187,10 +187,10 @@ def normalizer_defect(
     Components are compared on the interior stretch of their diagonals, for
     as long as that stretch is non-empty; past it every residual is 0.
 
-    R must be unitary, as ``Realization.along_path`` builds it (a product of
-    exponentials of skew-Hermitian generators), so S = (R T) R^H: one dense
-    product, with no inverse, solve or condition estimate.  Every product
-    with T is a row or column scaling, so the rest costs O(N^2).
+    R must be unitary, as ``Realization.along_path`` builds it (an exponential
+    of a skew-Hermitian generator between unimodular diagonals), so
+    S = (R T) R^H: one dense product, with no inverse, solve or condition
+    estimate.  Every product with T is a row or column scaling: O(N^2).
     """
     step = _single_step(T)
     s = abs(step)

@@ -1,4 +1,4 @@
-"""The disc-automorphism group, its flow-path cover, and pointwise data.
+"""The disc-automorphism group, its flow-path cover, and the Cartan form of a path.
 
 Elements are ``phi_{alpha,beta}(z) = alpha (z - beta) / (1 - conj(beta) z)``
 with ``|alpha| = 1`` and ``|beta| < 1``; they compose as SU(1,1) matrices
@@ -43,25 +43,9 @@ class MobiusElement:
         return cls(1.0 + 0j, 0j)
 
 
-def apply(phi: MobiusElement, z: complex) -> complex:
-    """phi(z) = alpha (z - beta) / (1 - conj(beta) z)."""
-    return phi.alpha * (z - phi.beta) / (1.0 - phi.beta.conjugate() * z)
-
-
-def derivative(phi: MobiusElement, z: complex) -> complex:
-    """phi'(z) = alpha (1 - |beta|^2) / (1 - conj(beta) z)^2."""
-    d = 1.0 - phi.beta.conjugate() * z
-    return phi.alpha * (1.0 - abs(phi.beta) ** 2) / (d * d)
-
-
 def inverse(phi: MobiusElement) -> MobiusElement:
     """The element psi with phi(psi(z)) = z, namely (conj(alpha), -alpha beta)."""
     return MobiusElement(phi.alpha.conjugate(), -phi.alpha * phi.beta)
-
-
-def star(phi: MobiusElement) -> MobiusElement:
-    """The twist z -> conj(phi(conj z)), whose parameters are (conj alpha, conj beta)."""
-    return MobiusElement(phi.alpha.conjugate(), phi.beta.conjugate())
 
 
 def _su11(phi: MobiusElement) -> tuple[complex, complex]:
@@ -148,13 +132,8 @@ class GroupPath:
     def __add__(self, other: "GroupPath") -> "GroupPath":
         return GroupPath(self.segments + other.segments)
 
-    def __len__(self) -> int:
-        return len(self.segments)
-
     def describe(self) -> str:
-        if not self.segments:
-            return "id"
-        return ",".join(f"{g}:{t:g}" for g, t in self.segments)
+        return ",".join(f"{g}:{t:g}" for g, t in self.segments) or "id"
 
 
 def path_to_mobius(p: GroupPath) -> MobiusElement:
@@ -163,6 +142,27 @@ def path_to_mobius(p: GroupPath) -> MobiusElement:
     for gen, t in p.segments:
         out = compose(out, flow(gen, t))
     return out
+
+
+def cartan(p: GroupPath) -> tuple[float, float, float]:
+    """(theta1, s, theta2) with p = exp(theta1 h) exp(s L) exp(theta2 h) on the cover.
+
+    From phi = (alpha, beta) of p: tanh|s| = |beta| and e^{-2i theta2} = -sign(s) beta/|beta|
+    with |theta2| <= pi/4 (0 when beta = 0); theta1 + theta2 is the Theta with
+    e^{2i Theta} = alpha, lifted segment by segment (each moves it by less than pi/2).  A
+    single segment is its own Cartan form (M is L turned by exp(pi/4 h)), kept exact.
+    """
+    if len(p.segments) == 1:
+        gen, t = p.segments[0]
+        return {"h": (t, 0.0, 0.0), "L": (0.0, t, 0.0), "M": (math.pi / 4, t, -math.pi / 4)}[gen]
+    phi, turn = MobiusElement.identity(), 0.0
+    for gen, t in p.segments:
+        phi = compose(phi, flow(gen, t))
+        half = cmath.phase(phi.alpha) / 2.0
+        turn = half + math.pi * round((turn - half) / math.pi)
+    sign = -1.0 if phi.beta.real > 0.0 else 1.0
+    theta2 = -cmath.phase(-sign * phi.beta) / 2.0 if phi.beta else 0.0
+    return turn - theta2, sign * math.atanh(abs(phi.beta)), theta2
 
 
 STAR_SIGNS = {"h": -1.0, "L": 1.0, "M": -1.0}

@@ -4,12 +4,9 @@ Matrices live on an explicit truncation window and carry a basis tag, so
 bookkeeping mistakes (mixing windows or bases) fail fast instead of producing
 plausible-looking numbers.  Operators are dense complex128 and read-only; the
 public constructor copies, library results own their fresh arrays.  ``mat_exp``
-takes generators already in an orthonormal basis, skew-Hermitian, and reads no
-Gram; it works in real arithmetic, from one real eigh of the generator's
-tridiagonal Hermitian form and half-size products split by index parity.
-That real tridiagonal is the same for L and M of one family and window (a
-quarter-turn apart, a diagonal unitary that the phases absorb), so the eigh
-is cached on its content: one per family and window.
+takes skew-Hermitian generators already in an orthonormal basis, reads no
+Gram, and works in real arithmetic from one cached real eigh per family and
+window, which L and M share.
 """
 
 from __future__ import annotations
@@ -315,28 +312,29 @@ def _spectrum(X: OperatorMatrix) -> _Spectrum:
     return _Spectrum(*hit, phases)
 
 
-def _parity_blocks(spec: _Spectrum, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _parity_blocks(spec: _Spectrum, t: float, role: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """cos tHr on the even positions, cos tHr on the odd ones, and sin tHr from
     even to odd positions: three real half-size products.  Hr links only even
     positions to odd ones, so cos tHr has no even-odd entries and sin tHr
     (symmetric) only those.  In the computed spectrum those blocks vanish only
     as far as its eigenvalues pair up as +-lambda, to about |t| times
-    ``spec.gap``; beyond ``PAIRING_TOL`` the split is refused with
-    ``NumericsError``."""
+    ``spec.gap``; beyond ``PAIRING_TOL`` the split is refused with a
+    ``NumericsError`` that names t by its ``role``."""
     if abs(t) * spec.gap > PAIRING_TOL:
         raise NumericsError(
             f"eigenvalues of the generator pair up only to {spec.gap:.3e}; "
-            f"the exponential at t = {t:g} would err by about {abs(t) * spec.gap:.1e}"
+            f"the exponential at the {role}, {t:g}, would err by about {abs(t) * spec.gap:.1e}"
         )
     cos, sin = np.cos(t * spec.values), np.sin(t * spec.values)
     qe, qo = spec.even, spec.odd
     return (qe * cos) @ qe.T, (qo * cos) @ qo.T, (qe * sin) @ qo.T
 
 
-def mat_exp(X: OperatorMatrix, t: float = 1.0) -> OperatorMatrix:
-    """e^{tX} for a skew-Hermitian diagonal or tridiagonal generator.
+def mat_exp(X: OperatorMatrix, t: float = 1.0, left=1.0, right=1.0) -> OperatorMatrix:
+    """diag(left) e^{tX} diag(right) for a skew-Hermitian diagonal or tridiagonal
+    generator X; the diagonals (1 by default) ride on the phase scaling by D.
 
-    Either must be skew-Hermitian to ``SKEW_TOL`` relative to its largest
+    X must be skew-Hermitian to ``SKEW_TOL`` relative to its largest
     entry.  A diagonal X (|Re d| within that bound) takes the scalar
     exponentials, which are then unimodular.  A tridiagonal X must live on
     the +-1 diagonals; then e^{tX} = D (cos tHr - i sin tHr) D^-1 with
@@ -354,16 +352,16 @@ def mat_exp(X: OperatorMatrix, t: float = 1.0) -> OperatorMatrix:
         residue = float(np.max(np.abs(d.real)))
         if not residue <= SKEW_TOL * float(np.max(np.abs(d))):
             raise NotSkewAdjointError(f"diagonal generator is not skew-Hermitian (real part {residue:.3e})")
-        return OperatorMatrix.from_band(X.window, 0, np.exp(t * d), X.basis)
+        return OperatorMatrix.from_band(X.window, 0, left * np.exp(t * d) * right, X.basis)
     spec = _spectrum(X)
-    cos_even, cos_odd, sin_eo = _parity_blocks(spec, t)
+    cos_even, cos_odd, sin_eo = _parity_blocks(spec, t, "boost s of the path")
     out = np.zeros(X.data.shape, dtype=np.complex128)
     out.real[0::2, 0::2] = cos_even
     out.real[1::2, 1::2] = cos_odd
     out.imag[0::2, 1::2] = -sin_eo
     out.imag[1::2, 0::2] = -sin_eo.T
-    out *= spec.phases[:, None]
-    out /= spec.phases[None, :]
+    out *= (left * spec.phases)[:, None]
+    out /= (spec.phases / right)[None, :]
     return OperatorMatrix._adopt(out, X.window, X.basis, None)
 
 

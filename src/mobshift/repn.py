@@ -11,15 +11,15 @@ which differentiates to the generator actions
     dR(f) f_n = (lam + mu + n) f_{n+1},
 
 with L = e + f and M = i(e - f).  The module realizes R two independent
-ways -- exponentials of truncated generator matrices along flow paths, and
-direct evaluation on the unit circle followed by Fourier extraction -- so the
-two routes can cross-check each other away from the truncation boundary.
-Both return R in the orthonormal basis x_n = f_n / ||f_n||, where no verdict
-depends on the scale of the Gram: the exponential route builds each generator
-there from the monomial matrix and the norm ratios, the circle route scales
-its monomial table by the norms.  ``generator_matrix`` and
-``reducible_generator_matrix`` stay the monomial action; ``to_orthonormal``
-brings a monomial operator to the basis of R.
+ways -- one exponential of the truncated L between two diagonal rotations
+(the Cartan form of the path), and direct evaluation on the unit circle
+followed by Fourier extraction -- so the two routes can cross-check each
+other away from the truncation boundary.  Both return R in the orthonormal
+basis x_n = f_n / ||f_n||, where no verdict depends on the scale of the Gram:
+the exponential route builds each generator there from the monomial matrix
+and the norm ratios, the circle route scales its monomial table by the norms.
+``generator_matrix`` and ``reducible_generator_matrix`` stay the monomial
+action; ``to_orthonormal`` brings a monomial operator to the basis of R.
 """
 
 from __future__ import annotations
@@ -296,17 +296,17 @@ class Realization:
         return OperatorMatrix._adopt(data, w, ORTHONORMAL)
 
     def along_path(self, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
-        """R(path) in the orthonormal basis: the ordered product of the
-        generator exponentials.
-
-        Trustworthy on the window interior; boundary rows and columns carry
-        truncation error.
+        """R(path) in the orthonormal basis from the path's Cartan form
+        (``mobius.cartan``): dR(h) is diagonal, so R = D(theta1) e^{s dR(L)} D(theta2)
+        with D(theta) = exp(theta dR(h)), one exponential whatever the path's
+        length (none when s = 0), with both D folded into its phase scaling.
+        Trustworthy on the window interior; the boundary carries truncation error.
         """
-        out = None
-        for gen, t in path.segments:
-            factor = mat_exp(self.generator(gen, w), t)
-            out = factor if out is None else out @ factor
-        return OperatorMatrix.identity(w, ORTHONORMAL) if out is None else out
+        theta1, s, theta2 = mobius.cartan(path)
+        d = np.diagonal(self.generator("h", w).data)
+        if s == 0.0:
+            return OperatorMatrix.from_band(w, 0, np.exp((theta1 + theta2) * d), ORTHONORMAL)
+        return mat_exp(self.generator("L", w), s, np.exp(theta1 * d), np.exp(theta2 * d))
 
 
 def rep_matrix(p: RepnParams, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:

@@ -9,7 +9,9 @@ instead of diagonal surgery, dense matrix powers instead of diagonal
 recurrences, an LU solve for phi(T) instead of its denominator multiplied
 out, whole-window dense products instead of row and column scalings of an
 interior block, four dense products of the exponentials instead of their
-parity blocks.  ``circle_fft`` and ``circle_synthesis`` are the plain
+parity blocks, the ordered product of one exponential per path segment
+instead of the path's Cartan form, pointwise phi, phi' and twist instead of
+SU(1,1) matrices.  ``circle_fft`` and ``circle_synthesis`` are the plain
 normalized FFT pair of unit-circle samples; ``unblocked_circle_table`` builds
 the circle route's whole grid x window table at once; ``circle_rep_oracle``
 applies the circle route's table to one coefficient vector, as the oracle of
@@ -145,6 +147,31 @@ def pade_expm(a: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         f = f @ f
     return f
+
+
+def apply(phi: MobiusElement, z: complex) -> complex:
+    """phi(z) = alpha (z - beta) / (1 - conj(beta) z), pointwise."""
+    return phi.alpha * (z - phi.beta) / (1.0 - phi.beta.conjugate() * z)
+
+
+def derivative(phi: MobiusElement, z: complex) -> complex:
+    """phi'(z) = alpha (1 - |beta|^2) / (1 - conj(beta) z)^2, pointwise."""
+    d = 1.0 - phi.beta.conjugate() * z
+    return phi.alpha * (1.0 - abs(phi.beta) ** 2) / (d * d)
+
+
+def star(phi: MobiusElement) -> MobiusElement:
+    """The twist z -> conj(phi(conj z)), whose parameters are (conj alpha, conj beta)."""
+    return MobiusElement(phi.alpha.conjugate(), phi.beta.conjugate())
+
+
+def product_rep_matrix(rel, path, w) -> np.ndarray:
+    """R(path) as the ordered product of one ``mat_exp`` per segment, each
+    factor with its own truncation error: the oracle of ``Realization.along_path``."""
+    out = np.eye(w.size, dtype=np.complex128)
+    for gen, t in path.segments:
+        out = out @ mat_exp(rel.generator(gen, w), t).data
+    return out
 
 
 def dense_mobius(phi: MobiusElement, data: np.ndarray) -> np.ndarray:

@@ -254,7 +254,7 @@ def test_verify_rejects_a_nan_coupling(capsys):
 
 def test_out_of_memory_exits_three(capsys, monkeypatch):
     # stands in for the allocation a huge window (--N 100000) asks for; nothing that large is allocated
-    def exhausted(X, t=1.0):
+    def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 149. GiB for an array with shape (100001, 100001) and data type complex128")
 
     monkeypatch.setattr(repn, "mat_exp", exhausted)
@@ -264,6 +264,60 @@ def test_out_of_memory_exits_three(capsys, monkeypatch):
         "numerical failure: out of memory (Unable to allocate 149. GiB for an array with shape"
         " (100001, 100001) and data type complex128)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["unitarity", "--series", "complementary", "--lambda", "0.4", "--mu", "0.2", "--im-mu", "3", "--r", "5",
+          "--path", "L:0.1"], "--im-mu is an option of the principal family only"),
+        (["unitarity", "--series", "holo", "--lambda", "2", "--mu", "0.3"], "--mu is an option of the complementary family only"),
+        (["unitarity", "--series", "principal", "--lambda", "0.3", "--r", "2"], "--r is an option of the reducible family only"),
+        (["reducible-lambda", "--lambda", "1", "--im-mu", "2"], "--im-mu is an option of the principal family only"),
+    ],
+    ids=("complementary with Im mu and r", "holo with mu", "principal with r", "reducible-lambda with Im mu"),
+)
+def test_verify_refuses_an_option_of_another_family(capsys, argv, message):
+    code, out, err = run(capsys, ["verify", *argv])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_weights_refuses_an_option_of_another_family(capsys):
+    code, out, err = run(capsys, ["weights", "--series", "antiholo", "--lambda", "2", "--r", "2", "--n0", "-1", "--n1", "0"])
+    assert code == 2 and out == ""
+    assert err == "error: --r is an option of the reducible family only\n"
+
+
+def test_family_options_apply_to_their_own_family(capsys):
+    # each family takes its own option, and the defaults (Im mu 0.5, r 1) apply when it is left out
+    for argv, key, value in (
+        (["unitarity", "--series", "principal", "--lambda", "0.3"], "mu", [0.35, 0.5]),
+        (["unitarity", "--series", "principal", "--lambda", "0.3", "--im-mu", "2"], "mu", [0.35, 2.0]),
+        (["unitarity", "--series", "complementary", "--lambda", "0.4", "--mu", "0.2"], "mu", [0.2, 0.0]),
+        (["unitarity", "--series", "reducible", "--lambda", "1"], "r", [1.0, 0.0]),
+        (["reducible-lambda", "--lambda", "1", "--r", "2"], "r", [2.0, 0.0]),
+    ):
+        code, out, _ = run(capsys, ["verify", *argv, "--N", "16", "--pad", "4", "--path", "L:0.1"])
+        assert code == 0, argv
+        assert json.loads(out.splitlines()[0])["context"][key] == pytest.approx(value), argv
+
+
+def test_verify_homogeneity_holo_at_large_lambda(capsys):
+    # one exponential per path: the composite default path no longer stacks one
+    # truncation error per segment (it read 1.4e-6 against the 1e-6 tolerance)
+    code, out, _ = run(capsys, ["verify", "homogeneity", "--series", "holo", "--lambda=40"])
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    assert code == 0 and len(reports) == 4
+    assert max(r["value"] for r in reports) <= 1e-7
+
+
+def test_an_unpaired_spectrum_is_named_at_the_boost_of_the_path(capsys):
+    # the exponential runs once, at the path's boost s = artanh|beta|, not at a segment's time
+    argv = ["verify", "unitarity", "--series", "principal", "--lambda", "0.3", "--im-mu", "1e8", "--path", "L:0.2,M:0.2,L:0.2"]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert "the exponential at the boost s of the path, 0.4495" in err and len(err.splitlines()) == 1
 
 
 def test_verify_non_finite_im_mu_exit_two(capsys):
@@ -399,9 +453,26 @@ def test_sweep_operator_is_checked_against_the_series(capsys):
 
 
 def test_sweep_empty_grid(capsys):
-    code, out, _ = run(capsys, ["sweep", "--series", "principal", "--lambda-grid", ""])
-    assert code == 0
-    assert out.strip().splitlines() == ["series,lambda,mu_re,mu_im,N,padding,suites,max_defect,status"]
+    # a sweep that certifies nothing is refused, not passed with a bare header
+    code, out, err = run(capsys, ["sweep", "--series", "principal", "--lambda-grid", ""])
+    assert code == 2 and out == ""
+    assert err == "error: --lambda-grid names no value, so the sweep would certify nothing\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--series", "holo"], "--lambda-grid"),
+        (["--series", "holo", "--lambda-grid=,"], "--lambda-grid"),
+        (["--series", "principal", "--lambda-grid=0.2", "--im-mu-grid="], "--im-mu-grid"),
+        (["--series", "complementary", "--lambda-grid=0.2", "--mu-grid="], "--mu-grid"),
+    ],
+    ids=("no lambda grid", "empty lambda grid", "empty Im mu grid", "empty mu grid"),
+)
+def test_sweep_refuses_an_empty_grid(capsys, argv, flag):
+    code, out, err = run(capsys, ["sweep", *argv])
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} names no value, so the sweep would certify nothing\n"
 
 
 def test_sweep_principal_grid(capsys):

@@ -5,20 +5,9 @@ import numpy as np
 import pytest
 
 from mobshift.errors import ParameterError
-from mobshift.mobius import (
-    GroupPath,
-    MobiusElement,
-    apply,
-    compose,
-    derivative,
-    flow,
-    inverse,
-    path_to_mobius,
-    star,
-    star_path,
-)
+from mobshift.mobius import GroupPath, MobiusElement, cartan, compose, flow, inverse, path_to_mobius, star_path
 
-from oracles import random_disc_point, random_mobius
+from oracles import apply, derivative, random_disc_point, random_mobius, star
 
 
 @pytest.fixture
@@ -256,3 +245,42 @@ def test_derivative_chain_rule(rng):
         chi = compose(phi, psi)
         chained = derivative(phi, apply(psi, z)) * derivative(psi, z)
         assert abs(derivative(chi, z) - chained) <= 1e-8
+
+
+# ---------------------------------------------------------------- Cartan form
+
+
+def cartan_element(theta1: float, s: float, theta2: float) -> MobiusElement:
+    """exp(theta1 h) exp(s L) exp(theta2 h) projected to the disc, for any angles."""
+    return MobiusElement(cmath.exp(2j * (theta1 + theta2)), -math.tanh(s) * cmath.exp(-2j * theta2))
+
+
+def test_cartan_reassembles_the_path(rng):
+    for _ in range(200):
+        k = int(rng.integers(2, 7))
+        path = GroupPath(tuple((str(rng.choice(["h", "L", "M"])), float(rng.uniform(-0.5, 0.5))) for _ in range(k)))
+        theta1, s, theta2 = cartan(path)
+        assert abs(theta2) <= math.pi / 4 + 1e-15
+        assert params_close(cartan_element(theta1, s, theta2), path_to_mobius(path))
+
+
+@pytest.mark.parametrize(
+    "text, turn",
+    [("h:0.5,h:0.5,h:0.5,L:0.2", 1.5), ("h:0.5,h:0.5,h:0.5,h:0.5", 2.0), ("h:-0.5,h:-0.5,h:-0.5,h:-0.5,h:-0.5", -2.5)],
+)
+def test_cartan_lifts_the_rotation_to_the_cover(text, turn):
+    # alpha fixes theta1 + theta2 only up to pi; the lift follows the path past pi/2
+    theta1, s, theta2 = cartan(GroupPath.parse(text))
+    assert theta1 + theta2 == pytest.approx(turn, abs=1e-12)
+    if "L" not in text:
+        assert s == 0.0 and theta2 == 0.0
+
+
+def test_cartan_keeps_a_single_segment_exact():
+    for t in (0.15, -0.37, 0.5):
+        assert cartan(GroupPath((("L", t),))) == (0.0, t, 0.0)
+        assert cartan(GroupPath((("h", t),))) == (t, 0.0, 0.0)
+        assert cartan(GroupPath((("M", t),))) == (math.pi / 4, t, -math.pi / 4)
+        assert params_close(cartan_element(*cartan(GroupPath((("M", t),)))), flow("M", t))
+    assert cartan(GroupPath(())) == (0.0, 0.0, 0.0)
+

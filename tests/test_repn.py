@@ -44,7 +44,7 @@ from mobshift.repn import (
     unitarity_residual,
 )
 
-from oracles import circle_rep_oracle, pade_expm, random_dense, unblocked_circle_table
+from oracles import circle_rep_oracle, pade_expm, product_rep_matrix, random_dense, unblocked_circle_table
 
 PRINCIPAL_P = RepnParams(BILATERAL, 0.3, complex(0.35, 0.7))
 COMP_P = RepnParams(BILATERAL, 0.4, 0.2 + 0j)
@@ -262,12 +262,91 @@ def test_rep_matrix_rotation_is_exact_diagonal():
 
 
 def test_rep_matrix_is_multiplicative_over_concatenation():
-    w = TruncationWindow(BILATERAL, 16, 4)
     p1 = GroupPath((("L", 0.1),))
     p2 = GroupPath((("M", -0.05), ("h", 0.2)))
+    # the ordered product is multiplicative by construction, over the whole window
+    w = TruncationWindow(BILATERAL, 16, 4)
+    rel = Realization.plain(PRINCIPAL_P)
+    whole = product_rep_matrix(rel, p1 + p2, w)
+    assert np.max(np.abs(whole - product_rep_matrix(rel, p1, w) @ product_rep_matrix(rel, p2, w))) <= 1e-12
+    # the Cartan form truncates once per path, not once per segment, so R(p1 + p2) and
+    # R(p1) R(p2) differ near the window edge (by 0.64 at N = 16, pad 4) and agree on a deep interior
+    w = TruncationWindow(BILATERAL, 128, 64)
     whole = rep_matrix(PRINCIPAL_P, p1 + p2, w)
     parts = rep_matrix(PRINCIPAL_P, p1, w) @ rep_matrix(PRINCIPAL_P, p2, w)
-    assert np.max(np.abs(whole.data - parts.data)) <= 1e-12
+    ip = w.interior_positions()
+    assert np.max(np.abs(whole.data - parts.data)[np.ix_(ip, ip)]) <= 1e-13
+
+
+CARTAN_CASES = {
+    "holo": (Realization.plain(RepnParams(UNILATERAL, 2.7)), UNILATERAL),
+    "sharp": (Realization.sharp(RepnParams(UNILATERAL, 2.7)), UNILATERAL),
+    "principal": (Realization.plain(PRINCIPAL_P), BILATERAL),
+    "complementary": (Realization.plain(COMP_P), BILATERAL),
+    "reducible": (Realization.reducible(1.3, 0.7 + 0.2j), BILATERAL),
+}
+CARTAN_PATHS = (
+    "L:0.1", "M:0.1", "h:0.3", "L:0.1,M:-0.05,h:0.2",  # the CLI's default paths
+    "h:0.5,h:0.5,h:0.5,L:0.2", "h:0.5,L:0.3,h:0.5,M:-0.3,h:0.5,L:0.1,h:0.5", "L:-0.2,M:0.3",
+)
+
+
+@pytest.mark.parametrize("case", sorted(CARTAN_CASES))
+def test_cartan_form_matches_the_ordered_product(case):
+    # one exponential between two diagonals against one exponential per segment; the
+    # product's extra truncation errors stay near the edge, out of a deep interior.
+    # The fifth and sixth paths turn past pi/2, so the rotation angle must be lifted to the cover
+    rel, kind = CARTAN_CASES[case]
+    w = TruncationWindow(kind, 256, 128)
+    ip = np.ix_(w.interior_positions(), w.interior_positions())
+    for text in CARTAN_PATHS:
+        path = GroupPath.parse(text)
+        R = rel.along_path(path, w)
+        assert R.basis == ORTHONORMAL
+        assert np.max(np.abs(R.data - product_rep_matrix(rel, path, w))[ip]) <= 5e-14, text
+
+
+def test_cartan_form_of_a_long_boost_matches_the_ordered_product():
+    path = GroupPath.parse("L:0.1,M:0.1,L:0.1,M:0.1")
+    assert 0.25 <= abs(path_to_mobius(path).beta) <= 0.35
+    rel = Realization.plain(PRINCIPAL_P)
+    w = TruncationWindow(BILATERAL, 256, 160)
+    ip = np.ix_(w.interior_positions(), w.interior_positions())
+    assert np.max(np.abs(rel.along_path(path, w).data - product_rep_matrix(rel, path, w))[ip]) <= 5e-14
+
+
+def test_along_path_takes_one_exponential_of_l_and_no_dense_product(monkeypatch):
+    rel = Realization.plain(PRINCIPAL_P)
+    w = TruncationWindow(BILATERAL, 16, 4)
+    calls = []
+    exp = repn.mat_exp
+    monkeypatch.setattr(repn, "mat_exp", lambda X, *args: calls.append(X) or exp(X, *args))
+    monkeypatch.setattr(OperatorMatrix, "__matmul__", lambda *args: pytest.fail("along_path formed a product"))
+    for text, exps in (("L:0.1,M:-0.05,h:0.2,M:0.3,L:-0.4", 1), ("M:0.1", 1), ("h:0.5,h:-0.2", 0), ("id", 0)):
+        calls.clear()
+        rel.along_path(GroupPath.parse(text), w)
+        assert calls == [rel.generator("L", w)] * exps, text
+
+
+def test_single_segment_paths_are_the_exponential_of_their_generator():
+    # a bare L:t or h:t is its own Cartan form: bit for bit the exponential of t dR(X)
+    for rel, kind in CARTAN_CASES.values():
+        w = TruncationWindow(kind, 16, 4)
+        for X, t in (("L", 0.15), ("L", -0.37), ("h", 0.3), ("h", -0.5)):
+            R = rel.along_path(GroupPath(((X, t),)), w)
+            np.testing.assert_array_equal(R.data, mat_exp(rel.generator(X, w), t).data)
+
+
+@pytest.mark.parametrize("N", [128, 256])
+def test_cartan_form_agrees_with_circle_route(N):
+    # the last path turns by 1.5 before its boost: the lift agrees with the principal log of alpha
+    w = TruncationWindow(BILATERAL, N, N // 4)
+    ip = np.ix_(w.interior_positions(), w.interior_positions())
+    for p in (PRINCIPAL_P, COMP_P):
+        for text in ("L:0.1,M:-0.05,h:0.2", "M:0.1", "h:0.5,h:0.5,h:0.5,L:0.1"):
+            path = GroupPath.parse(text)
+            gap = np.max(np.abs(rep_matrix(p, path, w).data - circle_rep_matrix(p, path, w).data)[ip])
+            assert gap <= 1e-13, (p, text)
 
 
 def test_concatenated_path_agrees_with_circle_route():
