@@ -218,6 +218,9 @@ def cmd_weights(args) -> int:
 
 
 def _suite_lemmas(args) -> list[DefectReport]:
+    for flag, dest in (("--series", "series"), ("--lambda", "lam"), ("--im-mu", "im_mu"), ("--mu", "mu"), ("--r", "r")):
+        if getattr(args, dest, None) is not None:
+            raise ParameterError(f"{flag} is not an option of verify lemmas, which draws its parameters at random")
     if args.samples < 1:
         raise ParameterError("--samples must be at least 1")
     tol = args.tolerance if args.tolerance is not None else 1e-10
@@ -268,6 +271,8 @@ def _suite_infinitesimal(args) -> list[DefectReport]:
 
 
 def _suite_reducible_lambda(args) -> list[DefectReport]:
+    if args.series not in (None, REDUCIBLE):
+        raise ParameterError(f"verify reducible-lambda certifies the reducible family only, not --series {args.series}")
     rel = _family(args, REDUCIBLE)
     w = TruncationWindow(rel.params.index_set, args.N, args.pad)
     tol = args.tolerance if args.tolerance is not None else DEFAULT_REDUCIBLE_TOL
@@ -285,16 +290,18 @@ _SUITE_RUNNERS = {
 }
 
 
-def _default_pad(N: int, normalizer: bool = False) -> int:
+def _default_pad(N: int, series: str | None, normalizer: bool = False) -> int:
     """Padding when --pad is omitted: N/4, or 3N/8 for the normalizer, which
     conjugates by R and needs a deeper quarantine; never below 16 and 24,
-    which small windows need (pad 8 at N = 32 fails homogeneity)."""
-    return max(DEEP_PADDING, 3 * N // 8) if normalizer else max(DEFAULT_PADDING, N // 4)
+    which small windows need (pad 8 at N = 32 fails homogeneity), and at most
+    the largest pad that leaves the window an interior: N/2 on 0..N, N - 1 on -N..N."""
+    pad = max(DEEP_PADDING, 3 * N // 8) if normalizer else max(DEFAULT_PADDING, N // 4)
+    return min(pad, N // 2 if series in (HOLO, ANTIHOLO) else N - 1)
 
 
 def cmd_verify(args) -> int:
     if args.pad is None:
-        args.pad = _default_pad(args.N, args.suite == "normalizer")
+        args.pad = _default_pad(args.N, args.series, args.suite == "normalizer")
     reports = _SUITE_RUNNERS[args.suite](args)
     for report in reports:
         print(report.to_json())
@@ -348,9 +355,12 @@ def cmd_classify(args) -> int:
 
 def _grid_values(flag: str, text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ParameterError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise ParameterError(f"{flag} names no value, so the sweep would certify nothing")
+    return values
 
 
 def _sweep_cell(args, op, suites, paths, lam: float, mu: complex) -> tuple[float, bool]:
@@ -362,8 +372,11 @@ def _sweep_cell(args, op, suites, paths, lam: float, mu: complex) -> tuple[float
 
 
 def cmd_sweep(args) -> int:
+    for dest, owner in (("im_mu_grid", PRINCIPAL), ("mu_grid", COMPLEMENTARY)):
+        if dest in args and args.series != owner:
+            raise ParameterError(f"--{dest.replace('_', '-')} is an option of the {owner} family only")
     if args.pad is None:
-        args.pad = _default_pad(args.N)
+        args.pad = _default_pad(args.N, args.series)
     suites = [suite.strip() for suite in args.suites.split(",")]
     for suite in suites:
         if suite not in SWEEP_SUITES:
@@ -371,13 +384,9 @@ def cmd_sweep(args) -> int:
     op = _operator_name(args.series, args.op)
     paths = _paths(args)
     lams = _grid_values("--lambda-grid", args.lambda_grid)
-    im_mus = _grid_values("--im-mu-grid", args.im_mu_grid) if args.series == PRINCIPAL else []
-    auto = args.mu_grid.strip() == "auto"
+    im_mus = _grid_values("--im-mu-grid", getattr(args, "im_mu_grid", str(DEFAULT_IM_MU))) if args.series == PRINCIPAL else []
+    auto = getattr(args, "mu_grid", "auto").strip() == "auto"
     mu_values = _grid_values("--mu-grid", args.mu_grid) if args.series == COMPLEMENTARY and not auto else []
-    for flag, values, used in (("--lambda-grid", lams, True), ("--im-mu-grid", im_mus, args.series == PRINCIPAL),
-                               ("--mu-grid", mu_values, args.series == COMPLEMENTARY and not auto)):
-        if used and not values:
-            raise ParameterError(f"{flag} names no value, so the sweep would certify nothing")
     print("series,lambda,mu_re,mu_im,N,padding,suites,max_defect,status")
     any_bad = False
     for lam in lams:
@@ -408,8 +417,15 @@ def cmd_sweep(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad usage with a one-line reason and exit 2; the subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mobshift",
         description="Construct truncated cover representations and certify shift-operator identities.",
     )
@@ -435,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("suite", choices=SUITES)
     add_series(vp)
     vp.add_argument("--N", type=int, default=DEFAULT_N, help="window size (default 64)")
-    vp.add_argument("--pad", type=int, default=None, help="interior padding (default max(16, N/4); max(24, 3N/8) for normalizer)")
+    vp.add_argument("--pad", type=int, default=None, help="interior padding (default max(16, N/4); max(24, 3N/8) for normalizer; at most N/2 for holo and antiholo, N-1 otherwise)")
     vp.add_argument("--op", choices=OP_CHOICES, help="operator under test")
     vp.add_argument("--path", action="append", help="flow path gen:time[,gen:time...]; repeatable")
     vp.add_argument("--tolerance", type=float, help="override the suite tolerance")
@@ -454,13 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
     gp = sub.add_parser("sweep", help="run suites over a parameter grid, CSV per cell")
     gp.add_argument("--series", choices=(HOLO, PRINCIPAL, COMPLEMENTARY), required=True)
     gp.add_argument("--lambda-grid", dest="lambda_grid", default="", help="comma-separated lambda values")
-    gp.add_argument("--im-mu-grid", dest="im_mu_grid", default=str(DEFAULT_IM_MU), help="comma-separated Im mu (principal)")
-    gp.add_argument("--mu-grid", dest="mu_grid", default="auto", help="'auto' midpoints or comma-separated mu")
+    # SUPPRESS, as in add_series: a grid left out is absent from args, so that one of another family is told apart
+    gp.add_argument("--im-mu-grid", dest="im_mu_grid", default=argparse.SUPPRESS, help=f"comma-separated Im mu (principal; default {DEFAULT_IM_MU:g})")
+    gp.add_argument("--mu-grid", dest="mu_grid", default=argparse.SUPPRESS, help="'auto' midpoints (the default) or comma-separated mu (complementary)")
     gp.add_argument("--suites", default="unitarity", help="comma-separated: " + ",".join(SWEEP_SUITES))
     gp.add_argument("--op", choices=OP_CHOICES, help="operator for the homogeneity suite")
     gp.add_argument("--path", action="append", help="flow path; repeatable")
     gp.add_argument("--N", type=int, default=DEFAULT_N)
-    gp.add_argument("--pad", type=int, default=None, help="interior padding (default max(16, N/4))")
+    gp.add_argument("--pad", type=int, default=None, help="interior padding (default max(16, N/4); at most N/2 for holo, N-1 otherwise)")
     gp.set_defaults(func=cmd_sweep)
 
     return parser

@@ -163,7 +163,7 @@ def kappa_flow_derivative(
     d = spec.phases
     tp = np.divide(T.data, d[:, None], order="C")  # C order: rows are read as real pairs
     tp *= d
-    tp = OperatorMatrix._adopt(tp, a.window, a.basis)
+    tp = OperatorMatrix._adopt(tp, a.window, a.basis, T.offset)
 
     def times(parity: int, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
         # T' times the real matrix with these blocks in its even and odd rows, through

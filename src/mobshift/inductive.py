@@ -147,11 +147,11 @@ def classify_a_minus1(a: Mapping[int, complex], p: RepnParams) -> AminusOneFit:
     return AminusOneFit(a_fit, b_fit, residual, FIT_NEITHER)
 
 
-def _single_step(T: OperatorMatrix) -> int:
+def _single_step(T: OperatorMatrix) -> tuple[int, np.ndarray]:
     band = T.single_diagonal
     if band is None or band[0] == 0:
         raise ParameterError("expected a single-step shift")
-    return band[0]
+    return band
 
 
 def _best_multiple_residual(block: np.ndarray, ref: np.ndarray | None) -> float:
@@ -192,12 +192,11 @@ def normalizer_defect(
     S = (R T) R^H: one dense product, with no inverse, solve or condition
     estimate.  Every product with T is a row or column scaling: O(N^2).
     """
-    step = _single_step(T)
+    step, t = _single_step(T)
     s = abs(step)
     S = (R @ T) @ R.H
     value = interior_norm(S @ T - T @ S, w)
     interior = w.size - 2 * w.padding
-    t = np.diagonal(T.data, step)
     adj = t.conj() if w.kind == UNILATERAL else None
     power = adj_power = np.ones(w.size, dtype=np.complex128)
     for k in range(-(-interior // s)):

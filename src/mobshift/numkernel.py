@@ -3,17 +3,17 @@
 Matrices live on an explicit truncation window and carry a basis tag, so
 bookkeeping mistakes (mixing windows or bases) fail fast instead of producing
 plausible-looking numbers.  Operators are dense complex128 and read-only; the
-public constructor copies, library results own their fresh arrays.  ``mat_exp``
-takes skew-Hermitian generators already in an orthonormal basis, reads no
-Gram, and works in real arithmetic from one cached real eigh per family and
-window, which L and M share.
-"""
+public constructor copies and scans its outside array for a single diagonal,
+library builders state theirs.  ``mat_exp`` takes skew-Hermitian generators
+on the +-1 diagonals in an orthonormal basis, reads no Gram, and works in
+real arithmetic from one cached real eigh per family and window, which L and
+M share."""
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,7 @@ SKEW_TOL = 1.0e-12
 #: largest |t| times the eigenvalue pairing gap of Hr that mat_exp accepts (see _parity_blocks)
 PAIRING_TOL = 1.0e-8
 #: real spectra mat_exp keeps, one entry per family and window (L and M share
-#: one, h needs none); repn keeps as many orthonormal-basis generators
+#: one); repn keeps as many orthonormal-basis generators
 GENERATOR_CACHE_SIZE = 3
 
 
@@ -101,34 +101,39 @@ class TruncationWindow:
         return self.kind == other.kind and self.N == other.N
 
 
-_SCAN = object()
+def _scan(a: np.ndarray) -> int | None:
+    """The diagonal that holds every nonzero entry of a (0 when there is none), or None."""
+    rows, cols = np.nonzero(a)
+    offsets = cols - rows
+    if np.any(offsets != offsets[:1]):
+        return None
+    return int(offsets[0]) if offsets.size else 0
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Immutable square matrix over a window's basis indices."""
+    """Immutable square matrix over a window's basis indices; ``single_diagonal``,
+    fixed when it is built, is (m, np.diagonal(data, m)) when every nonzero entry
+    lies on diagonal m (the zero matrix reads as diagonal 0), else None."""
 
     data: np.ndarray
     window: TruncationWindow
     basis: str = MONOMIAL
+    single_diagonal: tuple[int, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self._seal(np.array(self.data, dtype=np.complex128))
+        self._record(_scan(self.data))
 
     @classmethod
-    def _adopt(cls, data, window: TruncationWindow, basis: str = MONOMIAL, offset=_SCAN) -> "OperatorMatrix":
-        """The constructor's checks without its copy, for an array just allocated
-        and referenced nowhere else.  ``offset`` records ``single_diagonal``: None,
-        or the diagonal m that holds every nonzero entry; left out, it is scanned."""
+    def _adopt(cls, data, window: TruncationWindow, basis: str, offset: int | None) -> "OperatorMatrix":
+        """The constructor's checks without its copy or its scan, for a fresh array
+        referenced nowhere else; its builder states the ``offset``, m or None."""
         out = object.__new__(cls)
         object.__setattr__(out, "window", window)
         object.__setattr__(out, "basis", basis)
         out._seal(np.asarray(data, dtype=np.complex128))
-        if offset is None:
-            out.__dict__["single_diagonal"] = None
-        elif offset is not _SCAN:
-            d = np.diagonal(out.data, offset)
-            out.__dict__["single_diagonal"] = (offset, d) if d.any() else (0, np.diagonal(out.data))
+        out._record(offset)
         return out
 
     def _seal(self, arr: np.ndarray) -> None:
@@ -142,6 +147,12 @@ class OperatorMatrix:
             raise ParameterError(f"unknown basis tag {self.basis!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
+
+    def _record(self, m: int | None) -> None:
+        band = None if m is None else (m, np.diagonal(self.data, m))
+        if band is not None and not band[1].any():
+            band = (0, np.diagonal(self.data))
+        object.__setattr__(self, "single_diagonal", band)
 
     # -- constructors ----------------------------------------------------
 
@@ -190,22 +201,22 @@ class OperatorMatrix:
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._require_compatible(other)
-        return OperatorMatrix._adopt(self.data + other.data, self.window, self.basis)
+        return OperatorMatrix._adopt(self.data + other.data, self.window, self.basis, None)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._require_compatible(other)
-        return OperatorMatrix._adopt(self.data - other.data, self.window, self.basis)
+        return OperatorMatrix._adopt(self.data - other.data, self.window, self.basis, None)
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix._adopt(-self.data, self.window, self.basis)
+        return OperatorMatrix._adopt(-self.data, self.window, self.basis, self.offset)
 
     def __mul__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix._adopt(self.data * complex(scalar), self.window, self.basis)
+        return OperatorMatrix._adopt(self.data * complex(scalar), self.window, self.basis, self.offset)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix._adopt(self.data / complex(scalar), self.window, self.basis)
+        return OperatorMatrix._adopt(self.data / complex(scalar), self.window, self.basis, self.offset)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Matrix product; O(N^2) when either operand has a single diagonal."""
@@ -221,33 +232,19 @@ class OperatorMatrix:
             np.multiply(d[:, None], other.data[c0 : c0 + k], out=out[r0 : r0 + k])
         else:
             np.multiply(self.data[:, r0 : r0 + k], d[None, :], out=out[:, c0 : c0 + k])
-        offset = _SCAN if left is None or right is None else left[0] + right[0]
+        offset = None if left is None or right is None else left[0] + right[0]
         return OperatorMatrix._adopt(out, self.window, self.basis, offset)
 
-    @functools.cached_property
-    def single_diagonal(self) -> tuple[int, np.ndarray] | None:
-        """(m, np.diagonal(data, m)) when every nonzero entry lies on diagonal m.
-
-        None when two diagonals carry nonzero entries.  The zero matrix reads
-        as diagonal 0.  ``from_band``, ``solve``, ``mat_exp`` and products of two
-        dense or two banded operands record it; others are scanned once.
-        (``np.unique`` is avoided: its first call imports ``numpy.ma``, about
-        20 ms in every fresh process.)
-        """
-        a = self.data
-        if np.count_nonzero(a) > a.shape[0]:
-            return None
-        rows, cols = np.nonzero(a)
-        offsets = cols - rows
-        if np.any(offsets != offsets[:1]):
-            return None
-        m = int(offsets[0]) if offsets.size else 0
-        return m, np.diagonal(a, m)
+    @property
+    def offset(self) -> int | None:
+        """m of ``single_diagonal``, or None."""
+        return None if self.single_diagonal is None else self.single_diagonal[0]
 
     @property
     def H(self) -> "OperatorMatrix":
         """Conjugate transpose."""
-        return OperatorMatrix._adopt(self.data.conj().T, self.window, self.basis)
+        offset = None if self.offset is None else -self.offset
+        return OperatorMatrix._adopt(self.data.conj().T, self.window, self.basis, offset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,10 +264,6 @@ class _Spectrum:
     odd: np.ndarray
     gap: float
     phases: np.ndarray
-
-
-#: Hr's off-diagonal, as bytes -> (values, even rows, odd rows, gap) of its eigh
-_spectra: dict = {}
 
 
 def _band_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,21 +288,22 @@ def _band_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mod, np.concatenate(([1.0 + 0j], np.cumprod(u)))
 
 
+@functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
+def _real_eigh(off_diagonal: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Eigenvalues, even and odd eigenvector rows and pairing gap of the real
+    symmetric tridiagonal Hr with these off-diagonal bytes and a zero diagonal."""
+    mod = np.frombuffer(off_diagonal)
+    values, q = np.linalg.eigh(np.diag(mod, 1) + np.diag(mod, -1))
+    gap = float(np.max(np.abs(values + values[::-1])))
+    return values, np.ascontiguousarray(q[0::2]), np.ascontiguousarray(q[1::2]), gap
+
+
 def _spectrum(X: OperatorMatrix) -> _Spectrum:
     """Spectral data of a tridiagonal X: its own checks and phases, run before
     the lookup so that a hit never vouches for X, and the real eigh of Hr
     cached on Hr's content, which L and M of one family and window share."""
     mod, phases = _band_form(X.data)
-    key = mod.tobytes()
-    hit = _spectra.pop(key, None)
-    if hit is None:
-        values, q = np.linalg.eigh(np.diag(mod, 1) + np.diag(mod, -1))
-        gap = float(np.max(np.abs(values + values[::-1])))
-        hit = values, np.ascontiguousarray(q[0::2]), np.ascontiguousarray(q[1::2]), gap
-    _spectra[key] = hit
-    while len(_spectra) > GENERATOR_CACHE_SIZE:
-        del _spectra[next(iter(_spectra))]
-    return _Spectrum(*hit, phases)
+    return _Spectrum(*_real_eigh(mod.tobytes()), phases)
 
 
 def _parity_blocks(spec: _Spectrum, t: float, role: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -331,28 +325,20 @@ def _parity_blocks(spec: _Spectrum, t: float, role: str) -> tuple[np.ndarray, np
 
 
 def mat_exp(X: OperatorMatrix, t: float = 1.0, left=1.0, right=1.0) -> OperatorMatrix:
-    """diag(left) e^{tX} diag(right) for a skew-Hermitian diagonal or tridiagonal
-    generator X; the diagonals (1 by default) ride on the phase scaling by D.
+    """diag(left) e^{tX} diag(right) for a skew-Hermitian generator X on the
+    +-1 diagonals; the diagonals (1 by default) ride on the phase scaling by D.
 
-    X must be skew-Hermitian to ``SKEW_TOL`` relative to its largest
-    entry.  A diagonal X (|Re d| within that bound) takes the scalar
-    exponentials, which are then unimodular.  A tridiagonal X must live on
-    the +-1 diagonals; then e^{tX} = D (cos tHr - i sin tHr) D^-1 with
-    Hr = Q Lambda Q^T real (see ``_band_form``): one real eigh per family
-    and window, cached for the last few (see ``_spectrum``), and each t
-    costs the three real half-size products of ``_parity_blocks``.  Any
-    other generator raises ``NotSkewAdjointError``, as does one built in
-    the orthonormal basis of norms that do not match its action; a spectrum
-    too far from +-lambda pairs for the split raises ``NumericsError``.
+    X must be skew-Hermitian to ``SKEW_TOL`` relative to its largest entry;
+    then e^{tX} = D (cos tHr - i sin tHr) D^-1 with Hr = Q Lambda Q^T real
+    (see ``_band_form``): one real eigh per family and window, cached for the
+    last few (see ``_spectrum``), and each t costs the three real half-size
+    products of ``_parity_blocks``.  Any other generator raises
+    ``NotSkewAdjointError``, a diagonal one too (callers take its scalar
+    exponentials), as does one built in the orthonormal basis of norms that
+    do not match its action; a spectrum too far from +-lambda pairs for the
+    split raises ``NumericsError``.
     """
     t = float(t)
-    band = X.single_diagonal
-    if band is not None and band[0] == 0:
-        d = band[1]
-        residue = float(np.max(np.abs(d.real)))
-        if not residue <= SKEW_TOL * float(np.max(np.abs(d))):
-            raise NotSkewAdjointError(f"diagonal generator is not skew-Hermitian (real part {residue:.3e})")
-        return OperatorMatrix.from_band(X.window, 0, left * np.exp(t * d) * right, X.basis)
     spec = _spectrum(X)
     cos_even, cos_odd, sin_eo = _parity_blocks(spec, t, "boost s of the path")
     out = np.zeros(X.data.shape, dtype=np.complex128)
@@ -381,11 +367,8 @@ def solve(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
         estimate = float(np.linalg.norm(a, 1)) * float(np.linalg.norm(inv, 1))
     if not estimate < COND_LIMIT:
         raise SingularMatrixError(estimate)
-    band = B.single_diagonal
-    if band is not None and band[0] == 0 and np.all(band[1] == 1.0):
-        return OperatorMatrix._adopt(inv, A.window, A.basis, None)
-    x = np.linalg.solve(a, B.data)
-    return OperatorMatrix._adopt(x, A.window, A.basis, None)
+    identity = B.offset == 0 and np.all(B.single_diagonal[1] == 1.0)
+    return OperatorMatrix._adopt(inv if identity else np.linalg.solve(a, B.data), A.window, A.basis, None)
 
 
 def _interior_positions(A: OperatorMatrix, w: TruncationWindow) -> np.ndarray:

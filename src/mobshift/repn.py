@@ -159,7 +159,7 @@ def _generator(
     else:
         data[k + 1, k] -= raising
         data *= 1j
-    return OperatorMatrix._adopt(data, w, MONOMIAL)
+    return OperatorMatrix._adopt(data, w, MONOMIAL, None)
 
 
 def generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> OperatorMatrix:
@@ -293,7 +293,7 @@ class Realization:
         k = np.arange(w.size - 1)
         data[k, k + 1] = np.diagonal(a, 1) * (sign * s[:-1]) / s[1:]
         data[k + 1, k] = np.diagonal(a, -1) * (sign * s[1:]) / s[:-1]
-        return OperatorMatrix._adopt(data, w, ORTHONORMAL)
+        return OperatorMatrix._adopt(data, w, ORTHONORMAL, 0 if X == "h" else None)
 
     def along_path(self, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
         """R(path) in the orthonormal basis from the path's Cartan form

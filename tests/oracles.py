@@ -166,11 +166,14 @@ def star(phi: MobiusElement) -> MobiusElement:
 
 
 def product_rep_matrix(rel, path, w) -> np.ndarray:
-    """R(path) as the ordered product of one ``mat_exp`` per segment, each
-    factor with its own truncation error: the oracle of ``Realization.along_path``."""
+    """R(path) as the ordered product of one exponential per segment, each
+    factor with its own truncation error: the oracle of ``Realization.along_path``.
+    An h segment is diagonal, the scalar exponentials of t dR(h); an L or M
+    segment is ``mat_exp``."""
     out = np.eye(w.size, dtype=np.complex128)
     for gen, t in path.segments:
-        out = out @ mat_exp(rel.generator(gen, w), t).data
+        X = rel.generator(gen, w)
+        out = out @ (np.diag(np.exp(t * np.diagonal(X.data))) if gen == "h" else mat_exp(X, t).data)
     return out
 
 

@@ -176,6 +176,28 @@ def test_default_padding_follows_the_window(capsys):
     assert code == 0 and out.splitlines()[1].split(",")[5] == "32"
 
 
+@pytest.mark.parametrize(
+    "argv, padding",
+    [
+        (["verify", "unitarity", "--series", "holo", "--lambda", "1", "--N", "16"], 8),
+        (["verify", "normalizer", "--series", "holo", "--lambda", "1", "--N", "32"], 16),
+        (["verify", "unitarity", "--series", "principal", "--lambda", "0.3", "--N", "8"], 7),
+    ],
+    ids=("unilateral N = 16", "unilateral normalizer N = 32", "bilateral N = 8"),
+)
+def test_default_padding_leaves_small_windows_an_interior(capsys, argv, padding):
+    # the floors 16 and 24 would leave no interior here; a pad the user never set is capped instead
+    code, out, err = run(capsys, argv)
+    assert code != 2 and err == ""
+    assert all(json.loads(line)["context"]["padding"] == padding for line in out.splitlines())
+
+
+def test_sweep_default_padding_leaves_small_windows_an_interior(capsys):
+    code, out, err = run(capsys, ["sweep", "--series", "holo", "--lambda-grid", "1", "--N", "16"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].split(",")[5] == "8"
+
+
 def test_verify_incompatible_operator_exit_two(capsys):
     code, _, err = run(
         capsys,
@@ -281,6 +303,38 @@ def test_verify_refuses_an_option_of_another_family(capsys, argv, message):
     code, out, err = run(capsys, ["verify", *argv])
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "lemmas", "--samples", "1", "--series", "principal", "--lambda", "3", "--mu", "3"],
+         "--series is not an option of verify lemmas, which draws its parameters at random"),
+        (["verify", "lemmas", "--samples", "1", "--r", "2"],
+         "--r is not an option of verify lemmas, which draws its parameters at random"),
+        (["verify", "reducible-lambda", "--series", "principal", "--lambda", "1"],
+         "verify reducible-lambda certifies the reducible family only, not --series principal"),
+        (["sweep", "--series", "holo", "--lambda-grid", "1", "--im-mu-grid", "3"],
+         "--im-mu-grid is an option of the principal family only"),
+        (["sweep", "--series", "principal", "--lambda-grid", "0.3", "--mu-grid", "0.2"],
+         "--mu-grid is an option of the complementary family only"),
+    ],
+    ids=("lemmas with a family", "lemmas with r", "reducible-lambda of another series",
+         "holo sweep with an Im mu grid", "principal sweep with a mu grid"),
+)
+def test_options_a_run_does_not_read_are_refused(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_usage_errors_are_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "unitarity", "--series", "foo", "--lambda", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("error: argument --series: invalid choice: 'foo'")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_weights_refuses_an_option_of_another_family(capsys):
@@ -554,6 +608,27 @@ def test_sweep_cell_is_the_max_of_the_verify_reports(capsys):
 
 
 # ---------------------------------------------------------------- determinism
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "homogeneity", "--series", "holo", "--lambda", "2"], 0),
+        (["verify", "unitarity", "--series", "principal", "--lambda", "0.3"], 0),
+        (["verify", "infinitesimal", "--series", "complementary", "--lambda", "0.2", "--mu", "0.4"], 0),
+        (["verify", "reducible-lambda", "--lambda", "1"], 0),
+        (["verify", "normalizer", "--series", "antiholo", "--lambda", "2"], 0),
+        (["verify", "homogeneity", "--series", "reducible", "--lambda", "0.5"], 1),
+        (["verify", "lemmas", "--samples", "3"], 0),
+        (["sweep", "--series", "principal", "--lambda-grid", "0.2,0.4", "--suites", "unitarity,homogeneity"], 0),
+    ],
+    ids=("homogeneity", "unitarity", "infinitesimal", "reducible-lambda", "normalizer", "reducible off 1",
+         "lemmas", "sweep"),
+)
+def test_no_command_scans_an_operator_for_its_band(capsys, monkeypatch, argv, code):
+    # every operator a command builds states its band; only outside arrays are scanned
+    monkeypatch.setattr(numkernel, "_scan", lambda data: pytest.fail("an operator was scanned for its band"))
+    assert run(capsys, [*argv, "--N", "32", "--pad", "12"])[0] == code
 
 
 def test_identical_runs_are_byte_identical(capsys):
