@@ -280,6 +280,14 @@ def _suite_reducible_lambda(args) -> list[DefectReport]:
     return [reducible_lambda_check(rel, w, tolerance=tol, context=ctx)]
 
 
+#: the options each verify suite reads besides --tolerance and the family options (which
+#: lemmas refuses); the defaults apply once the suite is known to read them
+_SUITE_OPTIONS = {
+    "lemmas": ("samples", "seed"), "reducible-lambda": ("N", "pad"), "unitarity": ("N", "pad", "path"),
+    "homogeneity": ("N", "pad", "op", "path"), "normalizer": ("N", "pad", "op", "path"), "infinitesimal": ("N", "pad", "op", "step"),
+}
+_VERIFY_DEFAULTS = {"N": DEFAULT_N, "pad": None, "op": None, "path": None, "step": DEFAULT_FD_STEP, "samples": 100, "seed": 0}
+
 _SUITE_RUNNERS = {
     "lemmas": _suite_lemmas,
     "unitarity": _suite_along_paths,
@@ -300,6 +308,10 @@ def _default_pad(N: int, series: str | None, normalizer: bool = False) -> int:
 
 
 def cmd_verify(args) -> int:
+    for dest, default in _VERIFY_DEFAULTS.items():
+        if dest in args and dest not in _SUITE_OPTIONS[args.suite]:
+            raise ParameterError(f"--{dest} is not an option of verify {args.suite}")
+        setattr(args, dest, getattr(args, dest, default))
     if args.pad is None:
         args.pad = _default_pad(args.N, args.series, args.suite == "normalizer")
     reports = _SUITE_RUNNERS[args.suite](args)
@@ -381,6 +393,8 @@ def cmd_sweep(args) -> int:
     for suite in suites:
         if suite not in SWEEP_SUITES:
             raise ParameterError(f"sweep supports suites {','.join(SWEEP_SUITES)}; got {suite!r}")
+    if args.op is not None and "homogeneity" not in suites:
+        raise ParameterError("--op names the operator of the homogeneity suite, which --suites does not run")
     op = _operator_name(args.series, args.op)
     paths = _paths(args)
     lams = _grid_values("--lambda-grid", args.lambda_grid)
@@ -450,14 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="run a verification suite, one JSON report per line")
     vp.add_argument("suite", choices=SUITES)
     add_series(vp)
-    vp.add_argument("--N", type=int, default=DEFAULT_N, help="window size (default 64)")
-    vp.add_argument("--pad", type=int, default=None, help="interior padding (default max(16, N/4); max(24, 3N/8) for normalizer; at most N/2 for holo and antiholo, N-1 otherwise)")
-    vp.add_argument("--op", choices=OP_CHOICES, help="operator under test")
-    vp.add_argument("--path", action="append", help="flow path gen:time[,gen:time...]; repeatable")
+    # SUPPRESS, as in add_series: an option left out is absent from args, so that one the suite does not read is told apart
+    vp.add_argument("--N", type=int, default=argparse.SUPPRESS, help="window size (default 64; all but lemmas)")
+    vp.add_argument("--pad", type=int, default=argparse.SUPPRESS, help="interior padding (all but lemmas; default max(16, N/4); max(24, 3N/8) for normalizer; at most N/2 for holo and antiholo, N-1 otherwise)")
+    vp.add_argument("--op", choices=OP_CHOICES, default=argparse.SUPPRESS, help="operator under test (homogeneity, normalizer, infinitesimal)")
+    vp.add_argument("--path", action="append", default=argparse.SUPPRESS, help="flow path gen:time[,gen:time...]; repeatable (unitarity, homogeneity, normalizer)")
     vp.add_argument("--tolerance", type=float, help="override the suite tolerance")
-    vp.add_argument("--step", type=float, default=DEFAULT_FD_STEP, help="finite-difference step")
-    vp.add_argument("--samples", type=int, default=100, help="random samples (lemmas)")
-    vp.add_argument("--seed", type=int, default=0, help="random seed (lemmas)")
+    vp.add_argument("--step", type=float, default=argparse.SUPPRESS, help=f"finite-difference step (infinitesimal; default {DEFAULT_FD_STEP:g})")
+    vp.add_argument("--samples", type=int, default=argparse.SUPPRESS, help="random samples (lemmas; default 100)")
+    vp.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="random seed (lemmas; default 0)")
     vp.set_defaults(func=cmd_verify)
 
     cp = sub.add_parser("classify", help="classify a step-(-1) coefficient file")

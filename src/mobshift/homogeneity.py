@@ -7,7 +7,8 @@ resolvent or inverse.  Differentiating the conjugation flow
 kappa(g)T = R(g) T R(g)^{-1} at the identity yields
 ``kappa(L)T = T^2 - I``, ``kappa(M)T = -i(T^2 + I)``, ``kappa(e)T = -I`` and
 ``kappa(f)T = T^2`` for such T.  Every certificate here is a named residual
-restricted to the window interior.  ``mobius_of_operator``, phi(T) by one
+restricted to the window interior; the infinitesimal ones are formed only
+there, from bands and interior blocks.  ``mobius_of_operator``, phi(T) by one
 guarded solve, serves no certificate.
 """
 
@@ -24,7 +25,6 @@ from .numkernel import (
     BILATERAL,
     OperatorMatrix,
     TruncationWindow,
-    _interior_block,
     _interior_positions,
     _parity_blocks,
     _spectrum,
@@ -136,20 +136,17 @@ def kappa_flow_derivative(
     rel: Realization,
     w: TruncationWindow,
     step: float = DEFAULT_FD_STEP,
-) -> OperatorMatrix:
-    """d/ds at 0 of R(exp sX) T R(exp sX)^{-1} for a real flow X = L or M, by
-    second-order central differences.
+) -> np.ndarray:
+    """Interior block (rows and columns ``w.interior_positions()``) of d/ds at 0 of
+    R(exp sX) T R(exp sX)^{-1} for a real flow X = L or M, by central differences.
 
     e^{+-sX} = D (C -/+ i S) D^-1 with C = cos sHr and S = sin sHr (see
     ``numkernel.mat_exp``), so (e^{sX} T e^{-sX} - e^{-sX} T e^{sX}) / 2s is
-    i D (C T' S - S T' C) D^-1 / s with T' = D^-1 T D: one spectrum and one set
-    of parity blocks serve both signs of s.  The symmetric part C T' C + S T' S
-    cancels exactly, not in rounding, so values differ from the product of the
-    four exponentials by that rounding.  The complex flows e and f are
-    (L -/+ iM)/2 by linearity, which ``infinitesimal_reports`` forms; any other
-    X raises ``ParameterError``.  The commutator [dR(X), T] (see
-    ``kappa_commutator``) is the algebraic route to the same derivative; the
-    two are compared in the verification suites.
+    i D (C T' S - S T' C) D^-1 / s with T' = D^-1 T D; the symmetric part cancels
+    exactly.  T'S and T'C are formed on the interior columns only, one row shift
+    and scaling of S or C per diagonal of T, and multiplied by the interior rows
+    of C and S: O(|P|^2 n) for a shift, and no window-sized temporary.  e and f
+    are (L -/+ iM)/2 by linearity; any other X raises ``ParameterError``.
     """
     if X not in ("L", "M"):
         raise ParameterError(f"unsupported generator {X!r} (expected L or M)")
@@ -158,41 +155,75 @@ def kappa_flow_derivative(
         raise ParameterError(f"step {step} outside [{_STEP_MIN}, {_STEP_MAX}]")
     a = rel.generator(X, w)
     T._require_compatible(a)
+    p = _interior_positions(T, w)
     spec = _spectrum(a)
     cos_even, cos_odd, sin_eo = _parity_blocks(spec, step, "step")
-    d = spec.phases
-    tp = np.divide(T.data, d[:, None], order="C")  # C order: rows are read as real pairs
-    tp *= d
-    tp = OperatorMatrix._adopt(tp, a.window, a.basis, T.offset)
-
-    def times(parity: int, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-        # T' times the real matrix with these blocks in its even and odd rows, through
-        # the operator product; read as real pairs, it takes real blocks in real arithmetic
-        full = np.zeros(a.data.shape, dtype=np.complex128)
-        full.real[0::2, parity::2], full.real[1::2, 1 - parity::2] = even, odd
-        return (tp @ OperatorMatrix._adopt(full, a.window, a.basis, None)).data.view(np.float64)
-
-    tc, ts = times(0, cos_even, cos_odd), times(1, sin_eo, sin_eo.T)
-    # whole-window arrays are dropped once read: this sets the suite's peak memory
-    del tp
-    # C (T' S) - S (T' C) by row parity: C keeps the parity of a row, S swaps it
-    even = cos_even @ ts[0::2] - sin_eo @ tc[1::2]
-    odd = cos_odd @ ts[1::2] - sin_eo.T @ tc[0::2]
-    del ts, tc
-    k = np.empty(a.data.shape, dtype=np.complex128)
-    k.view(np.float64)[0::2], k.view(np.float64)[1::2] = even, odd
-    k *= (1j / step) * d[:, None]
-    k /= d[None, :]
-    return OperatorMatrix._adopt(k, a.window, a.basis, None)
+    n, d, p0, p1 = w.size, spec.phases, p[0], p[-1] + 1
+    # the interior's even and odd positions: rows of the parity blocks, and ce::2 and co::2 of p
+    ev, od, ce, co = slice((p0 + 1) // 2, (p1 + 1) // 2), slice(p0 // 2, p1 // 2), p0 % 2, 1 - p0 % 2
+    c, s = np.zeros((2, n, p.size))  # C[:, p] and S[:, p]
+    c[0::2, ce::2], c[1::2, co::2] = cos_even[:, ev], cos_odd[:, od]
+    s[0::2, co::2], s[1::2, ce::2] = sin_eo[:, od], sin_eo[ev].T
+    ts, tc = np.zeros((2, n, p.size), dtype=np.complex128)
+    for m, t in [T.single_diagonal] if T.single_diagonal else [(m, np.diagonal(T.data, m)) for m in range(1 - n, n)]:
+        # entry k of T's diagonal m sits at (r0 + k, c0 + k)
+        r0, c0, k = max(-m, 0), max(m, 0), t.size
+        tp = (t / d[r0 : r0 + k] * d[c0 : c0 + k])[:, None]
+        ts[r0 : r0 + k] += tp * s[c0 : c0 + k]
+        tc[r0 : r0 + k] += tp * c[c0 : c0 + k]
+    # C (T'S) - S (T'C) on the interior rows, with complex columns read as real pairs:
+    # C keeps the parity of a row, S swaps it
+    ts, tc, out = ts.view(np.float64), tc.view(np.float64), np.empty((p.size, 2 * p.size))
+    out[ce::2] = cos_even[ev] @ ts[0::2] - sin_eo[ev] @ tc[1::2]
+    out[co::2] = cos_odd[od] @ ts[1::2] - sin_eo[:, od].T @ tc[0::2]
+    block = out.view(np.complex128)
+    block *= (1j / step) * d[p, None]
+    block /= d[None, p]
+    return block
 
 
-def kappa_commutator(T: OperatorMatrix, X: str, rel: Realization, w: TruncationWindow) -> OperatorMatrix:
-    """[dR(X), T] for a real flow X = L or M, the exact derivative of the conjugation
-    flow at s = 0; e and f are formed by linearity, as in ``kappa_flow_derivative``."""
+def kappa_commutator(
+    T: OperatorMatrix, X: str, rel: Realization, w: TruncationWindow
+) -> tuple[np.ndarray, np.ndarray]:
+    """[dR(X), T] for a real flow X = L or M and a shift T on diagonal m, the exact
+    derivative of the conjugation flow at s = 0, as its diagonals m - 1 and m + 1 in
+    ``np.diagonal`` order, read from the generator's +-1 bands and T's band.  e and f
+    are formed by linearity; any other T or X raises ``ParameterError``."""
     if X not in ("L", "M"):
         raise ParameterError(f"unsupported generator {X!r} (expected L or M)")
+    if T.single_diagonal is None:
+        raise ParameterError("the commutator route is taken for a shift: T needs a single diagonal")
     a = rel.generator(X, w)
-    return a @ T - T @ a
+    T._require_compatible(a)
+    (m, band), n = T.single_diagonal, w.size
+
+    def by_row(q: int, diagonal: np.ndarray) -> np.ndarray:  # entry n + i: the (i, i + q) entry, 0 off the window
+        return np.pad(diagonal, (n + max(-q, 0), 2 * n - max(-q, 0) - diagonal.size))
+
+    t, diagonals = by_row(m, band), []
+    for sign in (-1, 1):
+        # (A T - T A)[i, i + q] = A[i, i + sign] T[i + sign, i + q] - T[i, i + m] A[i + m, i + q], q = m + sign
+        x, i = by_row(sign, np.diagonal(a.data, sign)), np.arange(n + max(-m - sign, 0), 2 * n - max(m + sign, 0))
+        diagonals.append(x[i] * t[i + sign] - t[i] * x[i + m])
+    return tuple(diagonals)
+
+
+def _relation_values(blocks: dict, bands: dict, p0: int, reduce) -> dict:
+    """reduce(B - bands) for the interior blocks B of L and M and, by linearity, of e = (L - iM)/2
+    and f = (L + iM)/2.  Each of ``bands[X]``, (q, window diagonal q), is subtracted in place from
+    diagonal q of block X, which holds its entries p0, p0 + 1, ...; the blocks are put back after."""
+    views = []
+    for X, block in blocks.items():
+        n = block.shape[0]
+        views += [(block.reshape(-1)[max(q, 0) + max(-q, 0) * n :: n + 1][: max(n - abs(q), 0)], v) for q, v in bands[X]]
+    kept = [view.copy() for view, _ in views]
+    for view, v in views:
+        view -= v[p0 : p0 + view.size]
+    L, M = blocks["L"], blocks["M"]
+    values = {"L": reduce(L), "M": reduce(M), "e": reduce(0.5 * (L - 1j * M)), "f": reduce(0.5 * (L + 1j * M))}
+    for (view, _), old in zip(views, kept):
+        view[...] = old
+    return values
 
 
 def infinitesimal_reports(
@@ -203,35 +234,33 @@ def infinitesimal_reports(
     identity_tol: float = DEFAULT_IDENTITY_TOL,
     context: dict | None = None,
 ) -> list:
-    """Certify the four infinitesimal relations and the route agreement.
+    """Certify the four infinitesimal relations and the route agreement for a shift T.
 
     T is in the orthonormal basis of ``rel``'s generators, and every relation
     is measured on its interior block.  Identity defects (against T^2 - I,
     -i(T^2 + I), -I, T^2) use the Frobenius norm; the flow-vs-commutator
     route gap is an entrywise maximum against ``DEFAULT_ROUTE_TOL``, since its
-    floor is the central-difference bias at the given step.  Only L and M are
-    differentiated and commuted; on both routes e and f are (L -/+ iM)/2 of
-    their interior blocks, so no whole-window result outlives its use.
+    floor is the central-difference bias at the given step.  Only the interior
+    flow blocks of L and M are formed.  For a shift T on diagonal m (any other T
+    raises ``ParameterError``) the targets lie on diagonals 2m and 0 and the
+    commutators on m -/+ 1, so both are subtracted in place on those blocks; e
+    and f, targets included, are (L -/+ iM)/2 of the results.
     """
-    square = _interior_block(T @ T, w)
-    ident = np.eye(square.shape[0])
-    targets = {"L": square - ident, "M": -1j * (square + ident), "e": -ident, "f": square}
-    del ident  # the loop below sets the suite's peak memory
-    routes = {}
+    diagonals = {X: kappa_commutator(T, X, rel, w) for X in ("L", "M")}  # refuses all but a shift
+    (m, t), p0 = T.single_diagonal, _interior_positions(T, w)[0]
+    # diagonal 2m of T^2, with the factors in the order of T @ T, and diagonal 0 of I
+    k = t.size - abs(m)
+    square, ones = t[max(-m, 0) :][:k] * t[max(m, 0) :][:k], np.ones(w.size)
+    targets = {"L": ((2 * m, square), (0, -ones)), "M": ((2 * m, -1j * square), (0, -1j * ones))}
+    blocks = {X: kappa_flow_derivative(T, X, rel, w, step) for X in ("L", "M")}
+    identity = _relation_values(blocks, targets, p0, lambda r: float(np.linalg.norm(r)))
+    commutators = {X: tuple(zip((m - 1, m + 1), both)) for X, both in diagonals.items()}
+    gap = _relation_values(blocks, commutators, p0, lambda r: float(np.max(np.abs(r))))
     reports = []
     for gen in KAPPA_GENERATORS:
-        if gen in ("L", "M"):
-            fd = _interior_block(kappa_flow_derivative(T, gen, rel, w, step), w)
-            comm = _interior_block(kappa_commutator(T, gen, rel, w), w)
-            routes[gen] = fd, comm
-        else:
-            sign = -1j if gen == "e" else 1j
-            fd, comm = (0.5 * (lf + sign * mf) for lf, mf in zip(routes["L"], routes["M"]))
         ctx = dict(context or {}, generator=gen, step=step)
-        identity = float(np.linalg.norm(fd - targets[gen]))
-        reports.append(DefectReport.build(f"kappa_{gen}_identity", identity, identity_tol, ctx))
-        gap = float(np.max(np.abs(fd - comm)))
-        reports.append(DefectReport.build(f"kappa_{gen}_route_gap", gap, DEFAULT_ROUTE_TOL, ctx))
+        reports.append(DefectReport.build(f"kappa_{gen}_identity", identity[gen], identity_tol, ctx))
+        reports.append(DefectReport.build(f"kappa_{gen}_route_gap", gap[gen], DEFAULT_ROUTE_TOL, ctx))
     return reports
 
 

@@ -293,7 +293,9 @@ def _real_eigh(off_diagonal: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     """Eigenvalues, even and odd eigenvector rows and pairing gap of the real
     symmetric tridiagonal Hr with these off-diagonal bytes and a zero diagonal."""
     mod = np.frombuffer(off_diagonal)
-    values, q = np.linalg.eigh(np.diag(mod, 1) + np.diag(mod, -1))
+    hr, k = np.zeros((mod.size + 1, mod.size + 1)), np.arange(mod.size)
+    hr[k, k + 1] = hr[k + 1, k] = mod
+    values, q = np.linalg.eigh(hr)
     gap = float(np.max(np.abs(values + values[::-1])))
     return values, np.ascontiguousarray(q[0::2]), np.ascontiguousarray(q[1::2]), gap
 
@@ -381,14 +383,10 @@ def _interior_positions(A: OperatorMatrix, w: TruncationWindow) -> np.ndarray:
     return p
 
 
-def _interior_block(A: OperatorMatrix, w: TruncationWindow) -> np.ndarray:
-    p = _interior_positions(A, w)
-    return A.data[np.ix_(p, p)]
-
-
 def interior_norm(A: OperatorMatrix, w: TruncationWindow) -> float:
     """Frobenius norm of the sub-block with interior row AND column indices."""
-    return float(np.linalg.norm(_interior_block(A, w)))
+    p = _interior_positions(A, w)
+    return float(np.linalg.norm(A.data[np.ix_(p, p)]))
 
 
 def _require_power_of_two(n: int) -> None:

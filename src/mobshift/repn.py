@@ -134,8 +134,15 @@ def complementary_mu_interval(lam: float) -> tuple[float, float]:
     return max(0.0, -lam), min(1.0, 1.0 - lam)
 
 
+def _h_diagonal(p: RepnParams, w: TruncationWindow) -> np.ndarray:
+    """dR(h)'s diagonal -i (2n + lam) over a window of p's index set, in either basis."""
+    if w.kind != p.index_set:
+        raise WindowMismatchError(f"window kind {w.kind!r} does not match params index set {p.index_set!r}")
+    return -1j * (2.0 * w.indices() + p.lam)
+
+
 def _generator(
-    w: TruncationWindow, lam: float, X: str, lowering: np.ndarray, raising: np.ndarray
+    p: RepnParams, w: TruncationWindow, X: str, lowering: np.ndarray, raising: np.ndarray
 ) -> OperatorMatrix:
     """Generator X of a family with dR(h) f_n = -i (2n + lam) f_n.
 
@@ -143,7 +150,7 @@ def _generator(
     ``raising`` the -1 diagonal (dR(f) on the columns n < hi).
     """
     if X == "h":
-        return OperatorMatrix.from_band(w, 0, -1j * (2.0 * w.indices() + lam))
+        return OperatorMatrix.from_band(w, 0, _h_diagonal(p, w))
     if X == "e":
         return OperatorMatrix.from_band(w, 1, lowering)
     if X == "f":
@@ -174,7 +181,7 @@ def generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> OperatorMatr
             f"window kind {w.kind!r} does not match params index set {p.index_set!r}"
         )
     n = w.indices()
-    return _generator(w, p.lam, X, p.mu - n[1:], p.lam + p.mu + n[:-1])
+    return _generator(p, w, X, p.mu - n[1:], p.lam + p.mu + n[:-1])
 
 
 def reducible_generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> OperatorMatrix:
@@ -192,7 +199,7 @@ def reducible_generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> Op
     ne, nf = n[1:], n[:-1]  # source indices of the lowering and raising entries
     lowering = np.where(ne < 0, 1.0 - lam - ne, -ne)
     raising = np.where(nf < 0, nf + 1.0, lam + nf)
-    return _generator(w, lam, X, lowering, raising)
+    return _generator(p, w, X, lowering, raising)
 
 
 def gram(p: RepnParams, w: TruncationWindow) -> OperatorMatrix:
@@ -283,7 +290,7 @@ class Realization:
         """
         if X not in mobius.GENERATORS:
             raise ParameterError(f"unsupported generator {X!r} (expected h, L or M)")
-        sign = mobius.STAR_SIGNS[X] if self.flavor == "sharp" else 1.0
+        sign = self._sign(X)
         build = reducible_generator_matrix if self.flavor == "reducible" else generator_matrix
         a = build(self.params, X, w).data
         s = np.sqrt(norm_sq_sequence(self.params, w).values)
@@ -295,15 +302,20 @@ class Realization:
         data[k + 1, k] = np.diagonal(a, -1) * (sign * s[1:]) / s[:-1]
         return OperatorMatrix._adopt(data, w, ORTHONORMAL, 0 if X == "h" else None)
 
+    def _sign(self, X: str) -> float:
+        """The factor of dR(X) under this flavor: its ``mobius.STAR_SIGNS`` sign when sharp."""
+        return mobius.STAR_SIGNS[X] if self.flavor == "sharp" else 1.0
+
     def along_path(self, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
         """R(path) in the orthonormal basis from the path's Cartan form
         (``mobius.cartan``): dR(h) is diagonal, so R = D(theta1) e^{s dR(L)} D(theta2)
         with D(theta) = exp(theta dR(h)), one exponential whatever the path's
         length (none when s = 0), with both D folded into its phase scaling.
+        dR(h)'s diagonal is the same in both bases, so no h matrix is built.
         Trustworthy on the window interior; the boundary carries truncation error.
         """
         theta1, s, theta2 = mobius.cartan(path)
-        d = np.diagonal(self.generator("h", w).data)
+        d = self._sign("h") * _h_diagonal(self.params, w)
         if s == 0.0:
             return OperatorMatrix.from_band(w, 0, np.exp((theta1 + theta2) * d), ORTHONORMAL)
         return mat_exp(self.generator("L", w), s, np.exp(theta1 * d), np.exp(theta2 * d))

@@ -8,10 +8,12 @@ brute-force summation instead of sliced norms, rotation-average quadrature
 instead of diagonal surgery, dense matrix powers instead of diagonal
 recurrences, an LU solve for phi(T) instead of its denominator multiplied
 out, whole-window dense products instead of row and column scalings of an
-interior block, four dense products of the exponentials instead of their
-parity blocks, the ordered product of one exponential per path segment
-instead of the path's Cartan form, pointwise phi, phi' and twist instead of
-SU(1,1) matrices.  ``circle_fft`` and ``circle_synthesis`` are the plain
+interior block, four dense products of the exponentials, or whole-window
+products of their parity blocks, instead of row shifts of the parity
+blocks' interior columns, two dense products instead of the commutator's two
+diagonals, the ordered product of one exponential per path segment instead
+of the path's Cartan form, pointwise phi, phi' and twist instead of SU(1,1)
+matrices.  ``circle_fft`` and ``circle_synthesis`` are the plain
 normalized FFT pair of unit-circle samples; ``unblocked_circle_table`` builds
 the circle route's whole grid x window table at once; ``circle_rep_oracle``
 applies the circle route's table to one coefficient vector, as the oracle of
@@ -26,7 +28,7 @@ import numpy as np
 
 from mobshift.errors import GridSizeError, NumericsError, ParameterError, PoleError
 from mobshift.mobius import MobiusElement
-from mobshift.numkernel import UNILATERAL, _require_power_of_two, mat_exp
+from mobshift.numkernel import UNILATERAL, _parity_blocks, _require_power_of_two, _spectrum, mat_exp
 from mobshift.repn import (
     _NEGATIVE_INDEX_TOL,
     _NYQUIST_TAIL_TOL,
@@ -198,6 +200,26 @@ def dense_flow_difference(X, T, s: float) -> np.ndarray:
     ``mat_exp``, by four dense products over the whole window."""
     f, b, t = mat_exp(X, s).data, mat_exp(X, -s).data, T.data
     return (f @ t @ b - b @ t @ f) / (2.0 * s)
+
+
+def whole_window_flow_derivative(T, X, rel, w, step: float) -> np.ndarray:
+    """i D (C T' S - S T' C) D^-1 / step with T' = D^-1 T D over the whole window:
+    C = cos(step Hr) and S = sin(step Hr) assembled from their parity blocks into
+    dense window-sized arrays and multiplied out, the oracle of the interior block
+    that ``kappa_flow_derivative`` forms."""
+    spec = _spectrum(rel.generator(X, w))
+    cos_even, cos_odd, sin_eo = _parity_blocks(spec, step, "step")
+    c, s = np.zeros((w.size, w.size)), np.zeros((w.size, w.size))
+    c[0::2, 0::2], c[1::2, 1::2] = cos_even, cos_odd
+    s[0::2, 1::2], s[1::2, 0::2] = sin_eo, sin_eo.T
+    d = spec.phases
+    tp = T.data / d[:, None] * d[None, :]
+    return (1j / step) * (c @ tp @ s - s @ tp @ c) * d[:, None] / d[None, :]
+
+
+def dense_commutator(A, T) -> np.ndarray:
+    """A T - T A by two dense products over the whole window."""
+    return A.data @ T.data - T.data @ A.data
 
 
 def brute_interior_frobenius(data: np.ndarray, positions) -> float:

@@ -318,9 +318,29 @@ def test_verify_refuses_an_option_of_another_family(capsys, argv, message):
          "--im-mu-grid is an option of the principal family only"),
         (["sweep", "--series", "principal", "--lambda-grid", "0.3", "--mu-grid", "0.2"],
          "--mu-grid is an option of the complementary family only"),
+        (["verify", "lemmas", "--samples", "1", "--N", "8", "--pad", "3", "--op", "T2", "--path", "L:0.1", "--step", "0.001"],
+         "--N is not an option of verify lemmas"),
+        (["verify", "lemmas", "--samples", "1", "--step", "0.001"], "--step is not an option of verify lemmas"),
+        (["verify", "reducible-lambda", "--lambda", "1", "--op", "T2", "--path", "L:0.1", "--step", "0.001"],
+         "--op is not an option of verify reducible-lambda"),
+        (["verify", "reducible-lambda", "--lambda", "1", "--samples", "3"], "--samples is not an option of verify reducible-lambda"),
+        (["verify", "unitarity", "--series", "holo", "--lambda", "1", "--op", "T1", "--step", "0.001", "--samples", "4", "--seed", "3"],
+         "--op is not an option of verify unitarity"),
+        (["verify", "unitarity", "--series", "holo", "--lambda", "1", "--seed", "3"], "--seed is not an option of verify unitarity"),
+        (["verify", "infinitesimal", "--series", "holo", "--lambda", "1", "--path", "L:0.2"],
+         "--path is not an option of verify infinitesimal"),
+        (["verify", "homogeneity", "--series", "holo", "--lambda", "1", "--step", "0.01"],
+         "--step is not an option of verify homogeneity"),
+        (["verify", "normalizer", "--series", "holo", "--lambda", "1", "--step", "0.01"],
+         "--step is not an option of verify normalizer"),
+        (["sweep", "--series", "holo", "--lambda-grid", "1", "--suites", "unitarity", "--op", "T1"],
+         "--op names the operator of the homogeneity suite, which --suites does not run"),
     ],
     ids=("lemmas with a family", "lemmas with r", "reducible-lambda of another series",
-         "holo sweep with an Im mu grid", "principal sweep with a mu grid"),
+         "holo sweep with an Im mu grid", "principal sweep with a mu grid", "lemmas with a window", "lemmas with a step",
+         "reducible-lambda with an operator", "reducible-lambda with samples", "unitarity with an operator",
+         "unitarity with a seed", "infinitesimal with a path", "homogeneity with a step", "normalizer with a step",
+         "unitarity sweep with an operator"),
 )
 def test_options_a_run_does_not_read_are_refused(capsys, argv, message):
     code, out, err = run(capsys, argv)
@@ -346,13 +366,13 @@ def test_weights_refuses_an_option_of_another_family(capsys):
 def test_family_options_apply_to_their_own_family(capsys):
     # each family takes its own option, and the defaults (Im mu 0.5, r 1) apply when it is left out
     for argv, key, value in (
-        (["unitarity", "--series", "principal", "--lambda", "0.3"], "mu", [0.35, 0.5]),
-        (["unitarity", "--series", "principal", "--lambda", "0.3", "--im-mu", "2"], "mu", [0.35, 2.0]),
-        (["unitarity", "--series", "complementary", "--lambda", "0.4", "--mu", "0.2"], "mu", [0.2, 0.0]),
-        (["unitarity", "--series", "reducible", "--lambda", "1"], "r", [1.0, 0.0]),
+        (["unitarity", "--series", "principal", "--lambda", "0.3", "--path", "L:0.1"], "mu", [0.35, 0.5]),
+        (["unitarity", "--series", "principal", "--lambda", "0.3", "--im-mu", "2", "--path", "L:0.1"], "mu", [0.35, 2.0]),
+        (["unitarity", "--series", "complementary", "--lambda", "0.4", "--mu", "0.2", "--path", "L:0.1"], "mu", [0.2, 0.0]),
+        (["unitarity", "--series", "reducible", "--lambda", "1", "--path", "L:0.1"], "r", [1.0, 0.0]),
         (["reducible-lambda", "--lambda", "1", "--r", "2"], "r", [2.0, 0.0]),
     ):
-        code, out, _ = run(capsys, ["verify", *argv, "--N", "16", "--pad", "4", "--path", "L:0.1"])
+        code, out, _ = run(capsys, ["verify", *argv, "--N", "16", "--pad", "4"])
         assert code == 0, argv
         assert json.loads(out.splitlines()[0])["context"][key] == pytest.approx(value), argv
 
@@ -501,7 +521,7 @@ def test_sweep_complementary_midpoint_outside_the_family_is_an_error_row(capsys)
 
 
 def test_sweep_operator_is_checked_against_the_series(capsys):
-    code, out, err = run(capsys, ["sweep", "--series", "holo", "--lambda-grid", "2", "--op", "T1star"])
+    code, out, err = run(capsys, ["sweep", "--series", "holo", "--lambda-grid", "2", "--suites", "homogeneity", "--op", "T1star"])
     assert code == 2 and out == ""
     assert err == "error: T1star is certified against the anti-holomorphic (sharp) family\n"
 
@@ -628,7 +648,8 @@ def test_sweep_cell_is_the_max_of_the_verify_reports(capsys):
 def test_no_command_scans_an_operator_for_its_band(capsys, monkeypatch, argv, code):
     # every operator a command builds states its band; only outside arrays are scanned
     monkeypatch.setattr(numkernel, "_scan", lambda data: pytest.fail("an operator was scanned for its band"))
-    assert run(capsys, [*argv, "--N", "32", "--pad", "12"])[0] == code
+    window = [] if argv[1] == "lemmas" else ["--N", "32", "--pad", "12"]  # lemmas reads no window
+    assert run(capsys, [*argv, *window])[0] == code
 
 
 def test_identical_runs_are_byte_identical(capsys):

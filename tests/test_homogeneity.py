@@ -32,6 +32,7 @@ from mobshift.repn import Realization, RepnParams, rep_matrix
 from mobshift.shifts import canonical_shift, reducible_shift
 
 from oracles import (
+    dense_commutator,
     dense_flow_difference,
     dense_homogeneity_residual,
     dense_mobius,
@@ -39,6 +40,7 @@ from oracles import (
     random_dense,
     random_mobius,
     random_unitary,
+    whole_window_flow_derivative,
 )
 
 HOLO2 = RepnParams(UNILATERAL, 2.0)
@@ -364,27 +366,35 @@ def test_homogeneity_defect_empty_interior():
 def test_kappa_identities_for_t1():
     w = TruncationWindow(UNILATERAL, 64, 16)
     t = orthonormal(canonical_shift("T1", HOLO2, w), HOLO2, w)
-    square, ident = t @ t, OperatorMatrix.identity(w, t.basis)
+    ip = np.ix_(w.interior_positions(), w.interior_positions())
+    square, ident = (t @ t).data[ip], np.eye(w.size)[ip]
     targets = {"L": square - ident, "M": -1j * (square + ident), "e": -ident, "f": square}
     fd = {gen: kappa_flow_derivative(t, gen, Realization.plain(HOLO2), w) for gen in ("L", "M")}
     # the complex flows by linearity: e = (L - iM)/2, f = (L + iM)/2
     fd["e"], fd["f"] = 0.5 * (fd["L"] - 1j * fd["M"]), 0.5 * (fd["L"] + 1j * fd["M"])
     for gen in ("L", "M", "e", "f"):
-        assert interior_norm(fd[gen] - targets[gen], w) <= 1e-6, gen
+        assert np.linalg.norm(fd[gen] - targets[gen]) <= 1e-6, gen
+
+
+def commutator_matrix(T, X, rel, w):
+    """[dR(X), T] as a window matrix, from the two diagonals ``kappa_commutator`` returns."""
+    low, high = kappa_commutator(T, X, rel, w)
+    m = T.single_diagonal[0]
+    return OperatorMatrix.from_band(w, m - 1, low, T.basis) + OperatorMatrix.from_band(w, m + 1, high, T.basis)
 
 
 def test_kappa_routes_agree(rng):
     w = TruncationWindow(BILATERAL, 64, 16)
     t = orthonormal(canonical_shift("T3", PRIN, w), PRIN, w)
     rel = Realization.plain(PRIN)
+    ip = np.ix_(w.interior_positions(), w.interior_positions())
     fd = {gen: kappa_flow_derivative(t, gen, rel, w, step=1e-4) for gen in ("L", "M")}
-    comm = {gen: kappa_commutator(t, gen, rel, w) for gen in ("L", "M")}
+    comm = {gen: commutator_matrix(t, gen, rel, w).data[ip] for gen in ("L", "M")}
     # the complex flows on both routes by linearity: e = (L - iM)/2, f = (L + iM)/2
     for route in (fd, comm):
         route["e"], route["f"] = 0.5 * (route["L"] - 1j * route["M"]), 0.5 * (route["L"] + 1j * route["M"])
-    p = w.interior_positions()
     for gen in ("L", "M", "e", "f"):
-        assert np.max(np.abs((fd[gen] - comm[gen]).data[np.ix_(p, p)])) <= 1e-7, gen
+        assert np.max(np.abs(fd[gen] - comm[gen])) <= 1e-7, gen
 
 
 def test_kappa_commutator_takes_only_the_real_flows():
@@ -393,23 +403,95 @@ def test_kappa_commutator_takes_only_the_real_flows():
     for X in ("h", "e", "f"):
         with pytest.raises(ParameterError, match="expected L or M"):
             kappa_commutator(t, X, Realization.plain(HOLO2), w)
+    with pytest.raises(ParameterError, match="single diagonal"):
+        kappa_commutator(t + t.H, "L", Realization.plain(HOLO2), w)
 
 
 def test_infinitesimal_reports_form_e_and_f_by_linearity_on_both_routes():
+    # e and f, targets included, are (L -/+ iM)/2 of the L and M residuals; for a shift
+    # off diagonal 0 that is, bit for bit, the residual of the interior blocks formed densely
     p = RepnParams(BILATERAL, 0.3, complex(0.35, 5.1))
     w = TruncationWindow(BILATERAL, 64, 16)
     t = orthonormal(canonical_shift("T3", p, w), p, w)
+    assert t.single_diagonal[0] != 0
     rel = Realization.plain(p)
     reports = {r.name: r.value for r in infinitesimal_reports(t, rel, w)}
     ip = np.ix_(w.interior_positions(), w.interior_positions())
-    fd = {gen: kappa_flow_derivative(t, gen, rel, w).data[ip] for gen in ("L", "M")}
-    comm = {gen: kappa_commutator(t, gen, rel, w).data[ip] for gen in ("L", "M")}
-    square = (t @ t).data[ip]
-    for gen, sign, target in (("e", -1j, -np.eye(square.shape[0])), ("f", 1j, square)):
-        flow = 0.5 * (fd["L"] + sign * fd["M"])
-        algebraic = 0.5 * (comm["L"] + sign * comm["M"])
-        assert reports[f"kappa_{gen}_identity"] == float(np.linalg.norm(flow - target)), gen
-        assert reports[f"kappa_{gen}_route_gap"] == float(np.max(np.abs(flow - algebraic))), gen
+    square, ident = (t @ t).data[ip], np.eye(w.size)[ip]
+    targets = {"L": square - ident, "M": -1j * (square + ident)}
+    fd = {gen: kappa_flow_derivative(t, gen, rel, w) for gen in ("L", "M")}
+    identity = [fd[gen] - targets[gen] for gen in ("L", "M")]
+    gap = [fd[gen] - commutator_matrix(t, gen, rel, w).data[ip] for gen in ("L", "M")]
+    for gen, combine in (
+        ("L", lambda L, M: L), ("M", lambda L, M: M), ("e", lambda L, M: 0.5 * (L - 1j * M)), ("f", lambda L, M: 0.5 * (L + 1j * M))
+    ):
+        assert reports[f"kappa_{gen}_identity"] == float(np.linalg.norm(combine(*identity))), gen
+        assert reports[f"kappa_{gen}_route_gap"] == float(np.max(np.abs(combine(*gap)))), gen
+
+
+def test_infinitesimal_reports_form_no_window_product(monkeypatch):
+    # every target and route is read from bands and interior blocks
+    w = TruncationWindow(BILATERAL, 32, 8)
+    rel = Realization.plain(PRIN)
+    t = orthonormal(canonical_shift("T3", PRIN, w), PRIN, w)
+    expected = [r.value for r in infinitesimal_reports(t, rel, w)]
+    for name in ("__matmul__", "__sub__"):
+        monkeypatch.setattr(OperatorMatrix, name, lambda *args: pytest.fail("a window product was formed"))
+    monkeypatch.setattr(np, "eye", lambda *args, **kwargs: pytest.fail("an identity matrix was formed"))
+    assert [r.value for r in infinitesimal_reports(t, rel, w)] == expected
+
+
+def test_infinitesimal_reports_take_a_shift():
+    w = TruncationWindow(UNILATERAL, 16, 4)
+    t = orthonormal(canonical_shift("T1", HOLO2, w), HOLO2, w)
+    with pytest.raises(ParameterError, match="single diagonal"):
+        infinitesimal_reports(t + t.H, Realization.plain(HOLO2), w)
+
+
+ORACLE_CASES = {
+    "holo": (Realization.plain(HOLO2), UNILATERAL, lambda w: canonical_shift("T1", HOLO2, w)),
+    "sharp": (Realization.sharp(HOLO2), UNILATERAL, lambda w: canonical_shift("T1star", HOLO2, w)),
+    "principal T2": (Realization.plain(PRIN), BILATERAL, lambda w: canonical_shift("T2", PRIN, w)),
+    "principal T3": (Realization.plain(PRIN), BILATERAL, lambda w: canonical_shift("T3", PRIN, w)),
+    "complementary T3": (
+        Realization.plain(RepnParams(BILATERAL, 0.2, 0.4)), BILATERAL,
+        lambda w: canonical_shift("T3", RepnParams(BILATERAL, 0.2, 0.4), w),
+    ),
+    "reducible": (Realization.reducible(1.0, 2.0), BILATERAL, lambda w: reducible_shift(Realization.reducible(1.0, 2.0), w)),
+}
+
+
+def oracle_operands(rng, N: int):
+    """(label, realization, window, orthonormal shift) for each family's own shift and for
+    random shifts of steps +-1 and +-2, at pads 0, 1 and N/4."""
+    for pad in (0, 1, N // 4):
+        for case, (rel, kind, build) in ORACLE_CASES.items():
+            w = TruncationWindow(kind, N, pad)
+            yield f"{case} pad {pad}", rel, w, orthonormal(build(w), rel.params, w)
+        for step in (-2, -1, 1, 2):
+            w = TruncationWindow(BILATERAL, N, pad)
+            band = random_shift(rng, w, step).single_diagonal[1]
+            yield f"random step {step} pad {pad}", ORACLE_CASES["principal T3"][0], w, OperatorMatrix.from_band(w, step, band, ORTHONORMAL)
+
+
+def test_kappa_flow_derivative_is_the_interior_of_the_whole_window_oracles(rng):
+    for label, rel, w, T in oracle_operands(rng, 16):
+        ip = np.ix_(w.interior_positions(), w.interior_positions())
+        for X in ("L", "M"):
+            A = rel.generator(X, w)
+            scale = np.max(np.abs(T.data)) * np.max(np.abs(A.data))
+            block = kappa_flow_derivative(T, X, rel, w, step=1e-3)
+            assert block.shape == (w.interior_positions().size,) * 2
+            assert np.max(np.abs(block - whole_window_flow_derivative(T, X, rel, w, 1e-3)[ip])) <= 1e-13 * scale, label
+            assert np.max(np.abs(block - dense_flow_difference(A, T, 1e-3)[ip])) <= 1e-12 * scale, label
+
+
+def test_kappa_commutator_is_the_band_of_the_dense_commutator(rng):
+    for label, rel, w, T in oracle_operands(rng, 16):
+        for X in ("L", "M"):
+            dense = dense_commutator(rel.generator(X, w), T)
+            scale = np.max(np.abs(dense))
+            assert np.max(np.abs(commutator_matrix(T, X, rel, w).data - dense)) <= 1e-15 * scale, label
 
 
 FLOW_FAMILIES = (
@@ -433,7 +515,8 @@ def test_kappa_flow_derivative_matches_dense_difference(rng, operand, X, s):
     for rel, w in FLOW_FAMILIES:
         T = OperatorMatrix(FLOW_OPERANDS[operand](rng, w), w, ORTHONORMAL)
         A = rel.generator(X, w)
-        delta = kappa_flow_derivative(T, X, rel, w, step=s).data - dense_flow_difference(A, T, s)
+        ip = np.ix_(w.interior_positions(), w.interior_positions())
+        delta = kappa_flow_derivative(T, X, rel, w, step=s) - dense_flow_difference(A, T, s)[ip]
         assert np.max(np.abs(delta)) <= 1e-12 * np.max(np.abs(T.data)) * np.max(np.abs(A.data)), rel.flavor
 
 

@@ -14,8 +14,9 @@ from mobshift.errors import (
     ParameterError,
     WindowMismatchError,
 )
+from mobshift.cli import DEFAULT_PATHS
 from mobshift.homogeneity import infinitesimal_reports, kappa_flow_derivative
-from mobshift.mobius import STAR_SIGNS, GroupPath, MobiusElement, inverse, path_to_mobius, star_path
+from mobshift.mobius import STAR_SIGNS, GroupPath, MobiusElement, cartan, inverse, path_to_mobius, star_path
 from mobshift.numkernel import (
     BILATERAL,
     ORTHONORMAL,
@@ -326,6 +327,30 @@ def test_along_path_takes_one_exponential_of_l_and_no_dense_product(monkeypatch)
         calls.clear()
         rel.along_path(GroupPath.parse(text), w)
         assert calls == [rel.generator("L", w)] * exps, text
+
+
+def test_along_path_reads_dr_h_without_building_it(monkeypatch):
+    # dR(h) is diagonal and the same in both bases: R takes its diagonal from the
+    # family's parameters, bit for bit what the dense orthonormal h held
+    def dense_h_along_path(rel, path, w):
+        theta1, s, theta2 = cartan(path)
+        d = np.diagonal(rel.generator("h", w).data)
+        if s == 0.0:
+            return np.diag(np.exp((theta1 + theta2) * d))
+        return mat_exp(rel.generator("L", w), s, np.exp(theta1 * d), np.exp(theta2 * d)).data
+
+    generator, asked = Realization.generator, []
+    monkeypatch.setattr(Realization, "generator", lambda rel, X, w: asked.append(X) or generator(rel, X, w))
+    for case in ("holo", "principal", "sharp", "reducible"):
+        rel, kind = CARTAN_CASES[case]
+        w = TruncationWindow(kind, 32, 8)
+        for text in DEFAULT_PATHS:
+            asked.clear()
+            R = rel.along_path(GroupPath.parse(text), w)
+            assert "h" not in asked, (case, text)
+            np.testing.assert_array_equal(R.data, dense_h_along_path(rel, GroupPath.parse(text), w))
+    with pytest.raises(WindowMismatchError):
+        Realization.plain(HOLO2).along_path(GroupPath.parse("h:0.3"), TruncationWindow(BILATERAL, 8, 2))
 
 
 def test_single_segment_paths_are_the_exponential_of_their_generator():
