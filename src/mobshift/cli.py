@@ -11,9 +11,8 @@ cell runs that loop over the requested suites.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad usage or
 parameters, 3 a numerical failure (a generator that is not skew-Hermitian in
-the orthonormal basis because the basis norms do not match its action, a
-generator spectrum that does not pair up as +-lambda, grid too small, or too
-little memory for the window).  Identical arguments and
+the orthonormal basis because the basis norms do not match its action, grid
+too small, or too little memory for the window).  Identical arguments and
 seed produce byte-identical output.
 """
 

@@ -157,7 +157,7 @@ def kappa_flow_derivative(
     T._require_compatible(a)
     p = _interior_positions(T, w)
     spec = _spectrum(a)
-    cos_even, cos_odd, sin_eo = _parity_blocks(spec, step, "step")
+    cos_even, cos_odd, sin_eo = _parity_blocks(spec, step)
     n, d, p0, p1 = w.size, spec.phases, p[0], p[-1] + 1
     # the interior's even and odd positions: rows of the parity blocks, and ce::2 and co::2 of p
     ev, od, ce, co = slice((p0 + 1) // 2, (p1 + 1) // 2), slice(p0 // 2, p1 // 2), p0 % 2, 1 - p0 % 2

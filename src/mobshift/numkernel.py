@@ -7,7 +7,8 @@ public constructor copies and scans its outside array for a single diagonal,
 library builders state theirs.  ``mat_exp`` takes skew-Hermitian generators
 on the +-1 diagonals in an orthonormal basis, reads no Gram, and works in
 real arithmetic from one cached real eigh per family and window, which L and
-M share."""
+M share; it keeps half of that spectrum, whose other half is the reflection
+of the first by diag((-1)^n)."""
 
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import numpy as np
 from .errors import (
     EmptyInteriorError,
     NotSkewAdjointError,
-    NumericsError,
     ParameterError,
     SingularMatrixError,
     WindowMismatchError,
@@ -35,11 +35,8 @@ ORTHONORMAL = "orthonormal"
 COND_LIMIT = 1.0e8
 #: largest skew-Hermitian residue, relative to the largest entry, that mat_exp accepts
 SKEW_TOL = 1.0e-12
-#: largest |t| times the eigenvalue pairing gap of Hr that mat_exp accepts (see _parity_blocks)
-PAIRING_TOL = 1.0e-8
-#: real spectra mat_exp keeps, one entry per family and window (L and M share
-#: one); repn keeps as many orthonormal-basis generators
-GENERATOR_CACHE_SIZE = 3
+#: real spectra mat_exp keeps, one entry per family and window (L and M share one)
+SPECTRUM_CACHE_SIZE = 3
 
 
 @dataclass(frozen=True)
@@ -249,20 +246,18 @@ class OperatorMatrix:
 
 @dataclass(frozen=True, eq=False)
 class _Spectrum:
-    """e^{tX} data for one tridiagonal generator X.
+    """e^{tX} = D (cos tHr - i sin tHr) D^-1 data for one tridiagonal generator X.
 
-    ``values`` and the even and odd rows of Q diagonalize the real symmetric
-    tridiagonal Hr = Q Lambda Q^T, and e^{tX} is D (cos tHr - i sin tHr) D^-1
-    with D = diag(``phases``).  Hr's spectrum is symmetric about 0; ``gap`` is
-    max |lambda_j + lambda_{n-1-j}|, how far the computed one is from that.
-    The phases are X's own; the rest is shared by every generator with the
-    same Hr.
+    D = diag(``phases``) is X's own; the rest is shared by every generator with
+    the same Hr.  P = diag((-1)^k) reflects Hr, P Hr P = -Hr, so each eigenpair
+    (lambda > 0, q) has the partner (-lambda, P q), orthogonal to it, and the
+    rest is Hr's kernel.  ``values`` are the positive lambda, ``even`` and ``odd``
+    the even and odd rows of their q, each column scaled to unit norm.
     """
 
     values: np.ndarray
     even: np.ndarray
     odd: np.ndarray
-    gap: float
     phases: np.ndarray
 
 
@@ -288,16 +283,26 @@ def _band_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mod, np.concatenate(([1.0 + 0j], np.cumprod(u)))
 
 
-@functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
-def _real_eigh(off_diagonal: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Eigenvalues, even and odd eigenvector rows and pairing gap of the real
-    symmetric tridiagonal Hr with these off-diagonal bytes and a zero diagonal."""
+@functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
+def _real_eigh(off_diagonal: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positive eigenvalues of the real symmetric tridiagonal Hr with these
+    off-diagonal bytes and a zero diagonal, and the even and odd rows of their
+    eigenvectors, scaled to unit columns.
+
+    eigh sorts the values, so with a kernel of dimension d the positive ones
+    are the last (n - d) / 2.  d needs no tolerance: the exact zeros of the
+    off-diagonal cut Hr into irreducible blocks, and such a block is singular,
+    with a simple zero eigenvalue, exactly when its length is odd.
+    """
     mod = np.frombuffer(off_diagonal)
-    hr, k = np.zeros((mod.size + 1, mod.size + 1)), np.arange(mod.size)
+    n, k = mod.size + 1, np.arange(mod.size)
+    hr = np.zeros((n, n))
     hr[k, k + 1] = hr[k + 1, k] = mod
     values, q = np.linalg.eigh(hr)
-    gap = float(np.max(np.abs(values + values[::-1])))
-    return values, np.ascontiguousarray(q[0::2]), np.ascontiguousarray(q[1::2]), gap
+    lengths = np.diff(np.concatenate(([0], np.flatnonzero(mod == 0.0) + 1, [n])))
+    first = n - (n - int(np.count_nonzero(lengths % 2))) // 2
+    even, odd = q[0::2, first:], q[1::2, first:]
+    return values[first:], even / np.linalg.norm(even, axis=0), odd / np.linalg.norm(odd, axis=0)
 
 
 def _spectrum(X: OperatorMatrix) -> _Spectrum:
@@ -308,22 +313,22 @@ def _spectrum(X: OperatorMatrix) -> _Spectrum:
     return _Spectrum(*_real_eigh(mod.tobytes()), phases)
 
 
-def _parity_blocks(spec: _Spectrum, t: float, role: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _parity_blocks(spec: _Spectrum, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """cos tHr on the even positions, cos tHr on the odd ones, and sin tHr from
-    even to odd positions: three real half-size products.  Hr links only even
-    positions to odd ones, so cos tHr has no even-odd entries and sin tHr
-    (symmetric) only those.  In the computed spectrum those blocks vanish only
-    as far as its eigenvalues pair up as +-lambda, to about |t| times
-    ``spec.gap``; beyond ``PAIRING_TOL`` the split is refused with a
-    ``NumericsError`` that names t by its ``role``."""
-    if abs(t) * spec.gap > PAIRING_TOL:
-        raise NumericsError(
-            f"eigenvalues of the generator pair up only to {spec.gap:.3e}; "
-            f"the exponential at the {role}, {t:g}, would err by about {abs(t) * spec.gap:.1e}"
-        )
-    cos, sin = np.cos(t * spec.values), np.sin(t * spec.values)
-    qe, qo = spec.even, spec.odd
-    return (qe * cos) @ qe.T, (qo * cos) @ qo.T, (qe * sin) @ qo.T
+    even to odd positions (Hr links only even positions to odd ones): three real
+    half-size products over the positive half of the spectrum.
+
+    With u and v the unit even and odd halves of q, a pair (lambda, q) and its
+    partner add sin(t lambda) u v^T to sin tHr, and (1 - cos t lambda) u u^T
+    and v v^T to I - cos tHr; the kernel adds to neither.  Near 0, rounding
+    mixes q with its partner and the kernel by about eps ||Hr|| / lambda, but
+    these weights are of order lambda^2, so the mixing does not reach the blocks."""
+    u, v, tv = spec.even, spec.odd, t * spec.values
+    versine = 2.0 * np.sin(0.5 * tv) ** 2
+    blocks = [(w * -versine) @ w.T for w in (u, v)]
+    for block in blocks:
+        block.flat[:: block.shape[0] + 1] += 1.0
+    return *blocks, (u * np.sin(tv)) @ v.T
 
 
 def mat_exp(X: OperatorMatrix, t: float = 1.0, left=1.0, right=1.0) -> OperatorMatrix:
@@ -332,17 +337,16 @@ def mat_exp(X: OperatorMatrix, t: float = 1.0, left=1.0, right=1.0) -> OperatorM
 
     X must be skew-Hermitian to ``SKEW_TOL`` relative to its largest entry;
     then e^{tX} = D (cos tHr - i sin tHr) D^-1 with Hr = Q Lambda Q^T real
-    (see ``_band_form``): one real eigh per family and window, cached for the
-    last few (see ``_spectrum``), and each t costs the three real half-size
-    products of ``_parity_blocks``.  Any other generator raises
-    ``NotSkewAdjointError``, a diagonal one too (callers take its scalar
-    exponentials), as does one built in the orthonormal basis of norms that
-    do not match its action; a spectrum too far from +-lambda pairs for the
-    split raises ``NumericsError``.
+    (see ``_band_form``): one real eigh per family and window, whose positive
+    half is cached for the last few (see ``_spectrum``), and each t costs the
+    three real half-size products of ``_parity_blocks``.  Any other generator
+    raises ``NotSkewAdjointError``, a diagonal one too (callers take its scalar
+    exponentials), as does one built in the orthonormal basis of norms that do
+    not match its action.
     """
     t = float(t)
     spec = _spectrum(X)
-    cos_even, cos_odd, sin_eo = _parity_blocks(spec, t, "boost s of the path")
+    cos_even, cos_odd, sin_eo = _parity_blocks(spec, t)
     out = np.zeros(X.data.shape, dtype=np.complex128)
     out.real[0::2, 0::2] = cos_even
     out.real[1::2, 1::2] = cos_odd

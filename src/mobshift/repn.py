@@ -25,7 +25,6 @@ action; ``to_orthonormal`` brings a monomial operator to the basis of R.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +41,6 @@ from .errors import (
 from .mobius import GroupPath, MobiusElement
 from .numkernel import (
     BILATERAL,
-    GENERATOR_CACHE_SIZE,
     MONOMIAL,
     ORTHONORMAL,
     UNILATERAL,
@@ -235,9 +233,9 @@ def to_orthonormal(A: OperatorMatrix, G: OperatorMatrix) -> OperatorMatrix:
 
 def unitarity_residual(R: OperatorMatrix, w: TruncationWindow) -> float:
     """Interior norm of R* R - I for R in an orthonormal basis; only the
-    interior block R[:, p]* R[:, p] - I is multiplied out."""
+    interior block R[:, p]* R[:, p] - I is multiplied out, from a view of R."""
     p = _interior_positions(R, w)
-    cols = R.data[:, p]
+    cols = R.data[:, p[0] : p[-1] + 1]
     return float(np.linalg.norm(cols.conj().T @ cols - np.eye(p.size)))
 
 
@@ -276,7 +274,6 @@ class Realization:
     def reducible(cls, lam: float, r: complex = DEFAULT_COUPLING) -> "Realization":
         return cls("reducible", RepnParams(BILATERAL, lam), r)
 
-    @functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
     def generator(self, X: str, w: TruncationWindow) -> OperatorMatrix:
         """dR(X) of a real generator X = h, L or M in the orthonormal basis
         x_n = f_n / s_n, s_n = ||f_n||; e and f are (L -/+ iM)/2 by linearity.
@@ -284,9 +281,9 @@ class Realization:
         The monomial matrix keeps its diagonal; its +1 band is scaled by
         s_n / s_{n+1} and its -1 band by s_{n+1} / s_n, the square root of
         ``norm_ratio`` (both bands are 0 across a reducible seam).  The sharp
-        twist multiplies X by its sign in ``mobius.STAR_SIGNS``.  The last few
-        (realization, X, window) are kept, so repeated paths reuse one
-        generator object.
+        twist multiplies X by its sign in ``mobius.STAR_SIGNS``.  Each call
+        builds a fresh matrix, which its caller frees after use: the costly
+        part, the spectrum of ``numkernel.mat_exp``, is cached on content.
         """
         if X not in mobius.GENERATORS:
             raise ParameterError(f"unsupported generator {X!r} (expected h, L or M)")

@@ -208,7 +208,7 @@ def whole_window_flow_derivative(T, X, rel, w, step: float) -> np.ndarray:
     dense window-sized arrays and multiplied out, the oracle of the interior block
     that ``kappa_flow_derivative`` forms."""
     spec = _spectrum(rel.generator(X, w))
-    cos_even, cos_odd, sin_eo = _parity_blocks(spec, step, "step")
+    cos_even, cos_odd, sin_eo = _parity_blocks(spec, step)
     c, s = np.zeros((w.size, w.size)), np.zeros((w.size, w.size))
     c[0::2, 0::2], c[1::2, 1::2] = cos_even, cos_odd
     s[0::2, 1::2], s[1::2, 0::2] = sin_eo, sin_eo.T

@@ -7,7 +7,6 @@ from mobshift import numkernel
 from mobshift.errors import (
     EmptyInteriorError,
     NotSkewAdjointError,
-    NumericsError,
     ParameterError,
     SingularMatrixError,
     WindowMismatchError,
@@ -196,19 +195,61 @@ def test_mat_exp_norm_guard():
             mat_exp(a)
 
 
-@pytest.mark.parametrize("im_mu", [1e4, 1e8, 1e13])
+@pytest.mark.parametrize("im_mu", [1e4, 1e8])
 def test_mat_exp_refuses_an_unpaired_spectrum(im_mu):
-    # the parity split drops blocks that vanish only as far as Hr's computed eigenvalues pair
-    # up as +-lambda; large Im mu spoils the pairing, and past PAIRING_TOL mat_exp refuses
+    # nothing is refused: the parity split takes the -lambda half of Hr's spectrum as the
+    # reflection of the +lambda half, so a large Im mu, whose computed spectrum pairs up only
+    # to about eps |Im mu|, still gives the exponential of a complex eigh of the whole generator
     w = TruncationWindow(BILATERAL, 64, 16)
     L = Realization.plain(RepnParams(BILATERAL, 0.3, complex(0.35, im_mu))).generator("L", w)
-    if im_mu > 1e9:
-        with pytest.raises(NumericsError, match="pair up only to"):
-            mat_exp(L, 0.1)
-        return
     values, q = np.linalg.eigh(1j * L.data)
     reference = (q * np.exp(-0.1j * values)) @ q.conj().T
-    assert np.max(np.abs(mat_exp(L, 0.1).data - reference)) <= numkernel.PAIRING_TOL
+    assert np.max(np.abs(mat_exp(L, 0.1).data - reference)) <= 1e-8
+
+
+def skew_generator(lower):
+    """The generator with -1 band ``lower`` and +1 band -conj(``lower``)."""
+    return OperatorMatrix(np.diag(lower, -1) - np.diag(lower.conj(), 1), window_of_size(lower.size + 1))
+
+
+def cut_skew_generator(rng, size, odd):
+    """Random skew-Hermitian generator on the +-1 diagonals whose exact zeros cut
+    its tridiagonal into ``odd`` blocks of odd length and some of even length."""
+    lengths = [1] * odd
+    for _ in range((size - odd) // 2):
+        k = int(rng.integers(len(lengths) + 1))
+        lengths[k : k + 1] = [lengths[k] + 2] if k < len(lengths) else [2]
+    lower = rng.standard_normal(size - 1) + 1j * rng.standard_normal(size - 1)
+    lower[np.cumsum(rng.permutation(lengths))[:-1] - 1] = 0.0
+    return skew_generator(lower)
+
+
+@pytest.mark.parametrize("t", [1e-4, 0.1, 0.5, -0.3])
+@pytest.mark.parametrize(
+    "size, odd", [(7, 1), (7, 3), (7, 7), (8, 0), (8, 2), (8, 8), (16, 4), (33, 5), (64, 2), (65, 1), (65, 9), (65, 65)]
+)
+def test_mat_exp_matches_pade_oracle_across_zero_band_entries(rng, size, odd, t):
+    # Hr's kernel has one vector per odd block, counted from the exact zeros alone, and only
+    # the positive half of the spectrum is kept
+    X = cut_skew_generator(rng, size, odd)
+    spec = numkernel._spectrum(X)
+    assert spec.values.size == spec.even.shape[1] == spec.odd.shape[1] == (size - odd) // 2
+    assert np.all(spec.values > 0.0)
+    expected = pade_expm(t * X.data)
+    assert np.max(np.abs(mat_exp(X, t).data - expected)) <= 2e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5])
+@pytest.mark.parametrize("weak", [1e-4, 1e-8])
+@pytest.mark.parametrize("size, at", [(8, (4,)), (64, (32,)), (65, (20, 41))])
+def test_mat_exp_matches_pade_oracle_near_a_split(rng, size, at, weak, t):
+    # weak band entries nearly cut Hr into odd blocks, so a pair of eigenvalues lies within
+    # about weak of 0, where rounding mixes an eigenvector with its partner and the kernel
+    lower = rng.standard_normal(size - 1) + 1j * rng.standard_normal(size - 1)
+    lower[list(at)] *= weak
+    X = skew_generator(lower)
+    expected = pade_expm(t * X.data)
+    assert np.max(np.abs(mat_exp(X, t).data - expected)) <= 2e-14 * np.max(np.abs(expected))
 
 
 def test_pade_oracle_scaling_branch_accuracy(rng):

@@ -1,10 +1,11 @@
 import cmath
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from mobshift import numkernel, repn
+from mobshift import homogeneity, numkernel, repn
 from mobshift.errors import (
     ClassificationError,
     EmptyInteriorError,
@@ -326,7 +327,8 @@ def test_along_path_takes_one_exponential_of_l_and_no_dense_product(monkeypatch)
     for text, exps in (("L:0.1,M:-0.05,h:0.2,M:0.3,L:-0.4", 1), ("M:0.1", 1), ("h:0.5,h:-0.2", 0), ("id", 0)):
         calls.clear()
         rel.along_path(GroupPath.parse(text), w)
-        assert calls == [rel.generator("L", w)] * exps, text
+        assert len(calls) == exps, text
+        assert all(np.array_equal(X.data, rel.generator("L", w).data) for X in calls), text
 
 
 def test_along_path_reads_dr_h_without_building_it(monkeypatch):
@@ -511,9 +513,24 @@ def test_exponential_caches_hold_one_realization():
         for rel in (Realization.plain(p), Realization.sharp(p), Realization.reducible(lam + 1.0)):
             rel.along_path(path, w)
             kappa_flow_derivative(T, "M", rel, w)
-            assert numkernel._real_eigh.cache_info().currsize <= numkernel.GENERATOR_CACHE_SIZE == 3
-            assert Realization.generator.cache_info().currsize <= 3
-        assert Realization.plain(p).generator("L", w) is Realization.plain(p).generator("L", w)
+            assert numkernel._real_eigh.cache_info().currsize <= numkernel.SPECTRUM_CACHE_SIZE == 3
+
+
+@pytest.mark.parametrize("case, N, kernel", [("holo", 32, 1), ("holo", 31, 0), ("principal", 32, 1), ("reducible", 32, 1)])
+def test_generators_die_after_use_and_spectra_keep_half(case, N, kernel, monkeypatch):
+    # no generator outlives the exponential or the flow derivative that used it: the cache is
+    # on the spectrum, which keeps only its positive half, (size - kernel) / 2 eigenvectors
+    rel, kind = SPECTRAL_CASES[case]
+    w, refs = TruncationWindow(kind, N, N // 4), []
+    exp, spectrum = repn.mat_exp, homogeneity._spectrum
+    monkeypatch.setattr(repn, "mat_exp", lambda X, *args: refs.append(weakref.ref(X)) or exp(X, *args))
+    monkeypatch.setattr(homogeneity, "_spectrum", lambda X: refs.append(weakref.ref(X)) or spectrum(X))
+    R = rel.along_path(GroupPath.parse("L:0.1,M:-0.05,h:0.2"), w)
+    block = kappa_flow_derivative(OperatorMatrix.identity(w, ORTHONORMAL), "M", rel, w)
+    assert R.data.shape == (w.size, w.size) and block.shape == (w.size - 2 * w.padding,) * 2
+    assert len(refs) == 2 and all(ref() is None for ref in refs)
+    spec = numkernel._spectrum(rel.generator("L", w))
+    assert spec.values.size == spec.even.shape[1] == spec.odd.shape[1] == (w.size - kernel) // 2
 
 
 @pytest.mark.parametrize("case", ["holo", "sharp", "principal", "complementary", "reducible"])
