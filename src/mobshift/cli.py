@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
-
-import numpy as np
 
 from .errors import NumericsError, ParameterError
 from .homogeneity import (
@@ -223,13 +222,13 @@ def _suite_lemmas(args) -> list[DefectReport]:
     if args.samples < 1:
         raise ParameterError("--samples must be at least 1")
     tol = args.tolerance if args.tolerance is not None else 1e-10
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     reports = []
     for i in range(args.samples):
-        lam = float(rng.uniform(-2.0, 3.0))
+        lam = rng.uniform(-2.0, 3.0)
         mu = complex(rng.uniform(-1.5, 1.5), rng.uniform(-2.0, 2.0))
-        m = int(rng.integers(1, 9)) * (1 if rng.uniform() < 0.5 else -1)
-        n = int(rng.integers(-20, 21))
+        m = rng.randrange(1, 9) * (1 if rng.random() < 0.5 else -1)
+        n = rng.randrange(-20, 21)
         for side in ("f", "e"):
             value = abs(ladder_cancellation(lam, mu, m, n, side) - 2.0 * m * m)
             ctx = {

@@ -106,8 +106,8 @@ def homogeneity_defect(
     inverse of R and no conjugation by the truncated R (which would drag
     boundary error inward) is formed.  Each product with T is a row or column
     scaling, so only R's interior block and a halo of |m| indices, clipped to
-    the window, are read: O(interior^2) once R exists.  Any other T raises
-    ``ParameterError``.
+    the window, are read: O(interior^2) once R exists, with the residual and
+    R T the only block-sized arrays.  Any other T raises ``ParameterError``.
     """
     band = T.single_diagonal
     if band is None:
@@ -122,9 +122,13 @@ def homogeneity_defect(
     r0, c0, k = max(-m, 0), max(m, 0), t.size
     rt = np.zeros_like(r)
     np.multiply(r[:, r0 : r0 + k], t, out=rt[:, c0 : c0 + k])
-    y = r - phi.beta.conjugate() * rt
-    residual = phi.alpha * (rt - phi.beta * r)
-    residual[r0 : r0 + k] -= t[:, None] * y[c0 : c0 + k]
+    # alpha (R T - beta R), then rt turns into y = R - conj(beta) R T: two block-sized arrays are live
+    residual = np.multiply(r, -phi.beta)
+    residual += rt
+    residual *= phi.alpha
+    rt *= -phi.beta.conjugate()
+    rt += r
+    residual[r0 : r0 + k] -= np.multiply(rt[c0 : c0 + k], t[:, None], out=rt[c0 : c0 + k])
     inner = slice(p[0] - lo, p[-1] + 1 - lo)
     value = float(np.linalg.norm(residual[inner, inner]))
     return DefectReport.build("homogeneity", value, tolerance, context)
@@ -165,7 +169,7 @@ def kappa_flow_derivative(
     c[0::2, ce::2], c[1::2, co::2] = cos_even[:, ev], cos_odd[:, od]
     s[0::2, co::2], s[1::2, ce::2] = sin_eo[:, od], sin_eo[ev].T
     ts, tc = np.zeros((2, n, p.size), dtype=np.complex128)
-    for m, t in [T.single_diagonal] if T.single_diagonal else [(m, np.diagonal(T.data, m)) for m in range(1 - n, n)]:
+    for m, t in T.bands.items() if T.bands is not None else [(m, T.diagonal(m)) for m in range(1 - n, n)]:
         # entry k of T's diagonal m sits at (r0 + k, c0 + k)
         r0, c0, k = max(-m, 0), max(m, 0), t.size
         tp = (t / d[r0 : r0 + k] * d[c0 : c0 + k])[:, None]
@@ -193,19 +197,10 @@ def kappa_commutator(
         raise ParameterError(f"unsupported generator {X!r} (expected L or M)")
     if T.single_diagonal is None:
         raise ParameterError("the commutator route is taken for a shift: T needs a single diagonal")
-    a = rel.generator(X, w)
-    T._require_compatible(a)
-    (m, band), n = T.single_diagonal, w.size
-
-    def by_row(q: int, diagonal: np.ndarray) -> np.ndarray:  # entry n + i: the (i, i + q) entry, 0 off the window
-        return np.pad(diagonal, (n + max(-q, 0), 2 * n - max(-q, 0) - diagonal.size))
-
-    t, diagonals = by_row(m, band), []
-    for sign in (-1, 1):
-        # (A T - T A)[i, i + q] = A[i, i + sign] T[i + sign, i + q] - T[i, i + m] A[i + m, i + q], q = m + sign
-        x, i = by_row(sign, np.diagonal(a.data, sign)), np.arange(n + max(-m - sign, 0), 2 * n - max(m + sign, 0))
-        diagonals.append(x[i] * t[i + sign] - t[i] * x[i + m])
-    return tuple(diagonals)
+    # products of bands, O(N): each entry is one product, in the order of the dense X T - T X
+    a, m = rel.generator(X, w), T.single_diagonal[0]
+    commutator = a @ T - T @ a
+    return commutator.diagonal(m - 1), commutator.diagonal(m + 1)
 
 
 def _relation_values(blocks: dict, bands: dict, p0: int, reduce) -> dict:
@@ -247,10 +242,8 @@ def infinitesimal_reports(
     and f, targets included, are (L -/+ iM)/2 of the results.
     """
     diagonals = {X: kappa_commutator(T, X, rel, w) for X in ("L", "M")}  # refuses all but a shift
-    (m, t), p0 = T.single_diagonal, _interior_positions(T, w)[0]
-    # diagonal 2m of T^2, with the factors in the order of T @ T, and diagonal 0 of I
-    k = t.size - abs(m)
-    square, ones = t[max(-m, 0) :][:k] * t[max(m, 0) :][:k], np.ones(w.size)
+    m, p0 = T.single_diagonal[0], _interior_positions(T, w)[0]
+    square, ones = (T @ T).diagonal(2 * m), np.ones(w.size)  # diagonal 2m of T^2 and diagonal 0 of I
     targets = {"L": ((2 * m, square), (0, -ones)), "M": ((2 * m, -1j * square), (0, -1j * ones))}
     blocks = {X: kappa_flow_derivative(T, X, rel, w, step) for X in ("L", "M")}
     identity = _relation_values(blocks, targets, p0, lambda r: float(np.linalg.norm(r)))

@@ -44,7 +44,7 @@ def isotypic_component(T: OperatorMatrix, m: int) -> np.ndarray:
     m-th matrix diagonal (row n - m, column n), as ``np.diagonal`` orders it
     and ``OperatorMatrix.from_band`` reassembles it; empty when |m| >= window
     size."""
-    return np.diagonal(T.data, m)
+    return T.diagonal(m)
 
 
 def te_tf_coefficients(a: Mapping[int, complex], m: int, p: RepnParams, w: TruncationWindow):
@@ -147,13 +147,6 @@ def classify_a_minus1(a: Mapping[int, complex], p: RepnParams) -> AminusOneFit:
     return AminusOneFit(a_fit, b_fit, residual, FIT_NEITHER)
 
 
-def _single_step(T: OperatorMatrix) -> tuple[int, np.ndarray]:
-    band = T.single_diagonal
-    if band is None or band[0] == 0:
-        raise ParameterError("expected a single-step shift")
-    return band
-
-
 def _best_multiple_residual(block: np.ndarray, ref: np.ndarray | None) -> float:
     """Distance from ``block`` to the nearest multiple of ``ref`` (to 0 without one)."""
     if ref is None:
@@ -181,9 +174,8 @@ def normalizer_defect(
     on unilateral windows and against zero on bilateral ones.  The defect
     adds the interior commutator norm and all the component residuals.
 
-    A step-s shift has one diagonal t, so T^k has one diagonal, with weights
-    P_k = P_{k-1}[:L] * t[|s|(k-1) : |s|(k-1) + L] and L = size - |s| k;
-    the diagonal of T* on the opposite side is conj(t).
+    T^k, a product of bands, has one diagonal, and (T*)^k = (T^k)^H holds its
+    conjugate on the opposite side.
     Components are compared on the interior stretch of their diagonals, for
     as long as that stretch is non-empty; past it every residual is 0.
 
@@ -192,25 +184,21 @@ def normalizer_defect(
     S = (R T) R^H: one dense product, with no inverse, solve or condition
     estimate.  Every product with T is a row or column scaling: O(N^2).
     """
-    step, t = _single_step(T)
-    s = abs(step)
+    step = T.single_diagonal[0] if T.single_diagonal is not None else 0
+    if step == 0:
+        raise ParameterError("expected a single-step shift")
     S = (R @ T) @ R.H
     value = interior_norm(S @ T - T @ S, w)
     interior = w.size - 2 * w.padding
-    adj = t.conj() if w.kind == UNILATERAL else None
-    power = adj_power = np.ones(w.size, dtype=np.complex128)
-    for k in range(-(-interior // s)):
+    power = OperatorMatrix.identity(w, T.basis)
+    for k in range(-(-interior // abs(step))):
+        span = slice(w.padding, w.padding + interior - abs(step) * k)
+        weights = isotypic_component(power, step * k)[span]
+        value += _best_multiple_residual(isotypic_component(S, step * k)[span], weights)
         if k > 0:
-            length = w.size - s * k
-            lo = s * (k - 1)
-            power = power[:length] * t[lo : lo + length]
-            if adj is not None:
-                adj_power = adj_power[:length] * adj[lo : lo + length]
-        span = slice(w.padding, w.padding + interior - s * k)
-        value += _best_multiple_residual(isotypic_component(S, step * k)[span], power[span])
-        if k > 0:
-            opposite = isotypic_component(S, -step * k)[span]
-            value += _best_multiple_residual(opposite, adj_power[span] if adj is not None else None)
+            adjoint = weights.conj() if w.kind == UNILATERAL else None
+            value += _best_multiple_residual(isotypic_component(S, -step * k)[span], adjoint)
+        power = T @ power
     return DefectReport.build("normalizer", value, tolerance, context)
 
 

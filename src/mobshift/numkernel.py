@@ -1,14 +1,14 @@
-"""Dense complex linear-algebra kernels shared by every other module.
+"""Linear-algebra kernels shared by every other module.
 
 Matrices live on an explicit truncation window and carry a basis tag, so
 bookkeeping mistakes (mixing windows or bases) fail fast instead of producing
-plausible-looking numbers.  Operators are dense complex128 and read-only; the
-public constructor copies and scans its outside array for a single diagonal,
-library builders state theirs.  ``mat_exp`` takes skew-Hermitian generators
-on the +-1 diagonals in an orthonormal basis, reads no Gram, and works in
+plausible-looking numbers.  Operators are read-only complex128 and stored as
+their nonzero diagonals whenever their builder states them, which every
+library builder of a shift, Gram or generator does; the dense array is built
+only when read.  ``mat_exp`` takes skew-Hermitian generators on the +-1
+diagonals in an orthonormal basis, reads only those two bands, and works in
 real arithmetic from one cached real eigh per family and window, which L and
-M share; it keeps half of that spectrum, whose other half is the reflection
-of the first by diag((-1)^n)."""
+M share; it keeps half of that spectrum, the reflection of the other half."""
 
 from __future__ import annotations
 
@@ -107,49 +107,88 @@ def _scan(a: np.ndarray) -> int | None:
     return int(offsets[0]) if offsets.size else 0
 
 
-@dataclass(frozen=True, eq=False)
+def _freeze(a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ParameterError("non-finite matrix entries")
+    a.setflags(write=False)
+    return a
+
+
+def _rows(m: int, d: np.ndarray, n: int) -> np.ndarray:
+    """Diagonal m of a size-n matrix by row, 3n long: entry n + i is the (i, i + m) entry, 0 off the window."""
+    return np.pad(d, (n + max(-m, 0), n + max(m, 0)))
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class OperatorMatrix:
-    """Immutable square matrix over a window's basis indices; ``single_diagonal``,
-    fixed when it is built, is (m, np.diagonal(data, m)) when every nonzero entry
-    lies on diagonal m (the zero matrix reads as diagonal 0), else None."""
+    """Immutable square matrix over a window's basis indices.
 
-    data: np.ndarray
+    ``bands`` maps offsets m to the nonzero diagonals m, as ``np.diagonal``
+    orders them, so it holds every nonzero entry and the zero matrix has none.
+    Every library builder that knows its operator's diagonals states them, and
+    they are then its storage: ``data``, the dense read-only array, is built
+    from them on first read and kept.  An operator without bands (None) stores
+    ``data`` itself.  The public constructor copies its array and scans it
+    once; a single diagonal becomes its one band.
+    """
+
     window: TruncationWindow
-    basis: str = MONOMIAL
-    single_diagonal: tuple[int, np.ndarray] | None = field(init=False, repr=False)
+    basis: str
+    bands: dict[int, np.ndarray] | None = field(repr=False)
 
-    def __post_init__(self):
-        self._seal(np.array(self.data, dtype=np.complex128))
-        self._record(_scan(self.data))
+    def __init__(self, data, window: TruncationWindow, basis: str = MONOMIAL):
+        data = np.array(data, dtype=np.complex128)
+        m = _scan(data) if data.shape == (window.size, window.size) else None
+        self._init(window, basis, data, None if m is None else {m: np.diagonal(data, m)})
 
     @classmethod
-    def _adopt(cls, data, window: TruncationWindow, basis: str, offset: int | None) -> "OperatorMatrix":
-        """The constructor's checks without its copy or its scan, for a fresh array
-        referenced nowhere else; its builder states the ``offset``, m or None."""
+    def _adopt(cls, window: TruncationWindow, basis: str, data=None, bands=None) -> "OperatorMatrix":
+        """The constructor's checks without its copy or its scan, for a fresh ``data``
+        array or fresh ``bands`` referenced nowhere else."""
         out = object.__new__(cls)
-        object.__setattr__(out, "window", window)
-        object.__setattr__(out, "basis", basis)
-        out._seal(np.asarray(data, dtype=np.complex128))
-        out._record(offset)
+        out._init(window, basis, data, bands)
         return out
 
-    def _seal(self, arr: np.ndarray) -> None:
-        if arr.shape != (self.window.size, self.window.size):
-            raise WindowMismatchError(
-                f"matrix shape {arr.shape} does not match window size {self.window.size}"
-            )
-        if not np.isfinite(arr).all():
-            raise ParameterError("non-finite matrix entries")
-        if self.basis not in (MONOMIAL, ORTHONORMAL):
-            raise ParameterError(f"unknown basis tag {self.basis!r}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+    def _init(self, window: TruncationWindow, basis: str, data, bands) -> None:
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "basis", basis)
+        if basis not in (MONOMIAL, ORTHONORMAL):
+            raise ParameterError(f"unknown basis tag {basis!r}")
+        size = window.size
+        if data is not None:
+            if data.shape != (size, size):
+                raise WindowMismatchError(f"matrix shape {data.shape} does not match window size {size}")
+            object.__setattr__(self, "data", _freeze(data))
+        if bands is not None:
+            bands = {int(m): _freeze(np.asarray(d, dtype=np.complex128)) for m, d in bands.items()}
+            for m, d in bands.items():
+                if d.shape != (max(size - abs(m), 0),):
+                    raise WindowMismatchError(f"diagonal {m} of a size-{size} window needs {max(size - abs(m), 0)} entries, got shape {d.shape}")
+        object.__setattr__(self, "bands", None if bands is None else {m: d for m, d in bands.items() if d.any()})
 
-    def _record(self, m: int | None) -> None:
-        band = None if m is None else (m, np.diagonal(self.data, m))
-        if band is not None and not band[1].any():
-            band = (0, np.diagonal(self.data))
-        object.__setattr__(self, "single_diagonal", band)
+    @functools.cached_property
+    def data(self) -> np.ndarray:
+        """The dense matrix, read-only; built from ``bands`` on first read."""
+        out = np.zeros((self.window.size,) * 2, dtype=np.complex128)
+        for m, d in self.bands.items():
+            k = np.arange(d.size)
+            out[k + max(-m, 0), k + max(m, 0)] = d
+        out.setflags(write=False)
+        return out
+
+    @property
+    def single_diagonal(self) -> tuple[int, np.ndarray] | None:
+        """(m, diagonal m) when ``bands`` holds at most one band (the zero matrix reads as diagonal 0), else None."""
+        if self.bands is None or len(self.bands) > 1:
+            return None
+        return next(iter(self.bands.items()), (0, np.zeros(self.window.size, dtype=np.complex128)))
+
+    def diagonal(self, m: int) -> np.ndarray:
+        """Diagonal m as ``np.diagonal`` orders it: entry k sits at (k + max(-m, 0), k + max(m, 0))."""
+        if self.bands is None:
+            return np.diagonal(self.data, m)
+        band = self.bands.get(m)
+        return np.zeros(max(self.window.size - abs(m), 0), dtype=np.complex128) if band is None else band
 
     # -- constructors ----------------------------------------------------
 
@@ -162,27 +201,14 @@ class OperatorMatrix:
         return cls.from_band(window, 0, np.zeros(window.size), basis)
 
     @classmethod
-    def from_band(
-        cls, window: TruncationWindow, m: int, diagonal, basis: str = MONOMIAL
-    ) -> "OperatorMatrix":
-        """Operator whose only nonzero entries lie on diagonal m; inverse of
-        ``single_diagonal``.
+    def from_band(cls, window: TruncationWindow, m: int, diagonal, basis: str = MONOMIAL) -> "OperatorMatrix":
+        """Operator whose only nonzero entries lie on diagonal m, stored as that one
+        band (a copy of ``diagonal``); inverse of ``single_diagonal``.
 
         Entry k of ``diagonal`` goes to (k + max(-m, 0), k + max(m, 0)), as
         ``np.diagonal`` orders it, so its length is max(size - |m|, 0).
         """
-        m = int(m)
-        d = np.asarray(diagonal, dtype=np.complex128)
-        size = window.size
-        length = max(size - abs(m), 0)
-        if d.shape != (length,):
-            raise WindowMismatchError(
-                f"diagonal {m} of a size-{size} window needs {length} entries, got shape {d.shape}"
-            )
-        data = np.zeros((size, size), dtype=np.complex128)
-        k = np.arange(d.size)
-        data[k + max(-m, 0), k + max(m, 0)] = d
-        return cls._adopt(data, window, basis, m)
+        return cls._adopt(window, basis, bands={int(m): np.array(diagonal, dtype=np.complex128)})
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -192,56 +218,80 @@ class OperatorMatrix:
 
     def entry(self, row: int, col: int) -> complex:
         """Entry addressed by basis indices (not array positions)."""
-        return complex(self.data[self.window.pos(row), self.window.pos(col)])
+        i, j = self.window.pos(row), self.window.pos(col)
+        return complex(self.diagonal(j - i)[min(i, j)])
 
     # -- algebra -----------------------------------------------------------
 
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+    def _entrywise(self, f) -> "OperatorMatrix":
+        """f of every entry: of the bands when there are any and f keeps 0 at 0, else of
+        the dense matrix (where 0 * inf, say, is refused as non-finite)."""
+        if self.bands is None or f(np.zeros(1)).any():
+            return OperatorMatrix._adopt(self.window, self.basis, data=f(self.data))
+        return OperatorMatrix._adopt(self.window, self.basis, bands={m: f(d) for m, d in self.bands.items()})
+
+    def _combine(self, other: "OperatorMatrix", f) -> "OperatorMatrix":
         self._require_compatible(other)
-        return OperatorMatrix._adopt(self.data + other.data, self.window, self.basis, None)
+        if self.bands is None or other.bands is None:
+            return OperatorMatrix._adopt(self.window, self.basis, data=f(self.data, other.data))
+        offsets = self.bands.keys() | other.bands.keys()
+        return OperatorMatrix._adopt(
+            self.window, self.basis, bands={m: f(self.diagonal(m), other.diagonal(m)) for m in offsets}
+        )
+
+    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._require_compatible(other)
-        return OperatorMatrix._adopt(self.data - other.data, self.window, self.basis, None)
+        return self._combine(other, np.subtract)
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix._adopt(-self.data, self.window, self.basis, self.offset)
+        return self._entrywise(np.negative)
 
     def __mul__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix._adopt(self.data * complex(scalar), self.window, self.basis, self.offset)
+        c = complex(scalar)
+        return self._entrywise(lambda a: a * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix._adopt(self.data / complex(scalar), self.window, self.basis, self.offset)
+        c = complex(scalar)
+        return self._entrywise(lambda a: a / c)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """Matrix product; O(N^2) when either operand has a single diagonal."""
+        """Matrix product: O(N) per pair of bands when both operands have bands, a row
+        or column scaling, O(N^2), when one has a single diagonal, else dense."""
         self._require_compatible(other)
+        n = self.window.size
+        if self.bands is not None and other.bands is not None:
+            right, bands = {q: _rows(q, b, n) for q, b in other.bands.items()}, {}
+            for m, a in self.bands.items():
+                a = _rows(m, a, n)
+                for q, b in right.items():
+                    # (A B)[i, i + m + q] = A[i, i + m] B[i + m, i + m + q] on the rows of diagonal m + q
+                    i = np.arange(n + max(-m - q, 0), 2 * n - max(m + q, 0))
+                    term = a[i] * b[i + m]
+                    bands[m + q] = bands[m + q] + term if m + q in bands else term
+            return OperatorMatrix._adopt(self.window, self.basis, bands=bands)
         left, right = self.single_diagonal, other.single_diagonal
         if left is None and right is None:
-            return OperatorMatrix._adopt(self.data @ other.data, self.window, self.basis, None)
+            return OperatorMatrix._adopt(self.window, self.basis, data=self.data @ other.data)
         # entry k of diagonal m sits at (r0 + k, c0 + k)
         m, d = left if left is not None else right
         r0, c0, k = max(-m, 0), max(m, 0), d.size
-        out = np.zeros_like(self.data)
+        out = np.zeros((n, n), dtype=np.complex128)
         if left is not None:
             np.multiply(d[:, None], other.data[c0 : c0 + k], out=out[r0 : r0 + k])
         else:
             np.multiply(self.data[:, r0 : r0 + k], d[None, :], out=out[:, c0 : c0 + k])
-        offset = None if left is None or right is None else left[0] + right[0]
-        return OperatorMatrix._adopt(out, self.window, self.basis, offset)
-
-    @property
-    def offset(self) -> int | None:
-        """m of ``single_diagonal``, or None."""
-        return None if self.single_diagonal is None else self.single_diagonal[0]
+        return OperatorMatrix._adopt(self.window, self.basis, data=out)
 
     @property
     def H(self) -> "OperatorMatrix":
         """Conjugate transpose."""
-        offset = None if self.offset is None else -self.offset
-        return OperatorMatrix._adopt(self.data.conj().T, self.window, self.basis, offset)
+        if self.bands is None:
+            return OperatorMatrix._adopt(self.window, self.basis, data=self.data.conj().T)
+        return OperatorMatrix._adopt(self.window, self.basis, bands={-m: d.conj() for m, d in self.bands.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,16 +311,21 @@ class _Spectrum:
     phases: np.ndarray
 
 
-def _band_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hr's off-diagonal and the phases of a skew-Hermitian generator on the +-1 diagonals.
+def _band_form(X: "OperatorMatrix") -> tuple[np.ndarray, np.ndarray]:
+    """Hr's off-diagonal and the phases of a skew-Hermitian generator X on the +-1
+    diagonals, read from those two bands.
 
     H = i X is Hermitian tridiagonal with zero diagonal.  The unit phases
     u_k = H[k+1, k] / |H[k+1, k]| (1 across a seam) multiply up to D = diag(d),
     and Hr = D^-1 H D is real symmetric with off-diagonal |H[k+1, k]|.  The
     similarity keeps D^-1, not D^H: over long chains |d_k| drifts off 1.
     """
-    upper, lower = np.diagonal(a, 1), np.diagonal(a, -1)
-    if np.count_nonzero(a) != np.count_nonzero(upper) + np.count_nonzero(lower):
+    upper, lower = X.diagonal(1), X.diagonal(-1)
+    if X.bands is None:
+        stray = np.count_nonzero(X.data) != np.count_nonzero(upper) + np.count_nonzero(lower)
+    else:
+        stray = not X.bands.keys() <= {-1, 1}
+    if stray:
         raise NotSkewAdjointError("generator is not supported on the first off-diagonals")
     residue = float(np.max(np.abs(lower + upper.conj())))
     if not residue <= SKEW_TOL * max(float(np.max(np.abs(upper))), float(np.max(np.abs(lower)))):
@@ -309,7 +364,7 @@ def _spectrum(X: OperatorMatrix) -> _Spectrum:
     """Spectral data of a tridiagonal X: its own checks and phases, run before
     the lookup so that a hit never vouches for X, and the real eigh of Hr
     cached on Hr's content, which L and M of one family and window share."""
-    mod, phases = _band_form(X.data)
+    mod, phases = _band_form(X)
     return _Spectrum(*_real_eigh(mod.tobytes()), phases)
 
 
@@ -334,6 +389,7 @@ def _parity_blocks(spec: _Spectrum, t: float) -> tuple[np.ndarray, np.ndarray, n
 def mat_exp(X: OperatorMatrix, t: float = 1.0, left=1.0, right=1.0) -> OperatorMatrix:
     """diag(left) e^{tX} diag(right) for a skew-Hermitian generator X on the
     +-1 diagonals; the diagonals (1 by default) ride on the phase scaling by D.
+    Only X's two bands are read; the window sizes the one dense array, the result.
 
     X must be skew-Hermitian to ``SKEW_TOL`` relative to its largest entry;
     then e^{tX} = D (cos tHr - i sin tHr) D^-1 with Hr = Q Lambda Q^T real
@@ -347,14 +403,14 @@ def mat_exp(X: OperatorMatrix, t: float = 1.0, left=1.0, right=1.0) -> OperatorM
     t = float(t)
     spec = _spectrum(X)
     cos_even, cos_odd, sin_eo = _parity_blocks(spec, t)
-    out = np.zeros(X.data.shape, dtype=np.complex128)
+    out = np.zeros((X.window.size,) * 2, dtype=np.complex128)
     out.real[0::2, 0::2] = cos_even
     out.real[1::2, 1::2] = cos_odd
     out.imag[0::2, 1::2] = -sin_eo
     out.imag[1::2, 0::2] = -sin_eo.T
     out *= (left * spec.phases)[:, None]
     out /= (spec.phases / right)[None, :]
-    return OperatorMatrix._adopt(out, X.window, X.basis, None)
+    return OperatorMatrix._adopt(X.window, X.basis, data=out)
 
 
 def solve(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
@@ -373,8 +429,8 @@ def solve(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
         estimate = float(np.linalg.norm(a, 1)) * float(np.linalg.norm(inv, 1))
     if not estimate < COND_LIMIT:
         raise SingularMatrixError(estimate)
-    identity = B.offset == 0 and np.all(B.single_diagonal[1] == 1.0)
-    return OperatorMatrix._adopt(inv if identity else np.linalg.solve(a, B.data), A.window, A.basis, None)
+    identity = B.bands is not None and B.bands.keys() == {0} and np.all(B.bands[0] == 1.0)
+    return OperatorMatrix._adopt(A.window, A.basis, data=inv if identity else np.linalg.solve(a, B.data))
 
 
 def _interior_positions(A: OperatorMatrix, w: TruncationWindow) -> np.ndarray:

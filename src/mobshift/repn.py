@@ -139,32 +139,19 @@ def _h_diagonal(p: RepnParams, w: TruncationWindow) -> np.ndarray:
     return -1j * (2.0 * w.indices() + p.lam)
 
 
-def _generator(
-    p: RepnParams, w: TruncationWindow, X: str, lowering: np.ndarray, raising: np.ndarray
-) -> OperatorMatrix:
-    """Generator X of a family with dR(h) f_n = -i (2n + lam) f_n.
+def _generator(p: RepnParams, w: TruncationWindow, X: str, lowering: np.ndarray, raising: np.ndarray) -> OperatorMatrix:
+    """Generator X, as its bands, of a family with dR(h) f_n = -i (2n + lam) f_n.
 
     ``lowering`` is the +1 diagonal (dR(e) on the columns n > lo) and
-    ``raising`` the -1 diagonal (dR(f) on the columns n < hi).
+    ``raising`` the -1 diagonal (dR(f) on the columns n < hi).  A window of
+    another index set than p's raises ``WindowMismatchError``.
     """
-    if X == "h":
-        return OperatorMatrix.from_band(w, 0, _h_diagonal(p, w))
-    if X == "e":
-        return OperatorMatrix.from_band(w, 1, lowering)
-    if X == "f":
-        return OperatorMatrix.from_band(w, -1, raising)
-    if X not in ("L", "M"):
+    # L = e + f and M = i (e - f)
+    table = {"h": {0: _h_diagonal(p, w)}, "e": {1: lowering}, "f": {-1: raising},
+             "L": {1: lowering, -1: raising}, "M": {1: 1j * lowering, -1: -1j * raising}}
+    if X not in table:
         raise ParameterError(f"unknown generator {X!r}")
-    # accumulating into zeros rounds exactly as e + f and i (e - f) would
-    data = np.zeros((w.size, w.size), dtype=np.complex128)
-    k = np.arange(w.size - 1)
-    data[k, k + 1] += lowering
-    if X == "L":
-        data[k + 1, k] += raising
-    else:
-        data[k + 1, k] -= raising
-        data *= 1j
-    return OperatorMatrix._adopt(data, w, MONOMIAL, None)
+    return OperatorMatrix._adopt(w, MONOMIAL, bands=table[X])
 
 
 def generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> OperatorMatrix:
@@ -174,10 +161,6 @@ def generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> OperatorMatr
     index set the vanishing of the lowering action on f_0 is genuine, not a
     truncation artifact.
     """
-    if w.kind != p.index_set:
-        raise WindowMismatchError(
-            f"window kind {w.kind!r} does not match params index set {p.index_set!r}"
-        )
     n = w.indices()
     return _generator(p, w, X, p.mu - n[1:], p.lam + p.mu + n[:-1])
 
@@ -220,15 +203,12 @@ def to_orthonormal(A: OperatorMatrix, G: OperatorMatrix) -> OperatorMatrix:
     if band is None or band[0] != 0 or band[1].imag.any() or not (band[1].real > 0.0).all():
         raise ParameterError("the Gram must be diagonal with positive entries")
     s = np.sqrt(band[1].real)
-    structure = A.single_diagonal
-    if structure is None:
-        data = A.data * s[:, None]
-        data /= s[None, :]
-        return OperatorMatrix._adopt(data, A.window, ORTHONORMAL, None)
-    # a shift is rescaled along its band; the rest of the matrix stays untouched zeros
-    m, d = structure
-    rows, cols = s[max(-m, 0) :][: d.size], s[max(m, 0) :][: d.size]
-    return OperatorMatrix.from_band(A.window, m, d * rows / cols, ORTHONORMAL)
+    if A.bands is None:
+        return OperatorMatrix._adopt(A.window, ORTHONORMAL, data=A.data * s[:, None] / s[None, :])
+    # each band is rescaled along itself (the diagonal not at all); the zeros stay zeros
+    return OperatorMatrix._adopt(A.window, ORTHONORMAL, bands={
+        m: d * s[max(-m, 0) :][: d.size] / s[max(m, 0) :][: d.size] if m else d for m, d in A.bands.items()
+    })
 
 
 def unitarity_residual(R: OperatorMatrix, w: TruncationWindow) -> float:
@@ -278,26 +258,16 @@ class Realization:
         """dR(X) of a real generator X = h, L or M in the orthonormal basis
         x_n = f_n / s_n, s_n = ||f_n||; e and f are (L -/+ iM)/2 by linearity.
 
-        The monomial matrix keeps its diagonal; its +1 band is scaled by
-        s_n / s_{n+1} and its -1 band by s_{n+1} / s_n, the square root of
-        ``norm_ratio`` (both bands are 0 across a reducible seam).  The sharp
-        twist multiplies X by its sign in ``mobius.STAR_SIGNS``.  Each call
-        builds a fresh matrix, which its caller frees after use: the costly
-        part, the spectrum of ``numkernel.mat_exp``, is cached on content.
+        ``to_orthonormal`` of the monomial bands: the diagonal stays, the +1 band is
+        scaled by s_n / s_{n+1} and the -1 band by s_{n+1} / s_n (both are 0 across
+        a reducible seam), and the sharp twist multiplies X by its sign in
+        ``mobius.STAR_SIGNS``.  Each call builds fresh bands, O(N), and no dense
+        matrix; the spectrum of ``numkernel.mat_exp`` is cached on content.
         """
         if X not in mobius.GENERATORS:
             raise ParameterError(f"unsupported generator {X!r} (expected h, L or M)")
-        sign = self._sign(X)
         build = reducible_generator_matrix if self.flavor == "reducible" else generator_matrix
-        a = build(self.params, X, w).data
-        s = np.sqrt(norm_sq_sequence(self.params, w).values)
-        # np.zeros, not a scaled copy of a: only the pages the bands touch are resident
-        data = np.zeros(a.shape, dtype=np.complex128)
-        np.fill_diagonal(data, sign * np.diagonal(a))
-        k = np.arange(w.size - 1)
-        data[k, k + 1] = np.diagonal(a, 1) * (sign * s[:-1]) / s[1:]
-        data[k + 1, k] = np.diagonal(a, -1) * (sign * s[1:]) / s[:-1]
-        return OperatorMatrix._adopt(data, w, ORTHONORMAL, 0 if X == "h" else None)
+        return self._sign(X) * to_orthonormal(build(self.params, X, w), gram(self.params, w))
 
     def _sign(self, X: str) -> float:
         """The factor of dR(X) under this flavor: its ``mobius.STAR_SIGNS`` sign when sharp."""
@@ -355,12 +325,6 @@ def _circle_factors(phi_inv: MobiusElement, eta_plus: complex, eta_minus: comple
     return moved, multiplier
 
 
-def _signed_frequencies(grid: int) -> np.ndarray:
-    k = np.arange(grid)
-    k[k > grid // 2] -= grid
-    return k
-
-
 def _circle_table(
     p: RepnParams,
     phi_inv: MobiusElement,
@@ -385,9 +349,10 @@ def _circle_table(
             f"|beta| = {abs(phi_inv.beta):.3f} too far from the identity for principal branches"
         )
     moved, multiplier = _circle_factors(phi_inv, eta_plus, eta_minus, grid)
-    k = _signed_frequencies(grid)
-    nyquist = np.abs(k) > grid // 4
-    negative = (k < 0) & ~nyquist
+    multiplier /= grid
+    # frequencies in FFT order: |k| > grid / 4 is the Nyquist tail, and the negative
+    # frequencies short of it are the last quarter
+    tail_cols, negative_cols = slice(grid // 4 + 1, grid - grid // 4), slice(grid - grid // 4, grid)
     rows = w.indices() % grid
     table = np.empty((w.size, w.size), dtype=np.complex128)
     tail = worst = 0.0
@@ -397,15 +362,14 @@ def _circle_table(
             block = ns[start : start + _CIRCLE_BLOCK]
             samples = np.empty((block.size, grid), dtype=np.complex128)
             for i, n in enumerate(block):
-                power = power * factor if n else power
-                samples[i] = power
-            np.multiply(multiplier, samples, out=samples)
+                if n:
+                    power *= factor
+                np.multiply(multiplier, power, out=samples[i])
             samples = np.fft.fft(samples, axis=-1)
-            samples /= grid
             # np.maximum keeps a NaN, as the maximum over the whole table would
-            tail = np.maximum(tail, np.max(np.abs(samples[:, nyquist])))
+            tail = np.maximum(tail, np.max(np.abs(samples[:, tail_cols])))
             if w.kind == UNILATERAL:
-                worst = np.maximum(worst, np.max(np.abs(samples[:, negative])))
+                worst = np.maximum(worst, np.max(np.abs(samples[:, negative_cols])))
             table[:, block - w.lo] = samples[:, rows].T
     if tail > _NYQUIST_TAIL_TOL:
         raise GridSizeError(
@@ -426,4 +390,4 @@ def circle_rep_matrix(p: RepnParams, path: GroupPath, w: TruncationWindow) -> Op
     s = np.sqrt(norm_sq_sequence(p, w).values)
     table *= s[:, None]
     table /= s[None, :]
-    return OperatorMatrix._adopt(table, w, ORTHONORMAL, None)
+    return OperatorMatrix._adopt(w, ORTHONORMAL, data=table)

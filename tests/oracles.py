@@ -34,7 +34,6 @@ from mobshift.repn import (
     _NYQUIST_TAIL_TOL,
     _circle_factors,
     _circle_table,
-    _signed_frequencies,
     gram,
     to_orthonormal,
 )
@@ -363,7 +362,7 @@ def unblocked_circle_table(phi_inv: MobiusElement, eta_plus, eta_minus, w, grid:
     for n in range(-1, w.lo - 1, -1):
         samples[:, w.pos(n)] = samples[:, w.pos(n + 1)] * inv
     table = np.fft.fft(multiplier[:, None] * samples, axis=0) / grid
-    k = _signed_frequencies(grid)
+    k = np.fft.fftfreq(grid, 1.0 / grid)  # signed frequencies in FFT order
     tail = float(np.max(np.abs(table[np.abs(k) > grid // 4])))
     if tail > _NYQUIST_TAIL_TOL:
         raise GridSizeError(

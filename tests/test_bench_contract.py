@@ -37,3 +37,15 @@ def test_bench_route_op_agrees_and_traces(tmp_path):
     assert 0.0 <= reply["gap"] <= 1e-7
     names = {span[0] for span in json.loads(spans_path.read_text())}
     assert {"repn.Realization.along_path", "repn.circle_rep_matrix", "repn.generator_matrix"} <= names
+
+
+def test_traced_unitarity_sizes_the_exponential_and_builds_the_generator(tmp_path):
+    # work_n3 needs the size of mat_exp's operand, which the tracer reads from its dense
+    # array; the generator_matrix span is where the generator build is charged
+    spans_path = tmp_path / "spans.json"
+    argv = ["verify", "unitarity", "--series", "principal", "--lambda", "0.3", "--N", "32", "--pad", "8", "--path", "L:0.1"]
+    out = run_script(str(BENCH / "child.py"), "cli", str(spans_path), "0", *argv)
+    assert out.returncode == 0, out.stderr
+    spans = json.loads(spans_path.read_text())
+    assert [span[6] for span in spans if span[0] == "numkernel.mat_exp"] == [2 * 32 + 1]
+    assert "repn.generator_matrix" in {span[0] for span in spans}

@@ -670,3 +670,30 @@ def test_cli_import_does_not_load_scipy():
     probe = "import sys, mobshift.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_verify_lemmas_does_not_load_numpy_random():
+    # the samples come from the standard library's generator; numpy.random costs its import
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, mobshift.cli; code = mobshift.cli.main(['verify', 'lemmas', '--samples', '3']); print(code, 'numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("suite, callers", [("homogeneity", ["mat_exp"]), ("infinitesimal", [])])
+def test_cli_keeps_shifts_grams_and_generators_as_bands(capsys, monkeypatch, suite, callers):
+    # T, the Gram and the generators stay bands: the one complex array of window shape is R,
+    # which mat_exp returns (the eigh's Hr is real)
+    size, seen = 2 * 128 + 1, []
+    for name in ("zeros", "empty", "zeros_like"):
+        def spy(*args, _allocate=getattr(np, name), **kwargs):
+            out = _allocate(*args, **kwargs)
+            if out.shape == (size, size) and np.iscomplexobj(out):
+                seen.append(sys._getframe(1).f_code.co_name)
+            return out
+
+        monkeypatch.setattr(np, name, spy)
+    argv = ["verify", suite, "--series", "principal", "--lambda", "0.3", "--N", "128", "--pad", "32"]
+    assert run(capsys, argv + (["--path", "L:0.1"] if suite == "homogeneity" else []))[0] == 0
+    assert seen == callers

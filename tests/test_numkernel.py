@@ -23,7 +23,7 @@ from mobshift.numkernel import (
     mat_exp,
     solve,
 )
-from mobshift.repn import Realization, RepnParams, generator_matrix
+from mobshift.repn import Realization, RepnParams, generator_matrix, gram
 
 from oracles import (
     brute_interior_frobenius,
@@ -86,6 +86,11 @@ def test_matrix_shape_and_finiteness():
     bad[0, 0] = np.nan
     with pytest.raises(ParameterError):
         OperatorMatrix(bad, w)
+    # a band operator's zeros count too: 0 * inf is not finite, even where no band is stored
+    with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(ParameterError):
+        OperatorMatrix.zeros(w) * np.inf
+    with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(ParameterError):
+        OperatorMatrix.from_band(w, 1, np.ones(2)) / 0.0
 
 
 def test_matrix_basis_bookkeeping(rng):
@@ -352,6 +357,20 @@ def test_recorded_structure_equals_the_scan(rng, w, monkeypatch):
     for T in known:
         assert same(T.single_diagonal, OperatorMatrix(T.data, T.window, T.basis).single_diagonal)
     assert all(T.single_diagonal is None for T in dense)
+
+
+@pytest.mark.parametrize("w", BAND_WINDOWS, ids=("unilateral", "bilateral"))
+def test_band_operators_build_their_dense_array_once(rng, w):
+    p = RepnParams(w.kind, 2.0) if w.kind == UNILATERAL else RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
+    built = [Realization.plain(p).generator(X, w) for X in ("h", "L", "M")]
+    built += [gram(p, w), OperatorMatrix.from_band(w, -2, np.diagonal(band_matrix(rng, w.size, -2), -2))]
+    for A in built:
+        assert A.bands and "data" not in vars(A)  # stored as bands until read
+        dense = A.data
+        assert A.data is dense and not dense.flags.writeable
+        assert np.array_equal(dense, sum(np.diag(d, m) for m, d in A.bands.items()))
+        with pytest.raises(ValueError):
+            dense[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------- solve
