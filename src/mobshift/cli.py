@@ -2,8 +2,9 @@
 classifier, and parameter sweeps with machine-readable reports.
 
 Every command resolves its family arguments (series, lambda, mu or Im mu, r)
-to one ``Realization``, refusing an option of another family, and --op to an
-operator checked against the series.
+to one ``Realization``, and --op to an operator checked against the series.
+argparse refuses an option that a command or verify suite (each has its own
+parser) does not take, and ``_OWN_OPTION`` one of another family.
 The unitarity, homogeneity and normalizer suites share one loop that builds
 R once per path, in the orthonormal basis of the family's Gram where every
 suite certifies, so no verdict depends on the Gram's scale; each ``sweep``
@@ -87,19 +88,20 @@ def _principal_mu(lam: float, im_mu: float) -> complex:
     return complex((1.0 - lam) / 2.0, im_mu)
 
 
-def _realization(series: str | None, lam: float | None, im_mu=DEFAULT_IM_MU, mu=None, r=DEFAULT_COUPLING) -> Realization:
+def _realization(series: str | None, lam: float | None, im_mu=None, mu=None, r=None) -> Realization:
     """The family that (series, lambda, mu or Im mu, r) name, checked once; weights,
-    every verify suite and each sweep cell resolve their family here."""
+    every verify suite and each sweep cell resolve their family here.  Im mu and r
+    left out (None) take their defaults."""
     if series is None:
         raise ParameterError("--series is required for this command")
     if lam is None:
         raise ParameterError("--lambda is required")
     if series == REDUCIBLE:
-        return Realization.reducible(lam, r)
+        return Realization.reducible(lam, DEFAULT_COUPLING if r is None else r)
     if series in (HOLO, ANTIHOLO):
         params = RepnParams(UNILATERAL, lam)
     elif series == PRINCIPAL:
-        params = RepnParams(BILATERAL, lam, _principal_mu(lam, im_mu))
+        params = RepnParams(BILATERAL, lam, _principal_mu(lam, DEFAULT_IM_MU if im_mu is None else im_mu))
     elif series == COMPLEMENTARY:
         if mu is None:
             raise ParameterError("--mu is required for the complementary family")
@@ -113,17 +115,26 @@ def _realization(series: str | None, lam: float | None, im_mu=DEFAULT_IM_MU, mu=
     return Realization.sharp(params) if series == ANTIHOLO else Realization.plain(params)
 
 
-#: the option that each family alone takes (argparse dest); the defaults of all three apply per family
-_OWN_OPTION = {PRINCIPAL: "im_mu", COMPLEMENTARY: "mu", REDUCIBLE: "r"}
+#: the options (argparse dest) that only some families read, across weights, verify and
+#: sweep, with those families; each defaults to None, so that one given is told apart
+_OWN_OPTION = {
+    "im_mu": (PRINCIPAL,), "mu": (COMPLEMENTARY,), "r": (REDUCIBLE,), "branch": (PRINCIPAL, COMPLEMENTARY),
+    "im_mu_grid": (PRINCIPAL,), "mu_grid": (COMPLEMENTARY,),
+}
 
 
-def _family(args, series: str | None) -> Realization:
-    """``_realization`` of the family options given on the command line; an option
-    that belongs to another family than ``series`` is refused, not dropped."""
-    for owner, dest in _OWN_OPTION.items():
-        if dest in args and owner != series:
-            raise ParameterError(f"--{dest.replace('_', '-')} is an option of the {owner} family only")
-    return _realization(series, args.lam, **{dest: getattr(args, dest) for dest in _OWN_OPTION.values() if dest in args})
+def _refuse_other_families(args, series: str | None) -> None:
+    """An option of other families than ``series`` is refused, not dropped."""
+    for dest, owners in _OWN_OPTION.items():
+        if getattr(args, dest, None) is not None and series not in owners:
+            families = " and ".join(owners) + (" family" if len(owners) == 1 else " families")
+            raise ParameterError(f"--{dest.replace('_', '-')} is an option of the {families} only")
+
+
+def _family(args) -> Realization:
+    """``_realization`` of the family options on the command line, after ``_refuse_other_families``."""
+    _refuse_other_families(args, args.series)
+    return _realization(args.series, args.lam, args.im_mu, args.mu, args.r)
 
 
 def _context(series: str, rel: Realization) -> dict:
@@ -197,10 +208,11 @@ def _path_reports(suites, rel: Realization, w: TruncationWindow, paths, op=None,
 
 
 def cmd_weights(args) -> int:
-    rel = _family(args, args.series)
+    rel = _family(args)
     if args.n0 > args.n1:
         raise ParameterError("--n0 must not exceed --n1")
-    rows = [(n, weight_sequence(args.series, rel, n, branch=args.branch)) for n in range(args.n0, args.n1 + 1)]
+    branch = args.branch or BRANCH_T2
+    rows = [(n, weight_sequence(args.series, rel, n, branch=branch)) for n in range(args.n0, args.n1 + 1)]
     if args.format == "json":
         for n, wgt in rows:
             print(json.dumps({"n": n, "re": wgt.real, "im": wgt.imag, "abs": abs(wgt)}, sort_keys=True))
@@ -216,9 +228,6 @@ def cmd_weights(args) -> int:
 
 
 def _suite_lemmas(args) -> list[DefectReport]:
-    for flag, dest in (("--series", "series"), ("--lambda", "lam"), ("--im-mu", "im_mu"), ("--mu", "mu"), ("--r", "r")):
-        if getattr(args, dest, None) is not None:
-            raise ParameterError(f"{flag} is not an option of verify lemmas, which draws its parameters at random")
     if args.samples < 1:
         raise ParameterError("--samples must be at least 1")
     tol = args.tolerance if args.tolerance is not None else 1e-10
@@ -245,13 +254,19 @@ def _suite_lemmas(args) -> list[DefectReport]:
     return reports
 
 
+def _window(args, series: str, rel: Realization) -> TruncationWindow:
+    """The window of --N and --pad, with ``_default_pad`` when --pad is left out."""
+    pad = _default_pad(args.N, series, args.suite == "normalizer") if args.pad is None else args.pad
+    return TruncationWindow(rel.params.index_set, args.N, pad)
+
+
 def _verify_setup(args):
-    """Realization, window, operator name (None for unitarity) and context of a verify suite."""
-    rel = _family(args, args.series)
-    w = TruncationWindow(rel.params.index_set, args.N, args.pad)
+    """Realization, window, operator name (None for unitarity, which reads no --op) and context of a verify suite."""
+    rel = _family(args)
+    w = _window(args, args.series, rel)
     ctx = _context(args.series, rel)
-    ctx.update(suite=args.suite, N=args.N, padding=args.pad)
-    if args.suite == "unitarity":
+    ctx.update(suite=args.suite, N=args.N, padding=w.padding)
+    if "op" not in args:
         return rel, w, None, ctx
     ctx["op"] = _operator_name(args.series, args.op)
     return rel, w, ctx["op"], ctx
@@ -269,31 +284,11 @@ def _suite_infinitesimal(args) -> list[DefectReport]:
 
 
 def _suite_reducible_lambda(args) -> list[DefectReport]:
-    if args.series not in (None, REDUCIBLE):
-        raise ParameterError(f"verify reducible-lambda certifies the reducible family only, not --series {args.series}")
-    rel = _family(args, REDUCIBLE)
-    w = TruncationWindow(rel.params.index_set, args.N, args.pad)
+    rel = _realization(REDUCIBLE, args.lam, r=args.r)
+    w = _window(args, REDUCIBLE, rel)
     tol = args.tolerance if args.tolerance is not None else DEFAULT_REDUCIBLE_TOL
-    ctx = {"suite": "reducible-lambda", "N": args.N, "padding": args.pad}
+    ctx = {"suite": "reducible-lambda", "N": args.N, "padding": w.padding}
     return [reducible_lambda_check(rel, w, tolerance=tol, context=ctx)]
-
-
-#: the options each verify suite reads besides --tolerance and the family options (which
-#: lemmas refuses); the defaults apply once the suite is known to read them
-_SUITE_OPTIONS = {
-    "lemmas": ("samples", "seed"), "reducible-lambda": ("N", "pad"), "unitarity": ("N", "pad", "path"),
-    "homogeneity": ("N", "pad", "op", "path"), "normalizer": ("N", "pad", "op", "path"), "infinitesimal": ("N", "pad", "op", "step"),
-}
-_VERIFY_DEFAULTS = {"N": DEFAULT_N, "pad": None, "op": None, "path": None, "step": DEFAULT_FD_STEP, "samples": 100, "seed": 0}
-
-_SUITE_RUNNERS = {
-    "lemmas": _suite_lemmas,
-    "unitarity": _suite_along_paths,
-    "homogeneity": _suite_along_paths,
-    "infinitesimal": _suite_infinitesimal,
-    "reducible-lambda": _suite_reducible_lambda,
-    "normalizer": _suite_along_paths,
-}
 
 
 def _default_pad(N: int, series: str | None, normalizer: bool = False) -> int:
@@ -306,13 +301,7 @@ def _default_pad(N: int, series: str | None, normalizer: bool = False) -> int:
 
 
 def cmd_verify(args) -> int:
-    for dest, default in _VERIFY_DEFAULTS.items():
-        if dest in args and dest not in _SUITE_OPTIONS[args.suite]:
-            raise ParameterError(f"--{dest} is not an option of verify {args.suite}")
-        setattr(args, dest, getattr(args, dest, default))
-    if args.pad is None:
-        args.pad = _default_pad(args.N, args.series, args.suite == "normalizer")
-    reports = _SUITE_RUNNERS[args.suite](args)
+    reports = args.run(args)
     for report in reports:
         print(report.to_json())
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
@@ -334,6 +323,8 @@ def cmd_classify(args) -> int:
                 if len(parts) not in (2, 3):
                     raise ParameterError(f"malformed coefficient row: {line!r}")
                 n = int(parts[0])
+                if n in coeffs:
+                    raise ValueError(f"n={n} appears in more than one row")
                 re = float(parts[1])
                 im = float(parts[2]) if len(parts) == 3 else 0.0
                 coeffs[n] = complex(re, im)
@@ -382,9 +373,7 @@ def _sweep_cell(args, op, suites, paths, lam: float, mu: complex) -> tuple[float
 
 
 def cmd_sweep(args) -> int:
-    for dest, owner in (("im_mu_grid", PRINCIPAL), ("mu_grid", COMPLEMENTARY)):
-        if dest in args and args.series != owner:
-            raise ParameterError(f"--{dest.replace('_', '-')} is an option of the {owner} family only")
+    _refuse_other_families(args, args.series)
     if args.pad is None:
         args.pad = _default_pad(args.N, args.series)
     suites = [suite.strip() for suite in args.suites.split(",")]
@@ -396,8 +385,8 @@ def cmd_sweep(args) -> int:
     op = _operator_name(args.series, args.op)
     paths = _paths(args)
     lams = _grid_values("--lambda-grid", args.lambda_grid)
-    im_mus = _grid_values("--im-mu-grid", getattr(args, "im_mu_grid", str(DEFAULT_IM_MU))) if args.series == PRINCIPAL else []
-    auto = getattr(args, "mu_grid", "auto").strip() == "auto"
+    im_mus = _grid_values("--im-mu-grid", str(DEFAULT_IM_MU) if args.im_mu_grid is None else args.im_mu_grid) if args.series == PRINCIPAL else []
+    auto = args.mu_grid is None or args.mu_grid.strip() == "auto"
     mu_values = _grid_values("--mu-grid", args.mu_grid) if args.series == COMPLEMENTARY and not auto else []
     print("series,lambda,mu_re,mu_im,N,padding,suites,max_defect,status")
     any_bad = False
@@ -443,38 +432,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_series(sp):
+    def add_family(sp):
         sp.add_argument("--series", choices=SERIES_CHOICES, help="representation family")
         sp.add_argument("--lambda", dest="lam", type=float, help="family parameter lambda")
-        # SUPPRESS: an option left out is absent from args, so that one of another family is told apart
-        sp.add_argument("--im-mu", dest="im_mu", type=float, default=argparse.SUPPRESS, help=f"Im mu (principal; Re mu is forced; default {DEFAULT_IM_MU:g})")
-        sp.add_argument("--mu", type=float, default=argparse.SUPPRESS, help="real mu (complementary)")
-        sp.add_argument("--r", type=_complex_arg, default=argparse.SUPPRESS, help=f"seam coupling (reducible; default {DEFAULT_COUPLING:g})")
+        sp.add_argument("--im-mu", dest="im_mu", type=float, help=f"Im mu (principal; Re mu is forced; default {DEFAULT_IM_MU:g})")
+        sp.add_argument("--mu", type=float, help="real mu (complementary)")
+        sp.add_argument("--r", type=_complex_arg, help=f"seam coupling (reducible; default {DEFAULT_COUPLING:g})")
+
+    def add_window(sp, pad_default):
+        sp.add_argument("--N", type=int, default=DEFAULT_N, help=f"window size (default {DEFAULT_N})")
+        sp.add_argument("--pad", type=int, help=f"interior padding (default {pad_default}; at most N/2 for holo and antiholo, N-1 otherwise)")
 
     wp = sub.add_parser("weights", help="emit a weight-sequence table")
-    add_series(wp)
-    wp.add_argument("--branch", choices=(BRANCH_T2, BRANCH_T3), default=BRANCH_T2, help="principal branch choice")
+    add_family(wp)
+    wp.add_argument("--branch", choices=(BRANCH_T2, BRANCH_T3), help=f"branch (principal, complementary; default {BRANCH_T2})")
     wp.add_argument("--n0", type=int, required=True)
     wp.add_argument("--n1", type=int, required=True)
     wp.add_argument("--format", choices=("csv", "json"), default="csv")
     wp.set_defaults(func=cmd_weights)
 
     vp = sub.add_parser("verify", help="run a verification suite, one JSON report per line")
-    vp.add_argument("suite", choices=SUITES)
-    add_series(vp)
-    # SUPPRESS, as in add_series: an option left out is absent from args, so that one the suite does not read is told apart
-    vp.add_argument("--N", type=int, default=argparse.SUPPRESS, help="window size (default 64; all but lemmas)")
-    vp.add_argument("--pad", type=int, default=argparse.SUPPRESS, help="interior padding (all but lemmas; default max(16, N/4); max(24, 3N/8) for normalizer; at most N/2 for holo and antiholo, N-1 otherwise)")
-    vp.add_argument("--op", choices=OP_CHOICES, default=argparse.SUPPRESS, help="operator under test (homogeneity, normalizer, infinitesimal)")
-    vp.add_argument("--path", action="append", default=argparse.SUPPRESS, help="flow path gen:time[,gen:time...]; repeatable (unitarity, homogeneity, normalizer)")
-    vp.add_argument("--tolerance", type=float, help="override the suite tolerance")
-    vp.add_argument("--step", type=float, default=argparse.SUPPRESS, help=f"finite-difference step (infinitesimal; default {DEFAULT_FD_STEP:g})")
-    vp.add_argument("--samples", type=int, default=argparse.SUPPRESS, help="random samples (lemmas; default 100)")
-    vp.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="random seed (lemmas; default 0)")
     vp.set_defaults(func=cmd_verify)
+    suites = vp.add_subparsers(dest="suite", required=True)
+    for suite in SUITES:
+        sp = suites.add_parser(suite)
+        if suite == "lemmas":
+            sp.add_argument("--samples", type=int, default=100, help="random samples (default 100)")
+            sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+            sp.set_defaults(run=_suite_lemmas)
+        elif suite == "reducible-lambda":
+            sp.add_argument("--series", choices=(REDUCIBLE,), help="representation family, reducible only")
+            sp.add_argument("--lambda", dest="lam", type=float, help="family parameter lambda")
+            sp.add_argument("--r", type=_complex_arg, help=f"seam coupling (default {DEFAULT_COUPLING:g})")
+            sp.set_defaults(run=_suite_reducible_lambda)
+        else:
+            add_family(sp)
+            sp.set_defaults(run=_suite_infinitesimal if suite == "infinitesimal" else _suite_along_paths)
+        if suite != "lemmas":
+            add_window(sp, "max(24, 3N/8)" if suite == "normalizer" else "max(16, N/4)")
+        if suite in ("homogeneity", "normalizer", "infinitesimal"):
+            sp.add_argument("--op", choices=OP_CHOICES, help="operator under test (default: the family's own)")
+        if suite in ("unitarity", "homogeneity", "normalizer"):
+            sp.add_argument("--path", action="append", help="flow path gen:time[,gen:time...]; repeatable")
+        if suite == "infinitesimal":
+            sp.add_argument("--step", type=float, default=DEFAULT_FD_STEP, help=f"finite-difference step (default {DEFAULT_FD_STEP:g})")
+        sp.add_argument("--tolerance", type=float, help="override the suite tolerance")
 
     cp = sub.add_parser("classify", help="classify a step-(-1) coefficient file")
-    cp.add_argument("--file", required=True, help="CSV of n,re[,im] coefficient rows")
+    cp.add_argument("--file", required=True, help="CSV of n,re[,im] coefficient rows, one per n")
     cp.add_argument("--lambda", dest="lam", type=float, required=True)
     cp.add_argument("--mu-re", dest="mu_re", type=float, required=True)
     cp.add_argument("--mu-im", dest="mu_im", type=float, default=0.0)
@@ -483,14 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
     gp = sub.add_parser("sweep", help="run suites over a parameter grid, CSV per cell")
     gp.add_argument("--series", choices=(HOLO, PRINCIPAL, COMPLEMENTARY), required=True)
     gp.add_argument("--lambda-grid", dest="lambda_grid", default="", help="comma-separated lambda values")
-    # SUPPRESS, as in add_series: a grid left out is absent from args, so that one of another family is told apart
-    gp.add_argument("--im-mu-grid", dest="im_mu_grid", default=argparse.SUPPRESS, help=f"comma-separated Im mu (principal; default {DEFAULT_IM_MU:g})")
-    gp.add_argument("--mu-grid", dest="mu_grid", default=argparse.SUPPRESS, help="'auto' midpoints (the default) or comma-separated mu (complementary)")
+    gp.add_argument("--im-mu-grid", dest="im_mu_grid", help=f"comma-separated Im mu (principal; default {DEFAULT_IM_MU:g})")
+    gp.add_argument("--mu-grid", dest="mu_grid", help="'auto' midpoints (the default) or comma-separated mu (complementary)")
     gp.add_argument("--suites", default="unitarity", help="comma-separated: " + ",".join(SWEEP_SUITES))
     gp.add_argument("--op", choices=OP_CHOICES, help="operator for the homogeneity suite")
     gp.add_argument("--path", action="append", help="flow path; repeatable")
-    gp.add_argument("--N", type=int, default=DEFAULT_N)
-    gp.add_argument("--pad", type=int, default=None, help="interior padding (default max(16, N/4); at most N/2 for holo, N-1 otherwise)")
+    add_window(gp, "max(16, N/4)")
     gp.set_defaults(func=cmd_sweep)
 
     return parser

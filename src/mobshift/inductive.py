@@ -2,15 +2,14 @@
 
 Conjugating by the rotation flow scales the m-th matrix diagonal by
 e^{2imt}, so the isotypic decomposition of an operator is exact diagonal
-surgery.  On top of that sit the commutator coefficient maps for step shifts,
-the telescoping product identity behind the one-dimensionality arguments, an
-affine classifier for step-(-1) families, and the normalizer defect that
-certifies membership of conjugates in the algebra generated by a shift.
+surgery.  On top of that sit the telescoping product identity behind the
+one-dimensionality arguments, an affine classifier for step-(-1) families,
+and the normalizer defect that certifies membership of conjugates in the
+algebra generated by a shift.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -18,7 +17,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .homogeneity import DefectReport
-from .mobius import GroupPath
 from .numkernel import (
     BILATERAL,
     UNILATERAL,
@@ -26,7 +24,7 @@ from .numkernel import (
     TruncationWindow,
     interior_norm,
 )
-from .repn import Realization, RepnParams
+from .repn import RepnParams
 
 FIT_T2 = "T2branch"
 FIT_T3 = "T3branch"
@@ -36,7 +34,6 @@ _BRANCH_TOL = 1e-8
 _TIE_TOL = 1e-8
 
 DEFAULT_NORMALIZER_TOL = 1e-6
-DEFAULT_FLIP_TOL = 1e-12
 
 
 def isotypic_component(T: OperatorMatrix, m: int) -> np.ndarray:
@@ -45,29 +42,6 @@ def isotypic_component(T: OperatorMatrix, m: int) -> np.ndarray:
     and ``OperatorMatrix.from_band`` reassembles it; empty when |m| >= window
     size."""
     return T.diagonal(m)
-
-
-def te_tf_coefficients(a: Mapping[int, complex], m: int, p: RepnParams, w: TruncationWindow):
-    """Coefficient sequences of the commutators with the lowering and raising
-    generators, for a step-m shift T f_n = a_n f_{n-m}.
-
-    Returns (te, tf) keyed by the source index n:
-    [dR(e), T] f_n = te_n f_{n-m-1} with te_n = (mu - n + m) a_n - (mu - n) a_{n-1},
-    [dR(f), T] f_n = tf_n f_{n-m+1} with tf_n = (lam + mu + n - m) a_n - (lam + mu + n) a_{n+1}.
-    Neighbours missing at a window or index-set edge contribute zero, which
-    reproduces both the genuine degenerate cases and the truncated matrices.
-    """
-    seq = {int(n): complex(v) for n, v in dict(a).items()}
-    lam, mu = p.lam, p.mu
-    te: dict[int, complex] = {}
-    tf: dict[int, complex] = {}
-    for n in w.indices():
-        n = int(n)
-        if w.contains(n - m - 1):
-            te[n] = (mu - n + m) * seq.get(n, 0.0) - (mu - n) * seq.get(n - 1, 0.0)
-        if w.contains(n - m + 1):
-            tf[n] = (lam + mu + n - m) * seq.get(n, 0.0) - (lam + mu + n) * seq.get(n + 1, 0.0)
-    return te, tf
 
 
 def ladder_cancellation(lam: float, mu: complex, m: int, n: int, side: str) -> complex:
@@ -201,37 +175,3 @@ def normalizer_defect(
         power = T @ power
     return DefectReport.build("normalizer", value, tolerance, context)
 
-
-def sharp_isotypic_flip(
-    T: OperatorMatrix,
-    m: int,
-    p: RepnParams | None = None,
-    angle: float = 0.2,
-    tolerance: float = DEFAULT_FLIP_TOL,
-    context: dict | None = None,
-) -> DefectReport:
-    """Entrywise check that the sharp twist swaps rotation characters m and -m.
-
-    T is in the orthonormal basis of p, where the rotation flows are built.
-    Conjugating by the plain rotation flow at angle t scales the m-th
-    diagonal by e^{+2imt}; by the sharp-twisted flow, by e^{-2imt}.  The
-    reported value is the larger of the two entrywise errors.
-    """
-    w = T.window
-    if p is None:
-        if w.kind == UNILATERAL:
-            p = RepnParams(UNILATERAL, 1.0)
-        else:
-            p = RepnParams(BILATERAL, 0.3, 0.35 + 0j)
-    forward = GroupPath((("h", angle),))
-    backward = GroupPath((("h", -angle),))
-    plain, sharp = (rel.along_path(forward, w) @ T @ rel.along_path(backward, w)
-                    for rel in (Realization.plain(p), Realization.sharp(p)))
-    base = isotypic_component(T, m)
-    err_plain = isotypic_component(plain, m) - cmath.exp(2j * m * angle) * base
-    err_sharp = isotypic_component(sharp, m) - cmath.exp(-2j * m * angle) * base
-    value = np.abs(np.concatenate((err_plain, err_sharp))).max(initial=0.0)
-    ctx = dict(context or {})
-    ctx.setdefault("m", int(m))
-    ctx.setdefault("angle", float(angle))
-    return DefectReport.build("sharp_isotypic_flip", value, tolerance, ctx)

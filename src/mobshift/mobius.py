@@ -129,9 +129,6 @@ class GroupPath:
             segs.append((parts[0].strip(), t))
         return cls(tuple(segs))
 
-    def __add__(self, other: "GroupPath") -> "GroupPath":
-        return GroupPath(self.segments + other.segments)
-
     def describe(self) -> str:
         return ",".join(f"{g}:{t:g}" for g, t in self.segments) or "id"
 
@@ -166,8 +163,3 @@ def cartan(p: GroupPath) -> tuple[float, float, float]:
 
 
 STAR_SIGNS = {"h": -1.0, "L": 1.0, "M": -1.0}
-
-
-def star_path(p: GroupPath) -> GroupPath:
-    """Segment-wise lift of the conjugation twist: h and M reverse, L is fixed (``STAR_SIGNS``)."""
-    return GroupPath(tuple((g, STAR_SIGNS[g] * t) for g, t in p.segments))

@@ -88,12 +88,6 @@ class TruncationWindow:
         """Array positions at distance >= padding from both window ends."""
         return np.arange(self.padding, self.size - self.padding)
 
-    def interior_indices(self) -> np.ndarray:
-        return self.interior_positions() + self.lo
-
-    def with_padding(self, padding: int) -> "TruncationWindow":
-        return TruncationWindow(self.kind, self.N, padding)
-
     def same_lattice(self, other: "TruncationWindow") -> bool:
         return self.kind == other.kind and self.N == other.N
 
@@ -195,10 +189,6 @@ class OperatorMatrix:
     @classmethod
     def identity(cls, window: TruncationWindow, basis: str = MONOMIAL) -> "OperatorMatrix":
         return cls.from_band(window, 0, np.ones(window.size), basis)
-
-    @classmethod
-    def zeros(cls, window: TruncationWindow, basis: str = MONOMIAL) -> "OperatorMatrix":
-        return cls.from_band(window, 0, np.zeros(window.size), basis)
 
     @classmethod
     def from_band(cls, window: TruncationWindow, m: int, diagonal, basis: str = MONOMIAL) -> "OperatorMatrix":

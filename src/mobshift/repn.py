@@ -288,17 +288,6 @@ class Realization:
         return mat_exp(self.generator("L", w), s, np.exp(theta1 * d), np.exp(theta2 * d))
 
 
-def rep_matrix(p: RepnParams, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
-    """R(path) of the family p in the orthonormal basis."""
-    return Realization.plain(p).along_path(path, w)
-
-
-def unitarity_defect(p: RepnParams, path: GroupPath, w: TruncationWindow) -> float:
-    """Interior norm of R* R - I along a path, with R in the orthonormal basis
-    of the family's Gram; zero for an exactly unitary action."""
-    return unitarity_residual(rep_matrix(p, path, w), w)
-
-
 def default_grid_size(w: TruncationWindow) -> int:
     """Smallest power of two at least 8x the window size."""
     target = 8 * w.size

@@ -9,7 +9,6 @@ norm ratio, which is where the tabulated weight sequences come from.
 from __future__ import annotations
 
 import math
-from typing import Mapping
 
 import numpy as np
 
@@ -35,20 +34,6 @@ BRANCH_T2 = "T2"
 BRANCH_T3 = "T3"
 
 _POLE_TOL = 1e-12
-
-
-def shift_matrix(window: TruncationWindow, step: int, coefficients: Mapping[int, complex]) -> OperatorMatrix:
-    """Monomial-basis matrix of T f_n = a_n f_{n-step}; coefficients keyed by the source index n."""
-    n = np.fromiter(coefficients.keys(), dtype=np.int64, count=len(coefficients))
-    # diagonal entry k belongs to the source index lo + max(step, 0) + k
-    k = n - (window.lo + max(step, 0))
-    length = max(window.size - abs(step), 0)
-    outside = (k < 0) | (k >= length)
-    if outside.any():
-        raise ParameterError(f"coefficient at n={n[outside][0]} targets an index outside the window")
-    diagonal = np.zeros(length, dtype=np.complex128)
-    diagonal[k] = np.fromiter(coefficients.values(), dtype=np.complex128, count=len(coefficients))
-    return OperatorMatrix.from_band(window, step, diagonal)
 
 
 def canonical_shift(kind: str, p: RepnParams, w: TruncationWindow) -> OperatorMatrix:

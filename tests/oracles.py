@@ -19,6 +19,10 @@ the circle route's whole grid x window table at once; ``circle_rep_oracle``
 applies the circle route's table to one coefficient vector, as the oracle of
 the exponential route.  ``orthonormal`` is not an oracle: it is the
 conversion of a monomial operator into the basis of R that the tests share.
+``star_path``, ``te_tf_coefficients`` and ``sharp_isotypic_flip`` are
+statements from the paper that no command prints and only the tests check:
+the twist lifted to paths, the commutator coefficient maps of a step shift,
+and the sharp twist swapping rotation characters m and -m.
 """
 
 import cmath
@@ -27,16 +31,21 @@ import math
 import numpy as np
 
 from mobshift.errors import GridSizeError, NumericsError, ParameterError, PoleError
-from mobshift.mobius import MobiusElement
-from mobshift.numkernel import UNILATERAL, _parity_blocks, _require_power_of_two, _spectrum, mat_exp
+from mobshift.mobius import STAR_SIGNS, GroupPath, MobiusElement
+from mobshift.numkernel import BILATERAL, UNILATERAL, _parity_blocks, _require_power_of_two, _spectrum, mat_exp
 from mobshift.repn import (
     _NEGATIVE_INDEX_TOL,
     _NYQUIST_TAIL_TOL,
+    Realization,
+    RepnParams,
     _circle_factors,
     _circle_table,
     gram,
     to_orthonormal,
 )
+
+#: entrywise tolerance of ``sharp_isotypic_flip``
+FLIP_TOL = 1e-12
 
 _BERNOULLI = (
     1.0 / 6,
@@ -164,6 +173,11 @@ def derivative(phi: MobiusElement, z: complex) -> complex:
 def star(phi: MobiusElement) -> MobiusElement:
     """The twist z -> conj(phi(conj z)), whose parameters are (conj alpha, conj beta)."""
     return MobiusElement(phi.alpha.conjugate(), phi.beta.conjugate())
+
+
+def star_path(p: GroupPath) -> GroupPath:
+    """Segment-wise lift of the conjugation twist: h and M reverse, L is fixed (``STAR_SIGNS``)."""
+    return GroupPath(tuple((g, STAR_SIGNS[g] * t) for g, t in p.segments))
 
 
 def product_rep_matrix(rel, path, w) -> np.ndarray:
@@ -387,3 +401,48 @@ def circle_rep_oracle(p, phi_inv: MobiusElement, eta_plus, eta_minus, w, coeffs,
     action.
     """
     return _circle_table(p, phi_inv, eta_plus, eta_minus, w, grid_size) @ np.asarray(coeffs, dtype=np.complex128)
+
+
+def te_tf_coefficients(a, m: int, p, w):
+    """Coefficient sequences of the commutators with the lowering and raising
+    generators, for a step-m shift T f_n = a_n f_{n-m}.
+
+    Returns (te, tf) keyed by the source index n:
+    [dR(e), T] f_n = te_n f_{n-m-1} with te_n = (mu - n + m) a_n - (mu - n) a_{n-1},
+    [dR(f), T] f_n = tf_n f_{n-m+1} with tf_n = (lam + mu + n - m) a_n - (lam + mu + n) a_{n+1}.
+    Neighbours missing at a window or index-set edge contribute zero, which
+    reproduces both the genuine degenerate cases and the truncated matrices.
+    Each map holds every source index whose target is in the window, in
+    increasing order: the band ``OperatorMatrix.from_band`` takes, of step m + 1 and m - 1.
+    """
+    seq = {int(n): complex(v) for n, v in dict(a).items()}
+    lam, mu = p.lam, p.mu
+    te, tf = {}, {}
+    for n in w.indices():
+        n = int(n)
+        if w.contains(n - m - 1):
+            te[n] = (mu - n + m) * seq.get(n, 0.0) - (mu - n) * seq.get(n - 1, 0.0)
+        if w.contains(n - m + 1):
+            tf[n] = (lam + mu + n - m) * seq.get(n, 0.0) - (lam + mu + n) * seq.get(n + 1, 0.0)
+    return te, tf
+
+
+def sharp_isotypic_flip(T, m: int, p=None, angle: float = 0.2) -> float:
+    """Entrywise error of the sharp twist swapping rotation characters m and -m.
+
+    T is in the orthonormal basis of p, where the rotation flows are built.
+    Conjugating by the plain rotation flow at angle t scales the m-th
+    diagonal by e^{+2imt}; by the sharp-twisted flow, by e^{-2imt}.  Returns
+    the larger of the two entrywise errors, to be held against ``FLIP_TOL``.
+    """
+    w = T.window
+    if p is None:
+        p = RepnParams(UNILATERAL, 1.0) if w.kind == UNILATERAL else RepnParams(BILATERAL, 0.3, 0.35 + 0j)
+    forward = GroupPath((("h", angle),))
+    backward = GroupPath((("h", -angle),))
+    plain, sharp = (rel.along_path(forward, w) @ T @ rel.along_path(backward, w)
+                    for rel in (Realization.plain(p), Realization.sharp(p)))
+    base = T.diagonal(m)
+    err_plain = plain.diagonal(m) - cmath.exp(2j * m * angle) * base
+    err_sharp = sharp.diagonal(m) - cmath.exp(-2j * m * angle) * base
+    return float(np.abs(np.concatenate((err_plain, err_sharp))).max(initial=0.0))

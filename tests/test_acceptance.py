@@ -20,7 +20,6 @@ from mobshift.inductive import (
     FIT_T3,
     classify_a_minus1,
     ladder_cancellation,
-    te_tf_coefficients,
 )
 from mobshift.mobius import GroupPath, path_to_mobius
 from mobshift.numkernel import (
@@ -40,18 +39,16 @@ from mobshift.repn import (
     generator_matrix,
     gram,
     reducible_generator_matrix,
-    rep_matrix,
     to_orthonormal,
-    unitarity_defect,
+    unitarity_residual,
 )
 from mobshift.shifts import (
     canonical_shift,
     reducible_shift,
-    shift_matrix,
     weight_sequence,
 )
 
-from oracles import orthonormal
+from oracles import orthonormal, te_tf_coefficients
 
 N = 64
 PAD = 16
@@ -107,12 +104,13 @@ def test_criterion_01_unitarity():
     for p in ALL_POINTS:
         w = TruncationWindow(p.index_set, N, PAD)
         for path in PATHS:
-            d16 = unitarity_defect(p, path, w)
+            R = Realization.plain(p).along_path(path, w)
+            d16 = unitarity_residual(R, w)
             worst = max(worst, d16)
             if d16 > 1e-7:
                 failures.append((p, path.describe(), "defect", d16))
-            d4 = unitarity_defect(p, path, w.with_padding(4))
-            d24 = unitarity_defect(p, path, w.with_padding(24))
+            d4 = unitarity_residual(R, TruncationWindow(w.kind, w.N, 4))
+            d24 = unitarity_residual(R, TruncationWindow(w.kind, w.N, 24))
             if not (d4 <= FLOOR or d4 >= 100.0 * d24):
                 failures.append((p, path.describe(), "shrink", d4, d24))
             if d4 > FLOOR:
@@ -142,12 +140,12 @@ def test_criterion_03_negative_controls():
     p = RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
     w = TruncationWindow(BILATERAL, N, PAD)
     scaled = 2.0 * orthonormal(canonical_shift("T2", p, w), p, w)
-    d_scaled = homogeneity_defect(scaled, rep_matrix(p, path, w), path_to_mobius(path), w).value
+    d_scaled = homogeneity_defect(scaled, Realization.plain(p).along_path(path, w), path_to_mobius(path), w).value
 
     ph = RepnParams(UNILATERAL, 2.0)
     wh = TruncationWindow(UNILATERAL, N, PAD)
     decaying = orthonormal(OperatorMatrix.from_band(wh, -1, 1.0 / (wh.indices()[:-1] + 2)), ph, wh)
-    d_decay = homogeneity_defect(decaying, rep_matrix(ph, path, wh), path_to_mobius(path), wh).value
+    d_decay = homogeneity_defect(decaying, Realization.plain(ph).along_path(path, wh), path_to_mobius(path), wh).value
 
     wb = TruncationWindow(BILATERAL, 16, 4)
     exact_err = 0.0
@@ -211,8 +209,8 @@ def test_criterion_05_algebraic_identities():
         p = RepnParams(BILATERAL, lam, mu)
         a = {n: complex(rng.standard_normal(), rng.standard_normal()) for n in range(w.lo, w.hi + 1)}
         te, _ = te_tf_coefficients(a, 0, p, w)
-        t = shift_matrix(w, 0, a)
-        t_e = shift_matrix(w, 1, te)
+        t = OperatorMatrix.from_band(w, 0, list(a.values()))
+        t_e = OperatorMatrix.from_band(w, 1, list(te.values()))
         bracket = t @ t_e - t_e @ t
         for n in range(w.lo + 1, w.hi + 1):
             expected = -(mu - n) * (a[n - 1] - a[n]) ** 2
@@ -240,13 +238,13 @@ def test_criterion_05_algebraic_identities():
     worst_map = 0.0
     for m, coeffs, pp in probes:
         w_here = wb if pp.index_set == BILATERAL else wu
-        t = shift_matrix(w_here, m, coeffs)
+        t = OperatorMatrix.from_band(w_here, m, list(coeffs.values()))
         te, tf = te_tf_coefficients(coeffs, m, pp, w_here)
         e = generator_matrix(pp, "e", w_here)
         f = generator_matrix(pp, "f", w_here)
         comm_e = e @ t - t @ e
         comm_f = f @ t - t @ f
-        interior = set(int(n) for n in w_here.interior_indices())
+        interior = set(int(n) for n in w_here.interior_positions() + w_here.lo)
         for n, value in te.items():
             if n in interior and (n - m - 1) in interior:
                 worst_map = max(worst_map, abs(comm_e.entry(n - m - 1, n) - value))
@@ -379,7 +377,7 @@ def test_criterion_08_cross_route_representations():
         ip = w.interior_positions()
         for text in ("L:0.1", "M:0.1"):
             path = GroupPath.parse(text)
-            R = rep_matrix(p, path, w)
+            R = Realization.plain(p).along_path(path, w)
             C = circle_rep_matrix(p, path, w)
             diff = float(np.max(np.abs(R.data[np.ix_(ip, ip)] - C.data[np.ix_(ip, ip)])))
             worst = max(worst, diff)

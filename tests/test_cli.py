@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,10 @@ from mobshift.repn import Realization
 
 
 def run(capsys, argv):
-    code = cli.main(argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's refusals
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -291,7 +295,7 @@ def test_out_of_memory_exits_three(capsys, monkeypatch):
           "--path", "L:0.1"], "--im-mu is an option of the principal family only"),
         (["unitarity", "--series", "holo", "--lambda", "2", "--mu", "0.3"], "--mu is an option of the complementary family only"),
         (["unitarity", "--series", "principal", "--lambda", "0.3", "--r", "2"], "--r is an option of the reducible family only"),
-        (["reducible-lambda", "--lambda", "1", "--im-mu", "2"], "--im-mu is an option of the principal family only"),
+        (["reducible-lambda", "--lambda", "1", "--im-mu", "2"], "unrecognized arguments: --im-mu 2"),
     ],
     ids=("complementary with Im mu and r", "holo with mu", "principal with r", "reducible-lambda with Im mu"),
 )
@@ -305,38 +309,40 @@ def test_verify_refuses_an_option_of_another_family(capsys, argv, message):
     "argv, message",
     [
         (["verify", "lemmas", "--samples", "1", "--series", "principal", "--lambda", "3", "--mu", "3"],
-         "--series is not an option of verify lemmas, which draws its parameters at random"),
-        (["verify", "lemmas", "--samples", "1", "--r", "2"],
-         "--r is not an option of verify lemmas, which draws its parameters at random"),
+         "unrecognized arguments: --series principal --lambda 3 --mu 3"),
+        (["verify", "lemmas", "--samples", "1", "--r", "2"], "unrecognized arguments: --r 2"),
         (["verify", "reducible-lambda", "--series", "principal", "--lambda", "1"],
-         "verify reducible-lambda certifies the reducible family only, not --series principal"),
+         "argument --series: invalid choice: 'principal' (choose from 'reducible')"),
         (["sweep", "--series", "holo", "--lambda-grid", "1", "--im-mu-grid", "3"],
          "--im-mu-grid is an option of the principal family only"),
         (["sweep", "--series", "principal", "--lambda-grid", "0.3", "--mu-grid", "0.2"],
          "--mu-grid is an option of the complementary family only"),
         (["verify", "lemmas", "--samples", "1", "--N", "8", "--pad", "3", "--op", "T2", "--path", "L:0.1", "--step", "0.001"],
-         "--N is not an option of verify lemmas"),
-        (["verify", "lemmas", "--samples", "1", "--step", "0.001"], "--step is not an option of verify lemmas"),
+         "unrecognized arguments: --N 8 --pad 3 --op T2 --path L:0.1 --step 0.001"),
+        (["verify", "lemmas", "--samples", "1", "--step", "0.001"], "unrecognized arguments: --step 0.001"),
         (["verify", "reducible-lambda", "--lambda", "1", "--op", "T2", "--path", "L:0.1", "--step", "0.001"],
-         "--op is not an option of verify reducible-lambda"),
-        (["verify", "reducible-lambda", "--lambda", "1", "--samples", "3"], "--samples is not an option of verify reducible-lambda"),
+         "unrecognized arguments: --op T2 --path L:0.1 --step 0.001"),
+        (["verify", "reducible-lambda", "--lambda", "1", "--samples", "3"], "unrecognized arguments: --samples 3"),
         (["verify", "unitarity", "--series", "holo", "--lambda", "1", "--op", "T1", "--step", "0.001", "--samples", "4", "--seed", "3"],
-         "--op is not an option of verify unitarity"),
-        (["verify", "unitarity", "--series", "holo", "--lambda", "1", "--seed", "3"], "--seed is not an option of verify unitarity"),
+         "unrecognized arguments: --op T1 --step 0.001 --samples 4 --seed 3"),
+        (["verify", "unitarity", "--series", "holo", "--lambda", "1", "--seed", "3"], "unrecognized arguments: --seed 3"),
         (["verify", "infinitesimal", "--series", "holo", "--lambda", "1", "--path", "L:0.2"],
-         "--path is not an option of verify infinitesimal"),
-        (["verify", "homogeneity", "--series", "holo", "--lambda", "1", "--step", "0.01"],
-         "--step is not an option of verify homogeneity"),
-        (["verify", "normalizer", "--series", "holo", "--lambda", "1", "--step", "0.01"],
-         "--step is not an option of verify normalizer"),
+         "unrecognized arguments: --path L:0.2"),
+        (["verify", "homogeneity", "--series", "holo", "--lambda", "1", "--step", "0.01"], "unrecognized arguments: --step 0.01"),
+        (["verify", "normalizer", "--series", "holo", "--lambda", "1", "--step", "0.01"], "unrecognized arguments: --step 0.01"),
         (["sweep", "--series", "holo", "--lambda-grid", "1", "--suites", "unitarity", "--op", "T1"],
          "--op names the operator of the homogeneity suite, which --suites does not run"),
+        (["verify", "lemmas", "--N", "8"], "unrecognized arguments: --N 8"),
+        (["verify", "infinitesimal", "--path", "L:0.1"], "unrecognized arguments: --path L:0.1"),
+        (["verify", "unitarity", "--op", "T1"], "unrecognized arguments: --op T1"),
+        (["sweep", "--series", "holo", "--im-mu-grid", "3"], "--im-mu-grid is an option of the principal family only"),
     ],
     ids=("lemmas with a family", "lemmas with r", "reducible-lambda of another series",
          "holo sweep with an Im mu grid", "principal sweep with a mu grid", "lemmas with a window", "lemmas with a step",
          "reducible-lambda with an operator", "reducible-lambda with samples", "unitarity with an operator",
          "unitarity with a seed", "infinitesimal with a path", "homogeneity with a step", "normalizer with a step",
-         "unitarity sweep with an operator"),
+         "unitarity sweep with an operator", "bare lemmas with a window", "bare infinitesimal with a path",
+         "bare unitarity with an operator", "holo sweep without a lambda grid, with an Im mu grid"),
 )
 def test_options_a_run_does_not_read_are_refused(capsys, argv, message):
     code, out, err = run(capsys, argv)
@@ -357,6 +363,70 @@ def test_weights_refuses_an_option_of_another_family(capsys):
     code, out, err = run(capsys, ["weights", "--series", "antiholo", "--lambda", "2", "--r", "2", "--n0", "-1", "--n1", "0"])
     assert code == 2 and out == ""
     assert err == "error: --r is an option of the reducible family only\n"
+
+
+#: the options only some families read, those families, and a command line that takes each;
+#: weights --branch T3 printed the T2 table under holo, antiholo and reducible
+FAMILY_OWNED = (
+    ("--im-mu", "1", ("principal",), ("verify", "unitarity")),
+    ("--mu", "0.3", ("complementary",), ("verify", "unitarity")),
+    ("--r", "2", ("reducible",), ("verify", "unitarity")),
+    ("--im-mu", "1", ("principal",), ("weights", "--n0", "0", "--n1", "1")),
+    ("--mu", "0.3", ("complementary",), ("weights", "--n0", "0", "--n1", "1")),
+    ("--r", "2", ("reducible",), ("weights", "--n0", "0", "--n1", "1")),
+    ("--branch", "T3", ("principal", "complementary"), ("weights", "--n0", "0", "--n1", "1")),
+    ("--im-mu-grid", "1", ("principal",), ("sweep", "--lambda-grid", "0.5")),
+    ("--mu-grid", "0.3", ("complementary",), ("sweep", "--lambda-grid", "0.5")),
+)
+
+
+@pytest.mark.parametrize(
+    "flag, value, owners, series, command",
+    [pytest.param(flag, value, owners, series, command, id=f"{command[0]} {flag} {series}")
+     for flag, value, owners, command in FAMILY_OWNED
+     for series in (("holo", "principal", "complementary") if command[0] == "sweep" else cli.SERIES_CHOICES)
+     if series not in owners],
+)
+def test_a_family_owned_option_is_refused_under_every_other_family(capsys, flag, value, owners, series, command):
+    code, out, err = run(capsys, [*command, "--series", series, "--lambda", "0.5", flag, value])
+    families = "principal and complementary families" if len(owners) == 2 else f"{owners[0]} family"
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} is an option of the {families} only\n"
+
+
+SUITE_OPTIONS = {
+    "lemmas": {"--samples", "--seed"},
+    "reducible-lambda": {"--series", "--lambda", "--r", "--N", "--pad"},
+    "unitarity": {"--series", "--lambda", "--im-mu", "--mu", "--r", "--N", "--pad", "--path"},
+    "homogeneity": {"--series", "--lambda", "--im-mu", "--mu", "--r", "--N", "--pad", "--op", "--path"},
+    "normalizer": {"--series", "--lambda", "--im-mu", "--mu", "--r", "--N", "--pad", "--op", "--path"},
+    "infinitesimal": {"--series", "--lambda", "--im-mu", "--mu", "--r", "--N", "--pad", "--op", "--step"},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_OPTIONS))
+def test_verify_suite_help_lists_exactly_its_options(capsys, suite):
+    code, out, err = run(capsys, ["verify", suite, "--help"])
+    assert code == 0 and err == ""
+    assert set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", out)) == SUITE_OPTIONS[suite] | {"--help", "--tolerance"}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bench_command_lines_parse(tmp_path, seed):
+    # every CLI operation of the desk, sweep and wide workloads that a correct program
+    # answers with a report (exit 0 or 1) must get past the parser
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    parser = cli.build_parser()
+    ops = [op for name in ("desk", "sweep", "wide") for op in workloads.BUILDERS[name](seed, str(tmp_path))]
+    checked = [op for op in ops if op.kind != "route" and op.exit in (0, 1)]
+    assert len(checked) > 50
+    for op in checked:
+        args = parser.parse_args(list(op.args))
+        assert args.command == op.args[0], op.label
 
 
 def test_family_options_apply_to_their_own_family(capsys):
@@ -420,7 +490,7 @@ def test_numerical_failures_exit_three(capsys, monkeypatch):
     def boom(args):
         raise NumericsError("synthetic failure")
 
-    monkeypatch.setitem(cli._SUITE_RUNNERS, "lemmas", boom)
+    monkeypatch.setattr(cli, "_suite_lemmas", boom)
     code, _, err = run(capsys, ["verify", "lemmas"])
     assert code == 3
     assert "numerical failure" in err
@@ -474,6 +544,14 @@ def test_classify_non_finite_lambda_exit_two(capsys, tmp_path):
     code, out, err = run(capsys, ["classify", "--file", path, "--lambda", "nan", "--mu-re", "0.35"])
     assert code == 2 and out == ""
     assert err == "error: lam and mu must be finite, got lam=nan, mu=(0.35+0j)\n"
+
+
+def test_classify_refuses_a_repeated_n(capsys, tmp_path):
+    # the last row for n = 0 used to win silently, and the constant family read as neither
+    path = write_coeffs(tmp_path, "repeat.csv", [f"{n},1.0,0.0" for n in range(-5, 6)] + ["0,2.0,0.0"])
+    code, out, err = run(capsys, ["classify", "--file", path, "--lambda", "0.3", "--mu-re", "0.35"])
+    assert code == 2 and out == ""
+    assert err == "error: malformed coefficient file: n=0 appears in more than one row\n"
 
 
 def test_classify_malformed_file_exit_two(capsys, tmp_path):

@@ -28,7 +28,7 @@ from mobshift.numkernel import (
     interior_norm,
     solve,
 )
-from mobshift.repn import Realization, RepnParams, rep_matrix
+from mobshift.repn import Realization, RepnParams
 from mobshift.shifts import canonical_shift, reducible_shift
 
 from oracles import (
@@ -168,7 +168,7 @@ def test_homogeneity_of_a_shift_needs_no_linear_solve(monkeypatch):
     w = TruncationWindow(BILATERAL, 64, 16)
     t = orthonormal(canonical_shift("T3", PRIN, w), PRIN, w)
     path = GroupPath.parse("L:0.1,M:-0.05,h:0.2")
-    report = homogeneity_defect(t, rep_matrix(PRIN, path, w), path_to_mobius(path), w)
+    report = homogeneity_defect(t, Realization.plain(PRIN).along_path(path, w), path_to_mobius(path), w)
     assert report.passed
 
 
@@ -197,7 +197,7 @@ def test_homogeneity_certificate_for_t1():
     w = TruncationWindow(UNILATERAL, 64, 16)
     t = orthonormal(canonical_shift("T1", HOLO2, w), HOLO2, w)
     path = GroupPath((("L", 0.1),))
-    report = homogeneity_defect(t, rep_matrix(HOLO2, path, w), path_to_mobius(path), w)
+    report = homogeneity_defect(t, Realization.plain(HOLO2).along_path(path, w), path_to_mobius(path), w)
     assert report.value < 1e-6
     assert report.passed
 
@@ -214,7 +214,7 @@ def test_scaled_shift_is_not_homogeneous():
     w = TruncationWindow(BILATERAL, 64, 16)
     t = 2.0 * orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
     path = GroupPath((("L", 0.1),))
-    report = homogeneity_defect(t, rep_matrix(PRIN, path, w), path_to_mobius(path), w)
+    report = homogeneity_defect(t, Realization.plain(PRIN).along_path(path, w), path_to_mobius(path), w)
     assert report.value > 1e-2
     assert not report.passed
 
@@ -235,8 +235,8 @@ def test_homogeneity_defect_padding_collapse(kind, params, flavor):
     path = GroupPath((("L", 0.1),))
     R = rel.along_path(path, w)
     phi = path_to_mobius(path)
-    d4 = homogeneity_defect(t, R, phi, w.with_padding(4)).value
-    d24 = homogeneity_defect(t, R, phi, w.with_padding(24)).value
+    d4 = homogeneity_defect(t, R, phi, TruncationWindow(w.kind, w.N, 4)).value
+    d24 = homogeneity_defect(t, R, phi, TruncationWindow(w.kind, w.N, 24)).value
     assert d4 >= 100.0 * d24
 
 
@@ -317,8 +317,8 @@ def test_negative_controls_fail_the_resolvent_free_residual():
     decaying = orthonormal(OperatorMatrix.from_band(wh, -1, 1.0 / (wh.indices()[:-1] + 2)), HOLO2, wh)
     seam = Realization.reducible(1.5, 1.0)
     cases = [
-        ("scaled shift", scaled, rep_matrix(PRIN, path, w), w),
-        ("decaying weights", decaying, rep_matrix(HOLO2, path, wh), wh),
+        ("scaled shift", scaled, Realization.plain(PRIN).along_path(path, w), w),
+        ("decaying weights", decaying, Realization.plain(HOLO2).along_path(path, wh), wh),
         ("reducible lambda 1.5", _family_shift(seam, "reducible", w), seam.along_path(path, w), w),
     ]
     for label, t, R, window in cases:
@@ -341,7 +341,7 @@ def test_certificates_call_no_solve_and_no_resolvent(monkeypatch):
     path = GroupPath.parse("L:0.1,M:-0.05,h:0.2")
     w = TruncationWindow(BILATERAL, 64, 24)
     t = orthonormal(canonical_shift("T3", PRIN, w), PRIN, w)
-    R = rep_matrix(PRIN, path, w)
+    R = Realization.plain(PRIN).along_path(path, w)
     assert homogeneity_defect(t, R, path_to_mobius(path), w).passed
     assert normalizer_defect(t, R, w).passed
 

@@ -11,8 +11,6 @@ from mobshift.inductive import (
     isotypic_component,
     ladder_cancellation,
     normalizer_defect,
-    sharp_isotypic_flip,
-    te_tf_coefficients,
 )
 from mobshift.mobius import GroupPath
 from mobshift.numkernel import (
@@ -22,15 +20,18 @@ from mobshift.numkernel import (
     OperatorMatrix,
     TruncationWindow,
 )
-from mobshift.repn import Realization, RepnParams, generator_matrix, rep_matrix, to_orthonormal
-from mobshift.shifts import canonical_shift, reducible_shift, shift_matrix
+from mobshift.repn import Realization, RepnParams, generator_matrix, to_orthonormal
+from mobshift.shifts import canonical_shift, reducible_shift
 
 from oracles import (
+    FLIP_TOL,
     dense_normalizer_defect,
     orthonormal,
     random_dense,
     random_unitary,
     rotation_average_component,
+    sharp_isotypic_flip,
+    te_tf_coefficients,
 )
 
 HOLO2 = RepnParams(UNILATERAL, 2.0)
@@ -129,13 +130,13 @@ def test_te_tf_match_matrix_commutators(rng, m):
         for n in range(w.lo, w.hi + 1)
         if w.contains(n - m)
     }
-    t = shift_matrix(w, m, coeffs)
+    t = OperatorMatrix.from_band(w, m, list(coeffs.values()))
     te, tf = te_tf_coefficients(coeffs, m, PRIN, w)
     e = generator_matrix(PRIN, "e", w)
     f = generator_matrix(PRIN, "f", w)
     comm_e = e @ t - t @ e
     comm_f = f @ t - t @ f
-    interior = set(int(n) for n in w.interior_indices())
+    interior = set(int(n) for n in w.interior_positions() + w.lo)
     for n, value in te.items():
         if n in interior and (n - m - 1) in interior:
             assert abs(comm_e.entry(n - m - 1, n) - value) <= 1e-11
@@ -153,8 +154,8 @@ def test_diagonal_commutator_entry_formula(rng):
         p = RepnParams(BILATERAL, lam, mu)
         a = {n: complex(rng.standard_normal(), rng.standard_normal()) for n in range(w.lo, w.hi + 1)}
         te, _ = te_tf_coefficients(a, 0, p, w)
-        t = shift_matrix(w, 0, a)
-        t_e = shift_matrix(w, 1, te)
+        t = OperatorMatrix.from_band(w, 0, list(a.values()))
+        t_e = OperatorMatrix.from_band(w, 1, list(te.values()))
         bracket = t @ t_e - t_e @ t
         for n in range(w.lo + 1, w.hi + 1):
             expected = -(mu - n) * (a[n - 1] - a[n]) ** 2
@@ -275,7 +276,7 @@ def test_classifier_randomized_families(rng):
 def test_normalizer_rotation_path_is_tiny():
     w = TruncationWindow(BILATERAL, 32, 8)
     t2 = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
-    r = rep_matrix(PRIN, GroupPath((("h", 0.25),)), w)
+    r = Realization.plain(PRIN).along_path(GroupPath((("h", 0.25),)), w)
     report = normalizer_defect(t2, r, w)
     assert report.value <= 1e-12
 
@@ -283,12 +284,12 @@ def test_normalizer_rotation_path_is_tiny():
 def test_normalizer_certifies_generated_algebra():
     w = TruncationWindow(BILATERAL, 64, 24)
     t2 = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
-    r = rep_matrix(PRIN, GroupPath((("L", 0.1),)), w)
+    r = Realization.plain(PRIN).along_path(GroupPath((("L", 0.1),)), w)
     assert normalizer_defect(t2, r, w).value < 1e-6
 
     wh = TruncationWindow(UNILATERAL, 64, 24)
     t1 = orthonormal(canonical_shift("T1", HOLO2, wh), HOLO2, wh)
-    rh = rep_matrix(HOLO2, GroupPath((("L", 0.1),)), wh)
+    rh = Realization.plain(HOLO2).along_path(GroupPath((("L", 0.1),)), wh)
     assert normalizer_defect(t1, rh, wh).value < 1e-6
 
 
@@ -296,7 +297,7 @@ def test_normalizer_negative_control():
     wh = TruncationWindow(UNILATERAL, 64, 16)
     n = wh.indices()[:-1]
     bad = orthonormal(OperatorMatrix.from_band(wh, -1, 1.0 / (n + 2)), HOLO2, wh)
-    rh = rep_matrix(HOLO2, GroupPath((("L", 0.1),)), wh)
+    rh = Realization.plain(HOLO2).along_path(GroupPath((("L", 0.1),)), wh)
     report = normalizer_defect(bad, rh, wh)
     assert report.value > 1e-2
 
@@ -345,7 +346,7 @@ def test_normalizer_matches_dense_oracle_on_random_shifts(rng, step, layout):
         for n in range(w.lo, w.hi + 1)
         if w.contains(n - step)
     }
-    t = shift_matrix(w, step, coeffs)
+    t = OperatorMatrix.from_band(w, step, list(coeffs.values()))
     if layout == "unilateral-gram":
         g = OperatorMatrix.from_band(w, 0, rng.uniform(0.5, 2.0, w.size))
         t = to_orthonormal(t, g)
@@ -360,12 +361,12 @@ def test_normalizer_matches_dense_oracle_on_random_shifts(rng, step, layout):
 def test_normalizer_requires_single_step_shift(rng):
     w = TruncationWindow(BILATERAL, 6, 1)
     dense = OperatorMatrix(random_dense(rng, w.size), w)
-    r = rep_matrix(PRIN, GroupPath((("h", 0.1),)), w)
+    r = Realization.plain(PRIN).along_path(GroupPath((("h", 0.1),)), w)
     with pytest.raises(ParameterError):
         normalizer_defect(dense, r, w)
     with pytest.raises(ParameterError):
-        normalizer_defect(OperatorMatrix.zeros(w), r, w)
-    two_steps = shift_matrix(w, 1, {1: 1.0}) + shift_matrix(w, 2, {2: 1.0})
+        normalizer_defect(OperatorMatrix.from_band(w, 0, np.zeros(w.size)), r, w)
+    two_steps = OperatorMatrix.from_band(w, 1, np.ones(w.size - 1)) + OperatorMatrix.from_band(w, 2, np.ones(w.size - 2))
     with pytest.raises(ParameterError):
         normalizer_defect(two_steps, r, w)
 
@@ -376,19 +377,17 @@ def test_normalizer_requires_single_step_shift(rng):
 def test_sharp_flip_for_adjoint_shift():
     w = TruncationWindow(UNILATERAL, 12, 3)
     t1s = orthonormal(canonical_shift("T1star", HOLO2, w), HOLO2, w)
-    report = sharp_isotypic_flip(t1s, 1, p=HOLO2)
-    assert report.passed, report.value
+    assert sharp_isotypic_flip(t1s, 1, p=HOLO2) <= FLIP_TOL
 
 
 def test_sharp_flip_fixes_diagonal():
     w = TruncationWindow(BILATERAL, 8, 2)
-    report = sharp_isotypic_flip(OperatorMatrix.identity(w, ORTHONORMAL), 0)
-    assert report.value <= 1e-12
+    assert sharp_isotypic_flip(OperatorMatrix.identity(w, ORTHONORMAL), 0) <= FLIP_TOL
 
 
 def test_sharp_flip_random_operator(rng):
     w = TruncationWindow(BILATERAL, 8, 2)
     t = OperatorMatrix(random_dense(rng, w.size), w, ORTHONORMAL)
     for m in (-3, 2):
-        report = sharp_isotypic_flip(t, m)
-        assert report.passed, (m, report.value)
+        value = sharp_isotypic_flip(t, m)
+        assert value <= FLIP_TOL, (m, value)

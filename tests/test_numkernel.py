@@ -55,7 +55,7 @@ def test_window_ranges():
     assert (bil.lo, bil.hi, bil.size) == (-8, 8, 17)
     assert uni.pos(0) == 0 and uni.pos(8) == 8
     assert bil.pos(-8) == 0 and bil.pos(0) == 8
-    assert list(bil.interior_indices()) == list(range(-6, 7))
+    assert list(bil.interior_positions() + bil.lo) == list(range(-6, 7))
 
 
 def test_window_validation():
@@ -88,7 +88,7 @@ def test_matrix_shape_and_finiteness():
         OperatorMatrix(bad, w)
     # a band operator's zeros count too: 0 * inf is not finite, even where no band is stored
     with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(ParameterError):
-        OperatorMatrix.zeros(w) * np.inf
+        OperatorMatrix.from_band(w, 0, np.zeros(w.size)) * np.inf
     with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(ParameterError):
         OperatorMatrix.from_band(w, 1, np.ones(2)) / 0.0
 
@@ -148,7 +148,7 @@ def test_library_results_are_read_only(rng):
     shift = OperatorMatrix.from_band(w, -1, np.arange(1.0, w.size))
     results = [
         a + b, a - b, -a, 2.0 * a, a * 2.0, a / 2.0, a @ b, a @ shift, shift @ a, shift @ shift, a.H,
-        shift, OperatorMatrix.identity(w), OperatorMatrix.zeros(w),
+        shift, OperatorMatrix.identity(w), OperatorMatrix.from_band(w, 0, np.zeros(w.size)),
         mat_exp(generator_matrix(p, "L", w), 0.1),
         solve(a, b), solve(a, OperatorMatrix.identity(w)),
         mobius_of_operator(MobiusElement(1.0, 0.2), shift), mobius_of_operator(MobiusElement(1.0, 0.2), 0.1 * a),
@@ -164,7 +164,7 @@ def test_library_results_are_read_only(rng):
 
 def test_mat_exp_zero_is_identity():
     w = window_of_size(5)
-    out = mat_exp(OperatorMatrix.zeros(w))
+    out = mat_exp(OperatorMatrix.from_band(w, 0, np.zeros(w.size)))
     np.testing.assert_array_equal(out.data, np.eye(5))
 
 
@@ -315,7 +315,7 @@ def test_from_band_inverts_single_diagonal(rng, w):
 
 @pytest.mark.parametrize("w", BAND_WINDOWS, ids=("unilateral", "bilateral"))
 def test_band_product_with_the_zero_matrix(rng, w):
-    zero = OperatorMatrix.zeros(w)
+    zero = OperatorMatrix.from_band(w, 0, np.zeros(w.size))
     found = zero.single_diagonal
     assert found[0] == 0 and not found[1].any()
     dense = OperatorMatrix(random_dense(rng, w.size), w)
@@ -351,7 +351,7 @@ def test_recorded_structure_equals_the_scan(rng, w, monkeypatch):
     products = [x @ y for x in bands for y in bands]
     dense = [a @ b, a @ bands[0], bands[0] @ a, a + bands[0], a - b, a.H,
              mat_exp(Realization.plain(p).generator("L", w), 0.1), solve(a, b), solve(a, OperatorMatrix.identity(w))]
-    known = bands + products + dense + [OperatorMatrix.identity(w), OperatorMatrix.zeros(w)]
+    known = bands + products + dense + [OperatorMatrix.identity(w), OperatorMatrix.from_band(w, 0, np.zeros(w.size))]
     known += [Realization.plain(p).generator(X, w) for X in ("h", "L", "M")]
     monkeypatch.undo()
     for T in known:
@@ -441,7 +441,7 @@ def test_solve_rejects_ill_conditioned():
 
 def test_interior_norm_zero():
     w = TruncationWindow(BILATERAL, 4, 1)
-    assert interior_norm(OperatorMatrix.zeros(w), w) == 0.0
+    assert interior_norm(OperatorMatrix.from_band(w, 0, np.zeros(w.size)), w) == 0.0
 
 
 def test_interior_norm_identity_counts_interior():
@@ -460,7 +460,7 @@ def test_interior_norm_matches_brute_force(rng):
 def test_interior_norm_monotone_in_padding(rng):
     w = TruncationWindow(BILATERAL, 8, 0)
     m = OperatorMatrix(random_dense(rng, w.size), w)
-    values = [interior_norm(m, w.with_padding(p)) for p in range(0, 8)]
+    values = [interior_norm(m, TruncationWindow(w.kind, w.N, p)) for p in range(0, 8)]
     assert all(values[i + 1] <= values[i] for i in range(len(values) - 1))
 
 

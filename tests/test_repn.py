@@ -17,7 +17,7 @@ from mobshift.errors import (
 )
 from mobshift.cli import DEFAULT_PATHS
 from mobshift.homogeneity import infinitesimal_reports, kappa_flow_derivative
-from mobshift.mobius import STAR_SIGNS, GroupPath, MobiusElement, cartan, inverse, path_to_mobius, star_path
+from mobshift.mobius import STAR_SIGNS, GroupPath, MobiusElement, cartan, inverse, path_to_mobius
 from mobshift.numkernel import (
     BILATERAL,
     ORTHONORMAL,
@@ -40,13 +40,11 @@ from mobshift.repn import (
     generator_matrix,
     gram,
     reducible_generator_matrix,
-    rep_matrix,
     to_orthonormal,
-    unitarity_defect,
     unitarity_residual,
 )
 
-from oracles import circle_rep_oracle, pade_expm, product_rep_matrix, random_dense, unblocked_circle_table
+from oracles import circle_rep_oracle, pade_expm, product_rep_matrix, random_dense, star_path, unblocked_circle_table
 
 PRINCIPAL_P = RepnParams(BILATERAL, 0.3, complex(0.35, 0.7))
 COMP_P = RepnParams(BILATERAL, 0.4, 0.2 + 0j)
@@ -251,14 +249,14 @@ def test_reducible_parameter_validation():
 
 def test_rep_matrix_empty_path_is_identity():
     w = TruncationWindow(BILATERAL, 8, 2)
-    out = rep_matrix(PRINCIPAL_P, GroupPath(()), w)
+    out = Realization.plain(PRINCIPAL_P).along_path(GroupPath(()), w)
     np.testing.assert_array_equal(out.data, np.eye(w.size))
 
 
 def test_rep_matrix_rotation_is_exact_diagonal():
     w = TruncationWindow(BILATERAL, 8, 2)
     t = 0.3
-    out = rep_matrix(PRINCIPAL_P, GroupPath((("h", t),)), w)
+    out = Realization.plain(PRINCIPAL_P).along_path(GroupPath((("h", t),)), w)
     expected = np.diag(np.exp(-1j * (2.0 * w.indices() + PRINCIPAL_P.lam) * t))
     assert np.max(np.abs(out.data - expected)) <= 1e-13
 
@@ -269,13 +267,13 @@ def test_rep_matrix_is_multiplicative_over_concatenation():
     # the ordered product is multiplicative by construction, over the whole window
     w = TruncationWindow(BILATERAL, 16, 4)
     rel = Realization.plain(PRINCIPAL_P)
-    whole = product_rep_matrix(rel, p1 + p2, w)
+    whole = product_rep_matrix(rel, GroupPath(p1.segments + p2.segments), w)
     assert np.max(np.abs(whole - product_rep_matrix(rel, p1, w) @ product_rep_matrix(rel, p2, w))) <= 1e-12
     # the Cartan form truncates once per path, not once per segment, so R(p1 + p2) and
     # R(p1) R(p2) differ near the window edge (by 0.64 at N = 16, pad 4) and agree on a deep interior
     w = TruncationWindow(BILATERAL, 128, 64)
-    whole = rep_matrix(PRINCIPAL_P, p1 + p2, w)
-    parts = rep_matrix(PRINCIPAL_P, p1, w) @ rep_matrix(PRINCIPAL_P, p2, w)
+    whole = Realization.plain(PRINCIPAL_P).along_path(GroupPath(p1.segments + p2.segments), w)
+    parts = Realization.plain(PRINCIPAL_P).along_path(p1, w) @ Realization.plain(PRINCIPAL_P).along_path(p2, w)
     ip = w.interior_positions()
     assert np.max(np.abs(whole.data - parts.data)[np.ix_(ip, ip)]) <= 1e-13
 
@@ -375,7 +373,7 @@ def test_cartan_form_agrees_with_circle_route(N):
     for p in (PRINCIPAL_P, COMP_P):
         for text in ("L:0.1,M:-0.05,h:0.2", "M:0.1", "h:0.5,h:0.5,h:0.5,L:0.1"):
             path = GroupPath.parse(text)
-            gap = np.max(np.abs(rep_matrix(p, path, w).data - circle_rep_matrix(p, path, w).data)[ip])
+            gap = np.max(np.abs(Realization.plain(p).along_path(path, w).data - circle_rep_matrix(p, path, w).data)[ip])
             assert gap <= 1e-13, (p, text)
 
 
@@ -383,9 +381,9 @@ def test_concatenated_path_agrees_with_circle_route():
     w = TruncationWindow(BILATERAL, 64, 16)
     p1 = GroupPath((("L", 0.1),))
     p2 = GroupPath((("M", -0.05), ("h", 0.2)))
-    whole = rep_matrix(PRINCIPAL_P, p1 + p2, w)
-    parts = rep_matrix(PRINCIPAL_P, p1, w) @ rep_matrix(PRINCIPAL_P, p2, w)
-    circle = circle_rep_matrix(PRINCIPAL_P, p1 + p2, w)
+    whole = Realization.plain(PRINCIPAL_P).along_path(GroupPath(p1.segments + p2.segments), w)
+    parts = Realization.plain(PRINCIPAL_P).along_path(p1, w) @ Realization.plain(PRINCIPAL_P).along_path(p2, w)
+    circle = circle_rep_matrix(PRINCIPAL_P, GroupPath(p1.segments + p2.segments), w)
     ip = w.interior_positions()
     block = np.ix_(ip, ip)
     assert np.max(np.abs(whole.data[block] - circle.data[block])) <= 1e-7
@@ -396,11 +394,11 @@ def test_rep_matrix_sharp_values():
     w = TruncationWindow(UNILATERAL, 8, 2)
     sharp = Realization.sharp(HOLO2)
     lpath = GroupPath((("L", 0.15),))
-    np.testing.assert_array_equal(sharp.along_path(lpath, w).data, rep_matrix(HOLO2, lpath, w).data)
+    np.testing.assert_array_equal(sharp.along_path(lpath, w).data, Realization.plain(HOLO2).along_path(lpath, w).data)
     hpath = GroupPath((("h", 0.2),))
     np.testing.assert_array_equal(
         sharp.along_path(hpath, w).data,
-        rep_matrix(HOLO2, GroupPath((("h", -0.2),)), w).data,
+        Realization.plain(HOLO2).along_path(GroupPath((("h", -0.2),)), w).data,
     )
     np.testing.assert_array_equal(sharp.along_path(GroupPath(()), w).data, np.eye(w.size))
 
@@ -432,13 +430,13 @@ def test_realization_paths_match_module_functions():
     path = GroupPath((("M", 0.1), ("h", 0.2)))
     # the sharp generators against the plain route along the twisted path
     np.testing.assert_allclose(
-        Realization.sharp(HOLO2).along_path(path, w).data, rep_matrix(HOLO2, star_path(path), w).data, atol=1e-14
+        Realization.sharp(HOLO2).along_path(path, w).data, Realization.plain(HOLO2).along_path(star_path(path), w).data, atol=1e-14
     )
     wb = TruncationWindow(BILATERAL, 8, 2)
     red = Realization.reducible(1.0)
     seam = RepnParams(BILATERAL, 1.0, 0j)
     np.testing.assert_allclose(
-        red.along_path(path, wb).data, rep_matrix(seam, path, wb).data, atol=1e-14
+        red.along_path(path, wb).data, Realization.plain(seam).along_path(path, wb).data, atol=1e-14
     )
 
 
@@ -586,12 +584,12 @@ def test_gram_holomorphic_values():
 
 def test_unitarity_defect_rotation_path():
     w = TruncationWindow(BILATERAL, 64, 16)
-    assert unitarity_defect(PRINCIPAL_P, GroupPath((("h", 0.3),)), w) <= 1e-14
+    assert unitarity_residual(Realization.plain(PRINCIPAL_P).along_path(GroupPath((("h", 0.3),)), w), w) <= 1e-14
 
 
 def test_unitarity_defect_translation_path_small():
     w = TruncationWindow(UNILATERAL, 64, 16)
-    assert unitarity_defect(HOLO2, GroupPath((("L", 0.1),)), w) < 1e-8
+    assert unitarity_residual(Realization.plain(HOLO2).along_path(GroupPath((("L", 0.1),)), w), w) < 1e-8
 
 
 def test_unitarity_residual_matches_the_whole_product():
@@ -599,7 +597,7 @@ def test_unitarity_residual_matches_the_whole_product():
     rng = np.random.default_rng(7)
     path = GroupPath((("L", 0.1), ("M", -0.05), ("h", 0.2)))
     for p, w in ((PRINCIPAL_P, TruncationWindow(BILATERAL, 24, 6)), (HOLO2, TruncationWindow(UNILATERAL, 24, 6))):
-        for R in (rep_matrix(p, path, w), OperatorMatrix(random_dense(rng, w.size), w)):
+        for R in (Realization.plain(p).along_path(path, w), OperatorMatrix(random_dense(rng, w.size), w)):
             expected = interior_norm(R.H @ R - OperatorMatrix.identity(w, R.basis), w)
             assert abs(unitarity_residual(R, w) - expected) <= 1e-13 * max(1.0, expected)
     with pytest.raises(EmptyInteriorError):
@@ -614,7 +612,7 @@ def test_unitarity_defect_at_large_lambda(lam):
     # defect still sits at the rounding floor
     w = TruncationWindow(UNILATERAL, 64, 16)
     path = GroupPath((("L", 0.1), ("M", -0.05), ("h", 0.2)))
-    assert unitarity_defect(RepnParams(UNILATERAL, lam), path, w) <= 1e-12
+    assert unitarity_residual(Realization.plain(RepnParams(UNILATERAL, lam)).along_path(path, w), w) <= 1e-12
 
 
 def test_unitarity_defect_padding_profile():
@@ -622,7 +620,8 @@ def test_unitarity_defect_padding_profile():
     # defect sits at the rounding floor and must not grow with padding
     w = TruncationWindow(UNILATERAL, 64, 4)
     path = GroupPath((("L", 0.1),))
-    values = [unitarity_defect(HOLO2, path, w.with_padding(p)) for p in (4, 8, 12, 16, 20, 24)]
+    R = Realization.plain(HOLO2).along_path(path, w)
+    values = [unitarity_residual(R, TruncationWindow(w.kind, w.N, p)) for p in (4, 8, 12, 16, 20, 24)]
     assert values[0] <= 1e-12
     for a, b in zip(values, values[1:]):
         assert b <= 2.0 * a + 1e-13
@@ -660,7 +659,7 @@ def test_circle_oracle_matches_rep_matrix_column():
     p = HOLO2
     w = TruncationWindow(UNILATERAL, 64, 16)
     path = GroupPath((("L", 0.1),))
-    R = rep_matrix(p, path, w)
+    R = Realization.plain(p).along_path(path, w)
     phi_inv = inverse(path_to_mobius(path))
     out = circle_rep_oracle(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, w, monomial(w, 0))
     s = np.sqrt(gram(p, w).data.diagonal().real)
@@ -674,7 +673,7 @@ def test_circle_matrix_matches_rep_matrix_interior():
         (RepnParams(BILATERAL, 0.3, complex(0.35, 0.5)), TruncationWindow(BILATERAL, 64, 16)),
         (RepnParams(UNILATERAL, 16.0), TruncationWindow(UNILATERAL, 64, 16)),
     ):
-        R = rep_matrix(p, path, w)
+        R = Realization.plain(p).along_path(path, w)
         C = circle_rep_matrix(p, path, w)
         assert R.basis == C.basis == ORTHONORMAL
         ip = w.interior_positions()

@@ -16,27 +16,11 @@ from mobshift.repn import (
     gram,
     to_orthonormal,
 )
-from mobshift.shifts import canonical_shift, reducible_shift, shift_matrix, weight_sequence
+from mobshift.shifts import canonical_shift, reducible_shift, weight_sequence
 
 HOLO2 = RepnParams(UNILATERAL, 2.0)
 PRIN = RepnParams(BILATERAL, 0.3, complex(0.35, 0.7))
 COMP = RepnParams(BILATERAL, 0.4, 0.2 + 0j)
-
-
-# ---------------------------------------------------------------- specs
-
-
-def test_shift_matrix_places_entries():
-    w = TruncationWindow(BILATERAL, 3, 0)
-    m = shift_matrix(w, -1, {0: 2.0})
-    assert m.entry(1, 0) == 2.0
-    assert np.count_nonzero(m.data) == 1
-
-
-def test_shift_matrix_rejects_out_of_window_targets():
-    w = TruncationWindow(UNILATERAL, 3, 0)
-    with pytest.raises(ParameterError):
-        shift_matrix(w, +1, {0: 1.0})  # would target n = -1
 
 
 # ---------------------------------------------------------------- canonical shifts
@@ -254,8 +238,8 @@ def test_reducible_shift_pole_inside_the_lambda_bound():
 
 
 def _formula_shift(w, step, sources, coefficient):
-    """Reference build: shift_matrix fed the coefficient formula one index at a time."""
-    return shift_matrix(w, step, {n: coefficient(n) for n in sources})
+    """Reference build: the band of the coefficient formula, one source index at a time."""
+    return OperatorMatrix.from_band(w, step, [coefficient(n) for n in sources])
 
 
 @pytest.mark.parametrize(
