@@ -201,6 +201,7 @@ def _path_reports(suites, rel: Realization, w: TruncationWindow, paths, op=None,
                 yield homogeneity_defect(T, R, path_to_mobius(path), w, tolerance=tol, context=ctx)
             else:
                 yield normalizer_defect(T, R, w, tolerance=tol, context=ctx)
+        del R  # the next path's R is built without this one alive
 
 
 # ----------------------------------------------------------------------
@@ -321,7 +322,7 @@ def cmd_classify(args) -> int:
                     continue
                 parts = [p.strip() for p in line.split(",")]
                 if len(parts) not in (2, 3):
-                    raise ParameterError(f"malformed coefficient row: {line!r}")
+                    raise ValueError(f"row {line!r} has {len(parts)} fields, not 2 or 3")
                 n = int(parts[0])
                 if n in coeffs:
                     raise ValueError(f"n={n} appears in more than one row")

@@ -116,7 +116,7 @@ def homogeneity_defect(
     p = _interior_positions(R, w)
     m, halo = band[0], abs(band[0])
     lo, hi = max(p[0] - halo, 0), min(p[-1] + 1 + halo, w.size)
-    r = R.data[lo:hi, lo:hi]
+    r = R.block(lo, hi)
     # T restricted to [lo, hi): entry k of its diagonal m sits at (r0 + k, c0 + k)
     t = band[1][lo : hi - halo]
     r0, c0, k = max(-m, 0), max(m, 0), t.size

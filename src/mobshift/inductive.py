@@ -22,7 +22,8 @@ from .numkernel import (
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
-    interior_norm,
+    _interior_positions,
+    _rows,
 )
 from .repn import RepnParams
 
@@ -132,6 +133,23 @@ def _best_multiple_residual(block: np.ndarray, ref: np.ndarray | None) -> float:
     return float(np.linalg.norm(block - c * ref))
 
 
+def _interior_commutator_norm(s: np.ndarray, t: np.ndarray, inner: slice, m: int) -> float:
+    """Frobenius norm of (S T - T S)[inner, inner] for a block s of S whose rows and
+    columns reach |m| past ``inner`` or to the window's end, and a shift T on diagonal m
+    with t[i] = T[i, i + m] over the block (0 where i + m leaves the window).
+
+    (S T)[i, j] = S[i, j - m] t[j - m] is a column shift and scaling of s, and
+    (T S)[i, j] = t[i] S[i + m, j] a row shift and scaling; an index the block
+    does not reach lies off the window, where t is 0."""
+    a, b, size = inner.start, inner.stop, s.shape[0]
+    out = np.zeros((b - a,) * 2, dtype=np.complex128)
+    lo, hi = (min(max(x, 0), size) for x in (a - m, b - m))  # the sources j - m in the block
+    np.multiply(s[inner, lo:hi], t[lo:hi], out=out[:, lo + m - a : hi + m - a])
+    lo, hi = (min(max(x, 0), size) for x in (a + m, b + m))  # the sources i + m in the block
+    out[lo - m - a : hi - m - a] -= t[lo - m : hi - m, None] * s[lo:hi, inner]
+    return float(np.linalg.norm(out))
+
+
 def normalizer_defect(
     T: OperatorMatrix,
     R: OperatorMatrix,
@@ -147,31 +165,54 @@ def normalizer_defect(
     opposite side of the step direction are held against the powers of T*
     on unilateral windows and against zero on bilateral ones.  The defect
     adds the interior commutator norm and all the component residuals.
-
-    T^k, a product of bands, has one diagonal, and (T*)^k = (T^k)^H holds its
-    conjugate on the opposite side.
     Components are compared on the interior stretch of their diagonals, for
     as long as that stretch is non-empty; past it every residual is 0.
 
     R must be unitary, as ``Realization.along_path`` builds it (an exponential
     of a skew-Hermitian generator between unimodular diagonals), so
-    S = (R T) R^H: one dense product, with no inverse, solve or condition
-    estimate.  Every product with T is a row or column scaling: O(N^2).
+    S = (R T) R^H, with no inverse, solve or condition estimate.  Like
+    ``homogeneity.homogeneity_defect`` it reads only R's rows on the interior
+    and a halo of |m| (m = T's step), clipped to the window: S is formed on that
+    block B alone, as one |B| x n by n x |B| product with R T a column shift and
+    scaling of R's rows, O(|P|^2 n) for an interior P.  A banded R (the s = 0
+    paths) stays on band products, O(N), and its dense array is never built.
+    The commutator is a row and a column scaling of the block; each component
+    is a diagonal of its interior part, held against T^k's one diagonal, which
+    one shifted product per k updates: O(N) per k, and no window-sized array.
     """
-    step = T.single_diagonal[0] if T.single_diagonal is not None else 0
+    band = T.single_diagonal
+    step = band[0] if band is not None else 0
     if step == 0:
         raise ParameterError("expected a single-step shift")
-    S = (R @ T) @ R.H
-    value = interior_norm(S @ T - T @ S, w)
-    interior = w.size - 2 * w.padding
-    power = OperatorMatrix.identity(w, T.basis)
-    for k in range(-(-interior // abs(step))):
-        span = slice(w.padding, w.padding + interior - abs(step) * k)
-        weights = isotypic_component(power, step * k)[span]
-        value += _best_multiple_residual(isotypic_component(S, step * k)[span], weights)
+    T._require_compatible(R)
+    p = _interior_positions(R, w)
+    n, halo = w.size, abs(step)
+    lo, hi = max(p[0] - halo, 0), min(p[-1] + 1 + halo, n)
+    if R.bands is not None:
+        s = ((R @ T) @ R.H).block(lo, hi)
+    else:
+        # (R T)[:, j + m] = R[:, j] T[j, j + m], and conj(S) = conj(R T) R^T reads R's rows
+        # through a transposed view, which conj(R)^T would copy
+        r0, c0, k = max(-step, 0), max(step, 0), band[1].size
+        r = R.data[lo:hi]
+        rt = np.multiply(r[:, r0 : r0 + k], band[1])
+        s = np.conjugate(rt, out=rt) @ r[:, c0 : c0 + k].T
+        del rt
+        np.conjugate(s, out=s)
+    t = _rows(step, band[1], n)  # entry n + i is T[i, i + m], 0 off the window
+    inner = slice(p[0] - lo, p[-1] + 1 - lo)
+    value = _interior_commutator_norm(s, t[n + lo : n + hi], inner, step)
+    s = s[inner, inner]
+    power = _rows(0, np.ones(n, dtype=np.complex128), n)  # diagonal k m of T^k, laid out like t
+    for k in range(-(-p.size // halo)):
+        m = step * k
+        # diagonal m of the interior block starts on window row p[0] + max(-m, 0)
+        weights = power[n + p[0] + max(-m, 0) :][: p.size - abs(m)]
+        # contiguous copies of the diagonals: vdot sums a strided view in another order
+        value += _best_multiple_residual(np.diagonal(s, m).copy(), weights)
         if k > 0:
             adjoint = weights.conj() if w.kind == UNILATERAL else None
-            value += _best_multiple_residual(isotypic_component(S, -step * k)[span], adjoint)
-        power = T @ power
+            value += _best_multiple_residual(np.diagonal(s, -m).copy(), adjoint)
+        # T^{k+1}[i, i + (k + 1) m] = T[i, i + m] T^k[i + m, i + (k + 1) m]
+        power[n : 2 * n] = t[n : 2 * n] * power[n + step : 2 * n + step]
     return DefectReport.build("normalizer", value, tolerance, context)
-

@@ -163,10 +163,18 @@ class OperatorMatrix:
     @functools.cached_property
     def data(self) -> np.ndarray:
         """The dense matrix, read-only; built from ``bands`` on first read."""
-        out = np.zeros((self.window.size,) * 2, dtype=np.complex128)
+        return self.block(0, self.window.size)
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """Rows and columns lo..hi-1 (array positions), read-only: a view of ``data``
+        when it is stored or already built, else built from the bands without it."""
+        if self.bands is None or "data" in self.__dict__:
+            return self.data[lo:hi, lo:hi]
+        out = np.zeros((hi - lo,) * 2, dtype=np.complex128)
         for m, d in self.bands.items():
-            k = np.arange(d.size)
-            out[k + max(-m, 0), k + max(m, 0)] = d
+            # entry k of diagonal m sits at (k + max(-m, 0), k + max(m, 0))
+            k = np.arange(lo, hi - abs(m))
+            out[k + max(-m, 0) - lo, k + max(m, 0) - lo] = d[k]
         out.setflags(write=False)
         return out
 
@@ -369,10 +377,16 @@ def _parity_blocks(spec: _Spectrum, t: float) -> tuple[np.ndarray, np.ndarray, n
     mixes q with its partner and the kernel by about eps ||Hr|| / lambda, but
     these weights are of order lambda^2, so the mixing does not reach the blocks."""
     u, v, tv = spec.even, spec.odd, t * spec.values
-    versine = 2.0 * np.sin(0.5 * tv) ** 2
-    blocks = [(w * -versine) @ w.T for w in (u, v)]
-    for block in blocks:
+    # the weight 1 - cos t lambda = a^2 with a = sqrt(2) |sin(t lambda / 2)|, so each
+    # block is I - (w a)(w a)^T: one operand read twice, which BLAS forms as syrk
+    root = np.sqrt(2.0) * np.abs(np.sin(0.5 * tv))
+    blocks = []
+    for w in (u, v):
+        wa = w * root
+        block = wa @ wa.T
+        np.negative(block, out=block)
         block.flat[:: block.shape[0] + 1] += 1.0
+        blocks.append(block)
     return *blocks, (u * np.sin(tv)) @ v.T
 
 

@@ -278,14 +278,23 @@ class Realization:
         (``mobius.cartan``): dR(h) is diagonal, so R = D(theta1) e^{s dR(L)} D(theta2)
         with D(theta) = exp(theta dR(h)), one exponential whatever the path's
         length (none when s = 0), with both D folded into its phase scaling.
-        dR(h)'s diagonal is the same in both bases, so no h matrix is built.
-        Trustworthy on the window interior; the boundary carries truncation error.
+        dR(h)'s diagonal d is the same in both bases, so no h matrix is built.
+
+        Entry (j, k) is e^{(theta1 + theta2) d_j} E[j, k] z^{k - j} with
+        z = e^{-2i sign theta2}, since d_k - d_j = -2i sign (k - j): the rotation
+        angle is rounded once, and z^{k - j} = c_k / c_j, for c_k = z^{k + 1} formed
+        by repeated products, rides on the row and column scalings and is exact to
+        |k - j| roundings, small where E is large, instead of two phases of order
+        theta (2n + lam) rounded apart.  Trustworthy on the window interior; the
+        boundary carries truncation error.
         """
         theta1, s, theta2 = mobius.cartan(path)
-        d = self._sign("h") * _h_diagonal(self.params, w)
+        sign = self._sign("h")
+        d = sign * _h_diagonal(self.params, w)
         if s == 0.0:
             return OperatorMatrix.from_band(w, 0, np.exp((theta1 + theta2) * d), ORTHONORMAL)
-        return mat_exp(self.generator("L", w), s, np.exp(theta1 * d), np.exp(theta2 * d))
+        c = np.cumprod(np.full(w.size, np.exp(-2j * sign * theta2)))
+        return mat_exp(self.generator("L", w), s, np.exp((theta1 + theta2) * d) / c, c)
 
 
 def default_grid_size(w: TruncationWindow) -> int:

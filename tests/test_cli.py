@@ -554,6 +554,15 @@ def test_classify_refuses_a_repeated_n(capsys, tmp_path):
     assert err == "error: malformed coefficient file: n=0 appears in more than one row\n"
 
 
+def test_classify_names_a_row_of_the_wrong_width_once(capsys, tmp_path):
+    # the bench's malformed file: the row's message used to carry a second prefix
+    path = tmp_path / "malformed.csv"
+    path.write_text("n,re,im\n0,1.0,0.0,7\n")
+    code, out, err = run(capsys, ["classify", "--file", str(path), "--lambda", "0.3", "--mu-re", "0.35"])
+    assert code == 2 and out == ""
+    assert err == "error: malformed coefficient file: row '0,1.0,0.0,7' has 4 fields, not 2 or 3\n"
+
+
 def test_classify_malformed_file_exit_two(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("n,re\n0,not-a-number\n")

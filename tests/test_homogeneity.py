@@ -210,6 +210,19 @@ def test_homogeneity_certificate_for_t1star_under_sharp():
     assert report.value < 1e-6
 
 
+def test_a_rotation_in_the_path_costs_no_accuracy():
+    # M:0.1 is L:0.1 between rotations by pi/4 and -pi/4; rounded apart, the two
+    # rotations read 2.2x L:0.1's rounding floor at N = 256 and grow linearly in N
+    w = TruncationWindow(BILATERAL, 256, 64)
+    p = RepnParams(BILATERAL, 0.3, complex(0.35, 3.0))
+    t = orthonormal(canonical_shift("T2", p, w), p, w)
+    values = {}
+    for text in ("L:0.1", "M:0.1"):
+        path = GroupPath.parse(text)
+        values[text] = homogeneity_defect(t, Realization.plain(p).along_path(path, w), path_to_mobius(path), w).value
+    assert values["M:0.1"] <= 1.2 * values["L:0.1"]
+
+
 def test_scaled_shift_is_not_homogeneous():
     w = TruncationWindow(BILATERAL, 64, 16)
     t = 2.0 * orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -356,6 +358,45 @@ def test_normalizer_matches_dense_oracle_on_random_shifts(rng, step, layout):
     got = normalizer_defect(t, r, w).value
     assert want > 1e-3
     assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("pad", [0, 1, 4])
+@pytest.mark.parametrize("step", [-6, -2, -1, 1, 2, 3, 6])
+@pytest.mark.parametrize("kind", [UNILATERAL, BILATERAL])
+def test_normalizer_matches_dense_oracle_where_the_halo_is_clipped(rng, kind, step, pad):
+    # at pad 0 and 1 the |step| halo around the interior runs off the window's ends; on
+    # 0..8 at pad 4 a step of 6 reaches past both ends from the one interior index
+    w = TruncationWindow(kind, 8, pad)
+    size = w.size - abs(step)
+    t = OperatorMatrix.from_band(w, step, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    # a dense R, and a diagonal one, which stays on band products (and certifies a step
+    # whose one interior entry per component is always a multiple: a defect of 0)
+    dense = OperatorMatrix(random_unitary(rng, w.size), w)
+    diagonal = OperatorMatrix.from_band(w, 0, np.exp(1j * rng.uniform(0, 6, w.size)))
+    for r in (dense, diagonal):
+        want = dense_normalizer_defect(t, r, w)
+        assert abs(normalizer_defect(t, r, w).value - want) <= 1e-12 * max(want, 1.0)
+
+
+def _normalizer_peak(T, R, w):
+    tracemalloc.start()
+    try:
+        normalizer_defect(T, R, w)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_normalizer_memory_stays_below_two_window_arrays():
+    # S = (R T) R^H over the whole window held about 4 window-sized arrays on L:0.1
+    # and 1.4 on h:0.3; a banded R must stay banded
+    w = TruncationWindow(BILATERAL, 256, 96)
+    rel = Realization.plain(PRIN)
+    T = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
+    for text in ("L:0.1", "h:0.3"):
+        R = rel.along_path(GroupPath.parse(text), w)
+        assert _normalizer_peak(T, R, w) <= 2 * w.size**2 * 16, text
+    assert "data" not in R.__dict__
 
 
 def test_normalizer_requires_single_step_shift(rng):

@@ -331,13 +331,16 @@ def test_along_path_takes_one_exponential_of_l_and_no_dense_product(monkeypatch)
 
 def test_along_path_reads_dr_h_without_building_it(monkeypatch):
     # dR(h) is diagonal and the same in both bases: R takes its diagonal from the
-    # family's parameters, bit for bit what the dense orthonormal h held
+    # family's parameters, bit for bit what the dense orthonormal h held, with
+    # D(theta1 + theta2) on the left and D(theta2)'s remainder as z^(k - j) = c_k / c_j
     def dense_h_along_path(rel, path, w):
         theta1, s, theta2 = cartan(path)
         d = np.diagonal(rel.generator("h", w).data)
         if s == 0.0:
             return np.diag(np.exp((theta1 + theta2) * d))
-        return mat_exp(rel.generator("L", w), s, np.exp(theta1 * d), np.exp(theta2 * d)).data
+        # d_k - d_j = -2i sign (k - j)
+        c = np.cumprod(np.full(w.size, np.exp(-2j * np.sign((d[0] - d[1]).imag) * theta2)))
+        return mat_exp(rel.generator("L", w), s, np.exp((theta1 + theta2) * d) / c, c).data
 
     generator, asked = Realization.generator, []
     monkeypatch.setattr(Realization, "generator", lambda rel, X, w: asked.append(X) or generator(rel, X, w))
