@@ -15,6 +15,7 @@ guarded solve, serves no certificate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,9 @@ from .numkernel import (
     _interior_positions,
     _parity_blocks,
     _spectrum,
+    _squared_norm,
+    _tiles,
+    interior_norm,
     solve,
 )
 from .repn import Realization, reducible_generator_matrix
@@ -105,33 +109,51 @@ def homogeneity_defect(
     R phi(T) - T R times the bidiagonal I - conj(beta) T, so no resolvent, no
     inverse of R and no conjugation by the truncated R (which would drag
     boundary error inward) is formed.  Each product with T is a row or column
-    scaling, so only R's interior block and a halo of |m| indices, clipped to
-    the window, are read: O(interior^2) once R exists, with the residual and
-    R T the only block-sized arrays.  Any other T raises ``ParameterError``.
+    scaling: R T's column j is R's column j - m scaled.  So the residual is
+    formed one tile of ``TILE`` interior columns at a time, from R's interior
+    rows and a halo of |m|, clipped to the window, and its squared norm summed
+    over the tiles: O(interior^2) once R exists, with temporaries of
+    O(N * TILE).  A banded R (a rotation) stays on band products, O(N).  Any
+    other T raises ``ParameterError``.
     """
     band = T.single_diagonal
     if band is None:
         raise ParameterError("homogeneity is certified for a shift: T needs a single diagonal")
     T._require_compatible(R)
     p = _interior_positions(R, w)
-    m, halo = band[0], abs(band[0])
-    lo, hi = max(p[0] - halo, 0), min(p[-1] + 1 + halo, w.size)
-    r = R.block(lo, hi)
-    # T restricted to [lo, hi): entry k of its diagonal m sits at (r0 + k, c0 + k)
-    t = band[1][lo : hi - halo]
-    r0, c0, k = max(-m, 0), max(m, 0), t.size
-    rt = np.zeros_like(r)
-    np.multiply(r[:, r0 : r0 + k], t, out=rt[:, c0 : c0 + k])
-    # alpha (R T - beta R), then rt turns into y = R - conj(beta) R T: two block-sized arrays are live
-    residual = np.multiply(r, -phi.beta)
-    residual += rt
-    residual *= phi.alpha
-    rt *= -phi.beta.conjugate()
-    rt += r
-    residual[r0 : r0 + k] -= np.multiply(rt[c0 : c0 + k], t[:, None], out=rt[c0 : c0 + k])
-    inner = slice(p[0] - lo, p[-1] + 1 - lo)
-    value = float(np.linalg.norm(residual[inner, inner]))
-    return DefectReport.build("homogeneity", value, tolerance, context)
+    alpha, beta = phi.alpha, phi.beta
+    if R.bands is not None:
+        rt = R @ T
+        value = interior_norm(alpha * (rt - beta * R) - T @ (R - beta.conjugate() * rt), w)
+        return DefectReport.build("homogeneity", value, tolerance, context)
+    (m, t), n, p0, p1 = band, w.size, int(p[0]), int(p[-1]) + 1
+    # T[j - m, j] by column j, 0 off the window: T[i, i + m] is by_col[i + m]
+    by_col = np.zeros(n, dtype=np.complex128)
+    by_col[max(m, 0) :][: t.size] = t
+    # R's rows: the interior, and the halo that T's rows i + m reach; ia..ib-1 are the interior
+    # rows i whose i + m is in the window
+    lo, hi = max(p0 - abs(m), 0), min(p1 + abs(m), n)
+    ia = max(p0, -m)
+    ib = max(min(p1, n - m), ia)
+    r, total = R.data, 0.0
+    for a, b in _tiles(p0, p1):
+        # (R T)[:, j] = R[:, j - m] T[j - m, j] on the tile's columns ja..jb-1, whose j - m is in the window
+        ja = max(a, m)
+        jb = max(min(b, n + m), ja)
+        rt = np.zeros((hi - lo, b - a), dtype=np.complex128)
+        np.multiply(r[lo:hi, ja - m : jb - m], by_col[ja:jb], out=rt[:, ja - a : jb - a])
+        # alpha (R T - beta R) on the interior rows
+        residual = np.multiply(r[p0:p1, a:b], -beta)
+        residual += rt[p0 - lo : p1 - lo]
+        residual *= alpha
+        # rt turns into Y = R - conj(beta) R T, and T Y's row i is T[i, i + m] Y[i + m, :]
+        rt *= -beta.conjugate()
+        rt += r[lo:hi, a:b]
+        y = rt[ia + m - lo : ib + m - lo]
+        residual[ia - p0 : ib - p0] -= np.multiply(y, by_col[ia + m : ib + m, None], out=y)
+        total += _squared_norm(residual)
+        del rt, residual, y  # before the next tile's arrays are allocated
+    return DefectReport.build("homogeneity", math.sqrt(total), tolerance, context)
 
 
 def kappa_flow_derivative(
@@ -147,10 +169,15 @@ def kappa_flow_derivative(
     e^{+-sX} = D (C -/+ i S) D^-1 with C = cos sHr and S = sin sHr (see
     ``numkernel.mat_exp``), so (e^{sX} T e^{-sX} - e^{-sX} T e^{sX}) / 2s is
     i D (C T' S - S T' C) D^-1 / s with T' = D^-1 T D; the symmetric part cancels
-    exactly.  T'S and T'C are formed on the interior columns only, one row shift
-    and scaling of S or C per diagonal of T, and multiplied by the interior rows
-    of C and S: O(|P|^2 n) for a shift, and no window-sized temporary.  e and f
-    are (L -/+ iM)/2 by linearity; any other X raises ``ParameterError``.
+    exactly.  C keeps the parity of a position and S swaps it, so column j of
+    C T' S - S T' C reaches the rows i with i + j + m odd from T's diagonals m
+    alone.  The block is formed one tile of ``TILE`` interior columns of one
+    parity at a time: those columns of C and S, T'S and T'C by one row shift and
+    scaling per diagonal of T, and their products with the interior rows of C
+    and S of each parity that some diagonal reaches, one parity for a shift.
+    That is O(|P|^2 n) for a shift, and no temporary but the block is more than
+    O(N * TILE).  e and f are (L -/+ iM)/2 by linearity; any other X raises
+    ``ParameterError``.
     """
     if X not in ("L", "M"):
         raise ParameterError(f"unsupported generator {X!r} (expected L or M)")
@@ -162,25 +189,37 @@ def kappa_flow_derivative(
     p = _interior_positions(T, w)
     spec = _spectrum(a)
     cos_even, cos_odd, sin_eo = _parity_blocks(spec, step)
-    n, d, p0, p1 = w.size, spec.phases, p[0], p[-1] + 1
-    # the interior's even and odd positions: rows of the parity blocks, and ce::2 and co::2 of p
-    ev, od, ce, co = slice((p0 + 1) // 2, (p1 + 1) // 2), slice(p0 // 2, p1 // 2), p0 % 2, 1 - p0 % 2
-    c, s = np.zeros((2, n, p.size))  # C[:, p] and S[:, p]
-    c[0::2, ce::2], c[1::2, co::2] = cos_even[:, ev], cos_odd[:, od]
-    s[0::2, co::2], s[1::2, ce::2] = sin_eo[:, od], sin_eo[ev].T
-    ts, tc = np.zeros((2, n, p.size), dtype=np.complex128)
+    n, d, p0, p1 = w.size, spec.phases, int(p[0]), int(p[-1]) + 1
+    scaled, parities = [], set()  # (r0, c0, T' on diagonal m), whose entry k sits at (r0 + k, c0 + k)
     for m, t in T.bands.items() if T.bands is not None else [(m, T.diagonal(m)) for m in range(1 - n, n)]:
-        # entry k of T's diagonal m sits at (r0 + k, c0 + k)
         r0, c0, k = max(-m, 0), max(m, 0), t.size
-        tp = (t / d[r0 : r0 + k] * d[c0 : c0 + k])[:, None]
-        ts[r0 : r0 + k] += tp * s[c0 : c0 + k]
-        tc[r0 : r0 + k] += tp * c[c0 : c0 + k]
-    # C (T'S) - S (T'C) on the interior rows, with complex columns read as real pairs:
-    # C keeps the parity of a row, S swaps it
-    ts, tc, out = ts.view(np.float64), tc.view(np.float64), np.empty((p.size, 2 * p.size))
-    out[ce::2] = cos_even[ev] @ ts[0::2] - sin_eo[ev] @ tc[1::2]
-    out[co::2] = cos_odd[od] @ ts[1::2] - sin_eo[:, od].T @ tc[0::2]
-    block = out.view(np.complex128)
+        scaled.append((r0, c0, (t / d[r0 : r0 + k] * d[c0 : c0 + k])[:, None]))
+        parities.add(m % 2)
+    # the interior's even and odd positions as rows of the parity blocks, and the rows of C
+    # and of S that reach the interior rows of each parity
+    half = (slice((p0 + 1) // 2, (p1 + 1) // 2), slice(p0 // 2, p1 // 2))
+    left = ((cos_even[half[0]], sin_eo[half[0]]), (cos_odd[half[1]], sin_eo[:, half[1]].T))
+    block = np.zeros((p.size, p.size), dtype=np.complex128)
+    for cp in (0, 1):
+        for h0, h1 in _tiles(half[cp].start, half[cp].stop):
+            # columns j = 2h + cp: C[:, j] lives on the rows of parity cp, S[:, j] on the others
+            c, s = np.zeros((2, n, h1 - h0))
+            c[cp::2] = (cos_even, cos_odd)[cp][:, h0:h1]
+            s[1 - cp :: 2] = sin_eo[:, h0:h1] if cp else sin_eo[h0:h1].T
+            ts, tc = np.zeros((2, n, h1 - h0), dtype=np.complex128)
+            for r0, c0, tp in scaled:
+                ts[r0 : r0 + tp.size] += tp * s[c0 : c0 + tp.size]
+                tc[r0 : r0 + tp.size] += tp * c[c0 : c0 + tp.size]
+            # complex columns read as real pairs
+            ts, tc = ts.view(np.float64), tc.view(np.float64)
+            cols = slice(2 * h0 + cp - p0, 2 * h1 + cp - p0, 2)
+            for rp in (0, 1):
+                # the rows of parity rp are reached when a diagonal m of T has rp + cp + m odd
+                if (1 + rp + cp) % 2 in parities:
+                    out = left[rp][0] @ ts[rp::2]
+                    out -= left[rp][1] @ tc[1 - rp :: 2]
+                    block[(rp - p0) % 2 :: 2, cols] = out.view(np.complex128)
+            del c, s, ts, tc  # before the next tile's arrays are allocated
     block *= (1j / step) * d[p, None]
     block /= d[None, p]
     return block
@@ -206,7 +245,9 @@ def kappa_commutator(
 def _relation_values(blocks: dict, bands: dict, p0: int, reduce) -> dict:
     """reduce(B - bands) for the interior blocks B of L and M and, by linearity, of e = (L - iM)/2
     and f = (L + iM)/2.  Each of ``bands[X]``, (q, window diagonal q), is subtracted in place from
-    diagonal q of block X, which holds its entries p0, p0 + 1, ...; the blocks are put back after."""
+    diagonal q of block X, which holds its entries p0, p0 + 1, ...; the blocks are put back after.
+    e and f are formed in turn in one more block, so reduce sees each whole block, as a
+    Frobenius norm summed in one order needs."""
     views = []
     for X, block in blocks.items():
         n = block.shape[0]
@@ -215,7 +256,12 @@ def _relation_values(blocks: dict, bands: dict, p0: int, reduce) -> dict:
     for view, v in views:
         view -= v[p0 : p0 + view.size]
     L, M = blocks["L"], blocks["M"]
-    values = {"L": reduce(L), "M": reduce(M), "e": reduce(0.5 * (L - 1j * M)), "f": reduce(0.5 * (L + 1j * M))}
+    values, out = {"L": reduce(L), "M": reduce(M)}, np.empty_like(L)
+    for X, unit in (("e", -1j), ("f", 1j)):
+        np.multiply(M, unit, out=out)
+        out += L
+        out *= 0.5
+        values[X] = reduce(out)
     for (view, _), old in zip(views, kept):
         view[...] = old
     return values

@@ -8,7 +8,9 @@ library builder of a shift, Gram or generator does; the dense array is built
 only when read.  ``mat_exp`` takes skew-Hermitian generators on the +-1
 diagonals in an orthonormal basis, reads only those two bands, and works in
 real arithmetic from one cached real eigh per family and window, which L and
-M share; it keeps half of that spectrum, the reflection of the other half."""
+M share; it keeps half of that spectrum, the reflection of the other half.
+The interior certificates sum their norms over tiles of ``TILE`` interior
+rows or columns, so none of them holds a window-sized temporary."""
 
 from __future__ import annotations
 
@@ -37,6 +39,8 @@ COND_LIMIT = 1.0e8
 SKEW_TOL = 1.0e-12
 #: real spectra mat_exp keeps, one entry per family and window (L and M share one)
 SPECTRUM_CACHE_SIZE = 3
+#: interior rows or columns an interior certificate forms at once: its temporaries are O(N * TILE)
+TILE = 64
 
 
 @dataclass(frozen=True)
@@ -257,8 +261,9 @@ class OperatorMatrix:
         return self._entrywise(lambda a: a / c)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """Matrix product: O(N) per pair of bands when both operands have bands, a row
-        or column scaling, O(N^2), when one has a single diagonal, else dense."""
+        """Matrix product: O(N) per pair of bands when both operands have bands, one
+        shifted row (or column) scaling of the dense operand per band, O(N^2) each,
+        when one of them has bands, and the BLAS product when neither has."""
         self._require_compatible(other)
         n = self.window.size
         if self.bands is not None and other.bands is not None:
@@ -271,17 +276,19 @@ class OperatorMatrix:
                     term = a[i] * b[i + m]
                     bands[m + q] = bands[m + q] + term if m + q in bands else term
             return OperatorMatrix._adopt(self.window, self.basis, bands=bands)
-        left, right = self.single_diagonal, other.single_diagonal
-        if left is None and right is None:
+        if self.bands is None and other.bands is None:
             return OperatorMatrix._adopt(self.window, self.basis, data=self.data @ other.data)
-        # entry k of diagonal m sits at (r0 + k, c0 + k)
-        m, d = left if left is not None else right
-        r0, c0, k = max(-m, 0), max(m, 0), d.size
         out = np.zeros((n, n), dtype=np.complex128)
-        if left is not None:
-            np.multiply(d[:, None], other.data[c0 : c0 + k], out=out[r0 : r0 + k])
-        else:
-            np.multiply(self.data[:, r0 : r0 + k], d[None, :], out=out[:, c0 : c0 + k])
+        banded, dense = (self, other.data) if self.bands is not None else (other, self.data)
+        for m, d in banded.bands.items():
+            # entry k of diagonal m sits at (r0 + k, c0 + k)
+            r0, c0, k = max(-m, 0), max(m, 0), d.size
+            if banded is self:
+                # (A B)[r0 + k, :] += A[r0 + k, c0 + k] B[c0 + k, :]
+                out[r0 : r0 + k] += d[:, None] * dense[c0 : c0 + k]
+            else:
+                # (A B)[:, c0 + k] += A[:, r0 + k] B[r0 + k, c0 + k]
+                out[:, c0 : c0 + k] += dense[:, r0 : r0 + k] * d
         return OperatorMatrix._adopt(self.window, self.basis, data=out)
 
     @property
@@ -447,10 +454,25 @@ def _interior_positions(A: OperatorMatrix, w: TruncationWindow) -> np.ndarray:
     return p
 
 
+def _tiles(lo: int, hi: int):
+    """Consecutive ranges (a, b) of at most ``TILE`` positions that cover lo..hi-1."""
+    return ((a, min(a + TILE, hi)) for a in range(lo, hi, TILE))
+
+
+def _squared_norm(x: np.ndarray) -> float:
+    """The sum of |x|^2 over all entries: the squared Frobenius norm."""
+    return float(np.vdot(x, x).real)
+
+
 def interior_norm(A: OperatorMatrix, w: TruncationWindow) -> float:
-    """Frobenius norm of the sub-block with interior row AND column indices."""
+    """Frobenius norm of the sub-block with interior row AND column indices; from the
+    interior stretch of each band, O(N), when A has bands."""
     p = _interior_positions(A, w)
-    return float(np.linalg.norm(A.data[np.ix_(p, p)]))
+    if A.bands is None:
+        return float(np.linalg.norm(A.data[np.ix_(p, p)]))
+    # entry k of diagonal m has both indices in [p0, p1) for k in [p0, p1 - |m|)
+    p0, p1 = int(p[0]), int(p[-1]) + 1
+    return math.sqrt(sum(_squared_norm(d[p0 : max(p1 - abs(m), p0)]) for m, d in A.bands.items()))
 
 
 def _require_power_of_two(n: int) -> None:

@@ -48,6 +48,9 @@ from .numkernel import (
     TruncationWindow,
     _interior_positions,
     _require_power_of_two,
+    _squared_norm,
+    _tiles,
+    interior_norm,
     mat_exp,
 )
 from .specialfn import _principal_coincidence, norm_sq_sequence
@@ -212,11 +215,25 @@ def to_orthonormal(A: OperatorMatrix, G: OperatorMatrix) -> OperatorMatrix:
 
 
 def unitarity_residual(R: OperatorMatrix, w: TruncationWindow) -> float:
-    """Interior norm of R* R - I for R in an orthonormal basis; only the
-    interior block R[:, p]* R[:, p] - I is multiplied out, from a view of R."""
+    """Interior norm of R* R - I for R in an orthonormal basis.
+
+    A banded R (a rotation, stored as its one band) reads it from the bands of
+    R* R - I, O(N).  A dense R forms the Hermitian G = R[:, P]* R[:, P] one
+    tile of rows at a time, G[tile, tile:] = R[:, tile]* R[:, tile:], and counts
+    the part right of the tile's own square twice: its temporaries are
+    ``TILE`` x n, and R[:, P] is read in place, never copied.
+    """
     p = _interior_positions(R, w)
-    cols = R.data[:, p[0] : p[-1] + 1]
-    return float(np.linalg.norm(cols.conj().T @ cols - np.eye(p.size)))
+    if R.bands is not None:
+        return interior_norm(R.H @ R - OperatorMatrix.identity(w, R.basis), w)
+    r, p1, total = R.data, int(p[-1]) + 1, 0.0
+    for a, b in _tiles(int(p[0]), p1):
+        tile = r[:, a:b].conj().T
+        own = tile @ r[:, a:b]
+        own.flat[:: b - a + 1] -= 1.0
+        total += _squared_norm(own) + 2.0 * _squared_norm(tile @ r[:, b:p1])
+        del tile, own  # before the next tile's arrays are allocated
+    return math.sqrt(total)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,10 @@ normalized FFT pair of unit-circle samples; ``unblocked_circle_table`` builds
 the circle route's whole grid x window table at once; ``circle_rep_oracle``
 applies the circle route's table to one coefficient vector, as the oracle of
 the exponential route.  ``orthonormal`` is not an oracle: it is the
-conversion of a monomial operator into the basis of R that the tests share.
+conversion of a monomial operator into the basis of R that the tests share;
+nor are ``traced_peak``, the tracemalloc peak that the memory tests read,
+and ``tile_edge_windows``, the windows whose interiors end at and between
+the tile edges of the interior certificates.
 ``star_path``, ``te_tf_coefficients`` and ``sharp_isotypic_flip`` are
 statements from the paper that no command prints and only the tests check:
 the twist lifted to paths, the commutator coefficient maps of a step shift,
@@ -27,12 +30,22 @@ and the sharp twist swapping rotation characters m and -m.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 
 from mobshift.errors import GridSizeError, NumericsError, ParameterError, PoleError
 from mobshift.mobius import STAR_SIGNS, GroupPath, MobiusElement
-from mobshift.numkernel import BILATERAL, UNILATERAL, _parity_blocks, _require_power_of_two, _spectrum, mat_exp
+from mobshift.numkernel import (
+    BILATERAL,
+    TILE,
+    UNILATERAL,
+    TruncationWindow,
+    _parity_blocks,
+    _require_power_of_two,
+    _spectrum,
+    mat_exp,
+)
 from mobshift.repn import (
     _NEGATIVE_INDEX_TOL,
     _NYQUIST_TAIL_TOL,
@@ -255,6 +268,26 @@ def rotation_average_component(T, m: int, count: int) -> np.ndarray:
         conjugated = (d[:, None] * T.data) * np.conj(d)[None, :]
         out = out + np.exp(-2j * m * t) * conjugated
     return out / count
+
+
+def traced_peak(f, *args) -> int:
+    """The peak bytes that tracemalloc sees allocated while f(*args) runs."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def tile_edge_windows():
+    """Windows whose interior is one short of a tile, one tile, two tiles (one per parity of
+    position) and two tiles and 5, each at pads 0 and 1, where a step-2 shift's halo is
+    clipped at both window ends: bilateral when the size is odd, else unilateral."""
+    for interior in (TILE - 1, TILE, 2 * TILE, 2 * TILE + 5):
+        for pad in (0, 1):
+            size = interior + 2 * pad
+            yield TruncationWindow(BILATERAL, size // 2, pad) if size % 2 else TruncationWindow(UNILATERAL, size - 1, pad)
 
 
 def random_mobius(rng, beta_max: float = 0.9) -> MobiusElement:

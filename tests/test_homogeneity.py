@@ -40,6 +40,8 @@ from oracles import (
     random_dense,
     random_mobius,
     random_unitary,
+    tile_edge_windows,
+    traced_peak,
     whole_window_flow_derivative,
 )
 
@@ -285,6 +287,32 @@ def test_homogeneity_residual_matches_dense_oracle(rng, kind, step, pad):
         assert abs(got - want) <= 1e-14 * want
 
 
+@pytest.mark.parametrize("step", [-2, -1, 1, 2])
+def test_homogeneity_residual_tiles_match_the_dense_oracle(rng, step):
+    # interiors short of a tile, one tile, two and not a multiple, with the halo clipped at
+    # both window ends at pads 0 and 1; a dense unitary R, and a two-band R on band products
+    for w in tile_edge_windows():
+        t = random_shift(rng, w, step)
+        two_bands = OperatorMatrix.from_band(w, 0, np.exp(1j * rng.uniform(0, 6, w.size))) + random_shift(rng, w, 1)
+        for r in (OperatorMatrix(random_unitary(rng, w.size), w), two_bands):
+            phi = random_mobius(rng, 0.9)
+            want = dense_homogeneity_residual(phi, t, r, w)
+            assert abs(homogeneity_defect(t, r, phi, w).value - want) <= 1e-14 * want, w
+
+
+def test_homogeneity_defect_holds_less_than_one_window_array():
+    # R (T - beta I) and its residual over the interior and halo held 6.8 MB on L:0.1, and a
+    # rotation built its dense R for 9.1 MB, where one window-sized array is 4.0 MB
+    w = TruncationWindow(BILATERAL, 256, 64)
+    rel = Realization.plain(PRIN)
+    t = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
+    for text in ("L:0.1", "h:0.3"):
+        path = GroupPath.parse(text)
+        R = rel.along_path(path, w)
+        assert traced_peak(homogeneity_defect, t, R, path_to_mobius(path), w) <= w.size**2 * 16, text
+    assert "data" not in vars(R)
+
+
 # (realization, operator) of the five families; the reducible sum at lambda = 1
 HOMOGENEOUS_FAMILIES = {
     "holo-T1": (Realization.plain(HOLO2), "T1"),
@@ -497,6 +525,35 @@ def test_kappa_flow_derivative_is_the_interior_of_the_whole_window_oracles(rng):
             assert block.shape == (w.interior_positions().size,) * 2
             assert np.max(np.abs(block - whole_window_flow_derivative(T, X, rel, w, 1e-3)[ip])) <= 1e-13 * scale, label
             assert np.max(np.abs(block - dense_flow_difference(A, T, 1e-3)[ip])) <= 1e-12 * scale, label
+
+
+@pytest.mark.parametrize("step", [-2, -1, 1, 2])
+def test_kappa_flow_derivative_tiles_match_the_whole_window_oracles(rng, step):
+    # interiors short of a tile, one tile per parity of position, and not a multiple, at
+    # pads 0 and 1; a shift, and a shift plus one of the other parity, which reaches the
+    # interior rows of both parities
+    for w in tile_edge_windows():
+        rel = Realization.plain(PRIN if w.kind == BILATERAL else HOLO2)
+        ip = np.ix_(w.interior_positions(), w.interior_positions())
+        shift = OperatorMatrix.from_band(w, step, random_shift(rng, w, step).single_diagonal[1], ORTHONORMAL)
+        other = OperatorMatrix.from_band(w, step + 1, random_shift(rng, w, step + 1).single_diagonal[1], ORTHONORMAL)
+        for T in (shift, shift + other):
+            for X in ("L", "M"):
+                A = rel.generator(X, w)
+                scale = np.max(np.abs(T.data)) * np.max(np.abs(A.data))
+                block = kappa_flow_derivative(T, X, rel, w, step=1e-3)
+                assert np.max(np.abs(block - whole_window_flow_derivative(T, X, rel, w, 1e-3)[ip])) <= 1e-13 * scale, w
+                assert np.max(np.abs(block - dense_flow_difference(A, T, 1e-3)[ip])) <= 1e-12 * scale, w
+
+
+def test_infinitesimal_reports_hold_less_than_two_and_a_half_window_arrays():
+    # C[:, P], S[:, P], T'S and T'C over all interior columns, and e and f formed with three
+    # block-sized temporaries each, held 17.4 MB, where one window-sized array is 4.0 MB
+    w = TruncationWindow(BILATERAL, 256, 64)
+    rel = Realization.plain(PRIN)
+    t = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
+    infinitesimal_reports(t, rel, w)  # the cached spectrum is not a temporary
+    assert traced_peak(infinitesimal_reports, t, rel, w) <= 2.5 * w.size**2 * 16
 
 
 def test_kappa_commutator_is_the_band_of_the_dense_commutator(rng):

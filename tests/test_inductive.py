@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -34,6 +32,7 @@ from oracles import (
     rotation_average_component,
     sharp_isotypic_flip,
     te_tf_coefficients,
+    traced_peak,
 )
 
 HOLO2 = RepnParams(UNILATERAL, 2.0)
@@ -378,15 +377,6 @@ def test_normalizer_matches_dense_oracle_where_the_halo_is_clipped(rng, kind, st
         assert abs(normalizer_defect(t, r, w).value - want) <= 1e-12 * max(want, 1.0)
 
 
-def _normalizer_peak(T, R, w):
-    tracemalloc.start()
-    try:
-        normalizer_defect(T, R, w)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_normalizer_memory_stays_below_two_window_arrays():
     # S = (R T) R^H over the whole window held about 4 window-sized arrays on L:0.1
     # and 1.4 on h:0.3; a banded R must stay banded
@@ -395,7 +385,7 @@ def test_normalizer_memory_stays_below_two_window_arrays():
     T = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
     for text in ("L:0.1", "h:0.3"):
         R = rel.along_path(GroupPath.parse(text), w)
-        assert _normalizer_peak(T, R, w) <= 2 * w.size**2 * 16, text
+        assert traced_peak(normalizer_defect, T, R, w) <= 2 * w.size**2 * 16, text
     assert "data" not in R.__dict__
 
 

@@ -302,6 +302,24 @@ def test_band_product_matches_dense_product(rng, w, m):
         assert_same_product(band, OperatorMatrix(band_matrix(rng, w.size, other), w))
 
 
+@pytest.mark.parametrize("offsets", [(2,), (-1, 1), (-2, 0, 3)])
+def test_banded_times_dense_is_one_scaling_per_band(rng, offsets):
+    # 1-3 bands on either side of a dense operand give the dense product, and the banded
+    # operand, the generator L among them, keeps its bands: its dense array is never built
+    w = TruncationWindow(BILATERAL, 16, 0)
+    L = Realization.plain(RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))).generator("L", w)
+    banded = sum(
+        (OperatorMatrix.from_band(w, m, np.diagonal(band_matrix(rng, w.size, m), m), ORTHONORMAL) for m in offsets),
+        OperatorMatrix.from_band(w, 0, np.zeros(w.size), ORTHONORMAL),
+    )
+    for A in (banded, L):
+        a = sum(np.diag(d, m) for m, d in A.bands.items())
+        for B in (OperatorMatrix(random_dense(rng, w.size), w, ORTHONORMAL), mat_exp(L, 0.1)):
+            for got, want in ((A @ B, a @ B.data), (B @ A, B.data @ a)):
+                assert np.max(np.abs(got.data - want)) <= 1e-14 * np.max(np.abs(want))
+        assert "data" not in vars(A)
+
+
 @pytest.mark.parametrize("w", BAND_WINDOWS, ids=("unilateral", "bilateral"))
 def test_from_band_inverts_single_diagonal(rng, w):
     for m in BAND_OFFSETS + (w.size, -w.size):

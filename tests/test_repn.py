@@ -1,5 +1,4 @@
 import cmath
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -44,7 +43,16 @@ from mobshift.repn import (
     unitarity_residual,
 )
 
-from oracles import circle_rep_oracle, pade_expm, product_rep_matrix, random_dense, star_path, unblocked_circle_table
+from oracles import (
+    circle_rep_oracle,
+    pade_expm,
+    product_rep_matrix,
+    random_dense,
+    star_path,
+    tile_edge_windows,
+    traced_peak,
+    unblocked_circle_table,
+)
 
 PRINCIPAL_P = RepnParams(BILATERAL, 0.3, complex(0.35, 0.7))
 COMP_P = RepnParams(BILATERAL, 0.4, 0.2 + 0j)
@@ -609,6 +617,31 @@ def test_unitarity_residual_matches_the_whole_product():
         unitarity_residual(R, TruncationWindow(UNILATERAL, 20, 5))
 
 
+def test_unitarity_residual_tiles_match_the_whole_product():
+    # interiors short of a tile, one tile, two and not a multiple; a dense R of O(1) defect,
+    # a rotation and a two-band R, against R[:, P]* R[:, P] - I in one piece
+    rng = np.random.default_rng(11)
+    for w in tile_edge_windows():
+        p = w.interior_positions()
+        rotation = OperatorMatrix.from_band(w, 0, np.exp(1j * rng.uniform(0, 6, w.size)) * rng.uniform(0.5, 1.5, w.size))
+        two_bands = rotation + OperatorMatrix.from_band(w, -2, rng.standard_normal(w.size - 2))
+        for R in (OperatorMatrix(random_dense(rng, w.size, 1.0 / np.sqrt(w.size)), w), rotation, two_bands):
+            cols = R.data[:, p]
+            want = float(np.linalg.norm(cols.conj().T @ cols - np.eye(p.size)))
+            assert abs(unitarity_residual(R, w) - want) <= 1e-14 * want, w
+
+
+def test_unitarity_residual_holds_less_than_one_window_array():
+    # R[:, P]* R[:, P] - I formed in one piece held 5.3 MB on L:0.1, and a rotation built
+    # its dense R for 9.3 MB, where one window-sized array is 4.0 MB
+    w = TruncationWindow(BILATERAL, 256, 64)
+    rel = Realization.plain(PRINCIPAL_P)
+    for text in ("L:0.1", "h:0.3"):
+        R = rel.along_path(GroupPath.parse(text), w)
+        assert traced_peak(unitarity_residual, R, w) <= w.size**2 * 16, text
+    assert "data" not in vars(R)
+
+
 @pytest.mark.parametrize("lam", [40.0, 140.0, 200.0])
 def test_unitarity_defect_at_large_lambda(lam):
     # the Gram spans hundreds of decades here; in the orthonormal basis the
@@ -750,15 +783,6 @@ def test_blocked_circle_checks_report_the_whole_table_maximum():
         assert str(blocked.value) == str(whole.value)
 
 
-def _traced_peak(p, path, w):
-    tracemalloc.start()
-    try:
-        circle_rep_matrix(p, path, w)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_circle_route_memory_grows_like_the_output():
     # the whole-table construction holds two grid x size arrays: 134.7 MB at N = 256
     p, path = PRINCIPAL_P, GroupPath((("M", 0.1),))
@@ -766,7 +790,7 @@ def test_circle_route_memory_grows_like_the_output():
     peaks = {}
     for N in (128, 256):
         w = TruncationWindow(BILATERAL, N, N // 4)
-        peaks[N] = _traced_peak(p, path, w)
+        peaks[N] = traced_peak(circle_rep_matrix, p, path, w)
     size, grid = 513, default_grid_size(TruncationWindow(BILATERAL, 256, 64))
     assert peaks[256] < 3 * size * size * 16 + 3 * repn._CIRCLE_BLOCK * grid * 16
     assert peaks[256] < 4 * peaks[128]
