@@ -315,7 +315,7 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     coeffs: dict[int, complex] = {}
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        with open(args.file, "r", encoding="utf-8-sig") as fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#") or line.lower().startswith("n,"):

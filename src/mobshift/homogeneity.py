@@ -8,8 +8,9 @@ kappa(g)T = R(g) T R(g)^{-1} at the identity yields
 ``kappa(L)T = T^2 - I``, ``kappa(M)T = -i(T^2 + I)``, ``kappa(e)T = -I`` and
 ``kappa(f)T = T^2`` for such T.  Every certificate here is a named residual
 restricted to the window interior; the infinitesimal ones are formed only
-there, from bands and interior blocks.  ``mobius_of_operator``, phi(T) by one
-guarded solve, serves no certificate.
+there, from bands and interior blocks, and from L's flow alone: M is L
+turned a quarter by exp(pi/4 h), and e and f are (L -/+ iM)/2.
+``mobius_of_operator``, phi(T) by one guarded solve, serves no certificate.
 """
 
 from __future__ import annotations
@@ -158,13 +159,12 @@ def homogeneity_defect(
 
 def kappa_flow_derivative(
     T: OperatorMatrix,
-    X: str,
     rel: Realization,
     w: TruncationWindow,
     step: float = DEFAULT_FD_STEP,
 ) -> np.ndarray:
     """Interior block (rows and columns ``w.interior_positions()``) of d/ds at 0 of
-    R(exp sX) T R(exp sX)^{-1} for a real flow X = L or M, by central differences.
+    R(exp sL) T R(exp sL)^{-1}, the flow of X = L, by central differences.
 
     e^{+-sX} = D (C -/+ i S) D^-1 with C = cos sHr and S = sin sHr (see
     ``numkernel.mat_exp``), so (e^{sX} T e^{-sX} - e^{-sX} T e^{sX}) / 2s is
@@ -176,15 +176,13 @@ def kappa_flow_derivative(
     scaling per diagonal of T, and their products with the interior rows of C
     and S of each parity that some diagonal reaches, one parity for a shift.
     That is O(|P|^2 n) for a shift, and no temporary but the block is more than
-    O(N * TILE).  e and f are (L -/+ iM)/2 by linearity; any other X raises
-    ``ParameterError``.
+    O(N * TILE).  M, e and f are L's flow turned a quarter (see
+    ``infinitesimal_reports``).
     """
-    if X not in ("L", "M"):
-        raise ParameterError(f"unsupported generator {X!r} (expected L or M)")
     step = float(step)
     if not _STEP_MIN <= step <= _STEP_MAX:
         raise ParameterError(f"step {step} outside [{_STEP_MIN}, {_STEP_MAX}]")
-    a = rel.generator(X, w)
+    a = rel.generator("L", w)
     T._require_compatible(a)
     p = _interior_positions(T, w)
     spec = _spectrum(a)
@@ -225,46 +223,28 @@ def kappa_flow_derivative(
     return block
 
 
-def kappa_commutator(
-    T: OperatorMatrix, X: str, rel: Realization, w: TruncationWindow
-) -> tuple[np.ndarray, np.ndarray]:
-    """[dR(X), T] for a real flow X = L or M and a shift T on diagonal m, the exact
-    derivative of the conjugation flow at s = 0, as its diagonals m - 1 and m + 1 in
-    ``np.diagonal`` order, read from the generator's +-1 bands and T's band.  e and f
-    are formed by linearity; any other T or X raises ``ParameterError``."""
-    if X not in ("L", "M"):
-        raise ParameterError(f"unsupported generator {X!r} (expected L or M)")
+def kappa_commutator(T: OperatorMatrix, rel: Realization, w: TruncationWindow) -> tuple[np.ndarray, np.ndarray]:
+    """[dR(L), T] for a shift T on diagonal m, the exact derivative of L's conjugation
+    flow at s = 0, as its diagonals m - 1 and m + 1 in ``np.diagonal`` order, read from
+    the generator's +-1 bands and T's band.  Any other T raises ``ParameterError``."""
     if T.single_diagonal is None:
         raise ParameterError("the commutator route is taken for a shift: T needs a single diagonal")
-    # products of bands, O(N): each entry is one product, in the order of the dense X T - T X
-    a, m = rel.generator(X, w), T.single_diagonal[0]
+    # products of bands, O(N): each entry is one product, in the order of the dense L T - T L
+    a, m = rel.generator("L", w), T.single_diagonal[0]
     commutator = a @ T - T @ a
     return commutator.diagonal(m - 1), commutator.diagonal(m + 1)
 
 
-def _relation_values(blocks: dict, bands: dict, p0: int, reduce) -> dict:
-    """reduce(B - bands) for the interior blocks B of L and M and, by linearity, of e = (L - iM)/2
-    and f = (L + iM)/2.  Each of ``bands[X]``, (q, window diagonal q), is subtracted in place from
-    diagonal q of block X, which holds its entries p0, p0 + 1, ...; the blocks are put back after.
-    e and f are formed in turn in one more block, so reduce sees each whole block, as a
-    Frobenius norm summed in one order needs."""
-    views = []
-    for X, block in blocks.items():
-        n = block.shape[0]
-        views += [(block.reshape(-1)[max(q, 0) + max(-q, 0) * n :: n + 1][: max(n - abs(q), 0)], v) for q, v in bands[X]]
-    kept = [view.copy() for view, _ in views]
-    for view, v in views:
-        view -= v[p0 : p0 + view.size]
-    L, M = blocks["L"], blocks["M"]
-    values, out = {"L": reduce(L), "M": reduce(M)}, np.empty_like(L)
-    for X, unit in (("e", -1j), ("f", 1j)):
-        np.multiply(M, unit, out=out)
-        out += L
+def _relation(X: str, l: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Relation X's values from L's, ``l``, and M's, which ``out`` holds and is overwritten
+    with them: L, M, or e and f = (L -/+ iM)/2."""
+    if X == "L":
+        out[...] = l
+    elif X != "M":
+        out *= -1j if X == "e" else 1j
+        out += l
         out *= 0.5
-        values[X] = reduce(out)
-    for (view, _), old in zip(views, kept):
-        view[...] = old
-    return values
+    return out
 
 
 def infinitesimal_reports(
@@ -281,25 +261,44 @@ def infinitesimal_reports(
     is measured on its interior block.  Identity defects (against T^2 - I,
     -i(T^2 + I), -I, T^2) use the Frobenius norm; the flow-vs-commutator
     route gap is an entrywise maximum against ``DEFAULT_ROUTE_TOL``, since its
-    floor is the central-difference bias at the given step.  Only the interior
-    flow blocks of L and M are formed.  For a shift T on diagonal m (any other T
-    raises ``ParameterError``) the targets lie on diagonals 2m and 0 and the
-    commutators on m -/+ 1, so both are subtracted in place on those blocks; e
-    and f, targets included, are (L -/+ iM)/2 of the results.
+    floor is the central-difference bias at the given step.
+
+    Only L's interior flow block and L's commutator are formed.  M is L turned a
+    quarter by exp(pi/4 h): dR(M) = Q dR(L) Q^-1 with Q = diag(omega^k), which is
+    exp(pi/4 dR(h)) up to a phase, omega = -i (i under the sharp twist).  For a shift
+    T on diagonal m (any other T raises ``ParameterError``), Q^-1 T Q = omega^m T, so
+    M's flow and commutator are L's with diagonal q scaled by omega^(m - q), exactly,
+    and e and f are (L -/+ iM)/2 of them.  Each relation forms its copy of L's flow in
+    one reused block and subtracts there its own targets, on diagonals 2m and 0, or
+    its own commutator, on m -/+ 1.
     """
-    diagonals = {X: kappa_commutator(T, X, rel, w) for X in ("L", "M")}  # refuses all but a shift
-    m, p0 = T.single_diagonal[0], _interior_positions(T, w)[0]
+    low, high = kappa_commutator(T, rel, w)  # refuses all but a shift
+    m, p = T.single_diagonal[0], _interior_positions(T, w)
     square, ones = (T @ T).diagonal(2 * m), np.ones(w.size)  # diagonal 2m of T^2 and diagonal 0 of I
-    targets = {"L": ((2 * m, square), (0, -ones)), "M": ((2 * m, -1j * square), (0, -1j * ones))}
-    blocks = {X: kappa_flow_derivative(T, X, rel, w, step) for X in ("L", "M")}
-    identity = _relation_values(blocks, targets, p0, lambda r: float(np.linalg.norm(r)))
-    commutators = {X: tuple(zip((m - 1, m + 1), both)) for X, both in diagonals.items()}
-    gap = _relation_values(blocks, commutators, p0, lambda r: float(np.max(np.abs(r))))
-    reports = []
-    for gen in KAPPA_GENERATORS:
-        ctx = dict(context or {}, generator=gen, step=step)
-        reports.append(DefectReport.build(f"kappa_{gen}_identity", identity[gen], identity_tol, ctx))
-        reports.append(DefectReport.build(f"kappa_{gen}_route_gap", gap[gen], DEFAULT_ROUTE_TOL, ctx))
+    targets = {"L": ((2 * m, square), (0, -ones)), "M": ((2 * m, -1j * square), (0, -1j * ones)),
+               "e": ((0, -ones),), "f": ((2 * m, square),)}
+    # omega^(m - q) at block entry (i, j), q = j - i, is rows[i] cols[j]: each a power of omega, exact
+    omega = -1j * rel._sign("h")
+    turns, k = np.array([1, omega, -1, -omega]), np.arange(p.size)
+    rows, cols = turns[(m + k) % 4], turns[-k % 4]
+    flow = kappa_flow_derivative(T, rel, w, step)
+    block, n, p0, reports = np.empty_like(flow), p.size, int(p[0]), []
+    for X in KAPPA_GENERATORS:
+        # M turns diagonal m - 1 by omega and m + 1 by 1 / omega = -omega
+        commutator = ((m - 1, _relation(X, low, omega * low)), (m + 1, _relation(X, high, -omega * high)))
+        values = []
+        for bands, reduce in ((targets[X], np.linalg.norm), (commutator, lambda r: np.max(np.abs(r)))):
+            np.multiply(flow, rows[:, None], out=block)
+            block *= cols
+            _relation(X, flow, block)
+            for q, v in bands:
+                # diagonal q of the block, whose entries are the window diagonal's p0, p0 + 1, ...
+                view = block.reshape(-1)[max(q, 0) + max(-q, 0) * n :: n + 1][: max(n - abs(q), 0)]
+                view -= v[p0 : p0 + view.size]
+            values.append(float(reduce(block)))
+        ctx = dict(context or {}, generator=X, step=step)
+        reports.append(DefectReport.build(f"kappa_{X}_identity", values[0], identity_tol, ctx))
+        reports.append(DefectReport.build(f"kappa_{X}_route_gap", values[1], DEFAULT_ROUTE_TOL, ctx))
     return reports
 
 

@@ -7,8 +7,8 @@ their nonzero diagonals whenever their builder states them, which every
 library builder of a shift, Gram or generator does; the dense array is built
 only when read.  ``mat_exp`` takes skew-Hermitian generators on the +-1
 diagonals in an orthonormal basis, reads only those two bands, and works in
-real arithmetic from one cached real eigh per family and window, which L and
-M share; it keeps half of that spectrum, the reflection of the other half.
+real arithmetic from one cached real eigh per family and window (L and M
+share it); it keeps half of that spectrum, the reflection of the other half.
 The interior certificates sum their norms over tiles of ``TILE`` interior
 rows or columns, so none of them holds a window-sized temporary."""
 
@@ -37,8 +37,8 @@ ORTHONORMAL = "orthonormal"
 COND_LIMIT = 1.0e8
 #: largest skew-Hermitian residue, relative to the largest entry, that mat_exp accepts
 SKEW_TOL = 1.0e-12
-#: real spectra mat_exp keeps, one entry per family and window (L and M share one)
-SPECTRUM_CACHE_SIZE = 3
+#: real spectra mat_exp keeps: every command reads L's, of one family and window
+SPECTRUM_CACHE_SIZE = 1
 #: interior rows or columns an interior certificate forms at once: its temporaries are O(N * TILE)
 TILE = 64
 
@@ -261,35 +261,21 @@ class OperatorMatrix:
         return self._entrywise(lambda a: a / c)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """Matrix product: O(N) per pair of bands when both operands have bands, one
-        shifted row (or column) scaling of the dense operand per band, O(N^2) each,
-        when one of them has bands, and the BLAS product when neither has."""
+        """Matrix product: O(N) per pair of bands when both operands have bands, else
+        the BLAS product of the dense arrays."""
         self._require_compatible(other)
-        n = self.window.size
-        if self.bands is not None and other.bands is not None:
-            right, bands = {q: _rows(q, b, n) for q, b in other.bands.items()}, {}
-            for m, a in self.bands.items():
-                a = _rows(m, a, n)
-                for q, b in right.items():
-                    # (A B)[i, i + m + q] = A[i, i + m] B[i + m, i + m + q] on the rows of diagonal m + q
-                    i = np.arange(n + max(-m - q, 0), 2 * n - max(m + q, 0))
-                    term = a[i] * b[i + m]
-                    bands[m + q] = bands[m + q] + term if m + q in bands else term
-            return OperatorMatrix._adopt(self.window, self.basis, bands=bands)
-        if self.bands is None and other.bands is None:
+        if self.bands is None or other.bands is None:
             return OperatorMatrix._adopt(self.window, self.basis, data=self.data @ other.data)
-        out = np.zeros((n, n), dtype=np.complex128)
-        banded, dense = (self, other.data) if self.bands is not None else (other, self.data)
-        for m, d in banded.bands.items():
-            # entry k of diagonal m sits at (r0 + k, c0 + k)
-            r0, c0, k = max(-m, 0), max(m, 0), d.size
-            if banded is self:
-                # (A B)[r0 + k, :] += A[r0 + k, c0 + k] B[c0 + k, :]
-                out[r0 : r0 + k] += d[:, None] * dense[c0 : c0 + k]
-            else:
-                # (A B)[:, c0 + k] += A[:, r0 + k] B[r0 + k, c0 + k]
-                out[:, c0 : c0 + k] += dense[:, r0 : r0 + k] * d
-        return OperatorMatrix._adopt(self.window, self.basis, data=out)
+        n = self.window.size
+        right, bands = {q: _rows(q, b, n) for q, b in other.bands.items()}, {}
+        for m, a in self.bands.items():
+            a = _rows(m, a, n)
+            for q, b in right.items():
+                # (A B)[i, i + m + q] = A[i, i + m] B[i + m, i + m + q] on the rows of diagonal m + q
+                i = np.arange(n + max(-m - q, 0), 2 * n - max(m + q, 0))
+                term = a[i] * b[i + m]
+                bands[m + q] = bands[m + q] + term if m + q in bands else term
+        return OperatorMatrix._adopt(self.window, self.basis, bands=bands)
 
     @property
     def H(self) -> "OperatorMatrix":
@@ -405,7 +391,7 @@ def mat_exp(X: OperatorMatrix, t: float = 1.0, left=1.0, right=1.0) -> OperatorM
     X must be skew-Hermitian to ``SKEW_TOL`` relative to its largest entry;
     then e^{tX} = D (cos tHr - i sin tHr) D^-1 with Hr = Q Lambda Q^T real
     (see ``_band_form``): one real eigh per family and window, whose positive
-    half is cached for the last few (see ``_spectrum``), and each t costs the
+    half is cached for the last one (see ``_spectrum``), and each t costs the
     three real half-size products of ``_parity_blocks``.  Any other generator
     raises ``NotSkewAdjointError``, a diagonal one too (callers take its scalar
     exponentials), as does one built in the orthonormal basis of norms that do

@@ -25,7 +25,10 @@ the tile edges of the interior certificates.
 ``star_path``, ``te_tf_coefficients`` and ``sharp_isotypic_flip`` are
 statements from the paper that no command prints and only the tests check:
 the twist lifted to paths, the commutator coefficient maps of a step shift,
-and the sharp twist swapping rotation characters m and -m.
+and the sharp twist swapping rotation characters m and -m.  ``quarter_turn``
+is Q = diag(omega^k) with dR(M) = Q dR(L) Q^-1, M being L turned by
+exp(pi/4 h): the tests check that statement band for band, and turn L's flow
+and commutator into M's with it.
 """
 
 import cmath
@@ -38,8 +41,10 @@ from mobshift.errors import GridSizeError, NumericsError, ParameterError, PoleEr
 from mobshift.mobius import STAR_SIGNS, GroupPath, MobiusElement
 from mobshift.numkernel import (
     BILATERAL,
+    ORTHONORMAL,
     TILE,
     UNILATERAL,
+    OperatorMatrix,
     TruncationWindow,
     _parity_blocks,
     _require_power_of_two,
@@ -241,6 +246,13 @@ def whole_window_flow_derivative(T, X, rel, w, step: float) -> np.ndarray:
     d = spec.phases
     tp = T.data / d[:, None] * d[None, :]
     return (1j / step) * (c @ tp @ s - s @ tp @ c) * d[:, None] / d[None, :]
+
+
+def quarter_turn(rel: Realization, w: TruncationWindow) -> OperatorMatrix:
+    """Q = diag(omega^k) over the window's positions, omega = -i, or i under the sharp
+    twist, as an orthonormal-basis operator: dR(M) = Q dR(L) Q^-1."""
+    omega = 1j if rel.flavor == "sharp" else -1j
+    return OperatorMatrix.from_band(w, 0, np.array([1, omega, -1, -omega])[np.arange(w.size) % 4], ORTHONORMAL)
 
 
 def dense_commutator(A, T) -> np.ndarray:

@@ -154,6 +154,36 @@ def test_verify_infinitesimal_antiholomorphic(capsys):
     assert len(reports) == 8 and all(r["pass"] for r in reports)
 
 
+def test_verify_infinitesimal_forms_one_flow(capsys, monkeypatch):
+    # M, e and f are L's flow turned a quarter: one flow derivative and one set of parity
+    # blocks serve all four relations
+    calls = []
+    for name in ("kappa_flow_derivative", "_parity_blocks"):
+        monkeypatch.setattr(homogeneity, name, lambda *a, _f=getattr(homogeneity, name), _n=name: calls.append(_n) or _f(*a))
+    argv = ["verify", "infinitesimal", "--series", "principal", "--lambda", "0.3", "--im-mu", "3", "--N", "32"]
+    assert run(capsys, argv)[0] == 0
+    assert sorted(calls) == ["_parity_blocks", "kappa_flow_derivative"]
+
+
+@pytest.mark.parametrize(
+    "family, codes",
+    [
+        (["--series", "holo", "--lambda", "2"], [1, 0, 1, 0]),
+        (["--series", "antiholo", "--lambda", "0.5"], [1, 0, 0, 0]),
+        (["--series", "principal", "--lambda", "0.3", "--im-mu", "3"], [1, 1, 0, 0]),
+        (["--series", "complementary", "--lambda", "0.2", "--mu", "0.4"], [1, 0, 0, 0]),
+        (["--series", "reducible", "--lambda", "1"], [1, 0, 0, 0]),
+        (["--series", "reducible", "--lambda", "1.5"], [1, 1, 1, 1]),
+    ],
+    ids=("holo", "antiholo", "principal", "complementary", "reducible", "reducible off 1"),
+)
+def test_verify_infinitesimal_on_the_smallest_windows(capsys, family, codes):
+    # N = 1..4 at the default pad: each window reports, and its verdicts do not move
+    for N, code in zip((1, 2, 3, 4), codes):
+        got, out, err = run(capsys, ["verify", "infinitesimal", *family, "--N", str(N)])
+        assert (got, len(out.splitlines()), err) == (code, 8, ""), N
+
+
 def test_verify_normalizer_uses_deep_padding(capsys):
     code, out, _ = run(
         capsys,
@@ -568,6 +598,15 @@ def test_classify_malformed_file_exit_two(capsys, tmp_path):
     path.write_text("n,re\n0,not-a-number\n")
     code, _, err = run(capsys, ["classify", "--file", str(path), "--lambda", "0.3", "--mu-re", "0.35"])
     assert code == 2 and "error" in err
+
+
+def test_classify_reads_a_file_saved_with_a_byte_order_mark(capsys, tmp_path):
+    # a UTF-8 export that starts with U+FEFF used to read its header as n = '\ufeffn' and exit 2
+    path = tmp_path / "bom.csv"
+    path.write_text("n,re,im\n" + "".join(f"{n},1.0,0.0\n" for n in range(-10, 11)), encoding="utf-8-sig")
+    code, out, err = run(capsys, ["classify", "--file", str(path), "--lambda", "0.3", "--mu-re", "0.35", "--mu-im", "0.7"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["branch"] == "T2branch"
 
 
 # ---------------------------------------------------------------- sweep

@@ -37,6 +37,7 @@ from oracles import (
     dense_homogeneity_residual,
     dense_mobius,
     orthonormal,
+    quarter_turn,
     random_dense,
     random_mobius,
     random_unitary,
@@ -404,13 +405,23 @@ def test_homogeneity_defect_empty_interior():
 # ---------------------------------------------------------------- infinitesimal
 
 
+def flow_block(T, X, rel, w, step=homogeneity.DEFAULT_FD_STEP):
+    """The interior flow block of X = L, from ``kappa_flow_derivative``, or of X = M, L's
+    turned a quarter: Q kappa_flow_derivative(Q^-1 T Q) Q^-1."""
+    if X == "L":
+        return kappa_flow_derivative(T, rel, w, step)
+    Q = quarter_turn(rel, w)
+    q = Q.diagonal(0)[w.interior_positions()]
+    return q[:, None] * kappa_flow_derivative(Q.H @ T @ Q, rel, w, step) * q.conj()
+
+
 def test_kappa_identities_for_t1():
     w = TruncationWindow(UNILATERAL, 64, 16)
     t = orthonormal(canonical_shift("T1", HOLO2, w), HOLO2, w)
     ip = np.ix_(w.interior_positions(), w.interior_positions())
     square, ident = (t @ t).data[ip], np.eye(w.size)[ip]
     targets = {"L": square - ident, "M": -1j * (square + ident), "e": -ident, "f": square}
-    fd = {gen: kappa_flow_derivative(t, gen, Realization.plain(HOLO2), w) for gen in ("L", "M")}
+    fd = {gen: flow_block(t, gen, Realization.plain(HOLO2), w) for gen in ("L", "M")}
     # the complex flows by linearity: e = (L - iM)/2, f = (L + iM)/2
     fd["e"], fd["f"] = 0.5 * (fd["L"] - 1j * fd["M"]), 0.5 * (fd["L"] + 1j * fd["M"])
     for gen in ("L", "M", "e", "f"):
@@ -418,8 +429,12 @@ def test_kappa_identities_for_t1():
 
 
 def commutator_matrix(T, X, rel, w):
-    """[dR(X), T] as a window matrix, from the two diagonals ``kappa_commutator`` returns."""
-    low, high = kappa_commutator(T, X, rel, w)
+    """[dR(X), T] as a window matrix: for X = L from the two diagonals ``kappa_commutator``
+    returns, for X = M L's turned a quarter, Q [dR(L), Q^-1 T Q] Q^-1."""
+    if X == "M":
+        Q = quarter_turn(rel, w)
+        return Q @ commutator_matrix(Q.H @ T @ Q, "L", rel, w) @ Q.H
+    low, high = kappa_commutator(T, rel, w)
     m = T.single_diagonal[0]
     return OperatorMatrix.from_band(w, m - 1, low, T.basis) + OperatorMatrix.from_band(w, m + 1, high, T.basis)
 
@@ -429,7 +444,7 @@ def test_kappa_routes_agree(rng):
     t = orthonormal(canonical_shift("T3", PRIN, w), PRIN, w)
     rel = Realization.plain(PRIN)
     ip = np.ix_(w.interior_positions(), w.interior_positions())
-    fd = {gen: kappa_flow_derivative(t, gen, rel, w, step=1e-4) for gen in ("L", "M")}
+    fd = {gen: flow_block(t, gen, rel, w, step=1e-4) for gen in ("L", "M")}
     comm = {gen: commutator_matrix(t, gen, rel, w).data[ip] for gen in ("L", "M")}
     # the complex flows on both routes by linearity: e = (L - iM)/2, f = (L + iM)/2
     for route in (fd, comm):
@@ -438,31 +453,35 @@ def test_kappa_routes_agree(rng):
         assert np.max(np.abs(fd[gen] - comm[gen])) <= 1e-7, gen
 
 
-def test_kappa_commutator_takes_only_the_real_flows():
+def test_kappa_commutator_takes_a_shift():
     w = TruncationWindow(UNILATERAL, 8, 2)
     t = orthonormal(canonical_shift("T1", HOLO2, w), HOLO2, w)
-    for X in ("h", "e", "f"):
-        with pytest.raises(ParameterError, match="expected L or M"):
-            kappa_commutator(t, X, Realization.plain(HOLO2), w)
     with pytest.raises(ParameterError, match="single diagonal"):
-        kappa_commutator(t + t.H, "L", Realization.plain(HOLO2), w)
+        kappa_commutator(t + t.H, Realization.plain(HOLO2), w)
 
 
 def test_infinitesimal_reports_form_e_and_f_by_linearity_on_both_routes():
-    # e and f, targets included, are (L -/+ iM)/2 of the L and M residuals; for a shift
-    # off diagonal 0 that is, bit for bit, the residual of the interior blocks formed densely
+    # e and f, targets included, are (L -/+ iM)/2 of the L and M residuals, and M's flow and
+    # commutator are L's turned a quarter, omega^m Q (.) Q^-1 for a shift on diagonal m; for
+    # a shift off diagonal 0 that is, bit for bit, the residual of the interior blocks
+    # formed densely
     p = RepnParams(BILATERAL, 0.3, complex(0.35, 5.1))
     w = TruncationWindow(BILATERAL, 64, 16)
     t = orthonormal(canonical_shift("T3", p, w), p, w)
-    assert t.single_diagonal[0] != 0
+    m = t.single_diagonal[0]
+    assert m != 0
     rel = Realization.plain(p)
     reports = {r.name: r.value for r in infinitesimal_reports(t, rel, w)}
     ip = np.ix_(w.interior_positions(), w.interior_positions())
+    q = quarter_turn(rel, w).diagonal(0)
+    turn = lambda block: q[m % 4] * q[w.interior_positions(), None] * block * q[w.interior_positions()].conj()
     square, ident = (t @ t).data[ip], np.eye(w.size)[ip]
     targets = {"L": square - ident, "M": -1j * (square + ident)}
-    fd = {gen: kappa_flow_derivative(t, gen, rel, w) for gen in ("L", "M")}
+    fd = {"L": kappa_flow_derivative(t, rel, w)}
+    comm = {"L": commutator_matrix(t, "L", rel, w).data[ip]}
+    fd["M"], comm["M"] = turn(fd["L"]), turn(comm["L"])
     identity = [fd[gen] - targets[gen] for gen in ("L", "M")]
-    gap = [fd[gen] - commutator_matrix(t, gen, rel, w).data[ip] for gen in ("L", "M")]
+    gap = [fd[gen] - comm[gen] for gen in ("L", "M")]
     for gen, combine in (
         ("L", lambda L, M: L), ("M", lambda L, M: M), ("e", lambda L, M: 0.5 * (L - 1j * M)), ("f", lambda L, M: 0.5 * (L + 1j * M))
     ):
@@ -521,7 +540,7 @@ def test_kappa_flow_derivative_is_the_interior_of_the_whole_window_oracles(rng):
         for X in ("L", "M"):
             A = rel.generator(X, w)
             scale = np.max(np.abs(T.data)) * np.max(np.abs(A.data))
-            block = kappa_flow_derivative(T, X, rel, w, step=1e-3)
+            block = flow_block(T, X, rel, w, step=1e-3)
             assert block.shape == (w.interior_positions().size,) * 2
             assert np.max(np.abs(block - whole_window_flow_derivative(T, X, rel, w, 1e-3)[ip])) <= 1e-13 * scale, label
             assert np.max(np.abs(block - dense_flow_difference(A, T, 1e-3)[ip])) <= 1e-12 * scale, label
@@ -541,7 +560,7 @@ def test_kappa_flow_derivative_tiles_match_the_whole_window_oracles(rng, step):
             for X in ("L", "M"):
                 A = rel.generator(X, w)
                 scale = np.max(np.abs(T.data)) * np.max(np.abs(A.data))
-                block = kappa_flow_derivative(T, X, rel, w, step=1e-3)
+                block = flow_block(T, X, rel, w, step=1e-3)
                 assert np.max(np.abs(block - whole_window_flow_derivative(T, X, rel, w, 1e-3)[ip])) <= 1e-13 * scale, w
                 assert np.max(np.abs(block - dense_flow_difference(A, T, 1e-3)[ip])) <= 1e-12 * scale, w
 
@@ -586,7 +605,7 @@ def test_kappa_flow_derivative_matches_dense_difference(rng, operand, X, s):
         T = OperatorMatrix(FLOW_OPERANDS[operand](rng, w), w, ORTHONORMAL)
         A = rel.generator(X, w)
         ip = np.ix_(w.interior_positions(), w.interior_positions())
-        delta = kappa_flow_derivative(T, X, rel, w, step=s) - dense_flow_difference(A, T, s)[ip]
+        delta = flow_block(T, X, rel, w, step=s) - dense_flow_difference(A, T, s)[ip]
         assert np.max(np.abs(delta)) <= 1e-12 * np.max(np.abs(T.data)) * np.max(np.abs(A.data)), rel.flavor
 
 
@@ -594,20 +613,16 @@ def test_kappa_flow_derivative_refuses_other_windows_and_bases():
     rel, w = FLOW_FAMILIES[1]
     for T in (OperatorMatrix.identity(w), OperatorMatrix.identity(TruncationWindow(BILATERAL, 13, 3), ORTHONORMAL)):
         with pytest.raises(WindowMismatchError):
-            kappa_flow_derivative(T, "L", rel, w)
+            kappa_flow_derivative(T, rel, w)
 
 
 def test_kappa_step_validation():
     w = TruncationWindow(UNILATERAL, 8, 2)
     t = canonical_shift("T1", HOLO2, w)
     with pytest.raises(ParameterError):
-        kappa_flow_derivative(t, "L", Realization.plain(HOLO2), w, step=1e-7)
+        kappa_flow_derivative(t, Realization.plain(HOLO2), w, step=1e-7)
     with pytest.raises(ParameterError):
-        kappa_flow_derivative(t, "L", Realization.plain(HOLO2), w, step=0.5)
-    # only the real flows: e and f are (L -/+ iM)/2, which infinitesimal_reports forms
-    for X in ("h", "e", "f"):
-        with pytest.raises(ParameterError, match="expected L or M"):
-            kappa_flow_derivative(t, X, Realization.plain(HOLO2), w)
+        kappa_flow_derivative(t, Realization.plain(HOLO2), w, step=0.5)
 
 
 def test_infinitesimal_reports_cover_sharp_and_reducible():

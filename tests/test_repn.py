@@ -47,6 +47,7 @@ from oracles import (
     circle_rep_oracle,
     pade_expm,
     product_rep_matrix,
+    quarter_turn,
     random_dense,
     star_path,
     tile_edge_windows,
@@ -521,8 +522,8 @@ def test_exponential_caches_hold_one_realization():
         p = RepnParams(BILATERAL, lam, complex((1.0 - lam) / 2.0, 0.5))
         for rel in (Realization.plain(p), Realization.sharp(p), Realization.reducible(lam + 1.0)):
             rel.along_path(path, w)
-            kappa_flow_derivative(T, "M", rel, w)
-            assert numkernel._real_eigh.cache_info().currsize <= numkernel.SPECTRUM_CACHE_SIZE == 3
+            kappa_flow_derivative(T, rel, w)
+            assert numkernel._real_eigh.cache_info().currsize <= numkernel.SPECTRUM_CACHE_SIZE == 1
 
 
 @pytest.mark.parametrize("case, N, kernel", [("holo", 32, 1), ("holo", 31, 0), ("principal", 32, 1), ("reducible", 32, 1)])
@@ -535,11 +536,24 @@ def test_generators_die_after_use_and_spectra_keep_half(case, N, kernel, monkeyp
     monkeypatch.setattr(repn, "mat_exp", lambda X, *args: refs.append(weakref.ref(X)) or exp(X, *args))
     monkeypatch.setattr(homogeneity, "_spectrum", lambda X: refs.append(weakref.ref(X)) or spectrum(X))
     R = rel.along_path(GroupPath.parse("L:0.1,M:-0.05,h:0.2"), w)
-    block = kappa_flow_derivative(OperatorMatrix.identity(w, ORTHONORMAL), "M", rel, w)
+    block = kappa_flow_derivative(OperatorMatrix.identity(w, ORTHONORMAL), rel, w)
     assert R.data.shape == (w.size, w.size) and block.shape == (w.size - 2 * w.padding,) * 2
     assert len(refs) == 2 and all(ref() is None for ref in refs)
     spec = numkernel._spectrum(rel.generator("L", w))
     assert spec.values.size == spec.even.shape[1] == spec.odd.shape[1] == (w.size - kernel) // 2
+
+
+@pytest.mark.parametrize("case", sorted(SPECTRAL_CASES))
+def test_m_is_l_turned_a_quarter(case):
+    # M is L turned by exp(pi/4 h): dR(M) = Q dR(L) Q^-1 with Q = diag(omega^k), omega = -i
+    # (i when sharp), band for band and bit for bit, as the infinitesimal suite reads it
+    rel, kind = SPECTRAL_CASES[case]
+    for N in (2, 31, 32):
+        w = TruncationWindow(kind, N, 0)
+        Q = quarter_turn(rel, w)
+        turned, M = Q @ rel.generator("L", w) @ Q.H, rel.generator("M", w)
+        assert turned.bands.keys() == M.bands.keys() and M.bands, (case, N)
+        assert all(np.array_equal(turned.bands[m], M.bands[m]) for m in M.bands), (case, N)
 
 
 @pytest.mark.parametrize("case", ["holo", "sharp", "principal", "complementary", "reducible"])
