@@ -69,7 +69,11 @@ DEFAULT_IM_MU = 0.5
 SERIES_CHOICES = (HOLO, ANTIHOLO, PRINCIPAL, COMPLEMENTARY, REDUCIBLE)
 SUITES = ("homogeneity", "unitarity", "infinitesimal", "reducible-lambda", "normalizer", "lemmas")
 SWEEP_SUITES = ("unitarity", "homogeneity")
-OP_CHOICES = ("T1", "T1star", "T2", "T3", "reducible")
+#: each family's shifts under --op, its own (the default) first
+_OPERATORS = {HOLO: ("T1",), ANTIHOLO: ("T1star",), PRINCIPAL: ("T2", "T3"), COMPLEMENTARY: ("T2", "T3"), REDUCIBLE: ("reducible",)}
+OP_CHOICES = tuple(dict.fromkeys(op for ops in _OPERATORS.values() for op in ops))
+#: each family's index set: the window of its Hilbert basis
+_INDEX_SET = {HOLO: UNILATERAL, ANTIHOLO: UNILATERAL, PRINCIPAL: BILATERAL, COMPLEMENTARY: BILATERAL, REDUCIBLE: BILATERAL}
 
 
 def _complex_arg(text: str) -> complex:
@@ -92,25 +96,23 @@ def _realization(series: str | None, lam: float | None, im_mu=None, mu=None, r=N
     """The family that (series, lambda, mu or Im mu, r) name, checked once; weights,
     every verify suite and each sweep cell resolve their family here.  Im mu and r
     left out (None) take their defaults."""
-    if series is None:
+    if series not in _INDEX_SET:  # None: --series left out; argparse's choices refuse any other
         raise ParameterError("--series is required for this command")
     if lam is None:
         raise ParameterError("--lambda is required")
     if series == REDUCIBLE:
         return Realization.reducible(lam, DEFAULT_COUPLING if r is None else r)
-    if series in (HOLO, ANTIHOLO):
-        params = RepnParams(UNILATERAL, lam)
-    elif series == PRINCIPAL:
-        params = RepnParams(BILATERAL, lam, _principal_mu(lam, DEFAULT_IM_MU if im_mu is None else im_mu))
+    if series == PRINCIPAL:
+        mu = _principal_mu(lam, DEFAULT_IM_MU if im_mu is None else im_mu)
     elif series == COMPLEMENTARY:
         if mu is None:
             raise ParameterError("--mu is required for the complementary family")
         # lam first: a lam outside (-1, 1) is named as such even when RepnParams would refuse mu
         complementary_mu_interval(lam)
         # the midpoint mu = (1 - lam)/2 classifies as principal; same matrices
-        params = RepnParams(BILATERAL, lam, complex(mu))
     else:
-        raise ParameterError(f"unknown series {series!r}")
+        mu = 0  # the unilateral families fix mu = 0
+    params = RepnParams(_INDEX_SET[series], lam, complex(mu))
     classify_series(params)
     return Realization.sharp(params) if series == ANTIHOLO else Realization.plain(params)
 
@@ -150,23 +152,13 @@ def _paths(args) -> list[GroupPath]:
     return [GroupPath.parse(t) for t in texts]
 
 
-_DEFAULT_OP = {HOLO: "T1", ANTIHOLO: "T1star", PRINCIPAL: "T2", COMPLEMENTARY: "T2", REDUCIBLE: "reducible"}
-
-
 def _operator_name(series: str, op: str | None) -> str:
     """The operator --op names (the family's own by default), checked against the series."""
+    ops = _OPERATORS[series]
     if op is None:
-        return _DEFAULT_OP[series]
-    if op == "reducible" and series != REDUCIBLE:
-        raise ParameterError("the reducible shift needs --series reducible")
-    if series == REDUCIBLE and op != "reducible":
-        raise ParameterError("--series reducible only supports --op reducible")
-    if op == "T1star" and series != ANTIHOLO:
-        raise ParameterError("T1star is certified against the anti-holomorphic (sharp) family")
-    if op == "T1" and series != HOLO:
-        raise ParameterError("T1 belongs to the holomorphic family")
-    if op in ("T2", "T3") and series not in (PRINCIPAL, COMPLEMENTARY):
-        raise ParameterError(f"{op} belongs to the bilateral families")
+        return ops[0]
+    if op not in ops:
+        raise ParameterError(f"{op} is not certified against the {series} family, which takes {' or '.join(ops)}")
     return op
 
 
@@ -255,16 +247,16 @@ def _suite_lemmas(args) -> list[DefectReport]:
     return reports
 
 
-def _window(args, series: str, rel: Realization) -> TruncationWindow:
+def _window(args, series: str) -> TruncationWindow:
     """The window of --N and --pad, with ``_default_pad`` when --pad is left out."""
     pad = _default_pad(args.N, series, args.suite == "normalizer") if args.pad is None else args.pad
-    return TruncationWindow(rel.params.index_set, args.N, pad)
+    return TruncationWindow(_INDEX_SET[series], args.N, pad)
 
 
 def _verify_setup(args):
     """Realization, window, operator name (None for unitarity, which reads no --op) and context of a verify suite."""
     rel = _family(args)
-    w = _window(args, args.series, rel)
+    w = _window(args, args.series)
     ctx = _context(args.series, rel)
     ctx.update(suite=args.suite, N=args.N, padding=w.padding)
     if "op" not in args:
@@ -286,19 +278,19 @@ def _suite_infinitesimal(args) -> list[DefectReport]:
 
 def _suite_reducible_lambda(args) -> list[DefectReport]:
     rel = _realization(REDUCIBLE, args.lam, r=args.r)
-    w = _window(args, REDUCIBLE, rel)
+    w = _window(args, REDUCIBLE)
     tol = args.tolerance if args.tolerance is not None else DEFAULT_REDUCIBLE_TOL
     ctx = {"suite": "reducible-lambda", "N": args.N, "padding": w.padding}
     return [reducible_lambda_check(rel, w, tolerance=tol, context=ctx)]
 
 
-def _default_pad(N: int, series: str | None, normalizer: bool = False) -> int:
+def _default_pad(N: int, series: str, normalizer: bool = False) -> int:
     """Padding when --pad is omitted: N/4, or 3N/8 for the normalizer, which
     conjugates by R and needs a deeper quarantine; never below 16 and 24,
     which small windows need (pad 8 at N = 32 fails homogeneity), and at most
     the largest pad that leaves the window an interior: N/2 on 0..N, N - 1 on -N..N."""
     pad = max(DEEP_PADDING, 3 * N // 8) if normalizer else max(DEFAULT_PADDING, N // 4)
-    return min(pad, N // 2 if series in (HOLO, ANTIHOLO) else N - 1)
+    return min(pad, N // 2 if _INDEX_SET[series] == UNILATERAL else N - 1)
 
 
 def cmd_verify(args) -> int:
@@ -365,10 +357,9 @@ def _grid_values(flag: str, text: str) -> list[float]:
     return values
 
 
-def _sweep_cell(args, op, suites, paths, lam: float, mu: complex) -> tuple[float, bool]:
+def _sweep_cell(series: str, w: TruncationWindow, op, suites, paths, lam: float, mu: complex) -> tuple[float, bool]:
     """Max defect and all-pass over the requested suites at one parameter point."""
-    rel = _realization(args.series, lam, im_mu=mu.imag, mu=mu.real)
-    w = TruncationWindow(rel.params.index_set, args.N, args.pad)
+    rel = _realization(series, lam, im_mu=mu.imag, mu=mu.real)
     reports = list(_path_reports(suites, rel, w, paths, op if "homogeneity" in suites else None))
     return max(r.value for r in reports), all(r.passed for r in reports)
 
@@ -389,6 +380,7 @@ def cmd_sweep(args) -> int:
     im_mus = _grid_values("--im-mu-grid", str(DEFAULT_IM_MU) if args.im_mu_grid is None else args.im_mu_grid) if args.series == PRINCIPAL else []
     auto = args.mu_grid is None or args.mu_grid.strip() == "auto"
     mu_values = _grid_values("--mu-grid", args.mu_grid) if args.series == COMPLEMENTARY and not auto else []
+    w = TruncationWindow(_INDEX_SET[args.series], args.N, args.pad)
     print("series,lambda,mu_re,mu_im,N,padding,suites,max_defect,status")
     any_bad = False
     for lam in lams:
@@ -402,7 +394,7 @@ def cmd_sweep(args) -> int:
             try:
                 if mu is None:  # the midpoint of the mu interval, which is empty outside lam in (-1, 1)
                     mu = complex(0.5 * sum(complementary_mu_interval(lam)))
-                worst, ok = _sweep_cell(args, op, suites, paths, lam, mu)
+                worst, ok = _sweep_cell(args.series, w, op, suites, paths, lam, mu)
                 worst_text, status = _fmt(worst), ("pass" if ok else "fail")
             except (ParameterError, NumericsError) as exc:
                 worst_text, status = "nan", f"error: {exc}"

@@ -16,7 +16,6 @@ turned a quarter by exp(pi/4 h), and e and f are (L -/+ iM)/2.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +28,9 @@ from .numkernel import (
     TruncationWindow,
     _interior_positions,
     _parity_blocks,
+    _rows,
+    _shift_residual,
     _spectrum,
-    _squared_norm,
     _tiles,
     interior_norm,
     solve,
@@ -109,13 +109,13 @@ def homogeneity_defect(
     ``alpha R (T - beta I) - T R (I - conj(beta) T)``: the residual
     R phi(T) - T R times the bidiagonal I - conj(beta) T, so no resolvent, no
     inverse of R and no conjugation by the truncated R (which would drag
-    boundary error inward) is formed.  Each product with T is a row or column
-    scaling: R T's column j is R's column j - m scaled.  So the residual is
-    formed one tile of ``TILE`` interior columns at a time, from R's interior
-    rows and a halo of |m|, clipped to the window, and its squared norm summed
-    over the tiles: O(interior^2) once R exists, with temporaries of
-    O(N * TILE).  A banded R (a rotation) stays on band products, O(N).  Any
-    other T raises ``ParameterError``.
+    boundary error inward) is formed.  A dense R goes to
+    ``numkernel._shift_residual`` as the view of its rows and columns on the
+    interior and a halo of |m|, clipped to the window: one tile of ``TILE``
+    interior columns at a time, O(interior^2), with temporaries of O(N * TILE).
+    A banded R (a rotation) stays on band products, O(N): the kernel would
+    build its block, 0.6 of a window array at N = 256, pad 96.  Any other T
+    raises ``ParameterError``.
     """
     band = T.single_diagonal
     if band is None:
@@ -128,33 +128,10 @@ def homogeneity_defect(
         value = interior_norm(alpha * (rt - beta * R) - T @ (R - beta.conjugate() * rt), w)
         return DefectReport.build("homogeneity", value, tolerance, context)
     (m, t), n, p0, p1 = band, w.size, int(p[0]), int(p[-1]) + 1
-    # T[j - m, j] by column j, 0 off the window: T[i, i + m] is by_col[i + m]
-    by_col = np.zeros(n, dtype=np.complex128)
-    by_col[max(m, 0) :][: t.size] = t
-    # R's rows: the interior, and the halo that T's rows i + m reach; ia..ib-1 are the interior
-    # rows i whose i + m is in the window
+    # R's rows and columns on the interior and the halo that T's rows i + m and R T's columns j - m reach
     lo, hi = max(p0 - abs(m), 0), min(p1 + abs(m), n)
-    ia = max(p0, -m)
-    ib = max(min(p1, n - m), ia)
-    r, total = R.data, 0.0
-    for a, b in _tiles(p0, p1):
-        # (R T)[:, j] = R[:, j - m] T[j - m, j] on the tile's columns ja..jb-1, whose j - m is in the window
-        ja = max(a, m)
-        jb = max(min(b, n + m), ja)
-        rt = np.zeros((hi - lo, b - a), dtype=np.complex128)
-        np.multiply(r[lo:hi, ja - m : jb - m], by_col[ja:jb], out=rt[:, ja - a : jb - a])
-        # alpha (R T - beta R) on the interior rows
-        residual = np.multiply(r[p0:p1, a:b], -beta)
-        residual += rt[p0 - lo : p1 - lo]
-        residual *= alpha
-        # rt turns into Y = R - conj(beta) R T, and T Y's row i is T[i, i + m] Y[i + m, :]
-        rt *= -beta.conjugate()
-        rt += r[lo:hi, a:b]
-        y = rt[ia + m - lo : ib + m - lo]
-        residual[ia - p0 : ib - p0] -= np.multiply(y, by_col[ia + m : ib + m, None], out=y)
-        total += _squared_norm(residual)
-        del rt, residual, y  # before the next tile's arrays are allocated
-    return DefectReport.build("homogeneity", math.sqrt(total), tolerance, context)
+    value = _shift_residual(R.data[lo:hi, lo:hi], lo, _rows(m, t, n)[n : 2 * n], m, p0, p1, alpha, beta)
+    return DefectReport.build("homogeneity", value, tolerance, context)
 
 
 def kappa_flow_derivative(
@@ -164,59 +141,56 @@ def kappa_flow_derivative(
     step: float = DEFAULT_FD_STEP,
 ) -> np.ndarray:
     """Interior block (rows and columns ``w.interior_positions()``) of d/ds at 0 of
-    R(exp sL) T R(exp sL)^{-1}, the flow of X = L, by central differences.
+    R(exp sL) T R(exp sL)^{-1}, the flow of X = L, by central differences, for a
+    shift T on diagonal m; any other T raises ``ParameterError``.
 
     e^{+-sX} = D (C -/+ i S) D^-1 with C = cos sHr and S = sin sHr (see
     ``numkernel.mat_exp``), so (e^{sX} T e^{-sX} - e^{-sX} T e^{sX}) / 2s is
     i D (C T' S - S T' C) D^-1 / s with T' = D^-1 T D; the symmetric part cancels
     exactly.  C keeps the parity of a position and S swaps it, so column j of
-    C T' S - S T' C reaches the rows i with i + j + m odd from T's diagonals m
-    alone.  The block is formed one tile of ``TILE`` interior columns of one
-    parity at a time: those columns of C and S, T'S and T'C by one row shift and
-    scaling per diagonal of T, and their products with the interior rows of C
-    and S of each parity that some diagonal reaches, one parity for a shift.
-    That is O(|P|^2 n) for a shift, and no temporary but the block is more than
-    O(N * TILE).  M, e and f are L's flow turned a quarter (see
-    ``infinitesimal_reports``).
+    C T' S - S T' C reaches only the rows i with i + j + m odd.  The block is
+    formed one tile of ``TILE`` interior columns of one parity cp at a time: those
+    columns of C and S, T'S and T'C as a row shift and scaling of them, and their
+    products with the interior rows of C and S of parity (1 + cp + m) % 2.  That
+    is O(|P|^2 n), and no temporary but the block is more than O(N * TILE).  M, e
+    and f are L's flow turned a quarter (see ``infinitesimal_reports``).
     """
     step = float(step)
     if not _STEP_MIN <= step <= _STEP_MAX:
         raise ParameterError(f"step {step} outside [{_STEP_MIN}, {_STEP_MAX}]")
+    band = T.single_diagonal
+    if band is None:
+        raise ParameterError("the flow derivative is taken for a shift: T needs a single diagonal")
     a = rel.generator("L", w)
     T._require_compatible(a)
     p = _interior_positions(T, w)
     spec = _spectrum(a)
     cos_even, cos_odd, sin_eo = _parity_blocks(spec, step)
-    n, d, p0, p1 = w.size, spec.phases, int(p[0]), int(p[-1]) + 1
-    scaled, parities = [], set()  # (r0, c0, T' on diagonal m), whose entry k sits at (r0 + k, c0 + k)
-    for m, t in T.bands.items() if T.bands is not None else [(m, T.diagonal(m)) for m in range(1 - n, n)]:
-        r0, c0, k = max(-m, 0), max(m, 0), t.size
-        scaled.append((r0, c0, (t / d[r0 : r0 + k] * d[c0 : c0 + k])[:, None]))
-        parities.add(m % 2)
+    (m, t), n, d, p0, p1 = band, w.size, spec.phases, int(p[0]), int(p[-1]) + 1
+    # T' = D^-1 T D on diagonal m, whose entry k sits at (r0 + k, c0 + k)
+    r0, c0, k = max(-m, 0), max(m, 0), t.size
+    scaled = (t / d[r0 : r0 + k] * d[c0 : c0 + k])[:, None]
     # the interior's even and odd positions as rows of the parity blocks, and the rows of C
     # and of S that reach the interior rows of each parity
     half = (slice((p0 + 1) // 2, (p1 + 1) // 2), slice(p0 // 2, p1 // 2))
     left = ((cos_even[half[0]], sin_eo[half[0]]), (cos_odd[half[1]], sin_eo[:, half[1]].T))
     block = np.zeros((p.size, p.size), dtype=np.complex128)
     for cp in (0, 1):
+        rp = (1 + cp + m) % 2  # the parity of the rows that the columns of parity cp reach
         for h0, h1 in _tiles(half[cp].start, half[cp].stop):
             # columns j = 2h + cp: C[:, j] lives on the rows of parity cp, S[:, j] on the others
             c, s = np.zeros((2, n, h1 - h0))
             c[cp::2] = (cos_even, cos_odd)[cp][:, h0:h1]
             s[1 - cp :: 2] = sin_eo[:, h0:h1] if cp else sin_eo[h0:h1].T
             ts, tc = np.zeros((2, n, h1 - h0), dtype=np.complex128)
-            for r0, c0, tp in scaled:
-                ts[r0 : r0 + tp.size] += tp * s[c0 : c0 + tp.size]
-                tc[r0 : r0 + tp.size] += tp * c[c0 : c0 + tp.size]
+            np.multiply(scaled, s[c0 : c0 + k], out=ts[r0 : r0 + k])
+            np.multiply(scaled, c[c0 : c0 + k], out=tc[r0 : r0 + k])
             # complex columns read as real pairs
             ts, tc = ts.view(np.float64), tc.view(np.float64)
+            out = left[rp][0] @ ts[rp::2]
+            out -= left[rp][1] @ tc[1 - rp :: 2]
             cols = slice(2 * h0 + cp - p0, 2 * h1 + cp - p0, 2)
-            for rp in (0, 1):
-                # the rows of parity rp are reached when a diagonal m of T has rp + cp + m odd
-                if (1 + rp + cp) % 2 in parities:
-                    out = left[rp][0] @ ts[rp::2]
-                    out -= left[rp][1] @ tc[1 - rp :: 2]
-                    block[(rp - p0) % 2 :: 2, cols] = out.view(np.complex128)
+            block[(rp - p0) % 2 :: 2, cols] = out.view(np.complex128)
             del c, s, ts, tc  # before the next tile's arrays are allocated
     block *= (1j / step) * d[p, None]
     block /= d[None, p]
@@ -245,6 +219,14 @@ def _relation(X: str, l: np.ndarray, out: np.ndarray) -> np.ndarray:
         out += l
         out *= 0.5
     return out
+
+
+def _max_abs(block: np.ndarray) -> float:
+    """The largest |entry| of block, over tiles of ``TILE`` rows; NaN if any is."""
+    worst = 0.0
+    for a, b in _tiles(0, block.shape[0]):
+        worst = np.maximum(worst, np.max(np.abs(block[a:b])))  # max() would drop a NaN
+    return worst
 
 
 def infinitesimal_reports(
@@ -287,7 +269,7 @@ def infinitesimal_reports(
         # M turns diagonal m - 1 by omega and m + 1 by 1 / omega = -omega
         commutator = ((m - 1, _relation(X, low, omega * low)), (m + 1, _relation(X, high, -omega * high)))
         values = []
-        for bands, reduce in ((targets[X], np.linalg.norm), (commutator, lambda r: np.max(np.abs(r)))):
+        for bands, reduce in ((targets[X], np.linalg.norm), (commutator, _max_abs)):
             np.multiply(flow, rows[:, None], out=block)
             block *= cols
             _relation(X, flow, block)

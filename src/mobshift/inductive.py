@@ -24,6 +24,7 @@ from .numkernel import (
     TruncationWindow,
     _interior_positions,
     _rows,
+    _shift_residual,
 )
 from .repn import RepnParams
 
@@ -133,23 +134,6 @@ def _best_multiple_residual(block: np.ndarray, ref: np.ndarray | None) -> float:
     return float(np.linalg.norm(block - c * ref))
 
 
-def _interior_commutator_norm(s: np.ndarray, t: np.ndarray, inner: slice, m: int) -> float:
-    """Frobenius norm of (S T - T S)[inner, inner] for a block s of S whose rows and
-    columns reach |m| past ``inner`` or to the window's end, and a shift T on diagonal m
-    with t[i] = T[i, i + m] over the block (0 where i + m leaves the window).
-
-    (S T)[i, j] = S[i, j - m] t[j - m] is a column shift and scaling of s, and
-    (T S)[i, j] = t[i] S[i + m, j] a row shift and scaling; an index the block
-    does not reach lies off the window, where t is 0."""
-    a, b, size = inner.start, inner.stop, s.shape[0]
-    out = np.zeros((b - a,) * 2, dtype=np.complex128)
-    lo, hi = (min(max(x, 0), size) for x in (a - m, b - m))  # the sources j - m in the block
-    np.multiply(s[inner, lo:hi], t[lo:hi], out=out[:, lo + m - a : hi + m - a])
-    lo, hi = (min(max(x, 0), size) for x in (a + m, b + m))  # the sources i + m in the block
-    out[lo - m - a : hi - m - a] -= t[lo - m : hi - m, None] * s[lo:hi, inner]
-    return float(np.linalg.norm(out))
-
-
 def normalizer_defect(
     T: OperatorMatrix,
     R: OperatorMatrix,
@@ -176,9 +160,11 @@ def normalizer_defect(
     block B alone, as one |B| x n by n x |B| product with R T a column shift and
     scaling of R's rows, O(|P|^2 n) for an interior P.  A banded R (the s = 0
     paths) stays on band products, O(N), and its dense array is never built.
-    The commutator is a row and a column scaling of the block; each component
-    is a diagonal of its interior part, held against T^k's one diagonal, which
-    one shifted product per k updates: O(N) per k, and no window-sized array.
+    The commutator [S, T] is ``numkernel._shift_residual`` of the block, a row
+    and a column scaling of it summed one tile of ``TILE`` interior columns at a
+    time; each component is a diagonal of its interior part, held against T^k's
+    one diagonal, which one shifted product per k updates: O(N) per k, and no
+    window-sized array.
     """
     band = T.single_diagonal
     step = band[0] if band is not None else 0
@@ -200,8 +186,8 @@ def normalizer_defect(
         del rt
         np.conjugate(s, out=s)
     t = _rows(step, band[1], n)  # entry n + i is T[i, i + m], 0 off the window
+    value = _shift_residual(s, lo, t[n : 2 * n], step, int(p[0]), int(p[-1]) + 1)
     inner = slice(p[0] - lo, p[-1] + 1 - lo)
-    value = _interior_commutator_norm(s, t[n + lo : n + hi], inner, step)
     s = s[inner, inner]
     power = _rows(0, np.ones(n, dtype=np.complex128), n)  # diagonal k m of T^k, laid out like t
     for k in range(-(-p.size // halo)):

@@ -10,7 +10,9 @@ diagonals in an orthonormal basis, reads only those two bands, and works in
 real arithmetic from one cached real eigh per family and window (L and M
 share it); it keeps half of that spectrum, the reflection of the other half.
 The interior certificates sum their norms over tiles of ``TILE`` interior
-rows or columns, so none of them holds a window-sized temporary."""
+rows or columns, so none of them holds a window-sized temporary, the
+normalizer's commutator included: it and homogeneity's dense path are one
+kernel, ``_shift_residual``."""
 
 from __future__ import annotations
 
@@ -448,6 +450,41 @@ def _tiles(lo: int, hi: int):
 def _squared_norm(x: np.ndarray) -> float:
     """The sum of |x|^2 over all entries: the squared Frobenius norm."""
     return float(np.vdot(x, x).real)
+
+
+def _shift_residual(x: np.ndarray, x0: int, t: np.ndarray, m: int, p0: int, p1: int, alpha=1, beta=0) -> float:
+    """Frobenius norm over the interior positions p0..p1-1 of alpha X (T - beta I)
+    - T X (I - conj(beta) T) for a shift T on diagonal m; (1, 0) gives [X, T].
+
+    ``t`` is T's band by row over the window, as ``_rows(m, band, n)[n : 2n]``
+    gives it; ``x`` is the block X[x0:x0+k, x0:x0+k], reaching |m| past the
+    interior or to the window's end.  (X T)'s column j is X's column j - m times
+    t[j - m] and (T Y)'s row i is t[i] Y[i + m]; an index off the block is off
+    the window, where t is 0.  One tile of ``TILE`` interior columns at a time."""
+    # positions within the block from here on
+    k, t, p0, p1 = x.shape[0], t[x0 : x0 + x.shape[0]], p0 - x0, p1 - x0
+    # the interior rows i whose i + m lies in the block
+    ia = max(p0, -m)
+    ib = max(min(p1, k - m), ia)
+    total = 0.0
+    for a, b in _tiles(p0, p1):
+        # (X T)[:, j] on the tile's columns ja..jb-1, whose j - m lies in the block
+        ja = max(a, m)
+        jb = max(min(b, k + m), ja)
+        xt = np.zeros((k, b - a), dtype=np.complex128)
+        np.multiply(x[:, ja - m : jb - m], t[ja - m : jb - m], out=xt[:, ja - a : jb - a])
+        # alpha (X T - beta X) on the interior rows
+        residual = np.multiply(x[p0:p1, a:b], -beta)
+        residual += xt[p0:p1]
+        residual *= alpha
+        # xt turns into Y = X - conj(beta) X T, and T Y's row i is t[i] Y[i + m, :]
+        xt *= -beta.conjugate()
+        xt += x[:, a:b]
+        y = xt[ia + m : ib + m]
+        residual[ia - p0 : ib - p0] -= np.multiply(y, t[ia:ib, None], out=y)
+        total += _squared_norm(residual)
+        del xt, residual, y  # before the next tile's arrays are allocated
+    return math.sqrt(total)
 
 
 def interior_norm(A: OperatorMatrix, w: TruncationWindow) -> float:

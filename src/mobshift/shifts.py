@@ -73,7 +73,9 @@ def weight_sequence(kind: str, rel: Realization, n: int, branch: str = BRANCH_T2
     Index domains: n >= 0 for the holomorphic family, n <= 0 for the
     anti-holomorphic one (built on f_{-n}), all of Z otherwise.  The principal
     family has both a T2 branch (weights 1) and a complex T3 branch; the
-    complementary family is tabulated on its T2 branch only.
+    complementary family is tabulated on its T2 branch only.  The reducible
+    sum's weights are those of ``reducible_shift`` in the orthonormal seam
+    basis: sqrt((1 + n)/(lam + n)), and the coupling r at n = -1.
     """
     p = rel.params
     if kind == HOLO:
@@ -108,7 +110,7 @@ def weight_sequence(kind: str, rel: Realization, n: int, branch: str = BRANCH_T2
             raise ParameterError("weight outside the unitary range")
         return complex(math.sqrt(ratio))
     if kind == REDUCIBLE:
-        return rel.r if n == -1 else 1.0 + 0j
+        return rel.r if n == -1 else complex(math.sqrt((1.0 + n) / (p.lam + n)))
     raise ParameterError(f"unknown series kind {kind!r}")
 
 

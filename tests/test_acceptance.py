@@ -33,6 +33,7 @@ from mobshift.repn import (
     COMPLEMENTARY,
     HOLO,
     PRINCIPAL,
+    REDUCIBLE,
     Realization,
     RepnParams,
     circle_rep_matrix,
@@ -300,6 +301,12 @@ def test_criterion_06_weight_consistency():
         ortho = to_orthonormal(canonical_shift("T2", p, w), gram(p, w))
         for n in range(w.lo, w.hi):
             check(f"T2 complementary n={n}", ortho.entry(n + 1, n), weight_sequence(COMPLEMENTARY, Realization.plain(p), n))
+    for lam in (0.5, 1.0, 1.5):
+        rel = Realization.reducible(lam, 0.5 - 0.25j)
+        w = TruncationWindow(BILATERAL, N, PAD)
+        ortho = to_orthonormal(reducible_shift(rel, w), gram(rel.params, w))
+        for n in range(w.lo, w.hi):
+            check(f"reducible lam={lam:g} n={n}", ortho.entry(n + 1, n), weight_sequence(REDUCIBLE, rel, n))
 
     unimodular = 0.0
     for p in PRINCIPAL_POINTS:

@@ -240,6 +240,34 @@ def test_verify_incompatible_operator_exit_two(capsys):
     assert code == 2 and "error" in err
 
 
+#: the family arguments of each series, and its shifts, its own (the default) first
+FAMILY_ARGS = {
+    "holo": ["--lambda", "2"],
+    "antiholo": ["--lambda", "2"],
+    "principal": ["--lambda", "0.3"],
+    "complementary": ["--lambda", "0.2", "--mu", "0.3"],
+    "reducible": ["--lambda", "1"],
+}
+FAMILY_OPS = {
+    "holo": ("T1",), "antiholo": ("T1star",), "principal": ("T2", "T3"), "complementary": ("T2", "T3"),
+    "reducible": ("reducible",),
+}
+
+
+@pytest.mark.parametrize("op", cli.OP_CHOICES)
+@pytest.mark.parametrize("series", cli.SERIES_CHOICES)
+def test_verify_accepts_exactly_the_shifts_of_the_family(capsys, series, op):
+    argv = ["verify", "homogeneity", "--series", series, *FAMILY_ARGS[series], "--N", "8", "--pad", "2", "--path", "h:0.1"]
+    code, out, err = run(capsys, [*argv, "--op", op])
+    if op in FAMILY_OPS[series]:
+        assert code != 2 and err == ""
+        assert {json.loads(line)["context"]["op"] for line in out.splitlines()} == {op}
+    else:
+        assert code == 2 and out == ""
+        assert err == f"error: {op} is not certified against the {series} family, which takes {' or '.join(FAMILY_OPS[series])}\n"
+    assert cli._operator_name(series, None) == FAMILY_OPS[series][0]
+
+
 def test_verify_malformed_path_time_exit_two(capsys):
     code, out, err = run(capsys, ["verify", "unitarity", "--series", "holo", "--lambda", "1", "--path", "L:abc"])
     assert code == 2 and out == ""
@@ -635,10 +663,40 @@ def test_sweep_complementary_midpoint_outside_the_family_is_an_error_row(capsys)
     )
 
 
+@pytest.mark.parametrize("series, lam", [("holo", 2), ("antiholo", 2), ("principal", 0.3), ("complementary", 0.2), ("reducible", 0.5)])
+def test_index_set_table_is_the_index_set_of_each_family(series, lam):
+    # verify's and sweep's windows read the table, each family's RepnParams its own
+    mu = 0.3 if series == "complementary" else None
+    assert cli._realization(series, lam, mu=mu).params.index_set == cli._INDEX_SET[series]
+
+
+@pytest.mark.parametrize("series, grid", [("holo", "1,2"), ("principal", "0.3"), ("complementary", "0.2")])
+def test_sweep_runs_both_suites_on_the_window_of_each_family(capsys, series, grid):
+    code, out, err = run(capsys, ["sweep", "--series", series, "--lambda-grid", grid, "--suites", "unitarity,homogeneity", "--N", "16"])
+    assert (code, err) == (0, "")
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == len(grid.split(",")) and all(row.endswith(",pass") for row in rows)
+
+
+def test_sweep_offers_only_holo_principal_and_complementary(capsys):
+    code, out, err = run(capsys, ["sweep", "--series", "antiholo", "--lambda-grid", "1,2"])
+    assert code == 2 and out == "" and "invalid choice: 'antiholo'" in err
+
+
 def test_sweep_operator_is_checked_against_the_series(capsys):
     code, out, err = run(capsys, ["sweep", "--series", "holo", "--lambda-grid", "2", "--suites", "homogeneity", "--op", "T1star"])
     assert code == 2 and out == ""
-    assert err == "error: T1star is certified against the anti-holomorphic (sharp) family\n"
+    assert err == "error: T1star is not certified against the holo family, which takes T1\n"
+
+
+@pytest.mark.parametrize("window, message", [
+    (["--N", "8", "--pad", "20"], "padding must satisfy 0 <= padding < N"),
+    (["--N", "0"], "window size N must be at least 1"),
+])
+def test_sweep_checks_its_window_before_the_header(capsys, window, message):
+    # the window depends on the series, --N and --pad alone: one refusal, not one error row per cell
+    code, out, err = run(capsys, ["sweep", "--series", "holo", "--lambda-grid", "1,2", *window])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_sweep_empty_grid(capsys):

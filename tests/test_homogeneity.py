@@ -25,6 +25,8 @@ from mobshift.numkernel import (
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
+    _rows,
+    _shift_residual,
     interior_norm,
     solve,
 )
@@ -301,6 +303,27 @@ def test_homogeneity_residual_tiles_match_the_dense_oracle(rng, step):
             assert abs(homogeneity_defect(t, r, phi, w).value - want) <= 1e-14 * want, w
 
 
+@pytest.mark.parametrize("step", [-2, -1, 1, 2])
+def test_shift_residual_matches_the_dense_residuals(rng, step):
+    # the homogeneity residual under a random phi and, with (alpha, beta) = (1, 0), the
+    # commutator [X, T], on the block of the interior and its halo (which starts past the
+    # window's first row at pad 4) and on the whole window, for interiors at and between
+    # the tile edges
+    for w in (*tile_edge_windows(), TruncationWindow(BILATERAL, 16, 4)):
+        n, p = w.size, w.interior_positions()
+        p0, p1 = int(p[0]), int(p[-1]) + 1
+        lo, hi = max(p0 - abs(step), 0), min(p1 + abs(step), n)
+        t = random_shift(rng, w, step)
+        band = _rows(step, t.single_diagonal[1], n)[n : 2 * n]
+        X = OperatorMatrix(random_dense(rng, n), w)
+        commutator = float(np.linalg.norm(dense_commutator(X, t)[np.ix_(p, p)]))
+        for x0, x in ((lo, X.data[lo:hi, lo:hi]), (0, X.data)):
+            phi = random_mobius(rng, 0.9)
+            want = dense_homogeneity_residual(phi, t, X, w)
+            assert abs(_shift_residual(x, x0, band, step, p0, p1, phi.alpha, phi.beta) - want) <= 1e-14 * want, (w, x0)
+            assert abs(_shift_residual(x, x0, band, step, p0, p1) - commutator) <= 1e-14 * commutator, (w, x0)
+
+
 def test_homogeneity_defect_holds_less_than_one_window_array():
     # R (T - beta I) and its residual over the interior and halo held 6.8 MB on L:0.1, and a
     # rotation built its dense R for 9.1 MB, where one window-sized array is 4.0 MB
@@ -549,20 +572,17 @@ def test_kappa_flow_derivative_is_the_interior_of_the_whole_window_oracles(rng):
 @pytest.mark.parametrize("step", [-2, -1, 1, 2])
 def test_kappa_flow_derivative_tiles_match_the_whole_window_oracles(rng, step):
     # interiors short of a tile, one tile per parity of position, and not a multiple, at
-    # pads 0 and 1; a shift, and a shift plus one of the other parity, which reaches the
-    # interior rows of both parities
+    # pads 0 and 1
     for w in tile_edge_windows():
         rel = Realization.plain(PRIN if w.kind == BILATERAL else HOLO2)
         ip = np.ix_(w.interior_positions(), w.interior_positions())
-        shift = OperatorMatrix.from_band(w, step, random_shift(rng, w, step).single_diagonal[1], ORTHONORMAL)
-        other = OperatorMatrix.from_band(w, step + 1, random_shift(rng, w, step + 1).single_diagonal[1], ORTHONORMAL)
-        for T in (shift, shift + other):
-            for X in ("L", "M"):
-                A = rel.generator(X, w)
-                scale = np.max(np.abs(T.data)) * np.max(np.abs(A.data))
-                block = flow_block(T, X, rel, w, step=1e-3)
-                assert np.max(np.abs(block - whole_window_flow_derivative(T, X, rel, w, 1e-3)[ip])) <= 1e-13 * scale, w
-                assert np.max(np.abs(block - dense_flow_difference(A, T, 1e-3)[ip])) <= 1e-12 * scale, w
+        T = OperatorMatrix.from_band(w, step, random_shift(rng, w, step).single_diagonal[1], ORTHONORMAL)
+        for X in ("L", "M"):
+            A = rel.generator(X, w)
+            scale = np.max(np.abs(T.data)) * np.max(np.abs(A.data))
+            block = flow_block(T, X, rel, w, step=1e-3)
+            assert np.max(np.abs(block - whole_window_flow_derivative(T, X, rel, w, 1e-3)[ip])) <= 1e-13 * scale, w
+            assert np.max(np.abs(block - dense_flow_difference(A, T, 1e-3)[ip])) <= 1e-12 * scale, w
 
 
 def test_infinitesimal_reports_hold_less_than_two_and_a_half_window_arrays():
@@ -573,6 +593,24 @@ def test_infinitesimal_reports_hold_less_than_two_and_a_half_window_arrays():
     t = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
     infinitesimal_reports(t, rel, w)  # the cached spectrum is not a temporary
     assert traced_peak(infinitesimal_reports, t, rel, w) <= 2.5 * w.size**2 * 16
+
+
+def test_infinitesimal_reports_route_gap_holds_no_block_sized_temporary():
+    # the flow block and the reused block are two interior blocks; the route gap's
+    # np.abs over the whole block would add a real half block, 2.52 blocks at N = 512
+    w = TruncationWindow(BILATERAL, 512, 128)
+    rel = Realization.plain(PRIN)
+    t = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
+    infinitesimal_reports(t, rel, w)  # the cached spectrum is not a temporary
+    assert traced_peak(infinitesimal_reports, t, rel, w) <= 2.3 * w.interior_positions().size ** 2 * 16
+
+
+def test_route_gap_maximum_keeps_a_nan_of_a_later_tile():
+    block = np.zeros((2 * numkernel.TILE + 5, 3), dtype=np.complex128)
+    block[numkernel.TILE + 1, 2] = -4j
+    assert homogeneity._max_abs(block) == 4.0
+    block[2 * numkernel.TILE + 1, 0] = np.nan
+    assert np.isnan(homogeneity._max_abs(block))
 
 
 def test_kappa_commutator_is_the_band_of_the_dense_commutator(rng):
@@ -593,7 +631,6 @@ FLOW_OPERANDS = {
     "step +1": lambda rng, w: random_shift(rng, w, 1).data,
     "step 2": lambda rng, w: random_shift(rng, w, 2).data,
     "identity": lambda rng, w: np.eye(w.size),
-    "dense": lambda rng, w: random_dense(rng, w.size),
 }
 
 
@@ -607,6 +644,15 @@ def test_kappa_flow_derivative_matches_dense_difference(rng, operand, X, s):
         ip = np.ix_(w.interior_positions(), w.interior_positions())
         delta = flow_block(T, X, rel, w, step=s) - dense_flow_difference(A, T, s)[ip]
         assert np.max(np.abs(delta)) <= 1e-12 * np.max(np.abs(T.data)) * np.max(np.abs(A.data)), rel.flavor
+
+
+def test_kappa_flow_derivative_takes_a_shift(rng):
+    rel, w = FLOW_FAMILIES[1]
+    shift = OperatorMatrix.from_band(w, 1, random_shift(rng, w, 1).single_diagonal[1], ORTHONORMAL)
+    other = OperatorMatrix.from_band(w, 2, random_shift(rng, w, 2).single_diagonal[1], ORTHONORMAL)
+    for T in (shift + other, OperatorMatrix(random_dense(rng, w.size), w, ORTHONORMAL)):
+        with pytest.raises(ParameterError, match="single diagonal"):
+            kappa_flow_derivative(T, rel, w)
 
 
 def test_kappa_flow_derivative_refuses_other_windows_and_bases():

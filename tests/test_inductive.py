@@ -379,13 +379,14 @@ def test_normalizer_matches_dense_oracle_where_the_halo_is_clipped(rng, kind, st
 
 def test_normalizer_memory_stays_below_two_window_arrays():
     # S = (R T) R^H over the whole window held about 4 window-sized arrays on L:0.1
-    # and 1.4 on h:0.3; a banded R must stay banded
+    # and 1.4 on h:0.3, and the commutator over the whole interior block 1.25 on both;
+    # a banded R must stay banded
     w = TruncationWindow(BILATERAL, 256, 96)
     rel = Realization.plain(PRIN)
     T = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
     for text in ("L:0.1", "h:0.3"):
         R = rel.along_path(GroupPath.parse(text), w)
-        assert traced_peak(normalizer_defect, T, R, w) <= 2 * w.size**2 * 16, text
+        assert traced_peak(normalizer_defect, T, R, w) <= 1.1 * w.size**2 * 16, text
     assert "data" not in R.__dict__
 
 
