@@ -6,9 +6,9 @@ to one ``Realization``, and --op to an operator checked against the series.
 argparse refuses an option that a command or verify suite (each has its own
 parser) does not take, and ``_OWN_OPTION`` one of another family.
 The unitarity, homogeneity and normalizer suites share one loop that builds
-R once per path, in the orthonormal basis of the family's Gram where every
-suite certifies, so no verdict depends on the Gram's scale; each ``sweep``
-cell runs that loop over the requested suites.
+R once per path unless the normalizer runs alone, in the orthonormal basis
+of the family's Gram where every suite certifies, so no verdict depends on
+the Gram's scale; each ``sweep`` cell runs that loop over its suites.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad usage or
 parameters, 3 a numerical failure (a generator that is not skew-Hermitian in
@@ -176,14 +176,11 @@ _PATH_SUITE_TOL = {
 
 
 def _path_reports(suites, rel: Realization, w: TruncationWindow, paths, op=None, tolerance=None, context=None):
-    """Yield the report of each suite along each path, building R once per path.
-
-    Every suite reads R, and the operator ``op`` names when given, in the
-    orthonormal basis of the family's Gram, where R is built.
-    """
+    """Yield the report of each suite along each path, building R once per path
+    unless the normalizer, which reads the path instead, runs alone."""
     T = None if op is None else _operator(op, rel, w)
     for path in paths:
-        R = rel.along_path(path, w)
+        R = rel.along_path(path, w) if set(suites) - {"normalizer"} else None
         for suite in suites:
             tol = _PATH_SUITE_TOL[suite] if tolerance is None else tolerance
             ctx = dict(context or {}, suite=suite, path=path.describe())
@@ -192,7 +189,7 @@ def _path_reports(suites, rel: Realization, w: TruncationWindow, paths, op=None,
             elif suite == "homogeneity":
                 yield homogeneity_defect(T, R, path_to_mobius(path), w, tolerance=tol, context=ctx)
             else:
-                yield normalizer_defect(T, R, w, tolerance=tol, context=ctx)
+                yield normalizer_defect(T, rel, path, w, tolerance=tol, context=ctx)
         del R  # the next path's R is built without this one alive
 
 

@@ -66,8 +66,8 @@ class DefectReport:
         tolerance = float(tolerance)
         if not value >= 0.0:
             raise ParameterError(f"defect value must be non-negative, got {value}")
-        if not tolerance > 0.0:
-            raise ParameterError(f"tolerance must be positive, got {tolerance}")
+        if not 0.0 < tolerance < np.inf:  # an infinite one passes everything and is not JSON
+            raise ParameterError(f"tolerance must be positive and finite, got {tolerance}")
         return cls(name, value, tolerance, value <= tolerance, dict(context or {}))
 
     def to_json(self) -> str:
@@ -134,6 +134,46 @@ def homogeneity_defect(
     return DefectReport.build("homogeneity", value, tolerance, context)
 
 
+def _conjugated_block(spec, t: float, band: np.ndarray, m: int, lo: int, hi: int, classes) -> np.ndarray:
+    """Rows and columns lo..hi-1 of E T E^H, E = C - iS with C = cos tHr and S = sin tHr
+    (``numkernel._parity_blocks`` of ``spec``), for the shift T on diagonal m with
+    entries ``band`` in ``np.diagonal`` order, on the entries of the given classes.
+
+    C keeps the parity of a position and S swaps it, so class 0, where i + j + m is
+    even, holds C T C + S T S, and class 1, where it is odd, i (C T S - S T C).  The
+    block is formed one tile of ``TILE`` of its columns of one parity cp at a time:
+    those columns of C and S, T S and T C as a row shift and scaling of them, and
+    for class q their products with the block's rows of parity (q + cp + m) % 2 of
+    C and S: O(|B|^2 n) per class for B = lo..hi-1, with temporaries of O(N * TILE).
+    """
+    cos_even, cos_odd, sin_eo = _parity_blocks(spec, t)
+    n, r0, c0, k, band = spec.phases.size, max(-m, 0), max(m, 0), band.size, band[:, None]
+    # the block's even and odd positions as rows of the parity blocks, and the rows of C
+    # and of S that reach the block's rows of each parity
+    half = (slice((lo + 1) // 2, (hi + 1) // 2), slice(lo // 2, hi // 2))
+    left = ((cos_even[half[0]], sin_eo[half[0]]), (cos_odd[half[1]], sin_eo[:, half[1]].T))
+    block = np.zeros((hi - lo, hi - lo), dtype=np.complex128)
+    for cp in (0, 1):
+        for h0, h1 in _tiles(half[cp].start, half[cp].stop):
+            # columns j = 2h + cp: C[:, j] lives on the rows of parity cp, S[:, j] on the others
+            c, s = np.zeros((2, n, h1 - h0))
+            c[cp::2] = (cos_even, cos_odd)[cp][:, h0:h1]
+            s[1 - cp :: 2] = sin_eo[:, h0:h1] if cp else sin_eo[h0:h1].T
+            tc, ts = np.zeros((2, n, h1 - h0), dtype=np.complex128)
+            np.multiply(band, c[c0 : c0 + k], out=tc[r0 : r0 + k])
+            np.multiply(band, s[c0 : c0 + k], out=ts[r0 : r0 + k])
+            tc, ts = tc.view(np.float64), ts.view(np.float64)  # complex columns read as real pairs
+            cols = slice(2 * h0 + cp - lo, 2 * h1 + cp - lo, 2)
+            for q in classes:
+                rp = (q + cp + m) % 2  # the parity of the rows that class q reaches from these columns
+                # C (T C) + S (T S) for class 0, C (T S) - S (T C) for class 1, the second in place
+                out = left[rp][0] @ (ts if q else tc)[rp::2]
+                (np.subtract if q else np.add)(out, left[rp][1] @ (tc if q else ts)[1 - rp :: 2], out=out)
+                np.multiply(out.view(np.complex128), 1j if q else 1.0, out=block[(rp - lo) % 2 :: 2, cols])
+            del c, s, tc, ts, out  # before the next tile's arrays are allocated
+    return block
+
+
 def kappa_flow_derivative(
     T: OperatorMatrix,
     rel: Realization,
@@ -144,16 +184,10 @@ def kappa_flow_derivative(
     R(exp sL) T R(exp sL)^{-1}, the flow of X = L, by central differences, for a
     shift T on diagonal m; any other T raises ``ParameterError``.
 
-    e^{+-sX} = D (C -/+ i S) D^-1 with C = cos sHr and S = sin sHr (see
-    ``numkernel.mat_exp``), so (e^{sX} T e^{-sX} - e^{-sX} T e^{sX}) / 2s is
-    i D (C T' S - S T' C) D^-1 / s with T' = D^-1 T D; the symmetric part cancels
-    exactly.  C keeps the parity of a position and S swaps it, so column j of
-    C T' S - S T' C reaches only the rows i with i + j + m odd.  The block is
-    formed one tile of ``TILE`` interior columns of one parity cp at a time: those
-    columns of C and S, T'S and T'C as a row shift and scaling of them, and their
-    products with the interior rows of C and S of parity (1 + cp + m) % 2.  That
-    is O(|P|^2 n), and no temporary but the block is more than O(N * TILE).  M, e
-    and f are L's flow turned a quarter (see ``infinitesimal_reports``).
+    e^{+-sX} = D (C -/+ i S) D^-1 (see ``numkernel.mat_exp``), so the symmetric part
+    of the difference cancels exactly and what remains is i D (C T' S - S T' C) D^-1 / s
+    with T' = D^-1 T D: class 1 of ``_conjugated_block`` on the interior, O(|P|^2 n).
+    M, e and f are L's flow turned a quarter (see ``infinitesimal_reports``).
     """
     step = float(step)
     if not _STEP_MIN <= step <= _STEP_MAX:
@@ -165,34 +199,11 @@ def kappa_flow_derivative(
     T._require_compatible(a)
     p = _interior_positions(T, w)
     spec = _spectrum(a)
-    cos_even, cos_odd, sin_eo = _parity_blocks(spec, step)
-    (m, t), n, d, p0, p1 = band, w.size, spec.phases, int(p[0]), int(p[-1]) + 1
+    (m, t), d = band, spec.phases
     # T' = D^-1 T D on diagonal m, whose entry k sits at (r0 + k, c0 + k)
     r0, c0, k = max(-m, 0), max(m, 0), t.size
-    scaled = (t / d[r0 : r0 + k] * d[c0 : c0 + k])[:, None]
-    # the interior's even and odd positions as rows of the parity blocks, and the rows of C
-    # and of S that reach the interior rows of each parity
-    half = (slice((p0 + 1) // 2, (p1 + 1) // 2), slice(p0 // 2, p1 // 2))
-    left = ((cos_even[half[0]], sin_eo[half[0]]), (cos_odd[half[1]], sin_eo[:, half[1]].T))
-    block = np.zeros((p.size, p.size), dtype=np.complex128)
-    for cp in (0, 1):
-        rp = (1 + cp + m) % 2  # the parity of the rows that the columns of parity cp reach
-        for h0, h1 in _tiles(half[cp].start, half[cp].stop):
-            # columns j = 2h + cp: C[:, j] lives on the rows of parity cp, S[:, j] on the others
-            c, s = np.zeros((2, n, h1 - h0))
-            c[cp::2] = (cos_even, cos_odd)[cp][:, h0:h1]
-            s[1 - cp :: 2] = sin_eo[:, h0:h1] if cp else sin_eo[h0:h1].T
-            ts, tc = np.zeros((2, n, h1 - h0), dtype=np.complex128)
-            np.multiply(scaled, s[c0 : c0 + k], out=ts[r0 : r0 + k])
-            np.multiply(scaled, c[c0 : c0 + k], out=tc[r0 : r0 + k])
-            # complex columns read as real pairs
-            ts, tc = ts.view(np.float64), tc.view(np.float64)
-            out = left[rp][0] @ ts[rp::2]
-            out -= left[rp][1] @ tc[1 - rp :: 2]
-            cols = slice(2 * h0 + cp - p0, 2 * h1 + cp - p0, 2)
-            block[(rp - p0) % 2 :: 2, cols] = out.view(np.complex128)
-            del c, s, ts, tc  # before the next tile's arrays are allocated
-    block *= (1j / step) * d[p, None]
+    block = _conjugated_block(spec, step, t / d[r0 : r0 + k] * d[c0 : c0 + k], m, int(p[0]), int(p[-1]) + 1, (1,))
+    block *= (1.0 / step) * d[p, None]
     block /= d[None, p]
     return block
 

@@ -16,7 +16,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ParameterError
-from .homogeneity import DefectReport
+from .homogeneity import DefectReport, _conjugated_block
+from .mobius import GroupPath
 from .numkernel import (
     BILATERAL,
     UNILATERAL,
@@ -25,8 +26,9 @@ from .numkernel import (
     _interior_positions,
     _rows,
     _shift_residual,
+    _spectrum,
 )
-from .repn import RepnParams
+from .repn import Realization, RepnParams
 
 FIT_T2 = "T2branch"
 FIT_T3 = "T3branch"
@@ -136,13 +138,15 @@ def _best_multiple_residual(block: np.ndarray, ref: np.ndarray | None) -> float:
 
 def normalizer_defect(
     T: OperatorMatrix,
-    R: OperatorMatrix,
+    rel: Realization,
+    path: GroupPath,
     w: TruncationWindow,
     tolerance: float = DEFAULT_NORMALIZER_TOL,
     context: dict | None = None,
 ) -> DefectReport:
-    """Certify that conjugation keeps the operator inside the algebra the
-    shift generates, with T and R in an orthonormal basis.
+    """Certify that conjugation by R = R(path) of the family ``rel`` keeps the
+    operator inside the algebra the shift generates, with T in the orthonormal
+    basis of ``rel``'s generators.
 
     S = R T R^{-1} must commute with T, and every isotypic component of S
     must be a scalar multiple of the matching power of T.  Components on the
@@ -152,39 +156,36 @@ def normalizer_defect(
     Components are compared on the interior stretch of their diagonals, for
     as long as that stretch is non-empty; past it every residual is 0.
 
-    R must be unitary, as ``Realization.along_path`` builds it (an exponential
-    of a skew-Hermitian generator between unimodular diagonals), so
-    S = (R T) R^H, with no inverse, solve or condition estimate.  Like
-    ``homogeneity.homogeneity_defect`` it reads only R's rows on the interior
-    and a halo of |m| (m = T's step), clipped to the window: S is formed on that
-    block B alone, as one |B| x n by n x |B| product with R T a column shift and
-    scaling of R's rows, O(|P|^2 n) for an interior P.  A banded R (the s = 0
-    paths) stays on band products, O(N), and its dense array is never built.
-    The commutator [S, T] is ``numkernel._shift_residual`` of the block, a row
-    and a column scaling of it summed one tile of ``TILE`` interior columns at a
-    time; each component is a diagonal of its interior part, held against T^k's
-    one diagonal, which one shifted product per k updates: O(N) per k, and no
-    window-sized array.
+    R is never built.  With R = diag(a) E diag(b) and E = C - iS unitary
+    (``Realization._cartan_factors``, ``numkernel.mat_exp``), S = R T R^H is
+    diag(a) E T'' E^H diag(conj a) for the shift T'' = diag(b) T diag(conj b):
+    both classes of ``homogeneity._conjugated_block`` on the interior P and a
+    halo of |m|, clipped to the window, O(|P|^2 n), and no inverse or solve; a
+    rotation (s = 0) rescales T's band, O(N).  [S, T] is
+    ``numkernel._shift_residual`` of that block; each component is a diagonal of
+    its interior part, held against T^k's one diagonal, which one shifted product
+    per k updates: O(N) per k, and no window-sized array.
     """
     band = T.single_diagonal
     step = band[0] if band is not None else 0
     if step == 0:
         raise ParameterError("expected a single-step shift")
-    T._require_compatible(R)
-    p = _interior_positions(R, w)
+    generator = rel.generator("L", w)
+    T._require_compatible(generator)
+    p = _interior_positions(T, w)
     n, halo = w.size, abs(step)
     lo, hi = max(p[0] - halo, 0), min(p[-1] + 1 + halo, n)
-    if R.bands is not None:
-        s = ((R @ T) @ R.H).block(lo, hi)
+    boost, left, right = rel._cartan_factors(path, w)
+    r0, c0, k = max(-step, 0), max(step, 0), band[1].size
+    if boost == 0.0:
+        # a rotation R = diag(left): S[i, i + m] = left[i] T[i, i + m] conj(left[i + m])
+        s = OperatorMatrix.from_band(w, step, left[r0 : r0 + k] * band[1] * left[c0 : c0 + k].conj()).block(lo, hi)
     else:
-        # (R T)[:, j + m] = R[:, j] T[j, j + m], and conj(S) = conj(R T) R^T reads R's rows
-        # through a transposed view, which conj(R)^T would copy
-        r0, c0, k = max(-step, 0), max(step, 0), band[1].size
-        r = R.data[lo:hi]
-        rt = np.multiply(r[:, r0 : r0 + k], band[1])
-        s = np.conjugate(rt, out=rt) @ r[:, c0 : c0 + k].T
-        del rt
-        np.conjugate(s, out=s)
+        spec = _spectrum(generator)
+        a, b = left * spec.phases, right / spec.phases  # R = diag(a) E diag(b)
+        s = _conjugated_block(spec, boost, b[r0 : r0 + k] * band[1] * b[c0 : c0 + k].conj(), step, lo, hi, (0, 1))
+        s *= a[lo:hi, None]
+        s *= a[lo:hi].conj()
     t = _rows(step, band[1], n)  # entry n + i is T[i, i + m], 0 off the window
     value = _shift_residual(s, lo, t[n : 2 * n], step, int(p[0]), int(p[-1]) + 1)
     inner = slice(p[0] - lo, p[-1] + 1 - lo)

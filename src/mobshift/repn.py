@@ -290,28 +290,27 @@ class Realization:
         """The factor of dR(X) under this flavor: its ``mobius.STAR_SIGNS`` sign when sharp."""
         return mobius.STAR_SIGNS[X] if self.flavor == "sharp" else 1.0
 
-    def along_path(self, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
-        """R(path) in the orthonormal basis from the path's Cartan form
-        (``mobius.cartan``): dR(h) is diagonal, so R = D(theta1) e^{s dR(L)} D(theta2)
-        with D(theta) = exp(theta dR(h)), one exponential whatever the path's
-        length (none when s = 0), with both D folded into its phase scaling.
-        dR(h)'s diagonal d is the same in both bases, so no h matrix is built.
-
-        Entry (j, k) is e^{(theta1 + theta2) d_j} E[j, k] z^{k - j} with
-        z = e^{-2i sign theta2}, since d_k - d_j = -2i sign (k - j): the rotation
-        angle is rounded once, and z^{k - j} = c_k / c_j, for c_k = z^{k + 1} formed
-        by repeated products, rides on the row and column scalings and is exact to
-        |k - j| roundings, small where E is large, instead of two phases of order
-        theta (2n + lam) rounded apart.  Trustworthy on the window interior; the
-        boundary carries truncation error.
-        """
+    def _cartan_factors(self, path: GroupPath, w: TruncationWindow) -> tuple[float, np.ndarray, np.ndarray | float]:
+        """(s, left, right) with R(path) = diag(left) e^{s dR(L)} diag(right) (right 1 when
+        s = 0), from the Cartan form R = D(theta1) e^{s dR(L)} D(theta2) (``mobius.cartan``),
+        D(theta) = exp(theta dR(h)), whose diagonal d is the same in both bases.  Entry
+        (j, k) of R is e^{(theta1 + theta2) d_j} E[j, k] z^{k - j}, z = e^{-2i sign theta2}:
+        the rotation angle is rounded once, and z^{k - j} = c_k / c_j, c_k = z^{k + 1} by
+        repeated products, rides on left and right, exact to |k - j| roundings (small where
+        E is large), not two phases of order theta (2n + lam) rounded apart."""
         theta1, s, theta2 = mobius.cartan(path)
         sign = self._sign("h")
-        d = sign * _h_diagonal(self.params, w)
+        c = np.cumprod(np.full(w.size, np.exp(-2j * sign * theta2))) if s else 1.0
+        return s, np.exp((theta1 + theta2) * (sign * _h_diagonal(self.params, w))) / c, c
+
+    def along_path(self, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
+        """R(path) in the orthonormal basis from ``_cartan_factors``: one exponential (none
+        when s = 0) whatever the path's length, with both diagonals folded into its phase
+        scaling; trustworthy on the window interior, the boundary carries truncation error."""
+        s, left, right = self._cartan_factors(path, w)
         if s == 0.0:
-            return OperatorMatrix.from_band(w, 0, np.exp((theta1 + theta2) * d), ORTHONORMAL)
-        c = np.cumprod(np.full(w.size, np.exp(-2j * sign * theta2)))
-        return mat_exp(self.generator("L", w), s, np.exp((theta1 + theta2) * d) / c, c)
+            return OperatorMatrix.from_band(w, 0, left, ORTHONORMAL)
+        return mat_exp(self.generator("L", w), s, left, right)
 
 
 def default_grid_size(w: TruncationWindow) -> int:

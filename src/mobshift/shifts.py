@@ -28,6 +28,7 @@ from .repn import (
     Realization,
     RepnParams,
 )
+from .specialfn import norm_ratio
 
 SHIFT_KINDS = ("T1", "T1star", "T2", "T3")
 BRANCH_T2 = "T2"
@@ -68,7 +69,8 @@ def canonical_shift(kind: str, p: RepnParams, w: TruncationWindow) -> OperatorMa
 
 def weight_sequence(kind: str, rel: Realization, n: int, branch: str = BRANCH_T2) -> complex:
     """One weight of the canonical orthonormal-basis shift of the family ``rel``
-    of series ``kind``.
+    of series ``kind``: sqrt(``specialfn.norm_ratio``) for the holomorphic,
+    anti-holomorphic and complementary families, which refuses what the Gram does.
 
     Index domains: n >= 0 for the holomorphic family, n <= 0 for the
     anti-holomorphic one (built on f_{-n}), all of Z otherwise.  The principal
@@ -81,19 +83,12 @@ def weight_sequence(kind: str, rel: Realization, n: int, branch: str = BRANCH_T2
     if kind == HOLO:
         if n < 0:
             raise ParameterError("holomorphic weights live on n >= 0")
-        ratio = (1.0 + n) / (p.lam + n)
-        if ratio <= 0.0:
-            raise ParameterError("weight outside the unitary range (needs lam > 0)")
-        return complex(math.sqrt(ratio))
+        return complex(math.sqrt(norm_ratio(p, n)))
     if kind == ANTIHOLO:
         if n > 0:
             raise ParameterError("anti-holomorphic weights live on n <= 0")
-        if n == 0:
-            return 0j  # the backward shift annihilates its top basis vector
-        ratio = n / (1.0 - p.lam + n)
-        if ratio <= 0.0:
-            raise ParameterError("weight outside the unitary range (needs lam > 0)")
-        return complex(math.sqrt(ratio))
+        # the backward shift annihilates its top basis vector; below it, weight n is the holomorphic -n - 1
+        return complex(math.sqrt(norm_ratio(p, -n - 1))) if n else 0j
     if kind == PRINCIPAL:
         if branch == BRANCH_T2:
             return 1.0 + 0j
@@ -104,11 +99,7 @@ def weight_sequence(kind: str, rel: Realization, n: int, branch: str = BRANCH_T2
     if kind == COMPLEMENTARY:
         if branch != BRANCH_T2:
             raise ParameterError("only the T2 branch is tabulated for the complementary family")
-        m = p.mu.real
-        ratio = (1.0 - m + n) / (p.lam + m + n)
-        if ratio <= 0.0:
-            raise ParameterError("weight outside the unitary range")
-        return complex(math.sqrt(ratio))
+        return complex(math.sqrt(norm_ratio(p, n)))
     if kind == REDUCIBLE:
         return rel.r if n == -1 else complex(math.sqrt((1.0 + n) / (p.lam + n)))
     raise ParameterError(f"unknown series kind {kind!r}")

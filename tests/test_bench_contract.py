@@ -49,3 +49,15 @@ def test_traced_unitarity_sizes_the_exponential_and_builds_the_generator(tmp_pat
     spans = json.loads(spans_path.read_text())
     assert [span[6] for span in spans if span[0] == "numkernel.mat_exp"] == [2 * 32 + 1]
     assert "repn.generator_matrix" in {span[0] for span in spans}
+
+
+def test_traced_normalizer_builds_no_r(tmp_path):
+    # the normalizer conjugates T by the parity blocks of L's spectrum: the trace holds
+    # its span and neither the exponential nor the path's R
+    spans_path = tmp_path / "spans.json"
+    argv = ["verify", "normalizer", "--series", "principal", "--lambda", "0.3", "--N", "32", "--path", "L:0.1"]
+    out = run_script(str(BENCH / "child.py"), "cli", str(spans_path), "0", *argv)
+    assert out.returncode == 0, out.stderr
+    names = {span[0] for span in json.loads(spans_path.read_text())}
+    assert "inductive.normalizer_defect" in names
+    assert not names & {"numkernel.mat_exp", "repn.Realization.along_path"}

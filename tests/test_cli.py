@@ -85,6 +85,23 @@ def test_weights_non_finite_lambda_exit_two(capsys, value):
     assert err == f"error: lam and mu must be finite, got lam={value}, mu=0j\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "series, lam, n0",
+    [("antiholo", "1e-17", "-1"), ("holo", "1e-320", "0")],
+    ids=("1 - lam + n rounds to 0", "the first ratio overflows"),
+)
+def test_weights_refuse_what_verify_refuses(capsys, series, lam, n0, fmt):
+    # the weights are square roots of the Gram's norm ratios: a table is finite, and a
+    # family whose Gram verify refuses is refused with exit 2, not a traceback
+    code, out, err = run(capsys, ["weights", "--series", series, "--lambda", lam, "--n0", n0, "--n1", str(int(n0) + 1), "--format", fmt])
+    verified = run(capsys, ["verify", "unitarity", "--series", series, "--lambda", lam, "--N", "8", "--pad", "2"])[0]
+    if verified == 2:
+        assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    else:
+        assert (code, err) == (0, "") and not re.search("inf|nan", out, re.IGNORECASE), out
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -163,6 +180,26 @@ def test_verify_infinitesimal_forms_one_flow(capsys, monkeypatch):
     argv = ["verify", "infinitesimal", "--series", "principal", "--lambda", "0.3", "--im-mu", "3", "--N", "32"]
     assert run(capsys, argv)[0] == 0
     assert sorted(calls) == ["_parity_blocks", "kappa_flow_derivative"]
+
+
+def test_verify_normalizer_builds_no_r(capsys, monkeypatch):
+    # the normalizer conjugates by E's parity blocks on every default path, rotations
+    # and boosts alike: no exponential and no dense R
+    def refuse(*args, **kwargs):
+        raise AssertionError("the normalizer built R")
+
+    for owner in (numkernel, repn):
+        monkeypatch.setattr(owner, "mat_exp", refuse)
+    monkeypatch.setattr(Realization, "along_path", refuse)
+    code, out, err = run(capsys, ["verify", "normalizer", "--series", "principal", "--lambda", "0.3", "--im-mu", "0.5"])
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert (code, err) == (0, "") and [r["context"]["path"] for r in reports] == list(cli.DEFAULT_PATHS)
+
+
+def test_verify_refuses_an_infinite_tolerance(capsys):
+    # inf passes every report and prints "tolerance": Infinity, which is not JSON
+    argv = ["verify", "homogeneity", "--series", "holo", "--lambda", "2", "--N", "16", "--tolerance", "inf"]
+    assert run(capsys, argv) == (2, "", "error: tolerance must be positive and finite, got inf\n")
 
 
 @pytest.mark.parametrize(

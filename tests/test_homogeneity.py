@@ -28,6 +28,7 @@ from mobshift.numkernel import (
     _rows,
     _shift_residual,
     interior_norm,
+    mat_exp,
     solve,
 )
 from mobshift.repn import Realization, RepnParams
@@ -406,9 +407,9 @@ def test_certificates_call_no_solve_and_no_resolvent(monkeypatch):
     path = GroupPath.parse("L:0.1,M:-0.05,h:0.2")
     w = TruncationWindow(BILATERAL, 64, 24)
     t = orthonormal(canonical_shift("T3", PRIN, w), PRIN, w)
-    R = Realization.plain(PRIN).along_path(path, w)
-    assert homogeneity_defect(t, R, path_to_mobius(path), w).passed
-    assert normalizer_defect(t, R, w).passed
+    rel = Realization.plain(PRIN)
+    assert homogeneity_defect(t, rel.along_path(path, w), path_to_mobius(path), w).passed
+    assert normalizer_defect(t, rel, path, w).passed
 
 
 def test_homogeneity_defect_refuses_a_dense_operator(rng):
@@ -583,6 +584,28 @@ def test_kappa_flow_derivative_tiles_match_the_whole_window_oracles(rng, step):
             block = flow_block(T, X, rel, w, step=1e-3)
             assert np.max(np.abs(block - whole_window_flow_derivative(T, X, rel, w, 1e-3)[ip])) <= 1e-13 * scale, w
             assert np.max(np.abs(block - dense_flow_difference(A, T, 1e-3)[ip])) <= 1e-12 * scale, w
+
+
+@pytest.mark.parametrize("m", [-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", [UNILATERAL, BILATERAL])
+def test_conjugated_block_classes_add_up_to_the_dense_conjugation(rng, kind, m):
+    # E = D^-1 e^{tL} D = C - iS, and the blocks cover the window, a stretch over tile
+    # edges, stretches clipped at either end, and single positions of both parities
+    rel = Realization.plain(PRIN if kind == BILATERAL else HOLO2)
+    w = TruncationWindow(kind, 150, 0)
+    a, t = rel.generator("L", w), 0.3
+    spec = numkernel._spectrum(a)
+    d = spec.phases
+    e = mat_exp(a, t).data / d[:, None] * d[None, :]
+    band = random_shift(rng, w, m).single_diagonal[1]
+    dense = e @ OperatorMatrix.from_band(w, m, band).data @ e.conj().T
+    n = w.size
+    for lo, hi in ((0, n), (3, n - 2), (0, 7), (n - 9, n), (70, 71), (71, 72)):
+        even, odd = (homogeneity._conjugated_block(spec, t, band, m, lo, hi, (q,)) for q in (0, 1))
+        i, j = np.indices(even.shape) + lo
+        assert not even[(i + j + m) % 2 == 1].any() and not odd[(i + j + m) % 2 == 0].any(), (lo, hi)
+        np.testing.assert_allclose(even + odd, dense[lo:hi, lo:hi], rtol=0, atol=1e-13 * np.max(np.abs(band)))
+        np.testing.assert_array_equal(homogeneity._conjugated_block(spec, t, band, m, lo, hi, (0, 1)), even + odd)
 
 
 def test_infinitesimal_reports_hold_less_than_two_and_a_half_window_arrays():

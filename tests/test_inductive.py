@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mobshift import homogeneity
 from mobshift.cli import DEFAULT_PATHS
 from mobshift.errors import ParameterError
 from mobshift.inductive import (
@@ -15,10 +16,13 @@ from mobshift.inductive import (
 from mobshift.mobius import GroupPath
 from mobshift.numkernel import (
     BILATERAL,
+    MONOMIAL,
     ORTHONORMAL,
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
+    _parity_blocks,
+    _spectrum,
 )
 from mobshift.repn import Realization, RepnParams, generator_matrix, to_orthonormal
 from mobshift.shifts import canonical_shift, reducible_shift
@@ -28,7 +32,6 @@ from oracles import (
     dense_normalizer_defect,
     orthonormal,
     random_dense,
-    random_unitary,
     rotation_average_component,
     sharp_isotypic_flip,
     te_tf_coefficients,
@@ -277,29 +280,25 @@ def test_classifier_randomized_families(rng):
 def test_normalizer_rotation_path_is_tiny():
     w = TruncationWindow(BILATERAL, 32, 8)
     t2 = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
-    r = Realization.plain(PRIN).along_path(GroupPath((("h", 0.25),)), w)
-    report = normalizer_defect(t2, r, w)
+    report = normalizer_defect(t2, Realization.plain(PRIN), GroupPath((("h", 0.25),)), w)
     assert report.value <= 1e-12
 
 
 def test_normalizer_certifies_generated_algebra():
     w = TruncationWindow(BILATERAL, 64, 24)
     t2 = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
-    r = Realization.plain(PRIN).along_path(GroupPath((("L", 0.1),)), w)
-    assert normalizer_defect(t2, r, w).value < 1e-6
+    assert normalizer_defect(t2, Realization.plain(PRIN), GroupPath((("L", 0.1),)), w).value < 1e-6
 
     wh = TruncationWindow(UNILATERAL, 64, 24)
     t1 = orthonormal(canonical_shift("T1", HOLO2, wh), HOLO2, wh)
-    rh = Realization.plain(HOLO2).along_path(GroupPath((("L", 0.1),)), wh)
-    assert normalizer_defect(t1, rh, wh).value < 1e-6
+    assert normalizer_defect(t1, Realization.plain(HOLO2), GroupPath((("L", 0.1),)), wh).value < 1e-6
 
 
 def test_normalizer_negative_control():
     wh = TruncationWindow(UNILATERAL, 64, 16)
     n = wh.indices()[:-1]
     bad = orthonormal(OperatorMatrix.from_band(wh, -1, 1.0 / (n + 2)), HOLO2, wh)
-    rh = Realization.plain(HOLO2).along_path(GroupPath((("L", 0.1),)), wh)
-    report = normalizer_defect(bad, rh, wh)
+    report = normalizer_defect(bad, Realization.plain(HOLO2), GroupPath((("L", 0.1),)), wh)
     assert report.value > 1e-2
 
 
@@ -328,14 +327,18 @@ def _family_setup(family, N):
     return orthonormal(T, rel.params, w), rel, w
 
 
+#: a path whose Cartan form has every factor: two rotations around a boost
+LONG_PATH = GroupPath.parse("L:0.3,M:-0.2,h:0.4,L:-0.15")
+
+
 @pytest.mark.parametrize("N", [16, 32, 64])
 @pytest.mark.parametrize("family", sorted(AGREEMENT_FAMILIES))
 def test_normalizer_matches_dense_oracle_on_families(family, N):
     T, rel, w = _family_setup(family, N)
     for text in DEFAULT_PATHS:
-        R = rel.along_path(GroupPath.parse(text), w)
-        got = normalizer_defect(T, R, w).value
-        assert abs(got - dense_normalizer_defect(T, R, w)) <= 1e-12, text
+        path = GroupPath.parse(text)
+        got = normalizer_defect(T, rel, path, w).value
+        assert abs(got - dense_normalizer_defect(T, rel.along_path(path, w), w)) <= 1e-12, text
 
 
 @pytest.mark.parametrize("step", [-2, -1, 1, 2, 3])
@@ -347,14 +350,15 @@ def test_normalizer_matches_dense_oracle_on_random_shifts(rng, step, layout):
         for n in range(w.lo, w.hi + 1)
         if w.contains(n - step)
     }
-    t = OperatorMatrix.from_band(w, step, list(coeffs.values()))
-    if layout == "unilateral-gram":
+    gram_layout = layout == "unilateral-gram"
+    t = OperatorMatrix.from_band(w, step, list(coeffs.values()), MONOMIAL if gram_layout else ORTHONORMAL)
+    if gram_layout:
         g = OperatorMatrix.from_band(w, 0, rng.uniform(0.5, 2.0, w.size))
         t = to_orthonormal(t, g)
-    # normalizer_defect inverts R as R^H; the oracle keeps an independent solve
-    r = OperatorMatrix(random_unitary(rng, w.size), w, t.basis)
-    want = dense_normalizer_defect(t, r, w)
-    got = normalizer_defect(t, r, w).value
+    # normalizer_defect conjugates by E^H; the oracle keeps an independent solve with R
+    rel = Realization.plain(PRIN if layout == "bilateral" else HOLO2)
+    want = dense_normalizer_defect(t, rel.along_path(LONG_PATH, w), w)
+    got = normalizer_defect(t, rel, LONG_PATH, w).value
     assert want > 1e-3
     assert abs(got - want) <= 1e-12 * want
 
@@ -367,40 +371,52 @@ def test_normalizer_matches_dense_oracle_where_the_halo_is_clipped(rng, kind, st
     # 0..8 at pad 4 a step of 6 reaches past both ends from the one interior index
     w = TruncationWindow(kind, 8, pad)
     size = w.size - abs(step)
-    t = OperatorMatrix.from_band(w, step, rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    # a dense R, and a diagonal one, which stays on band products (and certifies a step
+    t = OperatorMatrix.from_band(w, step, rng.standard_normal(size) + 1j * rng.standard_normal(size), ORTHONORMAL)
+    # a dense R, and a diagonal one, which stays on T's band (and certifies a step
     # whose one interior entry per component is always a multiple: a defect of 0)
-    dense = OperatorMatrix(random_unitary(rng, w.size), w)
-    diagonal = OperatorMatrix.from_band(w, 0, np.exp(1j * rng.uniform(0, 6, w.size)))
-    for r in (dense, diagonal):
-        want = dense_normalizer_defect(t, r, w)
-        assert abs(normalizer_defect(t, r, w).value - want) <= 1e-12 * max(want, 1.0)
+    rel = Realization.plain(HOLO2 if kind == UNILATERAL else PRIN)
+    for path in (LONG_PATH, GroupPath((("h", rng.uniform(-0.5, 0.5)),))):
+        want = dense_normalizer_defect(t, rel.along_path(path, w), w)
+        assert abs(normalizer_defect(t, rel, path, w).value - want) <= 1e-12 * max(want, 1.0)
 
 
-def test_normalizer_memory_stays_below_two_window_arrays():
+def test_normalizer_memory_stays_below_two_window_arrays(monkeypatch):
     # S = (R T) R^H over the whole window held about 4 window-sized arrays on L:0.1
     # and 1.4 on h:0.3, and the commutator over the whole interior block 1.25 on both;
-    # a banded R must stay banded
+    # E's parity blocks are formed before the trace, as R was, and a rotation stays on
+    # T's band
     w = TruncationWindow(BILATERAL, 256, 96)
     rel = Realization.plain(PRIN)
     T = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
+    blocks = _parity_blocks(_spectrum(rel.generator("L", w)), 0.1)
+    monkeypatch.setattr(homogeneity, "_parity_blocks", lambda spec, t: blocks)
     for text in ("L:0.1", "h:0.3"):
-        R = rel.along_path(GroupPath.parse(text), w)
-        assert traced_peak(normalizer_defect, T, R, w) <= 1.1 * w.size**2 * 16, text
-    assert "data" not in R.__dict__
+        assert traced_peak(normalizer_defect, T, rel, GroupPath.parse(text), w) <= 1.1 * w.size**2 * 16, text
+
+
+def test_normalizer_call_holds_few_window_arrays():
+    # the whole call with L's spectrum cached: E's parity blocks (0.38 window arrays),
+    # S's block on the interior and halo (0.40) and one tile's products; R, which the
+    # call no longer builds, was 1 more
+    w = TruncationWindow(BILATERAL, 256, 96)
+    rel = Realization.plain(PRIN)
+    T = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
+    _spectrum(rel.generator("L", w))
+    for text, bound in (("L:0.1", 1.3), ("h:0.3", 0.6)):
+        assert traced_peak(normalizer_defect, T, rel, GroupPath.parse(text), w) <= bound * w.size**2 * 16, text
 
 
 def test_normalizer_requires_single_step_shift(rng):
     w = TruncationWindow(BILATERAL, 6, 1)
     dense = OperatorMatrix(random_dense(rng, w.size), w)
-    r = Realization.plain(PRIN).along_path(GroupPath((("h", 0.1),)), w)
+    rel, path = Realization.plain(PRIN), GroupPath((("h", 0.1),))
     with pytest.raises(ParameterError):
-        normalizer_defect(dense, r, w)
+        normalizer_defect(dense, rel, path, w)
     with pytest.raises(ParameterError):
-        normalizer_defect(OperatorMatrix.from_band(w, 0, np.zeros(w.size)), r, w)
+        normalizer_defect(OperatorMatrix.from_band(w, 0, np.zeros(w.size)), rel, path, w)
     two_steps = OperatorMatrix.from_band(w, 1, np.ones(w.size - 1)) + OperatorMatrix.from_band(w, 2, np.ones(w.size - 2))
     with pytest.raises(ParameterError):
-        normalizer_defect(two_steps, r, w)
+        normalizer_defect(two_steps, rel, path, w)
 
 
 # ---------------------------------------------------------------- sharp flip
