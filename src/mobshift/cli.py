@@ -415,7 +415,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of every command and ``verify`` suite name, with the arguments
+    of only the command (and suite) that argv names, the one that argparse reads:
+    the first word of argv that is not an option, and the next under ``verify``."""
+    words = [arg for arg in argv if not arg.startswith("-")]
+    command = words[0] if words else None
+    suite = words[1] if command == "verify" and len(words) > 1 else None
     parser = _Parser(
         prog="mobshift",
         description="Construct truncated cover representations and certify shift-operator identities.",
@@ -434,18 +440,21 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--pad", type=int, help=f"interior padding (default {pad_default}; at most N/2 for holo and antiholo, N-1 otherwise)")
 
     wp = sub.add_parser("weights", help="emit a weight-sequence table")
-    add_family(wp)
-    wp.add_argument("--branch", choices=(BRANCH_T2, BRANCH_T3), help=f"branch (principal, complementary; default {BRANCH_T2})")
-    wp.add_argument("--n0", type=int, required=True)
-    wp.add_argument("--n1", type=int, required=True)
-    wp.add_argument("--format", choices=("csv", "json"), default="csv")
-    wp.set_defaults(func=cmd_weights)
+    if command == "weights":
+        add_family(wp)
+        wp.add_argument("--branch", choices=(BRANCH_T2, BRANCH_T3), help=f"branch (principal, complementary; default {BRANCH_T2})")
+        wp.add_argument("--n0", type=int, required=True)
+        wp.add_argument("--n1", type=int, required=True)
+        wp.add_argument("--format", choices=("csv", "json"), default="csv")
+        wp.set_defaults(func=cmd_weights)
 
     vp = sub.add_parser("verify", help="run a verification suite, one JSON report per line")
     vp.set_defaults(func=cmd_verify)
     suites = vp.add_subparsers(dest="suite", required=True)
-    for suite in SUITES:
-        sp = suites.add_parser(suite)
+    for name in SUITES:
+        sp = suites.add_parser(name)
+        if name != suite:
+            continue
         if suite == "lemmas":
             sp.add_argument("--samples", type=int, default=100, help="random samples (default 100)")
             sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
@@ -469,29 +478,31 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tolerance", type=float, help="override the suite tolerance")
 
     cp = sub.add_parser("classify", help="classify a step-(-1) coefficient file")
-    cp.add_argument("--file", required=True, help="CSV of n,re[,im] coefficient rows, one per n")
-    cp.add_argument("--lambda", dest="lam", type=float, required=True)
-    cp.add_argument("--mu-re", dest="mu_re", type=float, required=True)
-    cp.add_argument("--mu-im", dest="mu_im", type=float, default=0.0)
-    cp.set_defaults(func=cmd_classify)
+    if command == "classify":
+        cp.add_argument("--file", required=True, help="CSV of n,re[,im] coefficient rows, one per n")
+        cp.add_argument("--lambda", dest="lam", type=float, required=True)
+        cp.add_argument("--mu-re", dest="mu_re", type=float, required=True)
+        cp.add_argument("--mu-im", dest="mu_im", type=float, default=0.0)
+        cp.set_defaults(func=cmd_classify)
 
     gp = sub.add_parser("sweep", help="run suites over a parameter grid, CSV per cell")
-    gp.add_argument("--series", choices=(HOLO, PRINCIPAL, COMPLEMENTARY), required=True)
-    gp.add_argument("--lambda-grid", dest="lambda_grid", default="", help="comma-separated lambda values")
-    gp.add_argument("--im-mu-grid", dest="im_mu_grid", help=f"comma-separated Im mu (principal; default {DEFAULT_IM_MU:g})")
-    gp.add_argument("--mu-grid", dest="mu_grid", help="'auto' midpoints (the default) or comma-separated mu (complementary)")
-    gp.add_argument("--suites", default="unitarity", help="comma-separated: " + ",".join(SWEEP_SUITES))
-    gp.add_argument("--op", choices=OP_CHOICES, help="operator for the homogeneity suite")
-    gp.add_argument("--path", action="append", help="flow path; repeatable")
-    add_window(gp, "max(16, N/4)")
-    gp.set_defaults(func=cmd_sweep)
+    if command == "sweep":
+        gp.add_argument("--series", choices=(HOLO, PRINCIPAL, COMPLEMENTARY), required=True)
+        gp.add_argument("--lambda-grid", dest="lambda_grid", default="", help="comma-separated lambda values")
+        gp.add_argument("--im-mu-grid", dest="im_mu_grid", help=f"comma-separated Im mu (principal; default {DEFAULT_IM_MU:g})")
+        gp.add_argument("--mu-grid", dest="mu_grid", help="'auto' midpoints (the default) or comma-separated mu (complementary)")
+        gp.add_argument("--suites", default="unitarity", help="comma-separated: " + ",".join(SWEEP_SUITES))
+        gp.add_argument("--op", choices=OP_CHOICES, help="operator for the homogeneity suite")
+        gp.add_argument("--path", action="append", help="flow path; repeatable")
+        add_window(gp, "max(16, N/4)")
+        gp.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ParameterError as exc:

@@ -16,11 +16,10 @@ turned a quarter by exp(pi/4 h), and e and f are (L -/+ iM)/2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, value_type
 from .mobius import MobiusElement
 from .numkernel import (
     BILATERAL,
@@ -50,7 +49,7 @@ DEFAULT_ROUTE_TOL = 1e-7
 DEFAULT_REDUCIBLE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@value_type
 class DefectReport:
     """Named residual with its tolerance, verdict, and reproducing context."""
 
@@ -58,7 +57,7 @@ class DefectReport:
     value: float
     tolerance: float
     passed: bool
-    context: dict = field(default_factory=dict)
+    context: dict = {}
 
     @classmethod
     def build(cls, name: str, value: float, tolerance: float, context: dict | None = None) -> "DefectReport":

@@ -10,12 +10,11 @@ algebra generated by a shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, value_type
 from .homogeneity import DefectReport, _conjugated_block
 from .mobius import GroupPath
 from .numkernel import (
@@ -71,7 +70,7 @@ def ladder_cancellation(lam: float, mu: complex, m: int, n: int, side: str) -> c
     raise ParameterError(f"side must be 'e' or 'f', got {side!r}")
 
 
-@dataclass(frozen=True)
+@value_type
 class AminusOneFit:
     """Affine fit a_n (mu - n - 1) = a - b n with its branch verdict."""
 

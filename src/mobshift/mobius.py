@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, value_type
 
 GENERATORS = ("h", "L", "M")
 SEGMENT_TIME_CAP = 0.5
@@ -23,7 +22,7 @@ _ALPHA_TOL = 1e-12
 _BETA_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@value_type
 class MobiusElement:
     alpha: complex
     beta: complex
@@ -90,7 +89,7 @@ def flow(gen: str, t: float) -> MobiusElement:
     return MobiusElement(1.0 + 0j, -1j * b)
 
 
-@dataclass(frozen=True)
+@value_type
 class GroupPath:
     """Cover element as an ordered tuple of (generator, time) flow segments."""
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .errors import (
     ParameterError,
     SingularMatrixError,
     WindowMismatchError,
+    value_type,
 )
 
 UNILATERAL = "unilateral"
@@ -45,7 +45,7 @@ SPECTRUM_CACHE_SIZE = 1
 TILE = 64
 
 
-@dataclass(frozen=True)
+@value_type
 class TruncationWindow:
     """Finite index range standing in for Z or Z+, with an untrusted margin.
 
@@ -119,7 +119,7 @@ def _rows(m: int, d: np.ndarray, n: int) -> np.ndarray:
     return np.pad(d, (n + max(-m, 0), n + max(m, 0)))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@value_type(eq=False, hide=("bands",))
 class OperatorMatrix:
     """Immutable square matrix over a window's basis indices.
 
@@ -134,7 +134,7 @@ class OperatorMatrix:
 
     window: TruncationWindow
     basis: str
-    bands: dict[int, np.ndarray] | None = field(repr=False)
+    bands: dict[int, np.ndarray] | None
 
     def __init__(self, data, window: TruncationWindow, basis: str = MONOMIAL):
         data = np.array(data, dtype=np.complex128)
@@ -287,7 +287,7 @@ class OperatorMatrix:
         return OperatorMatrix._adopt(self.window, self.basis, bands={-m: d.conj() for m, d in self.bands.items()})
 
 
-@dataclass(frozen=True, eq=False)
+@value_type(eq=False)
 class _Spectrum:
     """e^{tX} = D (cos tHr - i sin tHr) D^-1 data for one tridiagonal generator X.
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .errors import (
     NumericsError,
     ParameterError,
     WindowMismatchError,
+    value_type,
 )
 from .mobius import GroupPath, MobiusElement
 from .numkernel import (
@@ -69,7 +69,7 @@ _ORACLE_BETA_CAP = 0.3
 _CIRCLE_BLOCK = 32
 
 
-@dataclass(frozen=True)
+@value_type
 class RepnParams:
     """(index set, lam, mu) naming one representation of the cover.
 
@@ -236,7 +236,7 @@ def unitarity_residual(R: OperatorMatrix, w: TruncationWindow) -> float:
     return math.sqrt(total)
 
 
-@dataclass(frozen=True)
+@value_type
 class Realization:
     """One family: its parameters and the route that realizes it.
 

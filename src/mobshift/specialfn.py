@@ -9,12 +9,11 @@ both directions: no gamma value is evaluated, and no anchor can overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParameterRangeError, WindowMismatchError
+from .errors import ParameterRangeError, WindowMismatchError, value_type
 from .numkernel import BILATERAL, TruncationWindow
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -24,7 +23,7 @@ _IMAG_DISCARD_TOL = 1e-12
 _PRINCIPAL_RE_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@value_type(eq=False)
 class NormSequence:
     """Squared basis norms over a window; strictly positive by construction."""
 

@@ -489,6 +489,7 @@ def test_a_family_owned_option_is_refused_under_every_other_family(capsys, flag,
     assert err == f"error: {flag} is an option of the {families} only\n"
 
 
+#: the options of each verify suite (each also takes --tolerance) and of each other command
 SUITE_OPTIONS = {
     "lemmas": {"--samples", "--seed"},
     "reducible-lambda": {"--series", "--lambda", "--r", "--N", "--pad"},
@@ -496,31 +497,70 @@ SUITE_OPTIONS = {
     "homogeneity": {"--series", "--lambda", "--im-mu", "--mu", "--r", "--N", "--pad", "--op", "--path"},
     "normalizer": {"--series", "--lambda", "--im-mu", "--mu", "--r", "--N", "--pad", "--op", "--path"},
     "infinitesimal": {"--series", "--lambda", "--im-mu", "--mu", "--r", "--N", "--pad", "--op", "--step"},
+    "weights": {"--series", "--lambda", "--im-mu", "--mu", "--r", "--branch", "--n0", "--n1", "--format"},
+    "classify": {"--file", "--lambda", "--mu-re", "--mu-im"},
+    "sweep": {"--series", "--lambda-grid", "--im-mu-grid", "--mu-grid", "--suites", "--op", "--path", "--N", "--pad"},
 }
 
 
 @pytest.mark.parametrize("suite", sorted(SUITE_OPTIONS))
 def test_verify_suite_help_lists_exactly_its_options(capsys, suite):
-    code, out, err = run(capsys, ["verify", suite, "--help"])
+    verify = suite in cli.SUITES
+    code, out, err = run(capsys, ["verify", suite, "--help"] if verify else [suite, "--help"])
     assert code == 0 and err == ""
-    assert set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", out)) == SUITE_OPTIONS[suite] | {"--help", "--tolerance"}
+    wanted = SUITE_OPTIONS[suite] | {"--help"} | ({"--tolerance"} if verify else set())
+    assert set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", out)) == wanted
+
+
+def test_help_lists_every_command_and_suite(capsys):
+    # the parser builds only the arguments of the command argv names, but lists every name
+    code, out, err = run(capsys, ["--help"])
+    assert code == 0 and err == ""
+    assert "{weights,verify,classify,sweep}" in out
+    for command, text in (
+        ("weights", "emit a weight-sequence table"),
+        ("verify", "run a verification suite, one JSON report per line"),
+        ("classify", "classify a step-(-1) coefficient file"),
+        ("sweep", "run suites over a parameter grid, CSV per cell"),
+    ):
+        assert re.search(rf"^ +{command} +{re.escape(text)}$", out, re.M), command
+    code, out, err = run(capsys, ["verify", "--help"])
+    assert code == 0 and err == ""
+    assert "{homogeneity,unitarity,infinitesimal,reducible-lambda,normalizer,lemmas}" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["frobnicate", "--N", "8"], "argument command: invalid choice: 'frobnicate' (choose from 'weights', 'verify', 'classify', 'sweep')"),
+        (["verify", "frobnicate", "--N", "8"], "argument suite: invalid choice: 'frobnicate' (choose from "
+         "'homogeneity', 'unitarity', 'infinitesimal', 'reducible-lambda', 'normalizer', 'lemmas')"),
+        # the parser is built for the first word that is not an option, the one argparse reads
+        (["--x", "verify", "lemmas", "--samples", "1"], "unrecognized arguments: --x"),
+        (["verify", "--x", "lemmas", "--samples", "1"], "unrecognized arguments: --x"),
+    ],
+    ids=["command", "suite", "option before the command", "option before the suite"],
+)
+def test_an_unknown_command_suite_or_option_is_refused_in_one_line(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_bench_command_lines_parse(tmp_path, seed):
     # every CLI operation of the desk, sweep and wide workloads that a correct program
-    # answers with a report (exit 0 or 1) must get past the parser
+    # answers with a report (exit 0 or 1) must get past the parser that main builds for it
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    parser = cli.build_parser()
     ops = [op for name in ("desk", "sweep", "wide") for op in workloads.BUILDERS[name](seed, str(tmp_path))]
     checked = [op for op in ops if op.kind != "route" and op.exit in (0, 1)]
     assert len(checked) > 50
     for op in checked:
-        args = parser.parse_args(list(op.args))
+        args = cli.build_parser(list(op.args)).parse_args(list(op.args))
         assert args.command == op.args[0], op.label
 
 
@@ -891,6 +931,24 @@ def test_cli_import_does_not_load_scipy():
     probe = "import sys, mobshift.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_loads_every_traced_module_and_no_dataclasses():
+    # the tracer looks each module of bench/tracer.py's TARGETS up in sys.modules after
+    # importing mobshift.cli, so a module imported lazily would fail a traced bench run;
+    # dataclasses compiles methods per class at import, which every process would pay
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+    try:
+        import tracer
+    finally:
+        sys.path.pop(0)
+    modules = sorted({f"mobshift.{target.name.partition('.')[0]}" for target in tracer.TARGETS})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = f"import sys, mobshift.cli; print([m for m in {modules!r} if m not in sys.modules], 'dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert len(modules) > 5
+    assert out.stdout.strip() == "[] False"
 
 
 def test_verify_lemmas_does_not_load_numpy_random():
