@@ -219,26 +219,6 @@ def kappa_commutator(T: OperatorMatrix, rel: Realization, w: TruncationWindow) -
     return commutator.diagonal(m - 1), commutator.diagonal(m + 1)
 
 
-def _relation(X: str, l: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Relation X's values from L's, ``l``, and M's, which ``out`` holds and is overwritten
-    with them: L, M, or e and f = (L -/+ iM)/2."""
-    if X == "L":
-        out[...] = l
-    elif X != "M":
-        out *= -1j if X == "e" else 1j
-        out += l
-        out *= 0.5
-    return out
-
-
-def _max_abs(block: np.ndarray) -> float:
-    """The largest |entry| of block, over tiles of ``TILE`` rows; NaN if any is."""
-    worst = 0.0
-    for a, b in _tiles(0, block.shape[0]):
-        worst = np.maximum(worst, np.max(np.abs(block[a:b])))  # max() would drop a NaN
-    return worst
-
-
 def infinitesimal_reports(
     T: OperatorMatrix,
     rel: Realization,
@@ -259,38 +239,50 @@ def infinitesimal_reports(
     quarter by exp(pi/4 h): dR(M) = Q dR(L) Q^-1 with Q = diag(omega^k), which is
     exp(pi/4 dR(h)) up to a phase, omega = -i (i under the sharp twist).  For a shift
     T on diagonal m (any other T raises ``ParameterError``), Q^-1 T Q = omega^m T, so
-    M's flow and commutator are L's with diagonal q scaled by omega^(m - q), exactly,
-    and e and f are (L -/+ iM)/2 of them.  Each relation forms its copy of L's flow in
-    one reused block and subtracts there its own targets, on diagonals 2m and 0, or
-    its own commutator, on m -/+ 1.
+    M's flow and commutator are L's with block entry (i, j) scaled by omega^r,
+    r = (m + i - j) mod 4, exactly, and e and f are (L -/+ iM)/2 of them: each
+    relation scales L's by one constant c(r) per residue class.  So the flow is read
+    once.  Its diagonals 2m and 0, which carry the targets, and m -/+ 1, which carry
+    the commutator, are copied out and zeroed; the rest gives each class's squared
+    norm S_r and largest modulus P_r, over the 16 strided sub-blocks, each in one
+    class.  A relation's identity squared is sum_r |c(r)|^2 S_r plus each copied
+    diagonal's |c d - target|^2, and its route gap the largest |c(r)| P_r and
+    |c| max|d - commutator|, so a NaN anywhere reaches both.
     """
     low, high = kappa_commutator(T, rel, w)  # refuses all but a shift
     m, p = T.single_diagonal[0], _interior_positions(T, w)
-    square, ones = (T @ T).diagonal(2 * m), np.ones(w.size)  # diagonal 2m of T^2 and diagonal 0 of I
-    targets = {"L": ((2 * m, square), (0, -ones)), "M": ((2 * m, -1j * square), (0, -1j * ones)),
-               "e": ((0, -ones),), "f": ((2 * m, square),)}
-    # omega^(m - q) at block entry (i, j), q = j - i, is rows[i] cols[j]: each a power of omega, exact
+    square = (T @ T).diagonal(2 * m)  # T^2's one diagonal
+    targets = {"L": (1, -1), "M": (-1j, -1j), "e": (0, -1), "f": (1, 0)}  # X's target a T^2 + b I
     omega = -1j * rel._sign("h")
-    turns, k = np.array([1, omega, -1, -omega]), np.arange(p.size)
-    rows, cols = turns[(m + k) % 4], turns[-k % 4]
-    flow = kappa_flow_derivative(T, rel, w, step)
-    block, n, p0, reports = np.empty_like(flow), p.size, int(p[0]), []
+    turn = np.array([1, omega, -1, -omega])  # omega^r, each a power of i, exact
+    scales = {"L": np.ones(4), "M": turn, "e": 0.5 - 0.5j * turn, "f": 0.5 + 0.5j * turn}
+    flow = kappa_flow_derivative(T, rel, w, step)  # a fresh block: the suite zeroes its diagonals
+    n, p0, diagonals = p.size, int(p[0]), []
+    for q in dict.fromkeys((2 * m, 0, m - 1, m + 1)):  # distinct: at m = 0 both targets are on diagonal 0
+        k = np.arange(max(-q, 0), min(n, n - q))  # the block's rows on diagonal q
+        window = slice(p0, p0 + k.size)  # the window diagonal's entries that they hold
+        commutator = low[window] if q == m - 1 else high[window] if q == m + 1 else 0.0
+        parts = (square[window] if q == 2 * m else 0.0, 1.0 if q == 0 else 0.0)  # of T^2 and of I
+        diagonals.append(((m - q) % 4, flow[k, k + q], commutator, parts))
+        flow[k, k + q] = 0.0
+    square_norm, largest = np.zeros(4), np.zeros(4)
+    for a in range(4):
+        for b in range(4):
+            part, r = flow[a::4, b::4], (m + a - b) % 4
+            square_norm[r] += np.vdot(part, part).real
+            largest[r] = np.maximum(largest[r], np.max(np.abs(part), initial=0.0))  # max() would drop a NaN
+    reports = []
     for X in KAPPA_GENERATORS:
-        # M turns diagonal m - 1 by omega and m + 1 by 1 / omega = -omega
-        commutator = ((m - 1, _relation(X, low, omega * low)), (m + 1, _relation(X, high, -omega * high)))
-        values = []
-        for bands, reduce in ((targets[X], np.linalg.norm), (commutator, _max_abs)):
-            np.multiply(flow, rows[:, None], out=block)
-            block *= cols
-            _relation(X, flow, block)
-            for q, v in bands:
-                # diagonal q of the block, whose entries are the window diagonal's p0, p0 + 1, ...
-                view = block.reshape(-1)[max(q, 0) + max(-q, 0) * n :: n + 1][: max(n - abs(q), 0)]
-                view -= v[p0 : p0 + view.size]
-            values.append(float(reduce(block)))
+        (a, b), c = targets[X], scales[X]
+        size = np.abs(c)
+        identity, gap = size**2 @ square_norm, np.max(size * largest)
+        for r, d, commutator, (t2, t0) in diagonals:
+            residual = c[r] * d - (a * t2 + b * t0)
+            identity += np.vdot(residual, residual).real
+            gap = np.maximum(gap, size[r] * np.max(np.abs(d - commutator), initial=0.0))
         ctx = dict(context or {}, generator=X, step=step)
-        reports.append(DefectReport.build(f"kappa_{X}_identity", values[0], identity_tol, ctx))
-        reports.append(DefectReport.build(f"kappa_{X}_route_gap", values[1], DEFAULT_ROUTE_TOL, ctx))
+        reports.append(DefectReport.build(f"kappa_{X}_identity", np.sqrt(identity), identity_tol, ctx))
+        reports.append(DefectReport.build(f"kappa_{X}_route_gap", gap, DEFAULT_ROUTE_TOL, ctx))
     return reports
 
 

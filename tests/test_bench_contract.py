@@ -61,3 +61,16 @@ def test_traced_normalizer_builds_no_r(tmp_path):
     names = {span[0] for span in json.loads(spans_path.read_text())}
     assert "inductive.normalizer_defect" in names
     assert not names & {"numkernel.mat_exp", "repn.Realization.along_path"}
+
+
+def test_traced_infinitesimal_forms_one_flow_and_no_r(tmp_path):
+    # the suite reads its four relations off one flow of L, conjugated by the parity blocks
+    # of L's spectrum: the trace holds one span of each and neither the exponential nor R
+    spans_path = tmp_path / "spans.json"
+    argv = ["verify", "infinitesimal", "--series", "principal", "--lambda", "0.3", "--N", "32"]
+    out = run_script(str(BENCH / "child.py"), "cli", str(spans_path), "0", *argv)
+    assert out.returncode == 0, out.stderr
+    names = [span[0] for span in json.loads(spans_path.read_text())]
+    assert names.count("homogeneity.infinitesimal_reports") == 1
+    assert names.count("homogeneity.kappa_flow_derivative") == 1
+    assert not set(names) & {"numkernel.mat_exp", "repn.Realization.along_path"}

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 
@@ -484,33 +485,42 @@ def test_kappa_commutator_takes_a_shift():
         kappa_commutator(t + t.H, Realization.plain(HOLO2), w)
 
 
-def test_infinitesimal_reports_form_e_and_f_by_linearity_on_both_routes():
+def test_infinitesimal_reports_form_e_and_f_by_linearity_on_both_routes(rng):
     # e and f, targets included, are (L -/+ iM)/2 of the L and M residuals, and M's flow and
-    # commutator are L's turned a quarter, omega^m Q (.) Q^-1 for a shift on diagonal m; for
-    # a shift off diagonal 0 that is, bit for bit, the residual of the interior blocks
-    # formed densely
-    p = RepnParams(BILATERAL, 0.3, complex(0.35, 5.1))
-    w = TruncationWindow(BILATERAL, 64, 16)
-    t = orthonormal(canonical_shift("T3", p, w), p, w)
-    m = t.single_diagonal[0]
-    assert m != 0
-    rel = Realization.plain(p)
-    reports = {r.name: r.value for r in infinitesimal_reports(t, rel, w)}
-    ip = np.ix_(w.interior_positions(), w.interior_positions())
-    q = quarter_turn(rel, w).diagonal(0)
-    turn = lambda block: q[m % 4] * q[w.interior_positions(), None] * block * q[w.interior_positions()].conj()
-    square, ident = (t @ t).data[ip], np.eye(w.size)[ip]
-    targets = {"L": square - ident, "M": -1j * (square + ident)}
-    fd = {"L": kappa_flow_derivative(t, rel, w)}
-    comm = {"L": commutator_matrix(t, "L", rel, w).data[ip]}
-    fd["M"], comm["M"] = turn(fd["L"]), turn(comm["L"])
-    identity = [fd[gen] - targets[gen] for gen in ("L", "M")]
-    gap = [fd[gen] - comm[gen] for gen in ("L", "M")]
-    for gen, combine in (
-        ("L", lambda L, M: L), ("M", lambda L, M: M), ("e", lambda L, M: 0.5 * (L - 1j * M)), ("f", lambda L, M: 0.5 * (L + 1j * M))
-    ):
-        assert reports[f"kappa_{gen}_identity"] == float(np.linalg.norm(combine(*identity))), gen
-        assert reports[f"kappa_{gen}_route_gap"] == float(np.max(np.abs(combine(*gap)))), gen
+    # commutator are L's turned a quarter, omega^m Q (.) Q^-1 for a shift on diagonal m.  The
+    # suite sums each residue class of the block apart, so its identity values match the
+    # dense residuals' norms up to summation order; its route gaps scale each class by 0 or
+    # 1 and match them bit for bit.  Interiors of 1, 2 and 3 positions leave classes empty,
+    # and at m = -1, 0 and 1 a commutator diagonal and a target diagonal coincide.
+    short = (
+        (f"{w} step {step}", rel, w, OperatorMatrix.from_band(w, step, random_shift(rng, w, step).single_diagonal[1], ORTHONORMAL))
+        for rel, w in (
+            (ORACLE_CASES["holo"][0], TruncationWindow(UNILATERAL, 2, 1)),
+            (ORACLE_CASES["holo"][0], TruncationWindow(UNILATERAL, 3, 1)),
+            (ORACLE_CASES["principal T3"][0], TruncationWindow(BILATERAL, 2, 1)),
+        )
+        for step in (-2, -1, 0, 1, 2)
+    )
+    for label, rel, w, t in itertools.chain(oracle_operands(rng, 16), short):
+        m = t.single_diagonal[0]
+        reports = {r.name: r.value for r in infinitesimal_reports(t, rel, w)}
+        ip = np.ix_(w.interior_positions(), w.interior_positions())
+        q = quarter_turn(rel, w).diagonal(0)
+        omega_m = np.array([1, q[1], -1, -q[1]])[m % 4]
+        turn = lambda block: omega_m * q[w.interior_positions(), None] * block * q[w.interior_positions()].conj()
+        square, ident = (t @ t).data[ip], np.eye(w.size)[ip]
+        targets = {"L": square - ident, "M": -1j * (square + ident)}
+        fd = {"L": kappa_flow_derivative(t, rel, w)}
+        comm = {"L": commutator_matrix(t, "L", rel, w).data[ip]}
+        fd["M"], comm["M"] = turn(fd["L"]), turn(comm["L"])
+        identity = [fd[gen] - targets[gen] for gen in ("L", "M")]
+        gap = [fd[gen] - comm[gen] for gen in ("L", "M")]
+        for gen, combine in (
+            ("L", lambda L, M: L), ("M", lambda L, M: M), ("e", lambda L, M: 0.5 * (L - 1j * M)), ("f", lambda L, M: 0.5 * (L + 1j * M))
+        ):
+            dense = float(np.linalg.norm(combine(*identity)))
+            assert abs(reports[f"kappa_{gen}_identity"] - dense) <= 1e-14 * dense, (label, gen)
+            assert reports[f"kappa_{gen}_route_gap"] == float(np.max(np.abs(combine(*gap)))), (label, gen)
 
 
 def test_infinitesimal_reports_form_no_window_product(monkeypatch):
@@ -610,7 +620,9 @@ def test_conjugated_block_classes_add_up_to_the_dense_conjugation(rng, kind, m):
 
 def test_infinitesimal_reports_hold_less_than_two_and_a_half_window_arrays():
     # C[:, P], S[:, P], T'S and T'C over all interior columns, and e and f formed with three
-    # block-sized temporaries each, held 17.4 MB, where one window-sized array is 4.0 MB
+    # block-sized temporaries each, held 17.4 MB, where one window-sized array is 4.0 MB; the
+    # flow's own tiles set the peak, 1.42 window arrays, and the suite adds to its block only
+    # copies of four diagonals and of one strided sixteenth of it at a time
     w = TruncationWindow(BILATERAL, 256, 64)
     rel = Realization.plain(PRIN)
     t = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
@@ -619,8 +631,8 @@ def test_infinitesimal_reports_hold_less_than_two_and_a_half_window_arrays():
 
 
 def test_infinitesimal_reports_route_gap_holds_no_block_sized_temporary():
-    # the flow block and the reused block are two interior blocks; the route gap's
-    # np.abs over the whole block would add a real half block, 2.52 blocks at N = 512
+    # the flow's own peak is 2.09 interior blocks at N = 512, and the suite reads the block
+    # a strided sixteenth at a time; np.abs over the whole block would add a real half block
     w = TruncationWindow(BILATERAL, 512, 128)
     rel = Realization.plain(PRIN)
     t = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
@@ -628,12 +640,23 @@ def test_infinitesimal_reports_route_gap_holds_no_block_sized_temporary():
     assert traced_peak(infinitesimal_reports, t, rel, w) <= 2.3 * w.interior_positions().size ** 2 * 16
 
 
-def test_route_gap_maximum_keeps_a_nan_of_a_later_tile():
-    block = np.zeros((2 * numkernel.TILE + 5, 3), dtype=np.complex128)
-    block[numkernel.TILE + 1, 2] = -4j
-    assert homogeneity._max_abs(block) == 4.0
-    block[2 * numkernel.TILE + 1, 0] = np.nan
-    assert np.isnan(homogeneity._max_abs(block))
+def test_infinitesimal_reports_refuse_a_nan_of_the_flow(monkeypatch):
+    # a NaN in L's flow reaches the values, so DefectReport.build refuses them: off the
+    # diagonals that carry a target or the commutator, on diagonal m - 5, whose residue
+    # class r = 1 e scales by (1 - i omega^r)/2 = 0 (omega = -i), and on diagonal m - 1
+    w = TruncationWindow(BILATERAL, 16, 4)
+    rel = Realization.plain(PRIN)
+    t = orthonormal(canonical_shift("T3", PRIN, w), PRIN, w)
+    m, flow = t.single_diagonal[0], homogeneity.kappa_flow_derivative
+    for q in (m - 5, m - 1):
+        def poisoned(*args, q=q):
+            block = flow(*args)
+            block[max(-q, 0), max(q, 0)] = np.nan
+            return block
+
+        monkeypatch.setattr(homogeneity, "kappa_flow_derivative", poisoned)
+        with pytest.raises(ParameterError, match="non-negative"):
+            infinitesimal_reports(t, rel, w)
 
 
 def test_kappa_commutator_is_the_band_of_the_dense_commutator(rng):
