@@ -14,12 +14,21 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 bad usage or
 parameters, 3 a numerical failure (a generator that is not skew-Hermitian in
 the orthonormal basis because the basis norms do not match its action, grid
 too small, or too little memory for the window).  Identical arguments and
-seed produce byte-identical output.
+seed produce byte-identical output.  ``verify lemmas --samples`` and the rows of
+``weights`` (--n0 to --n1) are bounded (``MAX_SAMPLES``, ``MAX_WEIGHT_ROWS``), since
+each command holds all its rows before it prints one.
+
+``main()`` without argv is the process entry (``python -m mobshift.cli`` and the
+``mobshift`` script): it freezes the import-time heap, so neither the command's
+collections nor interpreter shutdown scan it again, and restores the default
+SIGPIPE action, so a reader that closes stdout early ends the process without a
+traceback; ``main(argv)`` changes neither.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -65,6 +74,10 @@ DEEP_PADDING = 24
 DEFAULT_PATHS = ("L:0.1", "M:0.1", "h:0.3", "L:0.1,M:-0.05,h:0.2")
 DEFAULT_UNITARITY_TOL = 1e-7
 DEFAULT_IM_MU = 0.5
+#: the most lemma samples (about 1.3 KB and 45 us each) and weight rows (0.13 KB, 24 us)
+#: that one command takes: about 160 MB at either limit
+MAX_SAMPLES = 100_000
+MAX_WEIGHT_ROWS = 1_000_000
 
 SERIES_CHOICES = (HOLO, ANTIHOLO, PRINCIPAL, COMPLEMENTARY, REDUCIBLE)
 SUITES = ("homogeneity", "unitarity", "infinitesimal", "reducible-lambda", "normalizer", "lemmas")
@@ -201,6 +214,8 @@ def cmd_weights(args) -> int:
     rel = _family(args)
     if args.n0 > args.n1:
         raise ParameterError("--n0 must not exceed --n1")
+    if args.n1 - args.n0 >= MAX_WEIGHT_ROWS:
+        raise ParameterError(f"--n0 to --n1 spans {args.n1 - args.n0 + 1} rows, more than {MAX_WEIGHT_ROWS}")
     branch = args.branch or BRANCH_T2
     rows = [(n, weight_sequence(args.series, rel, n, branch=branch)) for n in range(args.n0, args.n1 + 1)]
     if args.format == "json":
@@ -220,6 +235,8 @@ def cmd_weights(args) -> int:
 def _suite_lemmas(args) -> list[DefectReport]:
     if args.samples < 1:
         raise ParameterError("--samples must be at least 1")
+    if args.samples > MAX_SAMPLES:
+        raise ParameterError(f"--samples must not exceed {MAX_SAMPLES}")
     tol = args.tolerance if args.tolerance is not None else 1e-10
     rng = random.Random(args.seed)
     reports = []
@@ -444,7 +461,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
         add_family(wp)
         wp.add_argument("--branch", choices=(BRANCH_T2, BRANCH_T3), help=f"branch (principal, complementary; default {BRANCH_T2})")
         wp.add_argument("--n0", type=int, required=True)
-        wp.add_argument("--n1", type=int, required=True)
+        wp.add_argument("--n1", type=int, required=True, help=f"last n (at most {MAX_WEIGHT_ROWS} rows from --n0)")
         wp.add_argument("--format", choices=("csv", "json"), default="csv")
         wp.set_defaults(func=cmd_weights)
 
@@ -456,7 +473,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
         if name != suite:
             continue
         if suite == "lemmas":
-            sp.add_argument("--samples", type=int, default=100, help="random samples (default 100)")
+            sp.add_argument("--samples", type=int, default=100, help=f"random samples (default 100, at most {MAX_SAMPLES})")
             sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
             sp.set_defaults(run=_suite_lemmas)
         elif suite == "reducible-lambda":
@@ -500,8 +517,23 @@ def build_parser(argv) -> argparse.ArgumentParser:
     return parser
 
 
+def _enter_process() -> None:
+    """Set up the process that runs one command: restore the default SIGPIPE action
+    (where there is one), so a closed stdout ends it quietly as it ends ``head``, then
+    move every object alive after import into the collector's permanent generation,
+    which no collection scans, shutdown's included.  Collection stays enabled for
+    the objects that the command itself makes."""
+    import signal  # not loaded at import: only the process entry pays it
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    gc.freeze()
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    if argv is None:
+        _enter_process()
+        argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)

@@ -178,10 +178,12 @@ def kappa_flow_derivative(
     rel: Realization,
     w: TruncationWindow,
     step: float = DEFAULT_FD_STEP,
+    generator: OperatorMatrix | None = None,
 ) -> np.ndarray:
     """Interior block (rows and columns ``w.interior_positions()``) of d/ds at 0 of
     R(exp sL) T R(exp sL)^{-1}, the flow of X = L, by central differences, for a
-    shift T on diagonal m; any other T raises ``ParameterError``.
+    shift T on diagonal m; any other T raises ``ParameterError``.  ``generator`` is
+    dR(L), ``rel.generator("L", w)``, when the caller has built it already.
 
     e^{+-sX} = D (C -/+ i S) D^-1 (see ``numkernel.mat_exp``), so the symmetric part
     of the difference cancels exactly and what remains is i D (C T' S - S T' C) D^-1 / s
@@ -194,7 +196,7 @@ def kappa_flow_derivative(
     band = T.single_diagonal
     if band is None:
         raise ParameterError("the flow derivative is taken for a shift: T needs a single diagonal")
-    a = rel.generator("L", w)
+    a = rel.generator("L", w) if generator is None else generator
     T._require_compatible(a)
     p = _interior_positions(T, w)
     spec = _spectrum(a)
@@ -211,12 +213,25 @@ def kappa_commutator(T: OperatorMatrix, rel: Realization, w: TruncationWindow) -
     """[dR(L), T] for a shift T on diagonal m, the exact derivative of L's conjugation
     flow at s = 0, as its diagonals m - 1 and m + 1 in ``np.diagonal`` order, read from
     the generator's +-1 bands and T's band.  Any other T raises ``ParameterError``."""
-    if T.single_diagonal is None:
+    return _commutator_diagonals(rel.generator("L", w), T)
+
+
+def _commutator_diagonals(a: OperatorMatrix, T: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``kappa_commutator`` of the generator a = dR(L), O(N): on diagonal m + s, L's band
+    s times T's band less T's band times L's band s, one product per entry, in the order
+    of the band products a @ T - T @ a."""
+    band = T.single_diagonal
+    if band is None:
         raise ParameterError("the commutator route is taken for a shift: T needs a single diagonal")
-    # products of bands, O(N): each entry is one product, in the order of the dense L T - T L
-    a, m = rel.generator("L", w), T.single_diagonal[0]
-    commutator = a @ T - T @ a
-    return commutator.diagonal(m - 1), commutator.diagonal(m + 1)
+    T._require_compatible(a)
+    (m, t), n = band, T.window.size
+    t = _rows(m, t, n)
+    diagonals = []
+    for s in (-1, 1):
+        q, b = m + s, _rows(s, a.diagonal(s), n)
+        i = np.arange(n + max(-q, 0), 2 * n - max(q, 0))  # the rows of diagonal q, as _rows pads them
+        diagonals.append(b[i] * t[i + s] - t[i] * b[i + m])
+    return tuple(diagonals)
 
 
 def infinitesimal_reports(
@@ -235,13 +250,13 @@ def infinitesimal_reports(
     route gap is an entrywise maximum against ``DEFAULT_ROUTE_TOL``, since its
     floor is the central-difference bias at the given step.
 
-    Only L's interior flow block and L's commutator are formed.  M is L turned a
-    quarter by exp(pi/4 h): dR(M) = Q dR(L) Q^-1 with Q = diag(omega^k), which is
-    exp(pi/4 dR(h)) up to a phase, omega = -i (i under the sharp twist).  For a shift
-    T on diagonal m (any other T raises ``ParameterError``), Q^-1 T Q = omega^m T, so
-    M's flow and commutator are L's with block entry (i, j) scaled by omega^r,
-    r = (m + i - j) mod 4, exactly, and e and f are (L -/+ iM)/2 of them: each
-    relation scales L's by one constant c(r) per residue class.  So the flow is read
+    Only L's interior flow block and L's commutator are formed, from one build of L's
+    generator.  M is L turned a quarter by exp(pi/4 h): dR(M) = Q dR(L) Q^-1 with
+    Q = diag(omega^k), which is exp(pi/4 dR(h)) up to a phase, omega = -i (i under the
+    sharp twist).  For a shift T on diagonal m (any other T raises ``ParameterError``),
+    Q^-1 T Q = omega^m T, so M's flow and commutator are L's with block entry (i, j)
+    scaled by omega^r, r = (m + i - j) mod 4, exactly, and e and f are (L -/+ iM)/2 of
+    them: each relation scales L's by one constant c(r) per residue class.  So the flow is read
     once.  Its diagonals 2m and 0, which carry the targets, and m -/+ 1, which carry
     the commutator, are copied out and zeroed; the rest gives each class's squared
     norm S_r and largest modulus P_r, over the 16 strided sub-blocks, each in one
@@ -249,14 +264,15 @@ def infinitesimal_reports(
     diagonal's |c d - target|^2, and its route gap the largest |c(r)| P_r and
     |c| max|d - commutator|, so a NaN anywhere reaches both.
     """
-    low, high = kappa_commutator(T, rel, w)  # refuses all but a shift
+    a = rel.generator("L", w)  # once: the commutator and the flow both read it
+    low, high = _commutator_diagonals(a, T)  # refuses all but a shift
     m, p = T.single_diagonal[0], _interior_positions(T, w)
     square = (T @ T).diagonal(2 * m)  # T^2's one diagonal
     targets = {"L": (1, -1), "M": (-1j, -1j), "e": (0, -1), "f": (1, 0)}  # X's target a T^2 + b I
     omega = -1j * rel._sign("h")
     turn = np.array([1, omega, -1, -omega])  # omega^r, each a power of i, exact
     scales = {"L": np.ones(4), "M": turn, "e": 0.5 - 0.5j * turn, "f": 0.5 + 0.5j * turn}
-    flow = kappa_flow_derivative(T, rel, w, step)  # a fresh block: the suite zeroes its diagonals
+    flow = kappa_flow_derivative(T, rel, w, step, a)  # a fresh block: the suite zeroes its diagonals
     n, p0, diagonals = p.size, int(p[0]), []
     for q in dict.fromkeys((2 * m, 0, m - 1, m + 1)):  # distinct: at m = 0 both targets are on diagonal 0
         k = np.arange(max(-q, 0), min(n, n - q))  # the block's rows on diagonal q

@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -119,6 +121,43 @@ def test_verify_lemmas_without_samples_exit_two(capsys, samples):
     code, out, err = run(capsys, ["verify", "lemmas", "--samples", samples])
     assert code == 2 and out == ""
     assert err == "error: --samples must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["verify", "lemmas", "--samples", "100001"], "error: --samples must not exceed 100000\n"),
+        (["verify", "lemmas", "--samples", "100000000000"], "error: --samples must not exceed 100000\n"),
+        (["weights", "--series", "holo", "--lambda", "2", "--n0", "0", "--n1", "1000000"],
+         "error: --n0 to --n1 spans 1000001 rows, more than 1000000\n"),
+        (["weights", "--series", "holo", "--lambda", "2", "--n0", "-100000000000", "--n1", "100000000000"],
+         "error: --n0 to --n1 spans 200000000001 rows, more than 1000000\n"),
+    ],
+    ids=["lemmas one over", "lemmas huge", "weights one over", "weights huge"],
+)
+def test_a_count_over_its_limit_exits_two_before_any_work(capsys, monkeypatch, argv, err):
+    # each command holds all its rows before it prints one, so a count is bounded up front;
+    # a row computed at all fails the test at once instead of running a huge count
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "ladder_cancellation", refuse)
+    monkeypatch.setattr(cli, "weight_sequence", refuse)
+    assert run(capsys, argv) == (2, "", err)
+
+
+def test_counts_at_their_limits_run_and_help_states_the_limits(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 3)
+    monkeypatch.setattr(cli, "MAX_WEIGHT_ROWS", 3)
+    code, out, _ = run(capsys, ["verify", "lemmas", "--samples", "3"])
+    assert code == 0 and len(out.splitlines()) == 6
+    assert run(capsys, ["verify", "lemmas", "--samples", "4"])[0] == 2
+    weights = ["weights", "--series", "holo", "--lambda", "2", "--n0", "1"]
+    code, out, _ = run(capsys, [*weights, "--n1", "3"])
+    assert code == 0 and len(out.splitlines()) == 4
+    assert run(capsys, [*weights, "--n1", "4"])[0] == 2
+    assert "at most 3)" in run(capsys, ["verify", "lemmas", "--help"])[1]
+    assert "at most 3 rows" in run(capsys, ["weights", "--help"])[1]
 
 
 def test_verify_homogeneity_principal(capsys):
@@ -976,3 +1015,83 @@ def test_cli_keeps_shifts_grams_and_generators_as_bands(capsys, monkeypatch, sui
     argv = ["verify", suite, "--series", "principal", "--lambda", "0.3", "--N", "128", "--pad", "32"]
     assert run(capsys, argv + (["--path", "L:0.1"] if suite == "homogeneity" else []))[0] == 0
     assert seen == callers
+
+
+# ---------------------------------------------------------------- process entry
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+#: the norm ratios off by 1e-6, so that the orthonormal generators are not skew: exit 3
+SKEWED_NORMS = (
+    "from mobshift import specialfn\n"
+    "ratio = specialfn.norm_ratio\n"
+    "specialfn.norm_ratio = lambda params, n: ratio(params, n) * (1.0 + 1e-6)\n"
+)
+
+
+def run_process(argv, prelude=""):
+    """``python -m mobshift.cli ARGV``, or, after ``prelude``, the same entry by runpy."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    if prelude:
+        code = prelude + "import runpy\nrunpy.run_module('mobshift.cli', run_name='__main__', alter_sys=True)\n"
+        cmd = [sys.executable, "-c", code, *argv]
+    else:
+        cmd = [sys.executable, "-m", "mobshift.cli", *argv]
+    return subprocess.run(cmd, env=env, capture_output=True, timeout=300)
+
+
+def test_main_with_argv_leaves_the_collector_and_sigpipe_as_they_were(capsys):
+    before = gc.isenabled(), gc.get_freeze_count(), signal.getsignal(signal.SIGPIPE) if hasattr(signal, "SIGPIPE") else None
+    assert run(capsys, ["verify", "homogeneity", "--series", "holo", "--lambda", "2"])[0] == 0
+    assert run(capsys, ["verify", "lemmas", "--samples", "0"])[0] == 2
+    after = gc.isenabled(), gc.get_freeze_count(), signal.getsignal(signal.SIGPIPE) if hasattr(signal, "SIGPIPE") else None
+    assert after == before
+
+
+def test_the_process_entry_freezes_the_import_heap_and_keeps_collecting():
+    probe = (
+        "import gc, runpy, sys\n"
+        "sys.argv = ['mobshift', 'verify', 'lemmas', '--samples', '1']\n"
+        "try:\n"
+        "    runpy.run_module('mobshift.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count() > 0, gc.isenabled())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 True True"
+
+
+@pytest.mark.parametrize(
+    "code, argv, prelude",
+    [
+        (0, ["verify", "homogeneity", "--series", "holo", "--lambda=2", "--op=T1"], ""),
+        (1, ["verify", "reducible-lambda", "--lambda", "1.5", "--r", "1"], ""),
+        (2, ["verify", "unitarity", "--series", "holo", "--lambda", "2", "--op", "T1"], ""),
+        (2, ["verify", "lemmas", "--samples", "100001"], ""),
+        (3, ["verify", "unitarity", "--series", "holo", "--lambda", "2"], SKEWED_NORMS),
+    ],
+    ids=["pass", "seam control", "argparse refusal", "count refusal", "skewed norms"],
+)
+def test_the_process_entry_prints_what_main_argv_prints(capsys, monkeypatch, code, argv, prelude):
+    proc = run_process(argv, prelude)
+    if prelude:
+        ratio = specialfn.norm_ratio
+        monkeypatch.setattr(specialfn, "norm_ratio", lambda params, n: ratio(params, n) * (1.0 + 1e-6))
+    expected = run(capsys, argv)
+    assert expected[0] == code
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_reader_that_closes_stdout_early_ends_the_process_without_a_traceback():
+    # as `mobshift weights ... | head -1`: 20001 rows overrun the pipe, so the process
+    # writes after the reader has gone and ends on SIGPIPE, as head and cat do
+    argv = ["weights", "--series", "holo", "--lambda", "2", "--n0", "0", "--n1", "20000"]
+    proc = subprocess.Popen([sys.executable, "-m", "mobshift.cli", *argv], env=dict(os.environ, PYTHONPATH=SRC),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"n,re,im,abs\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == -signal.SIGPIPE
+    assert b"Traceback" not in err and err == b""

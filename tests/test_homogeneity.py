@@ -478,6 +478,25 @@ def test_kappa_routes_agree(rng):
         assert np.max(np.abs(fd[gen] - comm[gen])) <= 1e-7, gen
 
 
+def test_kappa_commutator_is_the_band_product_bit_for_bit(rng):
+    # one product per entry, in the order of the band products dR(L) T - T dR(L)
+    for N in (2, 3, 16):
+        for label, rel, w, T in oracle_operands(rng, N):
+            a, m = rel.generator("L", w), T.single_diagonal[0]
+            product = a @ T - T @ a
+            for diagonal, q in zip(kappa_commutator(T, rel, w), (m - 1, m + 1)):
+                assert np.array_equal(diagonal, product.diagonal(q)), (label, N, q)
+
+
+def test_infinitesimal_reports_build_l_once(monkeypatch):
+    # the commutator and the flow read one build of L's generator, and no other is built
+    generator, asked = Realization.generator, []
+    monkeypatch.setattr(Realization, "generator", lambda rel, X, w: asked.append(X) or generator(rel, X, w))
+    w = TruncationWindow(BILATERAL, 16, 4)
+    infinitesimal_reports(orthonormal(canonical_shift("T3", PRIN, w), PRIN, w), Realization.plain(PRIN), w)
+    assert asked == ["L"]
+
+
 def test_kappa_commutator_takes_a_shift():
     w = TruncationWindow(UNILATERAL, 8, 2)
     t = orthonormal(canonical_shift("T1", HOLO2, w), HOLO2, w)
