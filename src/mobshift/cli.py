@@ -14,9 +14,11 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 bad usage or
 parameters, 3 a numerical failure (a generator that is not skew-Hermitian in
 the orthonormal basis because the basis norms do not match its action, grid
 too small, or too little memory for the window).  Identical arguments and
-seed produce byte-identical output.  ``verify lemmas --samples`` and the rows of
-``weights`` (--n0 to --n1) are bounded (``MAX_SAMPLES``, ``MAX_WEIGHT_ROWS``), since
-each command holds all its rows before it prints one.
+seed produce byte-identical output.  ``--N`` is bounded (``MAX_N``), and so are
+``verify lemmas --samples`` and the rows of ``weights`` (--n0 to --n1)
+(``MAX_SAMPLES``, ``MAX_WEIGHT_ROWS``): ``verify lemmas`` prints each report as it
+is made, but ``weights`` holds all its rows before it prints one, so that a row
+it refuses leaves no output.
 
 ``main()`` without argv is the process entry (``python -m mobshift.cli`` and the
 ``mobshift`` script): it freezes the import-time heap, so neither the command's
@@ -78,6 +80,8 @@ DEFAULT_IM_MU = 0.5
 #: that one command takes: about 160 MB at either limit
 MAX_SAMPLES = 100_000
 MAX_WEIGHT_ROWS = 1_000_000
+#: the largest window size --N: by the N^2 scaling of N = 2048's 676 MB, about 2.7 GB
+MAX_N = 4096
 
 SERIES_CHOICES = (HOLO, ANTIHOLO, PRINCIPAL, COMPLEMENTARY, REDUCIBLE)
 SUITES = ("homogeneity", "unitarity", "infinitesimal", "reducible-lambda", "normalizer", "lemmas")
@@ -232,14 +236,14 @@ def cmd_weights(args) -> int:
 # verify
 
 
-def _suite_lemmas(args) -> list[DefectReport]:
+def _suite_lemmas(args):
+    """Yield the reports one sample at a time, so memory does not grow with --samples."""
     if args.samples < 1:
         raise ParameterError("--samples must be at least 1")
     if args.samples > MAX_SAMPLES:
         raise ParameterError(f"--samples must not exceed {MAX_SAMPLES}")
     tol = args.tolerance if args.tolerance is not None else 1e-10
     rng = random.Random(args.seed)
-    reports = []
     for i in range(args.samples):
         lam = rng.uniform(-2.0, 3.0)
         mu = complex(rng.uniform(-1.5, 1.5), rng.uniform(-2.0, 2.0))
@@ -257,13 +261,15 @@ def _suite_lemmas(args) -> list[DefectReport]:
                 "sample": i,
                 "seed": args.seed,
             }
-            reports.append(DefectReport.build(f"ladder_{side}", value, tol, ctx))
-    return reports
+            yield DefectReport.build(f"ladder_{side}", value, tol, ctx)
 
 
 def _window(args, series: str) -> TruncationWindow:
-    """The window of --N and --pad, with ``_default_pad`` when --pad is left out."""
-    pad = _default_pad(args.N, series, args.suite == "normalizer") if args.pad is None else args.pad
+    """The window of --N (at most ``MAX_N``) and --pad, with ``_default_pad`` when --pad
+    is left out, checked before any window-sized array is allocated."""
+    if args.N > MAX_N:
+        raise ParameterError(f"--N must not exceed {MAX_N}")
+    pad = _default_pad(args.N, series, getattr(args, "suite", None) == "normalizer") if args.pad is None else args.pad
     return TruncationWindow(_INDEX_SET[series], args.N, pad)
 
 
@@ -308,10 +314,11 @@ def _default_pad(N: int, series: str, normalizer: bool = False) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = args.run(args)
-    for report in reports:
+    passed = True
+    for report in args.run(args):
         print(report.to_json())
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
+        passed = passed and report.passed
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 # ----------------------------------------------------------------------
@@ -380,8 +387,6 @@ def _sweep_cell(series: str, w: TruncationWindow, op, suites, paths, lam: float,
 
 def cmd_sweep(args) -> int:
     _refuse_other_families(args, args.series)
-    if args.pad is None:
-        args.pad = _default_pad(args.N, args.series)
     suites = [suite.strip() for suite in args.suites.split(",")]
     for suite in suites:
         if suite not in SWEEP_SUITES:
@@ -394,7 +399,7 @@ def cmd_sweep(args) -> int:
     im_mus = _grid_values("--im-mu-grid", str(DEFAULT_IM_MU) if args.im_mu_grid is None else args.im_mu_grid) if args.series == PRINCIPAL else []
     auto = args.mu_grid is None or args.mu_grid.strip() == "auto"
     mu_values = _grid_values("--mu-grid", args.mu_grid) if args.series == COMPLEMENTARY and not auto else []
-    w = TruncationWindow(_INDEX_SET[args.series], args.N, args.pad)
+    w = _window(args, args.series)
     print("series,lambda,mu_re,mu_im,N,padding,suites,max_defect,status")
     any_bad = False
     for lam in lams:
@@ -416,7 +421,7 @@ def cmd_sweep(args) -> int:
             mu_cols = "nan,0" if mu is None else f"{_fmt(mu.real)},{_fmt(mu.imag)}"  # None: midpoint refused
             print(
                 f"{args.series},{_fmt(lam)},{mu_cols},"
-                f"{args.N},{args.pad},{'+'.join(suites)},{worst_text},{status}"
+                f"{args.N},{w.padding},{'+'.join(suites)},{worst_text},{status}"
             )
     return EXIT_FAIL if any_bad else EXIT_OK
 
@@ -453,7 +458,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
         sp.add_argument("--r", type=_complex_arg, help=f"seam coupling (reducible; default {DEFAULT_COUPLING:g})")
 
     def add_window(sp, pad_default):
-        sp.add_argument("--N", type=int, default=DEFAULT_N, help=f"window size (default {DEFAULT_N})")
+        sp.add_argument("--N", type=int, default=DEFAULT_N, help=f"window size (default {DEFAULT_N}, at most {MAX_N})")
         sp.add_argument("--pad", type=int, help=f"interior padding (default {pad_default}; at most N/2 for holo and antiholo, N-1 otherwise)")
 
     wp = sub.add_parser("weights", help="emit a weight-sequence table")

@@ -31,7 +31,6 @@ from .numkernel import (
     _shift_residual,
     _spectrum,
     _tiles,
-    interior_norm,
     solve,
 )
 from .repn import Realization, reducible_generator_matrix
@@ -90,7 +89,7 @@ def mobius_of_operator(phi: MobiusElement, T: OperatorMatrix) -> OperatorMatrix:
     tracer (``bench/tracer.py``, ``TARGETS``) wraps both by name.
     """
     ident = OperatorMatrix.identity(T.window, T.basis)
-    return phi.alpha * solve(ident - phi.beta.conjugate() * T, T - phi.beta * ident)
+    return solve(ident - phi.beta.conjugate() * T, phi.alpha * (T - phi.beta * ident))
 
 
 def homogeneity_defect(
@@ -108,28 +107,21 @@ def homogeneity_defect(
     ``alpha R (T - beta I) - T R (I - conj(beta) T)``: the residual
     R phi(T) - T R times the bidiagonal I - conj(beta) T, so no resolvent, no
     inverse of R and no conjugation by the truncated R (which would drag
-    boundary error inward) is formed.  A dense R goes to
-    ``numkernel._shift_residual`` as the view of its rows and columns on the
-    interior and a halo of |m|, clipped to the window: one tile of ``TILE``
-    interior columns at a time, O(interior^2), with temporaries of O(N * TILE).
-    A banded R (a rotation) stays on band products, O(N): the kernel would
-    build its block, 0.6 of a window array at N = 256, pad 96.  Any other T
-    raises ``ParameterError``.
+    boundary error inward) is formed.  R goes to ``numkernel._shift_residual``
+    as its block (``R.block``) of rows and columns on the interior and a halo
+    of |m|, clipped to the window: one tile of ``TILE`` interior columns at a
+    time, O(interior^2), with temporaries of O(N * TILE).  Any other T raises
+    ``ParameterError``.
     """
     band = T.single_diagonal
     if band is None:
         raise ParameterError("homogeneity is certified for a shift: T needs a single diagonal")
     T._require_compatible(R)
     p = _interior_positions(R, w)
-    alpha, beta = phi.alpha, phi.beta
-    if R.bands is not None:
-        rt = R @ T
-        value = interior_norm(alpha * (rt - beta * R) - T @ (R - beta.conjugate() * rt), w)
-        return DefectReport.build("homogeneity", value, tolerance, context)
     (m, t), n, p0, p1 = band, w.size, int(p[0]), int(p[-1]) + 1
     # R's rows and columns on the interior and the halo that T's rows i + m and R T's columns j - m reach
     lo, hi = max(p0 - abs(m), 0), min(p1 + abs(m), n)
-    value = _shift_residual(R.data[lo:hi, lo:hi], lo, _rows(m, t, n)[n : 2 * n], m, p0, p1, alpha, beta)
+    value = _shift_residual(R.block(lo, hi), lo, _rows(m, t, n)[n : 2 * n], m, p0, p1, phi.alpha, phi.beta)
     return DefectReport.build("homogeneity", value, tolerance, context)
 
 
@@ -209,29 +201,19 @@ def kappa_flow_derivative(
     return block
 
 
-def kappa_commutator(T: OperatorMatrix, rel: Realization, w: TruncationWindow) -> tuple[np.ndarray, np.ndarray]:
+def kappa_commutator(
+    T: OperatorMatrix, rel: Realization, w: TruncationWindow, generator: OperatorMatrix | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """[dR(L), T] for a shift T on diagonal m, the exact derivative of L's conjugation
-    flow at s = 0, as its diagonals m - 1 and m + 1 in ``np.diagonal`` order, read from
-    the generator's +-1 bands and T's band.  Any other T raises ``ParameterError``."""
-    return _commutator_diagonals(rel.generator("L", w), T)
-
-
-def _commutator_diagonals(a: OperatorMatrix, T: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """``kappa_commutator`` of the generator a = dR(L), O(N): on diagonal m + s, L's band
-    s times T's band less T's band times L's band s, one product per entry, in the order
-    of the band products a @ T - T @ a."""
+    flow at s = 0, as its diagonals m - 1 and m + 1 in ``np.diagonal`` order: band
+    products, O(N).  ``generator`` is dR(L) when the caller has built it already.
+    Any other T raises ``ParameterError``."""
     band = T.single_diagonal
     if band is None:
         raise ParameterError("the commutator route is taken for a shift: T needs a single diagonal")
-    T._require_compatible(a)
-    (m, t), n = band, T.window.size
-    t = _rows(m, t, n)
-    diagonals = []
-    for s in (-1, 1):
-        q, b = m + s, _rows(s, a.diagonal(s), n)
-        i = np.arange(n + max(-q, 0), 2 * n - max(q, 0))  # the rows of diagonal q, as _rows pads them
-        diagonals.append(b[i] * t[i + s] - t[i] * b[i + m])
-    return tuple(diagonals)
+    a = rel.generator("L", w) if generator is None else generator
+    commutator = a @ T - T @ a
+    return commutator.diagonal(band[0] - 1), commutator.diagonal(band[0] + 1)
 
 
 def infinitesimal_reports(
@@ -265,7 +247,7 @@ def infinitesimal_reports(
     |c| max|d - commutator|, so a NaN anywhere reaches both.
     """
     a = rel.generator("L", w)  # once: the commutator and the flow both read it
-    low, high = _commutator_diagonals(a, T)  # refuses all but a shift
+    low, high = kappa_commutator(T, rel, w, a)  # refuses all but a shift
     m, p = T.single_diagonal[0], _interior_positions(T, w)
     square = (T @ T).diagonal(2 * m)  # T^2's one diagonal
     targets = {"L": (1, -1), "M": (-1j, -1j), "e": (0, -1), "f": (1, 0)}  # X's target a T^2 + b I

@@ -150,7 +150,8 @@ def normalizer_defect(
     S = R T R^{-1} must commute with T, and every isotypic component of S
     must be a scalar multiple of the matching power of T.  Components on the
     opposite side of the step direction are held against the powers of T*
-    on unilateral windows and against zero on bilateral ones.  The defect
+    on unilateral windows and against zero on bilateral ones, and for a step
+    of 2 or more those off the multiples of the step against zero.  The defect
     adds the interior commutator norm and all the component residuals.
     Components are compared on the interior stretch of their diagonals, for
     as long as that stretch is non-empty; past it every residual is 0.
@@ -201,4 +202,6 @@ def normalizer_defect(
             value += _best_multiple_residual(np.diagonal(s, -m).copy(), adjoint)
         # T^{k+1}[i, i + (k + 1) m] = T[i, i + m] T^k[i + m, i + (k + 1) m]
         power[n : 2 * n] = t[n : 2 * n] * power[n + step : 2 * n + step]
+    # no power of T or of T* reaches a diagonal off the multiples of the step
+    value += sum(_best_multiple_residual(np.diagonal(s, m).copy(), None) for m in range(1 - p.size, p.size) if m % step)
     return DefectReport.build("normalizer", value, tolerance, context)

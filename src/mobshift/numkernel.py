@@ -2,17 +2,19 @@
 
 Matrices live on an explicit truncation window and carry a basis tag, so
 bookkeeping mistakes (mixing windows or bases) fail fast instead of producing
-plausible-looking numbers.  Operators are read-only complex128 and stored as
-their nonzero diagonals whenever their builder states them, which every
-library builder of a shift, Gram or generator does; the dense array is built
-only when read.  ``mat_exp`` takes skew-Hermitian generators on the +-1
+plausible-looking numbers.  Operators are read-only complex128, and their
+algebra runs on their nonzero diagonals, which every library builder of a
+shift, Gram or generator states; the dense array is built only when read.  A
+result that fills the window (``mat_exp``'s, ``solve``'s, the circle route's)
+is stored dense as read-only data, read through ``data``, ``block``,
+``diagonal``, ``entry`` and ``single_diagonal``.  ``mat_exp`` takes skew-Hermitian generators on the +-1
 diagonals in an orthonormal basis, reads only those two bands, and works in
 real arithmetic from one cached real eigh per family and window (L and M
 share it); it keeps half of that spectrum, the reflection of the other half.
 The interior certificates sum their norms over tiles of ``TILE`` interior
 rows or columns, so none of them holds a window-sized temporary, the
-normalizer's commutator included: it and homogeneity's dense path are one
-kernel, ``_shift_residual``."""
+normalizer's commutator included: it and homogeneity are one kernel,
+``_shift_residual``."""
 
 from __future__ import annotations
 
@@ -128,8 +130,9 @@ class OperatorMatrix:
     Every library builder that knows its operator's diagonals states them, and
     they are then its storage: ``data``, the dense read-only array, is built
     from them on first read and kept.  An operator without bands (None) stores
-    ``data`` itself.  The public constructor copies its array and scans it
-    once; a single diagonal becomes its one band.
+    ``data`` itself, as read-only data: its algebra raises ``ParameterError``.
+    The public constructor copies its array and scans it once; a single
+    diagonal becomes its one band, and anything else stays dense.
     """
 
     window: TruncationWindow
@@ -227,18 +230,23 @@ class OperatorMatrix:
 
     # -- algebra -----------------------------------------------------------
 
+    def _banded(self) -> dict[int, np.ndarray]:
+        """The bands, which all algebra reads: an operator stored dense (a result that
+        fills the window) is read-only data, and algebra on it is refused here."""
+        if self.bands is None:
+            raise ParameterError("a dense operator is read-only data: its algebra is not supported")
+        return self.bands
+
     def _entrywise(self, f) -> "OperatorMatrix":
-        """f of every entry: of the bands when there are any and f keeps 0 at 0, else of
-        the dense matrix (where 0 * inf, say, is refused as non-finite)."""
-        if self.bands is None or f(np.zeros(1)).any():
-            return OperatorMatrix._adopt(self.window, self.basis, data=f(self.data))
-        return OperatorMatrix._adopt(self.window, self.basis, bands={m: f(d) for m, d in self.bands.items()})
+        """f of every band; f must keep 0 at 0 (0 * inf, say, is refused as non-finite)."""
+        bands = self._banded()
+        if f(np.zeros(1)).any():
+            raise ParameterError("non-finite matrix entries")
+        return OperatorMatrix._adopt(self.window, self.basis, bands={m: f(d) for m, d in bands.items()})
 
     def _combine(self, other: "OperatorMatrix", f) -> "OperatorMatrix":
         self._require_compatible(other)
-        if self.bands is None or other.bands is None:
-            return OperatorMatrix._adopt(self.window, self.basis, data=f(self.data, other.data))
-        offsets = self.bands.keys() | other.bands.keys()
+        offsets = self._banded().keys() | other._banded().keys()
         return OperatorMatrix._adopt(
             self.window, self.basis, bands={m: f(self.diagonal(m), other.diagonal(m)) for m in offsets}
         )
@@ -263,14 +271,11 @@ class OperatorMatrix:
         return self._entrywise(lambda a: a / c)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """Matrix product: O(N) per pair of bands when both operands have bands, else
-        the BLAS product of the dense arrays."""
+        """Matrix product of the bands: O(N) per pair of bands."""
         self._require_compatible(other)
-        if self.bands is None or other.bands is None:
-            return OperatorMatrix._adopt(self.window, self.basis, data=self.data @ other.data)
         n = self.window.size
-        right, bands = {q: _rows(q, b, n) for q, b in other.bands.items()}, {}
-        for m, a in self.bands.items():
+        right, bands = {q: _rows(q, b, n) for q, b in other._banded().items()}, {}
+        for m, a in self._banded().items():
             a = _rows(m, a, n)
             for q, b in right.items():
                 # (A B)[i, i + m + q] = A[i, i + m] B[i + m, i + m + q] on the rows of diagonal m + q
@@ -282,9 +287,7 @@ class OperatorMatrix:
     @property
     def H(self) -> "OperatorMatrix":
         """Conjugate transpose."""
-        if self.bands is None:
-            return OperatorMatrix._adopt(self.window, self.basis, data=self.data.conj().T)
-        return OperatorMatrix._adopt(self.window, self.basis, bands={-m: d.conj() for m, d in self.bands.items()})
+        return OperatorMatrix._adopt(self.window, self.basis, bands={-m: d.conj() for m, d in self._banded().items()})
 
 
 @value_type(eq=False)
@@ -313,13 +316,9 @@ def _band_form(X: "OperatorMatrix") -> tuple[np.ndarray, np.ndarray]:
     and Hr = D^-1 H D is real symmetric with off-diagonal |H[k+1, k]|.  The
     similarity keeps D^-1, not D^H: over long chains |d_k| drifts off 1.
     """
+    if X.bands is None or not X.bands.keys() <= {-1, 1}:
+        raise NotSkewAdjointError("generator is not stored as bands on the first off-diagonals")
     upper, lower = X.diagonal(1), X.diagonal(-1)
-    if X.bands is None:
-        stray = np.count_nonzero(X.data) != np.count_nonzero(upper) + np.count_nonzero(lower)
-    else:
-        stray = not X.bands.keys() <= {-1, 1}
-    if stray:
-        raise NotSkewAdjointError("generator is not supported on the first off-diagonals")
     residue = float(np.max(np.abs(lower + upper.conj())))
     if not residue <= SKEW_TOL * max(float(np.max(np.abs(upper))), float(np.max(np.abs(lower)))):
         raise NotSkewAdjointError(
@@ -396,8 +395,8 @@ def mat_exp(X: OperatorMatrix, t: float = 1.0, left=1.0, right=1.0) -> OperatorM
     half is cached for the last one (see ``_spectrum``), and each t costs the
     three real half-size products of ``_parity_blocks``.  Any other generator
     raises ``NotSkewAdjointError``, a diagonal one too (callers take its scalar
-    exponentials), as does one built in the orthonormal basis of norms that do
-    not match its action.
+    exponentials), as do one stored dense and one built in the orthonormal
+    basis of norms that do not match its action.
     """
     t = float(t)
     spec = _spectrum(X)
@@ -488,14 +487,12 @@ def _shift_residual(x: np.ndarray, x0: int, t: np.ndarray, m: int, p0: int, p1: 
 
 
 def interior_norm(A: OperatorMatrix, w: TruncationWindow) -> float:
-    """Frobenius norm of the sub-block with interior row AND column indices; from the
-    interior stretch of each band, O(N), when A has bands."""
+    """Frobenius norm of the sub-block with interior row AND column indices, from the
+    interior stretch of each band: O(N)."""
     p = _interior_positions(A, w)
-    if A.bands is None:
-        return float(np.linalg.norm(A.data[np.ix_(p, p)]))
     # entry k of diagonal m has both indices in [p0, p1) for k in [p0, p1 - |m|)
     p0, p1 = int(p[0]), int(p[-1]) + 1
-    return math.sqrt(sum(_squared_norm(d[p0 : max(p1 - abs(m), p0)]) for m, d in A.bands.items()))
+    return math.sqrt(sum(_squared_norm(d[p0 : max(p1 - abs(m), p0)]) for m, d in A._banded().items()))
 
 
 def _require_power_of_two(n: int) -> None:

@@ -206,11 +206,9 @@ def to_orthonormal(A: OperatorMatrix, G: OperatorMatrix) -> OperatorMatrix:
     if band is None or band[0] != 0 or band[1].imag.any() or not (band[1].real > 0.0).all():
         raise ParameterError("the Gram must be diagonal with positive entries")
     s = np.sqrt(band[1].real)
-    if A.bands is None:
-        return OperatorMatrix._adopt(A.window, ORTHONORMAL, data=A.data * s[:, None] / s[None, :])
     # each band is rescaled along itself (the diagonal not at all); the zeros stay zeros
     return OperatorMatrix._adopt(A.window, ORTHONORMAL, bands={
-        m: d * s[max(-m, 0) :][: d.size] / s[max(m, 0) :][: d.size] if m else d for m, d in A.bands.items()
+        m: d * s[max(-m, 0) :][: d.size] / s[max(m, 0) :][: d.size] if m else d for m, d in A._banded().items()
     })
 
 

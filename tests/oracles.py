@@ -19,7 +19,8 @@ the circle route's whole grid x window table at once; ``circle_rep_oracle``
 applies the circle route's table to one coefficient vector, as the oracle of
 the exponential route.  ``orthonormal`` is not an oracle: it is the
 conversion of a monomial operator into the basis of R that the tests share;
-nor are ``traced_peak``, the tracemalloc peak that the memory tests read,
+nor is ``as_bands``, a raw array as an operator with every diagonal a band, on
+which the library's algebra runs; nor are ``traced_peak``, the tracemalloc peak that the memory tests read,
 and ``tile_edge_windows``, the windows whose interiors end at and between
 the tile edges of the interior certificates.
 ``star_path``, ``te_tf_coefficients`` and ``sharp_isotypic_flip`` are
@@ -41,6 +42,7 @@ from mobshift.errors import GridSizeError, NumericsError, ParameterError, PoleEr
 from mobshift.mobius import STAR_SIGNS, GroupPath, MobiusElement
 from mobshift.numkernel import (
     BILATERAL,
+    MONOMIAL,
     ORTHONORMAL,
     TILE,
     UNILATERAL,
@@ -327,6 +329,14 @@ def random_unitary(rng, size: int) -> np.ndarray:
     return q
 
 
+def as_bands(data: np.ndarray, w: TruncationWindow, basis: str = MONOMIAL) -> OperatorMatrix:
+    """The operator with every diagonal of ``data`` as a band, the sum of one ``from_band``
+    per diagonal: algebra runs on bands, and the public constructor keeps an array of
+    more than one diagonal dense, as read-only data."""
+    bands = (OperatorMatrix.from_band(w, m, np.diagonal(data, m), basis) for m in range(1 - w.size, w.size))
+    return sum(bands, OperatorMatrix.from_band(w, 0, np.zeros(w.size), basis))
+
+
 def orthonormal(T, p, w):
     """A monomial-basis operator in the orthonormal basis where R is built."""
     return to_orthonormal(T, gram(p, w))
@@ -361,7 +371,8 @@ def _dense_best_multiple_residual(component: np.ndarray, basis, positions) -> fl
 def dense_normalizer_defect(T, R, w) -> float:
     """Normalizer defect with dense matrix powers T^k and T*^k (the latter on
     unilateral windows) and one dense isotypic component per offset, over
-    every offset of the window: O(N^4)."""
+    every offset of the window, those off the multiples of the step held
+    against zero: O(N^4)."""
     steps = [m for m in range(-(w.size - 1), w.size) if np.any(_dict_isotypic_matrix(T.data, w, m))]
     if len(steps) != 1 or steps[0] == 0:
         raise ValueError("expected a single-step shift")
@@ -383,6 +394,9 @@ def dense_normalizer_defect(T, R, w) -> float:
         power = power @ T.data
         if adjoint is not None:
             adj_power = adj_power @ adjoint
+    for m in range(1 - w.size, w.size):
+        if m % step:
+            value += _dense_best_multiple_residual(_dict_isotypic_matrix(S, w, m), None, positions)
     return value
 
 

@@ -136,8 +136,8 @@ def test_verify_lemmas_without_samples_exit_two(capsys, samples):
     ids=["lemmas one over", "lemmas huge", "weights one over", "weights huge"],
 )
 def test_a_count_over_its_limit_exits_two_before_any_work(capsys, monkeypatch, argv, err):
-    # each command holds all its rows before it prints one, so a count is bounded up front;
-    # a row computed at all fails the test at once instead of running a huge count
+    # a count is bounded up front: a row computed at all fails the test at once instead of
+    # running a huge count
     def refuse(*args, **kwargs):
         raise AssertionError("a row was computed")
 
@@ -158,6 +158,56 @@ def test_counts_at_their_limits_run_and_help_states_the_limits(capsys, monkeypat
     assert run(capsys, [*weights, "--n1", "4"])[0] == 2
     assert "at most 3)" in run(capsys, ["verify", "lemmas", "--help"])[1]
     assert "at most 3 rows" in run(capsys, ["weights", "--help"])[1]
+
+
+def test_verify_lemmas_prints_each_report_as_it_is_made(capsys, monkeypatch):
+    # the reports of a sample are on stdout before the next sample is drawn, so memory does
+    # not grow with --samples; the output is that of the reports held in a list
+    code, whole, _ = run(capsys, ["verify", "lemmas", "--samples", "5", "--seed", "3"])
+    printed, ladder = [], cli.ladder_cancellation
+
+    def counting(*args):
+        printed.append(capsys.readouterr().out.count("\n"))
+        return ladder(*args)
+
+    monkeypatch.setattr(cli, "ladder_cancellation", counting)
+    code_streamed, rest, _ = run(capsys, ["verify", "lemmas", "--samples", "5", "--seed", "3"])
+    assert printed == [0, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+    assert code == code_streamed == 0 and len(whole.splitlines()) == 10 and whole.endswith(rest)
+
+
+WINDOW_COMMANDS = {
+    "homogeneity": ["verify", "homogeneity", "--series", "holo", "--lambda", "2"],
+    "unitarity": ["verify", "unitarity", "--series", "principal", "--lambda", "0.3"],
+    "infinitesimal": ["verify", "infinitesimal", "--series", "holo", "--lambda", "2"],
+    "normalizer": ["verify", "normalizer", "--series", "principal", "--lambda", "0.3"],
+    "reducible-lambda": ["verify", "reducible-lambda", "--lambda", "1.5"],
+    "sweep": ["sweep", "--series", "holo", "--lambda-grid", "2", "--suites", "unitarity,homogeneity"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_COMMANDS))
+def test_a_window_over_max_n_exits_two_before_any_work(capsys, monkeypatch, name):
+    # one process at N = 100000000 was killed for memory; a window over MAX_N is refused
+    # before any window-sized array: no generator, exponential or shift is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window-sized operator was built")
+
+    for module, attr in ((repn, "mat_exp"), (repn, "generator_matrix"), (repn, "reducible_generator_matrix"),
+                         (cli, "canonical_shift"), (cli, "reducible_shift"), (cli, "gram")):
+        monkeypatch.setattr(module, attr, refuse)
+    argv = WINDOW_COMMANDS[name]
+    assert run(capsys, [*argv, "--N", "4097"]) == (2, "", "error: --N must not exceed 4096\n")
+    assert run(capsys, [*argv, "--N", "100000000"]) == (2, "", "error: --N must not exceed 4096\n")
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_COMMANDS))
+def test_a_window_at_max_n_runs_and_help_states_the_limit(capsys, monkeypatch, name):
+    monkeypatch.setattr(cli, "MAX_N", 16)
+    argv = WINDOW_COMMANDS[name]
+    assert run(capsys, [*argv, "--N", "16", "--pad", "4"])[0] in (0, 1)
+    assert run(capsys, [*argv, "--N", "17", "--pad", "4"]) == (2, "", "error: --N must not exceed 16\n")
+    assert "at most 16)" in run(capsys, [*argv[: 1 if name == "sweep" else 2], "--help"])[1]
 
 
 def test_verify_homogeneity_principal(capsys):

@@ -28,7 +28,6 @@ from mobshift.numkernel import (
     TruncationWindow,
     _rows,
     _shift_residual,
-    interior_norm,
     mat_exp,
     solve,
 )
@@ -98,10 +97,8 @@ def test_mobius_of_operator_on_circulant_eigenvalues(rng):
     # eigenvalue-level functional-calculus oracle
     w = TruncationWindow(BILATERAL, 6, 1)
     size = w.size
-    data = np.zeros((size, size), dtype=complex)
-    for j in range(size):
-        data[(j + 1) % size, j] = 1.0
-    c = OperatorMatrix(data, w)
+    # data[(j + 1) % size, j] = 1: the -1 band of ones and the corner on diagonal size - 1
+    c = OperatorMatrix.from_band(w, -1, np.ones(size - 1)) + OperatorMatrix.from_band(w, size - 1, [1.0])
     phi = MobiusElement(cmath.exp(0.3j), 0.25 * cmath.exp(0.4j))
     image = mobius_of_operator(phi, c)
     for k in range(size):
@@ -180,14 +177,16 @@ def test_homogeneity_of_a_shift_needs_no_linear_solve(monkeypatch):
 
 
 def test_functional_calculus_composes(rng):
+    # psi(T) is a dense result, read-only, so phi of it is the oracle's LU solve on its array
     w = TruncationWindow(BILATERAL, 32, 8)
     t = canonical_shift("T2", PRIN, w)
+    p = np.ix_(w.interior_positions(), w.interior_positions())
     for _ in range(5):
         phi = random_mobius(rng, 0.15)
         psi = random_mobius(rng, 0.15)
         outer = mobius_of_operator(compose(phi, psi), t)
-        nested = mobius_of_operator(phi, mobius_of_operator(psi, t))
-        assert interior_norm(outer - nested, w) <= 1e-9
+        nested = dense_mobius(phi, mobius_of_operator(psi, t).data)
+        assert np.linalg.norm((outer.data - nested)[p]) <= 1e-9
 
 
 # ---------------------------------------------------------------- homogeneity
@@ -295,7 +294,7 @@ def test_homogeneity_residual_matches_dense_oracle(rng, kind, step, pad):
 @pytest.mark.parametrize("step", [-2, -1, 1, 2])
 def test_homogeneity_residual_tiles_match_the_dense_oracle(rng, step):
     # interiors short of a tile, one tile, two and not a multiple, with the halo clipped at
-    # both window ends at pads 0 and 1; a dense unitary R, and a two-band R on band products
+    # both window ends at pads 0 and 1; a dense unitary R, and a two-band R read through its block
     for w in tile_edge_windows():
         t = random_shift(rng, w, step)
         two_bands = OperatorMatrix.from_band(w, 0, np.exp(1j * rng.uniform(0, 6, w.size))) + random_shift(rng, w, 1)
@@ -368,11 +367,29 @@ def test_homogeneity_residual_on_families(family):
             R, phi = rel.along_path(path, w), path_to_mobius(path)
             got = homogeneity_defect(t, R, phi, w)
             # at the rounding floor the scale is the size of the products, not the value
-            scale = interior_norm(t @ R, w)
-            assert abs(got.value - dense_homogeneity_residual(phi, t, R, w)) <= 1e-14 * scale, (N, pad, text)
             p = w.interior_positions()
+            scale = np.linalg.norm((t.data @ R.data)[np.ix_(p, p)])
+            assert abs(got.value - dense_homogeneity_residual(phi, t, R, w)) <= 1e-14 * scale, (N, pad, text)
             resolvent = np.linalg.norm((R.data @ dense_mobius(phi, t.data) - t.data @ R.data)[np.ix_(p, p)])
             assert got.passed == (resolvent <= got.tolerance), (N, pad, text, got.value, resolvent)
+
+
+@pytest.mark.parametrize("N", [64, 128, 256])
+@pytest.mark.parametrize("family", sorted(HOMOGENEOUS_FAMILIES))
+def test_homogeneity_of_a_rotation_matches_the_dense_oracle(family, N):
+    # a rotation R is stored as its one band and read through its block, like any R
+    rel, op = HOMOGENEOUS_FAMILIES[family]
+    path = GroupPath.parse("h:0.3")
+    phi = path_to_mobius(path)
+    for pad in (N // 4, 0):
+        w = TruncationWindow(rel.params.index_set, N, pad)
+        t, R = _family_shift(rel, op, w), rel.along_path(path, w)
+        assert R.single_diagonal[0] == 0
+        got = homogeneity_defect(t, R, phi, w)
+        p = w.interior_positions()
+        scale = np.linalg.norm((t.data @ R.data)[np.ix_(p, p)])
+        assert abs(got.value - dense_homogeneity_residual(phi, t, R, w)) <= 1e-14 * scale, (N, pad)
+        assert got.passed
 
 
 def test_negative_controls_fail_the_resolvent_free_residual():

@@ -29,6 +29,7 @@ from mobshift.shifts import canonical_shift, reducible_shift
 
 from oracles import (
     FLIP_TOL,
+    as_bands,
     dense_normalizer_defect,
     orthonormal,
     random_dense,
@@ -302,6 +303,21 @@ def test_normalizer_negative_control():
     assert report.value > 1e-2
 
 
+def test_normalizer_holds_the_diagonals_off_the_step_against_zero():
+    # R T2^2 R^-1 = phi(T2)^2 carries odd powers of T2 once beta != 0, so it leaves the
+    # algebra that T2^2 generates: its odd diagonals, which no power of T2^2 reaches,
+    # hold about 3.5 along a boost; a rotation keeps T2^2's diagonal
+    p = RepnParams(BILATERAL, 0.3, complex(0.35, 3.0))
+    w = TruncationWindow(BILATERAL, 64, 24)
+    t2 = orthonormal(canonical_shift("T2", p, w), p, w)
+    square = t2 @ t2
+    assert square.single_diagonal[0] == -2
+    boost = normalizer_defect(square, Realization.plain(p), GroupPath.parse("L:0.1"), w)
+    rotation = normalizer_defect(square, Realization.plain(p), GroupPath.parse("h:0.3"), w)
+    assert boost.value > 1.0 and not boost.passed
+    assert rotation.value < 1e-12 and rotation.passed
+
+
 # (params, operator); params None is the reducible sum at lambda = 1
 AGREEMENT_FAMILIES = {
     "holo-T1": (HOLO2, "T1"),
@@ -435,7 +451,7 @@ def test_sharp_flip_fixes_diagonal():
 
 def test_sharp_flip_random_operator(rng):
     w = TruncationWindow(BILATERAL, 8, 2)
-    t = OperatorMatrix(random_dense(rng, w.size), w, ORTHONORMAL)
+    t = as_bands(random_dense(rng, w.size), w, ORTHONORMAL)
     for m in (-3, 2):
         value = sharp_isotypic_flip(t, m)
         assert value <= FLIP_TOL, (m, value)

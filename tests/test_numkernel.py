@@ -23,9 +23,10 @@ from mobshift.numkernel import (
     mat_exp,
     solve,
 )
-from mobshift.repn import Realization, RepnParams, generator_matrix, gram
+from mobshift.repn import Realization, RepnParams, generator_matrix, gram, to_orthonormal
 
 from oracles import (
+    as_bands,
     brute_interior_frobenius,
     circle_fft,
     circle_synthesis,
@@ -117,8 +118,8 @@ def test_matrix_entry_by_index():
 
 def test_matrix_algebra(rng):
     w = window_of_size(5)
-    a = OperatorMatrix(random_dense(rng, 5), w)
-    b = OperatorMatrix(random_dense(rng, 5), w)
+    a = as_bands(random_dense(rng, 5), w)
+    b = as_bands(random_dense(rng, 5), w)
     np.testing.assert_allclose((a + b - b).data, a.data, atol=1e-14)
     np.testing.assert_allclose((2.0 * a).data, 2.0 * a.data)
     np.testing.assert_allclose((a @ b).data, a.data @ b.data)
@@ -143,8 +144,8 @@ def test_public_constructor_copies_its_input(rng):
 def test_library_results_are_read_only(rng):
     w = TruncationWindow(BILATERAL, 4, 1)
     p = RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
-    a = OperatorMatrix(random_dense(rng, w.size), w)
-    b = OperatorMatrix(random_dense(rng, w.size), w)
+    a = as_bands(random_dense(rng, w.size), w)
+    b = as_bands(random_dense(rng, w.size), w)
     shift = OperatorMatrix.from_band(w, -1, np.arange(1.0, w.size))
     results = [
         a + b, a - b, -a, 2.0 * a, a * 2.0, a / 2.0, a @ b, a @ shift, shift @ a, shift @ shift, a.H,
@@ -157,6 +158,33 @@ def test_library_results_are_read_only(rng):
         assert not out.data.flags.writeable
         with pytest.raises(ValueError):
             out.data[0, 0] = 1.0
+
+
+def test_algebra_on_a_dense_result_is_refused(rng):
+    # a result that fills the window (an exponential, a solve, the public constructor's
+    # array of more than one diagonal) is read-only data: every algebra operation, on
+    # either side, refuses it with one ParameterError, and its readers still work
+    w = TruncationWindow(BILATERAL, 4, 1)
+    p = RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
+    L = Realization.plain(p).generator("L", w)
+    shift = OperatorMatrix.from_band(w, -1, np.arange(1.0, w.size), ORTHONORMAL)
+    raw = random_dense(rng, w.size) + 4.0 * np.eye(w.size)
+    dense = [mat_exp(L, 0.1), OperatorMatrix(raw, w, ORTHONORMAL)]
+    dense.append(solve(dense[1], dense[0]))
+    operations = [
+        lambda R: R + shift, lambda R: shift - R, lambda R: -R, lambda R: 2.0 * R, lambda R: R / 2.0,
+        lambda R: R @ shift, lambda R: shift @ R, lambda R: R.H, lambda R: interior_norm(R, w),
+    ]
+    for R in dense:
+        assert R.bands is None and R.single_diagonal is None
+        for operation in operations:
+            with pytest.raises(ParameterError, match="read-only data"):
+                operation(R)
+        assert np.array_equal(R.block(1, 3), R.data[1:3, 1:3])
+        assert np.array_equal(R.diagonal(-1), np.diagonal(R.data, -1))
+        assert R.entry(2, 1) == R.data[w.pos(2), w.pos(1)]
+    with pytest.raises(ParameterError, match="read-only data"):
+        to_orthonormal(OperatorMatrix(raw, w), gram(p, w))
 
 
 # ---------------------------------------------------------------- mat_exp
@@ -173,6 +201,20 @@ def test_mat_exp_refuses_a_diagonal_generator():
     w = window_of_size(2)
     with pytest.raises(NotSkewAdjointError, match="first off-diagonals"):
         mat_exp(OperatorMatrix.from_band(w, 0, 1j * np.array([0.1, -0.3])))
+
+
+def test_mat_exp_refuses_a_dense_tridiagonal(rng):
+    # the public constructor keeps a skew-Hermitian tridiagonal dense, as read-only data;
+    # mat_exp reads a generator's two bands, so it refuses one stored without them
+    lower = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    w = window_of_size(8)
+    dense = OperatorMatrix(np.diag(lower, -1) - np.diag(lower.conj(), 1), w)
+    assert dense.bands is None
+    with pytest.raises(NotSkewAdjointError, match="first off-diagonals"):
+        mat_exp(dense, 0.1)
+    banded = OperatorMatrix.from_band(w, -1, lower) - OperatorMatrix.from_band(w, 1, lower.conj())
+    assert np.array_equal(banded.data, dense.data)
+    assert np.max(np.abs(mat_exp(banded, 0.1).data - pade_expm(0.1 * dense.data))) <= 1e-14
 
 
 def test_pade_oracle_against_taylor_series(rng):
@@ -213,8 +255,9 @@ def test_mat_exp_refuses_an_unpaired_spectrum(im_mu):
 
 
 def skew_generator(lower):
-    """The generator with -1 band ``lower`` and +1 band -conj(``lower``)."""
-    return OperatorMatrix(np.diag(lower, -1) - np.diag(lower.conj(), 1), window_of_size(lower.size + 1))
+    """The generator with -1 band ``lower`` and +1 band -conj(``lower``), built from those two bands."""
+    w = window_of_size(lower.size + 1)
+    return OperatorMatrix.from_band(w, -1, lower) - OperatorMatrix.from_band(w, 1, lower.conj())
 
 
 def cut_skew_generator(rng, size, odd):
@@ -296,16 +339,16 @@ def test_band_product_matches_dense_product(rng, w, m):
     assert found[0] == m and np.array_equal(found[1], np.diagonal(band.data, m))
     dense = OperatorMatrix(random_dense(rng, w.size), w)
     assert dense.single_diagonal is None
-    assert_same_product(band, dense)
-    assert_same_product(dense, band)
+    assert_same_product(band, as_bands(dense.data, w))
+    assert_same_product(as_bands(dense.data, w), band)
     for other in BAND_OFFSETS:
         assert_same_product(band, OperatorMatrix(band_matrix(rng, w.size, other), w))
 
 
 @pytest.mark.parametrize("offsets", [(2,), (-1, 1), (-2, 0, 3)])
 def test_banded_times_dense_is_one_scaling_per_band(rng, offsets):
-    # 1-3 bands on either side of a dense operand, the generator L among them, give the
-    # dense product
+    # 1-3 bands on either side of an operand with every band, the generator L among them,
+    # give the dense product; an exponential is read-only, so its array goes in as bands
     w = TruncationWindow(BILATERAL, 16, 0)
     L = Realization.plain(RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))).generator("L", w)
     banded = sum(
@@ -314,7 +357,7 @@ def test_banded_times_dense_is_one_scaling_per_band(rng, offsets):
     )
     for A in (banded, L):
         a = sum(np.diag(d, m) for m, d in A.bands.items())
-        for B in (OperatorMatrix(random_dense(rng, w.size), w, ORTHONORMAL), mat_exp(L, 0.1)):
+        for B in (as_bands(random_dense(rng, w.size), w, ORTHONORMAL), as_bands(mat_exp(L, 0.1).data, w, ORTHONORMAL)):
             for got, want in ((A @ B, a @ B.data), (B @ A, B.data @ a)):
                 assert np.max(np.abs(got.data - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -335,7 +378,7 @@ def test_band_product_with_the_zero_matrix(rng, w):
     zero = OperatorMatrix.from_band(w, 0, np.zeros(w.size))
     found = zero.single_diagonal
     assert found[0] == 0 and not found[1].any()
-    dense = OperatorMatrix(random_dense(rng, w.size), w)
+    dense = as_bands(random_dense(rng, w.size), w)
     for left, right in ((zero, dense), (dense, zero), (zero, zero)):
         out = left @ right
         assert not out.data.any()
@@ -347,8 +390,9 @@ def test_single_diagonal_rejects_two_diagonals(rng):
     assert generator_matrix(p, "L", w).single_diagonal is None
     assert generator_matrix(p, "M", w).single_diagonal is None
     assert generator_matrix(p, "h", w).single_diagonal[0] == 0
-    # as many nonzeros as rows, but on two diagonals
-    flip = OperatorMatrix(np.fliplr(np.eye(w.size)), w)
+    # as many nonzeros as rows, but on more than one diagonal
+    assert OperatorMatrix(np.fliplr(np.eye(w.size)), w).single_diagonal is None
+    flip = as_bands(np.fliplr(np.eye(w.size)), w)
     assert flip.single_diagonal is None
     assert_same_product(flip, OperatorMatrix(band_matrix(rng, w.size, 1), w))
 
@@ -359,7 +403,7 @@ def test_recorded_structure_equals_the_scan(rng, w, monkeypatch):
         return x is None if y is None else x[0] == y[0] and np.array_equal(x[1], y[1])
 
     p = RepnParams(w.kind, 2.0) if w.kind == UNILATERAL else RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
-    a, b = (OperatorMatrix(random_dense(rng, w.size), w) for _ in range(2))
+    a, b = (as_bands(random_dense(rng, w.size), w) for _ in range(2))
     # every library builder states its operator's band: none of them scans
     monkeypatch.setattr(numkernel, "_scan", lambda data: pytest.fail("a library result was scanned"))
     bands = [OperatorMatrix.from_band(w, m, np.diagonal(band_matrix(rng, w.size, m), m)) for m in BAND_OFFSETS]
@@ -469,14 +513,14 @@ def test_interior_norm_identity_counts_interior():
 
 def test_interior_norm_matches_brute_force(rng):
     w = TruncationWindow(BILATERAL, 6, 2)
-    m = OperatorMatrix(random_dense(rng, w.size), w)
+    m = as_bands(random_dense(rng, w.size), w)
     expected = brute_interior_frobenius(m.data, list(w.interior_positions()))
     assert interior_norm(m, w) == pytest.approx(expected, rel=1e-13)
 
 
 def test_interior_norm_monotone_in_padding(rng):
     w = TruncationWindow(BILATERAL, 8, 0)
-    m = OperatorMatrix(random_dense(rng, w.size), w)
+    m = as_bands(random_dense(rng, w.size), w)
     values = [interior_norm(m, TruncationWindow(w.kind, w.N, p)) for p in range(0, 8)]
     assert all(values[i + 1] <= values[i] for i in range(len(values) - 1))
 
