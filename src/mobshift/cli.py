@@ -20,11 +20,18 @@ seed produce byte-identical output.  ``--N`` is bounded (``MAX_N``), and so are
 is made, but ``weights`` holds all its rows before it prints one, so that a row
 it refuses leaves no output.
 
+Importing this module does not import numpy: the package binds it lazily
+(``numkernel.np``), so it loads at the first array a command forms, and a
+command that forms none (a refusal, ``verify lemmas``, a coefficient file that
+cannot be read) never pays for it.
+
 ``main()`` without argv is the process entry (``python -m mobshift.cli`` and the
-``mobshift`` script): it freezes the import-time heap, so neither the command's
-collections nor interpreter shutdown scan it again, and restores the default
+``mobshift`` script): it freezes the heap twice, the import-time heap before the
+command and, on every exit path, what the command loaded (numpy included) after
+it, so neither the command's collections nor interpreter shutdown scan the
+first, and shutdown does not scan the second; it also restores the default
 SIGPIPE action, so a reader that closes stdout early ends the process without a
-traceback; ``main(argv)`` changes neither.
+traceback.  ``main(argv)`` changes neither.
 """
 
 from __future__ import annotations
@@ -538,7 +545,10 @@ def _enter_process() -> None:
 def main(argv=None) -> int:
     if argv is None:
         _enter_process()
-        argv = sys.argv[1:]
+        try:
+            return main(sys.argv[1:])
+        finally:
+            gc.freeze()  # what the command loaded, numpy included, joins the frozen heap
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)

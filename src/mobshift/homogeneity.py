@@ -16,8 +16,7 @@ turned a quarter by exp(pi/4 h), and e and f are (L -/+ iM)/2.
 from __future__ import annotations
 
 import json
-
-import numpy as np
+import math
 
 from .errors import ParameterError, value_type
 from .mobius import MobiusElement
@@ -31,6 +30,7 @@ from .numkernel import (
     _shift_residual,
     _spectrum,
     _tiles,
+    np,
     solve,
 )
 from .repn import Realization, reducible_generator_matrix
@@ -64,7 +64,7 @@ class DefectReport:
         tolerance = float(tolerance)
         if not value >= 0.0:
             raise ParameterError(f"defect value must be non-negative, got {value}")
-        if not 0.0 < tolerance < np.inf:  # an infinite one passes everything and is not JSON
+        if not 0.0 < tolerance < math.inf:  # an infinite one passes everything and is not JSON
             raise ParameterError(f"tolerance must be positive and finite, got {tolerance}")
         return cls(name, value, tolerance, value <= tolerance, dict(context or {}))
 

@@ -10,11 +10,10 @@ algebra generated by a shift.
 
 from __future__ import annotations
 
+import cmath
 from typing import Mapping
 
-import numpy as np
-
-from .errors import ParameterError, value_type
+from .errors import NumericsError, ParameterError, value_type
 from .homogeneity import DefectReport, _conjugated_block
 from .mobius import GroupPath
 from .numkernel import (
@@ -26,6 +25,7 @@ from .numkernel import (
     _rows,
     _shift_residual,
     _spectrum,
+    np,
 )
 from .repn import Realization, RepnParams
 
@@ -89,7 +89,8 @@ def classify_a_minus1(a: Mapping[int, complex], p: RepnParams) -> AminusOneFit:
     a_n = (lam + mu + n)/(n + 1 - mu) gives a = -b (lam + mu) (the T3
     branch).  When both factors vanish the branches coincide, which happens
     exactly at mu = (1 - lam)/2; that case is reported as T2 with a tie flag.
-    A non-finite coefficient raises ``ParameterError``.
+    A non-finite coefficient raises ``ParameterError``, and finite ones whose
+    fit overflows raise ``NumericsError``.
     """
     if p.index_set != BILATERAL:
         raise ParameterError("the affine classifier needs the bilateral index set")
@@ -101,16 +102,19 @@ def classify_a_minus1(a: Mapping[int, complex], p: RepnParams) -> AminusOneFit:
     finite = np.isfinite(vals)
     if not finite.all():
         raise ParameterError(f"non-finite coefficient at n={int(ns[~finite][0])}")
-    y = vals * (p.mu - ns - 1.0)
     design = np.column_stack([np.ones_like(ns), -ns]).astype(np.complex128)
-    sol, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+        y = vals * (p.mu - ns - 1.0)
+        sol, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        residual = float(np.max(np.abs(y - design @ sol)))
     if rank < 2:
         raise ParameterError("fit matrix is rank-deficient")
     a_fit, b_fit = complex(sol[0]), complex(sol[1])
-    residual = float(np.max(np.abs(y - design @ sol)))
     scale = max(1.0, abs(a_fit), abs(b_fit))
     factor_t2 = a_fit + b_fit * (1.0 - p.mu)
     factor_t3 = a_fit + b_fit * (p.lam + p.mu)
+    if not all(map(cmath.isfinite, (a_fit, b_fit, residual, factor_t2, factor_t3))):
+        raise NumericsError("the affine fit of these coefficients overflows double precision")
     hit_t2 = abs(factor_t2) <= _BRANCH_TOL * scale
     hit_t3 = abs(factor_t3) <= _BRANCH_TOL * scale
     if hit_t2 and hit_t3:

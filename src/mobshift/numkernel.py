@@ -14,14 +14,22 @@ share it); it keeps half of that spectrum, the reflection of the other half.
 The interior certificates sum their norms over tiles of ``TILE`` interior
 rows or columns, so none of them holds a window-sized temporary, the
 normalizer's commutator included: it and homogeneity are one kernel,
-``_shift_residual``."""
+``_shift_residual``.
+
+``np`` is the package's one binding of numpy, which every other module takes
+from here (``from .numkernel import np``): a module that loads numpy on the
+first read of one of its attributes, or numpy itself when it is loaded
+already.  So a command that reads no array (a refusal, ``verify lemmas``, a
+coefficient file that cannot be read) never imports numpy.  An ``import
+numpy`` statement would load it at once, even under a lazy loader, because
+the import system reads the module's ``__spec__``."""
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
-
-import numpy as np
+import sys
 
 from .errors import (
     EmptyInteriorError,
@@ -45,6 +53,24 @@ SKEW_TOL = 1.0e-12
 SPECTRUM_CACHE_SIZE = 1
 #: interior rows or columns an interior certificate forms at once: its temporaries are O(N * TILE)
 TILE = 64
+
+
+def _bind_numpy():
+    """numpy from ``sys.modules``, or a module that executes numpy on its first
+    attribute read, registered there as numpy so that every later import finds it."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _bind_numpy()
 
 
 @value_type

@@ -27,8 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from . import mobius
 from .errors import (
     ClassificationError,
@@ -52,6 +50,7 @@ from .numkernel import (
     _tiles,
     interior_norm,
     mat_exp,
+    np,
 )
 from .specialfn import _principal_coincidence, norm_sq_sequence
 

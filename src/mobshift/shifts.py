@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import ParameterError, PoleError, WindowMismatchError
 from .numkernel import (
     BILATERAL,
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
+    np,
 )
 from .repn import (
     ANTIHOLO,

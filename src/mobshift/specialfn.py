@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import ParameterRangeError, WindowMismatchError, value_type
-from .numkernel import BILATERAL, TruncationWindow
+from .numkernel import BILATERAL, TruncationWindow, np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .repn import RepnParams

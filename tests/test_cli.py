@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -763,6 +764,17 @@ def test_classify_non_finite_coefficient_exit_two(capsys, tmp_path, row):
     assert err == "error: non-finite coefficient at n=1\n"
 
 
+def test_classify_a_fit_that_overflows_exits_three_without_a_warning(capsys, tmp_path):
+    # every coefficient is finite, but a_2 (mu - 3) is not: the fit used to warn on stderr
+    # and print a NaN report with exit 1
+    path = write_coeffs(tmp_path, "huge.csv", ["0,1e308,0", "1,1e308,0", "2,-1e308,0", "3,1e308,0"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["classify", "--file", path, "--lambda=0.3", "--mu-re=0.35"])
+    assert code == 3 and out == ""
+    assert err == "numerical failure: the affine fit of these coefficients overflows double precision\n"
+
+
 def test_classify_non_finite_lambda_exit_two(capsys, tmp_path):
     path = write_coeffs(tmp_path, "const.csv", [f"{n},1.0,0.0" for n in range(-10, 11)])
     code, out, err = run(capsys, ["classify", "--file", path, "--lambda", "nan", "--mu-re", "0.35"])
@@ -1040,13 +1052,15 @@ def test_cli_import_loads_every_traced_module_and_no_dataclasses():
     assert out.stdout.strip() == "[] False"
 
 
-def test_verify_lemmas_does_not_load_numpy_random():
-    # the samples come from the standard library's generator; numpy.random costs its import
+def test_cli_import_loads_no_numpy_module():
+    # numpy is bound lazily: "numpy" itself is registered, but none of it runs until a
+    # command reads one of its attributes; test_the_process_entry_prints_what_main_argv_prints
+    # checks the commands that never do
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, mobshift.cli; code = mobshift.cli.main(['verify', 'lemmas', '--samples', '3']); print(code, 'numpy.random' in sys.modules)"
+    probe = "import sys, mobshift.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.')))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "0 False"
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("suite, callers", [("homogeneity", ["mat_exp"]), ("infinitesimal", [])])
@@ -1099,16 +1113,33 @@ def test_main_with_argv_leaves_the_collector_and_sigpipe_as_they_were(capsys):
 
 
 def test_the_process_entry_freezes_the_import_heap_and_keeps_collecting():
-    probe = (
-        "import gc, runpy, sys\n"
-        "sys.argv = ['mobshift', 'verify', 'lemmas', '--samples', '1']\n"
-        "try:\n"
-        "    runpy.run_module('mobshift.cli', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    print(exc.code, gc.get_freeze_count() > 0, gc.isenabled())\n"
-    )
-    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "0 True True"
+    # gc.get_objects() lists no frozen object.  numpy's lazy module is made at import, and
+    # frozen with it; what it loads mid-command, numpy.linalg's module dict among it, must be
+    # frozen by the second freeze when the command returns
+    for argv, numpy_loaded in (
+        (["verify", "lemmas", "--samples", "1"], False),
+        (["verify", "homogeneity", "--series", "holo", "--lambda", "2"], True),
+    ):
+        probe = (
+            "import gc, runpy, sys\n"
+            f"sys.argv = ['mobshift', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('mobshift.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    loaded = 'numpy.linalg' in sys.modules\n"
+            "    linalg = vars(sys.modules['numpy.linalg']) if loaded else None\n"
+            "    frozen = not any(o is linalg for o in gc.get_objects())\n"
+            "    print(exc.code, gc.get_freeze_count() > 0, gc.isenabled(), loaded, frozen)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == f"0 True True {numpy_loaded} True"
+
+
+#: the process's last stderr line, after the command's own output: the numpy submodules it loaded
+NUMPY_AT_EXIT = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith('numpy.')), file=sys.stderr))\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -1116,20 +1147,42 @@ def test_the_process_entry_freezes_the_import_heap_and_keeps_collecting():
     [
         (0, ["verify", "homogeneity", "--series", "holo", "--lambda=2", "--op=T1"], ""),
         (1, ["verify", "reducible-lambda", "--lambda", "1.5", "--r", "1"], ""),
-        (2, ["verify", "unitarity", "--series", "holo", "--lambda", "2", "--op", "T1"], ""),
-        (2, ["verify", "lemmas", "--samples", "100001"], ""),
+        (2, ["verify", "unitarity", "--series", "holo", "--lambda", "2", "--op", "T1"], NUMPY_AT_EXIT),
+        (2, ["verify", "lemmas", "--samples", "100001"], NUMPY_AT_EXIT),
         (3, ["verify", "unitarity", "--series", "holo", "--lambda", "2"], SKEWED_NORMS),
+        (2, ["verify", "unitarity", "--series", "principal", "--lambda=1.5"], NUMPY_AT_EXIT),
+        (2, ["verify", "unitarity", "--series", "complementary", "--lambda=0.2"], NUMPY_AT_EXIT),
+        (2, ["verify", "unitarity", "--series", "holo", "--lambda=2", "--path=L:0.7"], NUMPY_AT_EXIT),
+        (2, ["verify", "unitarity", "--series", "holo", "--lambda=2", "--N=0"], NUMPY_AT_EXIT),
+        (2, ["verify", "homogeneity", "--series", "holo", "--lambda=2", "--op=T2"], NUMPY_AT_EXIT),
+        (2, ["verify", "unitarity", "--series", "reducible", "--lambda=1", "--r=20"], NUMPY_AT_EXIT),
+        (2, ["weights", "--series", "holo", "--lambda=2", "--n0=5", "--n1=2"], NUMPY_AT_EXIT),
+        (2, ["classify", "--file={tmp}/absent.csv", "--lambda=0.3", "--mu-re=0.35"], NUMPY_AT_EXIT),
+        (2, ["classify", "--file={tmp}/malformed.csv", "--lambda=0.3", "--mu-re=0.35"], NUMPY_AT_EXIT),
+        (0, ["verify", "lemmas", "--samples=25", "--seed=7"], NUMPY_AT_EXIT),
     ],
-    ids=["pass", "seam control", "argparse refusal", "count refusal", "skewed norms"],
+    ids=[
+        "pass", "seam control", "argparse refusal", "count refusal", "skewed norms", "family parameter",
+        "missing mu", "path segment", "window N = 0", "foreign op", "coupling", "weights n0 > n1",
+        "classify missing file", "classify malformed file", "lemmas",
+    ],
 )
-def test_the_process_entry_prints_what_main_argv_prints(capsys, monkeypatch, code, argv, prelude):
+def test_the_process_entry_prints_what_main_argv_prints(capsys, monkeypatch, tmp_path, code, argv, prelude):
+    # the refusals and verify lemmas read no array, so they must not load numpy at all
+    (tmp_path / "malformed.csv").write_text("n,re,im\n0,1.0,0.0,7\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     proc = run_process(argv, prelude)
-    if prelude:
+    err = proc.stderr.decode()
+    if prelude == NUMPY_AT_EXIT:
+        *lines, numpy_modules = err.splitlines(keepends=True)
+        err = "".join(lines)
+        assert numpy_modules == "[]\n"
+    if prelude == SKEWED_NORMS:
         ratio = specialfn.norm_ratio
         monkeypatch.setattr(specialfn, "norm_ratio", lambda params, n: ratio(params, n) * (1.0 + 1e-6))
     expected = run(capsys, argv)
     assert expected[0] == code
-    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected
+    assert (proc.returncode, proc.stdout.decode(), err) == expected
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
