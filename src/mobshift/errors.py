@@ -87,7 +87,9 @@ class NotSkewAdjointError(NumericsError):
 
 
 class GridSizeError(NumericsError):
-    """Circle sampling grid too small for the requested coefficient window."""
+    """Circle route refused: the coefficients beyond the Nyquist edge still exceed the
+    tolerance at ``repn.MAX_GRID``, the largest grid it samples on; the message quotes the
+    tail and that grid."""
 
 
 class ParameterError(ValueError):

@@ -519,8 +519,3 @@ def interior_norm(A: OperatorMatrix, w: TruncationWindow) -> float:
     # entry k of diagonal m has both indices in [p0, p1) for k in [p0, p1 - |m|)
     p0, p1 = int(p[0]), int(p[-1]) + 1
     return math.sqrt(sum(_squared_norm(d[p0 : max(p1 - abs(m), p0)]) for m, d in A._banded().items()))
-
-
-def _require_power_of_two(n: int) -> None:
-    if n < 1 or n & (n - 1):
-        raise ParameterError(f"sample count {n} is not a power of two")

@@ -18,6 +18,7 @@ other away from the truncation boundary.  Both return R in the orthonormal
 basis x_n = f_n / ||f_n||, where no verdict depends on the scale of the Gram:
 the exponential route builds each generator there from the monomial matrix
 and the norm ratios, the circle route scales its monomial table by the norms.
+The circle route sizes its own sampling grid from the Nyquist tail it measures.
 ``generator_matrix`` and ``reducible_generator_matrix`` stay the monomial
 action; ``to_orthonormal`` brings a monomial operator to the basis of R.
 """
@@ -45,7 +46,6 @@ from .numkernel import (
     OperatorMatrix,
     TruncationWindow,
     _interior_positions,
-    _require_power_of_two,
     _squared_norm,
     _tiles,
     interior_norm,
@@ -65,7 +65,8 @@ _COUPLING_BOUND = 10.0
 _NYQUIST_TAIL_TOL = 1e-9
 _NEGATIVE_INDEX_TOL = 1e-10
 _ORACLE_BETA_CAP = 0.3
-_CIRCLE_BLOCK = 32
+#: the finest circle grid the route samples on; a Nyquist tail still above tolerance there is refused
+MAX_GRID = 1 << 16
 
 
 @value_type
@@ -310,12 +311,6 @@ class Realization:
         return mat_exp(self.generator("L", w), s, left, right)
 
 
-def default_grid_size(w: TruncationWindow) -> int:
-    """Smallest power of two at least 8x the window size."""
-    target = 8 * w.size
-    return 1 << (target - 1).bit_length()
-
-
 def _circle_factors(phi_inv: MobiusElement, eta_plus: complex, eta_minus: complex, grid: int):
     """Moved points and derivative multiplier on the uniform circle grid.
 
@@ -336,68 +331,67 @@ def _circle_factors(phi_inv: MobiusElement, eta_plus: complex, eta_minus: comple
     return moved, multiplier
 
 
-def _circle_table(
-    p: RepnParams,
-    phi_inv: MobiusElement,
-    eta_plus: complex,
-    eta_minus: complex,
-    w: TruncationWindow,
-    grid_size: int | None,
-) -> np.ndarray:
-    """Window-by-window matrix of the circle-route action, one column per monomial.
+def _circle_table(p: RepnParams, phi_inv: MobiusElement, w: TruncationWindow) -> tuple[np.ndarray, int]:
+    """Window-by-window matrix of the circle-route action, one column per monomial, and the
+    grid it was sampled on.
 
-    Built ``_CIRCLE_BLOCK`` monomials at a time, so peak memory is
-    O(grid * block + size^2): rows moved ** n (up from n = 0 by moved, down
-    from n = -1 by 1 / moved, carried across blocks), scaled by the multiplier
-    and transformed along the grid.  The checks take their maxima over all blocks.
+    The grid starts at the smallest power of two at least 8N, whose quarter (the Nyquist
+    edge) lies N past the window's largest index, and doubles while the coefficients beyond
+    that edge exceed ``_NYQUIST_TAIL_TOL``, up to ``MAX_GRID``.  Each try fills the one
+    table ``TILE`` monomials at a time, so peak memory is O(grid * TILE + size^2): rows
+    moved ** n (up from n = 0 by moved, down from n = -1 by 1 / moved, carried across
+    blocks), scaled by the multiplier and transformed along the grid.  The checks take
+    their maxima over all blocks.
     """
     if w.kind != p.index_set:
         raise WindowMismatchError("window kind does not match params index set")
-    grid = default_grid_size(w) if grid_size is None else int(grid_size)
-    _require_power_of_two(grid)
     if abs(phi_inv.beta) > _ORACLE_BETA_CAP:
         raise ParameterError(
             f"|beta| = {abs(phi_inv.beta):.3f} too far from the identity for principal branches"
         )
-    moved, multiplier = _circle_factors(phi_inv, eta_plus, eta_minus, grid)
-    multiplier /= grid
-    # frequencies in FFT order: |k| > grid / 4 is the Nyquist tail, and the negative
-    # frequencies short of it are the last quarter
-    tail_cols, negative_cols = slice(grid // 4 + 1, grid - grid // 4), slice(grid - grid // 4, grid)
-    rows = w.indices() % grid
+    eta_plus, eta_minus = (p.lam + p.mu) / 2.0, p.mu / 2.0
     table = np.empty((w.size, w.size), dtype=np.complex128)
-    tail = worst = 0.0
-    for ns, factor in ((np.arange(0, w.hi + 1), moved), (np.arange(-1, w.lo - 1, -1), 1.0 / moved)):
-        power = np.ones(grid, dtype=np.complex128)
-        for start in range(0, ns.size, _CIRCLE_BLOCK):
-            block = ns[start : start + _CIRCLE_BLOCK]
-            samples = np.empty((block.size, grid), dtype=np.complex128)
-            for i, n in enumerate(block):
-                if n:
-                    power *= factor
-                np.multiply(multiplier, power, out=samples[i])
-            samples = np.fft.fft(samples, axis=-1)
-            # np.maximum keeps a NaN, as the maximum over the whole table would
-            tail = np.maximum(tail, np.max(np.abs(samples[:, tail_cols])))
-            if w.kind == UNILATERAL:
-                worst = np.maximum(worst, np.max(np.abs(samples[:, negative_cols])))
-            table[:, block - w.lo] = samples[:, rows].T
-    if tail > _NYQUIST_TAIL_TOL:
-        raise GridSizeError(
-            f"coefficient magnitude {tail:.3e} near the Nyquist edge; enlarge the sampling grid"
-        )
+    grid = 1 << (8 * w.N - 1).bit_length()
+    while True:
+        moved, multiplier = _circle_factors(phi_inv, eta_plus, eta_minus, grid)
+        multiplier /= grid
+        # frequencies in FFT order: |k| > grid / 4 is the Nyquist tail, and the negative
+        # frequencies short of it are the last quarter
+        tail_cols, negative_cols = slice(grid // 4 + 1, grid - grid // 4), slice(grid - grid // 4, grid)
+        rows = w.indices() % grid
+        tail = worst = 0.0
+        for ns, factor in ((np.arange(0, w.hi + 1), moved), (np.arange(-1, w.lo - 1, -1), 1.0 / moved)):
+            power = np.ones(grid, dtype=np.complex128)
+            for a, b in _tiles(0, ns.size):
+                block = ns[a:b]
+                samples = np.empty((block.size, grid), dtype=np.complex128)
+                for i, n in enumerate(block):
+                    if n:
+                        power *= factor
+                    np.multiply(multiplier, power, out=samples[i])
+                samples = np.fft.fft(samples, axis=-1)
+                # np.maximum keeps a NaN, as the maximum over the whole table would
+                tail = np.maximum(tail, np.max(np.abs(samples[:, tail_cols])))
+                if w.kind == UNILATERAL:
+                    worst = np.maximum(worst, np.max(np.abs(samples[:, negative_cols])))
+                table[:, block - w.lo] = samples[:, rows].T
+        # a NaN tail passes and ends the doubling: no finer grid would resolve it
+        if not tail > _NYQUIST_TAIL_TOL:
+            break
+        if grid >= MAX_GRID:
+            raise GridSizeError(f"Nyquist tail {tail:.3e} above {_NYQUIST_TAIL_TOL:.0e} at grid {grid}, the largest tried")
+        grid *= 2
     if worst > _NEGATIVE_INDEX_TOL:
         raise NumericsError(
-            f"negative-index content {worst:.3e} in a unilateral action; branch assumptions violated"
+            f"negative-index content {worst:.3e} at grid {grid} in a unilateral action; branch assumptions violated"
         )
-    return table
+    return table, grid
 
 
 def circle_rep_matrix(p: RepnParams, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
-    """Whole representation matrix over the circle route (grid ``default_grid_size``), in the
-    orthonormal basis: the monomial table scaled in place by s_i / s_j, s = sqrt(``norm_sq_sequence``)."""
-    phi_inv = mobius.inverse(mobius.path_to_mobius(path))
-    table = _circle_table(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, w, None)
+    """Whole representation matrix over the circle route (on the grid ``_circle_table`` picks), in
+    the orthonormal basis: the monomial table scaled in place by s_i / s_j, s = sqrt(``norm_sq_sequence``)."""
+    table, _ = _circle_table(p, mobius.inverse(mobius.path_to_mobius(path)), w)
     s = np.sqrt(norm_sq_sequence(p, w).values)
     table *= s[:, None]
     table /= s[None, :]

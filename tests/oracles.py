@@ -49,7 +49,6 @@ from mobshift.numkernel import (
     OperatorMatrix,
     TruncationWindow,
     _parity_blocks,
-    _require_power_of_two,
     _spectrum,
     mat_exp,
 )
@@ -400,6 +399,11 @@ def dense_normalizer_defect(T, R, w) -> float:
     return value
 
 
+def _require_power_of_two(n: int) -> None:
+    if n < 1 or n & (n - 1):
+        raise ParameterError(f"sample count {n} is not a power of two")
+
+
 def circle_fft(samples) -> np.ndarray:
     """Fourier coefficients of uniform unit-circle samples.
 
@@ -438,28 +442,25 @@ def unblocked_circle_table(phi_inv: MobiusElement, eta_plus, eta_minus, w, grid:
     k = np.fft.fftfreq(grid, 1.0 / grid)  # signed frequencies in FFT order
     tail = float(np.max(np.abs(table[np.abs(k) > grid // 4])))
     if tail > _NYQUIST_TAIL_TOL:
-        raise GridSizeError(
-            f"coefficient magnitude {tail:.3e} near the Nyquist edge; enlarge the sampling grid"
-        )
+        raise GridSizeError(f"Nyquist tail {tail:.3e} above {_NYQUIST_TAIL_TOL:.0e} at grid {grid}, the largest tried")
     negative = float(np.max(np.abs(table[(k < 0) & (np.abs(k) <= grid // 4)])))
     if w.kind == UNILATERAL and negative > _NEGATIVE_INDEX_TOL:
         raise NumericsError(
-            f"negative-index content {negative:.3e} in a unilateral action; branch assumptions violated"
+            f"negative-index content {negative:.3e} at grid {grid} in a unilateral action; branch assumptions violated"
         )
     return table[w.indices() % grid, :]
 
 
-def circle_rep_oracle(p, phi_inv: MobiusElement, eta_plus, eta_minus, w, coeffs, grid_size=None) -> np.ndarray:
+def circle_rep_oracle(p, phi_inv: MobiusElement, w, coeffs) -> np.ndarray:
     """R(g) applied to monomial coefficients over w, computed on the unit
     circle, independent of the generator-exponential route.
 
-    ``phi_inv`` is phi_{g^-1} (|beta| <= 0.3, else ``ParameterError``);
-    eta_plus, eta_minus are (lam + mu)/2 and mu/2.  The circle route's table
-    raises ``GridSizeError`` for a Nyquist tail above 1e-9 and
-    ``NumericsError`` for negative-index content above 1e-10 in a unilateral
-    action.
+    ``phi_inv`` is phi_{g^-1} (|beta| <= 0.3, else ``ParameterError``).  The
+    circle route's table raises ``GridSizeError`` for a Nyquist tail above
+    1e-9 at its largest grid and ``NumericsError`` for negative-index content
+    above 1e-10 in a unilateral action.
     """
-    return _circle_table(p, phi_inv, eta_plus, eta_minus, w, grid_size) @ np.asarray(coeffs, dtype=np.complex128)
+    return _circle_table(p, phi_inv, w)[0] @ np.asarray(coeffs, dtype=np.complex128)
 
 
 def te_tf_coefficients(a, m: int, p, w):

@@ -1,4 +1,5 @@
 import cmath
+import re
 import weakref
 
 import numpy as np
@@ -15,7 +16,7 @@ from mobshift.errors import (
     WindowMismatchError,
 )
 from mobshift.cli import DEFAULT_PATHS
-from mobshift.homogeneity import infinitesimal_reports, kappa_flow_derivative
+from mobshift.homogeneity import homogeneity_defect, infinitesimal_reports, kappa_flow_derivative
 from mobshift.mobius import STAR_SIGNS, GroupPath, MobiusElement, cartan, inverse, path_to_mobius
 from mobshift.numkernel import (
     BILATERAL,
@@ -35,13 +36,13 @@ from mobshift.repn import (
     circle_rep_matrix,
     classify_series,
     complementary_mu_interval,
-    default_grid_size,
     generator_matrix,
     gram,
     reducible_generator_matrix,
     to_orthonormal,
     unitarity_residual,
 )
+from mobshift.shifts import canonical_shift
 
 from oracles import (
     circle_rep_oracle,
@@ -690,7 +691,7 @@ def test_circle_oracle_identity_fixes_coefficients():
     w = TruncationWindow(BILATERAL, 8, 2)
     rng = np.random.default_rng(5)
     F = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
-    out = circle_rep_oracle(PRINCIPAL_P, MobiusElement.identity(), 0.0, 0.0, w, F)
+    out = circle_rep_oracle(PRINCIPAL_P, MobiusElement.identity(), w, F)
     assert np.max(np.abs(out - F)) <= 1e-13
 
 
@@ -699,7 +700,7 @@ def test_circle_oracle_rotation_scales_coefficients():
     w = TruncationWindow(BILATERAL, 8, 2)
     t = 0.2
     phi_inv = MobiusElement(cmath.exp(-2j * t), 0.0)
-    out = circle_rep_oracle(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, w, np.ones(w.size))
+    out = circle_rep_oracle(p, phi_inv, w, np.ones(w.size))
     expected = np.exp(-1j * (2.0 * w.indices() + p.lam) * t)
     assert np.max(np.abs(out - expected)) <= 1e-12
 
@@ -712,7 +713,7 @@ def test_circle_oracle_matches_rep_matrix_column():
     path = GroupPath((("L", 0.1),))
     R = Realization.plain(p).along_path(path, w)
     phi_inv = inverse(path_to_mobius(path))
-    out = circle_rep_oracle(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, w, monomial(w, 0))
+    out = circle_rep_oracle(p, phi_inv, w, monomial(w, 0))
     s = np.sqrt(gram(p, w).data.diagonal().real)
     rows = w.pos(0) + np.arange(8)
     assert np.max(np.abs(out[rows] * s[rows] - R.data[rows, w.pos(0)])) <= 1e-12
@@ -735,23 +736,23 @@ def test_circle_oracle_rejects_far_elements():
     w = TruncationWindow(BILATERAL, 8, 2)
     far = MobiusElement(1.0, 0.45)
     with pytest.raises(ParameterError):
-        circle_rep_oracle(PRINCIPAL_P, far, 0.15, 0.0, w, monomial(w, 0))
+        circle_rep_oracle(PRINCIPAL_P, far, w, monomial(w, 0))
 
 
 def test_circle_oracle_grid_too_small():
-    p = RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
-    w = TruncationWindow(BILATERAL, 8, 2)
-    phi_inv = MobiusElement(1.0, 0.3)
-    with pytest.raises(GridSizeError):
-        circle_rep_oracle(p, phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, w, monomial(w, 8), grid_size=32)
+    # Im mu = 1e5 still leaves a tail of 2.5e-2 beyond the Nyquist edge at the largest grid
+    p = RepnParams(BILATERAL, 0.3, complex(0.35, 1e5))
+    w = TruncationWindow(BILATERAL, 64, 16)
+    with pytest.raises(GridSizeError, match=f"at grid {repn.MAX_GRID}, the largest tried"):
+        circle_rep_oracle(p, inverse(path_to_mobius(GroupPath.parse("L:0.1"))), w, monomial(w, 8))
 
 
 def test_circle_oracle_detects_negative_leakage():
-    # a conjugate-exponent mismatch drives content into negative indices
-    w = TruncationWindow(UNILATERAL, 16, 4)
-    phi_inv = MobiusElement(1.0, 0.25)
-    with pytest.raises(NumericsError):
-        circle_rep_oracle(HOLO2, phi_inv, 1.0, 0.5, w, monomial(w, 0))
+    # holo lam = 100 leaves 1.02e-10 on negative indices, just over the 1e-10 guard
+    w = TruncationWindow(UNILATERAL, 64, 16)
+    phi_inv = inverse(path_to_mobius(GroupPath.parse("L:0.1,M:-0.05,h:0.2")))
+    with pytest.raises(NumericsError, match="negative-index content 1.0"):
+        circle_rep_oracle(RepnParams(UNILATERAL, 100.0), phi_inv, w, monomial(w, 0))
 
 
 # one window smaller than a block, one spanning a partial block on each side
@@ -769,32 +770,33 @@ CIRCLE_CASES = [
 )
 def test_blocked_circle_table_matches_unblocked_oracle(p, w, path):
     rng = np.random.default_rng(w.size)
-    assert w.size < repn._CIRCLE_BLOCK or w.size % repn._CIRCLE_BLOCK
+    assert w.size < numkernel.TILE or w.size % numkernel.TILE
     phi_inv = inverse(path_to_mobius(path))
-    eta = ((p.lam + p.mu) / 2.0, p.mu / 2.0)
-    expected = unblocked_circle_table(phi_inv, *eta, w, default_grid_size(w))
+    _, grid = repn._circle_table(p, phi_inv, w)
+    expected = unblocked_circle_table(phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, w, grid)
     scale = np.max(np.abs(expected))
     s = np.sqrt(gram(p, w).data.diagonal().real)
     blocked = circle_rep_matrix(p, path, w).data / s[:, None] * s[None, :]
     assert np.max(np.abs(blocked - expected)) <= 1e-14 * scale
     F = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
-    out = circle_rep_oracle(p, phi_inv, *eta, w, F)
+    out = circle_rep_oracle(p, phi_inv, w, F)
     assert np.max(np.abs(out - expected @ F)) <= 1e-14 * scale * np.sum(np.abs(F))
 
 
 def test_blocked_circle_checks_report_the_whole_table_maximum():
-    # a grid too small for a window of several blocks, and leakage into
-    # negative indices: the messages quote the maximum over every block
-    phi_inv = MobiusElement(1.0, 0.3)
-    principal_eta = ((PRINCIPAL_P.lam + PRINCIPAL_P.mu) / 2.0, PRINCIPAL_P.mu / 2.0)
-    for p, window, eta, grid, error in (
-        (PRINCIPAL_P, TruncationWindow(BILATERAL, 40, 10), principal_eta, 128, GridSizeError),
-        (HOLO2, TruncationWindow(UNILATERAL, 80, 20), (1.0, 0.5), None, NumericsError),
+    # a tail no grid up to the cap resolves, over the positive and the negative
+    # monomials, and leakage into negative indices over two blocks: the messages
+    # quote the maximum over every block at the grid they name
+    for p, window, path, error in (
+        (RepnParams(BILATERAL, 0.3, complex(0.35, 1e5)), TruncationWindow(BILATERAL, 8, 2), "L:0.1", GridSizeError),
+        (RepnParams(UNILATERAL, 100.0), TruncationWindow(UNILATERAL, 64, 16), "L:0.1,M:-0.05,h:0.2", NumericsError),
     ):
+        phi_inv = inverse(path_to_mobius(GroupPath.parse(path)))
         with pytest.raises(error) as blocked:
-            circle_rep_oracle(p, phi_inv, *eta, window, monomial(window, 0), grid_size=grid)
+            circle_rep_oracle(p, phi_inv, window, monomial(window, 0))
+        grid = int(re.search(r"at grid (\d+)", str(blocked.value)).group(1))
         with pytest.raises(error) as whole:
-            unblocked_circle_table(phi_inv, *eta, window, grid or default_grid_size(window))
+            unblocked_circle_table(phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, window, grid)
         assert str(blocked.value) == str(whole.value)
 
 
@@ -806,12 +808,32 @@ def test_circle_route_memory_grows_like_the_output():
     for N in (128, 256):
         w = TruncationWindow(BILATERAL, N, N // 4)
         peaks[N] = traced_peak(circle_rep_matrix, p, path, w)
-    size, grid = 513, default_grid_size(TruncationWindow(BILATERAL, 256, 64))
-    assert peaks[256] < 3 * size * size * 16 + 3 * repn._CIRCLE_BLOCK * grid * 16
+    size, grid = 513, repn._circle_table(p, inverse(path_to_mobius(path)), w)[1]
+    assert peaks[256] < 3 * size * size * 16 + 3 * numkernel.TILE * grid * 16
     assert peaks[256] < 4 * peaks[128]
 
 
-def test_default_grid_size_power_of_two():
-    w = TruncationWindow(BILATERAL, 64, 16)
-    g = default_grid_size(w)
-    assert g >= 8 * w.size and g & (g - 1) == 0
+def test_circle_grid_starts_at_the_first_power_of_two_past_8n():
+    # the corners of the benchmark's route draws, on its two (N, path) pairs: the
+    # start grid's Nyquist edge, N past the window, already holds the tail
+    points = [RepnParams(UNILATERAL, lam) for lam in (0.05, 16.0)]
+    points += [RepnParams(BILATERAL, lam, complex((1.0 - lam) / 2.0, 8.0)) for lam in (-0.99, 1.0)]
+    for lam in (-0.95, 0.95):
+        lo, hi = complementary_mu_interval(lam)
+        points += [RepnParams(BILATERAL, lam, complex(lo + share * (hi - lo))) for share in (0.3, 0.7)]
+    for N, path in ((128, DEFAULT_PATHS[3]), (256, DEFAULT_PATHS[1])):
+        phi_inv = inverse(path_to_mobius(GroupPath.parse(path)))
+        start = 1 << (8 * N - 1).bit_length()
+        for p in points:
+            _, grid = repn._circle_table(p, phi_inv, TruncationWindow(p.index_set, N, N // 4))
+            assert grid == start >= 8 * N and grid & (grid - 1) == 0, (N, path, p)
+
+
+def test_circle_route_doubles_its_grid_until_the_tail_is_resolved():
+    # the start grid, 512, leaves a tail; the guard accepts 16384 and R is exact at pad 1
+    p = RepnParams(BILATERAL, 0.3, complex(0.35, 1e4))
+    w = TruncationWindow(BILATERAL, 64, 1)
+    path = GroupPath.parse("L:0.1")
+    assert repn._circle_table(p, inverse(path_to_mobius(path)), w)[1] == 16384
+    T = to_orthonormal(canonical_shift("T2", p, w), gram(p, w))
+    assert homogeneity_defect(T, circle_rep_matrix(p, path, w), path_to_mobius(path), w).value <= 1e-14
