@@ -12,13 +12,13 @@ the Gram's scale; each ``sweep`` cell runs that loop over its suites.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad usage or
 parameters, 3 a numerical failure (a generator that is not skew-Hermitian in
-the orthonormal basis because the basis norms do not match its action, grid
-too small, or too little memory for the window).  Identical arguments and
-seed produce byte-identical output.  ``--N`` is bounded (``MAX_N``), and so are
-``verify lemmas --samples`` and the rows of ``weights`` (--n0 to --n1)
-(``MAX_SAMPLES``, ``MAX_WEIGHT_ROWS``): ``verify lemmas`` prints each report as it
-is made, but ``weights`` holds all its rows before it prints one, so that a row
-it refuses leaves no output.
+the orthonormal basis because the basis norms do not match its action, a
+``classify`` fit that overflows, or too little memory for the window).
+Identical arguments and seed produce byte-identical output.  ``--N`` is
+bounded (``MAX_N``), and so are ``verify lemmas --samples`` and the rows of
+``weights`` (--n0 to --n1) (``MAX_SAMPLES``, ``MAX_WEIGHT_ROWS``): ``verify
+lemmas`` prints each report as it is made, but ``weights`` holds all its rows
+before it prints one, so that a row it refuses leaves no output.
 
 Importing this module does not import numpy: the package binds it lazily
 (``numkernel.np``), so it loads at the first array a command forms, and a

@@ -14,7 +14,7 @@ import cmath
 from typing import Mapping
 
 from .errors import NumericsError, ParameterError, value_type
-from .homogeneity import DefectReport, _conjugated_block
+from .homogeneity import DefectReport
 from .mobius import GroupPath
 from .numkernel import (
     BILATERAL,
@@ -24,7 +24,6 @@ from .numkernel import (
     _interior_positions,
     _rows,
     _shift_residual,
-    _spectrum,
     np,
 )
 from .repn import Realization, RepnParams
@@ -160,36 +159,19 @@ def normalizer_defect(
     Components are compared on the interior stretch of their diagonals, for
     as long as that stretch is non-empty; past it every residual is 0.
 
-    R is never built.  With R = diag(a) E diag(b) and E = C - iS unitary
-    (``Realization._cartan_factors``, ``numkernel.mat_exp``), S = R T R^H is
-    diag(a) E T'' E^H diag(conj a) for the shift T'' = diag(b) T diag(conj b):
-    both classes of ``homogeneity._conjugated_block`` on the interior P and a
-    halo of |m|, clipped to the window, O(|P|^2 n), and no inverse or solve; a
-    rotation (s = 0) rescales T's band, O(N).  [S, T] is
-    ``numkernel._shift_residual`` of that block; each component is a diagonal of
-    its interior part, held against T^k's one diagonal, which one shifted product
-    per k updates: O(N) per k, and no window-sized array.
+    R is never built: ``Realization.conjugate`` forms S on the interior P and a halo
+    of |m|, clipped to the window, O(|P|^2 n).  [S, T] is ``numkernel._shift_residual``
+    of that block; each component is a diagonal of its interior part, held against T^k's
+    one diagonal, which one shifted product per k updates: O(N) per k, no window-sized array.
     """
     band = T.single_diagonal
     step = band[0] if band is not None else 0
     if step == 0:
         raise ParameterError("expected a single-step shift")
-    generator = rel.generator("L", w)
-    T._require_compatible(generator)
     p = _interior_positions(T, w)
     n, halo = w.size, abs(step)
     lo, hi = max(p[0] - halo, 0), min(p[-1] + 1 + halo, n)
-    boost, left, right = rel._cartan_factors(path, w)
-    r0, c0, k = max(-step, 0), max(step, 0), band[1].size
-    if boost == 0.0:
-        # a rotation R = diag(left): S[i, i + m] = left[i] T[i, i + m] conj(left[i + m])
-        s = OperatorMatrix.from_band(w, step, left[r0 : r0 + k] * band[1] * left[c0 : c0 + k].conj()).block(lo, hi)
-    else:
-        spec = _spectrum(generator)
-        a, b = left * spec.phases, right / spec.phases  # R = diag(a) E diag(b)
-        s = _conjugated_block(spec, boost, b[r0 : r0 + k] * band[1] * b[c0 : c0 + k].conj(), step, lo, hi, (0, 1))
-        s *= a[lo:hi, None]
-        s *= a[lo:hi].conj()
+    s = rel.conjugate(T, path, w, lo, hi)
     t = _rows(step, band[1], n)  # entry n + i is T[i, i + m], 0 off the window
     value = _shift_residual(s, lo, t[n : 2 * n], step, int(p[0]), int(p[-1]) + 1)
     inner = slice(p[0] - lo, p[-1] + 1 - lo)

@@ -7,14 +7,15 @@ algebra runs on their nonzero diagonals, which every library builder of a
 shift, Gram or generator states; the dense array is built only when read.  A
 result that fills the window (``mat_exp``'s, ``solve``'s, the circle route's)
 is stored dense as read-only data, read through ``data``, ``block``,
-``diagonal``, ``entry`` and ``single_diagonal``.  ``mat_exp`` takes skew-Hermitian generators on the +-1
-diagonals in an orthonormal basis, reads only those two bands, and works in
-real arithmetic from one cached real eigh per family and window (L and M
-share it); it keeps half of that spectrum, the reflection of the other half.
-The interior certificates sum their norms over tiles of ``TILE`` interior
-rows or columns, so none of them holds a window-sized temporary, the
-normalizer's commutator included: it and homogeneity are one kernel,
-``_shift_residual``.
+``diagonal``, ``entry`` and ``single_diagonal``.  ``mat_exp`` takes
+skew-Hermitian generators on the +-1 diagonals in an orthonormal basis, reads
+only those two bands, and works in real arithmetic from one cached real eigh
+per family and window (L and M share it); it keeps half of that spectrum, the
+reflection of the other half.  ``_conjugated_block`` reads that spectrum for a
+block of R T R^-1, R = ``mat_exp``'s, for a shift T, and builds no R.  The
+interior certificates sum their norms over tiles of ``TILE`` interior rows or
+columns, so none of them holds a window-sized temporary, the normalizer's
+commutator included: it and homogeneity are one kernel, ``_shift_residual``.
 
 ``np`` is the package's one binding of numpy, which every other module takes
 from here (``from .numkernel import np``): a module that loads numpy on the
@@ -435,6 +436,52 @@ def mat_exp(X: OperatorMatrix, t: float = 1.0, left=1.0, right=1.0) -> OperatorM
     out *= (left * spec.phases)[:, None]
     out /= (spec.phases / right)[None, :]
     return OperatorMatrix._adopt(X.window, X.basis, data=out)
+
+
+def _conjugated_block(X: OperatorMatrix, t: float, T: OperatorMatrix, lo: int, hi: int, classes, left=1.0, right=1.0) -> np.ndarray:
+    """Rows and columns lo..hi-1 of R T R^-1 for R = ``mat_exp(X, t, left, right)`` and a
+    shift T on diagonal m, on the entries of the given classes, without R.
+
+    ``mat_exp`` forms R = diag(a) E diag(b)^-1, a = left d and b = d / right for X's phases d
+    and E = C - iS (``_parity_blocks``), so R T R^-1 = diag(a) E T' E^H diag(a)^-1 for the
+    shift T' = diag(b)^-1 T diag(b).  C keeps the parity of a position and S swaps it, so
+    class 0, where i + j + m is even, holds C T' C + S T' S, and class 1 i (C T' S - S T' C).
+    One tile of ``TILE`` block columns of one parity cp at a time: those columns of C and S,
+    T' S and T' C as a row shift and scaling of them, and for class q their products with
+    the block's rows of parity (q + cp + m) % 2 of C and S: O(|B|^2 n) per class, with
+    temporaries of O(N * TILE).  The block's rows are then scaled by a, its columns by 1 / a.
+    """
+    spec = _spectrum(X)
+    cos_even, cos_odd, sin_eo = _parity_blocks(spec, float(t))
+    (m, band), d = T.single_diagonal, spec.phases
+    a, b, n, r0, c0, k = left * d, d / right, d.size, max(-m, 0), max(m, 0), band.size
+    band = (band / b[r0 : r0 + k] * b[c0 : c0 + k])[:, None]
+    # the block's even and odd positions as rows of the parity blocks, and the rows of C
+    # and of S that reach the block's rows of each parity
+    half = (slice((lo + 1) // 2, (hi + 1) // 2), slice(lo // 2, hi // 2))
+    rows = ((cos_even[half[0]], sin_eo[half[0]]), (cos_odd[half[1]], sin_eo[:, half[1]].T))
+    block = np.zeros((hi - lo, hi - lo), dtype=np.complex128)
+    for cp in (0, 1):
+        for h0, h1 in _tiles(half[cp].start, half[cp].stop):
+            # columns j = 2h + cp: C[:, j] lives on the rows of parity cp, S[:, j] on the others
+            c, s = np.zeros((2, n, h1 - h0))
+            c[cp::2] = (cos_even, cos_odd)[cp][:, h0:h1]
+            s[1 - cp :: 2] = sin_eo[:, h0:h1] if cp else sin_eo[h0:h1].T
+            tc, ts = np.zeros((2, n, h1 - h0), dtype=np.complex128)
+            np.multiply(band, c[c0 : c0 + k], out=tc[r0 : r0 + k])
+            np.multiply(band, s[c0 : c0 + k], out=ts[r0 : r0 + k])
+            tc, ts = tc.view(np.float64), ts.view(np.float64)  # complex columns read as real pairs
+            cols = slice(2 * h0 + cp - lo, 2 * h1 + cp - lo, 2)
+            for q in classes:
+                rp = (q + cp + m) % 2  # the parity of the rows that class q reaches from these columns
+                # C (T' C) + S (T' S) for class 0, C (T' S) - S (T' C) for class 1, the second in place
+                out = rows[rp][0] @ (ts if q else tc)[rp::2]
+                (np.subtract if q else np.add)(out, rows[rp][1] @ (tc if q else ts)[1 - rp :: 2], out=out)
+                np.multiply(out.view(np.complex128), 1j if q else 1.0, out=block[(rp - lo) % 2 :: 2, cols])
+            del c, s, tc, ts, out  # before the next tile's arrays are allocated
+    block *= a[lo:hi, None]
+    block *= 1.0 / a[lo:hi]
+    return block
 
 
 def solve(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:

@@ -45,6 +45,7 @@ from .numkernel import (
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
+    _conjugated_block,
     _interior_positions,
     _squared_norm,
     _tiles,
@@ -310,6 +311,21 @@ class Realization:
             return OperatorMatrix.from_band(w, 0, left, ORTHONORMAL)
         return mat_exp(self.generator("L", w), s, left, right)
 
+    def conjugate(self, T: OperatorMatrix, path: GroupPath, w: TruncationWindow, lo: int, hi: int) -> np.ndarray:
+        """Rows and columns lo..hi-1 of R T R^-1, R = ``along_path(path, w)``, for a shift T in
+        the orthonormal basis (any other T raises ``ParameterError``), without R: a rotation
+        rescales T's band, O(N), and a boost is ``numkernel._conjugated_block``, O(|B|^2 N)."""
+        band = T.single_diagonal
+        if band is None:
+            raise ParameterError("conjugation is taken of a shift: T needs a single diagonal")
+        generator = self.generator("L", w)
+        T._require_compatible(generator)
+        s, left, right = self._cartan_factors(path, w)
+        if s == 0.0:  # R = diag(left): (R T R^-1)[i, i + m] = left[i] T[i, i + m] / left[i + m]
+            m, t = band
+            return OperatorMatrix.from_band(w, m, left[max(-m, 0) :][: t.size] * t / left[max(m, 0) :][: t.size]).block(lo, hi)
+        return _conjugated_block(generator, s, T, lo, hi, (0, 1), left, right)
+
 
 def _circle_factors(phi_inv: MobiusElement, eta_plus: complex, eta_minus: complex, grid: int):
     """Moved points and derivative multiplier on the uniform circle grid.
@@ -340,8 +356,9 @@ def _circle_table(p: RepnParams, phi_inv: MobiusElement, w: TruncationWindow) ->
     that edge exceed ``_NYQUIST_TAIL_TOL``, up to ``MAX_GRID``.  Each try fills the one
     table ``TILE`` monomials at a time, so peak memory is O(grid * TILE + size^2): rows
     moved ** n (up from n = 0 by moved, down from n = -1 by 1 / moved, carried across
-    blocks), scaled by the multiplier and transformed along the grid.  The checks take
-    their maxima over all blocks.
+    blocks), scaled by the multiplier and transformed along the grid.  A try below
+    ``MAX_GRID`` stops at the first block whose tail refuses its grid; otherwise the
+    checks take their maxima over all blocks.
     """
     if w.kind != p.index_set:
         raise WindowMismatchError("window kind does not match params index set")
@@ -363,6 +380,8 @@ def _circle_table(p: RepnParams, phi_inv: MobiusElement, w: TruncationWindow) ->
         for ns, factor in ((np.arange(0, w.hi + 1), moved), (np.arange(-1, w.lo - 1, -1), 1.0 / moved)):
             power = np.ones(grid, dtype=np.complex128)
             for a, b in _tiles(0, ns.size):
+                if tail > _NYQUIST_TAIL_TOL and grid < MAX_GRID:
+                    break  # this grid is refused already: the next try refills the table
                 block = ns[a:b]
                 samples = np.empty((block.size, grid), dtype=np.complex128)
                 for i, n in enumerate(block):

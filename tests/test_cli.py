@@ -265,8 +265,8 @@ def test_verify_infinitesimal_forms_one_flow(capsys, monkeypatch):
     # M, e and f are L's flow turned a quarter: one flow derivative and one set of parity
     # blocks serve all four relations
     calls = []
-    for name in ("kappa_flow_derivative", "_parity_blocks"):
-        monkeypatch.setattr(homogeneity, name, lambda *a, _f=getattr(homogeneity, name), _n=name: calls.append(_n) or _f(*a))
+    for owner, name in ((homogeneity, "kappa_flow_derivative"), (numkernel, "_parity_blocks")):
+        monkeypatch.setattr(owner, name, lambda *a, _f=getattr(owner, name), _n=name: calls.append(_n) or _f(*a))
     argv = ["verify", "infinitesimal", "--series", "principal", "--lambda", "0.3", "--im-mu", "3", "--N", "32"]
     assert run(capsys, argv)[0] == 0
     assert sorted(calls) == ["_parity_blocks", "kappa_flow_derivative"]

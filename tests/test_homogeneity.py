@@ -635,23 +635,24 @@ def test_kappa_flow_derivative_tiles_match_the_whole_window_oracles(rng, step):
 @pytest.mark.parametrize("m", [-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("kind", [UNILATERAL, BILATERAL])
 def test_conjugated_block_classes_add_up_to_the_dense_conjugation(rng, kind, m):
-    # E = D^-1 e^{tL} D = C - iS, and the blocks cover the window, a stretch over tile
-    # edges, stretches clipped at either end, and single positions of both parities
+    # R = diag(left) e^{tL} diag(right) with unit-modulus diagonals, and the blocks cover
+    # the window, a stretch over tile edges, stretches clipped at either end, and single
+    # positions of both parities
     rel = Realization.plain(PRIN if kind == BILATERAL else HOLO2)
     w = TruncationWindow(kind, 150, 0)
-    a, t = rel.generator("L", w), 0.3
-    spec = numkernel._spectrum(a)
-    d = spec.phases
-    e = mat_exp(a, t).data / d[:, None] * d[None, :]
+    a, t, n = rel.generator("L", w), 0.3, w.size
+    left, right = (np.exp(1j * rng.uniform(-np.pi, np.pi, n)) for _ in range(2))
+    r = mat_exp(a, t, left, right).data
     band = random_shift(rng, w, m).single_diagonal[1]
-    dense = e @ OperatorMatrix.from_band(w, m, band).data @ e.conj().T
-    n = w.size
+    T = OperatorMatrix.from_band(w, m, band, ORTHONORMAL)
+    dense = r @ T.data @ np.linalg.inv(r)
     for lo, hi in ((0, n), (3, n - 2), (0, 7), (n - 9, n), (70, 71), (71, 72)):
-        even, odd = (homogeneity._conjugated_block(spec, t, band, m, lo, hi, (q,)) for q in (0, 1))
+        even, odd = (numkernel._conjugated_block(a, t, T, lo, hi, (q,), left, right) for q in (0, 1))
         i, j = np.indices(even.shape) + lo
         assert not even[(i + j + m) % 2 == 1].any() and not odd[(i + j + m) % 2 == 0].any(), (lo, hi)
         np.testing.assert_allclose(even + odd, dense[lo:hi, lo:hi], rtol=0, atol=1e-13 * np.max(np.abs(band)))
-        np.testing.assert_array_equal(homogeneity._conjugated_block(spec, t, band, m, lo, hi, (0, 1)), even + odd)
+        both = numkernel._conjugated_block(a, t, T, lo, hi, (0, 1), left, right)
+        np.testing.assert_array_equal(both, even + odd)
 
 
 def test_infinitesimal_reports_hold_less_than_two_and_a_half_window_arrays():

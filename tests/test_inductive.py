@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mobshift import homogeneity
+from mobshift import numkernel
 from mobshift.cli import DEFAULT_PATHS
 from mobshift.errors import ParameterError
 from mobshift.inductive import (
@@ -405,7 +405,7 @@ def test_normalizer_memory_stays_below_two_window_arrays(monkeypatch):
     rel = Realization.plain(PRIN)
     T = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
     blocks = _parity_blocks(_spectrum(rel.generator("L", w)), 0.1)
-    monkeypatch.setattr(homogeneity, "_parity_blocks", lambda spec, t: blocks)
+    monkeypatch.setattr(numkernel, "_parity_blocks", lambda spec, t: blocks)
     for text in ("L:0.1", "h:0.3"):
         assert traced_peak(normalizer_defect, T, rel, GroupPath.parse(text), w) <= 1.1 * w.size**2 * 16, text
 

@@ -1,0 +1,47 @@
+"""The package's layering, read from its source with ``ast``: which module may use
+which private name of another."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mobshift"
+#: the certificate modules, whose private names stay their own
+CERTIFICATES = {"homogeneity", "inductive"}
+#: how R(path) acts on a shift, which only numkernel and repn know
+CONJUGATION = {"_spectrum", "_parity_blocks", "_cartan_factors"}
+
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
+
+
+def test_the_walk_sees_the_package():
+    assert {"numkernel", "repn", "homogeneity", "inductive", "cli"} <= {path.stem for path in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_no_module_imports_a_private_name_of_a_certificate_module(path):
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] in CERTIFICATES:
+            private = [alias.name for alias in node.names if alias.name.startswith("_")]
+            assert not private, (node.module, private)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            assert not (node.value.id in CERTIFICATES and node.attr.startswith("_")), (node.value.id, node.attr)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_only_numkernel_and_repn_read_the_spectrum_and_the_cartan_factors(path):
+    names = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    if path.stem not in ("numkernel", "repn"):
+        assert not names & CONJUGATION, sorted(names & CONJUGATION)

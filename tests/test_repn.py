@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mobshift import homogeneity, numkernel, repn
+from mobshift import numkernel, repn
 from mobshift.errors import (
     ClassificationError,
     EmptyInteriorError,
@@ -527,15 +527,34 @@ def test_exponential_caches_hold_one_realization():
             assert numkernel._real_eigh.cache_info().currsize <= numkernel.SPECTRUM_CACHE_SIZE == 1
 
 
+@pytest.mark.parametrize("path", ["L:0.1", "h:0.3", "L:0.1,M:-0.05,h:0.2"])
+@pytest.mark.parametrize("case", ["holo", "sharp", "principal", "complementary", "reducible"])
+def test_conjugate_is_the_dense_conjugation_by_along_path(case, path):
+    # R T R^-1 with R = along_path(path), on the whole window, on blocks clipped at
+    # either end and on one inside it, for steps of both signs
+    rel, kind = SPECTRAL_CASES[case]
+    w, rng, g = TruncationWindow(kind, 32, 8), np.random.default_rng(7), GroupPath.parse(path)
+    r = rel.along_path(g, w).data
+    n = w.size
+    for m in (-1, 2):
+        band = rng.standard_normal(n - abs(m)) + 1j * rng.standard_normal(n - abs(m))
+        T = OperatorMatrix.from_band(w, m, band, ORTHONORMAL)
+        dense = r @ T.data @ np.linalg.inv(r)
+        for lo, hi in ((0, n), (0, 9), (n - 9, n), (5, n - 5)):
+            block = rel.conjugate(T, g, w, lo, hi)
+            assert np.max(np.abs(block - dense[lo:hi, lo:hi])) <= 1e-12 * np.max(np.abs(band)), (m, lo, hi)
+    with pytest.raises(ParameterError):
+        rel.conjugate(OperatorMatrix.identity(w, ORTHONORMAL) + T, g, w, 0, n)
+
+
 @pytest.mark.parametrize("case, N, kernel", [("holo", 32, 1), ("holo", 31, 0), ("principal", 32, 1), ("reducible", 32, 1)])
 def test_generators_die_after_use_and_spectra_keep_half(case, N, kernel, monkeypatch):
     # no generator outlives the exponential or the flow derivative that used it: the cache is
     # on the spectrum, which keeps only its positive half, (size - kernel) / 2 eigenvectors
     rel, kind = SPECTRAL_CASES[case]
     w, refs = TruncationWindow(kind, N, N // 4), []
-    exp, spectrum = repn.mat_exp, homogeneity._spectrum
-    monkeypatch.setattr(repn, "mat_exp", lambda X, *args: refs.append(weakref.ref(X)) or exp(X, *args))
-    monkeypatch.setattr(homogeneity, "_spectrum", lambda X: refs.append(weakref.ref(X)) or spectrum(X))
+    spectrum = numkernel._spectrum
+    monkeypatch.setattr(numkernel, "_spectrum", lambda X: refs.append(weakref.ref(X)) or spectrum(X))
     R = rel.along_path(GroupPath.parse("L:0.1,M:-0.05,h:0.2"), w)
     block = kappa_flow_derivative(OperatorMatrix.identity(w, ORTHONORMAL), rel, w)
     assert R.data.shape == (w.size, w.size) and block.shape == (w.size - 2 * w.padding,) * 2
@@ -827,6 +846,36 @@ def test_circle_grid_starts_at_the_first_power_of_two_past_8n():
         for p in points:
             _, grid = repn._circle_table(p, phi_inv, TruncationWindow(p.index_set, N, N // 4))
             assert grid == start >= 8 * N and grid & (grid - 1) == 0, (N, path, p)
+
+
+def test_a_refused_grid_stops_at_its_first_block(monkeypatch):
+    # a try below the cap stops at the first block whose Nyquist tail refuses its grid; the
+    # accepted try and the cap's refusal read every block: at N = 64, one block for each
+    # refused grid, then 3 at 16384 or 3 at the cap (2 and 2 at N = 8)
+    fft, calls = np.fft.fft, []
+    monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kwargs: calls.append(len(a)) or fft(a, *args, **kwargs))
+    phi_inv = inverse(path_to_mobius(GroupPath.parse("L:0.1")))
+    tables = {}
+    for im_mu, N, blocks in ((1e4, 64, 8), (1e5, 64, 10), (1e4, 8, 10), (1e5, 8, 12)):
+        p, w = RepnParams(BILATERAL, 0.3, complex(0.35, im_mu)), TruncationWindow(BILATERAL, N, 1)
+        etas = ((p.lam + p.mu) / 2.0, p.mu / 2.0)
+        calls.clear()
+        if im_mu < 1e5:
+            tables[N], grid = repn._circle_table(p, phi_inv, w)
+            assert grid == 16384 and len(calls) == blocks, (im_mu, N, calls)
+            if N == 8:
+                expected = unblocked_circle_table(phi_inv, *etas, w, grid)
+                assert np.max(np.abs(tables[N] - expected)) <= 1e-14 * np.max(np.abs(expected))
+            continue
+        with pytest.raises(GridSizeError, match=f"at grid {repn.MAX_GRID}, the largest tried") as refused:
+            repn._circle_table(p, phi_inv, w)
+        assert len(calls) == blocks, (im_mu, N, calls)
+        if N == 8:
+            with pytest.raises(GridSizeError) as whole:
+                unblocked_circle_table(phi_inv, *etas, w, repn.MAX_GRID)
+            assert str(refused.value) == str(whole.value)
+    # five refused tries at N = 64 and eight at N = 8 leave the same bytes on the accepted grid
+    assert tables[64][56:73, 56:73].tobytes() == tables[8].tobytes()
 
 
 def test_circle_route_doubles_its_grid_until_the_tail_is_resolved():
