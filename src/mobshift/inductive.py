@@ -96,26 +96,29 @@ def classify_a_minus1(a: Mapping[int, complex], p: RepnParams) -> AminusOneFit:
     items = sorted((int(n), complex(v)) for n, v in dict(a).items())
     if len(items) < 3:
         raise ParameterError("need at least 3 coefficients")
-    ns = np.array([n for n, _ in items], dtype=np.float64)
-    vals = np.array([v for _, v in items], dtype=np.complex128)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        raise ParameterError(f"non-finite coefficient at n={int(ns[~finite][0])}")
-    design = np.column_stack([np.ones_like(ns), -ns]).astype(np.complex128)
-    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
-        y = vals * (p.mu - ns - 1.0)
-        sol, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        residual = float(np.max(np.abs(y - design @ sol)))
-    if rank < 2:
-        raise ParameterError("fit matrix is rank-deficient")
-    a_fit, b_fit = complex(sol[0]), complex(sol[1])
-    scale = max(1.0, abs(a_fit), abs(b_fit))
-    factor_t2 = a_fit + b_fit * (1.0 - p.mu)
-    factor_t3 = a_fit + b_fit * (p.lam + p.mu)
-    if not all(map(cmath.isfinite, (a_fit, b_fit, residual, factor_t2, factor_t3))):
-        raise NumericsError("the affine fit of these coefficients overflows double precision")
-    hit_t2 = abs(factor_t2) <= _BRANCH_TOL * scale
-    hit_t3 = abs(factor_t3) <= _BRANCH_TOL * scale
+    for n, v in items:
+        if not cmath.isfinite(v):
+            raise ParameterError(f"non-finite coefficient at n={n}")
+    overflow = "the affine fit of these coefficients overflows double precision"
+    # the centred least-squares line y = a - b n; 3 or more distinct n give it rank 2
+    try:  # Python raises where numpy would overflow: abs of a complex, float of a large int
+        xs = [float(n) for n, _ in items]
+        ys = [v * (p.mu - x - 1.0) for x, (_, v) in zip(xs, items)]
+        x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+        dxs = [x - x_mean for x in xs]
+        spread = sum(d * d for d in dxs)
+        b_fit = -sum(d * y for d, y in zip(dxs, ys)) / spread
+        a_fit = y_mean + b_fit * x_mean
+        factor_t2 = a_fit + b_fit * (1.0 - p.mu)
+        factor_t3 = a_fit + b_fit * (p.lam + p.mu)
+        residual = max(abs(y - (a_fit - b_fit * x)) for x, y in zip(xs, ys))
+        if not all(map(cmath.isfinite, (spread, a_fit, b_fit, residual, factor_t2, factor_t3))):
+            raise NumericsError(overflow)
+        scale = max(1.0, abs(a_fit), abs(b_fit))
+        hit_t2 = abs(factor_t2) <= _BRANCH_TOL * scale
+        hit_t3 = abs(factor_t3) <= _BRANCH_TOL * scale
+    except (OverflowError, ZeroDivisionError):
+        raise NumericsError(overflow) from None
     if hit_t2 and hit_t3:
         if abs(p.mu - (1.0 - p.lam) / 2.0) <= _TIE_TOL:
             return AminusOneFit(a_fit, b_fit, residual, FIT_T2, tie=True)

@@ -20,8 +20,8 @@ commutator included: it and homogeneity are one kernel, ``_shift_residual``.
 ``np`` is the package's one binding of numpy, which every other module takes
 from here (``from .numkernel import np``): a module that loads numpy on the
 first read of one of its attributes, or numpy itself when it is loaded
-already.  So a command that reads no array (a refusal, ``verify lemmas``, a
-coefficient file that cannot be read) never imports numpy.  An ``import
+already.  So a command that forms no array (a refusal, ``verify lemmas``,
+``weights``, ``classify``) never imports numpy.  An ``import
 numpy`` statement would load it at once, even under a lazy loader, because
 the import system reads the module's ``__spec__``."""
 

@@ -27,7 +27,7 @@ from .repn import (
     Realization,
     RepnParams,
 )
-from .specialfn import norm_ratio
+from .specialfn import positive_ratio, real_norm_ratio
 
 SHIFT_KINDS = ("T1", "T1star", "T2", "T3")
 BRANCH_T2 = "T2"
@@ -68,26 +68,28 @@ def canonical_shift(kind: str, p: RepnParams, w: TruncationWindow) -> OperatorMa
 
 def weight_sequence(kind: str, rel: Realization, n: int, branch: str = BRANCH_T2) -> complex:
     """One weight of the canonical orthonormal-basis shift of the family ``rel``
-    of series ``kind``: sqrt(``specialfn.norm_ratio``) for the holomorphic,
-    anti-holomorphic and complementary families, which refuses what the Gram does.
+    of series ``kind``: sqrt(``specialfn.real_norm_ratio``) for the holomorphic,
+    anti-holomorphic and complementary families, the Gram's norm ratio in Python
+    floats, which refuses what the Gram does.  No array is formed.
 
     Index domains: n >= 0 for the holomorphic family, n <= 0 for the
     anti-holomorphic one (built on f_{-n}), all of Z otherwise.  The principal
     family has both a T2 branch (weights 1) and a complex T3 branch; the
     complementary family is tabulated on its T2 branch only.  The reducible
     sum's weights are those of ``reducible_shift`` in the orthonormal seam
-    basis: sqrt((1 + n)/(lam + n)), and the coupling r at n = -1.
+    basis: sqrt((1 + n)/(lam + n)), refused as the Gram's ratio is when it is
+    not finite and positive, and the coupling r at n = -1.
     """
     p = rel.params
     if kind == HOLO:
         if n < 0:
             raise ParameterError("holomorphic weights live on n >= 0")
-        return complex(math.sqrt(norm_ratio(p, n)))
+        return complex(math.sqrt(real_norm_ratio(p, n)))
     if kind == ANTIHOLO:
         if n > 0:
             raise ParameterError("anti-holomorphic weights live on n <= 0")
         # the backward shift annihilates its top basis vector; below it, weight n is the holomorphic -n - 1
-        return complex(math.sqrt(norm_ratio(p, -n - 1))) if n else 0j
+        return complex(math.sqrt(real_norm_ratio(p, -n - 1))) if n else 0j
     if kind == PRINCIPAL:
         if branch == BRANCH_T2:
             return 1.0 + 0j
@@ -98,9 +100,12 @@ def weight_sequence(kind: str, rel: Realization, n: int, branch: str = BRANCH_T2
     if kind == COMPLEMENTARY:
         if branch != BRANCH_T2:
             raise ParameterError("only the T2 branch is tabulated for the complementary family")
-        return complex(math.sqrt(norm_ratio(p, n)))
+        return complex(math.sqrt(real_norm_ratio(p, n)))
     if kind == REDUCIBLE:
-        return rel.r if n == -1 else complex(math.sqrt((1.0 + n) / (p.lam + n)))
+        if n == -1:
+            return rel.r
+        # lam + n is not 0: lam lies in (0, 2), so it is 1 only where n = -1 reads r
+        return complex(math.sqrt(positive_ratio(n, (1.0 + n) / (p.lam + n))))
     raise ParameterError(f"unknown series kind {kind!r}")
 
 

@@ -9,9 +9,10 @@ both directions: no gamma value is evaluated, and no anchor can overflow.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
-from .errors import ParameterRangeError, WindowMismatchError, value_type
+from .errors import ParameterError, ParameterRangeError, WindowMismatchError, value_type
 from .numkernel import BILATERAL, TruncationWindow, np
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,15 +42,18 @@ class NormSequence:
         return float(self.values[self.window.pos(n)])
 
 
+def _refusal(n, r: complex) -> ParameterRangeError:
+    return ParameterRangeError(
+        f"norm ratio at n={n:g} = {r} is not a positive real; parameters lie outside the unitary range"
+    )
+
+
 def _ratios(lam: float, mu: complex, n) -> np.ndarray:
     with np.errstate(all="ignore"):
         r = (1.0 - mu + n) / (lam + mu.conjugate() + n)
         bad = ~(np.abs(r.imag) <= _IMAG_DISCARD_TOL * np.maximum(1.0, np.abs(r))) | ~(r.real > 0.0)
     if bad.any():
-        raise ParameterRangeError(
-            f"norm ratio at n={np.asarray(n)[bad].flat[0]:g} = {complex(r[bad].flat[0])} is not a positive real; "
-            "parameters lie outside the unitary range"
-        )
+        raise _refusal(np.asarray(n)[bad].flat[0], complex(r[bad].flat[0]))
     return r.real
 
 
@@ -62,6 +66,30 @@ def norm_ratio(params: "RepnParams", n):
     """
     r = _ratios(params.lam, complex(params.mu), np.asarray(n, dtype=np.float64))
     return r if r.ndim else float(r)
+
+
+def positive_ratio(n: int, r: float, imag: float = 0.0) -> float:
+    """``r`` when it is a finite positive real; otherwise ``norm_ratio``'s
+    refusal at ``n``, naming the value r + imag j."""
+    if not 0.0 < r < math.inf:
+        raise _refusal(n, complex(r, imag))
+    return r
+
+
+def real_norm_ratio(params: "RepnParams", n: int) -> float:
+    """``norm_ratio`` at one integer n of a family with real mu, in Python floats.
+
+    The quotient is num * (1/den), which is how numpy's complex division rounds
+    a real one, so it equals ``norm_ratio``'s bit for bit, and a ratio that is
+    not finite and positive (a zero denominator among them) is refused with
+    the complex value that division gives.  No array is formed.
+    """
+    if params.mu.imag:
+        raise ParameterError(f"a real norm ratio needs a real mu, got mu={params.mu}")
+    mu = params.mu.real
+    num, den = 1.0 - mu + n, params.lam + mu + n
+    scale = 1.0 / den if den else math.inf
+    return positive_ratio(n, num * scale, 0.0 * scale)
 
 
 def _principal_coincidence(params: "RepnParams") -> bool:

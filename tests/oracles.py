@@ -13,7 +13,8 @@ products of their parity blocks, instead of row shifts of the parity
 blocks' interior columns, two dense products instead of the commutator's two
 diagonals, the ordered product of one exponential per path segment instead
 of the path's Cartan form, pointwise phi, phi' and twist instead of SU(1,1)
-matrices.  ``circle_fft`` and ``circle_synthesis`` are the plain
+matrices, a dense ``np.linalg.lstsq`` instead of the affine classifier's
+centred closed-form line.  ``circle_fft`` and ``circle_synthesis`` are the plain
 normalized FFT pair of unit-circle samples; ``unblocked_circle_table`` builds
 the circle route's whole grid x window table at once; ``circle_rep_oracle``
 applies the circle route's table to one coefficient vector, as the oracle of
@@ -461,6 +462,16 @@ def circle_rep_oracle(p, phi_inv: MobiusElement, w, coeffs) -> np.ndarray:
     above 1e-10 in a unilateral action.
     """
     return _circle_table(p, phi_inv, w)[0] @ np.asarray(coeffs, dtype=np.complex128)
+
+
+def lstsq_affine_fit(a, mu: complex) -> tuple[complex, complex, float]:
+    """(a, b, residual) of the least-squares fit a_n (mu - n - 1) = a - b n over the
+    coefficients ``a`` (n -> a_n), by a dense least-squares solve of the design [1, -n]."""
+    ns = np.array(sorted(a), dtype=np.float64)
+    y = np.array([a[n] for n in sorted(a)], dtype=np.complex128) * (mu - ns - 1.0)
+    design = np.column_stack([np.ones_like(ns), -ns]).astype(np.complex128)
+    sol = np.linalg.lstsq(design, y, rcond=None)[0]
+    return complex(sol[0]), complex(sol[1]), float(np.max(np.abs(y - design @ sol)))
 
 
 def te_tf_coefficients(a, m: int, p, w):

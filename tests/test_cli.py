@@ -91,8 +91,8 @@ def test_weights_non_finite_lambda_exit_two(capsys, value):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "series, lam, n0",
-    [("antiholo", "1e-17", "-1"), ("holo", "1e-320", "0")],
-    ids=("1 - lam + n rounds to 0", "the first ratio overflows"),
+    [("antiholo", "1e-17", "-1"), ("holo", "1e-320", "0"), ("reducible", "5e-324", "-1")],
+    ids=("1 - lam + n rounds to 0", "the first ratio overflows", "the reducible ratio overflows"),
 )
 def test_weights_refuse_what_verify_refuses(capsys, series, lam, n0, fmt):
     # the weights are square roots of the Gram's norm ratios: a table is finite, and a
@@ -1160,16 +1160,33 @@ NUMPY_AT_EXIT = (
         (2, ["classify", "--file={tmp}/absent.csv", "--lambda=0.3", "--mu-re=0.35"], NUMPY_AT_EXIT),
         (2, ["classify", "--file={tmp}/malformed.csv", "--lambda=0.3", "--mu-re=0.35"], NUMPY_AT_EXIT),
         (0, ["verify", "lemmas", "--samples=25", "--seed=7"], NUMPY_AT_EXIT),
+        (0, ["weights", "--series", "holo", "--lambda=2", "--n0=0", "--n1=12"], NUMPY_AT_EXIT),
+        (0, ["weights", "--series", "antiholo", "--lambda=0.7", "--n0=-12", "--n1=0", "--format=json"], NUMPY_AT_EXIT),
+        (0, ["weights", "--series", "principal", "--lambda=0.3", "--n0=-6", "--n1=6"], NUMPY_AT_EXIT),
+        (0, ["weights", "--series", "principal", "--lambda=0.3", "--n0=-6", "--n1=6", "--branch=T3", "--format=json"], NUMPY_AT_EXIT),
+        (0, ["weights", "--series", "complementary", "--lambda=0.3", "--mu=0.2", "--n0=-6", "--n1=6"], NUMPY_AT_EXIT),
+        (0, ["weights", "--series", "reducible", "--lambda=0.5", "--r=0.7", "--n0=-6", "--n1=6"], NUMPY_AT_EXIT),
+        (0, ["classify", "--file={tmp}/t2.csv", "--lambda=0.3", "--mu-re=0.35", "--mu-im=0.7"], NUMPY_AT_EXIT),
+        (0, ["classify", "--file={tmp}/t3.csv", "--lambda=0.3", "--mu-re=0.35", "--mu-im=0.7"], NUMPY_AT_EXIT),
+        (1, ["classify", "--file={tmp}/neither.csv", "--lambda=0.3", "--mu-re=0.35", "--mu-im=0.7"], NUMPY_AT_EXIT),
+        (3, ["classify", "--file={tmp}/huge.csv", "--lambda=0.3", "--mu-re=0.35"], NUMPY_AT_EXIT),
     ],
     ids=[
         "pass", "seam control", "argparse refusal", "count refusal", "skewed norms", "family parameter",
         "missing mu", "path segment", "window N = 0", "foreign op", "coupling", "weights n0 > n1",
-        "classify missing file", "classify malformed file", "lemmas",
+        "classify missing file", "classify malformed file", "lemmas", "weights holo", "weights antiholo json",
+        "weights principal", "weights principal T3 json", "weights complementary", "weights reducible",
+        "classify t2", "classify t3", "classify neither", "classify overflow",
     ],
 )
 def test_the_process_entry_prints_what_main_argv_prints(capsys, monkeypatch, tmp_path, code, argv, prelude):
-    # the refusals and verify lemmas read no array, so they must not load numpy at all
+    # the refusals, verify lemmas, weights and classify form no array, so they must not load numpy at all
     (tmp_path / "malformed.csv").write_text("n,re,im\n0,1.0,0.0,7\n")
+    lam, mu = 0.3, complex(0.35, 0.7)
+    for name, coefficient in (("t2", lambda n: 1.5 - 0.5j), ("t3", lambda n: (lam + mu + n) / (n + 1.0 - mu)),
+                              ("neither", lambda n: complex(n * n))):
+        write_coeffs(tmp_path, f"{name}.csv", [f"{n},{coefficient(n).real!r},{coefficient(n).imag!r}" for n in range(-6, 7)])
+    write_coeffs(tmp_path, "huge.csv", ["0,1e308,0", "1,1e308,0", "2,-1e308,0", "3,1e308,0"])
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     proc = run_process(argv, prelude)
     err = proc.stderr.decode()

@@ -31,6 +31,7 @@ from oracles import (
     FLIP_TOL,
     as_bands,
     dense_normalizer_defect,
+    lstsq_affine_fit,
     orthonormal,
     random_dense,
     rotation_average_component,
@@ -273,6 +274,33 @@ def test_classifier_randomized_families(rng):
         assert classify_a_minus1(const, p).branch == FIT_T2
         rational = scaled(c, {n: (lam + mu + n) / (n + 1.0 - mu) for n in range(-20, 21)})
         assert classify_a_minus1(rational, p).branch == FIT_T3
+
+
+def test_classifier_fit_matches_the_lstsq_oracle(rng):
+    # the centred closed-form line against a dense least-squares solve, on random complex
+    # T2, T3 and neither families over random ranges of n, the tie line mu = (1 - lam)/2 among them
+    for trial in range(40):
+        lam = float(rng.uniform(-0.95, 0.95))
+        tie = trial % 4 == 0
+        mu = complex((1.0 - lam) / 2.0, 0.0 if tie else rng.uniform(-3.0, 3.0))
+        if not tie and trial % 2:
+            mu += float(rng.uniform(-0.4, 0.4))
+        p = RepnParams(BILATERAL, lam, mu)
+        c = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        lo = int(rng.integers(-40, 5))
+        ns = range(lo, lo + int(rng.integers(3, 40)))
+        families = (
+            (FIT_T2, {n: c for n in ns}),
+            (FIT_T2 if tie else FIT_T3, {n: c * (lam + mu + n) / (n + 1.0 - mu) for n in ns}),
+            (FIT_NEITHER, {n: c * (1.0 + 0.1 * n * n) for n in ns}),
+        )
+        for branch, coeffs in families:
+            fit = classify_a_minus1(coeffs, p)
+            a, b, residual = lstsq_affine_fit(coeffs, mu)
+            scale = max(1.0, abs(a), abs(b))
+            assert abs(fit.a - a) <= 1e-12 * scale and abs(fit.b - b) <= 1e-12 * scale
+            assert abs(fit.residual - residual) <= 1e-12 * max(scale, residual)
+            assert (fit.branch, fit.tie) == (branch, tie and branch == FIT_T2)
 
 
 # ---------------------------------------------------------------- normalizer

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mobshift.errors import ParameterError, PoleError, WindowMismatchError
+from mobshift.errors import ParameterError, ParameterRangeError, PoleError, WindowMismatchError
 from mobshift.numkernel import BILATERAL, ORTHONORMAL, UNILATERAL, OperatorMatrix, TruncationWindow
 from mobshift.repn import (
     ANTIHOLO,
@@ -13,10 +13,12 @@ from mobshift.repn import (
     REDUCIBLE,
     Realization,
     RepnParams,
+    complementary_mu_interval,
     gram,
     to_orthonormal,
 )
 from mobshift.shifts import canonical_shift, reducible_shift, weight_sequence
+from mobshift.specialfn import norm_ratio
 
 HOLO2 = RepnParams(UNILATERAL, 2.0)
 PRIN = RepnParams(BILATERAL, 0.3, complex(0.35, 0.7))
@@ -96,6 +98,8 @@ def test_weight_values_complementary():
     assert weight_sequence(COMPLEMENTARY, Realization.plain(COMP), n) == pytest.approx(expected, abs=1e-12)
     with pytest.raises(ParameterError):
         weight_sequence(COMPLEMENTARY, Realization.plain(COMP), 0, branch="T3")
+    with pytest.raises(ParameterError):  # a complex mu has no real norm ratio
+        weight_sequence(COMPLEMENTARY, Realization.plain(PRIN), 0)
 
 
 def test_weight_values_reducible():
@@ -130,6 +134,65 @@ def test_to_orthonormal_t1star_matches_antiholomorphic_weights():
     out = to_orthonormal(canonical_shift("T1star", p, w), gram(p, w))
     for n in range(1, w.hi + 1):
         assert abs(out.entry(n - 1, n) - weight_sequence(ANTIHOLO, Realization.sharp(p), -n)) <= 1e-12
+
+
+#: lambdas of the weights-against-Gram checks, from subnormal to huge; each family takes those in its range
+GRAM_LAMS = (1e-320, 1e-17, 0.3, 1e300)
+#: complementary lambdas near -1 and 1, where the mu interval is a sliver at 1 or at 0
+EDGE_LAMS = (-1.0 + 2.0**-52, -1.0 + 2.0**-40, 1.0 - 2.0**-40, 1.0 - 2.0**-53)
+
+
+def _complementary(lam, share):
+    lo, hi = complementary_mu_interval(lam)
+    return RepnParams(BILATERAL, lam, complex(lo + share * (hi - lo)))
+
+
+def _weights_or_refusal(kind, rel, n):
+    try:
+        return weight_sequence(kind, rel, n)
+    except ParameterRangeError as exc:
+        return str(exc)
+
+
+def _gram_weight_or_refusal(p, m):
+    try:
+        return complex(np.sqrt(norm_ratio(p, np.array([m], dtype=np.float64)))[0])
+    except ParameterRangeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "kind, rel, ns",
+    [(HOLO, Realization.plain(RepnParams(UNILATERAL, lam)), range(0, 51)) for lam in GRAM_LAMS]
+    + [(ANTIHOLO, Realization.sharp(RepnParams(UNILATERAL, lam)), range(-50, 0)) for lam in GRAM_LAMS]
+    + [(COMPLEMENTARY, Realization.plain(_complementary(lam, share)), range(-50, 51))
+       for lam in (*GRAM_LAMS[:3], *EDGE_LAMS) for share in (0.25, 0.75)],
+    ids=[f"{kind} {lam!r}" for kind in (HOLO, ANTIHOLO) for lam in GRAM_LAMS]
+    + [f"complementary {lam!r} at {share}" for lam in (*GRAM_LAMS[:3], *EDGE_LAMS) for share in (0.25, 0.75)],
+)
+def test_weights_are_the_square_roots_of_the_grams_ratios(kind, rel, ns):
+    # bit for bit, and refused at the same n with the same reason; the anti-holomorphic
+    # weight at n < 0 is the holomorphic ratio at -n - 1
+    for n in ns:
+        m = -n - 1 if kind == ANTIHOLO else n
+        assert _weights_or_refusal(kind, rel, n) == _gram_weight_or_refusal(rel.params, m), n
+
+
+@pytest.mark.parametrize("lam", [lam for lam in GRAM_LAMS if 0.0 < lam < 2.0] + [1.0, 1.7])
+def test_reducible_weights_are_the_orthonormal_shifts_band(lam):
+    # the table and the Gram route refuse the same windows; where neither does, the
+    # weights are the -1 band of the shift in the orthonormal seam basis
+    rel = Realization.reducible(lam, 0.7 + 0.2j)
+    w = TruncationWindow(BILATERAL, 50, 0)
+    weights = [_weights_or_refusal(REDUCIBLE, rel, n) for n in range(w.lo, w.hi)]
+    refused = [x for x in weights if isinstance(x, str)]
+    try:
+        band = to_orthonormal(reducible_shift(rel, w), gram(rel.params, w)).diagonal(-1)
+    except ParameterRangeError:
+        assert refused
+        return
+    assert not refused
+    assert np.all(np.abs(np.array(weights) - band) <= 1e-15 * np.abs(band))
 
 
 def test_to_orthonormal_t3_complementary_simplifies():
