@@ -16,15 +16,17 @@ the orthonormal basis because the basis norms do not match its action, a
 ``classify`` fit that overflows, or too little memory for the window).
 Identical arguments and seed produce byte-identical output.  ``--N`` is
 bounded (``MAX_N``), and so are ``verify lemmas --samples`` and the rows of
-``weights`` (--n0 to --n1) (``MAX_SAMPLES``, ``MAX_WEIGHT_ROWS``): ``verify
-lemmas`` prints each report as it is made, but ``weights`` holds all its rows
-before it prints one, so that a row it refuses leaves no output.
+``weights`` (--n0 to --n1, each within +-2**53, where a float n is exact;
+``MAX_SAMPLES``, ``MAX_WEIGHT_ROWS``): ``verify lemmas`` prints each report
+as it is made, but ``weights`` holds all its rows before it prints one, so
+that a row it refuses leaves no output.
 
 Importing this module does not import numpy: the package binds it lazily
 (``numkernel.np``), so it loads at the first array a command forms, and a
 command that forms none never pays for it: a refusal, ``verify lemmas``,
-``weights`` (its norm ratios are Python floats) and ``classify`` (a closed-form
-least-squares line), whatever its file holds.
+``weights`` (it reads the scalar ``specialfn.norm_ratio`` and shift
+coefficients, Python floats) and ``classify`` (a closed-form least-squares
+line), whatever its file holds.
 
 ``main()`` without argv is the process entry (``python -m mobshift.cli`` and the
 ``mobshift`` script): it freezes the heap twice, the import-time heap before the
@@ -227,6 +229,8 @@ def cmd_weights(args) -> int:
     rel = _family(args)
     if args.n0 > args.n1:
         raise ParameterError("--n0 must not exceed --n1")
+    if max(-args.n0, args.n1) > 2**53:  # past it, float(n) is not exact
+        raise ParameterError(f"--n0 and --n1 must lie within +-{2**53}")
     if args.n1 - args.n0 >= MAX_WEIGHT_ROWS:
         raise ParameterError(f"--n0 to --n1 spans {args.n1 - args.n0 + 1} rows, more than {MAX_WEIGHT_ROWS}")
     branch = args.branch or BRANCH_T2

@@ -40,6 +40,22 @@ def test_weights_holomorphic_lambda_one(capsys):
         assert float(re) == 1.0 and float(im) == 0.0 and float(mag) == 1.0
 
 
+def test_weights_of_the_hardy_space_are_exactly_one(capsys):
+    # each norm ratio is one correctly rounded division (n + 1)/(n + 1)
+    code, out, err = run(capsys, ["weights", "--series", "holo", "--lambda", "1", "--n0", "0", "--n1", "1000"])
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert (code, err, len(rows)) == (0, "", 1001)
+    assert all(real == mag == "1" for _, real, _, mag in rows)
+
+
+def test_weights_refuse_the_reducible_shifts_coefficient_pole(capsys):
+    # the table reads the shift's coefficients, so it refuses the pole verify homogeneity refuses
+    family = ["--series", "reducible", "--lambda", "1.9999999999999998"]
+    code, out, err = run(capsys, ["weights", *family, "--n0", "-3", "--n1", "-1"])
+    verified = run(capsys, ["verify", "homogeneity", *family, "--N", "8", "--pad", "2"])
+    assert (code, out, err) == verified == (2, "", "error: coefficient pole at n=-2 for lam=1.9999999999999998\n")
+
+
 def test_weights_holomorphic_lambda_two_first_value(capsys):
     code, out, _ = run(capsys, ["weights", "--series", "holo", "--lambda", "2", "--n0", "0", "--n1", "0"])
     assert code == 0
@@ -133,8 +149,18 @@ def test_verify_lemmas_without_samples_exit_two(capsys, samples):
          "error: --n0 to --n1 spans 1000001 rows, more than 1000000\n"),
         (["weights", "--series", "holo", "--lambda", "2", "--n0", "-100000000000", "--n1", "100000000000"],
          "error: --n0 to --n1 spans 200000000001 rows, more than 1000000\n"),
+        (["weights", "--series", "holo", "--lambda", "2", "--n0", str(10**400), "--n1", str(10**400)],
+         "error: --n0 and --n1 must lie within +-9007199254740992\n"),
+        (["weights", "--series", "principal", "--lambda", "0.3", "--im-mu", "0.7", "--branch", "T3",
+          "--n0", str(10**400), "--n1", str(10**400)],
+         "error: --n0 and --n1 must lie within +-9007199254740992\n"),
+        (["weights", "--series", "reducible", "--lambda", "0.5", "--n0", str(-10**400), "--n1", str(-10**400)],
+         "error: --n0 and --n1 must lie within +-9007199254740992\n"),
+        (["weights", "--series", "holo", "--lambda", "2", "--n0", str(2**53 + 1), "--n1", str(2**53 + 1)],
+         "error: --n0 and --n1 must lie within +-9007199254740992\n"),
     ],
-    ids=["lemmas one over", "lemmas huge", "weights one over", "weights huge"],
+    ids=["lemmas one over", "lemmas huge", "weights one over", "weights huge", "holo n past double range",
+         "principal T3 n past double range", "reducible n past double range", "n one past 2**53"],
 )
 def test_a_count_over_its_limit_exits_two_before_any_work(capsys, monkeypatch, argv, err):
     # a count is bounded up front: a row computed at all fails the test at once instead of
@@ -406,6 +432,19 @@ def test_verify_empty_interior_exit_two(capsys):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err == "error: padding 3 leaves no interior in a size-5 window\n"
+
+
+def test_verify_t1star_at_tiny_lambda(capsys):
+    # T1star's coefficient at n = 1 is 1/lam: no (lam + 1) - 1 cancels to 0 below 1.1e-16
+    argv = ["verify", "homogeneity", "--series", "antiholo", "--lambda", "1e-17", "--path", "L:0.1"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "") and len(out.splitlines()) == 1
+    # at lam = 1e-320 the ratio 1/lam overflows: every suite refuses with the Gram's reason
+    family = ["--series", "antiholo", "--lambda", "1e-320"]
+    refusal = run(capsys, ["verify", "unitarity", *family])
+    assert refusal[0] == 2 and refusal[2].startswith("error: norm ratio at n=0 = ") and refusal[2].count("\n") == 1
+    for suite in ("homogeneity", "normalizer", "infinitesimal"):
+        assert run(capsys, ["verify", suite, *family]) == refusal, suite
 
 
 def test_verify_reducible_pole_exit_two(capsys):

@@ -156,7 +156,7 @@ def _weights_or_refusal(kind, rel, n):
 
 def _gram_weight_or_refusal(p, m):
     try:
-        return complex(np.sqrt(norm_ratio(p, np.array([m], dtype=np.float64)))[0])
+        return complex(math.sqrt(norm_ratio(p, m)))
     except ParameterRangeError as exc:
         return str(exc)
 

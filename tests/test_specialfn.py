@@ -83,10 +83,11 @@ def test_principal_norms_are_exactly_one():
 
 
 def test_holomorphic_lambda_one_norms_are_one():
+    # the Hardy space: every ratio (n + 1)/(n + 1) is one correctly rounded division
     p = RepnParams(UNILATERAL, 1.0)
-    w = TruncationWindow(UNILATERAL, 20, 4)
+    w = TruncationWindow(UNILATERAL, 4096, 4)
     seq = norm_sq_sequence(p, w)
-    assert np.max(np.abs(seq.values - 1.0)) <= 1e-14
+    assert np.array_equal(seq.values, np.ones(w.size))
 
 
 def test_holomorphic_lambda_two_value():
