@@ -6,9 +6,9 @@ to one ``Realization``, and --op to an operator checked against the series.
 argparse refuses an option that a command or verify suite (each has its own
 parser) does not take, and ``_OWN_OPTION`` one of another family.
 The unitarity, homogeneity and normalizer suites share one loop that builds
-R once per path unless the normalizer runs alone, in the orthonormal basis
-of the family's Gram where every suite certifies, so no verdict depends on
-the Gram's scale; each ``sweep`` cell runs that loop over its suites.
+R once per path unless the normalizer runs alone, in the family's
+orthonormal basis where every suite certifies (``Realization.orthonormal``
+brings the shift there too); each ``sweep`` cell runs that loop over its suites.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad usage or
 parameters, 3 a numerical failure (a generator that is not skew-Hermitian in
@@ -69,8 +69,6 @@ from .repn import (
     RepnParams,
     classify_series,
     complementary_mu_interval,
-    gram,
-    to_orthonormal,
     unitarity_residual,
 )
 from .shifts import BRANCH_T2, BRANCH_T3, canonical_shift, reducible_shift, weight_sequence
@@ -191,9 +189,9 @@ def _operator_name(series: str, op: str | None) -> str:
 
 
 def _operator(op: str, rel: Realization, w: TruncationWindow) -> OperatorMatrix:
-    """The operator op names, in the orthonormal basis of the family's Gram."""
+    """The operator op names, in the orthonormal basis of the family (``Realization.orthonormal``)."""
     T = reducible_shift(rel, w) if op == "reducible" else canonical_shift(op, rel.params, w)
-    return to_orthonormal(T, gram(rel.params, w))
+    return rel.orthonormal(T, w)
 
 
 _PATH_SUITE_TOL = {

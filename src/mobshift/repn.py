@@ -16,11 +16,11 @@ ways -- one exponential of the truncated L between two diagonal rotations
 followed by Fourier extraction -- so the two routes can cross-check each
 other away from the truncation boundary.  Both return R in the orthonormal
 basis x_n = f_n / ||f_n||, where no verdict depends on the scale of the Gram:
-the exponential route builds each generator there from the monomial matrix
-and the norm ratios, the circle route scales its monomial table by the norms.
-The circle route sizes its own sampling grid from the Nyquist tail it measures.
-``generator_matrix`` and ``reducible_generator_matrix`` stay the monomial
-action; ``to_orthonormal`` brings a monomial operator to the basis of R.
+``Realization.orthonormal``, the only change of basis, brings the monomial
+generators (``generator_matrix``, ``reducible_generator_matrix``) and shifts
+there, and the circle route scales its table, by the norms of one Gram per
+family and window (``Realization.norms``).  The circle route sizes its own
+sampling grid from the Nyquist tail it measures.
 """
 
 from __future__ import annotations
@@ -192,27 +192,6 @@ def gram(p: RepnParams, w: TruncationWindow) -> OperatorMatrix:
     return OperatorMatrix.from_band(w, 0, norm_sq_sequence(p, w).values)
 
 
-def to_orthonormal(A: OperatorMatrix, G: OperatorMatrix) -> OperatorMatrix:
-    """G^{1/2} A G^{-1/2}: a monomial-basis operator in the orthonormal basis
-    x_n = f_n / ||f_n|| of the diagonal Gram G.
-
-    A step-(-1) shift with coefficients a_n turns into the weighted shift with
-    w_n = a_n ||f_{n+1}|| / ||f_n||.  Only ratios of the norms enter, so the
-    result does not depend on the overall scale of G.
-    """
-    if A.basis != MONOMIAL:
-        raise ParameterError("input must be in the monomial basis")
-    A._require_compatible(G)
-    band = G.single_diagonal
-    if band is None or band[0] != 0 or band[1].imag.any() or not (band[1].real > 0.0).all():
-        raise ParameterError("the Gram must be diagonal with positive entries")
-    s = np.sqrt(band[1].real)
-    # each band is rescaled along itself (the diagonal not at all); the zeros stay zeros
-    return OperatorMatrix._adopt(A.window, ORTHONORMAL, bands={
-        m: d * s[max(-m, 0) :][: d.size] / s[max(m, 0) :][: d.size] if m else d for m, d in A._banded().items()
-    })
-
-
 def unitarity_residual(R: OperatorMatrix, w: TruncationWindow) -> float:
     """Interior norm of R* R - I for R in an orthonormal basis.
 
@@ -249,6 +228,7 @@ class Realization:
     r: complex | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "_norms", {})  # (kind, N) -> ``norms``; not a field
         if (self.flavor == "reducible") != (self.r is not None):
             raise ParameterError("the coupling r belongs to the reducible sum, and only to it")
         if self.r is not None:
@@ -270,11 +250,30 @@ class Realization:
     def reducible(cls, lam: float, r: complex = DEFAULT_COUPLING) -> "Realization":
         return cls("reducible", RepnParams(BILATERAL, lam), r)
 
+    def norms(self, w: TruncationWindow) -> np.ndarray:
+        """s_n = ||f_n|| on w, read-only, from one ``gram`` per lattice (kind, N) kept on this realization."""
+        s = self._norms.get((w.kind, w.N))
+        if s is None:
+            s = self._norms[w.kind, w.N] = np.sqrt(gram(self.params, w).diagonal(0).real)
+            s.setflags(write=False)
+        return s
+
+    def orthonormal(self, A: OperatorMatrix, w: TruncationWindow) -> OperatorMatrix:
+        """S A S^-1, S = diag(``norms(w)``): a monomial-basis A on w's lattice (any other raises) in
+        the orthonormal basis, each band rescaled along itself, so a step-(-1) shift's a_n turns
+        into the weight a_n s_{n+1} / s_n.  Only ratios of the norms enter, not the Gram's scale."""
+        if A.basis != MONOMIAL or not A.window.same_lattice(w):
+            raise WindowMismatchError("the operator must be in the monomial basis, on the window's lattice")
+        s = self.norms(w)
+        return OperatorMatrix._adopt(A.window, ORTHONORMAL, bands={
+            m: d * s[max(-m, 0) :][: d.size] / s[max(m, 0) :][: d.size] if m else d for m, d in A._banded().items()
+        })
+
     def generator(self, X: str, w: TruncationWindow) -> OperatorMatrix:
         """dR(X) of a real generator X = h, L or M in the orthonormal basis
         x_n = f_n / s_n, s_n = ||f_n||; e and f are (L -/+ iM)/2 by linearity.
 
-        ``to_orthonormal`` of the monomial bands: the diagonal stays, the +1 band is
+        ``orthonormal`` of the monomial bands: the diagonal stays, the +1 band is
         scaled by s_n / s_{n+1} and the -1 band by s_{n+1} / s_n (both are 0 across
         a reducible seam), and the sharp twist multiplies X by its sign in
         ``mobius.STAR_SIGNS``.  Each call builds fresh bands, O(N), and no dense
@@ -283,7 +282,7 @@ class Realization:
         if X not in mobius.GENERATORS:
             raise ParameterError(f"unsupported generator {X!r} (expected h, L or M)")
         build = reducible_generator_matrix if self.flavor == "reducible" else generator_matrix
-        return self._sign(X) * to_orthonormal(build(self.params, X, w), gram(self.params, w))
+        return self._sign(X) * self.orthonormal(build(self.params, X, w), w)
 
     def _sign(self, X: str) -> float:
         """The factor of dR(X) under this flavor: its ``mobius.STAR_SIGNS`` sign when sharp."""
@@ -313,18 +312,18 @@ class Realization:
 
     def conjugate(self, T: OperatorMatrix, path: GroupPath, w: TruncationWindow, lo: int, hi: int) -> np.ndarray:
         """Rows and columns lo..hi-1 of R T R^-1, R = ``along_path(path, w)``, for a shift T in
-        the orthonormal basis (any other T raises ``ParameterError``), without R: a rotation
-        rescales T's band, O(N), and a boost is ``numkernel._conjugated_block``, O(|B|^2 N)."""
+        R's basis and window (any other T raises), without R: a rotation rescales T's band,
+        O(N), and builds no generator, and a boost is ``numkernel._conjugated_block``, O(|B|^2 N)."""
         band = T.single_diagonal
         if band is None:
             raise ParameterError("conjugation is taken of a shift: T needs a single diagonal")
-        generator = self.generator("L", w)
-        T._require_compatible(generator)
+        if T.basis != ORTHONORMAL or not T.window.same_lattice(w):
+            raise WindowMismatchError("T must be in the orthonormal basis, on the window's lattice")
         s, left, right = self._cartan_factors(path, w)
         if s == 0.0:  # R = diag(left): (R T R^-1)[i, i + m] = left[i] T[i, i + m] / left[i + m]
             m, t = band
             return OperatorMatrix.from_band(w, m, left[max(-m, 0) :][: t.size] * t / left[max(m, 0) :][: t.size]).block(lo, hi)
-        return _conjugated_block(generator, s, T, lo, hi, (0, 1), left, right)
+        return _conjugated_block(self.generator("L", w), s, T, lo, hi, (0, 1), left, right)
 
 
 def _circle_factors(phi_inv: MobiusElement, eta_plus: complex, eta_minus: complex, grid: int):
@@ -409,9 +408,9 @@ def _circle_table(p: RepnParams, phi_inv: MobiusElement, w: TruncationWindow) ->
 
 def circle_rep_matrix(p: RepnParams, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
     """Whole representation matrix over the circle route (on the grid ``_circle_table`` picks), in
-    the orthonormal basis: the monomial table scaled in place by s_i / s_j, s = sqrt(``norm_sq_sequence``)."""
+    the orthonormal basis: the monomial table scaled in place by s_i / s_j, s = ``Realization.norms``."""
     table, _ = _circle_table(p, mobius.inverse(mobius.path_to_mobius(path)), w)
-    s = np.sqrt(norm_sq_sequence(p, w).values)
+    s = Realization.plain(p).norms(w)
     table *= s[:, None]
     table /= s[None, :]
     return OperatorMatrix._adopt(w, ORTHONORMAL, data=table)

@@ -2,8 +2,9 @@
 weight sequences.
 
 A step-m shift maps f_n to a_n f_{n-m}; in the orthonormal basis
-x_n = f_n / ||f_n|| (``repn.to_orthonormal``) its coefficients pick up the
-norm ratio, which is where the tabulated weight sequences come from.
+x_n = f_n / ||f_n|| (``repn.Realization.orthonormal``) its coefficients
+pick up the norm ratio, which is where the tabulated weight sequences come
+from.
 """
 
 from __future__ import annotations

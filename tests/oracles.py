@@ -60,9 +60,8 @@ from mobshift.repn import (
     RepnParams,
     _circle_factors,
     _circle_table,
-    gram,
-    to_orthonormal,
 )
+from mobshift.specialfn import norm_sq_sequence
 
 #: entrywise tolerance of ``sharp_isotypic_flip``
 FLIP_TOL = 1e-12
@@ -338,8 +337,11 @@ def as_bands(data: np.ndarray, w: TruncationWindow, basis: str = MONOMIAL) -> Op
 
 
 def orthonormal(T, p, w):
-    """A monomial-basis operator in the orthonormal basis where R is built."""
-    return to_orthonormal(T, gram(p, w))
+    """A monomial-basis shift in the orthonormal basis where R is built: the dense
+    diag(s) T diag(1/s), s_n = ||f_n|| from ``norm_sq_sequence``, read back as its band."""
+    assert T.basis == MONOMIAL
+    s = np.sqrt(norm_sq_sequence(p, w).values)
+    return OperatorMatrix((s[:, None] * T.data) / s[None, :], T.window, ORTHONORMAL)
 
 
 def _dict_isotypic_matrix(data: np.ndarray, w, m: int) -> np.ndarray:

@@ -40,7 +40,6 @@ from mobshift.repn import (
     generator_matrix,
     gram,
     reducible_generator_matrix,
-    to_orthonormal,
     unitarity_residual,
 )
 from mobshift.shifts import (
@@ -276,11 +275,10 @@ def test_criterion_06_weight_consistency():
 
     for p in HOLO_POINTS:
         w = TruncationWindow(UNILATERAL, N, PAD)
-        g = gram(p, w)
-        ortho = to_orthonormal(canonical_shift("T1", p, w), g)
+        ortho = Realization.plain(p).orthonormal(canonical_shift("T1", p, w), w)
         for n in range(0, w.hi):
             check(f"T1 lam={p.lam:g} n={n}", ortho.entry(n + 1, n), weight_sequence(HOLO, Realization.plain(p), n))
-        ortho = to_orthonormal(canonical_shift("T1star", p, w), g)
+        ortho = Realization.plain(p).orthonormal(canonical_shift("T1star", p, w), w)
         for n in range(1, w.hi + 1):
             check(f"T1star lam={p.lam:g} n={n}", ortho.entry(n - 1, n), weight_sequence(ANTIHOLO, Realization.sharp(p), -n))
     for p in PRINCIPAL_POINTS:
@@ -289,7 +287,7 @@ def test_criterion_06_weight_consistency():
         if not np.array_equal(g.data, np.eye(w.size)):
             failures.append((f"principal gram lam={p.lam:g}", "not exactly identity"))
         for kind, branch in (("T2", "T2"), ("T3", "T3")):
-            ortho = to_orthonormal(canonical_shift(kind, p, w), g)
+            ortho = Realization.plain(p).orthonormal(canonical_shift(kind, p, w), w)
             for n in range(w.lo, w.hi):
                 check(
                     f"{kind} principal lam={p.lam:g} n={n}",
@@ -298,13 +296,13 @@ def test_criterion_06_weight_consistency():
                 )
     for p in COMPLEMENTARY_POINTS:
         w = TruncationWindow(BILATERAL, N, PAD)
-        ortho = to_orthonormal(canonical_shift("T2", p, w), gram(p, w))
+        ortho = Realization.plain(p).orthonormal(canonical_shift("T2", p, w), w)
         for n in range(w.lo, w.hi):
             check(f"T2 complementary n={n}", ortho.entry(n + 1, n), weight_sequence(COMPLEMENTARY, Realization.plain(p), n))
     for lam in (0.5, 1.0, 1.5):
         rel = Realization.reducible(lam, 0.5 - 0.25j)
         w = TruncationWindow(BILATERAL, N, PAD)
-        ortho = to_orthonormal(reducible_shift(rel, w), gram(rel.params, w))
+        ortho = rel.orthonormal(reducible_shift(rel, w), w)
         for n in range(w.lo, w.hi):
             check(f"reducible lam={lam:g} n={n}", ortho.entry(n + 1, n), weight_sequence(REDUCIBLE, rel, n))
 

@@ -221,11 +221,33 @@ def test_a_window_over_max_n_exits_two_before_any_work(capsys, monkeypatch, name
         raise AssertionError("a window-sized operator was built")
 
     for module, attr in ((repn, "mat_exp"), (repn, "generator_matrix"), (repn, "reducible_generator_matrix"),
-                         (cli, "canonical_shift"), (cli, "reducible_shift"), (cli, "gram")):
+                         (cli, "canonical_shift"), (cli, "reducible_shift"), (repn, "gram")):
         monkeypatch.setattr(module, attr, refuse)
     argv = WINDOW_COMMANDS[name]
     assert run(capsys, [*argv, "--N", "4097"]) == (2, "", "error: --N must not exceed 4096\n")
     assert run(capsys, [*argv, "--N", "100000000"]) == (2, "", "error: --N must not exceed 4096\n")
+
+
+NORM_BUILDS = {
+    "homogeneity": (["verify", "homogeneity", "--series", "holo", "--lambda", "2"], 1),
+    "unitarity": (["verify", "unitarity", "--series", "holo", "--lambda", "2"], 1),
+    "normalizer": (["verify", "normalizer", "--series", "principal", "--lambda", "0.3"], 1),
+    "infinitesimal": (["verify", "infinitesimal", "--series", "complementary", "--lambda", "0.3", "--mu", "0.4"], 1),
+    "sweep": (["sweep", "--series", "holo", "--lambda-grid", "0.5,2", "--suites", "unitarity,homogeneity"], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORM_BUILDS))
+def test_each_command_builds_the_norms_once_per_family_and_window(capsys, monkeypatch, name):
+    # every generator, shift and path of a family on one window reads one norm sequence;
+    # a sweep builds one family per cell
+    built, original = [], specialfn.norm_sq_sequence
+    for module in [m for key, m in sys.modules.items() if key.startswith("mobshift")]:
+        if getattr(module, "norm_sq_sequence", None) is original:
+            monkeypatch.setattr(module, "norm_sq_sequence", lambda p, w: built.append(p) or original(p, w))
+    argv, builds = NORM_BUILDS[name]
+    assert run(capsys, [*argv, "--N", "32"])[0] == 0
+    assert len(built) == builds
 
 
 @pytest.mark.parametrize("name", sorted(WINDOW_COMMANDS))

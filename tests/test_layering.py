@@ -11,6 +11,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mobshift"
 CERTIFICATES = {"homogeneity", "inductive"}
 #: how R(path) acts on a shift, which only numkernel and repn know
 CONJUGATION = {"_spectrum", "_parity_blocks", "_cartan_factors"}
+#: the Gram behind the orthonormal basis, which only specialfn and repn read
+BASIS = {"gram", "norm_sq_sequence"}
 
 MODULES = sorted(SRC.glob("*.py"))
 
@@ -33,8 +35,8 @@ def test_no_module_imports_a_private_name_of_a_certificate_module(path):
             assert not (node.value.id in CERTIFICATES and node.attr.startswith("_")), (node.value.id, node.attr)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
-def test_only_numkernel_and_repn_read_the_spectrum_and_the_cartan_factors(path):
+def _names(path: pathlib.Path) -> set:
+    """Every name the module reads, as a name, an attribute or an import."""
     names = set()
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Name):
@@ -43,5 +45,17 @@ def test_only_numkernel_and_repn_read_the_spectrum_and_the_cartan_factors(path):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_only_numkernel_and_repn_read_the_spectrum_and_the_cartan_factors(path):
     if path.stem not in ("numkernel", "repn"):
-        assert not names & CONJUGATION, sorted(names & CONJUGATION)
+        assert not _names(path) & CONJUGATION, sorted(_names(path) & CONJUGATION)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_only_specialfn_and_repn_read_the_gram(path):
+    # every other module reaches the orthonormal basis through Realization.norms and .orthonormal
+    if path.stem not in ("specialfn", "repn"):
+        assert not _names(path) & BASIS, sorted(_names(path) & BASIS)

@@ -23,7 +23,7 @@ from mobshift.numkernel import (
     mat_exp,
     solve,
 )
-from mobshift.repn import Realization, RepnParams, generator_matrix, gram, to_orthonormal
+from mobshift.repn import Realization, RepnParams, generator_matrix, gram
 
 from oracles import (
     as_bands,
@@ -184,7 +184,7 @@ def test_algebra_on_a_dense_result_is_refused(rng):
         assert np.array_equal(R.diagonal(-1), np.diagonal(R.data, -1))
         assert R.entry(2, 1) == R.data[w.pos(2), w.pos(1)]
     with pytest.raises(ParameterError, match="read-only data"):
-        to_orthonormal(OperatorMatrix(raw, w), gram(p, w))
+        Realization.plain(p).orthonormal(OperatorMatrix(raw, w), w)
 
 
 # ---------------------------------------------------------------- mat_exp

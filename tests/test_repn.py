@@ -39,10 +39,10 @@ from mobshift.repn import (
     generator_matrix,
     gram,
     reducible_generator_matrix,
-    to_orthonormal,
     unitarity_residual,
 )
 from mobshift.shifts import canonical_shift
+from mobshift.specialfn import norm_sq_sequence
 
 from oracles import (
     circle_rep_oracle,
@@ -487,13 +487,27 @@ def test_generators_are_the_monomial_ones_in_the_orthonormal_basis(case):
     rel, kind = SPECTRAL_CASES[case]
     w = TruncationWindow(kind, 24, 6)
     build = reducible_generator_matrix if rel.flavor == "reducible" else generator_matrix
+    s = np.sqrt(norm_sq_sequence(rel.params, w).values)
     for X in ("h", "L", "M"):
         A = rel.generator(X, w)
         sign = STAR_SIGNS[X] if rel.flavor == "sharp" else 1.0
-        want = sign * to_orthonormal(build(rel.params, X, w), gram(rel.params, w)).data
+        want = sign * (s[:, None] * build(rel.params, X, w).data) / s[None, :]
         assert A.basis == ORTHONORMAL
         assert np.max(np.abs(A.data - want)) <= 1e-15 * np.max(np.abs(want)), X
         assert np.max(np.abs(A.data + A.data.conj().T)) <= 1e-14 * np.max(np.abs(A.data)), X
+
+
+def test_norms_are_read_once_per_window_lattice(monkeypatch):
+    # the padding does not move the lattice, so it reuses the norms; another N reads its own,
+    # and the norms kept on an instance change neither its equality nor its hash
+    built, build = [], repn.gram
+    monkeypatch.setattr(repn, "gram", lambda p, w: built.append(w.N) or build(p, w))
+    rel = Realization.plain(HOLO2)
+    s = rel.norms(TruncationWindow(UNILATERAL, 16, 4))
+    assert rel.norms(TruncationWindow(UNILATERAL, 16, 2)) is s and not s.flags.writeable
+    assert np.array_equal(s, np.sqrt(norm_sq_sequence(HOLO2, TruncationWindow(UNILATERAL, 16, 4)).values))
+    assert rel.norms(TruncationWindow(UNILATERAL, 12, 2)).size == 13 and built == [16, 12]
+    assert rel == Realization.plain(HOLO2) and hash(rel) == hash(Realization.plain(HOLO2))
 
 
 def test_mat_exp_refuses_generators_without_a_gram():
@@ -545,6 +559,16 @@ def test_conjugate_is_the_dense_conjugation_by_along_path(case, path):
             assert np.max(np.abs(block - dense[lo:hi, lo:hi])) <= 1e-12 * np.max(np.abs(band)), (m, lo, hi)
     with pytest.raises(ParameterError):
         rel.conjugate(OperatorMatrix.identity(w, ORTHONORMAL) + T, g, w, 0, n)
+
+
+@pytest.mark.parametrize("path", ["h:0.3", "L:0.1"])
+def test_conjugate_refuses_a_shift_of_another_basis_or_window(path):
+    # a rotation builds no generator, and still refuses T as a boost does
+    rel, g, w = Realization.plain(HOLO2), GroupPath.parse(path), TruncationWindow(UNILATERAL, 16, 4)
+    others = [TruncationWindow(UNILATERAL, 12, 4), TruncationWindow(BILATERAL, 16, 4)]
+    for T in [canonical_shift("T1", HOLO2, w)] + [OperatorMatrix.from_band(v, -1, np.ones(v.size - 1), ORTHONORMAL) for v in others]:
+        with pytest.raises(WindowMismatchError):
+            rel.conjugate(T, g, w, 0, w.size)
 
 
 @pytest.mark.parametrize("case, N, kernel", [("holo", 32, 1), ("holo", 31, 0), ("principal", 32, 1), ("reducible", 32, 1)])
@@ -884,5 +908,5 @@ def test_circle_route_doubles_its_grid_until_the_tail_is_resolved():
     w = TruncationWindow(BILATERAL, 64, 1)
     path = GroupPath.parse("L:0.1")
     assert repn._circle_table(p, inverse(path_to_mobius(path)), w)[1] == 16384
-    T = to_orthonormal(canonical_shift("T2", p, w), gram(p, w))
+    T = Realization.plain(p).orthonormal(canonical_shift("T2", p, w), w)
     assert homogeneity_defect(T, circle_rep_matrix(p, path, w), path_to_mobius(path), w).value <= 1e-14

@@ -14,8 +14,6 @@ from mobshift.repn import (
     Realization,
     RepnParams,
     complementary_mu_interval,
-    gram,
-    to_orthonormal,
 )
 from mobshift.shifts import canonical_shift, reducible_shift, weight_sequence
 from mobshift.specialfn import norm_ratio
@@ -115,14 +113,14 @@ def test_weight_values_reducible():
 def test_to_orthonormal_principal_is_unchanged():
     w = TruncationWindow(BILATERAL, 12, 3)
     t2 = canonical_shift("T2", PRIN, w)
-    out = to_orthonormal(t2, gram(PRIN, w))
+    out = Realization.plain(PRIN).orthonormal(t2, w)
     np.testing.assert_array_equal(out.data, t2.data)
     assert out.basis == ORTHONORMAL
 
 
 def test_to_orthonormal_t1_matches_weight_sequence():
     w = TruncationWindow(UNILATERAL, 24, 4)
-    out = to_orthonormal(canonical_shift("T1", HOLO2, w), gram(HOLO2, w))
+    out = Realization.plain(HOLO2).orthonormal(canonical_shift("T1", HOLO2, w), w)
     for n in range(0, w.hi):
         assert abs(out.entry(n + 1, n) - weight_sequence(HOLO, Realization.plain(HOLO2), n)) <= 1e-12
 
@@ -131,7 +129,7 @@ def test_to_orthonormal_t1star_matches_antiholomorphic_weights():
     # x_n built on f_{-n}: the weight at n <= 0 shows up at column -n
     w = TruncationWindow(UNILATERAL, 24, 4)
     p = RepnParams(UNILATERAL, 0.5)
-    out = to_orthonormal(canonical_shift("T1star", p, w), gram(p, w))
+    out = Realization.plain(p).orthonormal(canonical_shift("T1star", p, w), w)
     for n in range(1, w.hi + 1):
         assert abs(out.entry(n - 1, n) - weight_sequence(ANTIHOLO, Realization.sharp(p), -n)) <= 1e-12
 
@@ -187,7 +185,7 @@ def test_reducible_weights_are_the_orthonormal_shifts_band(lam):
     weights = [_weights_or_refusal(REDUCIBLE, rel, n) for n in range(w.lo, w.hi)]
     refused = [x for x in weights if isinstance(x, str)]
     try:
-        band = to_orthonormal(reducible_shift(rel, w), gram(rel.params, w)).diagonal(-1)
+        band = rel.orthonormal(reducible_shift(rel, w), w).diagonal(-1)
     except ParameterRangeError:
         assert refused
         return
@@ -197,7 +195,7 @@ def test_reducible_weights_are_the_orthonormal_shifts_band(lam):
 
 def test_to_orthonormal_t3_complementary_simplifies():
     w = TruncationWindow(BILATERAL, 24, 4)
-    out = to_orthonormal(canonical_shift("T3", COMP, w), gram(COMP, w))
+    out = Realization.plain(COMP).orthonormal(canonical_shift("T3", COMP, w), w)
     lam, mu = COMP.lam, COMP.mu.real
     for n in range(w.lo, w.hi):
         expected = math.sqrt((lam + mu + n) / (1.0 - mu + n))
@@ -205,23 +203,20 @@ def test_to_orthonormal_t3_complementary_simplifies():
     assert out.entry(1, 0) == pytest.approx(math.sqrt(0.75), abs=1e-10)
 
 
-def test_to_orthonormal_validates_gram():
-    w = TruncationWindow(UNILATERAL, 4, 1)
-    t = canonical_shift("T1", HOLO2, TruncationWindow(UNILATERAL, 4, 1))
-    bad = OperatorMatrix.from_band(w, 0, [1.0, -1.0, 1.0, 1.0, 1.0])
-    with pytest.raises(ParameterError):
-        to_orthonormal(t, bad)
-    dense = OperatorMatrix(np.ones((5, 5)), w)
-    with pytest.raises(ParameterError):
-        to_orthonormal(t, dense)
+def test_orthonormal_takes_a_monomial_operator_on_its_window():
+    w, rel = TruncationWindow(UNILATERAL, 4, 1), Realization.plain(HOLO2)
+    t = canonical_shift("T1", HOLO2, w)
+    for A, v in ((rel.orthonormal(t, w), w), (t, TruncationWindow(UNILATERAL, 5, 1)), (t, TruncationWindow(BILATERAL, 4, 1))):
+        with pytest.raises(WindowMismatchError):
+            rel.orthonormal(A, v)
 
 
 def test_gram_adjoint_of_t1_is_t1star():
     # the Gram adjoint G^-1 T* G is the plain adjoint in the orthonormal basis
     w = TruncationWindow(UNILATERAL, 24, 4)
-    g = gram(HOLO2, w)
-    adj = to_orthonormal(canonical_shift("T1", HOLO2, w), g).H
-    expected = to_orthonormal(canonical_shift("T1star", HOLO2, w), g)
+    rel = Realization.plain(HOLO2)
+    adj = rel.orthonormal(canonical_shift("T1", HOLO2, w), w).H
+    expected = rel.orthonormal(canonical_shift("T1star", HOLO2, w), w)
     assert np.max(np.abs(adj.data - expected.data)) <= 1e-12
 
 
