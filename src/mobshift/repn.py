@@ -172,19 +172,27 @@ def generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> OperatorMatr
 def reducible_generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> OperatorMatrix:
     """Generator matrices of the direct-sum family at lam = p.lam in its seam basis g_n.
 
-    The lowering action is 1 - lam - n below the seam and -n from n = 0 on,
-    the raising action n + 1 up to n = -1 and lam + n above; they vanish at
-    n = 0 and n = -1, the two seam columns of the decomposition.  The range
+    The lowering and raising actions (``_reducible_lowering``,
+    ``_reducible_raising``) are mapped over the window; they vanish at n = 0
+    and n = -1, the two seam columns of the decomposition.  The range
     of lam is checked once, by ``Realization.reducible``.
     """
     if w.kind != BILATERAL:
         raise WindowMismatchError("the reducible sum lives on a bilateral window")
-    lam = p.lam
-    n = w.indices()
-    ne, nf = n[1:], n[:-1]  # source indices of the lowering and raising entries
-    lowering = np.where(ne < 0, 1.0 - lam - ne, -ne)
-    raising = np.where(nf < 0, nf + 1.0, lam + nf)
+    n = range(w.lo, w.hi + 1)
+    lowering = np.array([_reducible_lowering(p, k) for k in n[1:]])  # on the columns n > lo
+    raising = np.array([_reducible_raising(p, k) for k in n[:-1]])  # on the columns n < hi
     return _generator(p, w, X, lowering, raising)
+
+
+def _reducible_lowering(p: RepnParams, n: int) -> float:
+    """dR(e) g_n = c g_{n-1} of the reducible sum at lam = p.lam: c = 1 - lam - n below the seam, -n from n = 0 on."""
+    return 1.0 - p.lam - n if n < 0 else float(-n)  # not -float(n), which is -0.0 at n = 0
+
+
+def _reducible_raising(p: RepnParams, n: int) -> float:
+    """dR(f) g_n = c g_{n+1} of the reducible sum at lam = p.lam: c = n + 1 below the seam, lam + n from n = 0 on."""
+    return n + 1.0 if n < 0 else p.lam + n
 
 
 def gram(p: RepnParams, w: TruncationWindow) -> OperatorMatrix:

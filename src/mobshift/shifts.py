@@ -117,12 +117,20 @@ def _reducible_coefficient(rel: Realization, n: int) -> complex:
     return (1.0 + n) / (lam + n)
 
 
-def reducible_shift(rel: Realization, w: TruncationWindow) -> OperatorMatrix:
-    """Step-(-1) shift in the seam basis g_n of the reducible sum ``rel``: g_n to a_n g_{n+1},
-    a_n (1 + n)/(lam + n) below the seam, the coupling r at n = -1, and 1 above.
-    """
+def reducible_coefficients(rel: Realization, w: TruncationWindow) -> list:
+    """``reducible_shift``'s a_n over its columns n = lo..hi-1 of w, as Python numbers: a
+    pole anywhere in the window, another flavor than the reducible sum and another window
+    than a bilateral one are refused, so whatever reads them refuses what the shift does."""
     if rel.flavor != "reducible":
         raise ParameterError(f"the reducible shift needs the reducible sum, not a {rel.flavor!r} realization")
     if w.kind != BILATERAL:
         raise WindowMismatchError("the reducible shift lives on a bilateral window")
-    return OperatorMatrix.from_band(w, -1, [_reducible_coefficient(rel, n) for n in range(w.lo, w.hi)])
+    return [_reducible_coefficient(rel, n) for n in range(w.lo, w.hi)]
+
+
+def reducible_shift(rel: Realization, w: TruncationWindow) -> OperatorMatrix:
+    """Step-(-1) shift in the seam basis g_n of the reducible sum ``rel``: g_n to a_n g_{n+1},
+    a_n (1 + n)/(lam + n) below the seam, the coupling r at n = -1, and 1 above
+    (``reducible_coefficients``).
+    """
+    return OperatorMatrix.from_band(w, -1, reducible_coefficients(rel, w))

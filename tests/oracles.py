@@ -14,7 +14,9 @@ blocks' interior columns, two dense products instead of the commutator's two
 diagonals, the ordered product of one exponential per path segment instead
 of the path's Cartan form, pointwise phi, phi' and twist instead of SU(1,1)
 matrices, a dense ``np.linalg.lstsq`` instead of the affine classifier's
-centred closed-form line.  ``circle_fft`` and ``circle_synthesis`` are the plain
+centred closed-form line, three band products over the window instead of the
+seam row's scalars, ``np.where`` over the window's indices instead of the
+reducible generators' scalar coefficients.  ``circle_fft`` and ``circle_synthesis`` are the plain
 normalized FFT pair of unit-circle samples; ``unblocked_circle_table`` builds
 the circle route's whole grid x window table at once; ``circle_rep_oracle``
 applies the circle route's table to one coefficient vector, as the oracle of
@@ -61,6 +63,7 @@ from mobshift.repn import (
     _circle_factors,
     _circle_table,
 )
+from mobshift.shifts import reducible_shift
 from mobshift.specialfn import norm_sq_sequence
 
 #: entrywise tolerance of ``sharp_isotypic_flip``
@@ -254,6 +257,28 @@ def quarter_turn(rel: Realization, w: TruncationWindow) -> OperatorMatrix:
     twist, as an orthonormal-basis operator: dR(M) = Q dR(L) Q^-1."""
     omega = 1j if rel.flavor == "sharp" else -1j
     return OperatorMatrix.from_band(w, 0, np.array([1, omega, -1, -omega])[np.arange(w.size) % 4], ORTHONORMAL)
+
+
+def where_reducible_bands(p: RepnParams, w: TruncationWindow) -> dict:
+    """Each reducible generator's bands at lam = p.lam, {X: {m: band}}, from the lowering
+    and raising coefficients as ``np.where`` over the window's indices, before the
+    builders mapped the scalar ones over it."""
+    n = w.indices()
+    ne, nf = n[1:], n[:-1]  # source indices of the lowering and raising entries
+    lowering = np.where(ne < 0, 1.0 - p.lam - ne, -ne)
+    raising = np.where(nf < 0, nf + 1.0, p.lam + nf)
+    return {"h": {0: -1j * (2.0 * n + p.lam)}, "e": {1: lowering}, "f": {-1: raising},
+            "L": {1: lowering, -1: raising}, "M": {1: 1j * lowering, -1: -1j * raising}}
+
+
+def band_product_seam_witness(rel: Realization, w: TruncationWindow) -> float:
+    """|entry (1, -1)| of (F T - T F) - T^2, F = dR(f) and T = ``reducible_shift`` of the
+    reducible sum ``rel`` as their bands, by three band products over the whole window,
+    instead of the seam row's one term per product in scalars."""
+    T = reducible_shift(rel, w)
+    F = OperatorMatrix.from_band(w, -1, where_reducible_bands(rel.params, w)["f"][-1])
+    witness = (F @ T - T @ F) - T @ T
+    return abs(witness.entry(1, -1))
 
 
 def dense_commutator(A, T) -> np.ndarray:

@@ -1173,10 +1173,10 @@ def test_main_with_argv_leaves_the_collector_and_sigpipe_as_they_were(capsys):
     assert after == before
 
 
-def test_the_process_entry_freezes_the_import_heap_and_keeps_collecting():
+def test_the_process_entry_freezes_the_import_heap_and_turns_the_collector_off():
     # gc.get_objects() lists no frozen object.  numpy's lazy module is made at import, and
     # frozen with it; what it loads mid-command, numpy.linalg's module dict among it, must be
-    # frozen by the second freeze when the command returns
+    # frozen by the second freeze when the command returns.  The collector stays off to the end
     for argv, numpy_loaded in (
         (["verify", "lemmas", "--samples", "1"], False),
         (["verify", "homogeneity", "--series", "holo", "--lambda", "2"], True),
@@ -1193,7 +1193,35 @@ def test_the_process_entry_freezes_the_import_heap_and_keeps_collecting():
             "    print(exc.code, gc.get_freeze_count() > 0, gc.isenabled(), loaded, frozen)\n"
         )
         out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True)
-        assert out.stdout.splitlines()[-1] == f"0 True True {numpy_loaded} True"
+        assert out.stdout.splitlines()[-1] == f"0 True False {numpy_loaded} True"
+
+
+def test_the_cycles_a_command_leaves_do_not_grow_with_its_size():
+    # why the process entry turns the collector off: what one command leaves in cycles is
+    # argparse's and numpy's, a constant, however many samples, rows or refused cells it makes
+    probe = (
+        "import gc, os, sys\n"
+        "from mobshift import cli\n"
+        "gc.freeze()\n"
+        "gc.disable()\n"
+        "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "sys.stdout.close()\n"
+        "sys.stdout = out\n"
+        "print(code, gc.collect())\n"
+    )
+
+    def cycles(argv):
+        out = subprocess.run([sys.executable, "-c", probe, *argv], env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True)
+        return out.stdout.split()
+
+    weights = ["weights", "--series", "holo", "--lambda", "2", "--n0", "0"]
+    for small, large in (
+        (["verify", "lemmas", "--samples", "10"], ["verify", "lemmas", "--samples", "10000"]),
+        ([*weights, "--n1", "9"], [*weights, "--n1", "99999"]),
+        (["sweep", "--series", "holo", "--lambda-grid=-1"], ["sweep", "--series", "holo", "--lambda-grid=" + ",".join(str(-k) for k in range(1, 11))]),
+    ):
+        assert cycles(small) == cycles(large), small
 
 
 #: the process's last stderr line, after the command's own output: the numpy submodules it loaded
@@ -1207,7 +1235,10 @@ NUMPY_AT_EXIT = (
     "code, argv, prelude",
     [
         (0, ["verify", "homogeneity", "--series", "holo", "--lambda=2", "--op=T1"], ""),
-        (1, ["verify", "reducible-lambda", "--lambda", "1.5", "--r", "1"], ""),
+        (1, ["verify", "reducible-lambda", "--lambda", "1.5", "--r", "1"], NUMPY_AT_EXIT),
+        (0, ["verify", "reducible-lambda", "--lambda", "1"], NUMPY_AT_EXIT),
+        (2, ["verify", "reducible-lambda", "--lambda", "1.9999999999999998"], NUMPY_AT_EXIT),
+        (2, ["verify", "reducible-lambda", "--lambda", "1", "--N", "3"], NUMPY_AT_EXIT),
         (2, ["verify", "unitarity", "--series", "holo", "--lambda", "2", "--op", "T1"], NUMPY_AT_EXIT),
         (2, ["verify", "lemmas", "--samples", "100001"], NUMPY_AT_EXIT),
         (3, ["verify", "unitarity", "--series", "holo", "--lambda", "2"], SKEWED_NORMS),
@@ -1233,7 +1264,8 @@ NUMPY_AT_EXIT = (
         (3, ["classify", "--file={tmp}/huge.csv", "--lambda=0.3", "--mu-re=0.35"], NUMPY_AT_EXIT),
     ],
     ids=[
-        "pass", "seam control", "argparse refusal", "count refusal", "skewed norms", "family parameter",
+        "pass", "seam control", "seam at lambda 1", "seam pole", "seam window N = 3", "argparse refusal",
+        "count refusal", "skewed norms", "family parameter",
         "missing mu", "path segment", "window N = 0", "foreign op", "coupling", "weights n0 > n1",
         "classify missing file", "classify malformed file", "lemmas", "weights holo", "weights antiholo json",
         "weights principal", "weights principal T3 json", "weights complementary", "weights reducible",
@@ -1241,7 +1273,8 @@ NUMPY_AT_EXIT = (
     ],
 )
 def test_the_process_entry_prints_what_main_argv_prints(capsys, monkeypatch, tmp_path, code, argv, prelude):
-    # the refusals, verify lemmas, weights and classify form no array, so they must not load numpy at all
+    # the refusals, verify lemmas, verify reducible-lambda, weights and classify form no array,
+    # so they must not load numpy at all
     (tmp_path / "malformed.csv").write_text("n,re,im\n0,1.0,0.0,7\n")
     lam, mu = 0.3, complex(0.35, 0.7)
     for name, coefficient in (("t2", lambda n: 1.5 - 0.5j), ("t3", lambda n: (lam + mu + n) / (n + 1.0 - mu)),

@@ -8,7 +8,7 @@ import pytest
 
 from mobshift import homogeneity, numkernel
 from mobshift.cli import DEFAULT_PATHS
-from mobshift.errors import EmptyInteriorError, ParameterError, SingularMatrixError, WindowMismatchError
+from mobshift.errors import EmptyInteriorError, ParameterError, PoleError, SingularMatrixError, WindowMismatchError
 from mobshift.homogeneity import (
     DefectReport,
     homogeneity_defect,
@@ -31,10 +31,11 @@ from mobshift.numkernel import (
     mat_exp,
     solve,
 )
-from mobshift.repn import Realization, RepnParams
+from mobshift.repn import Realization, RepnParams, reducible_generator_matrix
 from mobshift.shifts import canonical_shift, reducible_shift
 
 from oracles import (
+    band_product_seam_witness,
     dense_commutator,
     dense_flow_difference,
     dense_homogeneity_residual,
@@ -46,6 +47,7 @@ from oracles import (
     random_unitary,
     tile_edge_windows,
     traced_peak,
+    where_reducible_bands,
     whole_window_flow_derivative,
 )
 
@@ -793,3 +795,41 @@ def test_reducible_lambda_check_window_guard():
         reducible_lambda_check(Realization.reducible(1.0, 1.0), TruncationWindow(BILATERAL, 3, 1))
     with pytest.raises(ParameterError):
         reducible_lambda_check(Realization.reducible(1.0, 1.0), TruncationWindow(UNILATERAL, 16, 4))
+
+
+def test_reducible_lambda_check_refuses_a_realization_without_a_seam():
+    # a plain family has no coupling r: the refusal is the reducible shift's, not a TypeError on r = None
+    with pytest.raises(ParameterError, match="needs the reducible sum"):
+        reducible_lambda_check(Realization.plain(RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))), TruncationWindow(BILATERAL, 16, 4))
+
+
+def test_reducible_lambda_check_refuses_a_pole_anywhere_in_the_window():
+    # lam + n = -2.2e-16 at n = -2, a coefficient that the seam row itself does not read
+    with pytest.raises(PoleError, match="coefficient pole at n=-2 for lam=1.9999999999999998"):
+        reducible_lambda_check(Realization.reducible(1.9999999999999998), TruncationWindow(BILATERAL, 64, 16))
+
+
+@pytest.mark.parametrize("N", [4, 64, 4096])
+def test_reducible_lambda_check_reads_the_band_product_witness_bit_for_bit(rng, N):
+    w = TruncationWindow(BILATERAL, N, N // 4)
+    cases = [(1.0, 1.0), (1.0, 2.5 - 0.5j), (0.5, 0.0), (1.0 - 2.0**-52, 3.0 + 1j), (1.0 + 2.0**-52, -1j), (1.7, -7.0 + 7.0j)]
+    count = 10 if N == 4096 else 200  # the oracle's band products are O(N) each
+    for _ in range(count):
+        lam = float(rng.uniform(0.01, 1.99))
+        radius, angle = float(rng.uniform(0.0, 10.0)), float(rng.uniform(-math.pi, math.pi))
+        cases.append((lam, cmath.rect(radius, angle)))
+    for lam, r in cases:
+        rel = Realization.reducible(lam, r)
+        assert reducible_lambda_check(rel, w).value == band_product_seam_witness(rel, w), (lam, r)
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 1.9999])
+@pytest.mark.parametrize("N", [1, 4, 64])
+def test_reducible_generator_bands_equal_the_where_formulas_bit_for_bit(lam, N):
+    w = TruncationWindow(BILATERAL, N, 0)
+    p = RepnParams(BILATERAL, lam)
+    for X, bands in where_reducible_bands(p, w).items():
+        got = reducible_generator_matrix(p, X, w).bands
+        assert sorted(got) == sorted(bands), X
+        for m, d in bands.items():
+            assert got[m].tobytes() == np.asarray(d, dtype=np.complex128).tobytes(), (X, m)

@@ -59,3 +59,37 @@ def test_only_specialfn_and_repn_read_the_gram(path):
     # every other module reaches the orthonormal basis through Realization.norms and .orthonormal
     if path.stem not in ("specialfn", "repn"):
         assert not _names(path) & BASIS, sorted(_names(path) & BASIS)
+
+
+#: the cyclic collector's switches: a library import must never turn its host's collector
+COLLECTOR = {"disable", "enable", "freeze", "set_threshold"}
+#: the process entry, the only code that turns them
+PROCESS_ENTRY = {"_enter_process", "main"}
+
+
+def _collector_calls(path: pathlib.Path) -> list:
+    """(innermost enclosing function or None, switch) of each ``gc.<switch>(...)`` call in the
+    module, and (None, name) of each switch imported by name, which would hide its calls."""
+    calls = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                owner = child.func.value
+                if isinstance(owner, ast.Name) and owner.id == "gc" and child.func.attr in COLLECTOR:
+                    calls.append((where, child.func.attr))
+            if isinstance(child, ast.ImportFrom) and child.module == "gc":
+                calls.extend((None, alias.name) for alias in child.names if alias.name in COLLECTOR | {"*"})
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(_tree(path), None)
+    return calls
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_only_the_process_entry_turns_the_collector(path):
+    allowed = PROCESS_ENTRY if path.stem == "cli" else set()
+    calls = _collector_calls(path)
+    assert all(where in allowed for where, _ in calls), calls
+    if path.stem == "cli":  # the walk sees the entry's own calls
+        assert {("_enter_process", "freeze"), ("_enter_process", "disable"), ("main", "freeze")} <= set(calls), calls
