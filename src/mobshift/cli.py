@@ -236,7 +236,9 @@ def cmd_weights(args) -> int:
     if args.n1 - args.n0 >= MAX_WEIGHT_ROWS:
         raise ParameterError(f"--n0 to --n1 spans {args.n1 - args.n0 + 1} rows, more than {MAX_WEIGHT_ROWS}")
     branch = args.branch or BRANCH_T2
-    rows = [(n, weight_sequence(args.series, rel, n, branch=branch)) for n in range(args.n0, args.n1 + 1)]
+    if args.series == COMPLEMENTARY and branch != BRANCH_T2:
+        raise ParameterError("only the T2 branch is tabulated for the complementary family")
+    rows = [(n, weight_sequence(rel, n, branch)) for n in range(args.n0, args.n1 + 1)]
     if args.format == "json":
         for n, wgt in rows:
             print(json.dumps({"n": n, "re": wgt.real, "im": wgt.imag, "abs": abs(wgt)}, sort_keys=True))

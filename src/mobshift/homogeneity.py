@@ -25,7 +25,7 @@ from .numkernel import (
     OperatorMatrix,
     TruncationWindow,
     _conjugated_block,
-    _interior_positions,
+    _interior_bounds,
     _rows,
     _shift_residual,
     np,
@@ -115,8 +115,8 @@ def homogeneity_defect(
     if band is None:
         raise ParameterError("homogeneity is certified for a shift: T needs a single diagonal")
     T._require_compatible(R)
-    p = _interior_positions(R, w)
-    (m, t), n, p0, p1 = band, w.size, int(p[0]), int(p[-1]) + 1
+    p0, p1 = _interior_bounds(R, w)
+    (m, t), n = band, w.size
     # R's rows and columns on the interior and the halo that T's rows i + m and R T's columns j - m reach
     lo, hi = max(p0 - abs(m), 0), min(p1 + abs(m), n)
     value = _shift_residual(R.block(lo, hi), lo, _rows(m, t, n)[n : 2 * n], m, p0, p1, phi.alpha, phi.beta)
@@ -146,8 +146,7 @@ def kappa_flow_derivative(
         raise ParameterError("the flow derivative is taken for a shift: T needs a single diagonal")
     a = rel.generator("L", w) if generator is None else generator
     T._require_compatible(a)
-    p = _interior_positions(T, w)
-    block = _conjugated_block(a, step, T, int(p[0]), int(p[-1]) + 1, (1,))
+    block = _conjugated_block(a, step, T, *_interior_bounds(T, w), (1,))
     block /= step
     return block
 
@@ -199,14 +198,14 @@ def infinitesimal_reports(
     """
     a = rel.generator("L", w)  # once: the commutator and the flow both read it
     low, high = kappa_commutator(T, rel, w, a)  # refuses all but a shift
-    m, p = T.single_diagonal[0], _interior_positions(T, w)
+    m, (p0, p1) = T.single_diagonal[0], _interior_bounds(T, w)
     square = (T @ T).diagonal(2 * m)  # T^2's one diagonal
     targets = {"L": (1, -1), "M": (-1j, -1j), "e": (0, -1), "f": (1, 0)}  # X's target a T^2 + b I
     omega = -1j * rel._sign("h")
     turn = np.array([1, omega, -1, -omega])  # omega^r, each a power of i, exact
     scales = {"L": np.ones(4), "M": turn, "e": 0.5 - 0.5j * turn, "f": 0.5 + 0.5j * turn}
     flow = kappa_flow_derivative(T, rel, w, step, a)  # a fresh block: the suite zeroes its diagonals
-    n, p0, diagonals = p.size, int(p[0]), []
+    n, diagonals = p1 - p0, []
     for q in dict.fromkeys((2 * m, 0, m - 1, m + 1)):  # distinct: at m = 0 both targets are on diagonal 0
         k = np.arange(max(-q, 0), min(n, n - q))  # the block's rows on diagonal q
         window = slice(p0, p0 + k.size)  # the window diagonal's entries that they hold

@@ -21,7 +21,7 @@ from .numkernel import (
     UNILATERAL,
     OperatorMatrix,
     TruncationWindow,
-    _interior_positions,
+    _interior_bounds,
     _rows,
     _shift_residual,
     np,
@@ -171,19 +171,19 @@ def normalizer_defect(
     step = band[0] if band is not None else 0
     if step == 0:
         raise ParameterError("expected a single-step shift")
-    p = _interior_positions(T, w)
-    n, halo = w.size, abs(step)
-    lo, hi = max(p[0] - halo, 0), min(p[-1] + 1 + halo, n)
+    p0, p1 = _interior_bounds(T, w)
+    n, halo, size = w.size, abs(step), p1 - p0
+    lo, hi = max(p0 - halo, 0), min(p1 + halo, n)
     s = rel.conjugate(T, path, w, lo, hi)
     t = _rows(step, band[1], n)  # entry n + i is T[i, i + m], 0 off the window
-    value = _shift_residual(s, lo, t[n : 2 * n], step, int(p[0]), int(p[-1]) + 1)
-    inner = slice(p[0] - lo, p[-1] + 1 - lo)
+    value = _shift_residual(s, lo, t[n : 2 * n], step, p0, p1)
+    inner = slice(p0 - lo, p1 - lo)
     s = s[inner, inner]
     power = _rows(0, np.ones(n, dtype=np.complex128), n)  # diagonal k m of T^k, laid out like t
-    for k in range(-(-p.size // halo)):
+    for k in range(-(-size // halo)):
         m = step * k
-        # diagonal m of the interior block starts on window row p[0] + max(-m, 0)
-        weights = power[n + p[0] + max(-m, 0) :][: p.size - abs(m)]
+        # diagonal m of the interior block starts on window row p0 + max(-m, 0)
+        weights = power[n + p0 + max(-m, 0) :][: size - abs(m)]
         # contiguous copies of the diagonals: vdot sums a strided view in another order
         value += _best_multiple_residual(np.diagonal(s, m).copy(), weights)
         if k > 0:
@@ -192,5 +192,5 @@ def normalizer_defect(
         # T^{k+1}[i, i + (k + 1) m] = T[i, i + m] T^k[i + m, i + (k + 1) m]
         power[n : 2 * n] = t[n : 2 * n] * power[n + step : 2 * n + step]
     # no power of T or of T* reaches a diagonal off the multiples of the step
-    value += sum(_best_multiple_residual(np.diagonal(s, m).copy(), None) for m in range(1 - p.size, p.size) if m % step)
+    value += sum(_best_multiple_residual(np.diagonal(s, m).copy(), None) for m in range(1 - size, size) if m % step)
     return DefectReport.build("normalizer", value, tolerance, context)

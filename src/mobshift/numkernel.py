@@ -504,14 +504,14 @@ def solve(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix._adopt(A.window, A.basis, data=inv if identity else np.linalg.solve(a, B.data))
 
 
-def _interior_positions(A: OperatorMatrix, w: TruncationWindow) -> np.ndarray:
-    """The interior positions of w, checked to be non-empty and to fit A."""
+def _interior_bounds(A: OperatorMatrix, w: TruncationWindow) -> tuple[int, int]:
+    """(p0, p1): the interior positions p0..p1-1 of w, checked to be non-empty and to fit A."""
     if not A.window.same_lattice(w):
         raise WindowMismatchError("matrix window does not match the measurement window")
-    p = w.interior_positions()
-    if p.size == 0:
+    p0, p1 = w.padding, w.size - w.padding
+    if p0 >= p1:
         raise EmptyInteriorError(f"padding {w.padding} leaves no interior in a size-{w.size} window")
-    return p
+    return p0, p1
 
 
 def _tiles(lo: int, hi: int):
@@ -562,7 +562,6 @@ def _shift_residual(x: np.ndarray, x0: int, t: np.ndarray, m: int, p0: int, p1: 
 def interior_norm(A: OperatorMatrix, w: TruncationWindow) -> float:
     """Frobenius norm of the sub-block with interior row AND column indices, from the
     interior stretch of each band: O(N)."""
-    p = _interior_positions(A, w)
+    p0, p1 = _interior_bounds(A, w)
     # entry k of diagonal m has both indices in [p0, p1) for k in [p0, p1 - |m|)
-    p0, p1 = int(p[0]), int(p[-1]) + 1
     return math.sqrt(sum(_squared_norm(d[p0 : max(p1 - abs(m), p0)]) for m, d in A._banded().items()))

@@ -46,7 +46,7 @@ from .numkernel import (
     OperatorMatrix,
     TruncationWindow,
     _conjugated_block,
-    _interior_positions,
+    _interior_bounds,
     _squared_norm,
     _tiles,
     interior_norm,
@@ -197,7 +197,7 @@ def _reducible_raising(p: RepnParams, n: int) -> float:
 
 def gram(p: RepnParams, w: TruncationWindow) -> OperatorMatrix:
     """Diagonal matrix of squared basis norms ||f_n||^2 (see ``norm_sq_sequence``)."""
-    return OperatorMatrix.from_band(w, 0, norm_sq_sequence(p, w).values)
+    return OperatorMatrix.from_band(w, 0, norm_sq_sequence(p, w))
 
 
 def unitarity_residual(R: OperatorMatrix, w: TruncationWindow) -> float:
@@ -209,11 +209,11 @@ def unitarity_residual(R: OperatorMatrix, w: TruncationWindow) -> float:
     the part right of the tile's own square twice: its temporaries are
     ``TILE`` x n, and R[:, P] is read in place, never copied.
     """
-    p = _interior_positions(R, w)
+    p0, p1 = _interior_bounds(R, w)
     if R.bands is not None:
         return interior_norm(R.H @ R - OperatorMatrix.identity(w, R.basis), w)
-    r, p1, total = R.data, int(p[-1]) + 1, 0.0
-    for a, b in _tiles(int(p[0]), p1):
+    r, total = R.data, 0.0
+    for a, b in _tiles(p0, p1):
         tile = r[:, a:b].conj().T
         own = tile @ r[:, a:b]
         own.flat[:: b - a + 1] -= 1.0

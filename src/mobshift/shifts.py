@@ -4,7 +4,7 @@ weight sequences.
 A step-m shift maps f_n to a_n f_{n-m}; in the orthonormal basis
 x_n = f_n / ||f_n|| (``repn.Realization.orthonormal``) its coefficients
 pick up the norm ratio, which is where the tabulated weight sequences come
-from.
+from.  A family is named here by its ``repn.Realization`` alone, never by series.
 """
 
 from __future__ import annotations
@@ -13,15 +13,7 @@ import math
 
 from .errors import ParameterError, PoleError, WindowMismatchError
 from .numkernel import BILATERAL, UNILATERAL, OperatorMatrix, TruncationWindow
-from .repn import (
-    ANTIHOLO,
-    COMPLEMENTARY,
-    HOLO,
-    PRINCIPAL,
-    REDUCIBLE,
-    Realization,
-    RepnParams,
-)
+from .repn import Realization, RepnParams
 from .specialfn import norm_ratio
 
 #: each canonical shift's step m and coefficient a_n(params, n): it maps f_n to a_n f_{n-m}
@@ -64,44 +56,31 @@ def canonical_shift(kind: str, p: RepnParams, w: TruncationWindow) -> OperatorMa
     return OperatorMatrix.from_band(w, step, [coefficient(p, n) for n in columns])
 
 
-def weight_sequence(kind: str, rel: Realization, n: int, branch: str = BRANCH_T2) -> complex:
-    """One weight of the canonical orthonormal-basis shift of the family ``rel``
-    of series ``kind``: a_n sqrt(``specialfn.norm_ratio``) at n, the coefficient
-    and the ratio that the shift and the Gram map over a window, so a weight
-    refuses what they do.  No array is formed.
-
-    Index domains: n >= 0 for the holomorphic family (T1), n <= 0 for the
-    anti-holomorphic one (built on f_{-n}; the square root of T1star's
-    coefficient), all of Z otherwise.  The principal family has both a T2
-    branch (weights 1) and a complex T3 branch; the complementary family is
-    tabulated on its T2 branch only.  The reducible sum's weights are those of
-    ``reducible_shift`` in the orthonormal seam basis: sqrt((1 + n)/(lam + n))
-    and the coupling r at n = -1.
+def weight_sequence(rel: Realization, n: int, branch: str = BRANCH_T2) -> complex:
+    """One weight of the canonical orthonormal-basis shift of the family ``rel``:
+    a_n sqrt(``specialfn.norm_ratio``) at n, the coefficient and the ratio that
+    the shift and the Gram map over a window, so a weight refuses what they do.
+    No array is formed.  The realization picks the shift: the reducible sum's
+    ``reducible_shift`` (sqrt((1 + n)/(lam + n)), and r at n = -1), the sharp
+    twist's T1star on n <= 0 (built on f_{-n}), and for a plain family T1 on
+    n >= 0 (unilateral) or the T2 or the complex T3 branch (bilateral).
     """
     p = rel.params
-    if kind == HOLO:
-        if n < 0:
-            raise ParameterError("holomorphic weights live on n >= 0")
-        shift = "T1"
-    elif kind == ANTIHOLO:
+    if rel.flavor == "reducible":
+        return complex(_reducible_coefficient(rel, n) * math.sqrt(norm_ratio(p, n)))
+    if rel.flavor == "sharp":
         if n > 0:
             raise ParameterError("anti-holomorphic weights live on n <= 0")
         # the backward shift annihilates its top basis vector; below it, weight n is the holomorphic -n - 1
         return complex(math.sqrt(norm_ratio(p, -n - 1))) if n else 0j
-    elif kind == PRINCIPAL:
-        if branch not in (BRANCH_T2, BRANCH_T3):
-            raise ParameterError(f"unknown branch {branch!r}")
+    if p.index_set == UNILATERAL:
+        if n < 0:
+            raise ParameterError("holomorphic weights live on n >= 0")
+        shift = "T1"
+    elif branch in (BRANCH_T2, BRANCH_T3):
         shift = branch
-    elif kind == COMPLEMENTARY:
-        if branch != BRANCH_T2:
-            raise ParameterError("only the T2 branch is tabulated for the complementary family")
-        if p.mu.imag:
-            raise ParameterError(f"complementary weights need a real mu, got mu={p.mu}")
-        shift = BRANCH_T2
-    elif kind == REDUCIBLE:
-        return complex(_reducible_coefficient(rel, n) * math.sqrt(norm_ratio(p, n)))
     else:
-        raise ParameterError(f"unknown series kind {kind!r}")
+        raise ParameterError(f"unknown branch {branch!r}")
     return complex(_SHIFTS[shift][1](p, n) * math.sqrt(norm_ratio(p, n)))
 
 

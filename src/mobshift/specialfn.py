@@ -3,8 +3,8 @@
 The squared basis norms are gamma ratios
 ``||f_n||^2 = Gamma(1 - mu + n) / Gamma(lam + conj(mu) + n)`` up to one
 constant factor.  Every certificate reads only ratios of norms, so the
-sequence is the product of the two-term ratios, taken from ||f_0|| = 1 in
-both directions: no gamma value is evaluated, and no anchor can overflow.
+sequence, one read-only array, is the product of the two-term ratios, taken from
+||f_0|| = 1 both ways: no gamma value is evaluated, and no anchor can overflow.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import ParameterRangeError, WindowMismatchError, value_type
+from .errors import ParameterRangeError, WindowMismatchError
 from .numkernel import BILATERAL, TruncationWindow, np
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -20,26 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _IMAG_DISCARD_TOL = 1e-12
 _PRINCIPAL_RE_TOL = 1e-12
-
-
-@value_type(eq=False)
-class NormSequence:
-    """Squared basis norms over a window; strictly positive by construction."""
-
-    window: TruncationWindow
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64)
-        if vals.shape != (self.window.size,):
-            raise WindowMismatchError("norm sequence length does not match window size")
-        if not (np.isfinite(vals).all() and (vals > 0.0).all()):
-            raise ParameterRangeError("norm sequence must be strictly positive and finite")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def value(self, n: int) -> float:
-        return float(self.values[self.window.pos(n)])
 
 
 def _principal_coincidence(params: "RepnParams") -> bool:
@@ -79,13 +59,14 @@ def norm_ratio(params: "RepnParams", n: int) -> float:
     )
 
 
-def norm_sq_sequence(params: "RepnParams", w: TruncationWindow) -> NormSequence:
-    """Squared norms ||f_n||^2 over the window, with ||f_0||^2 = 1.
+def norm_sq_sequence(params: "RepnParams", w: TruncationWindow) -> np.ndarray:
+    """Squared norms ||f_n||^2 over the window, with ||f_0||^2 = 1, as a read-only float64 array.
 
     Products of ``norm_ratio`` run up from n = 0 and down from it.  The
     principal Gram is exactly I, and at bilateral mu = 0 the chain is cut
     between n = -1 and n = 0 with both sides at 1, so the reducible sum at
-    lam = 1 has the Gram I exactly.
+    lam = 1 has the Gram I exactly.  A norm that is not a positive normal
+    double (0, inf or an underflow to a subnormal) raises ``ParameterRangeError``.
     """
     if params.index_set != w.kind:
         raise WindowMismatchError(
@@ -95,4 +76,9 @@ def norm_sq_sequence(params: "RepnParams", w: TruncationWindow) -> NormSequence:
     down = [norm_ratio(params, n) for n in range(w.lo, 0)]
     # ||f_n||^2 = 1 / (ratio_n ratio_{n+1} ... ratio_{-1}) below n = 0
     values = np.concatenate((1.0 / np.cumprod(down[::-1])[::-1], [1.0], np.cumprod(up)))
-    return NormSequence(w, values)
+    if not (np.isfinite(values).all() and (values > 0.0).all()):
+        raise ParameterRangeError("norm sequence must be strictly positive and finite")
+    if values.min() < np.finfo(np.float64).tiny:
+        raise ParameterRangeError(f"a squared norm underflows to the subnormal {values.min():.3g}: too few digits for the orthonormal basis")
+    values.setflags(write=False)
+    return values

@@ -365,7 +365,7 @@ def orthonormal(T, p, w):
     """A monomial-basis shift in the orthonormal basis where R is built: the dense
     diag(s) T diag(1/s), s_n = ||f_n|| from ``norm_sq_sequence``, read back as its band."""
     assert T.basis == MONOMIAL
-    s = np.sqrt(norm_sq_sequence(p, w).values)
+    s = np.sqrt(norm_sq_sequence(p, w))
     return OperatorMatrix((s[:, None] * T.data) / s[None, :], T.window, ORTHONORMAL)
 
 

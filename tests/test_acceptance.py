@@ -29,11 +29,6 @@ from mobshift.numkernel import (
     TruncationWindow,
 )
 from mobshift.repn import (
-    ANTIHOLO,
-    COMPLEMENTARY,
-    HOLO,
-    PRINCIPAL,
-    REDUCIBLE,
     Realization,
     RepnParams,
     circle_rep_matrix,
@@ -277,10 +272,10 @@ def test_criterion_06_weight_consistency():
         w = TruncationWindow(UNILATERAL, N, PAD)
         ortho = Realization.plain(p).orthonormal(canonical_shift("T1", p, w), w)
         for n in range(0, w.hi):
-            check(f"T1 lam={p.lam:g} n={n}", ortho.entry(n + 1, n), weight_sequence(HOLO, Realization.plain(p), n))
+            check(f"T1 lam={p.lam:g} n={n}", ortho.entry(n + 1, n), weight_sequence(Realization.plain(p), n))
         ortho = Realization.plain(p).orthonormal(canonical_shift("T1star", p, w), w)
         for n in range(1, w.hi + 1):
-            check(f"T1star lam={p.lam:g} n={n}", ortho.entry(n - 1, n), weight_sequence(ANTIHOLO, Realization.sharp(p), -n))
+            check(f"T1star lam={p.lam:g} n={n}", ortho.entry(n - 1, n), weight_sequence(Realization.sharp(p), -n))
     for p in PRINCIPAL_POINTS:
         w = TruncationWindow(BILATERAL, N, PAD)
         g = gram(p, w)
@@ -292,24 +287,24 @@ def test_criterion_06_weight_consistency():
                 check(
                     f"{kind} principal lam={p.lam:g} n={n}",
                     ortho.entry(n + 1, n),
-                    weight_sequence(PRINCIPAL, Realization.plain(p), n, branch=branch),
+                    weight_sequence(Realization.plain(p), n, branch=branch),
                 )
     for p in COMPLEMENTARY_POINTS:
         w = TruncationWindow(BILATERAL, N, PAD)
         ortho = Realization.plain(p).orthonormal(canonical_shift("T2", p, w), w)
         for n in range(w.lo, w.hi):
-            check(f"T2 complementary n={n}", ortho.entry(n + 1, n), weight_sequence(COMPLEMENTARY, Realization.plain(p), n))
+            check(f"T2 complementary n={n}", ortho.entry(n + 1, n), weight_sequence(Realization.plain(p), n))
     for lam in (0.5, 1.0, 1.5):
         rel = Realization.reducible(lam, 0.5 - 0.25j)
         w = TruncationWindow(BILATERAL, N, PAD)
         ortho = rel.orthonormal(reducible_shift(rel, w), w)
         for n in range(w.lo, w.hi):
-            check(f"reducible lam={lam:g} n={n}", ortho.entry(n + 1, n), weight_sequence(REDUCIBLE, rel, n))
+            check(f"reducible lam={lam:g} n={n}", ortho.entry(n + 1, n), weight_sequence(rel, n))
 
     unimodular = 0.0
     for p in PRINCIPAL_POINTS:
         for n in range(-N, N + 1):
-            wgt = weight_sequence(PRINCIPAL, Realization.plain(p), n, branch="T3")
+            wgt = weight_sequence(Realization.plain(p), n, branch="T3")
             unimodular = max(unimodular, abs(abs(wgt) - 1.0))
     ok = not failures and unimodular <= 1e-12
     report(

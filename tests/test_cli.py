@@ -85,6 +85,16 @@ def test_weights_json_format(capsys):
     assert rows[0]["abs"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_weights_tabulate_only_the_t2_branch_of_the_complementary_family(capsys):
+    # the rule is the series', not the realization's: the same parameters named principal
+    # (Im mu = 0 on the coincidence line) print their T3 rows
+    args = ["--lambda", "0.4", "--branch", "T3", "--n0", "0", "--n1", "1"]
+    code, out, err = run(capsys, ["weights", "--series", "complementary", "--mu", "0.3", *args])
+    assert (code, out, err) == (2, "", "error: only the T2 branch is tabulated for the complementary family\n")
+    code, out, err = run(capsys, ["weights", "--series", "principal", "--im-mu", "0", *args])
+    assert (code, err) == (0, "") and out.splitlines()[0] == "n,re,im,abs" and len(out.splitlines()) == 3
+
+
 def test_weights_takes_no_window_options():
     with pytest.raises(SystemExit) as exc:
         cli.main(["weights", "--series", "holo", "--lambda", "1", "--n0", "0", "--n1", "1", "--N", "8"])
@@ -483,6 +493,17 @@ def test_verify_holo_lambda_200_reports(capsys, N):
     code, out, err = run(capsys, ["verify", "unitarity", "--series", "holo", "--lambda", "200", "--N", N])
     assert code in (0, 1) and err == ""
     assert len(out.strip().splitlines()) == 4
+
+
+def test_verify_refuses_squared_norms_that_underflow_to_subnormals(capsys):
+    # holo lam = 200 at N = 3000 leaves 480 squared norms subnormal (the smallest 7e-323), too few
+    # digits for the orthonormal basis; at N = 2048 every one is normal (the smallest 3.6e-291)
+    argv = ["verify", "unitarity", "--series", "holo", "--lambda", "200", "--path", "L:0.1", "--N"]
+    code, out, err = run(capsys, [*argv, "3000"])
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith("error: a squared norm underflows to the subnormal ")
+    code, out, err = run(capsys, [*argv, "2048"])
+    assert code == 0 and err == "" and len(out.splitlines()) == 1
 
 
 @pytest.mark.parametrize("lam", ["2", "40", "140"])

@@ -446,6 +446,22 @@ def test_homogeneity_defect_empty_interior():
         homogeneity_defect(t, OperatorMatrix.identity(w), MobiusElement.identity(), w)
 
 
+@pytest.mark.parametrize("certificate", ["normalizer", "flow derivative", "infinitesimal"])
+def test_normalizer_flow_and_infinitesimal_refuse_an_empty_interior_and_another_lattice(certificate):
+    rel, w = Realization.plain(HOLO2), TruncationWindow(UNILATERAL, 8, 2)
+    T = rel.orthonormal(canonical_shift("T1", HOLO2, w), w)
+    measure = {
+        "normalizer": lambda v: normalizer_defect(T, rel, GroupPath.parse("L:0.1"), v),
+        "flow derivative": lambda v: kappa_flow_derivative(T, rel, v),
+        "infinitesimal": lambda v: infinitesimal_reports(T, rel, v),
+    }[certificate]
+    measure(w)  # T's own window has an interior
+    with pytest.raises(EmptyInteriorError):
+        measure(TruncationWindow(UNILATERAL, 8, 5))
+    with pytest.raises(WindowMismatchError):
+        measure(TruncationWindow(UNILATERAL, 9, 2))
+
+
 # ---------------------------------------------------------------- infinitesimal
 
 

@@ -13,6 +13,9 @@ CERTIFICATES = {"homogeneity", "inductive"}
 CONJUGATION = {"_spectrum", "_parity_blocks", "_cartan_factors"}
 #: the Gram behind the orthonormal basis, which only specialfn and repn read
 BASIS = {"gram", "norm_sq_sequence"}
+#: the series names, which repn defines (and classify_series returns) and only cli reads besides:
+#: below the command line a family is its Realization
+SERIES = {"HOLO", "ANTIHOLO", "PRINCIPAL", "COMPLEMENTARY", "REDUCIBLE"}
 
 MODULES = sorted(SRC.glob("*.py"))
 
@@ -59,6 +62,12 @@ def test_only_specialfn_and_repn_read_the_gram(path):
     # every other module reaches the orthonormal basis through Realization.norms and .orthonormal
     if path.stem not in ("specialfn", "repn"):
         assert not _names(path) & BASIS, sorted(_names(path) & BASIS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_only_repn_and_cli_read_the_series_names(path):
+    if path.stem not in ("repn", "cli"):
+        assert not _names(path) & SERIES, sorted(_names(path) & SERIES)
 
 
 #: the cyclic collector's switches: a library import must never turn its host's collector

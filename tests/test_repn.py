@@ -487,7 +487,7 @@ def test_generators_are_the_monomial_ones_in_the_orthonormal_basis(case):
     rel, kind = SPECTRAL_CASES[case]
     w = TruncationWindow(kind, 24, 6)
     build = reducible_generator_matrix if rel.flavor == "reducible" else generator_matrix
-    s = np.sqrt(norm_sq_sequence(rel.params, w).values)
+    s = np.sqrt(norm_sq_sequence(rel.params, w))
     for X in ("h", "L", "M"):
         A = rel.generator(X, w)
         sign = STAR_SIGNS[X] if rel.flavor == "sharp" else 1.0
@@ -505,7 +505,7 @@ def test_norms_are_read_once_per_window_lattice(monkeypatch):
     rel = Realization.plain(HOLO2)
     s = rel.norms(TruncationWindow(UNILATERAL, 16, 4))
     assert rel.norms(TruncationWindow(UNILATERAL, 16, 2)) is s and not s.flags.writeable
-    assert np.array_equal(s, np.sqrt(norm_sq_sequence(HOLO2, TruncationWindow(UNILATERAL, 16, 4)).values))
+    assert np.array_equal(s, np.sqrt(norm_sq_sequence(HOLO2, TruncationWindow(UNILATERAL, 16, 4))))
     assert rel.norms(TruncationWindow(UNILATERAL, 12, 2)).size == 13 and built == [16, 12]
     assert rel == Realization.plain(HOLO2) and hash(rel) == hash(Realization.plain(HOLO2))
 

@@ -10,7 +10,6 @@ from mobshift.repn import (
     COMPLEMENTARY,
     HOLO,
     PRINCIPAL,
-    REDUCIBLE,
     Realization,
     RepnParams,
     complementary_mu_interval,
@@ -66,45 +65,49 @@ def test_canonical_shift_compatibility():
 def test_weight_values_holomorphic():
     p1 = RepnParams(UNILATERAL, 1.0)
     for n in range(5):
-        assert weight_sequence(HOLO, Realization.plain(p1), n) == pytest.approx(1.0)
-    assert weight_sequence(HOLO, Realization.plain(HOLO2), 0) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert weight_sequence(Realization.plain(p1), n) == pytest.approx(1.0)
+    assert weight_sequence(Realization.plain(HOLO2), 0) == pytest.approx(math.sqrt(0.5), abs=1e-12)
     with pytest.raises(ParameterError):
-        weight_sequence(HOLO, Realization.plain(HOLO2), -1)
+        weight_sequence(Realization.plain(HOLO2), -1)
 
 
 def test_weight_values_antiholomorphic():
     p = RepnParams(UNILATERAL, 0.5)
-    assert weight_sequence(ANTIHOLO, Realization.sharp(p), -1) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert weight_sequence(ANTIHOLO, Realization.sharp(p), 0) == 0.0
-    assert weight_sequence(ANTIHOLO, Realization.sharp(RepnParams(UNILATERAL, 1.0)), 0) == 0.0
+    assert weight_sequence(Realization.sharp(p), -1) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert weight_sequence(Realization.sharp(p), 0) == 0.0
+    assert weight_sequence(Realization.sharp(RepnParams(UNILATERAL, 1.0)), 0) == 0.0
     with pytest.raises(ParameterError):
-        weight_sequence(ANTIHOLO, Realization.sharp(p), 1)
+        weight_sequence(Realization.sharp(p), 1)
 
 
 def test_weight_values_principal_branches():
-    assert weight_sequence(PRINCIPAL, Realization.plain(PRIN), 7) == 1.0
+    assert weight_sequence(Realization.plain(PRIN), 7) == 1.0
     n = 3
     expected = (PRIN.lam + PRIN.mu + n) / (n + 1.0 - PRIN.mu)
-    assert weight_sequence(PRINCIPAL, Realization.plain(PRIN), n, branch="T3") == pytest.approx(expected)
+    assert weight_sequence(Realization.plain(PRIN), n, branch="T3") == pytest.approx(expected)
     with pytest.raises(ParameterError):
-        weight_sequence(PRINCIPAL, Realization.plain(PRIN), 0, branch="T9")
+        weight_sequence(Realization.plain(PRIN), 0, branch="T9")
 
 
 def test_weight_values_complementary():
     n = 2
     expected = math.sqrt((1.0 - 0.2 + n) / (0.4 + 0.2 + n))
-    assert weight_sequence(COMPLEMENTARY, Realization.plain(COMP), n) == pytest.approx(expected, abs=1e-12)
-    with pytest.raises(ParameterError):
-        weight_sequence(COMPLEMENTARY, Realization.plain(COMP), 0, branch="T3")
-    with pytest.raises(ParameterError):  # a complex mu has no real norm ratio
-        weight_sequence(COMPLEMENTARY, Realization.plain(PRIN), 0)
+    assert weight_sequence(Realization.plain(COMP), n) == pytest.approx(expected, abs=1e-12)
 
 
 def test_weight_values_reducible():
     rel = Realization.reducible(1.0, 0.5)
-    assert weight_sequence(REDUCIBLE, rel, -2) == 1.0
-    assert weight_sequence(REDUCIBLE, rel, -1) == 0.5
-    assert weight_sequence(REDUCIBLE, rel, 0) == 1.0
+    assert weight_sequence(rel, -2) == 1.0
+    assert weight_sequence(rel, -1) == 0.5
+    assert weight_sequence(rel, 0) == 1.0
+
+
+def test_a_plain_bilateral_family_reads_its_own_branch_at_the_seam():
+    # the realization alone picks the shift: a plain family never takes the reducible sum's
+    # seam coupling (asking for it with a plain realization once raised a TypeError on r = None)
+    for p in (PRIN, COMP, RepnParams(BILATERAL, 1.0)):
+        assert weight_sequence(Realization.plain(p), -1) == complex(math.sqrt(norm_ratio(p, -1)))
+    assert weight_sequence(Realization.reducible(1.0, 0.5), -1) == 0.5
 
 
 # ---------------------------------------------------------------- basis change
@@ -122,7 +125,7 @@ def test_to_orthonormal_t1_matches_weight_sequence():
     w = TruncationWindow(UNILATERAL, 24, 4)
     out = Realization.plain(HOLO2).orthonormal(canonical_shift("T1", HOLO2, w), w)
     for n in range(0, w.hi):
-        assert abs(out.entry(n + 1, n) - weight_sequence(HOLO, Realization.plain(HOLO2), n)) <= 1e-12
+        assert abs(out.entry(n + 1, n) - weight_sequence(Realization.plain(HOLO2), n)) <= 1e-12
 
 
 def test_to_orthonormal_t1star_matches_antiholomorphic_weights():
@@ -131,7 +134,7 @@ def test_to_orthonormal_t1star_matches_antiholomorphic_weights():
     p = RepnParams(UNILATERAL, 0.5)
     out = Realization.plain(p).orthonormal(canonical_shift("T1star", p, w), w)
     for n in range(1, w.hi + 1):
-        assert abs(out.entry(n - 1, n) - weight_sequence(ANTIHOLO, Realization.sharp(p), -n)) <= 1e-12
+        assert abs(out.entry(n - 1, n) - weight_sequence(Realization.sharp(p), -n)) <= 1e-12
 
 
 #: lambdas of the weights-against-Gram checks, from subnormal to huge; each family takes those in its range
@@ -145,9 +148,9 @@ def _complementary(lam, share):
     return RepnParams(BILATERAL, lam, complex(lo + share * (hi - lo)))
 
 
-def _weights_or_refusal(kind, rel, n):
+def _weights_or_refusal(rel, n):
     try:
-        return weight_sequence(kind, rel, n)
+        return weight_sequence(rel, n)
     except ParameterRangeError as exc:
         return str(exc)
 
@@ -173,7 +176,7 @@ def test_weights_are_the_square_roots_of_the_grams_ratios(kind, rel, ns):
     # weight at n < 0 is the holomorphic ratio at -n - 1
     for n in ns:
         m = -n - 1 if kind == ANTIHOLO else n
-        assert _weights_or_refusal(kind, rel, n) == _gram_weight_or_refusal(rel.params, m), n
+        assert _weights_or_refusal(rel, n) == _gram_weight_or_refusal(rel.params, m), n
 
 
 @pytest.mark.parametrize("lam", [lam for lam in GRAM_LAMS if 0.0 < lam < 2.0] + [1.0, 1.7])
@@ -182,7 +185,7 @@ def test_reducible_weights_are_the_orthonormal_shifts_band(lam):
     # weights are the -1 band of the shift in the orthonormal seam basis
     rel = Realization.reducible(lam, 0.7 + 0.2j)
     w = TruncationWindow(BILATERAL, 50, 0)
-    weights = [_weights_or_refusal(REDUCIBLE, rel, n) for n in range(w.lo, w.hi)]
+    weights = [_weights_or_refusal(rel, n) for n in range(w.lo, w.hi)]
     refused = [x for x in weights if isinstance(x, str)]
     try:
         band = rel.orthonormal(reducible_shift(rel, w), w).diagonal(-1)
@@ -233,13 +236,13 @@ def test_t1_and_its_adjoint_do_not_commute(lam):
 
 def test_principal_t3_weights_unimodular():
     for n in range(-64, 65):
-        w = weight_sequence(PRINCIPAL, Realization.plain(PRIN), n, branch="T3")
+        w = weight_sequence(Realization.plain(PRIN), n, branch="T3")
         assert abs(abs(w) - 1.0) <= 1e-12
 
 
 def test_complementary_weights_approach_one():
     for n in list(range(-64, -7)) + list(range(8, 65)):
-        w = weight_sequence(COMPLEMENTARY, Realization.plain(COMP), n)
+        w = weight_sequence(Realization.plain(COMP), n)
         assert abs(w - 1.0) <= 2.0 / abs(n)
 
 

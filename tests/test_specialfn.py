@@ -6,7 +6,7 @@ import pytest
 from mobshift.errors import ParameterRangeError, PoleError, WindowMismatchError
 from mobshift.numkernel import BILATERAL, UNILATERAL, TruncationWindow
 from mobshift.repn import RepnParams
-from mobshift.specialfn import NormSequence, norm_ratio, norm_sq_sequence
+from mobshift.specialfn import norm_ratio, norm_sq_sequence
 
 from oracles import complex_gamma, stirling_gamma
 
@@ -79,7 +79,7 @@ def test_principal_norms_are_exactly_one():
     p = RepnParams(BILATERAL, 0.3, complex(0.35, 0.7))
     w = TruncationWindow(BILATERAL, 32, 8)
     seq = norm_sq_sequence(p, w)
-    assert np.array_equal(seq.values, np.ones(w.size))
+    assert np.array_equal(seq, np.ones(w.size))
 
 
 def test_holomorphic_lambda_one_norms_are_one():
@@ -87,7 +87,7 @@ def test_holomorphic_lambda_one_norms_are_one():
     p = RepnParams(UNILATERAL, 1.0)
     w = TruncationWindow(UNILATERAL, 4096, 4)
     seq = norm_sq_sequence(p, w)
-    assert np.array_equal(seq.values, np.ones(w.size))
+    assert np.array_equal(seq, np.ones(w.size))
 
 
 def test_holomorphic_lambda_two_value():
@@ -95,7 +95,7 @@ def test_holomorphic_lambda_two_value():
     p = RepnParams(UNILATERAL, 2.0)
     w = TruncationWindow(UNILATERAL, 8, 2)
     seq = norm_sq_sequence(p, w)
-    assert seq.value(3) == pytest.approx(0.25, abs=1e-13)
+    assert seq[w.pos(3)] == pytest.approx(0.25, abs=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -113,7 +113,7 @@ def test_norms_are_the_gamma_ratios_up_to_a_constant(p):
 
     for n in range(w.lo, w.hi + 1):
         want = gamma_ratio(n) / gamma_ratio(0)
-        assert abs(seq.value(n) - want) <= 1e-10 * abs(want), f"n={n}"
+        assert abs(seq[w.pos(n)] - want) <= 1e-10 * abs(want), f"n={n}"
 
 
 def test_norm_ratio_recurrence_holds():
@@ -125,7 +125,7 @@ def test_norm_ratio_recurrence_holds():
         w = TruncationWindow(p.index_set, 24, 4)
         seq = norm_sq_sequence(p, w)
         for n in range(w.lo, w.hi):
-            got = seq.value(n + 1) / seq.value(n)
+            got = seq[w.pos(n + 1)] / seq[w.pos(n)]
             assert got == pytest.approx(norm_ratio(p, n), rel=1e-10)
 
 
@@ -133,8 +133,8 @@ def test_complementary_norms_positive_everywhere():
     p = RepnParams(BILATERAL, 0.4, 0.2 + 0j)
     w = TruncationWindow(BILATERAL, 64, 16)
     seq = norm_sq_sequence(p, w)
-    assert np.all(seq.values > 0.0)
-    assert np.all(np.isfinite(seq.values))
+    assert np.all(seq > 0.0)
+    assert np.all(np.isfinite(seq))
 
 
 def test_norms_reject_nonunitary_parameters():
@@ -149,21 +149,21 @@ def test_holomorphic_lambda_200_norms_are_finite():
     # the norms carry no gamma anchor, so nothing overflows at large lam
     for N in (8, 256):
         seq = norm_sq_sequence(RepnParams(UNILATERAL, 200.0), TruncationWindow(UNILATERAL, N, 2))
-        assert seq.value(0) == 1.0 and seq.value(1) == pytest.approx(1.0 / 200.0, rel=1e-15)
+        assert seq[0] == 1.0 and seq[1] == pytest.approx(1.0 / 200.0, rel=1e-15)
 
 
 def test_reducible_seam_norms():
     # bilateral mu = 0 is the direct-sum point: mu = 1 - lam below the seam,
     # mu = 0 from n = 0 up, both sides of the cut at 1
     w = TruncationWindow(BILATERAL, 12, 2)
-    assert np.array_equal(norm_sq_sequence(RepnParams(BILATERAL, 1.0), w).values, np.ones(w.size))
+    assert np.array_equal(norm_sq_sequence(RepnParams(BILATERAL, 1.0), w), np.ones(w.size))
     lam = 1.5
     seq = norm_sq_sequence(RepnParams(BILATERAL, lam), w)
-    assert seq.value(-1) == seq.value(0) == 1.0
+    assert seq[w.pos(-1)] == seq[w.pos(0)] == 1.0
     for n in range(w.lo, -1):
-        assert seq.value(n + 1) / seq.value(n) == pytest.approx((lam + n) / (n + 1.0), rel=1e-13)
+        assert seq[w.pos(n + 1)] / seq[w.pos(n)] == pytest.approx((lam + n) / (n + 1.0), rel=1e-13)
     for n in range(0, w.hi):
-        assert seq.value(n + 1) / seq.value(n) == pytest.approx((n + 1.0) / (lam + n), rel=1e-13)
+        assert seq[w.pos(n + 1)] / seq[w.pos(n)] == pytest.approx((n + 1.0) / (lam + n), rel=1e-13)
 
 
 def test_norms_window_mismatch():
@@ -172,7 +172,14 @@ def test_norms_window_mismatch():
         norm_sq_sequence(p, TruncationWindow(BILATERAL, 8, 2))
 
 
-def test_norm_sequence_validates_positivity():
-    w = TruncationWindow(UNILATERAL, 2, 0)
-    with pytest.raises(ParameterRangeError):
-        NormSequence(w, np.array([1.0, -1.0, 2.0]))
+def test_norm_sq_sequence_is_a_read_only_array_of_positive_normal_doubles():
+    seq = norm_sq_sequence(RepnParams(UNILATERAL, 2.0), TruncationWindow(UNILATERAL, 8, 2))
+    assert seq.dtype == np.float64 and seq.shape == (9,)
+    with pytest.raises(ValueError):
+        seq[0] = 2.0
+    # holo lam = 1000 underflows to 0 by N = 512, and lam = 200 to subnormals by N = 3000
+    with pytest.raises(ParameterRangeError, match="strictly positive and finite"):
+        norm_sq_sequence(RepnParams(UNILATERAL, 1000.0), TruncationWindow(UNILATERAL, 512, 2))
+    with pytest.raises(ParameterRangeError, match="underflows to the subnormal"):
+        norm_sq_sequence(RepnParams(UNILATERAL, 200.0), TruncationWindow(UNILATERAL, 3000, 2))
+    assert norm_sq_sequence(RepnParams(UNILATERAL, 200.0), TruncationWindow(UNILATERAL, 2048, 2)).min() >= np.finfo(np.float64).tiny

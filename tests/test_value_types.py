@@ -11,7 +11,6 @@ from mobshift.inductive import AminusOneFit
 from mobshift.mobius import GroupPath, MobiusElement
 from mobshift.numkernel import BILATERAL, UNILATERAL, OperatorMatrix, TruncationWindow, _Spectrum
 from mobshift.repn import Realization, RepnParams
-from mobshift.specialfn import NormSequence
 
 W = TruncationWindow(BILATERAL, 4, 1)
 P = RepnParams(BILATERAL, 0.3, 0.35 + 0.5j)
@@ -31,7 +30,6 @@ CHANGED = {DefectReport: (1, 2e-9), AminusOneFit: (4, False), MobiusElement: (1,
            TruncationWindow: (2, 3), RepnParams: (1, 0.4), Realization: (2, 3 + 0j)}
 BY_IDENTITY = [
     (_Spectrum, ("values", "even", "odd", "phases"), (np.ones(2), np.eye(2), np.eye(2), np.ones(5))),
-    (NormSequence, ("window", "values"), (W, np.arange(1.0, 10.0))),
 ]
 ALL = BY_VALUE + BY_IDENTITY
 
@@ -111,7 +109,7 @@ def test_defaults_and_missing_fields():
     assert RepnParams(UNILATERAL, 2).mu == 0j
     assert Realization("plain", P).r is None
     for cls, given in ((DefectReport, ("x", 0.0, 1.0)), (AminusOneFit, (1, 2, 0.0)), (RepnParams, (BILATERAL,)),
-                       (TruncationWindow, (BILATERAL, 4)), (Realization, ()), (NormSequence, (W,))):
+                       (TruncationWindow, (BILATERAL, 4)), (Realization, ())):
         with pytest.raises(TypeError, match="missing"):
             cls(*given)
 
@@ -120,7 +118,6 @@ def test_post_init_checks_and_normalizes():
     p = RepnParams(BILATERAL, 1, 0.5)
     assert type(p.lam) is float and type(p.mu) is complex
     assert GroupPath([("L", 0)]).segments == (("L", 0.0),)
-    assert NormSequence(W, [1] * W.size).values.dtype == np.float64
     with pytest.raises(ParameterError):
         TruncationWindow(BILATERAL, 4, padding=4)
     with pytest.raises(ParameterError):
