@@ -27,41 +27,38 @@ command that forms none never pays for it: a refusal, ``verify lemmas``,
 ``verify reducible-lambda`` (it reads the seam row from scalar coefficients),
 ``weights`` (it reads the scalar ``specialfn.norm_ratio`` and shift
 coefficients, Python floats) and ``classify`` (a closed-form least-squares
-line), whatever its file holds.
+line), whatever its file holds.  The certificate modules ``homogeneity`` and
+``inductive`` are bound the same way (``numkernel.bind_lazily``): import
+registers both, and each runs, and is compiled, at a command's first read of
+one of its names, so ``weights`` and a refusal run neither, and ``inductive``
+runs only for the normalizer, ``verify lemmas`` and ``classify``.
+``json`` is imported where JSON is printed.
 
 ``main()`` without argv is the process entry (``python -m mobshift.cli`` and the
 ``mobshift`` script): it freezes the import-time heap and turns the cyclic
-collector off before the command, and freezes again after it, on every exit
-path, so that interpreter shutdown scans neither the import-time heap nor what
-the command loaded (numpy included).  No collection runs while the command
+collector off before the command, and no collection runs while the command
 does: the cycles that one command leaves are a few hundred objects, from
 argparse's parser and numpy's import, whatever the command's size, so
-collecting them would cost more than it frees.  It also restores the default
-SIGPIPE action, so a reader that closes stdout early ends the process without a
+collecting them would cost more than it frees.  When the command returns (or
+argparse refuses its arguments) it runs the exit handlers, flushes stdout and
+stderr and ends the process by ``os._exit``, so that the interpreter tears
+nothing down, numpy's modules included.  It also restores the default SIGPIPE
+action, so a reader that closes stdout early ends the process without a
 traceback.  ``main(argv)`` changes none of these.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
-import json
+import os
 import random
 import sys
 
 from .errors import NumericsError, ParameterError
-from .homogeneity import (
-    DEFAULT_FD_STEP,
-    DEFAULT_HOMOGENEITY_TOL,
-    DEFAULT_REDUCIBLE_TOL,
-    DefectReport,
-    homogeneity_defect,
-    infinitesimal_reports,
-    reducible_lambda_check,
-)
-from .inductive import DEFAULT_NORMALIZER_TOL, classify_a_minus1, ladder_cancellation, normalizer_defect
 from .mobius import GroupPath, path_to_mobius
-from .numkernel import BILATERAL, OperatorMatrix, TruncationWindow, UNILATERAL
+from .numkernel import BILATERAL, OperatorMatrix, TruncationWindow, UNILATERAL, bind_lazily
 from .repn import (
     ANTIHOLO,
     COMPLEMENTARY,
@@ -76,6 +73,10 @@ from .repn import (
     unitarity_residual,
 )
 from .shifts import BRANCH_T2, BRANCH_T3, canonical_shift, reducible_shift, weight_sequence
+
+#: the certificate modules, each executed at a command's first read of one of its names
+homogeneity = bind_lazily(f"{__package__}.homogeneity")
+inductive = bind_lazily(f"{__package__}.inductive")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -198,28 +199,27 @@ def _operator(op: str, rel: Realization, w: TruncationWindow) -> OperatorMatrix:
     return rel.orthonormal(T, w)
 
 
-_PATH_SUITE_TOL = {
-    "unitarity": DEFAULT_UNITARITY_TOL,
-    "homogeneity": DEFAULT_HOMOGENEITY_TOL,
-    "normalizer": DEFAULT_NORMALIZER_TOL,
-}
-
-
 def _path_reports(suites, rel: Realization, w: TruncationWindow, paths, op=None, tolerance=None, context=None):
     """Yield the report of each suite along each path, building R once per path
-    unless the normalizer, which reads the path instead, runs alone."""
+    unless the normalizer, which reads the path instead, runs alone.  The suites'
+    default tolerances are read first: every suite reports through ``homogeneity``
+    and the normalizer is ``inductive``'s, so each module runs before the first
+    array, and the memory its compile frees is reused by numpy's import."""
+    tols = {"unitarity": DEFAULT_UNITARITY_TOL, "homogeneity": homogeneity.DEFAULT_HOMOGENEITY_TOL}
+    if "normalizer" in suites:
+        tols["normalizer"] = inductive.DEFAULT_NORMALIZER_TOL
     T = None if op is None else _operator(op, rel, w)
     for path in paths:
         R = rel.along_path(path, w) if set(suites) - {"normalizer"} else None
         for suite in suites:
-            tol = _PATH_SUITE_TOL[suite] if tolerance is None else tolerance
+            tol = tols[suite] if tolerance is None else tolerance
             ctx = dict(context or {}, suite=suite, path=path.describe())
             if suite == "unitarity":
-                yield DefectReport.build("unitarity", unitarity_residual(R, w), tol, ctx)
+                yield homogeneity.DefectReport.build("unitarity", unitarity_residual(R, w), tol, ctx)
             elif suite == "homogeneity":
-                yield homogeneity_defect(T, R, path_to_mobius(path), w, tolerance=tol, context=ctx)
+                yield homogeneity.homogeneity_defect(T, R, path_to_mobius(path), w, tolerance=tol, context=ctx)
             else:
-                yield normalizer_defect(T, rel, path, w, tolerance=tol, context=ctx)
+                yield inductive.normalizer_defect(T, rel, path, w, tolerance=tol, context=ctx)
         del R  # the next path's R is built without this one alive
 
 
@@ -240,6 +240,8 @@ def cmd_weights(args) -> int:
         raise ParameterError("only the T2 branch is tabulated for the complementary family")
     rows = [(n, weight_sequence(rel, n, branch)) for n in range(args.n0, args.n1 + 1)]
     if args.format == "json":
+        import json  # loaded where JSON is printed: the CSV table never pays it
+
         for n, wgt in rows:
             print(json.dumps({"n": n, "re": wgt.real, "im": wgt.imag, "abs": abs(wgt)}, sort_keys=True))
     else:
@@ -267,7 +269,7 @@ def _suite_lemmas(args):
         m = rng.randrange(1, 9) * (1 if rng.random() < 0.5 else -1)
         n = rng.randrange(-20, 21)
         for side in ("f", "e"):
-            value = abs(ladder_cancellation(lam, mu, m, n, side) - 2.0 * m * m)
+            value = abs(inductive.ladder_cancellation(lam, mu, m, n, side) - 2.0 * m * m)
             ctx = {
                 "suite": "lemmas",
                 "side": side,
@@ -278,7 +280,7 @@ def _suite_lemmas(args):
                 "sample": i,
                 "seed": args.seed,
             }
-            yield DefectReport.build(f"ladder_{side}", value, tol, ctx)
+            yield homogeneity.DefectReport.build(f"ladder_{side}", value, tol, ctx)
 
 
 def _window(args, series: str) -> TruncationWindow:
@@ -302,23 +304,23 @@ def _verify_setup(args):
     return rel, w, ctx["op"], ctx
 
 
-def _suite_along_paths(args) -> list[DefectReport]:
+def _suite_along_paths(args) -> list[homogeneity.DefectReport]:
     rel, w, op, ctx = _verify_setup(args)
     return list(_path_reports([args.suite], rel, w, _paths(args), op, args.tolerance, ctx))
 
 
-def _suite_infinitesimal(args) -> list[DefectReport]:
+def _suite_infinitesimal(args) -> list[homogeneity.DefectReport]:
     rel, w, op, ctx = _verify_setup(args)
     kwargs = {} if args.tolerance is None else {"identity_tol": args.tolerance}
-    return infinitesimal_reports(_operator(op, rel, w), rel, w, step=args.step, context=ctx, **kwargs)
+    return homogeneity.infinitesimal_reports(_operator(op, rel, w), rel, w, step=args.step, context=ctx, **kwargs)
 
 
-def _suite_reducible_lambda(args) -> list[DefectReport]:
+def _suite_reducible_lambda(args) -> list[homogeneity.DefectReport]:
     rel = _realization(REDUCIBLE, args.lam, r=args.r)
     w = _window(args, REDUCIBLE)
-    tol = args.tolerance if args.tolerance is not None else DEFAULT_REDUCIBLE_TOL
+    tol = args.tolerance if args.tolerance is not None else homogeneity.DEFAULT_REDUCIBLE_TOL
     ctx = {"suite": "reducible-lambda", "N": args.N, "padding": w.padding}
-    return [reducible_lambda_check(rel, w, tolerance=tol, context=ctx)]
+    return [homogeneity.reducible_lambda_check(rel, w, tolerance=tol, context=ctx)]
 
 
 def _default_pad(N: int, series: str, normalizer: bool = False) -> int:
@@ -365,7 +367,9 @@ def cmd_classify(args) -> int:
         raise ParameterError(f"malformed coefficient file: {exc}") from exc
     mu = complex(args.mu_re, args.mu_im)
     params = RepnParams(BILATERAL, args.lam, mu)
-    fit = classify_a_minus1(coeffs, params)
+    fit = inductive.classify_a_minus1(coeffs, params)
+    import json  # loaded where JSON is printed: a refused file never pays it
+
     print(
         json.dumps(
             {
@@ -513,7 +517,8 @@ def build_parser(argv) -> argparse.ArgumentParser:
         if suite in ("unitarity", "homogeneity", "normalizer"):
             sp.add_argument("--path", action="append", help="flow path gen:time[,gen:time...]; repeatable")
         if suite == "infinitesimal":
-            sp.add_argument("--step", type=float, default=DEFAULT_FD_STEP, help=f"finite-difference step (default {DEFAULT_FD_STEP:g})")
+            step = homogeneity.DEFAULT_FD_STEP
+            sp.add_argument("--step", type=float, default=step, help=f"finite-difference step (default {step:g})")
         sp.add_argument("--tolerance", type=float, help="override the suite tolerance")
 
     cp = sub.add_parser("classify", help="classify a step-(-1) coefficient file")
@@ -543,12 +548,12 @@ def _enter_process() -> None:
     """Set up the process that runs one command: restore the default SIGPIPE action
     (where there is one), so a closed stdout ends it quietly as it ends ``head``, then
     move every object alive after import into the collector's permanent generation,
-    which no collection scans, shutdown's included, and turn the cyclic collector
-    off.  The objects that a command leaves in cycles are a constant few hundred,
-    from argparse's parser and numpy's import (about 650 after a command that loads
-    numpy, as many after ``verify lemmas`` of 10 samples as of 10000), so the 30-odd
-    collections that numpy's import alone would trigger free nothing that grows;
-    reference counting frees everything else as before."""
+    which no collection scans, and turn the cyclic collector off.  The objects that a
+    command leaves in cycles are a constant few hundred, from argparse's parser and
+    numpy's import (about 650 after a command that loads numpy, as many after
+    ``verify lemmas`` of 10 samples as of 10000), so the 30-odd collections that
+    numpy's import alone would trigger free nothing that grows; reference counting
+    frees everything else as before."""
     import signal  # not loaded at import: only the process entry pays it
 
     if hasattr(signal, "SIGPIPE"):
@@ -557,13 +562,31 @@ def _enter_process() -> None:
     gc.disable()
 
 
+def _exit_process(code: int):
+    """End the process with ``code`` as soon as the command has returned: run the exit
+    handlers registered so far, flush stdout and stderr, and leave by ``os._exit``,
+    so that the interpreter tears down none of its modules (numpy's 200-odd among
+    them, when the command loaded it).  A stdout that cannot take the rest of the
+    output is reported and ends the process with 120, as the interpreter's own exit
+    does, in the same order."""
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"Exception ignored in: {sys.stdout!r}\n{type(exc).__name__}: {exc}", file=sys.stderr)
+        code = 120
+    sys.stderr.flush()
+    os._exit(code)
+
+
 def main(argv=None) -> int:
     if argv is None:
         _enter_process()
         try:
-            return main(sys.argv[1:])
-        finally:
-            gc.freeze()  # what the command loaded, numpy included, joins the frozen heap
+            code = main(sys.argv[1:])
+        except SystemExit as exc:  # argparse's refusals and --help, with an int code
+            code = exc.code
+        _exit_process(code)
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)

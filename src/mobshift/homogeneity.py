@@ -15,7 +15,6 @@ turned a quarter by exp(pi/4 h), and e and f are (L -/+ iM)/2.
 
 from __future__ import annotations
 
-import json
 import math
 
 from .errors import ParameterError, value_type
@@ -67,6 +66,8 @@ class DefectReport:
         return cls(name, value, tolerance, value <= tolerance, dict(context or {}))
 
     def to_json(self) -> str:
+        import json  # loaded where JSON is printed: a sweep's CSV never pays it
+
         payload = {
             "name": self.name,
             "value": self.value,

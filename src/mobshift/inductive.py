@@ -88,8 +88,9 @@ def classify_a_minus1(a: Mapping[int, complex], p: RepnParams) -> AminusOneFit:
     a_n = (lam + mu + n)/(n + 1 - mu) gives a = -b (lam + mu) (the T3
     branch).  When both factors vanish the branches coincide, which happens
     exactly at mu = (1 - lam)/2; that case is reported as T2 with a tie flag.
-    A non-finite coefficient raises ``ParameterError``, and finite ones whose
-    fit overflows raise ``NumericsError``.
+    A non-finite coefficient or an n past +-2**53, where float(n) is not exact,
+    raises ``ParameterError``, and finite ones whose fit overflows raise
+    ``NumericsError``.
     """
     if p.index_set != BILATERAL:
         raise ParameterError("the affine classifier needs the bilateral index set")
@@ -97,6 +98,8 @@ def classify_a_minus1(a: Mapping[int, complex], p: RepnParams) -> AminusOneFit:
     if len(items) < 3:
         raise ParameterError("need at least 3 coefficients")
     for n, v in items:
+        if abs(n) > 2**53:  # past it, float(n) is not exact
+            raise ParameterError(f"n={n} must lie within +-{2**53}")
         if not cmath.isfinite(v):
             raise ParameterError(f"non-finite coefficient at n={n}")
     overflow = "the affine fit of these coefficients overflows double precision"

@@ -23,7 +23,8 @@ first read of one of its attributes, or numpy itself when it is loaded
 already.  So a command that forms no array (a refusal, ``verify lemmas``,
 ``weights``, ``classify``) never imports numpy.  An ``import
 numpy`` statement would load it at once, even under a lazy loader, because
-the import system reads the module's ``__spec__``."""
+the import system reads the module's ``__spec__``.  ``bind_lazily`` makes
+that binding, and ``cli`` binds the certificate modules with it too."""
 
 from __future__ import annotations
 
@@ -56,22 +57,26 @@ SPECTRUM_CACHE_SIZE = 1
 TILE = 64
 
 
-def _bind_numpy():
-    """numpy from ``sys.modules``, or a module that executes numpy on its first
-    attribute read, registered there as numpy so that every later import finds it."""
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
+def bind_lazily(name: str):
+    """The module ``name`` from ``sys.modules``, or a module that executes it on its
+    first attribute read, registered there (and on its parent package) so that every
+    later import finds it."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
     if spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
+    sys.modules[name] = module
     spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
     return module
 
 
-np = _bind_numpy()
+np = bind_lazily("numpy")
 
 
 @value_type

@@ -49,7 +49,7 @@ def norm_ratio(params: "RepnParams", n: int) -> float:
         mu = complex(1.0 - lam)
     r = complex(math.inf, math.nan)  # a zero denominator's
     try:
-        r = (1.0 - mu + n) / (lam + mu.conjugate() + n)
+        r = (n + 1.0 - mu) / (lam + mu.conjugate() + n)  # n + 1 first: exact 0 - mu at n = -1
         if abs(r.imag) <= _IMAG_DISCARD_TOL * max(1.0, abs(r)) and 0.0 < r.real < math.inf:
             return r.real
     except (ZeroDivisionError, OverflowError):

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mobshift import cli, homogeneity, numkernel, repn, specialfn
+from mobshift import cli, homogeneity, inductive, numkernel, repn, specialfn
 from mobshift.errors import NumericsError
 from mobshift.numkernel import OperatorMatrix
 from mobshift.repn import Realization
@@ -93,6 +93,24 @@ def test_weights_tabulate_only_the_t2_branch_of_the_complementary_family(capsys)
     assert (code, out, err) == (2, "", "error: only the T2 branch is tabulated for the complementary family\n")
     code, out, err = run(capsys, ["weights", "--series", "principal", "--im-mu", "0", *args])
     assert (code, err) == (0, "") and out.splitlines()[0] == "n,re,im,abs" and len(out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("mu", ["1e-13", "1e-17"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "unitarity"], ["verify", "homogeneity", "--op", "T2"], ["verify", "normalizer", "--op", "T2"],
+     ["weights", "--n0", "-3", "--n1", "2"]],
+    ids=["unitarity", "homogeneity T2", "normalizer T2", "weights"],
+)
+def test_the_complementary_family_runs_at_its_mu_to_zero_edge(capsys, argv, mu):
+    # both mu lie inside (0, 0.7) at lam = 0.3; the norm ratio's numerator 1 - mu + n used to
+    # cancel at n = -1, to a skew residue of 8.2e-11 (exit 3) at 1e-13 and a ratio of -0 (exit 2)
+    # at 1e-17; n + 1 - mu is exactly -mu there
+    code, out, err = run(capsys, [*argv, "--series", "complementary", "--lambda", "0.3", "--mu", mu])
+    assert (code, err) == (0, "")
+    if argv[0] == "weights":
+        row = next(line for line in out.splitlines() if line.startswith("-1,"))
+        assert float(row.split(",")[3]) == pytest.approx(math.sqrt(float(mu) / (0.7 - float(mu))), rel=1e-12)
 
 
 def test_weights_takes_no_window_options():
@@ -178,7 +196,7 @@ def test_a_count_over_its_limit_exits_two_before_any_work(capsys, monkeypatch, a
     def refuse(*args, **kwargs):
         raise AssertionError("a row was computed")
 
-    monkeypatch.setattr(cli, "ladder_cancellation", refuse)
+    monkeypatch.setattr(inductive, "ladder_cancellation", refuse)
     monkeypatch.setattr(cli, "weight_sequence", refuse)
     assert run(capsys, argv) == (2, "", err)
 
@@ -201,13 +219,13 @@ def test_verify_lemmas_prints_each_report_as_it_is_made(capsys, monkeypatch):
     # the reports of a sample are on stdout before the next sample is drawn, so memory does
     # not grow with --samples; the output is that of the reports held in a list
     code, whole, _ = run(capsys, ["verify", "lemmas", "--samples", "5", "--seed", "3"])
-    printed, ladder = [], cli.ladder_cancellation
+    printed, ladder = [], inductive.ladder_cancellation
 
     def counting(*args):
         printed.append(capsys.readouterr().out.count("\n"))
         return ladder(*args)
 
-    monkeypatch.setattr(cli, "ladder_cancellation", counting)
+    monkeypatch.setattr(inductive, "ladder_cancellation", counting)
     code_streamed, rest, _ = run(capsys, ["verify", "lemmas", "--samples", "5", "--seed", "3"])
     assert printed == [0, 1, 1, 1, 1, 1, 1, 1, 1, 1]
     assert code == code_streamed == 0 and len(whole.splitlines()) == 10 and whole.endswith(rest)
@@ -897,6 +915,19 @@ def test_classify_reads_a_file_saved_with_a_byte_order_mark(capsys, tmp_path):
     assert json.loads(out)["branch"] == "T2branch"
 
 
+def test_classify_refuses_an_n_past_2_to_the_53(capsys, tmp_path):
+    # float(n) is exact up to 2**53: a constant file whose last row had n = 99999999999999999999
+    # was read as neither (residual 0.65, exit 1)
+    rows = [f"{n},1.5,-0.5" for n in range(-3, 4)]
+    args = ["--lambda", "0.3", "--mu-re", "0.35", "--mu-im", "0.7"]
+    for n in (2**53 + 1, -(2**53 + 1), 99999999999999999999):
+        path = write_coeffs(tmp_path, "far.csv", [*rows, f"{n},1.5,-0.5"])
+        assert run(capsys, ["classify", "--file", path, *args]) == (2, "", f"error: n={n} must lie within +-9007199254740992\n")
+    for n in (2**53, -(2**53)):  # read and fitted, though the fit's digits no longer tell the branches apart there
+        code, out, err = run(capsys, ["classify", "--file", write_coeffs(tmp_path, "edge.csv", [*rows, f"{n},1.5,-0.5"]), *args])
+        assert code in (0, 1) and err == "" and set(json.loads(out)) == {"a", "b", "residual", "branch", "tie"}
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -1118,7 +1149,8 @@ def test_cli_import_does_not_load_scipy():
 
 def test_cli_import_loads_every_traced_module_and_no_dataclasses():
     # the tracer looks each module of bench/tracer.py's TARGETS up in sys.modules after
-    # importing mobshift.cli, so a module imported lazily would fail a traced bench run;
+    # importing mobshift.cli, so a module that cli binds lazily must be registered there
+    # at import, as homogeneity and inductive are (their first attribute read runs them);
     # dataclasses compiles methods per class at import, which every process would pay
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
     try:
@@ -1195,26 +1227,25 @@ def test_main_with_argv_leaves_the_collector_and_sigpipe_as_they_were(capsys):
 
 
 def test_the_process_entry_freezes_the_import_heap_and_turns_the_collector_off():
-    # gc.get_objects() lists no frozen object.  numpy's lazy module is made at import, and
-    # frozen with it; what it loads mid-command, numpy.linalg's module dict among it, must be
-    # frozen by the second freeze when the command returns.  The collector stays off to the end
+    # read from an exit handler, which the process entry runs before it leaves by os._exit:
+    # gc.get_objects() lists no frozen object, so cli's module dict, alive before the entry's
+    # freeze, is not listed; numpy's modules, loaded mid-command, are.  The collector stays off
     for argv, numpy_loaded in (
         (["verify", "lemmas", "--samples", "1"], False),
         (["verify", "homogeneity", "--series", "holo", "--lambda", "2"], True),
     ):
         probe = (
-            "import gc, runpy, sys\n"
+            "import atexit, gc, runpy, sys\n"
+            "def state():\n"
+            "    cli = vars(sys.modules['__main__'])\n"
+            "    frozen = not any(o is cli for o in gc.get_objects())\n"
+            "    print(gc.get_freeze_count() > 0, gc.isenabled(), 'numpy.linalg' in sys.modules, frozen)\n"
+            "atexit.register(state)\n"
             f"sys.argv = ['mobshift', *{argv!r}]\n"
-            "try:\n"
-            "    runpy.run_module('mobshift.cli', run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    loaded = 'numpy.linalg' in sys.modules\n"
-            "    linalg = vars(sys.modules['numpy.linalg']) if loaded else None\n"
-            "    frozen = not any(o is linalg for o in gc.get_objects())\n"
-            "    print(exc.code, gc.get_freeze_count() > 0, gc.isenabled(), loaded, frozen)\n"
+            "runpy.run_module('mobshift.cli', run_name='__main__', alter_sys=True)\n"
         )
-        out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True)
-        assert out.stdout.splitlines()[-1] == f"0 True False {numpy_loaded} True"
+        out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+        assert (out.returncode, out.stdout.splitlines()[-1]) == (0, f"True False {numpy_loaded} True")
 
 
 def test_the_cycles_a_command_leaves_do_not_grow_with_its_size():
@@ -1315,6 +1346,55 @@ def test_the_process_entry_prints_what_main_argv_prints(capsys, monkeypatch, tmp
     expected = run(capsys, argv)
     assert expected[0] == code
     assert (proc.returncode, proc.stdout.decode(), err) == expected
+
+
+#: the process's last stderr line: the certificate modules that the command left unexecuted,
+#: which still have the lazy loader's class (type() reads it without running the module)
+CERTIFICATES_AT_EXIT = (
+    "import atexit, sys, types\n"
+    "certificates = ('mobshift.homogeneity', 'mobshift.inductive')\n"
+    "atexit.register(lambda: print([m for m in certificates if type(sys.modules[m]) is not types.ModuleType], file=sys.stderr))\n"
+)
+BOTH = ["mobshift.homogeneity", "mobshift.inductive"]
+
+
+@pytest.mark.parametrize(
+    "code, argv, unexecuted",
+    [
+        (0, ["weights", "--series", "holo", "--lambda=2", "--n0=0", "--n1=3"], BOTH),
+        (0, ["weights", "--series", "principal", "--lambda=0.3", "--n0=-2", "--n1=2", "--format=json"], BOTH),
+        (2, ["weights", "--series", "holo", "--lambda=2", "--n0=5", "--n1=2"], BOTH),
+        (2, ["verify", "unitarity", "--series", "holo", "--lambda=2", "--N=0"], BOTH),
+        (2, ["verify", "lemmas", "--samples=0"], BOTH),
+        (2, ["verify", "unitarity", "--frobnicate"], BOTH),
+        (0, ["verify", "reducible-lambda", "--lambda", "1"], ["mobshift.inductive"]),
+        (0, ["verify", "unitarity", "--series", "holo", "--lambda=2", "--N=16", "--pad=4"], ["mobshift.inductive"]),
+        (0, ["verify", "infinitesimal", "--series", "holo", "--lambda=2", "--N=16", "--pad=4"], ["mobshift.inductive"]),
+        (0, ["sweep", "--series", "holo", "--lambda-grid=2", "--suites=unitarity,homogeneity"], ["mobshift.inductive"]),
+        (0, ["verify", "normalizer", "--series", "holo", "--lambda=2", "--N=32"], []),
+    ],
+    ids=["weights csv", "weights json", "weights refusal", "window refusal", "count refusal", "argparse refusal",
+         "seam", "unitarity", "infinitesimal", "sweep", "normalizer"],
+)
+def test_the_process_entry_runs_only_the_certificate_modules_that_the_command_reads(code, argv, unexecuted):
+    # cli binds homogeneity and inductive lazily: import registers both, and a module runs
+    # (and is compiled) at the first read of one of its names
+    proc = run_process(argv, CERTIFICATES_AT_EXIT)
+    assert proc.returncode == code
+    assert proc.stderr.decode().splitlines()[-1] == repr(unexecuted)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_a_stdout_that_cannot_take_the_output_ends_the_process_with_120():
+    # the process entry leaves by os._exit after its own flush, which reports a full stdout
+    # as the interpreter's exit would: one "Exception ignored" note and status 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    argv = ["weights", "--series", "holo", "--lambda", "2", "--n0", "0", "--n1", "3"]
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "mobshift.cli", *argv], env=dict(env, PYTHONPATH=SRC),
+                              stdout=full, stderr=subprocess.PIPE, timeout=300)
+    assert proc.returncode == 120
+    assert proc.stderr.decode().splitlines()[-1] == "OSError: [Errno 28] No space left on device"
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
