@@ -12,8 +12,9 @@ brings the shift there too); each ``sweep`` cell runs that loop over its suites.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad usage or
 parameters, 3 a numerical failure (a generator that is not skew-Hermitian in
-the orthonormal basis because the basis norms do not match its action, a
-``classify`` fit that overflows, or too little memory for the window).
+the orthonormal basis because the basis norms do not match its action, or
+whose spectrum overflows at the flow time, a ``classify`` fit that overflows,
+or too little memory for the window).
 Identical arguments and seed produce byte-identical output.  ``--N`` is
 bounded (``MAX_N``), and so are ``verify lemmas --samples`` and the rows of
 ``weights`` (--n0 to --n1, each within +-2**53, where a float n is exact;
@@ -26,12 +27,13 @@ Importing this module does not import numpy: the package binds it lazily
 command that forms none never pays for it: a refusal, ``verify lemmas``,
 ``verify reducible-lambda`` (it reads the seam row from scalar coefficients),
 ``weights`` (it reads the scalar ``specialfn.norm_ratio`` and shift
-coefficients, Python floats) and ``classify`` (a closed-form least-squares
-line), whatever its file holds.  The certificate modules ``homogeneity`` and
+coefficients, Python floats) and ``classify`` (a least-squares line in exact
+rationals), whatever its file holds.  The certificate modules ``homogeneity`` and
 ``inductive`` are bound the same way (``numkernel.bind_lazily``): import
 registers both, and each runs, and is compiled, at a command's first read of
-one of its names, so ``weights`` and a refusal run neither, and ``inductive``
-runs only for the normalizer, ``verify lemmas`` and ``classify``.
+one of its names: ``homogeneity`` for its suites (and a ``sweep`` of them),
+``inductive`` for the normalizer, ``verify lemmas`` and ``classify``, and neither
+for ``weights``, unitarity or a refusal.
 ``json`` is imported where JSON is printed.
 
 ``main()`` without argv is the process entry (``python -m mobshift.cli`` and the
@@ -56,7 +58,7 @@ import os
 import random
 import sys
 
-from .errors import NumericsError, ParameterError
+from .errors import DefectReport, NumericsError, ParameterError
 from .mobius import GroupPath, path_to_mobius
 from .numkernel import BILATERAL, OperatorMatrix, TruncationWindow, UNILATERAL, bind_lazily
 from .repn import (
@@ -202,10 +204,12 @@ def _operator(op: str, rel: Realization, w: TruncationWindow) -> OperatorMatrix:
 def _path_reports(suites, rel: Realization, w: TruncationWindow, paths, op=None, tolerance=None, context=None):
     """Yield the report of each suite along each path, building R once per path
     unless the normalizer, which reads the path instead, runs alone.  The suites'
-    default tolerances are read first: every suite reports through ``homogeneity``
-    and the normalizer is ``inductive``'s, so each module runs before the first
-    array, and the memory its compile frees is reused by numpy's import."""
-    tols = {"unitarity": DEFAULT_UNITARITY_TOL, "homogeneity": homogeneity.DEFAULT_HOMOGENEITY_TOL}
+    default tolerances are read first, so the certificate module of each suite that
+    runs executes before the first array, and numpy's import reuses the memory that
+    its compile frees; unitarity alone executes neither."""
+    tols = {"unitarity": DEFAULT_UNITARITY_TOL}
+    if "homogeneity" in suites:
+        tols["homogeneity"] = homogeneity.DEFAULT_HOMOGENEITY_TOL
     if "normalizer" in suites:
         tols["normalizer"] = inductive.DEFAULT_NORMALIZER_TOL
     T = None if op is None else _operator(op, rel, w)
@@ -215,7 +219,7 @@ def _path_reports(suites, rel: Realization, w: TruncationWindow, paths, op=None,
             tol = tols[suite] if tolerance is None else tolerance
             ctx = dict(context or {}, suite=suite, path=path.describe())
             if suite == "unitarity":
-                yield homogeneity.DefectReport.build("unitarity", unitarity_residual(R, w), tol, ctx)
+                yield DefectReport.build("unitarity", unitarity_residual(R, w), tol, ctx)
             elif suite == "homogeneity":
                 yield homogeneity.homogeneity_defect(T, R, path_to_mobius(path), w, tolerance=tol, context=ctx)
             else:
@@ -280,7 +284,7 @@ def _suite_lemmas(args):
                 "sample": i,
                 "seed": args.seed,
             }
-            yield homogeneity.DefectReport.build(f"ladder_{side}", value, tol, ctx)
+            yield DefectReport.build(f"ladder_{side}", value, tol, ctx)
 
 
 def _window(args, series: str) -> TruncationWindow:
@@ -304,18 +308,18 @@ def _verify_setup(args):
     return rel, w, ctx["op"], ctx
 
 
-def _suite_along_paths(args) -> list[homogeneity.DefectReport]:
+def _suite_along_paths(args) -> list[DefectReport]:
     rel, w, op, ctx = _verify_setup(args)
     return list(_path_reports([args.suite], rel, w, _paths(args), op, args.tolerance, ctx))
 
 
-def _suite_infinitesimal(args) -> list[homogeneity.DefectReport]:
+def _suite_infinitesimal(args) -> list[DefectReport]:
     rel, w, op, ctx = _verify_setup(args)
     kwargs = {} if args.tolerance is None else {"identity_tol": args.tolerance}
     return homogeneity.infinitesimal_reports(_operator(op, rel, w), rel, w, step=args.step, context=ctx, **kwargs)
 
 
-def _suite_reducible_lambda(args) -> list[homogeneity.DefectReport]:
+def _suite_reducible_lambda(args) -> list[DefectReport]:
     rel = _realization(REDUCIBLE, args.lam, r=args.r)
     w = _window(args, REDUCIBLE)
     tol = args.tolerance if args.tolerance is not None else homogeneity.DEFAULT_REDUCIBLE_TOL
@@ -516,10 +520,12 @@ def build_parser(argv) -> argparse.ArgumentParser:
             sp.add_argument("--op", choices=OP_CHOICES, help="operator under test (default: the family's own)")
         if suite in ("unitarity", "homogeneity", "normalizer"):
             sp.add_argument("--path", action="append", help="flow path gen:time[,gen:time...]; repeatable")
+        tolerance = "the suite tolerance"
         if suite == "infinitesimal":
             step = homogeneity.DEFAULT_FD_STEP
             sp.add_argument("--step", type=float, default=step, help=f"finite-difference step (default {step:g})")
-        sp.add_argument("--tolerance", type=float, help="override the suite tolerance")
+            tolerance = f"the identity tolerance (the route gap keeps {homogeneity.DEFAULT_ROUTE_TOL:g})"
+        sp.add_argument("--tolerance", type=float, help=f"override {tolerance}")
 
     cp = sub.add_parser("classify", help="classify a step-(-1) coefficient file")
     if command == "classify":

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and ``value_type``, the class
-decorator of its immutable value types.
+"""Exception types shared across the package, ``value_type``, the class
+decorator of its immutable value types, and ``DefectReport``, the report of every
+certificate, which every command loads from here.
 
 Two families matter to callers: ``NumericsError`` covers computations that
 could not be completed to the required accuracy (the CLI maps these to exit
@@ -7,6 +8,8 @@ code 3), and ``ParameterError`` covers inputs outside an operation's domain
 (exit code 2).  ``value_type`` gives every class it decorates the same few
 methods, which ``dataclasses`` would compile anew for each class at import.
 """
+
+import math
 
 
 def value_type(cls=None, *, eq: bool = True, hide: tuple = ()):
@@ -66,6 +69,39 @@ def _eq(self, other):
 
 def _hash(self):
     return hash(_key(self))
+
+
+@value_type
+class DefectReport:
+    """Named residual with its tolerance, verdict, and reproducing context."""
+
+    name: str
+    value: float
+    tolerance: float
+    passed: bool
+    context: dict = {}
+
+    @classmethod
+    def build(cls, name: str, value: float, tolerance: float, context: dict | None = None) -> "DefectReport":
+        value = float(value)
+        tolerance = float(tolerance)
+        if not value >= 0.0:
+            raise ParameterError(f"defect value must be non-negative, got {value}")
+        if not 0.0 < tolerance < math.inf:  # an infinite one passes everything and is not JSON
+            raise ParameterError(f"tolerance must be positive and finite, got {tolerance}")
+        return cls(name, value, tolerance, value <= tolerance, dict(context or {}))
+
+    def to_json(self) -> str:
+        import json  # loaded where JSON is printed: a sweep's CSV never pays it
+
+        payload = {
+            "name": self.name,
+            "value": self.value,
+            "tolerance": self.tolerance,
+            "pass": self.passed,
+            "context": self.context,
+        }
+        return json.dumps(payload, sort_keys=True)
 
 
 class NumericsError(Exception):

@@ -15,9 +15,7 @@ turned a quarter by exp(pi/4 h), and e and f are (L -/+ iM)/2.
 
 from __future__ import annotations
 
-import math
-
-from .errors import ParameterError, value_type
+from .errors import DefectReport, ParameterError
 from .mobius import MobiusElement
 from .numkernel import (
     BILATERAL,
@@ -43,39 +41,6 @@ DEFAULT_HOMOGENEITY_TOL = 1e-6
 DEFAULT_IDENTITY_TOL = 1e-6
 DEFAULT_ROUTE_TOL = 1e-7
 DEFAULT_REDUCIBLE_TOL = 1e-9
-
-
-@value_type
-class DefectReport:
-    """Named residual with its tolerance, verdict, and reproducing context."""
-
-    name: str
-    value: float
-    tolerance: float
-    passed: bool
-    context: dict = {}
-
-    @classmethod
-    def build(cls, name: str, value: float, tolerance: float, context: dict | None = None) -> "DefectReport":
-        value = float(value)
-        tolerance = float(tolerance)
-        if not value >= 0.0:
-            raise ParameterError(f"defect value must be non-negative, got {value}")
-        if not 0.0 < tolerance < math.inf:  # an infinite one passes everything and is not JSON
-            raise ParameterError(f"tolerance must be positive and finite, got {tolerance}")
-        return cls(name, value, tolerance, value <= tolerance, dict(context or {}))
-
-    def to_json(self) -> str:
-        import json  # loaded where JSON is printed: a sweep's CSV never pays it
-
-        payload = {
-            "name": self.name,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "context": self.context,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def mobius_of_operator(phi: MobiusElement, T: OperatorMatrix) -> OperatorMatrix:
@@ -124,17 +89,10 @@ def homogeneity_defect(
     return DefectReport.build("homogeneity", value, tolerance, context)
 
 
-def kappa_flow_derivative(
-    T: OperatorMatrix,
-    rel: Realization,
-    w: TruncationWindow,
-    step: float = DEFAULT_FD_STEP,
-    generator: OperatorMatrix | None = None,
-) -> np.ndarray:
+def kappa_flow_derivative(T: OperatorMatrix, rel: Realization, w: TruncationWindow, step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Interior block (rows and columns ``w.interior_positions()``) of d/ds at 0 of
     R(exp sL) T R(exp sL)^{-1}, the flow of X = L, by central differences, for a
-    shift T on diagonal m; any other T raises ``ParameterError``.  ``generator`` is
-    dR(L), ``rel.generator("L", w)``, when the caller has built it already.
+    shift T on diagonal m; any other T raises ``ParameterError``.
 
     e^{+-sX} = D (C -/+ i S) D^-1, so class 0 cancels exactly, and the difference is class 1
     of R T R^-1 for R = e^{sX} (``numkernel._conjugated_block``) over s, O(|P|^2 n).  M, e
@@ -145,24 +103,21 @@ def kappa_flow_derivative(
         raise ParameterError(f"step {step} outside [{_STEP_MIN}, {_STEP_MAX}]")
     if T.single_diagonal is None:
         raise ParameterError("the flow derivative is taken for a shift: T needs a single diagonal")
-    a = rel.generator("L", w) if generator is None else generator
+    a = rel.generator("L", w)
     T._require_compatible(a)
     block = _conjugated_block(a, step, T, *_interior_bounds(T, w), (1,))
     block /= step
     return block
 
 
-def kappa_commutator(
-    T: OperatorMatrix, rel: Realization, w: TruncationWindow, generator: OperatorMatrix | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def kappa_commutator(T: OperatorMatrix, rel: Realization, w: TruncationWindow) -> tuple[np.ndarray, np.ndarray]:
     """[dR(L), T] for a shift T on diagonal m, the exact derivative of L's conjugation
     flow at s = 0, as its diagonals m - 1 and m + 1 in ``np.diagonal`` order: band
-    products, O(N).  ``generator`` is dR(L) when the caller has built it already.
-    Any other T raises ``ParameterError``."""
+    products, O(N).  Any other T raises ``ParameterError``."""
     band = T.single_diagonal
     if band is None:
         raise ParameterError("the commutator route is taken for a shift: T needs a single diagonal")
-    a = rel.generator("L", w) if generator is None else generator
+    a = rel.generator("L", w)
     commutator = a @ T - T @ a
     return commutator.diagonal(band[0] - 1), commutator.diagonal(band[0] + 1)
 
@@ -183,8 +138,8 @@ def infinitesimal_reports(
     route gap is an entrywise maximum against ``DEFAULT_ROUTE_TOL``, since its
     floor is the central-difference bias at the given step.
 
-    Only L's interior flow block and L's commutator are formed, from one build of L's
-    generator.  M is L turned a quarter by exp(pi/4 h): dR(M) = Q dR(L) Q^-1 with
+    Only L's interior flow block and L's commutator are formed, each from its own O(N)
+    build of L's generator; the flow's spectrum is cached on content.  M is L turned a quarter by exp(pi/4 h): dR(M) = Q dR(L) Q^-1 with
     Q = diag(omega^k), which is exp(pi/4 dR(h)) up to a phase, omega = -i (i under the
     sharp twist).  For a shift T on diagonal m (any other T raises ``ParameterError``),
     Q^-1 T Q = omega^m T, so M's flow and commutator are L's with block entry (i, j)
@@ -197,15 +152,14 @@ def infinitesimal_reports(
     diagonal's |c d - target|^2, and its route gap the largest |c(r)| P_r and
     |c| max|d - commutator|, so a NaN anywhere reaches both.
     """
-    a = rel.generator("L", w)  # once: the commutator and the flow both read it
-    low, high = kappa_commutator(T, rel, w, a)  # refuses all but a shift
+    low, high = kappa_commutator(T, rel, w)  # refuses all but a shift
     m, (p0, p1) = T.single_diagonal[0], _interior_bounds(T, w)
     square = (T @ T).diagonal(2 * m)  # T^2's one diagonal
     targets = {"L": (1, -1), "M": (-1j, -1j), "e": (0, -1), "f": (1, 0)}  # X's target a T^2 + b I
     omega = -1j * rel._sign("h")
     turn = np.array([1, omega, -1, -omega])  # omega^r, each a power of i, exact
     scales = {"L": np.ones(4), "M": turn, "e": 0.5 - 0.5j * turn, "f": 0.5 + 0.5j * turn}
-    flow = kappa_flow_derivative(T, rel, w, step, a)  # a fresh block: the suite zeroes its diagonals
+    flow = kappa_flow_derivative(T, rel, w, step)  # a fresh block: the suite zeroes its diagonals
     n, diagonals = p1 - p0, []
     for q in dict.fromkeys((2 * m, 0, m - 1, m + 1)):  # distinct: at m = 0 both targets are on diagonal 0
         k = np.arange(max(-q, 0), min(n, n - q))  # the block's rows on diagonal q

@@ -13,8 +13,7 @@ from __future__ import annotations
 import cmath
 from typing import Mapping
 
-from .errors import NumericsError, ParameterError, value_type
-from .homogeneity import DefectReport
+from .errors import DefectReport, NumericsError, ParameterError, value_type
 from .mobius import GroupPath
 from .numkernel import (
     BILATERAL,
@@ -80,6 +79,19 @@ class AminusOneFit:
     tie: bool = False
 
 
+def _gaussian(z: complex) -> tuple:
+    """The complex float z as a Gaussian rational: the pair of ``fractions.Fraction``
+    of its parts, each exact."""
+    from fractions import Fraction  # loaded where an exact fit is made, as json where JSON is printed
+
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _gaussian_product(z: tuple, w: tuple) -> tuple:
+    """The product of two Gaussian rationals, exact."""
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
 def classify_a_minus1(a: Mapping[int, complex], p: RepnParams) -> AminusOneFit:
     """Fit a step-(-1) coefficient family and decide which branch it solves.
 
@@ -88,9 +100,11 @@ def classify_a_minus1(a: Mapping[int, complex], p: RepnParams) -> AminusOneFit:
     a_n = (lam + mu + n)/(n + 1 - mu) gives a = -b (lam + mu) (the T3
     branch).  When both factors vanish the branches coincide, which happens
     exactly at mu = (1 - lam)/2; that case is reported as T2 with a tie flag.
-    A non-finite coefficient or an n past +-2**53, where float(n) is not exact,
-    raises ``ParameterError``, and finite ones whose fit overflows raise
-    ``NumericsError``.
+    The least-squares line, its residual and both factors are computed exactly,
+    in Gaussian rationals (``_gaussian``) from the floats given, and rounded once,
+    so no digit of mu is lost against a large |n|.  A non-finite coefficient or an
+    n past +-2**53 (as ``weights`` refuses it) raises ``ParameterError``, and finite
+    ones whose fit overflows a double raise ``NumericsError``.
     """
     if p.index_set != BILATERAL:
         raise ParameterError("the affine classifier needs the bilateral index set")
@@ -98,30 +112,31 @@ def classify_a_minus1(a: Mapping[int, complex], p: RepnParams) -> AminusOneFit:
     if len(items) < 3:
         raise ParameterError("need at least 3 coefficients")
     for n, v in items:
-        if abs(n) > 2**53:  # past it, float(n) is not exact
+        if abs(n) > 2**53:
             raise ParameterError(f"n={n} must lie within +-{2**53}")
         if not cmath.isfinite(v):
             raise ParameterError(f"non-finite coefficient at n={n}")
-    overflow = "the affine fit of these coefficients overflows double precision"
-    # the centred least-squares line y = a - b n; 3 or more distinct n give it rank 2
-    try:  # Python raises where numpy would overflow: abs of a complex, float of a large int
-        xs = [float(n) for n, _ in items]
-        ys = [v * (p.mu - x - 1.0) for x, (_, v) in zip(xs, items)]
-        x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
-        dxs = [x - x_mean for x in xs]
-        spread = sum(d * d for d in dxs)
-        b_fit = -sum(d * y for d, y in zip(dxs, ys)) / spread
-        a_fit = y_mean + b_fit * x_mean
-        factor_t2 = a_fit + b_fit * (1.0 - p.mu)
-        factor_t3 = a_fit + b_fit * (p.lam + p.mu)
-        residual = max(abs(y - (a_fit - b_fit * x)) for x, y in zip(xs, ys))
-        if not all(map(cmath.isfinite, (spread, a_fit, b_fit, residual, factor_t2, factor_t3))):
-            raise NumericsError(overflow)
+    # the least-squares line y = a - b n through y_n = a_n (mu - n - 1); 3 or more distinct n give it rank 2
+    mu = _gaussian(p.mu)
+    ys = [(n, _gaussian_product(_gaussian(v), (mu[0] - n - 1, mu[1]))) for n, v in items]
+    k, sx, sxx = len(ys), sum(n for n, _ in ys), sum(n * n for n, _ in ys)
+    sy = [sum(y[i] for _, y in ys) for i in (0, 1)]
+    sxy = [sum(n * y[i] for n, y in ys) for i in (0, 1)]
+    b = [(sx * sy[i] - k * sxy[i]) / (k * sxx - sx * sx) for i in (0, 1)]
+    a = [(sy[i] + b[i] * sx) / k for i in (0, 1)]
+    # a + b c at c = 1 - mu, T2's factor, and at c = lam + mu, T3's
+    lam = _gaussian(p.lam)[0]
+    products = _gaussian_product(b, (1 - mu[0], -mu[1])), _gaussian_product(b, (lam + mu[0], mu[1]))
+    factors = [(a[0] + bc[0], a[1] + bc[1]) for bc in products]
+    residuals = [(y[0] - a[0] + b[0] * n, y[1] - a[1] + b[1] * n) for n, y in ys]
+    try:  # a Fraction past the double range raises where it is rounded, as abs of a complex does
+        a_fit, b_fit, factor_t2, factor_t3 = (complex(float(z[0]), float(z[1])) for z in (a, b, *factors))
+        residual = max(abs(complex(float(re), float(im))) for re, im in residuals)
         scale = max(1.0, abs(a_fit), abs(b_fit))
         hit_t2 = abs(factor_t2) <= _BRANCH_TOL * scale
         hit_t3 = abs(factor_t3) <= _BRANCH_TOL * scale
-    except (OverflowError, ZeroDivisionError):
-        raise NumericsError(overflow) from None
+    except OverflowError:
+        raise NumericsError("the affine fit of these coefficients overflows double precision") from None
     if hit_t2 and hit_t3:
         if abs(p.mu - (1.0 - p.lam) / 2.0) <= _TIE_TOL:
             return AminusOneFit(a_fit, b_fit, residual, FIT_T2, tie=True)

@@ -36,6 +36,7 @@ import sys
 from .errors import (
     EmptyInteriorError,
     NotSkewAdjointError,
+    NumericsError,
     ParameterError,
     SingularMatrixError,
     WindowMismatchError,
@@ -322,23 +323,6 @@ class OperatorMatrix:
         return OperatorMatrix._adopt(self.window, self.basis, bands={-m: d.conj() for m, d in self._banded().items()})
 
 
-@value_type(eq=False)
-class _Spectrum:
-    """e^{tX} = D (cos tHr - i sin tHr) D^-1 data for one tridiagonal generator X.
-
-    D = diag(``phases``) is X's own; the rest is shared by every generator with
-    the same Hr.  P = diag((-1)^k) reflects Hr, P Hr P = -Hr, so each eigenpair
-    (lambda > 0, q) has the partner (-lambda, P q), orthogonal to it, and the
-    rest is Hr's kernel.  ``values`` are the positive lambda, ``even`` and ``odd``
-    the even and odd rows of their q, each column scaled to unit norm.
-    """
-
-    values: np.ndarray
-    even: np.ndarray
-    odd: np.ndarray
-    phases: np.ndarray
-
-
 def _band_form(X: "OperatorMatrix") -> tuple[np.ndarray, np.ndarray]:
     """Hr's off-diagonal and the phases of a skew-Hermitian generator X on the +-1
     diagonals, read from those two bands.
@@ -366,8 +350,11 @@ def _band_form(X: "OperatorMatrix") -> tuple[np.ndarray, np.ndarray]:
 def _real_eigh(off_diagonal: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The positive eigenvalues of the real symmetric tridiagonal Hr with these
     off-diagonal bytes and a zero diagonal, and the even and odd rows of their
-    eigenvectors, scaled to unit columns.
+    eigenvectors, scaled to unit columns: half of the spectrum, the reflection of
+    the other half.
 
+    P = diag((-1)^k) reflects Hr, P Hr P = -Hr, so each eigenpair (lambda > 0, q)
+    has the partner (-lambda, P q), orthogonal to it, and the rest is Hr's kernel.
     eigh sorts the values, so with a kernel of dimension d the positive ones
     are the last (n - d) / 2.  d needs no tolerance: the exact zeros of the
     off-diagonal cut Hr into irreducible blocks, and such a block is singular,
@@ -384,25 +371,23 @@ def _real_eigh(off_diagonal: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return values[first:], even / np.linalg.norm(even, axis=0), odd / np.linalg.norm(odd, axis=0)
 
 
-def _spectrum(X: OperatorMatrix) -> _Spectrum:
-    """Spectral data of a tridiagonal X: its own checks and phases, run before
-    the lookup so that a hit never vouches for X, and the real eigh of Hr
-    cached on Hr's content, which L and M of one family and window share."""
+def _parity_blocks(X: OperatorMatrix, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """cos tHr on the even positions, cos tHr on the odd ones, sin tHr from even to
+    odd positions (Hr links only even to odd), and the phases d of e^{tX} = D (cos tHr
+    - i sin tHr) D^-1, D = diag(d): X's own checks (``_band_form``) run before the
+    lookup of ``_real_eigh``, so a cache hit never vouches for X, and a t lambda past
+    the double range raises ``NumericsError`` before any sine.
+
+    Three real half-size products over the positive half of the spectrum: with u and
+    v the unit even and odd halves of q, a pair (lambda, q) and its partner
+    (-lambda, P q) add sin(t lambda) u v^T to sin tHr, and (1 - cos t lambda) u u^T
+    and v v^T to I - cos tHr; the kernel adds to neither.  Near 0, rounding mixes q
+    with its partner and the kernel by about eps ||Hr|| / lambda, but these weights
+    are of order lambda^2, so the mixing does not reach the blocks."""
     mod, phases = _band_form(X)
-    return _Spectrum(*_real_eigh(mod.tobytes()), phases)
-
-
-def _parity_blocks(spec: _Spectrum, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cos tHr on the even positions, cos tHr on the odd ones, and sin tHr from
-    even to odd positions (Hr links only even positions to odd ones): three real
-    half-size products over the positive half of the spectrum.
-
-    With u and v the unit even and odd halves of q, a pair (lambda, q) and its
-    partner add sin(t lambda) u v^T to sin tHr, and (1 - cos t lambda) u u^T
-    and v v^T to I - cos tHr; the kernel adds to neither.  Near 0, rounding
-    mixes q with its partner and the kernel by about eps ||Hr|| / lambda, but
-    these weights are of order lambda^2, so the mixing does not reach the blocks."""
-    u, v, tv = spec.even, spec.odd, t * spec.values
+    values, u, v = _real_eigh(mod.tobytes())
+    if not np.isfinite(tv := t * values).all():
+        raise NumericsError(f"the generator's spectrum times t = {t:g} overflows double precision")
     # the weight 1 - cos t lambda = a^2 with a = sqrt(2) |sin(t lambda / 2)|, so each
     # block is I - (w a)(w a)^T: one operand read twice, which BLAS forms as syrk
     root = np.sqrt(2.0) * np.abs(np.sin(0.5 * tv))
@@ -413,7 +398,7 @@ def _parity_blocks(spec: _Spectrum, t: float) -> tuple[np.ndarray, np.ndarray, n
         np.negative(block, out=block)
         block.flat[:: block.shape[0] + 1] += 1.0
         blocks.append(block)
-    return *blocks, (u * np.sin(tv)) @ v.T
+    return *blocks, (u * np.sin(tv)) @ v.T, phases
 
 
 def mat_exp(X: OperatorMatrix, t: float = 1.0, left=1.0, right=1.0) -> OperatorMatrix:
@@ -424,22 +409,20 @@ def mat_exp(X: OperatorMatrix, t: float = 1.0, left=1.0, right=1.0) -> OperatorM
     X must be skew-Hermitian to ``SKEW_TOL`` relative to its largest entry;
     then e^{tX} = D (cos tHr - i sin tHr) D^-1 with Hr = Q Lambda Q^T real
     (see ``_band_form``): one real eigh per family and window, whose positive
-    half is cached for the last one (see ``_spectrum``), and each t costs the
+    half is cached for the last one (see ``_real_eigh``), and each t costs the
     three real half-size products of ``_parity_blocks``.  Any other generator
     raises ``NotSkewAdjointError``, a diagonal one too (callers take its scalar
     exponentials), as do one stored dense and one built in the orthonormal
     basis of norms that do not match its action.
     """
-    t = float(t)
-    spec = _spectrum(X)
-    cos_even, cos_odd, sin_eo = _parity_blocks(spec, t)
+    cos_even, cos_odd, sin_eo, phases = _parity_blocks(X, float(t))
     out = np.zeros((X.window.size,) * 2, dtype=np.complex128)
     out.real[0::2, 0::2] = cos_even
     out.real[1::2, 1::2] = cos_odd
     out.imag[0::2, 1::2] = -sin_eo
     out.imag[1::2, 0::2] = -sin_eo.T
-    out *= (left * spec.phases)[:, None]
-    out /= (spec.phases / right)[None, :]
+    out *= (left * phases)[:, None]
+    out /= (phases / right)[None, :]
     return OperatorMatrix._adopt(X.window, X.basis, data=out)
 
 
@@ -456,9 +439,8 @@ def _conjugated_block(X: OperatorMatrix, t: float, T: OperatorMatrix, lo: int, h
     the block's rows of parity (q + cp + m) % 2 of C and S: O(|B|^2 n) per class, with
     temporaries of O(N * TILE).  The block's rows are then scaled by a, its columns by 1 / a.
     """
-    spec = _spectrum(X)
-    cos_even, cos_odd, sin_eo = _parity_blocks(spec, float(t))
-    (m, band), d = T.single_diagonal, spec.phases
+    cos_even, cos_odd, sin_eo, d = _parity_blocks(X, float(t))
+    m, band = T.single_diagonal
     a, b, n, r0, c0, k = left * d, d / right, d.size, max(-m, 0), max(m, 0), band.size
     band = (band / b[r0 : r0 + k] * b[c0 : c0 + k])[:, None]
     # the block's even and odd positions as rows of the parity blocks, and the rows of C

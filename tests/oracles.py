@@ -52,7 +52,6 @@ from mobshift.numkernel import (
     OperatorMatrix,
     TruncationWindow,
     _parity_blocks,
-    _spectrum,
     mat_exp,
 )
 from mobshift.repn import (
@@ -242,12 +241,10 @@ def whole_window_flow_derivative(T, X, rel, w, step: float) -> np.ndarray:
     C = cos(step Hr) and S = sin(step Hr) assembled from their parity blocks into
     dense window-sized arrays and multiplied out, the oracle of the interior block
     that ``kappa_flow_derivative`` forms."""
-    spec = _spectrum(rel.generator(X, w))
-    cos_even, cos_odd, sin_eo = _parity_blocks(spec, step)
+    cos_even, cos_odd, sin_eo, d = _parity_blocks(rel.generator(X, w), step)
     c, s = np.zeros((w.size, w.size)), np.zeros((w.size, w.size))
     c[0::2, 0::2], c[1::2, 1::2] = cos_even, cos_odd
     s[0::2, 1::2], s[1::2, 0::2] = sin_eo, sin_eo.T
-    d = spec.phases
     tp = T.data / d[:, None] * d[None, :]
     return (1j / step) * (c @ tp @ s - s @ tp @ c) * d[:, None] / d[None, :]
 

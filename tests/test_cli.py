@@ -795,6 +795,41 @@ def test_verify_unitarity_at_large_im_mu(capsys, im_mu):
     assert max(r["value"] for r in reports) <= 1e-13
 
 
+#: valid family parameters at the ends of the double range
+EXTREMES = {
+    "principal im mu 1e307": ["--series=principal", "--lambda=0.3", "--im-mu=1e307"],
+    "principal im mu 1e308": ["--series=principal", "--lambda=0.3", "--im-mu=1e308"],
+    "holo lambda 1e-310": ["--series=holo", "--lambda=1e-310"],
+    "holo lambda 1e150": ["--series=holo", "--lambda=1e150"],
+    "antiholo lambda 1e150": ["--series=antiholo", "--lambda=1e150"],
+    "complementary mu 1e-300": ["--series=complementary", "--lambda=0.3", "--mu=1e-300"],
+    "reducible r 10 at lambda 1": ["--series=reducible", "--lambda=1", "--r=10"],
+    "reducible r 10 at lambda 1e-300": ["--series=reducible", "--lambda=1e-300", "--r=10"],
+}
+
+
+@pytest.mark.parametrize("suite", ["unitarity", "homogeneity", "normalizer", "infinitesimal"])
+@pytest.mark.parametrize("family", EXTREMES.values(), ids=EXTREMES)
+def test_extreme_valid_parameters_give_reports_or_one_line(capsys, family, suite):
+    # in process, so a RuntimeWarning is an error here: each run either reports in JSON
+    # lines with a silent stderr or refuses with one stderr line
+    code, out, err = run(capsys, ["verify", suite, *family, "--N=8"])
+    if code in (0, 1):
+        assert err == "" and out and all(isinstance(json.loads(line), dict) for line in out.splitlines())
+    else:
+        assert code in (2, 3) and out == "" and len(err.splitlines()) == 1, (code, err)
+
+
+@pytest.mark.parametrize("suite", ["unitarity", "homogeneity", "normalizer", "infinitesimal"])
+def test_a_spectrum_past_the_double_range_exits_three(capsys, suite):
+    # Hr's largest eigenvalues overflow to inf at Im mu = 1e308: refused before any sin, at
+    # the first path's L:0.1, or at the flow derivative's step
+    code, out, err = run(capsys, ["verify", suite, *EXTREMES["principal im mu 1e308"], "--N=8"])
+    t = "0.0001" if suite == "infinitesimal" else "0.1"
+    assert (code, out) == (3, "")
+    assert err == f"numerical failure: the generator's spectrum times t = {t} overflows double precision\n"
+
+
 def test_certificate_suites_call_no_inverse_solve_or_resolvent(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no CLI certificate may invert or solve")
@@ -1368,18 +1403,22 @@ BOTH = ["mobshift.homogeneity", "mobshift.inductive"]
         (2, ["verify", "lemmas", "--samples=0"], BOTH),
         (2, ["verify", "unitarity", "--frobnicate"], BOTH),
         (0, ["verify", "reducible-lambda", "--lambda", "1"], ["mobshift.inductive"]),
-        (0, ["verify", "unitarity", "--series", "holo", "--lambda=2", "--N=16", "--pad=4"], ["mobshift.inductive"]),
+        (0, ["verify", "unitarity", "--series", "holo", "--lambda=2", "--N=16", "--pad=4"], BOTH),
+        (0, ["sweep", "--series", "holo", "--lambda-grid=2", "--N=16", "--pad=4", "--suites=unitarity"], BOTH),
         (0, ["verify", "infinitesimal", "--series", "holo", "--lambda=2", "--N=16", "--pad=4"], ["mobshift.inductive"]),
         (0, ["sweep", "--series", "holo", "--lambda-grid=2", "--suites=unitarity,homogeneity"], ["mobshift.inductive"]),
-        (0, ["verify", "normalizer", "--series", "holo", "--lambda=2", "--N=32"], []),
+        (0, ["verify", "normalizer", "--series", "holo", "--lambda=2", "--N=32"], ["mobshift.homogeneity"]),
+        (0, ["verify", "lemmas", "--samples=3"], ["mobshift.homogeneity"]),
+        (0, ["classify", "--file={t2}", "--lambda=0.3", "--mu-re=0.35", "--mu-im=0.7"], ["mobshift.homogeneity"]),
     ],
     ids=["weights csv", "weights json", "weights refusal", "window refusal", "count refusal", "argparse refusal",
-         "seam", "unitarity", "infinitesimal", "sweep", "normalizer"],
+         "seam", "unitarity", "sweep unitarity", "infinitesimal", "sweep", "normalizer", "lemmas", "classify"],
 )
-def test_the_process_entry_runs_only_the_certificate_modules_that_the_command_reads(code, argv, unexecuted):
+def test_the_process_entry_runs_only_the_certificate_modules_that_the_command_reads(tmp_path, code, argv, unexecuted):
     # cli binds homogeneity and inductive lazily: import registers both, and a module runs
-    # (and is compiled) at the first read of one of its names
-    proc = run_process(argv, CERTIFICATES_AT_EXIT)
+    # (and is compiled) at the first read of one of its names; every report is errors'
+    t2 = write_coeffs(tmp_path, "t2.csv", ["0,1.5,-0.5", "1,1.5,-0.5", "2,1.5,-0.5"])
+    proc = run_process([arg.format(t2=t2) for arg in argv], CERTIFICATES_AT_EXIT)
     assert proc.returncode == code
     assert proc.stderr.decode().splitlines()[-1] == repr(unexecuted)
 

@@ -8,9 +8,8 @@ import pytest
 
 from mobshift import homogeneity, numkernel
 from mobshift.cli import DEFAULT_PATHS
-from mobshift.errors import EmptyInteriorError, ParameterError, PoleError, SingularMatrixError, WindowMismatchError
+from mobshift.errors import DefectReport, EmptyInteriorError, ParameterError, PoleError, SingularMatrixError, WindowMismatchError
 from mobshift.homogeneity import (
-    DefectReport,
     homogeneity_defect,
     infinitesimal_reports,
     kappa_commutator,
@@ -523,13 +522,17 @@ def test_kappa_commutator_is_the_band_product_bit_for_bit(rng):
                 assert np.array_equal(diagonal, product.diagonal(q)), (label, N, q)
 
 
-def test_infinitesimal_reports_build_l_once(monkeypatch):
-    # the commutator and the flow read one build of L's generator, and no other is built
+def test_infinitesimal_reports_build_only_l_and_one_spectrum(monkeypatch):
+    # the commutator and the flow each read L's generator from the realization, an O(N)
+    # band build, and no other generator is built; the flow's eigh is the only one
     generator, asked = Realization.generator, []
     monkeypatch.setattr(Realization, "generator", lambda rel, X, w: asked.append(X) or generator(rel, X, w))
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    numkernel._real_eigh.cache_clear()
     w = TruncationWindow(BILATERAL, 16, 4)
     infinitesimal_reports(orthonormal(canonical_shift("T3", PRIN, w), PRIN, w), Realization.plain(PRIN), w)
-    assert asked == ["L"]
+    assert asked == ["L", "L"] and calls == [(w.size, w.size)]
 
 
 def test_kappa_commutator_takes_a_shift():

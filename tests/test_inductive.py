@@ -22,7 +22,6 @@ from mobshift.numkernel import (
     OperatorMatrix,
     TruncationWindow,
     _parity_blocks,
-    _spectrum,
 )
 from mobshift.repn import Realization, RepnParams, generator_matrix
 from mobshift.shifts import canonical_shift, reducible_shift
@@ -276,8 +275,21 @@ def test_classifier_randomized_families(rng):
         assert classify_a_minus1(rational, p).branch == FIT_T3
 
 
+@pytest.mark.parametrize(
+    "family, branch",
+    [(lambda n: (PRIN.lam + PRIN.mu + n) / (n + 1.0 - PRIN.mu), FIT_T3), (lambda n: 1.5 - 0.5j, FIT_T2)],
+    ids=["T3", "T2"],
+)
+@pytest.mark.parametrize("far", [2**31, 2**52, -(2**53)])
+def test_classifier_keeps_the_branch_with_a_row_far_from_the_others(family, branch, far):
+    # rows n = 0, 1, 2 and one far out: a line fitted in floats lost mu's digits against |n|
+    # and read neither (residual 2.4e-8 for T3 at 2**31, 0.15 for T2 at 2**52)
+    fit = classify_a_minus1({n: family(n) for n in (0, 1, 2, far)}, PRIN)
+    assert fit.branch == branch and fit.residual <= 1e-12
+
+
 def test_classifier_fit_matches_the_lstsq_oracle(rng):
-    # the centred closed-form line against a dense least-squares solve, on random complex
+    # the exact line against a dense least-squares solve, on random complex
     # T2, T3 and neither families over random ranges of n, the tie line mu = (1 - lam)/2 among them
     for trial in range(40):
         lam = float(rng.uniform(-0.95, 0.95))
@@ -432,8 +444,8 @@ def test_normalizer_memory_stays_below_two_window_arrays(monkeypatch):
     w = TruncationWindow(BILATERAL, 256, 96)
     rel = Realization.plain(PRIN)
     T = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
-    blocks = _parity_blocks(_spectrum(rel.generator("L", w)), 0.1)
-    monkeypatch.setattr(numkernel, "_parity_blocks", lambda spec, t: blocks)
+    blocks = _parity_blocks(rel.generator("L", w), 0.1)
+    monkeypatch.setattr(numkernel, "_parity_blocks", lambda X, t: blocks)
     for text in ("L:0.1", "h:0.3"):
         assert traced_peak(normalizer_defect, T, rel, GroupPath.parse(text), w) <= 1.1 * w.size**2 * 16, text
 
@@ -445,7 +457,7 @@ def test_normalizer_call_holds_few_window_arrays():
     w = TruncationWindow(BILATERAL, 256, 96)
     rel = Realization.plain(PRIN)
     T = orthonormal(canonical_shift("T2", PRIN, w), PRIN, w)
-    _spectrum(rel.generator("L", w))
+    _parity_blocks(rel.generator("L", w), 0.1)
     for text, bound in (("L:0.1", 1.3), ("h:0.3", 0.6)):
         assert traced_peak(normalizer_defect, T, rel, GroupPath.parse(text), w) <= bound * w.size**2 * 16, text
 

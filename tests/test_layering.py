@@ -10,7 +10,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mobshift"
 #: the certificate modules, whose private names stay their own
 CERTIFICATES = {"homogeneity", "inductive"}
 #: how R(path) acts on a shift, which only numkernel and repn know
-CONJUGATION = {"_spectrum", "_parity_blocks", "_cartan_factors"}
+CONJUGATION = {"_parity_blocks", "_cartan_factors"}
 #: the Gram behind the orthonormal basis, which only specialfn and repn read
 BASIS = {"gram", "norm_sq_sequence"}
 #: the series names, which repn defines (and classify_series returns) and only cli reads besides:
@@ -36,6 +36,26 @@ def test_no_module_imports_a_private_name_of_a_certificate_module(path):
             assert not private, (node.module, private)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             assert not (node.value.id in CERTIFICATES and node.attr.startswith("_")), (node.value.id, node.attr)
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATES))
+def test_neither_certificate_module_imports_the_other(name):
+    # each takes what it needs from the layers beneath, errors' DefectReport included, so a
+    # command runs only the certificate module that it reads
+    for node in ast.walk(_tree(SRC / f"{name}.py")):
+        if isinstance(node, ast.ImportFrom):
+            imported = {(node.module or "").rpartition(".")[2]} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported = {alias.name.rpartition(".")[2] for alias in node.names}
+        else:
+            continue
+        assert not imported & CERTIFICATES, ast.unparse(node)
+
+
+def test_only_errors_defines_the_defect_report():
+    owners = [path.stem for path in MODULES for node in ast.walk(_tree(path))
+              if isinstance(node, ast.ClassDef) and node.name == "DefectReport"]
+    assert owners == ["errors"]
 
 
 def _names(path: pathlib.Path) -> set:

@@ -577,14 +577,14 @@ def test_generators_die_after_use_and_spectra_keep_half(case, N, kernel, monkeyp
     # on the spectrum, which keeps only its positive half, (size - kernel) / 2 eigenvectors
     rel, kind = SPECTRAL_CASES[case]
     w, refs = TruncationWindow(kind, N, N // 4), []
-    spectrum = numkernel._spectrum
-    monkeypatch.setattr(numkernel, "_spectrum", lambda X: refs.append(weakref.ref(X)) or spectrum(X))
+    blocks = numkernel._parity_blocks
+    monkeypatch.setattr(numkernel, "_parity_blocks", lambda X, t: refs.append(weakref.ref(X)) or blocks(X, t))
     R = rel.along_path(GroupPath.parse("L:0.1,M:-0.05,h:0.2"), w)
     block = kappa_flow_derivative(OperatorMatrix.identity(w, ORTHONORMAL), rel, w)
     assert R.data.shape == (w.size, w.size) and block.shape == (w.size - 2 * w.padding,) * 2
     assert len(refs) == 2 and all(ref() is None for ref in refs)
-    spec = numkernel._spectrum(rel.generator("L", w))
-    assert spec.values.size == spec.even.shape[1] == spec.odd.shape[1] == (w.size - kernel) // 2
+    values, even, odd = numkernel._real_eigh(numkernel._band_form(rel.generator("L", w))[0].tobytes())
+    assert values.size == even.shape[1] == odd.shape[1] == (w.size - kernel) // 2
 
 
 @pytest.mark.parametrize("case", sorted(SPECTRAL_CASES))

@@ -5,11 +5,10 @@ or default, and the repr that ``bench/tracer.py`` fingerprints inputs by."""
 import numpy as np
 import pytest
 
-from mobshift.errors import ParameterError
-from mobshift.homogeneity import DefectReport
+from mobshift.errors import DefectReport, ParameterError
 from mobshift.inductive import AminusOneFit
 from mobshift.mobius import GroupPath, MobiusElement
-from mobshift.numkernel import BILATERAL, UNILATERAL, OperatorMatrix, TruncationWindow, _Spectrum
+from mobshift.numkernel import BILATERAL, UNILATERAL, OperatorMatrix, TruncationWindow
 from mobshift.repn import Realization, RepnParams
 
 W = TruncationWindow(BILATERAL, 4, 1)
@@ -28,17 +27,13 @@ BY_VALUE = [
 #: for each class of BY_VALUE, the index of a field and another value of it
 CHANGED = {DefectReport: (1, 2e-9), AminusOneFit: (4, False), MobiusElement: (1, 0.5j), GroupPath: (0, (("L", 0.1),)),
            TruncationWindow: (2, 3), RepnParams: (1, 0.4), Realization: (2, 3 + 0j)}
-BY_IDENTITY = [
-    (_Spectrum, ("values", "even", "odd", "phases"), (np.ones(2), np.eye(2), np.eye(2), np.ones(5))),
-]
-ALL = BY_VALUE + BY_IDENTITY
 
 
 def _operator():
     return OperatorMatrix(np.eye(W.size), W)
 
 
-@pytest.mark.parametrize("cls, fields, values", ALL, ids=[c[0].__name__ for c in ALL])
+@pytest.mark.parametrize("cls, fields, values", BY_VALUE, ids=[c[0].__name__ for c in BY_VALUE])
 def test_fields_are_frozen(cls, fields, values):
     obj = cls(*values)
     for name in fields:
@@ -77,13 +72,7 @@ def test_value_types_compare_and_hash_by_value(cls, fields, values):
     assert a != tuple(values) and a.__eq__(tuple(values)) is NotImplemented
 
 
-@pytest.mark.parametrize("cls, fields, values", BY_IDENTITY, ids=[c[0].__name__ for c in BY_IDENTITY])
-def test_array_types_compare_by_identity(cls, fields, values):
-    a, b = cls(*values), cls(*values)
-    assert a == a and a != b and hash(a) != hash(b)
-
-
-@pytest.mark.parametrize("cls, fields, values", ALL, ids=[c[0].__name__ for c in ALL])
+@pytest.mark.parametrize("cls, fields, values", BY_VALUE, ids=[c[0].__name__ for c in BY_VALUE])
 def test_construction_by_position_keyword_and_default(cls, fields, values):
     positional = cls(*values)
     keyword = cls(**dict(zip(fields, values)))
