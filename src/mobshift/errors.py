@@ -2,10 +2,12 @@
 decorator of its immutable value types, and ``DefectReport``, the report of every
 certificate, which every command loads from here.
 
-Two families matter to callers: ``NumericsError`` covers computations that
-could not be completed to the required accuracy (the CLI maps these to exit
-code 3), and ``ParameterError`` covers inputs outside an operation's domain
-(exit code 2).  ``value_type`` gives every class it decorates the same few
+Every refusal an input can reach is one of two families, and its message tells one
+kind of refusal from another: ``NumericsError`` covers computations that could not be completed to the
+required accuracy (the CLI maps these to exit code 3), and ``ParameterError``
+covers inputs outside an operation's domain (exit code 2).  Beside them stay
+``solve``'s ``SingularMatrixError`` and ``WindowMismatchError``, which no
+command line reaches.  ``value_type`` gives every class it decorates the same few
 methods, which ``dataclasses`` would compile anew for each class at import.
 """
 
@@ -105,7 +107,9 @@ class DefectReport:
 
 
 class NumericsError(Exception):
-    """A computation could not be completed to the required accuracy."""
+    """A computation could not be completed to the required accuracy: a generator that is
+    not skew-Hermitian in its basis, a circle grid that cannot resolve the action, or a
+    value that overflows double precision from finite inputs."""
 
 
 class SingularMatrixError(NumericsError):
@@ -118,34 +122,9 @@ class SingularMatrixError(NumericsError):
         super().__init__(message)
 
 
-class NotSkewAdjointError(NumericsError):
-    """Matrix exponential refused: the generator is not skew-Hermitian in the basis it was built in."""
-
-
-class GridSizeError(NumericsError):
-    """Circle route refused: the coefficients beyond the Nyquist edge still exceed the
-    tolerance at ``repn.MAX_GRID``, the largest grid it samples on; the message quotes the
-    tail and that grid."""
-
-
 class ParameterError(ValueError):
-    """Inputs outside the domain an operation supports."""
-
-
-class ClassificationError(ParameterError):
-    """Parameters that do not belong to any supported series."""
-
-
-class ParameterRangeError(ParameterError):
-    """Norm recurrence left the positive reals: parameters outside the unitary range."""
-
-
-class PoleError(ParameterError):
-    """Evaluation requested at a pole."""
-
-
-class EmptyInteriorError(ParameterError):
-    """Padding leaves no interior indices."""
+    """Inputs outside the domain an operation supports: parameters of no supported family,
+    outside the unitary range or at a pole, or a padding that leaves no interior."""
 
 
 class WindowMismatchError(ValueError):

@@ -33,15 +33,7 @@ import importlib.util
 import math
 import sys
 
-from .errors import (
-    EmptyInteriorError,
-    NotSkewAdjointError,
-    NumericsError,
-    ParameterError,
-    SingularMatrixError,
-    WindowMismatchError,
-    value_type,
-)
+from .errors import NumericsError, ParameterError, SingularMatrixError, WindowMismatchError, value_type
 
 UNILATERAL = "unilateral"
 BILATERAL = "bilateral"
@@ -333,11 +325,11 @@ def _band_form(X: "OperatorMatrix") -> tuple[np.ndarray, np.ndarray]:
     similarity keeps D^-1, not D^H: over long chains |d_k| drifts off 1.
     """
     if X.bands is None or not X.bands.keys() <= {-1, 1}:
-        raise NotSkewAdjointError("generator is not stored as bands on the first off-diagonals")
+        raise NumericsError("generator is not stored as bands on the first off-diagonals")
     upper, lower = X.diagonal(1), X.diagonal(-1)
     residue = float(np.max(np.abs(lower + upper.conj())))
     if not residue <= SKEW_TOL * max(float(np.max(np.abs(upper))), float(np.max(np.abs(lower)))):
-        raise NotSkewAdjointError(
+        raise NumericsError(
             f"generator is not skew-Hermitian (residue {residue:.3e}): its basis norms do not match its action"
         )
     h = 1j * lower
@@ -411,7 +403,7 @@ def mat_exp(X: OperatorMatrix, t: float = 1.0, left=1.0, right=1.0) -> OperatorM
     (see ``_band_form``): one real eigh per family and window, whose positive
     half is cached for the last one (see ``_real_eigh``), and each t costs the
     three real half-size products of ``_parity_blocks``.  Any other generator
-    raises ``NotSkewAdjointError``, a diagonal one too (callers take its scalar
+    raises ``NumericsError``, a diagonal one too (callers take its scalar
     exponentials), as do one stored dense and one built in the orthonormal
     basis of norms that do not match its action.
     """
@@ -497,7 +489,7 @@ def _interior_bounds(A: OperatorMatrix, w: TruncationWindow) -> tuple[int, int]:
         raise WindowMismatchError("matrix window does not match the measurement window")
     p0, p1 = w.padding, w.size - w.padding
     if p0 >= p1:
-        raise EmptyInteriorError(f"padding {w.padding} leaves no interior in a size-{w.size} window")
+        raise ParameterError(f"padding {w.padding} leaves no interior in a size-{w.size} window")
     return p0, p1
 
 

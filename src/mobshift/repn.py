@@ -29,14 +29,7 @@ import cmath
 import math
 
 from . import mobius
-from .errors import (
-    ClassificationError,
-    GridSizeError,
-    NumericsError,
-    ParameterError,
-    WindowMismatchError,
-    value_type,
-)
+from .errors import NumericsError, ParameterError, WindowMismatchError, value_type
 from .mobius import GroupPath, MobiusElement
 from .numkernel import (
     BILATERAL,
@@ -65,8 +58,8 @@ DEFAULT_COUPLING = 1.0
 _COUPLING_BOUND = 10.0
 _NYQUIST_TAIL_TOL = 1e-9
 _NEGATIVE_INDEX_TOL = 1e-10
-_ORACLE_BETA_CAP = 0.3
-#: the finest circle grid the route samples on; a Nyquist tail still above tolerance there is refused
+#: the finest circle grid the route samples on: a Nyquist tail still above tolerance there is
+#: refused, and that is the route's only limit on how far a path may boost
 MAX_GRID = 1 << 16
 
 
@@ -104,25 +97,25 @@ def classify_series(p: RepnParams) -> str:
     """
     if p.index_set == UNILATERAL:
         if p.lam <= 0.0:
-            raise ClassificationError("the holomorphic family requires lam > 0")
+            raise ParameterError("the holomorphic family requires lam > 0")
         return HOLO
     mu = p.mu
     if mu.imag == 0.0 and float(mu.real).is_integer():
-        raise ClassificationError(
+        raise ParameterError(
             "bilateral families require non-integer mu (integer mu is the reducible direct-sum point)"
         )
     if _principal_coincidence(p):
         if not -1.0 < p.lam <= 1.0:
-            raise ClassificationError("the principal family requires lam in (-1, 1]")
+            raise ParameterError("the principal family requires lam in (-1, 1]")
         return PRINCIPAL
     if mu.imag == 0.0:
         lo, hi = complementary_mu_interval(p.lam)
         if not lo < mu.real < hi:
-            raise ClassificationError(
+            raise ParameterError(
                 "the complementary family requires mu in (0, 1) intersected with (-lam, 1 - lam)"
             )
         return COMPLEMENTARY
-    raise ClassificationError(
+    raise ParameterError(
         "bilateral parameters match neither the principal nor the complementary family"
     )
 
@@ -130,9 +123,9 @@ def classify_series(p: RepnParams) -> str:
 def complementary_mu_interval(lam: float) -> tuple[float, float]:
     """The complementary family's mu interval (0, 1) intersected with
     (-lam, 1 - lam); it is non-empty exactly for lam in (-1, 1), and any other
-    lam raises ``ClassificationError``."""
+    lam raises ``ParameterError``."""
     if not -1.0 < lam < 1.0:
-        raise ClassificationError("the complementary family requires lam in (-1, 1)")
+        raise ParameterError("the complementary family requires lam in (-1, 1)")
     return max(0.0, -lam), min(1.0, 1.0 - lam)
 
 
@@ -344,7 +337,8 @@ def _circle_factors(phi_inv: MobiusElement, eta_plus: complex, eta_minus: comple
     z = np.exp(2j * np.pi * np.arange(grid) / grid)
     beta = phi_inv.beta
     moved = phi_inv.alpha * (z - beta) / (1.0 - beta.conjugate() * z)
-    # 1 - conj(beta) z stays in the right half plane because |beta| <= 0.3
+    # 1 - conj(beta) z has a positive real part for every |beta| < 1, which MobiusElement
+    # enforces, so the principal logarithm stays analytic on the circle
     log_deriv = (
         cmath.log(phi_inv.alpha)
         + math.log1p(-abs(beta) ** 2)
@@ -369,10 +363,6 @@ def _circle_table(p: RepnParams, phi_inv: MobiusElement, w: TruncationWindow) ->
     """
     if w.kind != p.index_set:
         raise WindowMismatchError("window kind does not match params index set")
-    if abs(phi_inv.beta) > _ORACLE_BETA_CAP:
-        raise ParameterError(
-            f"|beta| = {abs(phi_inv.beta):.3f} too far from the identity for principal branches"
-        )
     eta_plus, eta_minus = (p.lam + p.mu) / 2.0, p.mu / 2.0
     table = np.empty((w.size, w.size), dtype=np.complex128)
     grid = 1 << (8 * w.N - 1).bit_length()
@@ -405,7 +395,7 @@ def _circle_table(p: RepnParams, phi_inv: MobiusElement, w: TruncationWindow) ->
         if not tail > _NYQUIST_TAIL_TOL:
             break
         if grid >= MAX_GRID:
-            raise GridSizeError(f"Nyquist tail {tail:.3e} above {_NYQUIST_TAIL_TOL:.0e} at grid {grid}, the largest tried")
+            raise NumericsError(f"Nyquist tail {tail:.3e} above {_NYQUIST_TAIL_TOL:.0e} at grid {grid}, the largest tried")
         grid *= 2
     if worst > _NEGATIVE_INDEX_TOL:
         raise NumericsError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ParameterError, PoleError, WindowMismatchError
+from .errors import ParameterError, WindowMismatchError
 from .numkernel import BILATERAL, UNILATERAL, OperatorMatrix, TruncationWindow
 from .repn import Realization, RepnParams
 from .specialfn import norm_ratio
@@ -49,7 +49,7 @@ def canonical_shift(kind: str, p: RepnParams, w: TruncationWindow) -> OperatorMa
     elif p.index_set != BILATERAL:
         raise ParameterError(f"{kind} belongs to the bilateral families")
     elif kind == "T3" and p.mu.imag == 0.0 and float(p.mu.real).is_integer():
-        raise PoleError("T3 needs non-integer mu (pole at n + 1 - mu = 0)")
+        raise ParameterError("T3 needs non-integer mu (pole at n + 1 - mu = 0)")
     step, coefficient = _SHIFTS[kind]
     # the band's columns: n from which f_{n-step} lies in the window
     columns = range(w.lo + max(step, 0), w.hi + 1 + min(step, 0))
@@ -92,7 +92,7 @@ def _reducible_coefficient(rel: Realization, n: int) -> complex:
         return rel.r
     lam = rel.params.lam
     if abs(lam + n) < _POLE_TOL:
-        raise PoleError(f"coefficient pole at n={n} for lam={lam}")
+        raise ParameterError(f"coefficient pole at n={n} for lam={lam}")
     return (1.0 + n) / (lam + n)
 
 

@@ -9,10 +9,11 @@ sequence, one read-only array, is the product of the two-term ratios, taken from
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import TYPE_CHECKING
 
-from .errors import ParameterRangeError, WindowMismatchError
+from .errors import NumericsError, ParameterError, WindowMismatchError
 from .numkernel import BILATERAL, TruncationWindow, np
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,10 +36,11 @@ def norm_ratio(params: "RepnParams", n: int) -> float:
 
     One division in Python arithmetic.  On the principal coincidence line the
     ratio is 1.  Bilateral mu = 0 is the reducible sum's seam basis: the ratio
-    of mu = 1 - lam below n = -1, and 1 at n = -1.  A ratio that is not a
-    finite positive real up to a 1e-12 relative imaginary residue (a zero
-    denominator and an overflow among them) puts the parameters outside the
-    unitary range, and ``ParameterRangeError`` is raised.
+    of mu = 1 - lam below n = -1, and 1 at n = -1.  A ratio past the double
+    range (1 / lam at n = 0 for a subnormal lam) raises ``NumericsError``.  A
+    pole, and a finite ratio that is not a positive real up to a 1e-12 relative
+    imaginary residue, put the parameters outside the unitary range, and
+    ``ParameterError`` is raised.
     """
     if _principal_coincidence(params):
         return 1.0
@@ -47,14 +49,14 @@ def norm_ratio(params: "RepnParams", n: int) -> float:
         if n == -1:
             return 1.0
         mu = complex(1.0 - lam)
-    r = complex(math.inf, math.nan)  # a zero denominator's
-    try:
-        r = (n + 1.0 - mu) / (lam + mu.conjugate() + n)  # n + 1 first: exact 0 - mu at n = -1
-        if abs(r.imag) <= _IMAG_DISCARD_TOL * max(1.0, abs(r)) and 0.0 < r.real < math.inf:
-            return r.real
-    except (ZeroDivisionError, OverflowError):
-        pass
-    raise ParameterRangeError(
+    num, den = n + 1.0 - mu, lam + mu.conjugate() + n  # n + 1 first: exact 0 - mu at n = -1
+    if den == 0:  # a pole
+        r = complex(math.inf, math.nan)
+    elif not cmath.isfinite(r := num / den):
+        raise NumericsError(f"norm ratio at n={n:g} = {num} / {den} overflows double precision")
+    elif abs(r.imag) <= _IMAG_DISCARD_TOL * max(1.0, abs(r)) and r.real > 0.0:
+        return r.real
+    raise ParameterError(
         f"norm ratio at n={n:g} = {r} is not a positive real; parameters lie outside the unitary range"
     )
 
@@ -66,7 +68,7 @@ def norm_sq_sequence(params: "RepnParams", w: TruncationWindow) -> np.ndarray:
     principal Gram is exactly I, and at bilateral mu = 0 the chain is cut
     between n = -1 and n = 0 with both sides at 1, so the reducible sum at
     lam = 1 has the Gram I exactly.  A norm that is not a positive normal
-    double (0, inf or an underflow to a subnormal) raises ``ParameterRangeError``.
+    double (0, inf or an underflow to a subnormal) raises ``ParameterError``.
     """
     if params.index_set != w.kind:
         raise WindowMismatchError(
@@ -77,8 +79,8 @@ def norm_sq_sequence(params: "RepnParams", w: TruncationWindow) -> np.ndarray:
     # ||f_n||^2 = 1 / (ratio_n ratio_{n+1} ... ratio_{-1}) below n = 0
     values = np.concatenate((1.0 / np.cumprod(down[::-1])[::-1], [1.0], np.cumprod(up)))
     if not (np.isfinite(values).all() and (values > 0.0).all()):
-        raise ParameterRangeError("norm sequence must be strictly positive and finite")
+        raise ParameterError("norm sequence must be strictly positive and finite")
     if values.min() < np.finfo(np.float64).tiny:
-        raise ParameterRangeError(f"a squared norm underflows to the subnormal {values.min():.3g}: too few digits for the orthonormal basis")
+        raise ParameterError(f"a squared norm underflows to the subnormal {values.min():.3g}: too few digits for the orthonormal basis")
     values.setflags(write=False)
     return values

@@ -41,7 +41,7 @@ import tracemalloc
 
 import numpy as np
 
-from mobshift.errors import GridSizeError, NumericsError, ParameterError, PoleError
+from mobshift.errors import NumericsError, ParameterError
 from mobshift.mobius import STAR_SIGNS, GroupPath, MobiusElement
 from mobshift.numkernel import (
     BILATERAL,
@@ -113,11 +113,11 @@ _LANCZOS_C = (
 def complex_gamma(z: complex) -> complex:
     """Gamma(z) via the Lanczos kernel for Re z >= 0.5, reflection elsewhere.
 
-    Non-positive integers are poles and raise ``PoleError``.
+    Non-positive integers are poles and raise ``ParameterError``.
     """
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and float(z.real).is_integer():
-        raise PoleError(f"gamma pole at {z}")
+        raise ParameterError(f"gamma pole at {z}")
     if z.real < 0.5:
         return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
     zz = z - 1.0
@@ -467,7 +467,7 @@ def unblocked_circle_table(phi_inv: MobiusElement, eta_plus, eta_minus, w, grid:
     k = np.fft.fftfreq(grid, 1.0 / grid)  # signed frequencies in FFT order
     tail = float(np.max(np.abs(table[np.abs(k) > grid // 4])))
     if tail > _NYQUIST_TAIL_TOL:
-        raise GridSizeError(f"Nyquist tail {tail:.3e} above {_NYQUIST_TAIL_TOL:.0e} at grid {grid}, the largest tried")
+        raise NumericsError(f"Nyquist tail {tail:.3e} above {_NYQUIST_TAIL_TOL:.0e} at grid {grid}, the largest tried")
     negative = float(np.max(np.abs(table[(k < 0) & (np.abs(k) <= grid // 4)])))
     if w.kind == UNILATERAL and negative > _NEGATIVE_INDEX_TOL:
         raise NumericsError(
@@ -480,8 +480,8 @@ def circle_rep_oracle(p, phi_inv: MobiusElement, w, coeffs) -> np.ndarray:
     """R(g) applied to monomial coefficients over w, computed on the unit
     circle, independent of the generator-exponential route.
 
-    ``phi_inv`` is phi_{g^-1} (|beta| <= 0.3, else ``ParameterError``).  The
-    circle route's table raises ``GridSizeError`` for a Nyquist tail above
+    ``phi_inv`` is phi_{g^-1}, any element of the disc.  The
+    circle route's table raises ``NumericsError`` for a Nyquist tail above
     1e-9 at its largest grid and ``NumericsError`` for negative-index content
     above 1e-10 in a unilateral action.
     """

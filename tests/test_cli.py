@@ -140,11 +140,12 @@ def test_weights_non_finite_lambda_exit_two(capsys, value):
 )
 def test_weights_refuse_what_verify_refuses(capsys, series, lam, n0, fmt):
     # the weights are square roots of the Gram's norm ratios: a table is finite, and a
-    # family whose Gram verify refuses is refused with exit 2, not a traceback
+    # family whose Gram verify refuses is refused with the same exit code (2 outside the
+    # domain, 3 for a ratio that overflows), not a traceback
     code, out, err = run(capsys, ["weights", "--series", series, "--lambda", lam, "--n0", n0, "--n1", str(int(n0) + 1), "--format", fmt])
     verified = run(capsys, ["verify", "unitarity", "--series", series, "--lambda", lam, "--N", "8", "--pad", "2"])[0]
-    if verified == 2:
-        assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    if verified in (2, 3):
+        assert (code, out) == (verified, "") and len(err.splitlines()) == 1
     else:
         assert (code, err) == (0, "") and not re.search("inf|nan", out, re.IGNORECASE), out
 
@@ -492,7 +493,8 @@ def test_verify_t1star_at_tiny_lambda(capsys):
     # at lam = 1e-320 the ratio 1/lam overflows: every suite refuses with the Gram's reason
     family = ["--series", "antiholo", "--lambda", "1e-320"]
     refusal = run(capsys, ["verify", "unitarity", *family])
-    assert refusal[0] == 2 and refusal[2].startswith("error: norm ratio at n=0 = ") and refusal[2].count("\n") == 1
+    assert refusal[:2] == (3, "") and refusal[2].count("\n") == 1
+    assert re.fullmatch(r"numerical failure: norm ratio at n=0 = \S+ / \S+ overflows double precision\n", refusal[2])
     for suite in ("homogeneity", "normalizer", "infinitesimal"):
         assert run(capsys, ["verify", suite, *family]) == refusal, suite
 
@@ -808,13 +810,22 @@ EXTREMES = {
 }
 
 
+#: the rows of EXTREMES that every path suite refuses with exit 3 in the same line: 1/lam at
+#: n = 0 overflows at lam = 1e-310, a numerical failure, not a parameter outside the unitary range
+REFUSED_EXTREMES = {
+    "holo lambda 1e-310": "numerical failure: norm ratio at n=0 = (1+0j) / (1e-310+0j) overflows double precision\n",
+}
+
+
 @pytest.mark.parametrize("suite", ["unitarity", "homogeneity", "normalizer", "infinitesimal"])
-@pytest.mark.parametrize("family", EXTREMES.values(), ids=EXTREMES)
-def test_extreme_valid_parameters_give_reports_or_one_line(capsys, family, suite):
+@pytest.mark.parametrize("name", EXTREMES)
+def test_extreme_valid_parameters_give_reports_or_one_line(capsys, name, suite):
     # in process, so a RuntimeWarning is an error here: each run either reports in JSON
     # lines with a silent stderr or refuses with one stderr line
-    code, out, err = run(capsys, ["verify", suite, *family, "--N=8"])
-    if code in (0, 1):
+    code, out, err = run(capsys, ["verify", suite, *EXTREMES[name], "--N=8"])
+    if name in REFUSED_EXTREMES:
+        assert (code, out, err) == (3, "", REFUSED_EXTREMES[name])
+    elif code in (0, 1):
         assert err == "" and out and all(isinstance(json.loads(line), dict) for line in out.splitlines())
     else:
         assert code in (2, 3) and out == "" and len(err.splitlines()) == 1, (code, err)
@@ -828,6 +839,7 @@ def test_a_spectrum_past_the_double_range_exits_three(capsys, suite):
     t = "0.0001" if suite == "infinitesimal" else "0.1"
     assert (code, out) == (3, "")
     assert err == f"numerical failure: the generator's spectrum times t = {t} overflows double precision\n"
+
 
 
 def test_certificate_suites_call_no_inverse_solve_or_resolvent(capsys, monkeypatch):

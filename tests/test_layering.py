@@ -1,7 +1,9 @@
 """The package's layering, read from its source with ``ast``: which module may use
-which private name of another."""
+which private name of another, and which exceptions it may define and raise."""
 
 import ast
+import builtins
+import importlib
 import pathlib
 
 import pytest
@@ -122,3 +124,27 @@ def test_only_the_process_entry_turns_the_collector(path):
     assert all(where in allowed for where, _ in calls), calls
     if path.stem == "cli":  # the walk sees the entry's own calls
         assert {("_enter_process", "freeze"), ("_enter_process", "disable")} <= set(calls), calls
+
+
+#: the two refusal families that the command line maps to exit 2 and 3, solve's refusal
+#: and the bookkeeping error that no command line reaches: a new kind of refusal edits
+#: this set and says why
+ERRORS = {"ParameterError", "NumericsError", "SingularMatrixError", "WindowMismatchError"}
+#: raised by an argparse type function, which the parser turns into its own exit-2 line
+PARSER_ERRORS = {"argparse.ArgumentTypeError"}
+
+
+def test_errors_defines_the_only_exception_classes():
+    modules = [importlib.import_module(f"mobshift.{path.stem}") for path in MODULES]
+    defined = {(module.__name__, name) for module in modules for name, value in vars(module).items()
+               if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__}
+    assert defined == {("mobshift.errors", name) for name in ERRORS}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_raise_names_a_package_error_or_a_builtin(path):
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            name = ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+            builtin = isinstance(getattr(builtins, name, None), type)
+            assert name in ERRORS | PARSER_ERRORS or builtin, (path.stem, node.lineno, name)

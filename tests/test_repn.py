@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 
 from mobshift import numkernel, repn
-from mobshift.errors import (
-    ClassificationError,
-    EmptyInteriorError,
-    GridSizeError,
-    NotSkewAdjointError,
-    NumericsError,
-    ParameterError,
-    WindowMismatchError,
-)
+from mobshift.errors import NumericsError, ParameterError, WindowMismatchError
 from mobshift.cli import DEFAULT_PATHS
 from mobshift.homogeneity import homogeneity_defect, infinitesimal_reports, kappa_flow_derivative
 from mobshift.mobius import STAR_SIGNS, GroupPath, MobiusElement, cartan, inverse, path_to_mobius
@@ -71,15 +63,15 @@ def test_classify_examples():
 
 
 def test_classify_rejections():
-    with pytest.raises(ClassificationError):
+    with pytest.raises(ParameterError, match="the holomorphic family requires lam > 0"):
         classify_series(RepnParams(UNILATERAL, 0.0))
-    with pytest.raises(ClassificationError):
-        classify_series(RepnParams(BILATERAL, 1.0, 0j))  # reducible point
-    with pytest.raises(ClassificationError):
+    with pytest.raises(ParameterError, match="integer mu is the reducible direct-sum point"):
+        classify_series(RepnParams(BILATERAL, 1.0, 0j))
+    with pytest.raises(ParameterError, match="the principal family requires lam in"):
         classify_series(RepnParams(BILATERAL, 1.5, complex(-0.25, 0.0)))
-    with pytest.raises(ClassificationError):
+    with pytest.raises(ParameterError, match="the complementary family requires mu in"):
         classify_series(RepnParams(BILATERAL, 0.4, complex(0.9, 0.0)))  # outside (-lam, 1-lam)
-    with pytest.raises(ClassificationError):
+    with pytest.raises(ParameterError, match="match neither the principal nor the complementary"):
         classify_series(RepnParams(BILATERAL, 0.4, complex(0.5, 0.3)))
 
 
@@ -97,7 +89,7 @@ def test_complementary_mu_interval():
     assert complementary_mu_interval(0.4) == (0.0, 0.6)
     assert complementary_mu_interval(-0.5) == (0.5, 1.0)
     for lam in (-1.0, 1.0, float("nan")):
-        with pytest.raises(ClassificationError, match="requires lam in"):
+        with pytest.raises(ParameterError, match="requires lam in"):
             complementary_mu_interval(lam)
 
 
@@ -513,10 +505,10 @@ def test_norms_are_read_once_per_window_lattice(monkeypatch):
 def test_mat_exp_refuses_generators_without_a_gram():
     # the monomial holomorphic L is skew only against its Gram, which mat_exp never reads
     w = TruncationWindow(UNILATERAL, 8, 2)
-    with pytest.raises(NotSkewAdjointError):
+    with pytest.raises(NumericsError, match="generator is not skew-Hermitian"):
         mat_exp(generator_matrix(HOLO2, "L", w), 0.1)
     dense = OperatorMatrix(random_dense(np.random.default_rng(3), w.size), w)
-    with pytest.raises(NotSkewAdjointError):
+    with pytest.raises(NumericsError, match="first off-diagonals"):
         mat_exp(dense)
 
 
@@ -525,7 +517,7 @@ def test_mat_exp_refuses_generators_off_the_first_off_diagonals():
     h, L = generator_matrix(PRINCIPAL_P, "h", w), generator_matrix(PRINCIPAL_P, "L", w)
     second = OperatorMatrix.from_band(w, 2, np.full(w.size - 2, 0.5))
     for X in (h + L, L + second - second.H):
-        with pytest.raises(NotSkewAdjointError):
+        with pytest.raises(NumericsError, match="first off-diagonals"):
             mat_exp(X, 0.1)
 
 
@@ -630,7 +622,7 @@ def test_a_cached_spectrum_never_vouches_for_a_generator():
     data = L.data.copy()
     k = np.arange(w.size - 1)
     data[k, k + 1] *= 1.0 + 1e-6
-    with pytest.raises(NotSkewAdjointError):
+    with pytest.raises(NumericsError, match="first off-diagonals"):
         mat_exp(OperatorMatrix(data, w, ORTHONORMAL), 0.1)
     assert numkernel._real_eigh.cache_info() == cached
 
@@ -670,7 +662,7 @@ def test_unitarity_residual_matches_the_whole_product():
             ip = np.ix_(w.interior_positions(), w.interior_positions())
             expected = float(np.linalg.norm((R.data.conj().T @ R.data - np.eye(w.size))[ip]))
             assert abs(unitarity_residual(R, w) - expected) <= 1e-13 * max(1.0, expected)
-    with pytest.raises(EmptyInteriorError):
+    with pytest.raises(ParameterError, match="leaves no interior"):
         unitarity_residual(R, TruncationWindow(UNILATERAL, 24, 13))
     with pytest.raises(WindowMismatchError):
         unitarity_residual(R, TruncationWindow(UNILATERAL, 20, 5))
@@ -775,18 +767,28 @@ def test_circle_matrix_matches_rep_matrix_interior():
         assert np.max(np.abs(R.data[np.ix_(ip, ip)] - C.data[np.ix_(ip, ip)])) <= 1e-11, p
 
 
-def test_circle_oracle_rejects_far_elements():
+def test_circle_oracle_takes_every_element_of_the_disc():
+    # R(g) f_0 is the multiplier (phi')^{lam/2} |phi'|^mu, whose principal logarithm is
+    # analytic for every |beta| < 1: at |beta| = 0.45 (and 0.9) its Fourier coefficients,
+    # from phi' sampled directly, match the route's column; the disc's edge is refused
     w = TruncationWindow(BILATERAL, 8, 2)
-    far = MobiusElement(1.0, 0.45)
-    with pytest.raises(ParameterError):
-        circle_rep_oracle(PRINCIPAL_P, far, w, monomial(w, 0))
+    grid = 1 << 14
+    z = np.exp(2j * np.pi * np.arange(grid) / grid)
+    for beta in (0.45, 0.9j):
+        far = MobiusElement(1.0, beta)
+        d = (1.0 - abs(beta) ** 2) / (1.0 - np.conj(beta) * z) ** 2
+        coefficients = np.fft.fft(np.exp(PRINCIPAL_P.lam / 2.0 * np.log(d) + PRINCIPAL_P.mu * np.log(np.abs(d)))) / grid
+        out = circle_rep_oracle(PRINCIPAL_P, far, w, monomial(w, 0))
+        assert np.max(np.abs(out - coefficients[w.indices() % grid])) <= 1e-13, beta
+    with pytest.raises(ParameterError, match="strictly inside the unit disc"):
+        MobiusElement(1.0, 1.0)
 
 
 def test_circle_oracle_grid_too_small():
     # Im mu = 1e5 still leaves a tail of 2.5e-2 beyond the Nyquist edge at the largest grid
     p = RepnParams(BILATERAL, 0.3, complex(0.35, 1e5))
     w = TruncationWindow(BILATERAL, 64, 16)
-    with pytest.raises(GridSizeError, match=f"at grid {repn.MAX_GRID}, the largest tried"):
+    with pytest.raises(NumericsError, match=f"at grid {repn.MAX_GRID}, the largest tried"):
         circle_rep_oracle(p, inverse(path_to_mobius(GroupPath.parse("L:0.1"))), w, monomial(w, 8))
 
 
@@ -830,15 +832,15 @@ def test_blocked_circle_checks_report_the_whole_table_maximum():
     # a tail no grid up to the cap resolves, over the positive and the negative
     # monomials, and leakage into negative indices over two blocks: the messages
     # quote the maximum over every block at the grid they name
-    for p, window, path, error in (
-        (RepnParams(BILATERAL, 0.3, complex(0.35, 1e5)), TruncationWindow(BILATERAL, 8, 2), "L:0.1", GridSizeError),
-        (RepnParams(UNILATERAL, 100.0), TruncationWindow(UNILATERAL, 64, 16), "L:0.1,M:-0.05,h:0.2", NumericsError),
+    for p, window, path, reason in (
+        (RepnParams(BILATERAL, 0.3, complex(0.35, 1e5)), TruncationWindow(BILATERAL, 8, 2), "L:0.1", "Nyquist tail"),
+        (RepnParams(UNILATERAL, 100.0), TruncationWindow(UNILATERAL, 64, 16), "L:0.1,M:-0.05,h:0.2", "negative-index content"),
     ):
         phi_inv = inverse(path_to_mobius(GroupPath.parse(path)))
-        with pytest.raises(error) as blocked:
+        with pytest.raises(NumericsError, match=reason) as blocked:
             circle_rep_oracle(p, phi_inv, window, monomial(window, 0))
         grid = int(re.search(r"at grid (\d+)", str(blocked.value)).group(1))
-        with pytest.raises(error) as whole:
+        with pytest.raises(NumericsError, match=reason) as whole:
             unblocked_circle_table(phi_inv, (p.lam + p.mu) / 2.0, p.mu / 2.0, window, grid)
         assert str(blocked.value) == str(whole.value)
 
@@ -891,11 +893,11 @@ def test_a_refused_grid_stops_at_its_first_block(monkeypatch):
                 expected = unblocked_circle_table(phi_inv, *etas, w, grid)
                 assert np.max(np.abs(tables[N] - expected)) <= 1e-14 * np.max(np.abs(expected))
             continue
-        with pytest.raises(GridSizeError, match=f"at grid {repn.MAX_GRID}, the largest tried") as refused:
+        with pytest.raises(NumericsError, match=f"at grid {repn.MAX_GRID}, the largest tried") as refused:
             repn._circle_table(p, phi_inv, w)
         assert len(calls) == blocks, (im_mu, N, calls)
         if N == 8:
-            with pytest.raises(GridSizeError) as whole:
+            with pytest.raises(NumericsError, match="Nyquist tail") as whole:
                 unblocked_circle_table(phi_inv, *etas, w, repn.MAX_GRID)
             assert str(refused.value) == str(whole.value)
     # five refused tries at N = 64 and eight at N = 8 leave the same bytes on the accepted grid
@@ -910,3 +912,36 @@ def test_circle_route_doubles_its_grid_until_the_tail_is_resolved():
     assert repn._circle_table(p, inverse(path_to_mobius(path)), w)[1] == 16384
     T = Realization.plain(p).orthonormal(canonical_shift("T2", p, w), w)
     assert homogeneity_defect(T, circle_rep_matrix(p, path, w), path_to_mobius(path), w).value <= 1e-14
+
+
+#: (family, shift) on the circle route past the old |beta| <= 0.3: holomorphic T1,
+#: principal T2 and complementary T3
+WIDE_BOOST_FAMILIES = [
+    (RepnParams(UNILATERAL, 1.0), "T1"),
+    (RepnParams(BILATERAL, 0.3, complex(0.35, 3.0)), "T2"),
+    (RepnParams(BILATERAL, 0.4, 0.2 + 0j), "T3"),
+]
+#: |beta| = 0.462, 0.639, 0.762 and 0.905
+WIDE_BOOST_PATHS = ["L:0.5", "L:0.5,M:0.5", "L:0.5,L:0.5", "L:0.5,L:0.5,L:0.5"]
+
+
+@pytest.mark.parametrize("path", WIDE_BOOST_PATHS)
+@pytest.mark.parametrize("p, kind", WIDE_BOOST_FAMILIES, ids=["holo T1", "principal T2", "complementary T3"])
+def test_the_circle_route_certifies_every_boost_its_grid_resolves(p, kind, path):
+    # the principal logarithms stay analytic for every |beta| < 1, so only the grid limits a
+    # boost: R is exact on the interior, and the scaled shift 2T still fails at O(1)
+    w, g = TruncationWindow(p.index_set, 64, 16), GroupPath.parse(path)
+    R, phi = circle_rep_matrix(p, g, w), path_to_mobius(g)
+    T = Realization.plain(p).orthonormal(canonical_shift(kind, p, w), w)
+    assert homogeneity_defect(T, R, phi, w).value <= 1e-13
+    assert homogeneity_defect(T * 2.0, R, phi, w).value >= 1.0
+
+
+@pytest.mark.parametrize("p, kind", WIDE_BOOST_FAMILIES, ids=["holo T1", "principal T2", "complementary T3"])
+def test_a_boost_past_the_grids_reach_is_refused_in_one_line(p, kind):
+    # L:0.5 six times is |beta| = 0.995: the tail beyond the Nyquist edge outlasts the cap
+    path = GroupPath.parse(",".join(["L:0.5"] * 6))
+    assert abs(path_to_mobius(path).beta) == pytest.approx(0.995, abs=5e-4)
+    with pytest.raises(NumericsError, match=rf"^Nyquist tail \S+ above 1e-09 at grid {repn.MAX_GRID}, the largest tried$") as refused:
+        circle_rep_matrix(p, path, TruncationWindow(p.index_set, 64, 16))
+    assert repn.MAX_GRID == 65536 and "\n" not in str(refused.value)
