@@ -74,15 +74,11 @@ def homogeneity_defect(
     boundary error inward) is formed.  R goes to ``numkernel._shift_residual``
     as its block (``R.block``) of rows and columns on the interior and a halo
     of |m|, clipped to the window: one tile of ``TILE`` interior columns at a
-    time, O(interior^2), with temporaries of O(N * TILE).  Any other T raises
-    ``ParameterError``.
+    time, O(interior^2), with temporaries of O(N * TILE).
     """
-    band = T.single_diagonal
-    if band is None:
-        raise ParameterError("homogeneity is certified for a shift: T needs a single diagonal")
+    (m, t), n = T.single_diagonal, w.size
     T._require_compatible(R)
     p0, p1 = _interior_bounds(R, w)
-    (m, t), n = band, w.size
     # R's rows and columns on the interior and the halo that T's rows i + m and R T's columns j - m reach
     lo, hi = max(p0 - abs(m), 0), min(p1 + abs(m), n)
     value = _shift_residual(R.block(lo, hi), lo, _rows(m, t, n)[n : 2 * n], m, p0, p1, phi.alpha, phi.beta)
@@ -92,7 +88,7 @@ def homogeneity_defect(
 def kappa_flow_derivative(T: OperatorMatrix, rel: Realization, w: TruncationWindow, step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Interior block (rows and columns ``w.interior_positions()``) of d/ds at 0 of
     R(exp sL) T R(exp sL)^{-1}, the flow of X = L, by central differences, for a
-    shift T on diagonal m; any other T raises ``ParameterError``.
+    shift T on diagonal m.
 
     e^{+-sX} = D (C -/+ i S) D^-1, so class 0 cancels exactly, and the difference is class 1
     of R T R^-1 for R = e^{sX} (``numkernel._conjugated_block``) over s, O(|P|^2 n).  M, e
@@ -101,8 +97,6 @@ def kappa_flow_derivative(T: OperatorMatrix, rel: Realization, w: TruncationWind
     step = float(step)
     if not _STEP_MIN <= step <= _STEP_MAX:
         raise ParameterError(f"step {step} outside [{_STEP_MIN}, {_STEP_MAX}]")
-    if T.single_diagonal is None:
-        raise ParameterError("the flow derivative is taken for a shift: T needs a single diagonal")
     a = rel.generator("L", w)
     T._require_compatible(a)
     block = _conjugated_block(a, step, T, *_interior_bounds(T, w), (1,))
@@ -113,13 +107,11 @@ def kappa_flow_derivative(T: OperatorMatrix, rel: Realization, w: TruncationWind
 def kappa_commutator(T: OperatorMatrix, rel: Realization, w: TruncationWindow) -> tuple[np.ndarray, np.ndarray]:
     """[dR(L), T] for a shift T on diagonal m, the exact derivative of L's conjugation
     flow at s = 0, as its diagonals m - 1 and m + 1 in ``np.diagonal`` order: band
-    products, O(N).  Any other T raises ``ParameterError``."""
-    band = T.single_diagonal
-    if band is None:
-        raise ParameterError("the commutator route is taken for a shift: T needs a single diagonal")
+    products, O(N)."""
+    m = T.single_diagonal[0]
     a = rel.generator("L", w)
     commutator = a @ T - T @ a
-    return commutator.diagonal(band[0] - 1), commutator.diagonal(band[0] + 1)
+    return commutator.diagonal(m - 1), commutator.diagonal(m + 1)
 
 
 def infinitesimal_reports(
@@ -141,7 +133,7 @@ def infinitesimal_reports(
     Only L's interior flow block and L's commutator are formed, each from its own O(N)
     build of L's generator; the flow's spectrum is cached on content.  M is L turned a quarter by exp(pi/4 h): dR(M) = Q dR(L) Q^-1 with
     Q = diag(omega^k), which is exp(pi/4 dR(h)) up to a phase, omega = -i (i under the
-    sharp twist).  For a shift T on diagonal m (any other T raises ``ParameterError``),
+    sharp twist).  For a shift T on diagonal m,
     Q^-1 T Q = omega^m T, so M's flow and commutator are L's with block entry (i, j)
     scaled by omega^r, r = (m + i - j) mod 4, exactly, and e and f are (L -/+ iM)/2 of
     them: each relation scales L's by one constant c(r) per residue class.  So the flow is read

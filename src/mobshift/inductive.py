@@ -185,15 +185,14 @@ def normalizer_defect(
     of that block; each component is a diagonal of its interior part, held against T^k's
     one diagonal, which one shifted product per k updates: O(N) per k, no window-sized array.
     """
-    band = T.single_diagonal
-    step = band[0] if band is not None else 0
+    step, band = T.single_diagonal
     if step == 0:
         raise ParameterError("expected a single-step shift")
     p0, p1 = _interior_bounds(T, w)
     n, halo, size = w.size, abs(step), p1 - p0
     lo, hi = max(p0 - halo, 0), min(p1 + halo, n)
     s = rel.conjugate(T, path, w, lo, hi)
-    t = _rows(step, band[1], n)  # entry n + i is T[i, i + m], 0 off the window
+    t = _rows(step, band, n)  # entry n + i is T[i, i + m], 0 off the window
     value = _shift_residual(s, lo, t[n : 2 * n], step, p0, p1)
     inner = slice(p0 - lo, p1 - lo)
     s = s[inner, inner]

@@ -6,8 +6,8 @@ plausible-looking numbers.  Operators are read-only complex128, and their
 algebra runs on their nonzero diagonals, which every library builder of a
 shift, Gram or generator states; the dense array is built only when read.  A
 result that fills the window (``mat_exp``'s, ``solve``'s, the circle route's)
-is stored dense as read-only data, read through ``data``, ``block``,
-``diagonal``, ``entry`` and ``single_diagonal``.  ``mat_exp`` takes
+is stored dense as read-only data, read through ``data``, ``block``, ``diagonal``
+and ``entry``; ``single_diagonal``, a shift's one door, refuses it.  ``mat_exp`` takes
 skew-Hermitian generators on the +-1 diagonals in an orthonormal basis, reads
 only those two bands, and works in real arithmetic from one cached real eigh
 per family and window (L and M share it); it keeps half of that spectrum, the
@@ -213,10 +213,11 @@ class OperatorMatrix:
         return out
 
     @property
-    def single_diagonal(self) -> tuple[int, np.ndarray] | None:
-        """(m, diagonal m) when ``bands`` holds at most one band (the zero matrix reads as diagonal 0), else None."""
+    def single_diagonal(self) -> tuple[int, np.ndarray]:
+        """(m, diagonal m) of a shift, whose ``bands`` hold at most one band (the zero matrix reads
+        as diagonal 0): a certificate's one door to its T, so any other operator raises ``ParameterError``."""
         if self.bands is None or len(self.bands) > 1:
-            return None
+            raise ParameterError("expected a shift: T needs its nonzero entries on a single diagonal")
         return next(iter(self.bands.items()), (0, np.zeros(self.window.size, dtype=np.complex128)))
 
     def diagonal(self, m: int) -> np.ndarray:
@@ -431,8 +432,8 @@ def _conjugated_block(X: OperatorMatrix, t: float, T: OperatorMatrix, lo: int, h
     the block's rows of parity (q + cp + m) % 2 of C and S: O(|B|^2 n) per class, with
     temporaries of O(N * TILE).  The block's rows are then scaled by a, its columns by 1 / a.
     """
-    cos_even, cos_odd, sin_eo, d = _parity_blocks(X, float(t))
     m, band = T.single_diagonal
+    cos_even, cos_odd, sin_eo, d = _parity_blocks(X, float(t))
     a, b, n, r0, c0, k = left * d, d / right, d.size, max(-m, 0), max(m, 0), band.size
     band = (band / b[r0 : r0 + k] * b[c0 : c0 + k])[:, None]
     # the block's even and odd positions as rows of the parity blocks, and the rows of C

@@ -313,16 +313,13 @@ class Realization:
 
     def conjugate(self, T: OperatorMatrix, path: GroupPath, w: TruncationWindow, lo: int, hi: int) -> np.ndarray:
         """Rows and columns lo..hi-1 of R T R^-1, R = ``along_path(path, w)``, for a shift T in
-        R's basis and window (any other T raises), without R: a rotation rescales T's band,
-        O(N), and builds no generator, and a boost is ``numkernel._conjugated_block``, O(|B|^2 N)."""
-        band = T.single_diagonal
-        if band is None:
-            raise ParameterError("conjugation is taken of a shift: T needs a single diagonal")
+        R's basis and window, without R: a rotation rescales T's band, O(N), and builds no
+        generator, and a boost is ``numkernel._conjugated_block``, O(|B|^2 N)."""
+        m, t = T.single_diagonal
         if T.basis != ORTHONORMAL or not T.window.same_lattice(w):
             raise WindowMismatchError("T must be in the orthonormal basis, on the window's lattice")
         s, left, right = self._cartan_factors(path, w)
         if s == 0.0:  # R = diag(left): (R T R^-1)[i, i + m] = left[i] T[i, i + m] / left[i + m]
-            m, t = band
             return OperatorMatrix.from_band(w, m, left[max(-m, 0) :][: t.size] * t / left[max(m, 0) :][: t.size]).block(lo, hi)
         return _conjugated_block(self.generator("L", w), s, T, lo, hi, (0, 1), left, right)
 

@@ -67,8 +67,8 @@ def norm_sq_sequence(params: "RepnParams", w: TruncationWindow) -> np.ndarray:
     Products of ``norm_ratio`` run up from n = 0 and down from it.  The
     principal Gram is exactly I, and at bilateral mu = 0 the chain is cut
     between n = -1 and n = 0 with both sides at 1, so the reducible sum at
-    lam = 1 has the Gram I exactly.  A norm that is not a positive normal
-    double (0, inf or an underflow to a subnormal) raises ``ParameterError``.
+    lam = 1 has the Gram I exactly.  A product past the normal double range
+    (inf, 0 or a subnormal; each ratio is finite and positive) raises ``NumericsError``.
     """
     if params.index_set != w.kind:
         raise WindowMismatchError(
@@ -77,10 +77,10 @@ def norm_sq_sequence(params: "RepnParams", w: TruncationWindow) -> np.ndarray:
     up = [norm_ratio(params, n) for n in range(0, w.hi)]
     down = [norm_ratio(params, n) for n in range(w.lo, 0)]
     # ||f_n||^2 = 1 / (ratio_n ratio_{n+1} ... ratio_{-1}) below n = 0
-    values = np.concatenate((1.0 / np.cumprod(down[::-1])[::-1], [1.0], np.cumprod(up)))
-    if not (np.isfinite(values).all() and (values > 0.0).all()):
-        raise ParameterError("norm sequence must be strictly positive and finite")
-    if values.min() < np.finfo(np.float64).tiny:
-        raise ParameterError(f"a squared norm underflows to the subnormal {values.min():.3g}: too few digits for the orthonormal basis")
+    with np.errstate(over="ignore", divide="ignore"):
+        values = np.concatenate((1.0 / np.cumprod(down[::-1])[::-1], [1.0], np.cumprod(up)))
+    lo, hi = values.min(), values.max()
+    if not (np.finfo(np.float64).tiny <= lo and hi < math.inf):
+        raise NumericsError(f"the squared norms span {lo:.3g} to {hi:.3g}, past the normal double range")
     values.setflags(write=False)
     return values

@@ -517,11 +517,10 @@ def test_verify_holo_lambda_200_reports(capsys, N):
 
 def test_verify_refuses_squared_norms_that_underflow_to_subnormals(capsys):
     # holo lam = 200 at N = 3000 leaves 480 squared norms subnormal (the smallest 7e-323), too few
-    # digits for the orthonormal basis; at N = 2048 every one is normal (the smallest 3.6e-291)
+    # digits for the orthonormal basis, a numerical failure; at N = 2048 every one is normal
+    # (the smallest 3.6e-291)
     argv = ["verify", "unitarity", "--series", "holo", "--lambda", "200", "--path", "L:0.1", "--N"]
-    code, out, err = run(capsys, [*argv, "3000"])
-    assert (code, out) == (2, "") and len(err.splitlines()) == 1
-    assert err.startswith("error: a squared norm underflows to the subnormal ")
+    assert run(capsys, [*argv, "3000"]) == (3, "", GRAM_PAST_THE_DOUBLE_RANGE.format("6.92e-323 to 1"))
     code, out, err = run(capsys, [*argv, "2048"])
     assert code == 0 and err == "" and len(out.splitlines()) == 1
 
@@ -810,10 +809,27 @@ EXTREMES = {
 }
 
 
-#: the rows of EXTREMES that every path suite refuses with exit 3 in the same line: 1/lam at
-#: n = 0 overflows at lam = 1e-310, a numerical failure, not a parameter outside the unitary range
+#: the one line that refuses squared norms past the normal double range, given their span
+GRAM_PAST_THE_DOUBLE_RANGE = "numerical failure: the squared norms span {}, past the normal double range\n"
+
+#: the rows of EXTREMES that every path suite refuses with exit 3 in the same line, numerical
+#: failures, not parameters outside the unitary range: 1/lam at n = 0 overflows at
+#: lam = 1e-310, and the squared norms underflow to 0 by n = 3 at lam = 1e150
 REFUSED_EXTREMES = {
     "holo lambda 1e-310": "numerical failure: norm ratio at n=0 = (1+0j) / (1e-310+0j) overflows double precision\n",
+    "holo lambda 1e150": GRAM_PAST_THE_DOUBLE_RANGE.format("0 to 1"),
+    "antiholo lambda 1e150": GRAM_PAST_THE_DOUBLE_RANGE.format("0 to 1"),
+}
+
+#: valid parameters whose ratios are all finite but whose squared norms leave the normal double
+#: range, with the span that the refusal gives: 1/lam times 2 overflows at lam = 1e-307, the
+#: norms underflow to 0 by n = 2 at lam = 1e300 and to subnormals from n = 2521 at lam = 200, and
+#: 1/mu overflows below n = 0 at the complementary mu = 1e-310
+GRAM_RANGE_INPUTS = {
+    "holo lambda 1e-307 N 64": (["--series=holo", "--lambda=1e-307", "--N=64"], "1 to inf"),
+    "holo lambda 1e300 N 8": (["--series=holo", "--lambda=1e300", "--N=8"], "0 to 1"),
+    "holo lambda 200 N 3000": (["--series=holo", "--lambda=200", "--N=3000"], "6.92e-323 to 1"),
+    "complementary mu 1e-310 N 8": (["--series=complementary", "--lambda=0.3", "--mu=1e-310", "--N=8"], "1 to inf"),
 }
 
 
@@ -829,6 +845,19 @@ def test_extreme_valid_parameters_give_reports_or_one_line(capsys, name, suite):
         assert err == "" and out and all(isinstance(json.loads(line), dict) for line in out.splitlines())
     else:
         assert code in (2, 3) and out == "" and len(err.splitlines()) == 1, (code, err)
+
+
+@pytest.mark.parametrize("suite", ["unitarity", "homogeneity", "normalizer", "infinitesimal"])
+@pytest.mark.parametrize("name", GRAM_RANGE_INPUTS)
+def test_squared_norms_past_the_double_range_exit_three(capsys, name, suite):
+    # in process, so numpy's overflow warning would be an error: one line, exit 3, no output
+    argv, span = GRAM_RANGE_INPUTS[name]
+    assert run(capsys, ["verify", suite, *argv]) == (3, "", GRAM_PAST_THE_DOUBLE_RANGE.format(span))
+
+
+def test_weights_read_neighbour_ratios_where_the_squared_norms_overflow(capsys):
+    code, out, err = run(capsys, ["weights", "--series", "holo", "--lambda", "1e-307", "--n0", "0", "--n1", "3"])
+    assert (code, err) == (0, "") and len(out.splitlines()) == 5
 
 
 @pytest.mark.parametrize("suite", ["unitarity", "homogeneity", "normalizer", "infinitesimal"])

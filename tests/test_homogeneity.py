@@ -759,6 +759,33 @@ def test_kappa_flow_derivative_takes_a_shift(rng):
             kappa_flow_derivative(T, rel, w)
 
 
+#: every certificate that takes a shift T, on the principal family; the door refuses before
+#: any other argument is read
+BOOST = GroupPath.parse("L:0.1")
+SHIFT_READERS = {
+    "homogeneity_defect": lambda T, rel, w: homogeneity_defect(T, OperatorMatrix.identity(w, ORTHONORMAL), MobiusElement(1.0, 0.0), w),
+    "kappa_flow_derivative": kappa_flow_derivative,
+    "kappa_commutator": kappa_commutator,
+    "normalizer_defect": lambda T, rel, w: normalizer_defect(T, rel, BOOST, w),
+    "Realization.conjugate": lambda T, rel, w: rel.conjugate(T, BOOST, w, 0, w.size),
+}
+SHIFT_DOOR = "^expected a shift: T needs its nonzero entries on a single diagonal$"
+
+
+@pytest.mark.parametrize("reader", SHIFT_READERS)
+def test_every_certificate_refuses_a_non_shift_at_one_door(reader):
+    # a two-band T and a dense T (an exponential) each raise single_diagonal's one message;
+    # a step-0 T is a shift, which only the normalizer refuses, with its own message
+    w, rel = TruncationWindow(BILATERAL, 16, 4), Realization.plain(PRIN)
+    shift = OperatorMatrix.from_band(w, 1, np.arange(1.0, w.size), ORTHONORMAL)
+    for T in (shift + shift.H, mat_exp(rel.generator("L", w), 0.1)):
+        with pytest.raises(ParameterError, match=SHIFT_DOOR):
+            SHIFT_READERS[reader](T, rel, w)
+    if reader == "normalizer_defect":
+        with pytest.raises(ParameterError, match="^expected a single-step shift$"):
+            SHIFT_READERS[reader](OperatorMatrix.identity(w, ORTHONORMAL), rel, w)
+
+
 def test_kappa_flow_derivative_refuses_other_windows_and_bases():
     rel, w = FLOW_FAMILIES[1]
     for T in (OperatorMatrix.identity(w), OperatorMatrix.identity(TruncationWindow(BILATERAL, 13, 3), ORTHONORMAL)):

@@ -98,22 +98,31 @@ COLLECTOR = {"disable", "enable", "freeze", "set_threshold"}
 PROCESS_ENTRY = {"_enter_process", "main"}
 
 
+def _enclosing_functions(tree: ast.AST) -> dict:
+    """Each node of the tree mapped to the name of its innermost enclosing function, or None."""
+    where = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            where[child] = name
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name)
+
+    visit(tree, None)
+    return where
+
+
 def _collector_calls(path: pathlib.Path) -> list:
     """(innermost enclosing function or None, switch) of each ``gc.<switch>(...)`` call in the
     module, and (None, name) of each switch imported by name, which would hide its calls."""
-    calls = []
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
-                owner = child.func.value
-                if isinstance(owner, ast.Name) and owner.id == "gc" and child.func.attr in COLLECTOR:
-                    calls.append((where, child.func.attr))
-            if isinstance(child, ast.ImportFrom) and child.module == "gc":
-                calls.extend((None, alias.name) for alias in child.names if alias.name in COLLECTOR | {"*"})
-            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
-
-    visit(_tree(path), None)
+    tree = _tree(path)
+    where, calls = _enclosing_functions(tree), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if isinstance(owner, ast.Name) and owner.id == "gc" and node.func.attr in COLLECTOR:
+                calls.append((where[node], node.func.attr))
+        if isinstance(node, ast.ImportFrom) and node.module == "gc":
+            calls.extend((None, alias.name) for alias in node.names if alias.name in COLLECTOR | {"*"})
     return calls
 
 
@@ -148,3 +157,37 @@ def test_every_raise_names_a_package_error_or_a_builtin(path):
             name = ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
             builtin = isinstance(getattr(builtins, name, None), type)
             assert name in ERRORS | PARSER_ERRORS or builtin, (path.stem, node.lineno, name)
+
+
+def test_a_shift_is_refused_at_one_door():
+    # OperatorMatrix.single_diagonal is the one raise that refuses an operand that is not a
+    # shift, so every certificate that takes a shift T refuses it in the same words
+    doors = []
+    for path in MODULES:
+        tree = _tree(path)
+        where = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                text = " ".join(c.value for c in ast.walk(node.exc) if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                if "single diagonal" in text:
+                    doors.append((path.stem, where[node]))
+    assert doors == [("numkernel", "single_diagonal")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_no_module_compares_single_diagonal_with_none(path):
+    # single_diagonal never returns None: it returns a shift's band or raises
+    tree = _tree(path)
+    where = _enclosing_functions(tree)
+    # in each function, every name bound from an expression that reads the property
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(c, ast.Attribute) and c.attr == "single_diagonal" for c in ast.walk(node.value)):
+            reads.update((where[node], t.id) for target in node.targets for t in ast.walk(target) if isinstance(t, ast.Name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Constant) and o.value is None for o in operands):
+                for o in operands:
+                    read = getattr(o, "attr", None) == "single_diagonal" or (where[node], getattr(o, "id", None)) in reads
+                    assert not read, (path.stem, node.lineno, ast.unparse(node))

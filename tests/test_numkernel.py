@@ -175,7 +175,7 @@ def test_algebra_on_a_dense_result_is_refused(rng):
         lambda R: R @ shift, lambda R: shift @ R, lambda R: R.H, lambda R: interior_norm(R, w),
     ]
     for R in dense:
-        assert R.bands is None and R.single_diagonal is None
+        assert R.bands is None
         for operation in operations:
             with pytest.raises(ParameterError, match="read-only data"):
                 operation(R)
@@ -334,10 +334,9 @@ def assert_same_product(left, right):
 @pytest.mark.parametrize("m", BAND_OFFSETS)
 def test_band_product_matches_dense_product(rng, w, m):
     band = OperatorMatrix(band_matrix(rng, w.size, m), w)
-    found = band.single_diagonal
-    assert found[0] == m and np.array_equal(found[1], np.diagonal(band.data, m))
+    assert band.bands.keys() == {m} and np.array_equal(band.bands[m], np.diagonal(band.data, m))
     dense = OperatorMatrix(random_dense(rng, w.size), w)
-    assert dense.single_diagonal is None
+    assert dense.bands is None
     assert_same_product(band, as_bands(dense.data, w))
     assert_same_product(as_bands(dense.data, w), band)
     for other in BAND_OFFSETS:
@@ -386,20 +385,25 @@ def test_band_product_with_the_zero_matrix(rng, w):
 def test_single_diagonal_rejects_two_diagonals(rng):
     w = TruncationWindow(BILATERAL, 8, 2)
     p = RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
-    assert generator_matrix(p, "L", w).single_diagonal is None
-    assert generator_matrix(p, "M", w).single_diagonal is None
-    assert generator_matrix(p, "h", w).single_diagonal[0] == 0
-    # as many nonzeros as rows, but on more than one diagonal
-    assert OperatorMatrix(np.fliplr(np.eye(w.size)), w).single_diagonal is None
+    assert generator_matrix(p, "L", w).bands.keys() == generator_matrix(p, "M", w).bands.keys() == {-1, 1}
+    assert generator_matrix(p, "h", w).bands.keys() == {0}
+    # as many nonzeros as rows, but on more than one diagonal: the scan keeps them dense
+    scanned = OperatorMatrix(np.fliplr(np.eye(w.size)), w)
     flip = as_bands(np.fliplr(np.eye(w.size)), w)
-    assert flip.single_diagonal is None
+    assert scanned.bands is None and len(flip.bands) == w.size
+    for T in (generator_matrix(p, "L", w), generator_matrix(p, "M", w), scanned, flip):
+        with pytest.raises(ParameterError, match="^expected a shift: T needs its nonzero entries on a single diagonal$"):
+            T.single_diagonal
     assert_same_product(flip, OperatorMatrix(band_matrix(rng, w.size, 1), w))
 
 
 @pytest.mark.parametrize("w", BAND_WINDOWS, ids=("unilateral", "bilateral"))
 def test_recorded_structure_equals_the_scan(rng, w, monkeypatch):
     def same(x, y):
-        return x is None if y is None else x[0] == y[0] and np.array_equal(x[1], y[1])
+        # the scan records one band, or none for the zero matrix, and keeps any other array dense
+        if x is None or len(x) > 1:
+            return y is None
+        return x.keys() == y.keys() and all(np.array_equal(x[m], y[m]) for m in x)
 
     p = RepnParams(w.kind, 2.0) if w.kind == UNILATERAL else RepnParams(BILATERAL, 0.3, complex(0.35, 0.5))
     a, b = (as_bands(random_dense(rng, w.size), w) for _ in range(2))
@@ -415,8 +419,8 @@ def test_recorded_structure_equals_the_scan(rng, w, monkeypatch):
     known += [Realization.plain(p).generator(X, w) for X in ("h", "L", "M")]
     monkeypatch.undo()
     for T in known:
-        assert same(T.single_diagonal, OperatorMatrix(T.data, T.window, T.basis).single_diagonal)
-    assert all(T.single_diagonal is None for T in dense)
+        assert same(T.bands, OperatorMatrix(T.data, T.window, T.basis).bands)
+    assert all(T.bands is None or len(T.bands) > 1 for T in dense)
 
 
 @pytest.mark.parametrize("w", BAND_WINDOWS, ids=("unilateral", "bilateral"))

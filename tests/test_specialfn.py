@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,9 +178,17 @@ def test_norm_sq_sequence_is_a_read_only_array_of_positive_normal_doubles():
     assert seq.dtype == np.float64 and seq.shape == (9,)
     with pytest.raises(ValueError):
         seq[0] = 2.0
-    # holo lam = 1000 underflows to 0 by N = 512, and lam = 200 to subnormals by N = 3000
-    with pytest.raises(ParameterError, match="strictly positive and finite"):
-        norm_sq_sequence(RepnParams(UNILATERAL, 1000.0), TruncationWindow(UNILATERAL, 512, 2))
-    with pytest.raises(ParameterError, match="underflows to the subnormal"):
-        norm_sq_sequence(RepnParams(UNILATERAL, 200.0), TruncationWindow(UNILATERAL, 3000, 2))
+    # every ratio is finite, yet the products leave the normal double range: holo lam = 1000
+    # underflows to 0 by N = 512, lam = 200 to subnormals by N = 3000, lam = 1e-307 overflows
+    # at n = 2, and the complementary mu = 1e-310 overflows at n = -1; each is one NumericsError
+    # that gives the span, with no warning
+    cases = [
+        (RepnParams(UNILATERAL, 1000.0), TruncationWindow(UNILATERAL, 512, 2), "0 to 1"),
+        (RepnParams(UNILATERAL, 200.0), TruncationWindow(UNILATERAL, 3000, 2), "6.92e-323 to 1"),
+        (RepnParams(UNILATERAL, 1e-307), TruncationWindow(UNILATERAL, 64, 2), "1 to inf"),
+        (RepnParams(BILATERAL, 0.3, 1e-310), TruncationWindow(BILATERAL, 8, 2), "1 to inf"),
+    ]
+    for params, w, span in cases:
+        with pytest.raises(NumericsError, match=rf"^the squared norms span {re.escape(span)}, past the normal double range$"):
+            norm_sq_sequence(params, w)
     assert norm_sq_sequence(RepnParams(UNILATERAL, 200.0), TruncationWindow(UNILATERAL, 2048, 2)).min() >= np.finfo(np.float64).tiny
