@@ -540,7 +540,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
         gp.add_argument("--series", choices=(HOLO, PRINCIPAL, COMPLEMENTARY), required=True)
         gp.add_argument("--lambda-grid", dest="lambda_grid", default="", help="comma-separated lambda values")
         gp.add_argument("--im-mu-grid", dest="im_mu_grid", help=f"comma-separated Im mu (principal; default {DEFAULT_IM_MU:g})")
-        gp.add_argument("--mu-grid", dest="mu_grid", help="'auto' midpoints (the default) or comma-separated mu (complementary)")
+        gp.add_argument("--mu-grid", dest="mu_grid", help="'auto' midpoints (the default; (1 - lambda)/2, on the principal line) or comma-separated mu (complementary)")
         gp.add_argument("--suites", default="unitarity", help="comma-separated: " + ",".join(SWEEP_SUITES))
         gp.add_argument("--op", choices=OP_CHOICES, help="operator for the homogeneity suite")
         gp.add_argument("--path", action="append", help="flow path; repeatable")

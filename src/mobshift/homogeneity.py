@@ -28,7 +28,7 @@ from .numkernel import (
     np,
     solve,
 )
-from .repn import Realization, _reducible_raising
+from .repn import Realization
 from .shifts import reducible_coefficients
 
 KAPPA_GENERATORS = ("L", "M", "e", "f")
@@ -191,11 +191,11 @@ def reducible_lambda_check(
 
     The (g_1, g_{-1}) entry of [dR(f), T] - T^2 in the monomial seam basis
     equals r (lam - 1) exactly, so the reported value is |r| |lam - 1| up to
-    rounding.  It is read from the seam row, from the coefficients that the
-    builders map over the window: T's a_n (``shifts.reducible_coefficients``,
-    so a pole anywhere in the window is refused as ``reducible_shift``
-    refuses it) and dR(f)'s raising coefficient at n = 0 and -1
-    (``repn._reducible_raising``).  The entry is
+    rounding.  It is read from the seam row: T's a_n
+    (``shifts.reducible_coefficients``, so a pole anywhere in the window is
+    refused as ``reducible_shift`` refuses it) and dR(f)'s raising coefficient
+    lam + mu_n + n (``repn.reducible_generator_matrix``) at n = 0 and -1,
+    lam and 0.  The entry is
     dR(f)[1, 0] a_{-1} - a_0 dR(f)[0, -1] - a_0 a_{-1}, in complex Python
     arithmetic and in the band products' order, so it is the float those
     products give, and no array is formed: numpy is not loaded.
@@ -204,7 +204,7 @@ def reducible_lambda_check(
         raise ParameterError("needs a bilateral window with N >= 4")
     a = reducible_coefficients(rel, w)  # a_n at list position n - w.lo
     a0, a1 = complex(a[-w.lo]), complex(a[-w.lo - 1])
-    f0, f1 = (complex(_reducible_raising(rel.params, n)) for n in (0, -1))
+    f0, f1 = complex(rel.params.lam), 0j
     # (F T - T F) - T T at (1, -1): each product has one term there, F[1, 0] T[0, -1] and so on
     value = abs((f0 * a1 - a0 * f1) - a0 * a1)
     ctx = dict(context or {})

@@ -136,13 +136,13 @@ def _h_diagonal(p: RepnParams, w: TruncationWindow) -> np.ndarray:
     return -1j * (2.0 * w.indices() + p.lam)
 
 
-def _generator(p: RepnParams, w: TruncationWindow, X: str, lowering: np.ndarray, raising: np.ndarray) -> OperatorMatrix:
-    """Generator X, as its bands, of a family with dR(h) f_n = -i (2n + lam) f_n.
-
-    ``lowering`` is the +1 diagonal (dR(e) on the columns n > lo) and
-    ``raising`` the -1 diagonal (dR(f) on the columns n < hi).  A window of
-    another index set than p's raises ``WindowMismatchError``.
-    """
+def _generator(p: RepnParams, w: TruncationWindow, X: str, mu: np.ndarray) -> OperatorMatrix:
+    """Generator X, as its bands, of dR(h) f_n = -i (2n + lam) f_n, dR(e) f_n = (mu_n - n) f_{n-1}
+    and dR(f) f_n = (lam + mu_n + n) f_{n+1}, mu_n = mu[n - lo], dropped across the window
+    edge.  A window of another index set than p's raises ``WindowMismatchError``."""
+    n = w.indices()
+    lowering = mu[1:] - n[1:]  # the +1 diagonal, on the columns n > lo
+    raising = p.lam + mu[:-1] + n[:-1]  # the -1 diagonal, on the columns n < hi
     # L = e + f and M = i (e - f)
     table = {"h": {0: _h_diagonal(p, w)}, "e": {1: lowering}, "f": {-1: raising},
              "L": {1: lowering, -1: raising}, "M": {1: 1j * lowering, -1: -1j * raising}}
@@ -152,40 +152,19 @@ def _generator(p: RepnParams, w: TruncationWindow, X: str, lowering: np.ndarray,
 
 
 def generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> OperatorMatrix:
-    """Truncated monomial-basis matrix of the generator action.
-
-    Raising/lowering across the window edge is dropped; for the unilateral
-    index set the vanishing of the lowering action on f_0 is genuine, not a
-    truncation artifact.
-    """
-    n = w.indices()
-    return _generator(p, w, X, p.mu - n[1:], p.lam + p.mu + n[:-1])
+    """Truncated monomial-basis matrix of the generator action, mu_n = mu at every index; for the
+    unilateral index set the vanishing of the lowering action on f_0 is genuine, not a truncation artifact."""
+    return _generator(p, w, X, np.full(w.size, p.mu))
 
 
 def reducible_generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> OperatorMatrix:
-    """Generator matrices of the direct-sum family at lam = p.lam in its seam basis g_n.
-
-    The lowering and raising actions (``_reducible_lowering``,
-    ``_reducible_raising``) are mapped over the window; they vanish at n = 0
-    and n = -1, the two seam columns of the decomposition.  The range
-    of lam is checked once, by ``Realization.reducible``.
-    """
+    """Generator matrices of the direct-sum family at lam = p.lam in its seam basis g_n: the plain
+    bilateral action at mu_n = 0 for n >= 0 and 1 - lam for n < 0.  Its lowering action vanishes at
+    n = 0 and its raising action at n = -1, the two seam columns, with no special case: lam + fl(1 - lam)
+    is exactly 1 for every double lam in (0, 2), the range ``Realization.reducible`` checks."""
     if w.kind != BILATERAL:
         raise WindowMismatchError("the reducible sum lives on a bilateral window")
-    n = range(w.lo, w.hi + 1)
-    lowering = np.array([_reducible_lowering(p, k) for k in n[1:]])  # on the columns n > lo
-    raising = np.array([_reducible_raising(p, k) for k in n[:-1]])  # on the columns n < hi
-    return _generator(p, w, X, lowering, raising)
-
-
-def _reducible_lowering(p: RepnParams, n: int) -> float:
-    """dR(e) g_n = c g_{n-1} of the reducible sum at lam = p.lam: c = 1 - lam - n below the seam, -n from n = 0 on."""
-    return 1.0 - p.lam - n if n < 0 else float(-n)  # not -float(n), which is -0.0 at n = 0
-
-
-def _reducible_raising(p: RepnParams, n: int) -> float:
-    """dR(f) g_n = c g_{n+1} of the reducible sum at lam = p.lam: c = n + 1 below the seam, lam + n from n = 0 on."""
-    return n + 1.0 if n < 0 else p.lam + n
+    return _generator(p, w, X, np.where(w.indices() < 0, 1.0 - p.lam, 0.0))
 
 
 def gram(p: RepnParams, w: TruncationWindow) -> OperatorMatrix:
@@ -403,7 +382,10 @@ def _circle_table(p: RepnParams, phi_inv: MobiusElement, w: TruncationWindow) ->
 
 def circle_rep_matrix(p: RepnParams, path: GroupPath, w: TruncationWindow) -> OperatorMatrix:
     """Whole representation matrix over the circle route (on the grid ``_circle_table`` picks), in
-    the orthonormal basis: the monomial table scaled in place by s_i / s_j, s = ``Realization.norms``."""
+    the orthonormal basis: the monomial table scaled in place by s_i / s_j, s = ``Realization.norms``;
+    it samples one mu at every index, so the reducible sum's seam basis, bilateral mu = 0, is refused."""
+    if p.index_set == BILATERAL and p.mu == 0:
+        raise ParameterError("the circle route does not realize bilateral mu = 0, the reducible sum's seam basis")
     table, _ = _circle_table(p, mobius.inverse(mobius.path_to_mobius(path)), w)
     s = Realization.plain(p).norms(w)
     table *= s[:, None]

@@ -258,8 +258,8 @@ def quarter_turn(rel: Realization, w: TruncationWindow) -> OperatorMatrix:
 
 def where_reducible_bands(p: RepnParams, w: TruncationWindow) -> dict:
     """Each reducible generator's bands at lam = p.lam, {X: {m: band}}, from the lowering
-    and raising coefficients as ``np.where`` over the window's indices, before the
-    builders mapped the scalar ones over it."""
+    and raising coefficients written by cases, as ``np.where`` over the window's indices,
+    rather than as the plain action at mu_n = 0 above the seam and 1 - lam below it."""
     n = w.indices()
     ne, nf = n[1:], n[:-1]  # source indices of the lowering and raising entries
     lowering = np.where(ne < 0, 1.0 - p.lam - ne, -ne)

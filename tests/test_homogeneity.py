@@ -869,13 +869,33 @@ def test_reducible_lambda_check_reads_the_band_product_witness_bit_for_bit(rng, 
         assert reducible_lambda_check(rel, w).value == band_product_seam_witness(rel, w), (lam, r)
 
 
-@pytest.mark.parametrize("lam", [0.3, 1.0, 1.9999])
-@pytest.mark.parametrize("N", [1, 4, 64])
-def test_reducible_generator_bands_equal_the_where_formulas_bit_for_bit(lam, N):
+def _assert_reducible_bands_equal_the_where_formulas(lam, N):
     w = TruncationWindow(BILATERAL, N, 0)
     p = RepnParams(BILATERAL, lam)
     for X, bands in where_reducible_bands(p, w).items():
         got = reducible_generator_matrix(p, X, w).bands
         assert sorted(got) == sorted(bands), X
         for m, d in bands.items():
-            assert got[m].tobytes() == np.asarray(d, dtype=np.complex128).tobytes(), (X, m)
+            assert got[m].tobytes() == np.asarray(d, dtype=np.complex128).tobytes(), (lam, X, m)
+
+
+#: where lam + fl(1 - lam) could leave 1 if any double could: the subnormal and tiny lam whose
+#: 1 - lam rounds to 1, the tie below 1/2 that Sterbenz no longer covers, and the edges of (0, 2)
+ADVERSARIAL_LAMS = [5e-324, 1e-300, 2.0**-60, 0.5 - 2.0**-54, 1.0 - 2.0**-52, 1.0 + 2.0**-52, 2.0 - 2.0**-52]
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 1.9999, *ADVERSARIAL_LAMS])
+@pytest.mark.parametrize("N", [1, 4, 64])
+def test_reducible_generator_bands_equal_the_where_formulas_bit_for_bit(lam, N):
+    # the reducible sum is the plain action at mu_n = 1 - lam below the seam, and its seam
+    # columns stay exact zeros only because lam + fl(1 - lam) rounds to exactly 1
+    _assert_reducible_bands_equal_the_where_formulas(lam, N)
+
+
+def test_reducible_generator_bands_equal_the_where_formulas_on_sampled_lambdas():
+    rng = np.random.default_rng(1729)
+    # uniform in (0, 2), and log-uniform down to the subnormals
+    lams = np.concatenate((rng.uniform(0.0, 2.0, 500), 2.0 ** rng.uniform(-1074.0, 1.0, 500)))
+    for lam in lams:
+        assert 0.0 < lam < 2.0
+        _assert_reducible_bands_equal_the_where_formulas(float(lam), 4)

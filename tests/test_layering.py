@@ -11,6 +11,9 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mobshift"
 #: the certificate modules, whose private names stay their own
 CERTIFICATES = {"homogeneity", "inductive"}
+#: the module that states each generator formula once: its private names stay its own, so a
+#: module that needs a coefficient reads it from the public builders
+REPRESENTATIONS = {"repn"}
 #: how R(path) acts on a shift, which only numkernel and repn know
 CONJUGATION = {"_parity_blocks", "_cartan_factors"}
 #: the Gram behind the orthonormal basis, which only specialfn and repn read
@@ -30,14 +33,27 @@ def test_the_walk_sees_the_package():
     assert {"numkernel", "repn", "homogeneity", "inductive", "cli"} <= {path.stem for path in MODULES}
 
 
+def _private_reads(path: pathlib.Path, owners: set) -> list:
+    """(owner, name) of each private name of an owner module that the module imports or reads
+    as an attribute."""
+    reads = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] in owners:
+            reads += [(node.module, alias.name) for alias in node.names if alias.name.startswith("_")]
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in owners and node.attr.startswith("_"):
+                reads.append((node.value.id, node.attr))
+    return reads
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
 def test_no_module_imports_a_private_name_of_a_certificate_module(path):
-    for node in ast.walk(_tree(path)):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] in CERTIFICATES:
-            private = [alias.name for alias in node.names if alias.name.startswith("_")]
-            assert not private, (node.module, private)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            assert not (node.value.id in CERTIFICATES and node.attr.startswith("_")), (node.value.id, node.attr)
+    assert not _private_reads(path, CERTIFICATES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_no_module_imports_a_private_name_of_repn(path):
+    assert not _private_reads(path, REPRESENTATIONS)
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFICATES))

@@ -168,11 +168,19 @@ def _assert_generators_match(generator, e, f):
     assert np.array_equal(generator("M").data, 1j * (e - f))
 
 
-@pytest.mark.parametrize("p", [HOLO2, PRINCIPAL_P, COMP_P], ids=("holo", "principal", "complementary"))
+@pytest.mark.parametrize(
+    "p",
+    [HOLO2, PRINCIPAL_P, COMP_P, RepnParams(BILATERAL, 0.3, complex(0.35, -0.0))],
+    ids=("holo", "principal", "complementary", "principal Im mu -0"),
+)
 def test_generator_bands_equal_their_formulas(p):
     w = TruncationWindow(p.index_set, 24, 4)
     e, f = _band_reference(w, lambda n: p.mu - n, lambda n: p.lam + p.mu + n)
     _assert_generators_match(lambda X: generator_matrix(p, X, w), e, f)
+    # byte for byte, the signed zero of Im mu included: mu_n is mu at every index
+    n, bands = w.indices(), generator_matrix(p, "L", w).bands
+    assert bands[1].tobytes() == (p.mu - n[1:]).tobytes()
+    assert bands[-1].tobytes() == (p.lam + p.mu + n[:-1]).tobytes()
 
 
 def test_reducible_generator_bands_equal_their_formulas():
@@ -765,6 +773,15 @@ def test_circle_matrix_matches_rep_matrix_interior():
         assert R.basis == C.basis == ORTHONORMAL
         ip = w.interior_positions()
         assert np.max(np.abs(R.data[np.ix_(ip, ip)] - C.data[np.ix_(ip, ip)])) <= 1e-11, p
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
+def test_the_circle_route_refuses_the_reducible_seam_basis(lam):
+    # its table samples one mu at every index, and the seam basis has mu_n = 1 - lam below n = 0
+    p, w = RepnParams(BILATERAL, lam, 0j), TruncationWindow(BILATERAL, 32, 8)
+    with pytest.raises(ParameterError, match="^the circle route does not realize bilateral mu = 0") as refused:
+        circle_rep_matrix(p, GroupPath.parse("L:0.1"), w)
+    assert "\n" not in str(refused.value)
 
 
 def test_circle_oracle_takes_every_element_of_the_disc():
