@@ -75,6 +75,7 @@ from .repn import (
     unitarity_residual,
 )
 from .shifts import BRANCH_T2, BRANCH_T3, canonical_shift, reducible_shift, weight_sequence
+from .specialfn import principal_re_mu
 
 #: the certificate modules, each executed at a command's first read of one of its names
 homogeneity = bind_lazily(f"{__package__}.homogeneity")
@@ -120,11 +121,6 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _principal_mu(lam: float, im_mu: float) -> complex:
-    """Re mu is forced to (1 - lam)/2, so invalid principal input cannot be expressed."""
-    return complex((1.0 - lam) / 2.0, im_mu)
-
-
 def _realization(series: str | None, lam: float | None, im_mu=None, mu=None, r=None) -> Realization:
     """The family that (series, lambda, mu or Im mu, r) name, checked once; weights,
     every verify suite and each sweep cell resolve their family here.  Im mu and r
@@ -136,7 +132,7 @@ def _realization(series: str | None, lam: float | None, im_mu=None, mu=None, r=N
     if series == REDUCIBLE:
         return Realization.reducible(lam, DEFAULT_COUPLING if r is None else r)
     if series == PRINCIPAL:
-        mu = _principal_mu(lam, DEFAULT_IM_MU if im_mu is None else im_mu)
+        mu = complex(principal_re_mu(lam), DEFAULT_IM_MU if im_mu is None else im_mu)
     elif series == COMPLEMENTARY:
         if mu is None:
             raise ParameterError("--mu is required for the complementary family")
@@ -429,7 +425,7 @@ def cmd_sweep(args) -> int:
     any_bad = False
     for lam in lams:
         if args.series == PRINCIPAL:
-            mus = [_principal_mu(lam, im) for im in im_mus]
+            mus = [complex(principal_re_mu(lam), im) for im in im_mus]
         elif args.series == COMPLEMENTARY:
             mus = [None] if auto else [complex(v) for v in mu_values]
         else:

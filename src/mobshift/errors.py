@@ -128,5 +128,5 @@ class ParameterError(ValueError):
 
 
 class WindowMismatchError(ValueError):
-    """Operands live on incompatible index windows or bases."""
+    """Operands on incompatible index windows or bases: raised only at ``numkernel``'s two doors and shape checks."""
 

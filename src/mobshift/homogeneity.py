@@ -77,7 +77,7 @@ def homogeneity_defect(
     time, O(interior^2), with temporaries of O(N * TILE).
     """
     (m, t), n = T.single_diagonal, w.size
-    T._require_compatible(R)
+    T._require_on(R.window, R.basis)
     p0, p1 = _interior_bounds(R, w)
     # R's rows and columns on the interior and the halo that T's rows i + m and R T's columns j - m reach
     lo, hi = max(p0 - abs(m), 0), min(p1 + abs(m), n)
@@ -98,7 +98,7 @@ def kappa_flow_derivative(T: OperatorMatrix, rel: Realization, w: TruncationWind
     if not _STEP_MIN <= step <= _STEP_MAX:
         raise ParameterError(f"step {step} outside [{_STEP_MIN}, {_STEP_MAX}]")
     a = rel.generator("L", w)
-    T._require_compatible(a)
+    T._require_on(a.window, a.basis)
     block = _conjugated_block(a, step, T, *_interior_bounds(T, w), (1,))
     block /= step
     return block

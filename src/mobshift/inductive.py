@@ -26,6 +26,7 @@ from .numkernel import (
     np,
 )
 from .repn import Realization, RepnParams
+from .specialfn import principal_re_mu
 
 FIT_T2 = "T2branch"
 FIT_T3 = "T3branch"
@@ -138,7 +139,7 @@ def classify_a_minus1(a: Mapping[int, complex], p: RepnParams) -> AminusOneFit:
     except OverflowError:
         raise NumericsError("the affine fit of these coefficients overflows double precision") from None
     if hit_t2 and hit_t3:
-        if abs(p.mu - (1.0 - p.lam) / 2.0) <= _TIE_TOL:
+        if abs(p.mu - principal_re_mu(p.lam)) <= _TIE_TOL:
             return AminusOneFit(a_fit, b_fit, residual, FIT_T2, tie=True)
         return AminusOneFit(a_fit, b_fit, residual, FIT_NEITHER)
     if hit_t2:

@@ -1,13 +1,14 @@
 """Linear-algebra kernels shared by every other module.
 
-Matrices live on an explicit truncation window and carry a basis tag, so
-bookkeeping mistakes (mixing windows or bases) fail fast instead of producing
-plausible-looking numbers.  Operators are read-only complex128, and their
-algebra runs on their nonzero diagonals, which every library builder of a
-shift, Gram or generator states; the dense array is built only when read.  A
-result that fills the window (``mat_exp``'s, ``solve``'s, the circle route's)
-is stored dense as read-only data, read through ``data``, ``block``, ``diagonal``
-and ``entry``; ``single_diagonal``, a shift's one door, refuses it.  ``mat_exp`` takes
+Matrices live on an explicit truncation window and carry a basis tag, so a
+bookkeeping mistake fails fast at one of two doors, ``TruncationWindow.require``
+(a window of another index set) and ``OperatorMatrix._require_on`` (an operator
+off a window's lattice or basis).  Operators are read-only complex128, and their
+algebra runs on their nonzero diagonals, which every library builder of a shift,
+Gram or generator states; the dense array is built only when read.  A result
+that fills the window (``mat_exp``'s, ``solve``'s, the circle route's) is stored
+dense as read-only data, read through ``data``, ``block``, ``diagonal`` and
+``entry``; ``single_diagonal``, a shift's one door, refuses it.  ``mat_exp`` takes
 skew-Hermitian generators on the +-1 diagonals in an orthonormal basis, reads
 only those two bands, and works in real arithmetic from one cached real eigh
 per family and window (L and M share it); it keeps half of that spectrum, the
@@ -121,8 +122,10 @@ class TruncationWindow:
         """Array positions at distance >= padding from both window ends."""
         return np.arange(self.padding, self.size - self.padding)
 
-    def same_lattice(self, other: "TruncationWindow") -> bool:
-        return self.kind == other.kind and self.N == other.N
+    def require(self, kind: str) -> None:
+        """Refuse, with ``WindowMismatchError``, a window of another index set than ``kind``."""
+        if self.kind != kind:
+            raise WindowMismatchError(f"a {self.kind} window where the {kind} index set is needed")
 
 
 def _scan(a: np.ndarray) -> int | None:
@@ -245,9 +248,11 @@ class OperatorMatrix:
 
     # -- bookkeeping -----------------------------------------------------
 
-    def _require_compatible(self, other: "OperatorMatrix") -> None:
-        if not self.window.same_lattice(other.window) or self.basis != other.basis:
-            raise WindowMismatchError("operands live on different windows or bases")
+    def _require_on(self, window: TruncationWindow, basis: str | None = None) -> None:
+        """Refuse, with ``WindowMismatchError``, an operator off ``window``'s lattice (kind, N), or off ``basis`` if named."""
+        on, need = (self.window.kind, self.window.N, self.basis), (window.kind, window.N, basis or self.basis)
+        if on != need:
+            raise WindowMismatchError(f"an operator of (kind, N, basis) {on} where {need} is needed")
 
     def entry(self, row: int, col: int) -> complex:
         """Entry addressed by basis indices (not array positions)."""
@@ -271,7 +276,7 @@ class OperatorMatrix:
         return OperatorMatrix._adopt(self.window, self.basis, bands={m: f(d) for m, d in bands.items()})
 
     def _combine(self, other: "OperatorMatrix", f) -> "OperatorMatrix":
-        self._require_compatible(other)
+        other._require_on(self.window, self.basis)
         offsets = self._banded().keys() | other._banded().keys()
         return OperatorMatrix._adopt(
             self.window, self.basis, bands={m: f(self.diagonal(m), other.diagonal(m)) for m in offsets}
@@ -298,7 +303,7 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Matrix product of the bands: O(N) per pair of bands."""
-        self._require_compatible(other)
+        other._require_on(self.window, self.basis)
         n = self.window.size
         right, bands = {q: _rows(q, b, n) for q, b in other._banded().items()}, {}
         for m, a in self._banded().items():
@@ -470,7 +475,7 @@ def solve(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     The estimate needs A^{-1}, so B = I returns that inverse without a
     second factorization.
     """
-    A._require_compatible(B)
+    B._require_on(A.window, A.basis)
     a = np.asarray(A.data)
     with np.errstate(all="ignore"):
         try:
@@ -486,8 +491,7 @@ def solve(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
 
 def _interior_bounds(A: OperatorMatrix, w: TruncationWindow) -> tuple[int, int]:
     """(p0, p1): the interior positions p0..p1-1 of w, checked to be non-empty and to fit A."""
-    if not A.window.same_lattice(w):
-        raise WindowMismatchError("matrix window does not match the measurement window")
+    A._require_on(w)
     p0, p1 = w.padding, w.size - w.padding
     if p0 >= p1:
         raise ParameterError(f"padding {w.padding} leaves no interior in a size-{w.size} window")

@@ -29,7 +29,7 @@ import cmath
 import math
 
 from . import mobius
-from .errors import NumericsError, ParameterError, WindowMismatchError, value_type
+from .errors import NumericsError, ParameterError, value_type
 from .mobius import GroupPath, MobiusElement
 from .numkernel import (
     BILATERAL,
@@ -131,8 +131,7 @@ def complementary_mu_interval(lam: float) -> tuple[float, float]:
 
 def _h_diagonal(p: RepnParams, w: TruncationWindow) -> np.ndarray:
     """dR(h)'s diagonal -i (2n + lam) over a window of p's index set, in either basis."""
-    if w.kind != p.index_set:
-        raise WindowMismatchError(f"window kind {w.kind!r} does not match params index set {p.index_set!r}")
+    w.require(p.index_set)
     return -1j * (2.0 * w.indices() + p.lam)
 
 
@@ -162,8 +161,7 @@ def reducible_generator_matrix(p: RepnParams, X: str, w: TruncationWindow) -> Op
     bilateral action at mu_n = 0 for n >= 0 and 1 - lam for n < 0.  Its lowering action vanishes at
     n = 0 and its raising action at n = -1, the two seam columns, with no special case: lam + fl(1 - lam)
     is exactly 1 for every double lam in (0, 2), the range ``Realization.reducible`` checks."""
-    if w.kind != BILATERAL:
-        raise WindowMismatchError("the reducible sum lives on a bilateral window")
+    w.require(BILATERAL)  # the reducible sum lives on a bilateral window
     return _generator(p, w, X, np.where(w.indices() < 0, 1.0 - p.lam, 0.0))
 
 
@@ -242,8 +240,7 @@ class Realization:
         """S A S^-1, S = diag(``norms(w)``): a monomial-basis A on w's lattice (any other raises) in
         the orthonormal basis, each band rescaled along itself, so a step-(-1) shift's a_n turns
         into the weight a_n s_{n+1} / s_n.  Only ratios of the norms enter, not the Gram's scale."""
-        if A.basis != MONOMIAL or not A.window.same_lattice(w):
-            raise WindowMismatchError("the operator must be in the monomial basis, on the window's lattice")
+        A._require_on(w, MONOMIAL)
         s = self.norms(w)
         return OperatorMatrix._adopt(A.window, ORTHONORMAL, bands={
             m: d * s[max(-m, 0) :][: d.size] / s[max(m, 0) :][: d.size] if m else d for m, d in A._banded().items()
@@ -295,8 +292,7 @@ class Realization:
         R's basis and window, without R: a rotation rescales T's band, O(N), and builds no
         generator, and a boost is ``numkernel._conjugated_block``, O(|B|^2 N)."""
         m, t = T.single_diagonal
-        if T.basis != ORTHONORMAL or not T.window.same_lattice(w):
-            raise WindowMismatchError("T must be in the orthonormal basis, on the window's lattice")
+        T._require_on(w, ORTHONORMAL)
         s, left, right = self._cartan_factors(path, w)
         if s == 0.0:  # R = diag(left): (R T R^-1)[i, i + m] = left[i] T[i, i + m] / left[i + m]
             return OperatorMatrix.from_band(w, m, left[max(-m, 0) :][: t.size] * t / left[max(m, 0) :][: t.size]).block(lo, hi)
@@ -308,7 +304,8 @@ def _circle_factors(phi_inv: MobiusElement, eta_plus: complex, eta_minus: comple
 
     The multiplier is exp(eta_plus * log phi' + eta_minus * conj(log phi'))
     with each log taken on its principal branch; with eta_plus = (lam + mu)/2
-    and eta_minus = mu/2 this equals (phi')^{lam/2} |phi'|^mu.
+    and eta_minus = mu/2 this equals (phi')^{lam/2} |phi'|^mu.  One past the double range,
+    from finite inputs, raises ``NumericsError`` before any table is filled.
     """
     z = np.exp(2j * np.pi * np.arange(grid) / grid)
     beta = phi_inv.beta
@@ -320,7 +317,10 @@ def _circle_factors(phi_inv: MobiusElement, eta_plus: complex, eta_minus: comple
         + math.log1p(-abs(beta) ** 2)
         - 2.0 * np.log(1.0 - beta.conjugate() * z)
     )
-    multiplier = np.exp(complex(eta_plus) * log_deriv + complex(eta_minus) * np.conj(log_deriv))
+    with np.errstate(all="ignore"):
+        multiplier = np.exp(complex(eta_plus) * log_deriv + complex(eta_minus) * np.conj(log_deriv))
+    if not np.isfinite(multiplier).all():
+        raise NumericsError("the circle route's multiplier (phi')^(lam/2) |phi'|^mu overflows double precision")
     return moved, multiplier
 
 
@@ -337,8 +337,7 @@ def _circle_table(p: RepnParams, phi_inv: MobiusElement, w: TruncationWindow) ->
     ``MAX_GRID`` stops at the first block whose tail refuses its grid; otherwise the
     checks take their maxima over all blocks.
     """
-    if w.kind != p.index_set:
-        raise WindowMismatchError("window kind does not match params index set")
+    w.require(p.index_set)
     eta_plus, eta_minus = (p.lam + p.mu) / 2.0, p.mu / 2.0
     table = np.empty((w.size, w.size), dtype=np.complex128)
     grid = 1 << (8 * w.N - 1).bit_length()

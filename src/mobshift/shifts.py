@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ParameterError, WindowMismatchError
+from .errors import ParameterError
 from .numkernel import BILATERAL, UNILATERAL, OperatorMatrix, TruncationWindow
 from .repn import Realization, RepnParams
 from .specialfn import norm_ratio
@@ -41,8 +41,7 @@ def canonical_shift(kind: str, p: RepnParams, w: TruncationWindow) -> OperatorMa
     """
     if kind not in SHIFT_KINDS:
         raise ParameterError(f"unknown shift kind {kind!r}")
-    if w.kind != p.index_set:
-        raise WindowMismatchError("window kind does not match params index set")
+    w.require(p.index_set)
     if kind in ("T1", "T1star"):
         if p.index_set != UNILATERAL or p.lam <= 0.0:
             raise ParameterError(f"{kind} belongs to the unilateral holomorphic family (lam > 0)")
@@ -102,8 +101,7 @@ def reducible_coefficients(rel: Realization, w: TruncationWindow) -> list:
     than a bilateral one are refused, so whatever reads them refuses what the shift does."""
     if rel.flavor != "reducible":
         raise ParameterError(f"the reducible shift needs the reducible sum, not a {rel.flavor!r} realization")
-    if w.kind != BILATERAL:
-        raise WindowMismatchError("the reducible shift lives on a bilateral window")
+    w.require(BILATERAL)
     return [_reducible_coefficient(rel, n) for n in range(w.lo, w.hi)]
 
 

@@ -13,7 +13,7 @@ import cmath
 import math
 from typing import TYPE_CHECKING
 
-from .errors import NumericsError, ParameterError, WindowMismatchError
+from .errors import NumericsError, ParameterError
 from .numkernel import BILATERAL, TruncationWindow, np
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -23,12 +23,13 @@ _IMAG_DISCARD_TOL = 1e-12
 _PRINCIPAL_RE_TOL = 1e-12
 
 
+def principal_re_mu(lam: float) -> float:
+    """Re mu = (1 - lam)/2, the principal line: there the two gamma arguments coincide identically."""
+    return (1.0 - lam) / 2.0
+
+
 def _principal_coincidence(params: "RepnParams") -> bool:
-    # Re mu = (1 - lam)/2 makes the two gamma arguments coincide identically.
-    return (
-        params.index_set == BILATERAL
-        and abs(complex(params.mu).real - (1.0 - params.lam) / 2.0) <= _PRINCIPAL_RE_TOL
-    )
+    return params.index_set == BILATERAL and abs(complex(params.mu).real - principal_re_mu(params.lam)) <= _PRINCIPAL_RE_TOL
 
 
 def norm_ratio(params: "RepnParams", n: int) -> float:
@@ -70,10 +71,7 @@ def norm_sq_sequence(params: "RepnParams", w: TruncationWindow) -> np.ndarray:
     lam = 1 has the Gram I exactly.  A product past the normal double range
     (inf, 0 or a subnormal; each ratio is finite and positive) raises ``NumericsError``.
     """
-    if params.index_set != w.kind:
-        raise WindowMismatchError(
-            f"params index set {params.index_set!r} does not match window kind {w.kind!r}"
-        )
+    w.require(params.index_set)
     up = [norm_ratio(params, n) for n in range(0, w.hi)]
     down = [norm_ratio(params, n) for n in range(w.lo, 0)]
     # ||f_n||^2 = 1 / (ratio_n ratio_{n+1} ... ratio_{-1}) below n = 0

@@ -20,6 +20,7 @@ from mobshift.inductive import (
     FIT_T3,
     classify_a_minus1,
     ladder_cancellation,
+    normalizer_defect,
 )
 from mobshift.mobius import GroupPath, path_to_mobius
 from mobshift.numkernel import (
@@ -417,3 +418,41 @@ def test_criterion_10_determinism(capsys):
         ok = ok and first == second and first
     report(10, "byte-identical reports", bool(ok), f"{len(invocations)} invocations repeated")
     assert ok
+
+
+#: one family per series and its own shift, with the slope d value / d eps of homogeneity (pad 16)
+#: and of the normalizer (pad 24) on L:0.1 when one interior weight of the orthonormal T, the middle
+#: entry of its band, is multiplied by 1 + eps: the same at eps = 1e-6, 1e-4 and 1e-2 to 3-4 digits
+DETECTION_SLOPES = {
+    "holo T1": (Realization.plain(RepnParams(UNILATERAL, 1.0)), "T1", 1.354, 7.604),
+    "antiholo T1star": (Realization.sharp(RepnParams(UNILATERAL, 2.0)), "T1star", 1.329, 7.442),
+    "principal T2": (Realization.plain(RepnParams(BILATERAL, 0.3, complex(0.35, 3.0))), "T2", 0.591, 2.257),
+    "complementary T3": (Realization.plain(RepnParams(BILATERAL, 0.4, 0.2)), "T3", 0.144, 0.503),
+    "reducible r=1": (Realization.reducible(1.0, 1.0), "reducible", 0.198, 0.689),
+}
+
+
+@pytest.mark.parametrize("suite, pad", [("homogeneity", PAD), ("normalizer", 24)])
+@pytest.mark.parametrize("family", DETECTION_SLOPES)
+def test_one_weight_defect_moves_the_value_by_its_slope(family, suite, pad):
+    # how small a defect a pass rules out: the clean value passes, 1 + 1e-4 on the band's middle
+    # weight moves the value by its slope times 1e-4 (within a factor of 2), and on the band's first
+    # weight, at the window's edge inside the pad, by under 1e-12
+    rel, op, *slopes = DETECTION_SLOPES[family]
+    w, path = TruncationWindow(rel.params.index_set, N, pad), GroupPath.parse("L:0.1")
+    T = rel.orthonormal(reducible_shift(rel, w) if op == "reducible" else canonical_shift(op, rel.params, w), w)
+    if suite == "homogeneity":
+        R = rel.along_path(path, w)
+        measure = lambda T: homogeneity_defect(T, R, path_to_mobius(path), w)
+    else:
+        measure = lambda T: normalizer_defect(T, rel, path, w)
+    clean = measure(T)
+    m, band = T.single_diagonal
+
+    def move(k, eps=1e-4):
+        skewed = band.copy()
+        skewed[k] *= 1.0 + eps
+        return measure(OperatorMatrix.from_band(w, m, skewed, T.basis)).value - clean.value
+
+    slope, expected, edge = move(band.size // 2) / 1e-4, slopes[suite == "normalizer"], move(0)
+    assert clean.passed and expected / 2 <= slope <= 2 * expected and abs(edge) < 1e-12, (clean.value, slope, edge)

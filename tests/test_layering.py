@@ -207,3 +207,20 @@ def test_no_module_compares_single_diagonal_with_none(path):
                 for o in operands:
                     read = getattr(o, "attr", None) == "single_diagonal" or (where[node], getattr(o, "id", None)) in reads
                     assert not read, (path.stem, node.lineno, ast.unparse(node))
+
+
+def test_a_window_or_basis_mismatch_is_refused_at_its_doors():
+    # TruncationWindow.require refuses a window of another index set, OperatorMatrix._require_on an
+    # operator off a window's lattice or basis, and OperatorMatrix._init the shape of a band or of
+    # data that does not fit the window: every other module checks through them and never names the error
+    doors = set()
+    for path in MODULES:
+        tree = _tree(path)
+        where = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                if ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == "WindowMismatchError":
+                    doors.add((path.stem, where[node]))
+    assert doors == {("numkernel", "require"), ("numkernel", "_require_on"), ("numkernel", "_init")}
+    readers = [path.stem for path in MODULES if "WindowMismatchError" in _names(path)]
+    assert readers == ["numkernel"], readers

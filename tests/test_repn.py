@@ -784,6 +784,16 @@ def test_the_circle_route_refuses_the_reducible_seam_basis(lam):
     assert "\n" not in str(refused.value)
 
 
+@pytest.mark.parametrize("lam", [1e4, 1e5])
+def test_the_circle_route_refuses_an_overflowing_multiplier(lam):
+    # on L:0.1, lam/2 log phi' passes the double range's 709 from finite inputs: one
+    # NumericsError line (exit 3's family) before any table is filled, and no RuntimeWarning
+    p, w = RepnParams(UNILATERAL, lam), TruncationWindow(UNILATERAL, 64, 16)
+    with pytest.raises(NumericsError, match="^the circle route's multiplier") as refused:
+        circle_rep_matrix(p, GroupPath.parse("L:0.1"), w)
+    assert str(refused.value).endswith("overflows double precision") and "\n" not in str(refused.value)
+
+
 def test_circle_oracle_takes_every_element_of_the_disc():
     # R(g) f_0 is the multiplier (phi')^{lam/2} |phi'|^mu, whose principal logarithm is
     # analytic for every |beta| < 1: at |beta| = 0.45 (and 0.9) its Fourier coefficients,
